@@ -46,9 +46,6 @@ benches:
                        paper's cache sizes
   synthetic            synthetic kernels (tight loops, branch-heavy code)
                        across the same three engines
-  asm_matmul           the bundled matmul assembly program (pipe-asm),
-                       with and without a 128-byte write-through D-cache
-                       competing for the memory port
 
 options:
   --quick              reduced point set for CI smoke testing; writes
@@ -56,8 +53,8 @@ options:
                        disturbed
   --label NAME         label recorded on this entry   (default: current)
   --dir DIR            output directory               (default: .)
-  --bench NAME         run a single bench (full_livermore | synthetic |
-                       asm_matmul; default: all)
+  --bench NAME         run a single bench (full_livermore | synthetic;
+                       default: all)
   --batch N            simulate up to N same-workload points per batched
                        kernel call instead of one at a time (default: 1,
                        the scalar path); per-point wall time is the
@@ -116,7 +113,7 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
             "--dir" => dir = it.next().ok_or("--dir needs a directory")?.clone(),
             "--bench" => {
                 let name = it.next().ok_or("--bench needs a name")?.clone();
-                if !["full_livermore", "synthetic", "asm_matmul"].contains(&name.as_str()) {
+                if !["full_livermore", "synthetic"].contains(&name.as_str()) {
                     return Err(format!("--bench: unknown bench `{name}`"));
                 }
                 only = Some(name);
@@ -337,52 +334,6 @@ fn synthetic_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoi
                     engine: kind.label(),
                     cache_bytes: 128,
                     workload: name.clone(),
-                    stats,
-                    wall,
-                }),
-        );
-    }
-    Ok(points)
-}
-
-fn asm_matmul_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoint>, String> {
-    let lib = pipe_asm::find_program("matmul").expect("matmul is bundled");
-    let program = pipe_asm::Assembler::new(InstrFormat::Fixed32)
-        .assemble(lib.source)
-        .map_err(|e| format!("matmul: {e}"))?;
-    let program = Arc::new(DecodedProgram::new(program));
-    let (base, _) = figure_mem("4a");
-    let sizes: &[u32] = if quick { &[128] } else { &[64, 128, 256] };
-    let mut lanes = Vec::new();
-    for kind in BENCH_STRATEGIES {
-        for &size in sizes {
-            if let Some(fetch) = kind.fetch_for(size, PrefetchPolicy::TruePrefetch) {
-                lanes.push((kind, fetch, size));
-            }
-        }
-    }
-    // Two data-side settings per lane: no D-cache (every data access
-    // competes for the port) and a 2-way 128-byte write-through D-cache.
-    // Both exercise the assembler-produced program; the delta is the
-    // port-contention relief the bench exists to track.
-    let d128 = pipe_mem::DCacheConfig {
-        size_bytes: 128,
-        line_bytes: 16,
-        ways: 2,
-    };
-    let mut points = Vec::new();
-    for (d_cache, workload) in [(None, "matmul"), (Some(d128), "matmul+d128")] {
-        let mem = MemConfig { d_cache, ..base };
-        let measured = measure_lanes(&program, &lanes, &mem, reps, batch)
-            .map_err(|e| format!("{workload}/{e}"))?;
-        points.extend(
-            lanes
-                .iter()
-                .zip(measured)
-                .map(|(&(kind, _, size), (stats, wall))| BenchPoint {
-                    engine: kind.label(),
-                    cache_bytes: size,
-                    workload: workload.to_string(),
                     stats,
                     wall,
                 }),
@@ -621,13 +572,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<String, String> {
                 "synthetic",
                 MemConfig::default(),
                 synthetic_points(opts.quick, reps, opts.batch)?,
-            ));
-        }
-        if want("asm_matmul") {
-            b.push((
-                "asm_matmul",
-                mem_4a,
-                asm_matmul_points(opts.quick, reps, opts.batch)?,
             ));
         }
         b

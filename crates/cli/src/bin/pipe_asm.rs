@@ -2,8 +2,8 @@
 
 use std::process::ExitCode;
 
-use pipe_asm::{disassemble, Assembler};
 use pipe_cli::{hex_dump, parse_asm_args, ASM_USAGE};
+use pipe_isa::{disassemble, Assembler};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

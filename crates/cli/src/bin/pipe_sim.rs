@@ -19,12 +19,7 @@ fn main() -> ExitCode {
         Some("replay") => return replay_main(&args[1..]),
         Some("store") => return store_main(&args[1..]),
         Some("bench") => return bench_main(&args[1..]),
-        Some("serve") => return serve_main(&args[1..]),
-        Some("request") => return request_main(&args[1..]),
-        Some("cluster") => return cluster_main(&args[1..]),
-        Some("asm") => return asm_main(&args[1..]),
-        // `run` is an explicit alias for the default mode, so piped
-        // invocations read naturally: pipe-sim asm m.s | pipe-sim run -
+        // `run` is an explicit alias for the default mode.
         Some("run") => {
             args.remove(0);
         }
@@ -66,12 +61,7 @@ fn main() -> ExitCode {
         (suite.program().clone(), key)
     } else {
         let path = opts.input.as_deref().expect("validated");
-        let loaded = if opts.from_asm {
-            pipe_cli::load_asm_program(path, opts.format)
-        } else {
-            pipe_cli::load_program(path, opts.format)
-        };
-        match loaded {
+        match pipe_cli::load_program(path, opts.format) {
             Ok(p) => (p, format!("file:{path}")),
             Err(e) => {
                 eprintln!("pipe-sim: {e}");
@@ -172,39 +162,6 @@ fn run_and_report<S: TraceSink>(
     }
 }
 
-fn asm_main(args: &[String]) -> ExitCode {
-    use std::io::Write;
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", pipe_cli::ASM_CMD_USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let opts = match pipe_cli::parse_asm_cmd_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipe-sim asm: {e}\n\n{}", pipe_cli::ASM_CMD_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match pipe_cli::run_asm_command(&opts) {
-        Ok(pipe_cli::AsmCmdOutput::Text(out)) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Ok(pipe_cli::AsmCmdOutput::Binary(bytes)) => {
-            let mut stdout = std::io::stdout().lock();
-            if let Err(e) = stdout.write_all(&bytes).and_then(|()| stdout.flush()) {
-                eprintln!("pipe-sim asm: cannot write stdout: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("pipe-sim asm: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn bench_main(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", pipe_cli::BENCH_USAGE);
@@ -248,79 +205,6 @@ fn replay_main(args: &[String]) -> ExitCode {
         }
         Err(e) => {
             eprintln!("pipe-sim replay: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn serve_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", pipe_cli::SERVE_USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let opts = match pipe_cli::parse_serve_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipe-sim serve: {e}\n\n{}", pipe_cli::SERVE_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match pipe_cli::run_serve(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("pipe-sim serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn request_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", pipe_cli::REQUEST_USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let opts = match pipe_cli::parse_request_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipe-sim request: {e}\n\n{}", pipe_cli::REQUEST_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match pipe_cli::run_request(&opts) {
-        Ok((out, ok)) => {
-            print!("{out}");
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("pipe-sim request: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cluster_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", pipe_cli::CLUSTER_USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let command = match pipe_cli::parse_cluster_args(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pipe-sim cluster: {e}\n\n{}", pipe_cli::CLUSTER_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match pipe_cli::run_cluster(&command) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("pipe-sim cluster: {e}");
             ExitCode::FAILURE
         }
     }

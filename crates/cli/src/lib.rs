@@ -14,21 +14,11 @@
 use pipe_core::{FetchStrategy, SimConfig};
 use pipe_icache::{ConvPrefetch, EngineBuilder, FetchKind};
 use pipe_isa::InstrFormat;
-use pipe_mem::{DCacheConfig, MemConfig, PriorityPolicy};
+use pipe_mem::{MemConfig, PriorityPolicy};
 
 mod bench;
-mod cluster;
-mod serve;
 
 pub use bench::{parse_bench_args, run_bench, BenchOptions, BENCH_USAGE};
-pub use cluster::{
-    parse_cluster_args, run_cluster, ClusterCommand, ClusterStatusOptions, ClusterSweepOptions,
-    CLUSTER_USAGE,
-};
-pub use serve::{
-    parse_request_args, parse_serve_args, run_request, run_serve, RequestOptions, ServeOptions,
-    REQUEST_USAGE, SERVE_USAGE,
-};
 
 /// Options for `pipe-sim`, parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +28,6 @@ pub struct SimOptions {
     pub input: Option<String>,
     /// Run the built-in Livermore benchmark instead of a file.
     pub livermore: bool,
-    /// Assemble text input with the full `pipe-asm` front end
-    /// (`.org`/`.word` layout, bundled-program names) instead of the
-    /// seed grammar.
-    pub from_asm: bool,
     /// The simulation configuration.
     pub config: SimConfig,
     /// Instruction format for assembly.
@@ -81,17 +67,12 @@ pub struct SimOptions {
 
 /// The usage string for `pipe-sim`.
 pub const SIM_USAGE: &str = "\
-usage: pipe-sim <program.s> [options]
-       pipe-sim run --from-asm <program.s|name|-> [options]
+usage: pipe-sim [run] <program.s> [options]
        pipe-sim --livermore [options]
-       pipe-sim --sweep 4a|4b|5a|5b|6a|6b|id [--jobs N] [--resume] [--store DIR]
+       pipe-sim --sweep 4a|4b|5a|5b|6a|6b [--jobs N] [--resume] [--store DIR]
                 [--strict] [--events DIR]
-       pipe-sim asm <program.s|name|-> [...]   (see pipe-sim asm --help)
        pipe-sim replay <trace> [options]      (see pipe-sim replay --help)
        pipe-sim store prune [--dry-run] [--store DIR]
-       pipe-sim serve [options]               (see pipe-sim serve --help)
-       pipe-sim request <endpoint> [options]  (see pipe-sim request --help)
-       pipe-sim cluster sweep|status [...]    (see pipe-sim cluster --help)
 
 fetch strategy:
   --fetch pipe|conventional|tib|buffers|perfect   (default: pipe)
@@ -108,15 +89,8 @@ memory:
   --bus BYTES          input bus width              (default: 4)
   --pipelined          pipelined external memory
   --data-first         data beats instructions at the memory interface
-  --dcache BYTES       on-chip write-through D-cache size; 0 = none
-                       (default: 0, the paper's model)
-  --dline BYTES        D-cache line size            (default: 16)
-  --dways N            D-cache associativity        (default: 1)
 
 other:
-  --from-asm           assemble text input with the pipe-asm front end
-                       (enables .org/.word layout, bundled program names,
-                       and `-` for stdin); binary input is auto-detected
   --format fixed32|mixed   instruction format       (default: fixed32)
   --trace              print a cycle trace to stderr
   --record-trace FILE  record the run into a binary .ptr trace (replay it
@@ -126,9 +100,7 @@ other:
   --max-cycles N       abort after N cycles
 
 sweep mode (parallel experiment engine):
-  --sweep ID           reproduce a paper figure panel (4a..6b), or `id`
-                       for the joint I/D cache-size sweep (assembled
-                       matmul workload, I-cache sizes x D-cache sizes)
+  --sweep ID           reproduce a paper figure panel (4a..6b)
   --jobs N             worker threads (cycle counts identical to serial)
   --resume             skip points already in the result store
   --store DIR          result-store root             (default: results)
@@ -158,7 +130,6 @@ fn parse_num(flag: &str, value: Option<&String>) -> Result<u32, String> {
 pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut input = None;
     let mut livermore = false;
-    let mut from_asm = false;
     let mut fetch_kind = "pipe".to_string();
     let mut cache = 128u32;
     let mut line = 16u32;
@@ -166,9 +137,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut iqb = None;
     let mut prefetch = ConvPrefetch::Always;
     let mut mem = MemConfig::default();
-    let mut dcache = 0u32;
-    let mut dline = 16u32;
-    let mut dways = 1u32;
     let mut format = InstrFormat::Fixed32;
     let mut trace = false;
     let mut record_trace = None;
@@ -209,10 +177,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
             "--bus" => mem.in_bus_bytes = parse_num("--bus", it.next())?,
             "--pipelined" => mem.pipelined = true,
             "--data-first" => mem.priority = PriorityPolicy::DataFirst,
-            "--dcache" => dcache = parse_num("--dcache", it.next())?,
-            "--dline" => dline = parse_num("--dline", it.next())?,
-            "--dways" => dways = parse_num("--dways", it.next())?,
-            "--from-asm" => from_asm = true,
             "--format" => {
                 format = match it.next().map(String::as_str) {
                     Some("fixed32") => InstrFormat::Fixed32,
@@ -231,9 +195,7 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
             }
             "--sweep" => {
                 let id = it.next().ok_or("--sweep needs a figure id")?.clone();
-                if !pipe_experiments::ALL_FIGURES.contains(&id.as_str())
-                    && id != pipe_experiments::JOINT_ID_FIGURE
-                {
+                if !pipe_experiments::ALL_FIGURES.contains(&id.as_str()) {
                     return Err(format!("--sweep: unknown figure `{id}`"));
                 }
                 sweep = Some(id);
@@ -281,17 +243,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     if record_trace.is_some() && (sweep.is_some() || compare) {
         return Err("--record-trace records a single run (not --sweep or --compare)".into());
     }
-    if input.as_deref() == Some("-") && !from_asm {
-        return Err("reading a program from stdin needs --from-asm".into());
-    }
-
-    if dcache > 0 {
-        mem.d_cache = Some(DCacheConfig {
-            size_bytes: dcache,
-            line_bytes: dline,
-            ways: dways,
-        });
-    }
 
     let kind = FetchKind::parse(&fetch_kind)
         .ok_or_else(|| format!("--fetch: unknown strategy `{fetch_kind}`"))?;
@@ -320,7 +271,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     Ok(SimOptions {
         input,
         livermore,
-        from_asm,
         config,
         format,
         trace,
@@ -373,11 +323,7 @@ pub fn run_sweep(opts: &SimOptions) -> Result<String, String> {
     {
         runner = runner.events(events);
     }
-    let run = if id == pipe_experiments::JOINT_ID_FIGURE {
-        pipe_experiments::try_joint_id_figure_with(&runner).map_err(|e| e.to_string())?
-    } else {
-        pipe_experiments::try_figure_with(id, &runner).map_err(|e| e.to_string())?
-    };
+    let run = pipe_experiments::try_figure_with(id, &runner).map_err(|e| e.to_string())?;
     let mut out = pipe_experiments::render_text(&run.figure);
     out.push_str(&pipe_experiments::render_failures(run.failed()));
     // Diagnostics go to stderr so stdout stays diffable against a
@@ -732,8 +678,6 @@ pub fn run_store_command(args: &[String]) -> Result<String, String> {
     }
 }
 
-// The `--json` statistics shape now lives in the shared JSON module so
-// the CLI and the simulation service emit byte-identical stats objects.
 pub use pipe_experiments::stats_json;
 
 /// Runs `program` under every fetch strategy at the given base
@@ -805,10 +749,9 @@ pub struct AsmOptions {
 pub const ASM_USAGE: &str = "\
 usage: pipe-asm <program.s> [--format fixed32|mixed] [--hex] [-o out.bin]
 
-Assembles a PIPE program with the full pipe-asm grammar (labels with
-forward references, .org/.word/.align layout) and prints its
-round-trippable disassembly (default) or a parcel hex dump (--hex).
-With -o, also writes a binary image that pipe-sim can run directly.
+Assembles a PIPE program and prints its disassembly (default) or a parcel
+hex dump (--hex). With -o, also writes a binary image that pipe-sim can
+run directly.
 ";
 
 /// Parses `pipe-asm` arguments.
@@ -867,182 +810,6 @@ pub fn load_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program
     pipe_isa::Assembler::new(format)
         .assemble(&source)
         .map_err(|e| format!("{path}: {e}"))
-}
-
-/// Reads program input bytes for the `pipe-asm` front end: stdin for
-/// `-`, the file at `path` if it exists, or the bundled program library
-/// by name (`matmul`, `sort`, `memcpy`).
-fn read_asm_input(path: &str) -> Result<(Vec<u8>, String), String> {
-    if path == "-" {
-        use std::io::Read;
-        let mut bytes = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut bytes)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        return Ok((bytes, "<stdin>".to_string()));
-    }
-    match std::fs::read(path) {
-        Ok(bytes) => Ok((bytes, path.to_string())),
-        Err(e) => match pipe_asm::find_program(path) {
-            Some(lib) => Ok((lib.source.as_bytes().to_vec(), format!("<bundled {path}>"))),
-            None => Err(format!("cannot read {path}: {e}")),
-        },
-    }
-}
-
-/// Loads a program through the `pipe-asm` front end: a binary container
-/// passes through untouched; text is assembled with the full grammar
-/// (`.org`/`.word` layout, forward references). `path` may be a file,
-/// a bundled program name, or `-` for stdin.
-///
-/// # Errors
-///
-/// Returns a user-facing message for I/O, assembly, or container errors.
-pub fn load_asm_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program, String> {
-    let (bytes, origin) = read_asm_input(path)?;
-    if bytes.starts_with(&pipe_isa::binfmt::MAGIC) {
-        return pipe_isa::read_program(&bytes).map_err(|e| format!("{origin}: {e}"));
-    }
-    let source = String::from_utf8(bytes).map_err(|_| format!("{origin}: not UTF-8 assembly"))?;
-    pipe_asm::Assembler::new(format)
-        .assemble(&source)
-        .map_err(|e| format!("{origin}: {e}"))
-}
-
-/// Options for `pipe-sim asm`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsmCmdOptions {
-    /// Source: a file path, a bundled program name, or `-` for stdin.
-    /// `None` is only valid with `--list`.
-    pub input: Option<String>,
-    /// Instruction format.
-    pub format: InstrFormat,
-    /// Print the round-trippable disassembly instead of the binary.
-    pub disasm: bool,
-    /// Print a parcel hex dump instead of the binary.
-    pub hex: bool,
-    /// Write the binary container to this file instead of stdout.
-    pub output: Option<String>,
-    /// List the bundled program library and exit.
-    pub list: bool,
-}
-
-/// The usage string for `pipe-sim asm`.
-pub const ASM_CMD_USAGE: &str = "\
-usage: pipe-sim asm <program.s|name|-> [options]
-       pipe-sim asm --list
-
-Assembles a PIPE program with the pipe-asm front end (labels with forward
-references, .org/.word/.align layout, column-precise diagnostics) and
-writes the binary container to stdout, ready to pipe into
-`pipe-sim run --from-asm -`. The input may be a file, the name of a
-bundled program (see --list), or `-` for stdin.
-
-  --format fixed32|mixed   instruction format       (default: fixed32)
-  -o FILE              write the binary here instead of stdout
-  --disasm             print the round-trippable disassembly instead
-  --hex                print a parcel hex dump instead
-  --list               list the bundled program library
-";
-
-/// Parses `pipe-sim asm` arguments (excluding the subcommand name).
-///
-/// # Errors
-///
-/// Returns a user-facing message for unknown flags or a missing input.
-pub fn parse_asm_cmd_args(args: &[String]) -> Result<AsmCmdOptions, String> {
-    let mut input = None;
-    let mut format = InstrFormat::Fixed32;
-    let mut disasm = false;
-    let mut hex = false;
-    let mut output = None;
-    let mut list = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("fixed32") => InstrFormat::Fixed32,
-                    Some("mixed") => InstrFormat::Mixed,
-                    other => return Err(format!("--format: unknown format {other:?}")),
-                };
-            }
-            "--disasm" => disasm = true,
-            "--hex" => hex = true,
-            "--list" => list = true,
-            "-o" | "--output" => {
-                output = Some(it.next().ok_or("-o needs a file name")?.to_string());
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!("unknown flag `{other}`"))
-            }
-            path => {
-                if input.is_some() {
-                    return Err("more than one input".into());
-                }
-                input = Some(path.to_string());
-            }
-        }
-    }
-    if disasm && hex {
-        return Err("--disasm conflicts with --hex".into());
-    }
-    if input.is_none() && !list {
-        return Err("no input (give a file, a bundled name, `-`, or --list)".into());
-    }
-    Ok(AsmCmdOptions {
-        input,
-        format,
-        disasm,
-        hex,
-        output,
-        list,
-    })
-}
-
-/// What `pipe-sim asm` should write to stdout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AsmCmdOutput {
-    /// The binary program container (raw bytes).
-    Binary(Vec<u8>),
-    /// A text listing (disassembly, hex dump, library list, or a
-    /// `wrote <file>` confirmation).
-    Text(String),
-}
-
-/// Runs `pipe-sim asm` and returns what to print.
-///
-/// # Errors
-///
-/// Returns a user-facing message for I/O or assembly errors.
-pub fn run_asm_command(opts: &AsmCmdOptions) -> Result<AsmCmdOutput, String> {
-    if opts.list {
-        let mut out = String::from("bundled programs (pipe-sim asm <name>):\n");
-        for lib in pipe_asm::LIBRARY {
-            out.push_str(&format!("  {:<8} {}\n", lib.name, lib.title));
-        }
-        return Ok(AsmCmdOutput::Text(out));
-    }
-    let input = opts.input.as_deref().expect("validated");
-    let program = load_asm_program(input, opts.format)?;
-    if opts.disasm {
-        return Ok(AsmCmdOutput::Text(pipe_asm::disassemble(&program)));
-    }
-    if opts.hex {
-        return Ok(AsmCmdOutput::Text(hex_dump(&program)));
-    }
-    let bytes = pipe_isa::write_program(&program);
-    match &opts.output {
-        Some(path) => {
-            std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
-            Ok(AsmCmdOutput::Text(format!(
-                "wrote {path}: {} instructions, {} code bytes\n",
-                program.static_count(),
-                program.code_bytes()
-            )))
-        }
-        None => Ok(AsmCmdOutput::Binary(bytes)),
-    }
 }
 
 /// Renders a parcel hex dump, 8 parcels per line with byte addresses.

@@ -383,25 +383,7 @@ impl<S: TraceSink> Processor<S> {
         // 2. Memory tick.
         let out = self.mem.tick();
 
-        // 3. Routing. A D-cache hit services the LAQ head on chip; it can
-        // coincide with a port acceptance (which is then never a data
-        // load — hits are intercepted before arbitration).
-        if let Some(tag) = out.d_accepted {
-            debug_assert_eq!(self.laq_front_tag, Some(tag));
-            let entry = self.laq.pop().expect("laq front hit in d-cache");
-            self.inflight_loads.push((tag, entry.tag));
-            self.laq_front_tag = None;
-        }
-        if let Some(beat) = &out.d_beat {
-            let pos = self
-                .inflight_loads
-                .iter()
-                .position(|&(t, _)| t == beat.tag)
-                .expect("d-cache beat for unknown load");
-            let (_, seq) = self.inflight_loads.swap_remove(pos);
-            self.ldq
-                .fill(seq, beat.value.expect("d-cache beats carry values"));
-        }
+        // 3. Routing.
         if let Some(tag) = out.accepted {
             if self.laq_front_tag == Some(tag) {
                 let entry = self.laq.pop().expect("laq front accepted");
@@ -1219,61 +1201,6 @@ mod tests {
         assert!(stats.queues.ldq.max >= 2, "{:?}", stats.queues);
         assert!(stats.queues.laq.max >= 1);
         assert!(stats.queues.ldq.average(stats.cycles) > 0.0);
-    }
-
-    #[test]
-    fn dcache_preserves_results_and_saves_cycles() {
-        use pipe_mem::DCacheConfig;
-        // Re-read the same word repeatedly under slow memory with a busy
-        // instruction side: the D-cache must produce identical
-        // architectural state in fewer cycles, with hits counted.
-        let src = r#"
-            lim  r1, 0x100
-            lim  r2, 42
-            lim  r3, 16
-            sta  r1, 0
-            or   r7, r2, r2
-            lbr  b0, loop
-            loop: ldw r1, 0
-            add  r4, r7, r7
-            subi r3, r3, 1
-            pbr.nez b0, r3, 0
-            halt
-        "#;
-        let p = asm(src);
-        let slow = MemConfig {
-            access_cycles: 6,
-            ..MemConfig::default()
-        };
-        let run_with = |d_cache| {
-            let cfg = SimConfig {
-                fetch: FetchStrategy::conventional(CacheConfig::new(32, 16)),
-                mem: MemConfig { d_cache, ..slow },
-                ..SimConfig::default()
-            };
-            let mut proc = Processor::new(&p, &cfg).unwrap();
-            proc.run().unwrap();
-            let r4 = proc.regs().read(Reg::new(4));
-            (proc.into_stats(), r4)
-        };
-        let (base, r4_base) = run_with(None);
-        let (cached, r4_cached) = run_with(Some(DCacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-        }));
-        assert_eq!(r4_base, 84);
-        assert_eq!(r4_cached, 84);
-        assert_eq!(base.instructions_issued, cached.instructions_issued);
-        assert_eq!(base.mem.d_hits, 0);
-        assert_eq!(cached.mem.d_hits, 15, "first load misses, rest hit");
-        assert_eq!(cached.mem.d_misses, 1);
-        assert!(
-            cached.cycles < base.cycles,
-            "d-cache {} !< none {}",
-            cached.cycles,
-            base.cycles
-        );
     }
 
     #[test]

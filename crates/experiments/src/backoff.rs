@@ -1,19 +1,14 @@
 //! Bounded retry with exponential backoff.
 //!
-//! The fault-tolerance machinery introduced with the sweep engine retries
-//! transient failures — store writes, and now HTTP dispatch in the
-//! request CLI and the cluster coordinator — a bounded number of times
-//! with a doubling delay between attempts. [`BackoffPolicy`] is that
-//! loop, extracted so every retry site shares one implementation and one
-//! set of semantics:
+//! The sweep engine retries transient store-write failures a bounded
+//! number of times with a doubling delay between attempts.
+//! [`BackoffPolicy`] is that loop:
 //!
 //! - `attempts` is the **total** number of tries (a policy of 3 sleeps at
 //!   most twice),
 //! - the delay starts at `initial` and doubles after every failed
 //!   attempt,
-//! - the caller's `on_retry` observer runs before each sleep and may
-//!   override the delay (e.g. with a server-provided `Retry-After`), or
-//!   veto further retries entirely.
+//! - the caller's `on_retry` observer runs before each sleep.
 //!
 //! ```
 //! use pipe_experiments::BackoffPolicy;
@@ -30,24 +25,13 @@
 //!             Ok(42)
 //!         }
 //!     },
-//!     |_attempt, _err| pipe_experiments::backoff::Retry::After(None),
+//!     |_attempt, _err| {},
 //! );
 //! assert_eq!(result, Ok(42));
 //! assert_eq!(calls, 3);
 //! ```
 
 use std::time::Duration;
-
-/// What to do after a failed attempt, decided by the caller's `on_retry`
-/// observer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retry {
-    /// Retry after the given delay, or after the policy's own doubling
-    /// delay when `None`. A server-provided `Retry-After` plugs in here.
-    After(Option<Duration>),
-    /// The error is not transient; stop retrying and surface it now.
-    Abort,
-}
 
 /// A bounded exponential-backoff retry policy: up to `attempts` total
 /// tries, sleeping `initial`, `2·initial`, `4·initial`, ... between them.
@@ -89,9 +73,8 @@ impl BackoffPolicy {
     ///
     /// `op` receives the 1-based attempt number. After each failure that
     /// is not the last attempt, `on_retry` observes the attempt number
-    /// and the error; it returns a [`Retry`] directive — sleep the
-    /// policy delay, sleep an overridden delay, or abort. The final
-    /// attempt's error (or the error at abort) is returned as-is.
+    /// and the error, then the policy delay is slept. The final
+    /// attempt's error is returned as-is.
     ///
     /// # Errors
     ///
@@ -99,7 +82,7 @@ impl BackoffPolicy {
     pub fn run<T, E>(
         &self,
         mut op: impl FnMut(u32) -> Result<T, E>,
-        mut on_retry: impl FnMut(u32, &E) -> Retry,
+        mut on_retry: impl FnMut(u32, &E),
     ) -> Result<T, E> {
         let mut attempt = 1;
         loop {
@@ -109,12 +92,8 @@ impl BackoffPolicy {
                     if attempt >= self.attempts {
                         return Err(e);
                     }
-                    match on_retry(attempt, &e) {
-                        Retry::Abort => return Err(e),
-                        Retry::After(delay) => {
-                            std::thread::sleep(delay.unwrap_or_else(|| self.delay_after(attempt)));
-                        }
-                    }
+                    on_retry(attempt, &e);
+                    std::thread::sleep(self.delay_after(attempt));
                 }
             }
             attempt += 1;
@@ -149,28 +128,11 @@ mod tests {
         let mut retries = Vec::new();
         let r: Result<(), String> = fast(3).run(
             |attempt| Err(format!("fail {attempt}")),
-            |attempt, _| {
-                retries.push(attempt);
-                Retry::After(None)
-            },
+            |attempt, _| retries.push(attempt),
         );
         assert_eq!(r, Err("fail 3".to_string()));
         // on_retry runs after every failure except the last.
         assert_eq!(retries, vec![1, 2]);
-    }
-
-    #[test]
-    fn abort_stops_early() {
-        let mut calls = 0;
-        let r: Result<(), &str> = fast(10).run(
-            |_| {
-                calls += 1;
-                Err("permanent")
-            },
-            |_, _| Retry::Abort,
-        );
-        assert_eq!(r, Err("permanent"));
-        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -197,16 +159,5 @@ mod tests {
         );
         assert_eq!(r, Err("once"));
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn override_delay_is_used() {
-        // Observable via wall clock: a 0 ms override on a policy whose
-        // own delay would be long keeps the run fast.
-        let p = BackoffPolicy::new(3, Duration::from_secs(60));
-        let t0 = std::time::Instant::now();
-        let r: Result<(), &str> = p.run(|_| Err("x"), |_, _| Retry::After(Some(Duration::ZERO)));
-        assert_eq!(r, Err("x"));
-        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

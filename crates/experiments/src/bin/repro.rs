@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
-//!       [--joint-id] [--ablation-access] [--ablation-priority]
-//!       [--ablation-prefetch] [--ablation-format] [--check]
-//!       [--csv-dir DIR] [--from-trace FILE]
+//!       [--ablation-access] [--ablation-priority] [--ablation-prefetch]
+//!       [--ablation-format] [--check] [--csv-dir DIR] [--from-trace FILE]
 //!       [--jobs N] [--resume] [--store DIR] [--progress]
 //!       [--strict] [--events DIR]
 //! ```
@@ -12,12 +11,8 @@
 //! With no arguments, runs everything except the ablations. `--check`
 //! verifies the paper's qualitative expectations and exits nonzero on a
 //! violation. `--csv-dir` additionally writes one CSV per figure (and,
-//! with `--profile`, one per-loop CSV per profiled strategy).
-//!
-//! `--joint-id` runs the joint I/D size sweep (an extension): I-cache
-//! sizes crossed with D-cache sizes on the assembled `matmul` program
-//! under 6-cycle, 4-byte-bus memory. It renders, CSVs, and SVGs like
-//! any figure; `pipe-sim --sweep id` is the CLI equivalent.
+//! with `--profile`, one per-loop CSV per profiled strategy). An output
+//! directory that cannot be written is reported and exits 1.
 //!
 //! `--from-trace FILE` runs the selected figure sweeps trace-driven:
 //! every point replays the given trace (binary `.ptr` or plain-text
@@ -39,12 +34,11 @@
 //! JSONL event log per figure to `DIR/events/` (defaults to the store
 //! root when a store is in use).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pipe_experiments::figures::{
-    ablation, try_figure_with, try_figure_with_workload, try_joint_id_figure_with, Figure,
-    ALL_ABLATIONS, ALL_FIGURES,
+    ablation, try_figure_with, try_figure_with_workload, Figure, ALL_ABLATIONS, ALL_FIGURES,
 };
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
 use pipe_experiments::store::ResultStore;
@@ -55,7 +49,6 @@ struct Options {
     tables: Vec<&'static str>,
     figures: Vec<&'static str>,
     ablations: Vec<&'static str>,
-    joint_id: bool,
     profile: bool,
     studies: bool,
     check: bool,
@@ -75,7 +68,6 @@ fn parse_args() -> Result<Options, String> {
         tables: Vec::new(),
         figures: Vec::new(),
         ablations: Vec::new(),
-        joint_id: false,
         profile: false,
         studies: false,
         check: false,
@@ -99,10 +91,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.ablations = ALL_ABLATIONS.to_vec();
                 opts.profile = true;
                 opts.studies = true;
-                any = true;
-            }
-            "--joint-id" => {
-                opts.joint_id = true;
                 any = true;
             }
             "--profile" => {
@@ -179,20 +167,35 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn emit(fig: &Figure, failed: &[FailedJob], opts: &Options, violations: &mut Vec<String>) {
+/// Writes `contents` to `dir/name`, creating `dir` as needed, and says
+/// so on stdout.
+///
+/// # Errors
+///
+/// `cannot write <path>: <error>` naming the directory or file that
+/// failed.
+fn write_output(dir: &Path, name: &str, kind: &str, contents: &str) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot write {}: {e}", dir.display()))?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("  [{kind} written to {}]", path.display());
+    Ok(())
+}
+
+fn emit(
+    fig: &Figure,
+    failed: &[FailedJob],
+    opts: &Options,
+    violations: &mut Vec<String>,
+) -> Result<(), String> {
     println!("{}", render_text(fig));
     print!("{}", render_failures(failed));
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = dir.join(format!("{}.csv", fig.id));
-        std::fs::write(&path, render_csv(fig)).expect("write csv");
-        println!("  [csv written to {}]", path.display());
+        write_output(dir, &format!("{}.csv", fig.id), "csv", &render_csv(fig))?;
     }
     if let Some(dir) = &opts.svg_dir {
-        std::fs::create_dir_all(dir).expect("create svg dir");
-        let path = dir.join(format!("{}.svg", fig.id));
-        std::fs::write(&path, pipe_experiments::render_figure_svg(fig)).expect("write svg");
-        println!("  [svg written to {}]", path.display());
+        let svg = pipe_experiments::render_figure_svg(fig);
+        write_output(dir, &format!("{}.svg", fig.id), "svg", &svg)?;
     }
     if opts.check {
         let v = check_expectations(fig);
@@ -205,6 +208,7 @@ fn emit(fig: &Figure, failed: &[FailedJob], opts: &Options, violations: &mut Vec
         violations.extend(v);
     }
     println!();
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -271,7 +275,10 @@ fn main() -> ExitCode {
         match result {
             Ok(run) => {
                 total_failed += run.failed().len();
-                emit(&run.figure, run.failed(), &opts, &mut violations);
+                if let Err(e) = emit(&run.figure, run.failed(), &opts, &mut violations) {
+                    eprintln!("repro: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
             Err(e) => {
                 // Strict fail-fast: report what completed, then abort.
@@ -282,25 +289,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // The joint I/D size sweep (extension): I-cache sizes x D-cache
-    // sizes on the assembled matmul program.
-    if opts.joint_id {
-        match try_joint_id_figure_with(&runner) {
-            Ok(run) => {
-                total_failed += run.failed().len();
-                emit(&run.figure, run.failed(), &opts, &mut violations);
-            }
-            Err(e) => {
-                eprintln!("repro: {e}");
-                print!("{}", render_failures(&e.partial().failed));
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     for id in &opts.ablations {
         for fig in ablation(id) {
-            emit(&fig, &[], &opts, &mut violations);
+            if let Err(e) = emit(&fig, &[], &opts, &mut violations) {
+                eprintln!("repro: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
 
@@ -320,10 +314,11 @@ fn main() -> ExitCode {
             let profile = per_loop_profile(&suite, fetch, &mem);
             println!("{}", render_profile(&profile));
             if let Some(dir) = &opts.csv_dir {
-                std::fs::create_dir_all(dir).expect("create csv dir");
-                let path = dir.join(format!("profile_{}.csv", kind.label()));
-                std::fs::write(&path, render_profile_csv(&profile)).expect("write profile csv");
-                println!("  [csv written to {}]", path.display());
+                let name = format!("profile_{}.csv", kind.label());
+                if let Err(e) = write_output(dir, &name, "csv", &render_profile_csv(&profile)) {
+                    eprintln!("repro: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
         }
     }

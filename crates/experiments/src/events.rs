@@ -88,15 +88,6 @@ impl RunLog {
         let _ = file.write_all(line.as_bytes());
     }
 
-    /// Appends an arbitrary event line. `fields` is pre-rendered JSON
-    /// (without the shared `event`/`ts_ms`/`run` envelope), e.g.
-    /// `"\"addr\":\"127.0.0.1:7878\",\"workers\":4"`. This is how other
-    /// subsystems — the simulation service in particular — reuse the
-    /// sweep event-log format for their own lifecycle events.
-    pub fn append(&self, event: &str, fields: &str) {
-        self.emit(event, fields);
-    }
-
     /// The sweep is starting: total job count, worker threads, strictness.
     pub fn run_start(&self, jobs: usize, workers: usize, strict: bool) {
         self.emit(

@@ -2,7 +2,7 @@
 
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
-use pipe_mem::{DCacheConfig, MemConfig, PriorityPolicy};
+use pipe_mem::{MemConfig, PriorityPolicy};
 use pipe_workloads::LivermoreSuite;
 
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
@@ -214,110 +214,6 @@ pub fn figure_with(id: &str, runner: &SweepRunner) -> Figure {
 /// Panics on an unknown id; valid ids are listed in [`ALL_FIGURES`].
 pub fn figure(id: &str) -> Figure {
     figure_with(id, &SweepRunner::new())
-}
-
-/// The figure id of the joint I/D cache-size sweep (`--sweep id`) — not
-/// one of the paper's panels, but the study its shared-memory-port model
-/// makes possible once a data cache exists.
-pub const JOINT_ID_FIGURE: &str = "id";
-
-/// The D-cache settings the joint I/D sweep walks: none (the paper's
-/// model — every data access arbitrates for the shared port), then
-/// growing 2-way write-through caches with 16-byte lines.
-fn joint_d_settings() -> Vec<(Option<DCacheConfig>, String)> {
-    let mut settings = vec![(None, "no-d$".to_string())];
-    for size in [64u32, 128, 256] {
-        settings.push((
-            Some(DCacheConfig {
-                size_bytes: size,
-                line_bytes: 16,
-                ways: 2,
-            }),
-            format!("d${size}B"),
-        ));
-    }
-    settings
-}
-
-/// Reproduces the joint I/D cache-size sweep on the assembled matrix
-/// multiply (`programs/matmul.s`): each D-cache setting re-sweeps the
-/// I-cache sizes for the conventional cache and PIPE 16-16, under a slow
-/// narrow memory port (6-cycle access, 4-byte bus) where I-fetch and
-/// D-miss traffic visibly contend. Series are labelled
-/// `<strategy> | <d-cache>`.
-///
-/// # Errors
-///
-/// Returns [`SweepError::Strict`] when the runner is strict and a job
-/// failed; the error carries the partial outcome of the failing
-/// sub-sweep.
-pub fn try_joint_id_figure_with(runner: &SweepRunner) -> Result<FigureRun, SweepError> {
-    let workload =
-        WorkloadSpec::asm("matmul", InstrFormat::Fixed32).expect("bundled program assembles");
-    try_joint_id_figure_with_workload(runner, workload)
-}
-
-/// [`try_joint_id_figure_with`] with the workload replaced (any
-/// [`WorkloadSpec`], e.g. another assembled program or Livermore).
-///
-/// # Errors
-///
-/// Returns [`SweepError::Strict`] when the runner is strict and a job
-/// failed.
-pub fn try_joint_id_figure_with_workload(
-    runner: &SweepRunner,
-    workload: WorkloadSpec,
-) -> Result<FigureRun, SweepError> {
-    let base = mem_for(6, 4, false);
-    let strategies = vec![StrategyKind::Conventional, StrategyKind::Pipe16x16];
-    let wl = workload.key();
-    let mut merged: Option<SweepOutcome> = None;
-    let mut series = Vec::new();
-    for (d_cache, label) in joint_d_settings() {
-        let spec = SweepSpec {
-            id: format!("figid[{label}]"),
-            strategies: strategies.clone(),
-            cache_sizes: sweep_sizes().to_vec(),
-            mem: MemConfig { d_cache, ..base },
-            policy: PrefetchPolicy::TruePrefetch,
-            workload: workload.clone(),
-        };
-        let outcome = runner.try_run(&spec)?;
-        for s in &outcome.series {
-            series.push(Series {
-                label: format!("{} | {label}", s.label),
-                kind: s.kind,
-                points: s.points.clone(),
-            });
-        }
-        merged = Some(match merged {
-            None => outcome,
-            Some(mut acc) => {
-                acc.computed += outcome.computed;
-                acc.cached += outcome.cached;
-                acc.failed.extend(outcome.failed);
-                acc.batches.extend(outcome.batches);
-                acc.store_degraded |= outcome.store_degraded;
-                acc.events_path = outcome.events_path.or(acc.events_path);
-                acc.wall += outcome.wall;
-                acc
-            }
-        });
-    }
-    let mut outcome = merged.expect("at least one D-cache setting");
-    outcome.series = series.clone();
-    Ok(FigureRun {
-        figure: Figure {
-            id: format!("fig{JOINT_ID_FIGURE}"),
-            title: format!(
-                "Joint I/D sweep: I-cache sizes x D-cache sizes, \
-                 6-cycle memory, 4-byte bus [workload: {wl}]"
-            ),
-            mem: base,
-            series,
-        },
-        outcome,
-    })
 }
 
 /// Runs one of the ablation studies (see [`ALL_ABLATIONS`]):

@@ -1,12 +1,11 @@
 //! Minimal hand-rolled JSON helpers shared by the result store, the
-//! JSONL event log, and the simulation service.
+//! JSONL event log, and `pipe-sim --json`.
 //!
 //! The workspace deliberately has no external dependencies, so the few
-//! places that speak JSON — store entries, event lines, service request
-//! and response bodies — share this one implementation instead of
-//! private copies. The model is deliberately small: flat objects whose
-//! values are unsigned integers, booleans, or strings with the standard
-//! escapes. Field extraction is by key search (`"field":`), which is
+//! places that speak JSON — store entries, event lines, statistics
+//! reports — share this one implementation instead of private copies.
+//! The model is deliberately small: flat objects whose values are
+//! unsigned integers, booleans, or strings with the standard escapes. Field extraction is by key search (`"field":`), which is
 //! exactly right for the fixed, known-key objects these formats use and
 //! wrong for arbitrary JSON; callers own their schemas.
 
@@ -48,18 +47,6 @@ pub fn field_u64(text: &str, field: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts a boolean field from a flat JSON object.
-pub fn field_bool(text: &str, field: &str) -> Option<bool> {
-    let rest = field_value(text, field)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// Extracts and unescapes a string field from a flat JSON object.
 /// Malformed input — an unterminated literal, an unknown escape, a bad
 /// `\u` sequence, or a raw control character — returns `None` rather
@@ -94,7 +81,7 @@ pub fn field_str(text: &str, field: &str) -> Option<String> {
 }
 
 /// Serializes run statistics as a JSON object — the shape `pipe-sim
-/// --json` prints and the simulation service returns. Hand-rolled; the
+/// --json` prints. Hand-rolled; the
 /// stats are all integers so no escaping is needed beyond the fixed
 /// keys. Only the fields below are covered (queue occupancies and
 /// memory-system counters are not), so two [`SimStats`] that agree on
@@ -109,8 +96,7 @@ pub fn stats_json(stats: &SimStats) -> String {
             "\"fetch\":{{\"demand_requests\":{},\"prefetch_requests\":{},",
             "\"bytes_requested\":{},\"cache_hits\":{},\"cache_misses\":{},",
             "\"redirects\":{},\"wasted_requests\":{}}},",
-            "\"mem\":{{\"d_hits\":{},\"d_misses\":{},\"d_store_hits\":{},",
-            "\"contended_cycles\":{}}}}}"
+            "\"mem\":{{\"contended_cycles\":{}}}}}"
         ),
         stats.cycles,
         stats.instructions_issued,
@@ -131,9 +117,6 @@ pub fn stats_json(stats: &SimStats) -> String {
         stats.fetch.cache_misses,
         stats.fetch.redirects,
         stats.fetch.wasted_requests,
-        stats.mem.d_hits,
-        stats.mem.d_misses,
-        stats.mem.d_store_hits,
         stats.mem.contended_cycles,
     )
 }
@@ -151,20 +134,16 @@ mod tests {
 
     #[test]
     fn field_extraction() {
-        let obj = "{\"n\":42,\"flag\":true,\"off\":false,\"s\":\"hi\"}";
+        let obj = "{\"n\":42,\"s\":\"hi\"}";
         assert_eq!(field_u64(obj, "n"), Some(42));
-        assert_eq!(field_bool(obj, "flag"), Some(true));
-        assert_eq!(field_bool(obj, "off"), Some(false));
         assert_eq!(field_str(obj, "s").as_deref(), Some("hi"));
         assert_eq!(field_u64(obj, "missing"), None);
-        assert_eq!(field_bool(obj, "n"), None);
     }
 
     #[test]
     fn whitespace_after_colon_is_tolerated() {
-        let obj = "{\"n\": 7, \"flag\": true, \"s\": \"x\"}";
+        let obj = "{\"n\": 7, \"s\": \"x\"}";
         assert_eq!(field_u64(obj, "n"), Some(7));
-        assert_eq!(field_bool(obj, "flag"), Some(true));
         assert_eq!(field_str(obj, "s").as_deref(), Some("x"));
     }
 

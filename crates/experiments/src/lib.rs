@@ -38,9 +38,8 @@ pub mod tracerun;
 pub use backoff::BackoffPolicy;
 pub use events::RunLog;
 pub use figures::{
-    ablation, figure, figure_mem, figure_with, try_figure_with, try_figure_with_workload,
-    try_joint_id_figure_with, try_joint_id_figure_with_workload, Figure, FigureRun, Series,
-    ALL_ABLATIONS, ALL_FIGURES, JOINT_ID_FIGURE,
+    ablation, figure, figure_mem, figure_with, try_figure_with, try_figure_with_workload, Figure,
+    FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
 };
 pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};

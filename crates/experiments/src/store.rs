@@ -14,12 +14,11 @@
 //! [`crate::json::stats_json`]): cycles, instructions, loads/stores/FPU
 //! ops, branch counts, the full stall breakdown, and the fetch-engine
 //! counters. A point loaded from the store therefore reconstructs
-//! [`SimStats`] bit-identical to the original run on that surface —
-//! which is what lets the simulation service answer repeated requests
-//! from the store. Queue-occupancy and memory-system counters are not
-//! persisted and read back as zero. Entries written before the extended
-//! format (headline fields only) still load, with the extra fields
-//! zeroed.
+//! [`SimStats`] bit-identical to the original run on that surface.
+//! Queue-occupancy and memory-system counters other than port
+//! contention are not persisted and read back as zero. Entries written
+//! before the extended format (headline fields only) still load, with
+//! the extra fields zeroed.
 //!
 //! The JSON is hand-rolled via [`crate::json`] (flat object,
 //! integer/string values, the standard string escapes) because the
@@ -118,16 +117,15 @@ pub struct StoredPoint {
     /// Wall-clock milliseconds the original simulation took.
     pub wall_ms: u64,
     /// The persisted statistics: every field of the JSON report surface
-    /// is round-tripped exactly, plus the D-cache and port-contention
-    /// counters; queue-occupancy and the remaining memory-system
-    /// counters are zero.
+    /// is round-tripped exactly; queue-occupancy and memory-system
+    /// counters other than port contention are zero.
     pub stats: SimStats,
 }
 
 /// The subset of `stats` the store persists: the JSON report surface
-/// (see [`crate::json::stats_json`]) plus the D-cache and contention
-/// counters, with queue and other memory counters dropped so a freshly
-/// loaded entry compares equal to a re-saved one.
+/// (see [`crate::json::stats_json`]), with queue and other memory
+/// counters dropped so a freshly loaded entry compares equal to a
+/// re-saved one.
 fn persisted_stats(stats: &SimStats) -> SimStats {
     let mut kept = SimStats {
         cycles: stats.cycles,
@@ -150,9 +148,6 @@ fn persisted_stats(stats: &SimStats) -> SimStats {
         wasted_requests: stats.fetch.wasted_requests,
         ..FetchStats::default()
     };
-    kept.mem.d_hits = stats.mem.d_hits;
-    kept.mem.d_misses = stats.mem.d_misses;
-    kept.mem.d_store_hits = stats.mem.d_store_hits;
     kept.mem.contended_cycles = stats.mem.contended_cycles;
     kept
 }
@@ -193,7 +188,6 @@ impl StoredPoint {
                 "\"data_wait_stalls\":{},\"queue_full_stalls\":{},\"branch_stalls\":{},",
                 "\"demand_requests\":{},\"prefetch_requests\":{},",
                 "\"redirects\":{},\"wasted_requests\":{},",
-                "\"d_hits\":{},\"d_misses\":{},\"d_store_hits\":{},",
                 "\"contended_cycles\":{}}}\n"
             ),
             STORE_VERSION,
@@ -219,9 +213,6 @@ impl StoredPoint {
             s.fetch.prefetch_requests,
             s.fetch.redirects,
             s.fetch.wasted_requests,
-            s.mem.d_hits,
-            s.mem.d_misses,
-            s.mem.d_store_hits,
             s.mem.contended_cycles,
         )
     }
@@ -261,9 +252,6 @@ impl StoredPoint {
         stats.fetch.prefetch_requests = opt("prefetch_requests");
         stats.fetch.redirects = opt("redirects");
         stats.fetch.wasted_requests = opt("wasted_requests");
-        stats.mem.d_hits = opt("d_hits");
-        stats.mem.d_misses = opt("d_misses");
-        stats.mem.d_store_hits = opt("d_store_hits");
         stats.mem.contended_cycles = opt("contended_cycles");
         Some(StoredPoint {
             key: field_str(text, "key")?,
@@ -586,8 +574,8 @@ mod tests {
 
     #[test]
     fn report_surface_round_trips_bit_identical() {
-        // The JSON report surface (what `pipe-sim --json` and the
-        // service emit) must survive a store round trip exactly.
+        // The JSON report surface (what `pipe-sim --json` emits) must
+        // survive a store round trip exactly.
         let entry = sample("v1|report-surface");
         let parsed = StoredPoint::from_json(&entry.to_json()).unwrap();
         assert_eq!(
@@ -725,10 +713,10 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_load_save_same_key_never_tears() {
-        // The service cache path: worker threads read a key while others
-        // write it. Every load must observe either "absent" or a
-        // complete, valid entry — never a torn or erroring read — and
-        // once a reader has seen the entry, it stays visible.
+        // Worker threads read a key while others write it. Every load
+        // must observe either "absent" or a complete, valid entry —
+        // never a torn or erroring read — and once a reader has seen
+        // the entry, it stays visible.
         let dir = std::env::temp_dir().join(format!("pipe-store-rw-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();

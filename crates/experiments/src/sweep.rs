@@ -59,7 +59,7 @@ use pipe_isa::{DecodedProgram, InstrFormat, Program};
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
 
-use crate::backoff::{BackoffPolicy, Retry};
+use crate::backoff::BackoffPolicy;
 use crate::events::RunLog;
 use crate::figures::{figure_mem, Series};
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
@@ -101,18 +101,6 @@ pub enum WorkloadSpec {
         /// Content hash of the trace file's bytes.
         fnv: u64,
     },
-    /// A program from the bundled assembly library (`programs/`),
-    /// assembled with `pipe-asm`. The key fragment includes the FNV-1a 64
-    /// digest of the source text, so stored results are invalidated
-    /// whenever the program is edited.
-    Asm {
-        /// Library program name (`pipe_asm::library`).
-        name: String,
-        /// Content hash of the assembly source text.
-        fnv: u64,
-        /// Instruction format to assemble under.
-        format: InstrFormat,
-    },
 }
 
 impl WorkloadSpec {
@@ -139,30 +127,6 @@ impl WorkloadSpec {
         Ok(WorkloadSpec::Trace {
             path: path.to_string_lossy().into_owned(),
             fnv,
-        })
-    }
-
-    /// A workload from the bundled assembly library: validates that the
-    /// program exists and assembles, and content-hashes its source.
-    ///
-    /// # Errors
-    ///
-    /// A user-facing message when `name` is not a bundled program or the
-    /// source fails to assemble under `format`.
-    pub fn asm(name: &str, format: InstrFormat) -> Result<WorkloadSpec, String> {
-        let lib = pipe_asm::find_program(name).ok_or_else(|| {
-            format!(
-                "unknown asm program `{name}` (available: {})",
-                pipe_asm::library::names().collect::<Vec<_>>().join(", ")
-            )
-        })?;
-        pipe_asm::Assembler::new(format)
-            .assemble(lib.source)
-            .map_err(|e| format!("{name} does not assemble: {e}"))?;
-        Ok(WorkloadSpec::Asm {
-            name: name.to_string(),
-            fnv: crate::store::fnv1a64(lib.source),
-            format,
         })
     }
 
@@ -194,13 +158,6 @@ impl WorkloadSpec {
             } => pipe_workloads::synthetic::tight_loop(*body, *trips, *format),
             WorkloadSpec::Trace { path, .. } => crate::tracerun::trace_program(Path::new(path))
                 .expect("trace workload validated at construction"),
-            WorkloadSpec::Asm { name, format, .. } => {
-                let lib =
-                    pipe_asm::find_program(name).expect("asm workload validated at construction");
-                pipe_asm::Assembler::new(*format)
-                    .assemble(lib.source)
-                    .expect("asm workload validated at construction")
-            }
         }
     }
 
@@ -216,9 +173,6 @@ impl WorkloadSpec {
                 format,
             } => format!("tight-loop:body={body},trips={trips},format={format}"),
             WorkloadSpec::Trace { fnv, .. } => format!("trace:fnv={fnv:016x}"),
-            WorkloadSpec::Asm { name, fnv, format } => {
-                format!("asm:name={name},fnv={fnv:016x},format={format}")
-            }
         }
     }
 }
@@ -233,25 +187,15 @@ pub fn mem_key(mem: &MemConfig) -> String {
         ),
         None => "none".to_string(),
     };
-    // The D-cache fragment appears only when one is configured, so every
-    // key minted before the D-cache existed stays byte-identical.
-    let dcache = match &mem.d_cache {
-        Some(d) => format!(
-            ",dcache=size={},line={},ways={}",
-            d.size_bytes, d.line_bytes, d.ways
-        ),
-        None => String::new(),
-    };
     format!(
-        "access={},pipelined={},bus_in={},bus_out={},priority={},fpu={},ext={}{}",
+        "access={},pipelined={},bus_in={},bus_out={},priority={},fpu={},ext={}",
         mem.access_cycles,
         mem.pipelined,
         mem.in_bus_bytes,
         mem.out_bus_bytes,
         mem.priority,
         mem.fpu_latency,
-        ext,
-        dcache
+        ext
     )
 }
 
@@ -1079,7 +1023,6 @@ impl SweepRunner {
                 if let Some(log) = log {
                     log.store_retry(job.index, attempt, &e.to_string());
                 }
-                Retry::After(None)
             },
         );
         if let Err(e) = result {
@@ -1196,6 +1139,12 @@ mod tests {
         let mut other = small_spec("t");
         other.mem.in_bus_bytes = 8;
         assert_ne!(spec.expand()[0].key(), other.expand()[0].key());
+
+        // Stored points stay loadable only while this fragment is stable.
+        assert_eq!(
+            mem_key(&figure_mem("4a").0),
+            "access=1,pipelined=false,bus_in=4,bus_out=4,priority=instruction-first,fpu=4,ext=none"
+        );
     }
 
     #[test]

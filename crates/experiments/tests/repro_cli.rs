@@ -1,0 +1,41 @@
+//! `repro` reports an output directory it cannot write and exits 1,
+//! instead of panicking.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// A scratch directory holding a regular file `blocker`, and a tiny
+/// address trace so the figure runs take milliseconds.
+fn scratch(name: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("pipe-repro-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("blocker"), "a regular file").unwrap();
+    std::fs::write(dir.join("trace.txt"), "0x0\n0x4\n0x8\n0x0\n0x4\n0x8\n").unwrap();
+    (dir.join("blocker").join("x"), dir)
+}
+
+#[test]
+fn unwritable_output_dir_is_an_error_not_a_panic() {
+    for (name, args) in [
+        ("csv", &["--fig4a", "--csv-dir"][..]),
+        ("svg", &["--fig4a", "--svg-dir"][..]),
+        ("profile", &["--profile", "--csv-dir"][..]),
+    ] {
+        let (target, dir) = scratch(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .arg(&target)
+            .args(["--from-trace", dir.join("trace.txt").to_str().unwrap()])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("repro: cannot write {}: ", target.display())),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

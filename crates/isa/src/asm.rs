@@ -26,6 +26,7 @@
 //! (lim + lui pair), `push rs` (write `r7` — SDQ push), `pop rd` (read
 //! `r7` — LDQ pop).
 
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -107,23 +108,49 @@ impl Assembler {
     /// # Errors
     ///
     /// Returns an [`AsmError`] identifying the offending source line for
-    /// syntax problems, or wrapping a [`BuildError`] for label problems.
+    /// syntax problems, or wrapping a [`BuildError`] for label and
+    /// alignment problems (reported at the `lbr` or `.align` line that
+    /// caused them).
     pub fn assemble(&self, source: &str) -> Result<Program, AsmError> {
         let mut builder = ProgramBuilder::with_base(self.format, self.base);
-        let mut equs = std::collections::HashMap::new();
+        let mut syms = Symbols::default();
+        let mut last_line = 1;
         for (idx, raw) in source.lines().enumerate() {
-            let line_no = idx + 1;
+            last_line = idx + 1;
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
-            parse_line(line, line_no, &mut builder, &mut equs)?;
+            parse_line(line, last_line, &mut builder, &mut syms)?;
         }
-        builder.build().map_err(|e| AsmError {
-            line: 0,
-            kind: AsmErrorKind::Build(e),
+        builder.build().map_err(|e| {
+            let line = match &e {
+                BuildError::UndefinedLabel(label) | BuildError::LabelOutOfRange { label, .. } => {
+                    syms.refs.get(label).copied()
+                }
+                BuildError::BadAlignment { align } => syms
+                    .aligns
+                    .iter()
+                    .find(|&&(a, _)| a == *align)
+                    .map(|&(_, line)| line),
+                // Caught line by line in `parse_line`.
+                BuildError::DuplicateLabel(_) => None,
+            };
+            err(line.unwrap_or(last_line), AsmErrorKind::Build(e))
         })
     }
+}
+
+/// Names seen while assembling: `.equ` constants, plus the source lines
+/// that label and alignment errors found at build time are reported at.
+#[derive(Debug, Default)]
+struct Symbols {
+    equs: HashMap<String, i64>,
+    labels: HashSet<String>,
+    /// First line whose `lbr` names each label.
+    refs: HashMap<String, usize>,
+    /// Each `.align` value with its line, in source order.
+    aligns: Vec<(u32, usize)>,
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -141,7 +168,7 @@ fn parse_line(
     line: &str,
     no: usize,
     b: &mut ProgramBuilder,
-    equs: &mut std::collections::HashMap<String, i64>,
+    syms: &mut Symbols,
 ) -> Result<(), AsmError> {
     let mut rest = line;
     // Leading labels (there may be several on one line).
@@ -150,6 +177,12 @@ fn parse_line(
         let label = label.trim();
         if label.is_empty() || !is_ident(label) {
             break;
+        }
+        if !syms.labels.insert(label.to_string()) {
+            return Err(err(
+                no,
+                AsmErrorKind::Build(BuildError::DuplicateLabel(label.to_string())),
+            ));
         }
         b.label(label);
         rest = after[1..].trim_start();
@@ -166,7 +199,7 @@ fn parse_line(
     } else {
         operands.split(',').map(str::trim).collect()
     };
-    parse_instr(mnemonic, &ops, no, b, equs)
+    parse_instr(mnemonic, &ops, no, b, syms)
 }
 
 fn is_ident(s: &str) -> bool {
@@ -189,11 +222,7 @@ fn parse_breg(s: &str, no: usize) -> Result<BranchReg, AsmError> {
         .ok_or_else(|| err(no, AsmErrorKind::BadRegister(s.to_string())))
 }
 
-fn parse_int(
-    s: &str,
-    no: usize,
-    equs: &std::collections::HashMap<String, i64>,
-) -> Result<i64, AsmError> {
+fn parse_int(s: &str, no: usize, equs: &HashMap<String, i64>) -> Result<i64, AsmError> {
     if let Some(&v) = equs.get(s) {
         return Ok(v);
     }
@@ -210,11 +239,7 @@ fn parse_int(
     Ok(if neg { -value } else { value })
 }
 
-fn parse_i16(
-    s: &str,
-    no: usize,
-    equs: &std::collections::HashMap<String, i64>,
-) -> Result<i16, AsmError> {
+fn parse_i16(s: &str, no: usize, equs: &HashMap<String, i64>) -> Result<i16, AsmError> {
     let v = parse_int(s, no, equs)?;
     // Accept both signed and unsigned 16-bit spellings (e.g. 0xFFFF).
     if (-(1 << 15)..(1 << 16)).contains(&v) {
@@ -224,11 +249,7 @@ fn parse_i16(
     }
 }
 
-fn parse_u16(
-    s: &str,
-    no: usize,
-    equs: &std::collections::HashMap<String, i64>,
-) -> Result<u16, AsmError> {
+fn parse_u16(s: &str, no: usize, equs: &HashMap<String, i64>) -> Result<u16, AsmError> {
     let v = parse_int(s, no, equs)?;
     u16::try_from(v).map_err(|_| err(no, AsmErrorKind::BadImmediate(s.to_string())))
 }
@@ -263,9 +284,10 @@ fn parse_instr(
     ops: &[&str],
     no: usize,
     b: &mut ProgramBuilder,
-    equs: &mut std::collections::HashMap<String, i64>,
+    syms: &mut Symbols,
 ) -> Result<(), AsmError> {
     let m = mnemonic.to_ascii_lowercase();
+    let equs = &syms.equs;
 
     // pbr and its condition suffixes.
     if let Some(rest) = m.strip_prefix("pbr") {
@@ -297,9 +319,13 @@ fn parse_instr(
     // `.data addr, value` directive.
     if m == ".data" {
         want(ops, 2, no)?;
-        let addr = parse_int(ops[0], no, equs)?;
+        let addr = u32::try_from(parse_int(ops[0], no, equs)?)
+            .map_err(|_| err(no, AsmErrorKind::BadImmediate(ops[0].into())))?;
         let value = parse_int(ops[1], no, equs)?;
-        b.data_word(addr as u32, value as u32);
+        if !(i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&value) {
+            return Err(err(no, AsmErrorKind::BadImmediate(ops[1].into())));
+        }
+        b.data_word(addr, value as u32);
         return Ok(());
     }
 
@@ -313,15 +339,17 @@ fn parse_instr(
             ));
         }
         let value = parse_int(ops[1], no, equs)?;
-        equs.insert(ops[0].to_string(), value);
+        syms.equs.insert(ops[0].to_string(), value);
         return Ok(());
     }
 
     // `.align bytes` — pad with nops to a power-of-two boundary.
     if m == ".align" {
         want(ops, 1, no)?;
-        let align = parse_int(ops[0], no, equs)?;
-        b.align(align as u32);
+        let align = u32::try_from(parse_int(ops[0], no, equs)?)
+            .map_err(|_| err(no, AsmErrorKind::BadImmediate(ops[0].into())))?;
+        syms.aligns.push((align, no));
+        b.align(align);
         return Ok(());
     }
 
@@ -449,12 +477,14 @@ fn parse_instr(
             let br = parse_breg(ops[0], no)?;
             // Numeric operand = absolute byte address; otherwise a label.
             if ops[1].starts_with(|c: char| c.is_ascii_digit() || c == '-') {
-                let addr = parse_int(ops[1], no, equs)? as u32;
-                b.push(Instruction::Lbr {
-                    br,
-                    target_parcel: (addr / 2) as u16,
-                });
+                let addr = parse_int(ops[1], no, equs)?;
+                let target_parcel = u32::try_from(addr)
+                    .ok()
+                    .and_then(|a| u16::try_from(a / 2).ok())
+                    .ok_or_else(|| err(no, AsmErrorKind::BadImmediate(ops[1].into())))?;
+                b.push(Instruction::Lbr { br, target_parcel });
             } else {
+                syms.refs.entry(ops[1].to_string()).or_insert(no);
                 b.lbr_label(br, ops[1]);
             }
         }

@@ -54,10 +54,6 @@ pub struct MemConfig {
     /// hit rate). When set, a missing request pays the configured penalty
     /// before its access begins.
     pub external_cache: Option<crate::extcache::ExternalCacheConfig>,
-    /// Optional on-chip data cache (the paper models none: every data
-    /// access uses the shared memory port). When set, loads that hit are
-    /// serviced on chip without arbitrating for the port.
-    pub d_cache: Option<crate::dcache::DCacheConfig>,
 }
 
 impl MemConfig {
@@ -73,9 +69,6 @@ impl MemConfig {
         require_multiple_of("out_bus_bytes", self.out_bus_bytes, 2)?;
         if let Some(ec) = &self.external_cache {
             ec.validate()?;
-        }
-        if let Some(dc) = &self.d_cache {
-            dc.validate()?;
         }
         Ok(())
     }
@@ -98,7 +91,6 @@ impl Default for MemConfig {
             priority: PriorityPolicy::InstructionFirst,
             fpu_latency: 4,
             external_cache: None,
-            d_cache: None,
         }
     }
 }

@@ -41,7 +41,6 @@
 
 pub mod config;
 pub mod data;
-pub mod dcache;
 pub mod error;
 pub mod extcache;
 pub mod fpu;
@@ -51,7 +50,6 @@ pub mod system;
 
 pub use config::{MemConfig, PriorityPolicy};
 pub use data::DataMemory;
-pub use dcache::{DCache, DCacheConfig};
 pub use error::ConfigError;
 pub use extcache::{ExternalCache, ExternalCacheConfig};
 pub use fpu::{FpOp, Fpu};

@@ -24,13 +24,6 @@ pub struct MemStats {
     pub fpu_ops: u64,
     /// Total cycles ticked.
     pub cycles: u64,
-    /// Data loads serviced by the on-chip D-cache (never reached the
-    /// shared memory port). Zero when no D-cache is configured.
-    pub d_hits: u64,
-    /// Data loads that missed the D-cache and went to the port.
-    pub d_misses: u64,
-    /// Write-through stores whose line was present in the D-cache.
-    pub d_store_hits: u64,
 }
 
 impl MemStats {
@@ -68,15 +61,7 @@ impl fmt::Display for MemStats {
             self.in_bus_utilization() * 100.0
         )?;
         writeln!(f, "  contended:     {} cycles", self.contended_cycles)?;
-        write!(f, "  blocked:       {} cycles", self.blocked_cycles)?;
-        if self.d_hits + self.d_misses + self.d_store_hits > 0 {
-            write!(
-                f,
-                "\n  d-cache:       {} hits, {} misses, {} store hits",
-                self.d_hits, self.d_misses, self.d_store_hits
-            )?;
-        }
-        Ok(())
+        write!(f, "  blocked:       {} cycles", self.blocked_cycles)
     }
 }
 

@@ -22,7 +22,6 @@ use std::collections::VecDeque;
 
 use crate::config::{MemConfig, PriorityPolicy};
 use crate::data::DataMemory;
-use crate::dcache::DCache;
 use crate::extcache::ExternalCache;
 use crate::fpu::Fpu;
 use crate::request::{Beat, BeatSource, MemRequest, ReqClass};
@@ -45,13 +44,6 @@ pub struct TickOutput {
     pub accepted: Option<u64>,
     /// Input-bus beat delivered this cycle, if any.
     pub beats: Option<Beat>,
-    /// Tag of a data load serviced by the on-chip D-cache this cycle, if
-    /// any — the hit neither arbitrates for nor occupies the memory port,
-    /// so it can coincide with a port acceptance.
-    pub d_accepted: Option<u64>,
-    /// D-cache hit value delivered this cycle (one cycle after its
-    /// acceptance), bypassing the input bus.
-    pub d_beat: Option<Beat>,
 }
 
 #[derive(Debug, Clone)]
@@ -68,14 +60,6 @@ struct Streaming {
     remaining: u32,
 }
 
-/// A D-cache hit awaiting its one-cycle on-chip delivery.
-#[derive(Debug, Clone, Copy)]
-struct DPending {
-    ready_at: u64,
-    tag: u64,
-    addr: u32,
-}
-
 /// The external cache, buses, arbitration and FPU, stepped one cycle at a
 /// time. See the [module docs](self) for the timing contract.
 #[derive(Debug)]
@@ -85,8 +69,6 @@ pub struct MemorySystem {
     data: DataMemory,
     fpu: Fpu,
     ext_cache: Option<ExternalCache>,
-    d_cache: Option<DCache>,
-    d_pending: VecDeque<DPending>,
     ports: [Option<MemRequest>; 4],
     inflight: VecDeque<Inflight>,
     streaming: Option<Streaming>,
@@ -107,15 +89,12 @@ impl MemorySystem {
         }
         let fpu = Fpu::new(FPU_BASE, cfg.fpu_latency);
         let ext_cache = cfg.external_cache.map(ExternalCache::new);
-        let d_cache = cfg.d_cache.map(DCache::new);
         MemorySystem {
             cfg,
             cycle: 0,
             data: DataMemory::new(),
             fpu,
             ext_cache,
-            d_cache,
-            d_pending: VecDeque::new(),
             ports: [None, None, None, None],
             inflight: VecDeque::new(),
             streaming: None,
@@ -162,11 +141,6 @@ impl MemorySystem {
         self.ext_cache.as_ref()
     }
 
-    /// Read access to the on-chip data cache, when modeled.
-    pub fn d_cache(&self) -> Option<&DCache> {
-        self.d_cache.as_ref()
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &MemStats {
         &self.stats
@@ -178,7 +152,6 @@ impl MemorySystem {
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty()
             && self.streaming.is_none()
-            && self.d_pending.is_empty()
             && self.cycle >= self.store_busy_until
             && self.fpu.pending() == 0
     }
@@ -251,13 +224,6 @@ impl MemorySystem {
         if self.streaming.is_some() {
             return 0; // a beat goes out this very cycle
         }
-        // With a D-cache, a standing data-load offer may be intercepted as
-        // a hit on any cycle (even while the port is busy), and a pending
-        // hit delivers next cycle — be conservative and never open a
-        // window while either is possible.
-        if self.d_cache.is_some() && (offers_pending || !self.d_pending.is_empty()) {
-            return 0;
-        }
         let mut wake = u64::MAX;
         if let Some(f) = self.inflight.front() {
             wake = wake.min(f.first_beat_at.max(self.cycle));
@@ -315,19 +281,6 @@ impl MemorySystem {
     pub fn tick(&mut self) -> TickOutput {
         let now = self.cycle;
         let mut out = TickOutput::default();
-
-        // --- D-cache hit delivery (on chip, off the input bus) ---
-        if self.d_pending.front().is_some_and(|p| p.ready_at <= now) {
-            let p = self.d_pending.pop_front().expect("front exists");
-            out.d_beat = Some(Beat {
-                tag: p.tag,
-                source: BeatSource::DataLoad,
-                addr: p.addr,
-                bytes: 4,
-                value: Some(self.data.read(p.addr)),
-                last: true,
-            });
-        }
 
         // --- Delivery (input bus) ---
         if self.streaming.is_none() {
@@ -401,25 +354,6 @@ impl MemorySystem {
             out.beats = Some(beat);
         }
 
-        // --- D-cache hit interception ---
-        // A load that hits the on-chip D-cache is serviced without
-        // touching the shared memory port: it neither contends with nor
-        // blocks behind instruction fetch, and its value returns next
-        // cycle regardless of what the buses are doing.
-        if let Some(dc) = &mut self.d_cache {
-            if let Some(req) = self.ports[ReqClass::DataLoad.index()] {
-                if !self.fpu.owns(req.addr) && dc.lookup(req.addr) {
-                    self.ports[ReqClass::DataLoad.index()] = None;
-                    out.d_accepted = Some(req.tag);
-                    self.d_pending.push_back(DPending {
-                        ready_at: now + 1,
-                        tag: req.tag,
-                        addr: req.addr,
-                    });
-                }
-            }
-        }
-
         // --- Acceptance (output bus) ---
         // With nothing offered the whole section (and the port reset — all
         // ports are already `None`) is a no-op; skip it on this hot path.
@@ -451,19 +385,6 @@ impl MemorySystem {
                             if let Some(ec) = &mut self.ext_cache {
                                 let misses = ec.access(req.addr, req.bytes);
                                 penalty = u64::from(misses) * u64::from(ec.config().miss_penalty);
-                            }
-                            if let Some(dc) = &mut self.d_cache {
-                                match class {
-                                    // A load reaching the port missed the
-                                    // D-cache (hits were intercepted above):
-                                    // charge the miss and allocate the line.
-                                    ReqClass::DataLoad => dc.fill(req.addr),
-                                    // Write-through, no-write-allocate.
-                                    ReqClass::DataStore => {
-                                        dc.store_probe(req.addr);
-                                    }
-                                    _ => {}
-                                }
                             }
                         }
                         match class {
@@ -500,11 +421,6 @@ impl MemorySystem {
         }
 
         self.stats.fpu_ops = self.fpu.ops_started();
-        if let Some(dc) = &self.d_cache {
-            self.stats.d_hits = dc.hits();
-            self.stats.d_misses = dc.misses();
-            self.stats.d_store_hits = dc.store_hits();
-        }
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         out
@@ -894,127 +810,6 @@ mod tests {
         skipped.skip_quiet(quiet, 2);
         assert_eq!(ticked.stats(), skipped.stats());
         assert_eq!(ticked.cycle(), skipped.cycle());
-    }
-
-    #[test]
-    fn dcache_hit_bypasses_port_and_returns_next_cycle() {
-        use crate::dcache::DCacheConfig;
-        let mut c = cfg(6, false, 4);
-        c.d_cache = Some(DCacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-        });
-        let mut mem = MemorySystem::new(c);
-        mem.data_mut().write(0x100, 55);
-        // Cold miss: the load goes through the port at full latency and
-        // fills the line.
-        let t1 = mem.new_tag();
-        let a1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x100, 4, t1));
-        let (d1, _) = drain_tag(&mut mem, t1);
-        assert_eq!(d1 - a1, 6);
-        assert_eq!(mem.stats().d_misses, 1);
-        // Warm hit: intercepted same cycle, value one cycle later, off
-        // the bus.
-        let t2 = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x104, 4, t2));
-        let out = mem.tick();
-        assert_eq!(out.d_accepted, Some(t2));
-        assert_eq!(out.accepted, None, "hit never uses the port");
-        let bus_bytes = mem.stats().in_bus_bytes;
-        let out = mem.tick();
-        let beat = out.d_beat.expect("hit value next cycle");
-        assert_eq!(beat.tag, t2);
-        assert_eq!(beat.value, Some(0), "0x104 unwritten");
-        assert!(beat.last);
-        assert_eq!(mem.stats().in_bus_bytes, bus_bytes, "no bus traffic");
-        assert_eq!(mem.stats().d_hits, 1);
-        assert!(mem.is_idle());
-    }
-
-    #[test]
-    fn dcache_hit_accepted_while_port_busy() {
-        use crate::dcache::DCacheConfig;
-        let mut c = cfg(6, false, 4);
-        c.d_cache = Some(DCacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-        });
-        let mut mem = MemorySystem::new(c);
-        // Warm the line, then occupy the port with a slow prefetch.
-        let t1 = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x100, 4, t1));
-        drain_tag(&mut mem, t1);
-        let tp = mem.new_tag();
-        drive_until_accepted(
-            &mut mem,
-            MemRequest::load(ReqClass::IPrefetch, 0x40, 16, tp),
-        );
-        // The port is busy, but a hitting load is still serviced.
-        let t2 = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x100, 4, t2));
-        let out = mem.tick();
-        assert_eq!(out.d_accepted, Some(t2));
-    }
-
-    #[test]
-    fn dcache_store_is_write_through_no_allocate() {
-        use crate::dcache::DCacheConfig;
-        let mut c = cfg(1, false, 4);
-        c.d_cache = Some(DCacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-        });
-        let mut mem = MemorySystem::new(c);
-        // A store miss writes memory through the port without allocating.
-        let ts = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(0x200, 9, ts));
-        assert_eq!(mem.data().read(0x200), 9);
-        assert_eq!(mem.stats().d_store_hits, 0);
-        let tl = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x200, 4, tl));
-        let out = mem.tick();
-        assert_eq!(out.d_accepted, None, "store miss must not allocate");
-        // Warm the line via the load, then a store to it counts a hit and
-        // still writes through.
-        drain_tag(&mut mem, tl);
-        let ts2 = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(0x204, 11, ts2));
-        assert_eq!(mem.stats().d_store_hits, 1);
-        assert_eq!(mem.data().read(0x204), 11);
-    }
-
-    #[test]
-    fn dcache_fpu_traffic_bypasses() {
-        use crate::dcache::DCacheConfig;
-        let mut c = cfg(1, false, 4);
-        c.d_cache = Some(DCacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-        });
-        let mut mem = MemorySystem::new(c);
-        let a = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, 1.0f32.to_bits(), a));
-        assert_eq!(mem.stats().d_store_hits, 0);
-        assert_eq!(mem.stats().d_misses, 0);
-    }
-
-    #[test]
-    fn dcache_disabled_output_unchanged() {
-        // With no D-cache the new TickOutput fields stay empty forever.
-        let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let t = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x100, 4, t));
-        for _ in 0..10 {
-            let out = mem.tick();
-            assert_eq!(out.d_accepted, None);
-            assert_eq!(out.d_beat, None);
-        }
-        assert_eq!(mem.stats().d_hits, 0);
-        assert_eq!(mem.stats().d_misses, 0);
     }
 
     #[test]

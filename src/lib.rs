@@ -7,9 +7,6 @@
 //! depend on a single crate:
 //!
 //! * [`isa`] — the PIPE instruction set, assembler and program builder.
-//! * [`asm`] — the full assembler front end (`.org`/`.word` layout,
-//!   column-precise diagnostics, round-trippable disassembler) and the
-//!   bundled program library from `programs/`.
 //! * [`mem`] — the external memory subsystem (buses, arbitration, FPU).
 //! * [`icache`] — the on-chip instruction fetch engines (conventional
 //!   always-prefetch and the PIPE cache + IQ + IQB strategy).
@@ -35,7 +32,6 @@
 //! assert!(stats.instructions_issued > 0);
 //! ```
 
-pub use pipe_asm as asm;
 pub use pipe_core as core;
 pub use pipe_experiments as experiments;
 pub use pipe_icache as icache;
@@ -46,7 +42,6 @@ pub use pipe_workloads as workloads;
 
 /// Convenient single-import surface for examples and tests.
 pub mod prelude {
-    pub use pipe_asm::{disassemble, Assembler as AsmAssembler, LibraryProgram, LIBRARY};
     pub use pipe_core::{run_program, FetchStrategy, Processor, SimConfig, SimStats};
     pub use pipe_icache::{CacheConfig, PipeFetchConfig, PrefetchPolicy};
     pub use pipe_isa::{
