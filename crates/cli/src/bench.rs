@@ -55,10 +55,6 @@ options:
   --dir DIR            output directory               (default: .)
   --bench NAME         run a single bench (full_livermore | synthetic;
                        default: all)
-  --batch N            simulate up to N same-workload points per batched
-                       kernel call instead of one at a time (default: 1,
-                       the scalar path); per-point wall time is the
-                       batch's wall divided by its lanes
 
 Every point is simulated repeatedly and must reproduce bit-identical
 statistics across repetitions, and against every entry already recorded
@@ -77,8 +73,6 @@ pub struct BenchOptions {
     pub dir: String,
     /// Restrict to one bench by name.
     pub only: Option<String>,
-    /// Maximum same-workload points per batched kernel call (1 = scalar).
-    pub batch: usize,
 }
 
 /// Parses `pipe-sim bench` arguments (excluding the subcommand name).
@@ -91,19 +85,10 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
     let mut label = "current".to_string();
     let mut dir = ".".to_string();
     let mut only = None;
-    let mut batch = 1usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--batch" => {
-                let value = it.next().ok_or("--batch needs a lane count")?;
-                batch = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--batch: invalid lane count `{value}`"))?;
-            }
             "--label" => {
                 label = it.next().ok_or("--label needs a value")?.clone();
                 if label.is_empty() || !label.bytes().all(|b| b.is_ascii_graphic() && b != b'"') {
@@ -126,7 +111,6 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
         label,
         dir,
         only,
-        batch,
     })
 }
 
@@ -183,83 +167,23 @@ fn run_point(
     Ok((reference.expect("at least one rep"), best))
 }
 
-/// Measures a same-workload group of lanes through the batched kernel:
-/// `reps` batched passes, every lane's statistics bit-identical across
-/// repetitions, per-lane wall time an equal share of the best batch
-/// wall. Errors name the offending lane.
-fn run_lanes_batched(
+/// Measures every `(strategy, fetch, size)` point of one workload, one
+/// point at a time. Errors name the offending point.
+fn measure_points(
     program: &Arc<DecodedProgram>,
-    lanes: &[(StrategyKind, pipe_core::FetchStrategy, u32)],
+    grid: &[(StrategyKind, pipe_core::FetchStrategy, u32)],
     mem: &MemConfig,
     reps: u32,
 ) -> Result<Vec<(SimStats, Duration)>, String> {
-    let batch_lanes: Vec<(pipe_core::FetchStrategy, u32)> = lanes
-        .iter()
-        .map(|&(_, fetch, size)| (fetch, size))
-        .collect();
-    let mut best = Duration::MAX;
-    let mut reference: Option<Vec<SimStats>> = None;
-    for rep in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let results = pipe_experiments::try_run_points_batched(program, &batch_lanes, mem);
-        let wall = t0.elapsed();
-        best = best.min(wall);
-        let mut stats = Vec::with_capacity(lanes.len());
-        for (result, &(kind, _, size)) in results.into_iter().zip(lanes) {
-            stats.push(
-                result
-                    .map(|p| p.stats)
-                    .map_err(|e| format!("{} @ {size}B: {e}", kind.label()))?,
-            );
-        }
-        match &reference {
-            None => reference = Some(stats),
-            Some(prev) => {
-                if *prev != stats {
-                    return Err(format!(
-                        "determinism violation: batched repetition {rep} produced \
-                         different statistics",
-                    ));
-                }
-            }
-        }
-    }
-    let per_lane = best / lanes.len().max(1) as u32;
-    Ok(reference
-        .expect("at least one rep")
-        .into_iter()
-        .map(|stats| (stats, per_lane))
-        .collect())
+    grid.iter()
+        .map(|&(kind, fetch, size)| {
+            run_point(program, fetch, mem, reps)
+                .map_err(|e| format!("{} @ {size}B: {e}", kind.label()))
+        })
+        .collect()
 }
 
-/// Measures every `(strategy, fetch, size)` lane of one workload, either
-/// point-at-a-time (`batch` <= 1) or in batched-kernel groups of up to
-/// `batch` lanes. Both paths produce bit-identical statistics; only the
-/// wall-time attribution differs (measured vs amortized).
-fn measure_lanes(
-    program: &Arc<DecodedProgram>,
-    lanes: &[(StrategyKind, pipe_core::FetchStrategy, u32)],
-    mem: &MemConfig,
-    reps: u32,
-    batch: usize,
-) -> Result<Vec<(SimStats, Duration)>, String> {
-    if batch <= 1 {
-        return lanes
-            .iter()
-            .map(|&(kind, fetch, size)| {
-                run_point(program, fetch, mem, reps)
-                    .map_err(|e| format!("{} @ {size}B: {e}", kind.label()))
-            })
-            .collect();
-    }
-    let mut out = Vec::with_capacity(lanes.len());
-    for group in lanes.chunks(batch) {
-        out.extend(run_lanes_batched(program, group, mem, reps)?);
-    }
-    Ok(out)
-}
-
-fn livermore_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoint>, String> {
+fn livermore_points(quick: bool, reps: u32) -> Result<Vec<BenchPoint>, String> {
     let suite = pipe_workloads::livermore_benchmark();
     let program = Arc::new(DecodedProgram::new(suite.program().clone()));
     let (mem, _) = figure_mem("4a");
@@ -268,16 +192,16 @@ fn livermore_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoi
     } else {
         pipe_experiments::sweep_sizes()
     };
-    let mut lanes = Vec::new();
+    let mut grid = Vec::new();
     for kind in BENCH_STRATEGIES {
         for &size in sizes {
             if let Some(fetch) = kind.fetch_for(size, PrefetchPolicy::TruePrefetch) {
-                lanes.push((kind, fetch, size));
+                grid.push((kind, fetch, size));
             }
         }
     }
-    let measured = measure_lanes(&program, &lanes, &mem, reps, batch)?;
-    Ok(lanes
+    let measured = measure_points(&program, &grid, &mem, reps)?;
+    Ok(grid
         .iter()
         .zip(measured)
         .map(|(&(kind, _, size), (stats, wall))| BenchPoint {
@@ -290,7 +214,7 @@ fn livermore_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoi
         .collect())
 }
 
-fn synthetic_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoint>, String> {
+fn synthetic_points(quick: bool, reps: u32) -> Result<Vec<BenchPoint>, String> {
     use pipe_workloads::synthetic::{branch_heavy, tight_loop};
     let kernels: Vec<(String, Program)> = if quick {
         vec![(
@@ -317,18 +241,17 @@ fn synthetic_points(quick: bool, reps: u32, batch: usize) -> Result<Vec<BenchPoi
     let mut points = Vec::new();
     for (name, program) in &kernels {
         let program = Arc::new(DecodedProgram::new(program.clone()));
-        let lanes: Vec<(StrategyKind, pipe_core::FetchStrategy, u32)> = BENCH_STRATEGIES
+        let grid: Vec<(StrategyKind, pipe_core::FetchStrategy, u32)> = BENCH_STRATEGIES
             .into_iter()
             .filter_map(|kind| {
                 kind.fetch_for(128, PrefetchPolicy::TruePrefetch)
                     .map(|fetch| (kind, fetch, 128))
             })
             .collect();
-        let measured = measure_lanes(&program, &lanes, &mem, reps, batch)
-            .map_err(|e| format!("{name}/{e}"))?;
+        let measured =
+            measure_points(&program, &grid, &mem, reps).map_err(|e| format!("{name}/{e}"))?;
         points.extend(
-            lanes
-                .iter()
+            grid.iter()
                 .zip(measured)
                 .map(|(&(kind, _, _), (stats, wall))| BenchPoint {
                     engine: kind.label(),
@@ -479,7 +402,7 @@ fn check_cross_entry(prev: &str, new_entry: &str) -> Result<(), String> {
 /// the same label is replaced), the new entry, and — when a prior entry
 /// under a different label exists — a `speedup` block comparing the new
 /// entry's throughput against the most recent such entry, so successive
-/// milestones chain (`baseline` → `optimized` → `batched`).
+/// milestones chain (`baseline` → `optimized` → ...).
 fn render_file(
     name: &str,
     mem: &MemConfig,
@@ -564,14 +487,14 @@ pub fn run_bench(opts: &BenchOptions) -> Result<String, String> {
             b.push((
                 "full_livermore",
                 mem_4a,
-                livermore_points(opts.quick, reps, opts.batch)?,
+                livermore_points(opts.quick, reps)?,
             ));
         }
         if want("synthetic") {
             b.push((
                 "synthetic",
                 MemConfig::default(),
-                synthetic_points(opts.quick, reps, opts.batch)?,
+                synthetic_points(opts.quick, reps)?,
             ));
         }
         b
@@ -632,15 +555,10 @@ mod tests {
         let o = parse_bench_args(&args("--bench synthetic")).unwrap();
         assert_eq!(o.only.as_deref(), Some("synthetic"));
         assert_eq!(o.label, "current");
-        assert_eq!(o.batch, 1);
-
-        let o = parse_bench_args(&args("--batch 16")).unwrap();
-        assert_eq!(o.batch, 16);
 
         assert!(parse_bench_args(&args("--bench warp")).is_err());
         assert!(parse_bench_args(&args("--label")).is_err());
-        assert!(parse_bench_args(&args("--batch 0")).is_err());
-        assert!(parse_bench_args(&args("--batch riches")).is_err());
+        assert!(parse_bench_args(&args("--batch 4")).is_err());
         assert!(parse_bench_args(&args("--bogus")).is_err());
     }
 
@@ -736,7 +654,6 @@ mod tests {
             label: "t1".to_string(),
             dir: tmp.to_string_lossy().into_owned(),
             only: Some("synthetic".to_string()),
-            batch: 1,
         };
         let out = run_bench(&opts).unwrap();
         assert!(out.contains("synthetic:"), "{out}");
@@ -747,26 +664,13 @@ mod tests {
         // accumulate a second entry.
         let opts2 = BenchOptions {
             label: "t2".to_string(),
-            ..opts.clone()
+            ..opts
         };
         run_bench(&opts2).unwrap();
         let text = std::fs::read_to_string(tmp.join("BENCH_synthetic.quick.json")).unwrap();
         assert_eq!(extract_entries(&text).len(), 2);
-        // A batched run must pass the cross-entry gate against both
-        // scalar entries: the lanes simulate bit-identically.
-        let opts3 = BenchOptions {
-            label: "t3-batched".to_string(),
-            batch: 3,
-            ..opts
-        };
-        run_bench(&opts3).unwrap();
-        let text = std::fs::read_to_string(tmp.join("BENCH_synthetic.quick.json")).unwrap();
-        assert_eq!(extract_entries(&text).len(), 3);
         // The speedup block chains from the most recent prior label.
-        assert!(
-            text.contains("\"from\":\"t2\",\"to\":\"t3-batched\""),
-            "{text}"
-        );
+        assert!(text.contains("\"from\":\"t1\",\"to\":\"t2\""), "{text}");
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use pipe_cli::{parse_sim_args, SimOptions, REPLAY_USAGE, SIM_USAGE, STORE_USAGE};
+use pipe_cli::{parse_sim_args, SimOptions, REPLAY_USAGE, SIM_USAGE};
 use pipe_core::{MultiSink, Processor, TextTrace, TraceSink};
 use pipe_trace::{TraceMeta, TraceRecorder};
 
@@ -17,7 +17,6 @@ fn main() -> ExitCode {
     // usage rather than the run usage.
     match args.first().map(String::as_str) {
         Some("replay") => return replay_main(&args[1..]),
-        Some("store") => return store_main(&args[1..]),
         Some("bench") => return bench_main(&args[1..]),
         // `run` is an explicit alias for the default mode.
         Some("run") => {
@@ -206,23 +205,6 @@ fn replay_main(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("pipe-sim replay: {e}");
             ExitCode::FAILURE
-        }
-    }
-}
-
-fn store_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{STORE_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    match pipe_cli::run_store_command(args) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("pipe-sim store: {e}\n\n{STORE_USAGE}");
-            ExitCode::from(2)
         }
     }
 }

@@ -49,18 +49,10 @@ pub struct SimOptions {
     pub sweep: Option<String>,
     /// Worker threads for `--sweep`.
     pub jobs: usize,
-    /// With `--sweep`, load previously stored points instead of
-    /// re-simulating them.
-    pub resume: bool,
-    /// Result-store root directory for `--sweep` (default `results`).
-    pub store_dir: Option<String>,
     /// With `--sweep`, fail fast: the first failed point aborts the sweep
     /// and exits nonzero. Without it, failed points are reported and the
     /// rest of the sweep completes (exit 0).
     pub strict: bool,
-    /// JSONL event-log root for `--sweep` (defaults to the store root
-    /// when a store is in use).
-    pub events_dir: Option<String>,
     /// Fault injection for `--sweep` (test/diagnostic hooks).
     pub inject: pipe_experiments::FaultInjection,
 }
@@ -69,10 +61,9 @@ pub struct SimOptions {
 pub const SIM_USAGE: &str = "\
 usage: pipe-sim [run] <program.s> [options]
        pipe-sim --livermore [options]
-       pipe-sim --sweep 4a|4b|5a|5b|6a|6b [--jobs N] [--resume] [--store DIR]
-                [--strict] [--events DIR]
+       pipe-sim --sweep 4a|4b|5a|5b|6a|6b [--jobs N] [--strict]
        pipe-sim replay <trace> [options]      (see pipe-sim replay --help)
-       pipe-sim store prune [--dry-run] [--store DIR]
+       pipe-sim bench [options]               (see pipe-sim bench --help)
 
 fetch strategy:
   --fetch pipe|conventional|tib|buffers|perfect   (default: pipe)
@@ -102,17 +93,11 @@ other:
 sweep mode (parallel experiment engine):
   --sweep ID           reproduce a paper figure panel (4a..6b)
   --jobs N             worker threads (cycle counts identical to serial)
-  --resume             skip points already in the result store
-  --store DIR          result-store root             (default: results)
   --strict             fail fast: abort on the first failed point and
                        exit nonzero (default: report failures, finish the
                        rest, exit 0)
-  --events DIR         write a JSONL event log to DIR/events/<run>.jsonl
-                       (default: the store root, when a store is in use)
   --inject-panic N     fault injection (testing): panic while simulating
                        sweep job N
-  --inject-store-fail N  fault injection (testing): fail every store
-                       write for sweep job N
 ";
 
 fn parse_num(flag: &str, value: Option<&String>) -> Result<u32, String> {
@@ -145,10 +130,7 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut max_cycles = 500_000_000u64;
     let mut sweep = None;
     let mut jobs = 1usize;
-    let mut resume = false;
-    let mut store_dir = None;
     let mut strict = false;
-    let mut events_dir = None;
     let mut inject = pipe_experiments::FaultInjection::default();
 
     let mut it = args.iter().peekable();
@@ -201,23 +183,11 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
                 sweep = Some(id);
             }
             "--jobs" => jobs = parse_num("--jobs", it.next())? as usize,
-            "--resume" => resume = true,
-            "--store" => {
-                store_dir = Some(it.next().ok_or("--store needs a directory")?.clone());
-            }
             "--strict" => strict = true,
-            "--events" => {
-                events_dir = Some(it.next().ok_or("--events needs a directory")?.clone());
-            }
             "--inject-panic" => {
                 inject
                     .panic_jobs
                     .push(parse_num("--inject-panic", it.next())? as usize);
-            }
-            "--inject-store-fail" => {
-                inject
-                    .store_fail_jobs
-                    .push(parse_num("--inject-store-fail", it.next())? as usize);
             }
             other if other.starts_with('-') && other != "-" => {
                 return Err(format!("unknown flag `{other}`"))
@@ -281,10 +251,7 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         line_bytes: line,
         sweep,
         jobs,
-        resume,
-        store_dir,
         strict,
-        events_dir,
         inject,
     })
 }
@@ -297,40 +264,18 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
 ///
 /// # Errors
 ///
-/// Returns a user-facing message if the result store cannot be opened,
-/// or if the sweep is strict and a point failed.
+/// Returns a user-facing message if the sweep is strict and a point
+/// failed.
 pub fn run_sweep(opts: &SimOptions) -> Result<String, String> {
     let id = opts.sweep.as_deref().expect("sweep mode");
-    let mut runner = pipe_experiments::SweepRunner::new()
+    let runner = pipe_experiments::SweepRunner::new()
         .jobs(opts.jobs)
         .progress(true)
         .strict(opts.strict)
         .inject(opts.inject.clone());
-    let store_root = if opts.resume || opts.store_dir.is_some() {
-        let root = std::path::PathBuf::from(opts.store_dir.as_deref().unwrap_or("results"));
-        let store = pipe_experiments::ResultStore::open(&root)
-            .map_err(|e| format!("cannot open result store {}: {e}", root.display()))?;
-        runner = runner.store(store).resume(opts.resume);
-        Some(root)
-    } else {
-        None
-    };
-    if let Some(events) = opts
-        .events_dir
-        .as_ref()
-        .map(std::path::PathBuf::from)
-        .or(store_root)
-    {
-        runner = runner.events(events);
-    }
     let run = pipe_experiments::try_figure_with(id, &runner).map_err(|e| e.to_string())?;
     let mut out = pipe_experiments::render_text(&run.figure);
     out.push_str(&pipe_experiments::render_failures(run.failed()));
-    // Diagnostics go to stderr so stdout stays diffable against a
-    // serial, store-less run.
-    if let Some(path) = &run.outcome.events_path {
-        eprintln!("  [events written to {}]", path.display());
-    }
     Ok(out)
 }
 
@@ -620,64 +565,6 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<String, String> {
     Ok(out)
 }
 
-/// The usage string for `pipe-sim store`.
-pub const STORE_USAGE: &str = "\
-usage: pipe-sim store prune [--dry-run] [--store DIR]
-
-prune: delete result-store entries that current code can never load —
-entries recording a different format version, corrupt or truncated
-entries, entries whose file name no longer matches their key's hash
-(a stale key format), and leftover temp files from interrupted writes.
-Valid entries are untouched.
-
-  --dry-run            report what would be removed without deleting
-                       anything
-  --store DIR          result-store root            (default: results)
-";
-
-/// Runs a `pipe-sim store` action and returns the rendered report.
-///
-/// # Errors
-///
-/// Returns a user-facing message for unknown actions or store failures.
-pub fn run_store_command(args: &[String]) -> Result<String, String> {
-    let mut action = None;
-    let mut store_dir = "results".to_string();
-    let mut dry_run = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                store_dir = it.next().ok_or("--store needs a directory")?.clone();
-            }
-            "--dry-run" => dry_run = true,
-            "prune" if action.is_none() => action = Some("prune"),
-            other => return Err(format!("store: unknown argument `{other}`")),
-        }
-    }
-    match action {
-        Some("prune") => {
-            let root = std::path::PathBuf::from(&store_dir);
-            let store = pipe_experiments::ResultStore::open(&root)
-                .map_err(|e| format!("cannot open result store {}: {e}", root.display()))?;
-            if dry_run {
-                let report = store
-                    .prune_dry_run()
-                    .map_err(|e| format!("prune failed: {e}"))?;
-                Ok(format!(
-                    "would prune {}: {report} (dry run; nothing deleted)\n",
-                    store.dir().display()
-                ))
-            } else {
-                let report = store.prune().map_err(|e| format!("prune failed: {e}"))?;
-                Ok(format!("pruned {}: {report}\n", store.dir().display()))
-            }
-        }
-        None => Err("store needs an action (prune)".into()),
-        Some(_) => unreachable!(),
-    }
-}
-
 pub use pipe_experiments::stats_json;
 
 /// Runs `program` under every fetch strategy at the given base
@@ -903,23 +790,18 @@ mod tests {
 
     #[test]
     fn sweep_fault_tolerance_flags() {
-        let o = parse_sim_args(&args(
-            "--sweep 4a --jobs 2 --strict --events evdir --inject-panic 3 --inject-store-fail 5",
-        ))
-        .unwrap();
+        let o = parse_sim_args(&args("--sweep 4a --jobs 2 --strict --inject-panic 3")).unwrap();
         assert_eq!(o.sweep.as_deref(), Some("4a"));
+        assert_eq!(o.jobs, 2);
         assert!(o.strict);
-        assert_eq!(o.events_dir.as_deref(), Some("evdir"));
         assert_eq!(o.inject.panic_jobs, vec![3]);
-        assert_eq!(o.inject.store_fail_jobs, vec![5]);
 
-        // Defaults: fault-tolerant, no events, no injection.
+        // Defaults: fault-tolerant, no injection.
         let o = parse_sim_args(&args("--sweep 4a")).unwrap();
         assert!(!o.strict);
-        assert!(o.events_dir.is_none());
-        assert!(o.inject.is_empty());
+        assert!(o.inject.panic_jobs.is_empty());
         assert!(parse_sim_args(&args("--sweep 4a --inject-panic")).is_err());
-        assert!(parse_sim_args(&args("--sweep 4a --events")).is_err());
+        assert!(parse_sim_args(&args("--sweep 4a --jobs x")).is_err());
     }
 
     #[test]
@@ -996,21 +878,6 @@ mod tests {
         assert!(parse_sim_args(&args("--sweep 4a --record-trace out.ptr")).is_err());
         assert!(parse_sim_args(&args("p.s --compare --record-trace out.ptr")).is_err());
         assert!(parse_sim_args(&args("p.s --record-trace")).is_err());
-    }
-
-    #[test]
-    fn store_prune_command() {
-        let tmp = std::env::temp_dir().join(format!("pipe-cli-prune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        let store = pipe_experiments::ResultStore::open(&tmp).unwrap();
-        std::fs::write(store.dir().join("junk.json"), "not json").unwrap();
-        let out = run_store_command(&args(&format!("prune --store {}", tmp.display()))).unwrap();
-        assert!(out.contains("kept 0 entries"), "{out}");
-        assert!(out.contains("removed 1"), "{out}");
-
-        assert!(run_store_command(&args("")).is_err()); // no action
-        assert!(run_store_command(&args("vacuum")).is_err()); // unknown action
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]

@@ -72,6 +72,26 @@ fn sim_rejects_bad_flags_with_usage() {
 }
 
 #[test]
+fn removed_flags_and_subcommands_are_usage_errors() {
+    for args in [
+        &["--sweep", "4a", "--store", "d"][..],
+        &["--sweep", "4a", "--resume"][..],
+        &["--sweep", "4a", "--events", "d"][..],
+        &["--sweep", "4a", "--inject-store-fail", "1"][..],
+        &["--sweep", "4a", "--jobs", "x"][..],
+        &["store", "prune"][..],
+        &["bench", "--batch", "4"][..],
+    ] {
+        let out = pipe_sim().args(args).output().expect("spawn");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("pipe-sim"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn sim_reports_assembly_errors_with_line() {
     let src = write_temp("bad.s", "nop\nbogus r1\n");
     let out = pipe_sim().arg(&src).output().expect("spawn");

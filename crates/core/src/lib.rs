@@ -36,7 +36,6 @@
 //! assert_eq!(stats.instructions_issued, 3 + 5 * 2); // prologue + 5 iterations
 //! ```
 
-pub mod batch;
 pub mod config;
 pub mod interp;
 pub mod processor;
@@ -45,7 +44,6 @@ pub mod regfile;
 pub mod stats;
 pub mod trace;
 
-pub use batch::run_batch;
 pub use config::{FetchStrategy, SimConfig};
 pub use interp::{interpret, InterpError, InterpResult, Interpreter};
 pub use processor::{run_decoded, run_program, Processor, SimError};

@@ -314,6 +314,12 @@ impl<S: TraceSink> Processor<S> {
     /// with [`stats`](Self::stats) or take them with
     /// [`into_stats`](Self::into_stats) (no clone either way).
     ///
+    /// After each cycle that issues nothing, the loop skips any provably
+    /// idle stall window (`fast_forward_stall`).
+    /// The statistics and any timeout cycle are bit-identical to ticking
+    /// [`step`](Self::step) until [`is_done`](Self::is_done) or the cycle
+    /// budget runs out.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] on an undecodable instruction and
@@ -324,24 +330,27 @@ impl<S: TraceSink> Processor<S> {
             if self.cycle >= self.max_cycles {
                 return Err(SimError::Timeout { cycles: self.cycle });
             }
+            let issued_before = self.stats.instructions_issued;
             self.step()?;
+            // Only probe for a quiet window after a cycle that failed to
+            // issue: a window opening right after an issue is caught one
+            // (cheap) step later, and skipping the probe on issuing cycles
+            // keeps it off the throughput path. Statistics are unaffected
+            // either way — the fast-forward is exact whenever it fires.
+            if self.stats.instructions_issued == issued_before {
+                self.fast_forward_stall();
+            }
         }
         self.finalize_stats();
         Ok(())
     }
 
     /// Copies the final cycle count and the fetch/memory snapshots into
-    /// the statistics — the epilogue [`run`](Self::run) performs after the
-    /// loop, shared with the batched kernel.
-    pub(crate) fn finalize_stats(&mut self) {
+    /// the statistics — the epilogue of [`run`](Self::run).
+    fn finalize_stats(&mut self) {
         self.stats.cycles = self.cycle;
         self.stats.fetch = self.fetch.stats().clone();
         self.stats.mem = self.mem.stats().clone();
-    }
-
-    /// The configured cycle budget.
-    pub(crate) fn max_cycles(&self) -> u64 {
-        self.max_cycles
     }
 
     /// Consumes the processor, returning the accumulated statistics by
@@ -509,8 +518,8 @@ impl<S: TraceSink> Processor<S> {
     /// * the memory system reports a quiet window: no beat, no
     ///   acceptance, no state transition before the wakeup cycle.
     ///
-    /// The window is clamped to `max_cycles` so a deadlocked lane times
-    /// out on exactly the same cycle as the scalar path.
+    /// The window is clamped to `max_cycles` so a deadlocked program times
+    /// out on exactly the same cycle as one ticked through `step`.
     pub(crate) fn fast_forward_stall(&mut self) -> u64 {
         if self.trace.enabled() || self.pbr.is_some() {
             return 0;
@@ -1018,7 +1027,85 @@ mod tests {
             ..SimConfig::default()
         };
         let err = run_program(&asm(src), &cfg).unwrap_err();
-        assert!(matches!(err, SimError::Timeout { .. }));
+        assert!(matches!(err, SimError::Timeout { cycles: 1000 }), "{err:?}");
+        // The idle memory leaves an unbounded quiet window; fast-forward
+        // must clamp it to the budget, exactly where ticking stops.
+        let ticked = run_ticked(&Arc::new(DecodedProgram::new(asm(src))), &cfg).unwrap_err();
+        assert_eq!(err, ticked);
+    }
+
+    /// The reference cycle loop: [`Processor::step`] until done or out of
+    /// budget, with the same timeout rule as `run` and no fast-forwarding.
+    fn run_ticked(program: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+        let mut proc = Processor::from_decoded(program, config)?;
+        while !proc.is_done() {
+            if proc.cycle() >= config.max_cycles {
+                return Err(SimError::Timeout {
+                    cycles: proc.cycle(),
+                });
+            }
+            proc.step()?;
+        }
+        proc.run()?; // already done: only finalizes the statistics
+        Ok(proc.into_stats())
+    }
+
+    /// A loop with loads, stores, an FPU multiply, and taken branches —
+    /// exercises every stall class.
+    const STALL_LOOP: &str = r#"
+        lim  r1, 0x200
+        lim  r2, 0
+        lim  r3, 6
+        lbr  b0, loop
+        loop: sta r1, 0
+        or   r7, r2, r2
+        ldw  r1, 0
+        add  r2, r7, r7
+        addi r1, r1, 4
+        subi r3, r3, 1
+        pbr.nez b0, r3, 1
+        nop
+        halt
+    "#;
+
+    #[test]
+    fn fast_forward_fires_on_slow_memory_and_matches_ticking() {
+        // Slow memory under perfect fetch: long data-wait windows that
+        // fast-forward provably skips.
+        let program = Arc::new(DecodedProgram::new(asm(STALL_LOOP)));
+        let config = SimConfig {
+            fetch: FetchStrategy::Perfect,
+            mem: MemConfig {
+                access_cycles: 9,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let ticked = run_ticked(&program, &config).expect("ticked run");
+
+        let mut proc = Processor::from_decoded(&program, &config).expect("config valid");
+        let mut skipped = 0;
+        while !proc.is_done() {
+            proc.step().expect("step");
+            skipped += proc.fast_forward_stall();
+        }
+        proc.finalize_stats();
+        assert!(skipped > 0, "slow loads must open fast-forward windows");
+        assert_eq!(ticked, proc.into_stats());
+        assert_eq!(Ok(ticked), run_decoded(&program, &config));
+    }
+
+    #[test]
+    fn invalid_config_is_rejected() {
+        let program = Arc::new(DecodedProgram::new(asm(STALL_LOOP)));
+        let bad = SimConfig {
+            ldq_entries: 0,
+            ..SimConfig::default()
+        };
+        assert!(matches!(
+            run_decoded(&program, &bad),
+            Err(SimError::Config(_))
+        ));
     }
 
     #[test]

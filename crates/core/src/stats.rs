@@ -43,8 +43,8 @@ impl QueueOccupancy {
     }
 
     /// Samples `n` consecutive cycles at the same occupancy — equivalent
-    /// to calling [`sample`](Self::sample) `n` times. Used by the batched
-    /// kernel when fast-forwarding a stall window during which no queue
+    /// to calling [`sample`](Self::sample) `n` times. Used by the cycle
+    /// loop when fast-forwarding a stall window during which no queue
     /// length can change.
     pub fn sample_n(&mut self, len: usize, n: u64) {
         self.max = self.max.max(len);

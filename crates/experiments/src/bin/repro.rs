@@ -3,9 +3,9 @@
 //! ```text
 //! repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
 //!       [--ablation-access] [--ablation-priority] [--ablation-prefetch]
-//!       [--ablation-format] [--check] [--csv-dir DIR] [--from-trace FILE]
-//!       [--jobs N] [--resume] [--store DIR] [--progress]
-//!       [--strict] [--events DIR]
+//!       [--ablation-format] [--ablation-tib] [--profile] [--studies]
+//!       [--check] [--csv-dir DIR] [--svg-dir DIR] [--from-trace FILE]
+//!       [--jobs N] [--progress] [--strict]
 //! ```
 //!
 //! With no arguments, runs everything except the ablations. `--check`
@@ -17,22 +17,21 @@
 //! `--from-trace FILE` runs the selected figure sweeps trace-driven:
 //! every point replays the given trace (binary `.ptr` or plain-text
 //! addresses) through its fetch engine instead of executing the
-//! functional core, and the result store keys on the trace's content
-//! hash. Record a trace with `pipe-sim --livermore --record-trace`.
+//! functional core. Record a trace with
+//! `pipe-sim --livermore --record-trace`.
 //!
 //! The figure sweeps run on the parallel sweep engine: `--jobs N` spreads
 //! the points over N worker threads (cycle counts are bit-identical to a
-//! serial run), `--store DIR` persists every measured point to a
-//! content-addressed store under DIR (default `results/`), and
-//! `--resume` loads previously stored points instead of re-simulating
-//! them. `--progress` prints one line per point with its wall time.
+//! serial run). `--progress` prints one line per point with its wall
+//! time.
 //!
 //! Sweeps are fault-tolerant: a failed point is reported (and marked
 //! missing in the table) while every other point completes, and the run
 //! exits 0. `--strict` restores fail-fast semantics — the first failed
-//! point aborts with a nonzero exit. `--events DIR` appends a structured
-//! JSONL event log per figure to `DIR/events/` (defaults to the store
-//! root when a store is in use).
+//! point aborts with a nonzero exit.
+//!
+//! A malformed command line prints `repro: <error>` and the usage, and
+//! exits 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -41,7 +40,6 @@ use pipe_experiments::figures::{
     ablation, try_figure_with, try_figure_with_workload, Figure, ALL_ABLATIONS, ALL_FIGURES,
 };
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
-use pipe_experiments::store::ResultStore;
 use pipe_experiments::sweep::{FailedJob, SweepRunner, WorkloadSpec};
 use pipe_experiments::tables::{render_table1, render_table2};
 
@@ -56,12 +54,15 @@ struct Options {
     svg_dir: Option<PathBuf>,
     from_trace: Option<PathBuf>,
     jobs: usize,
-    resume: bool,
-    store: Option<PathBuf>,
     progress: bool,
     strict: bool,
-    events: Option<PathBuf>,
 }
+
+const USAGE: &str = "\
+usage: repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
+             [--ablation-access|priority|prefetch|format|tib]
+             [--profile] [--studies] [--check] [--csv-dir DIR] [--svg-dir DIR]
+             [--from-trace FILE] [--jobs N] [--progress] [--strict]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -75,11 +76,8 @@ fn parse_args() -> Result<Options, String> {
         svg_dir: None,
         from_trace: None,
         jobs: 1,
-        resume: false,
-        store: None,
         progress: false,
         strict: false,
-        events: None,
     };
     let mut any = false;
     let mut args = std::env::args().skip(1);
@@ -116,17 +114,8 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("--jobs: invalid count `{n}`"))?;
             }
-            "--resume" => opts.resume = true,
-            "--store" => {
-                let dir = args.next().ok_or("--store needs a directory")?;
-                opts.store = Some(PathBuf::from(dir));
-            }
             "--progress" => opts.progress = true,
             "--strict" => opts.strict = true,
-            "--events" => {
-                let dir = args.next().ok_or("--events needs a directory")?;
-                opts.events = Some(PathBuf::from(dir));
-            }
             "--csv-dir" => {
                 let dir = args.next().ok_or("--csv-dir needs a directory")?;
                 opts.csv_dir = Some(PathBuf::from(dir));
@@ -215,35 +204,17 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("repro: {e}");
+            eprintln!("repro: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
 
     let mut violations = Vec::new();
 
-    let mut runner = SweepRunner::new()
+    let runner = SweepRunner::new()
         .jobs(opts.jobs)
         .progress(opts.progress)
         .strict(opts.strict);
-    let mut store_root = None;
-    if opts.resume || opts.store.is_some() {
-        let root = opts
-            .store
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"));
-        match ResultStore::open(&root) {
-            Ok(store) => runner = runner.store(store).resume(opts.resume),
-            Err(e) => {
-                eprintln!("repro: cannot open result store {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        store_root = Some(root);
-    }
-    if let Some(events) = opts.events.clone().or(store_root) {
-        runner = runner.events(events);
-    }
 
     for t in &opts.tables {
         match *t {

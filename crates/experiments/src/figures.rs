@@ -85,8 +85,7 @@ pub fn figure_mem(id: &str) -> (MemConfig, &'static str) {
 
 /// Sweeps all five strategies over the cache sizes under `mem`. This is
 /// the serial entry point; it delegates to the [`SweepRunner`] engine
-/// (one worker, no store), so the serial and parallel paths are the same
-/// code.
+/// (one worker), so the serial and parallel paths are the same code.
 pub fn sweep(
     suite: &LivermoreSuite,
     mem: &MemConfig,
@@ -108,14 +107,13 @@ pub fn sweep(
 }
 
 /// A reproduced figure panel plus the run's execution record — how many
-/// points were simulated, loaded from the store, or failed.
+/// points were simulated or failed.
 #[derive(Debug, Clone)]
 pub struct FigureRun {
     /// The (possibly partial) figure: failed points are missing from
     /// their series, never zeroed.
     pub figure: Figure,
-    /// The sweep's execution record (counts, failed jobs, degradation,
-    /// event-log path).
+    /// The sweep's execution record (counts, failed jobs, wall time).
     pub outcome: SweepOutcome,
 }
 
@@ -127,7 +125,7 @@ impl FigureRun {
 }
 
 /// Reproduces one of the paper's figure panels using `runner` for
-/// execution (worker count, result store, events, progress), returning
+/// execution (worker count, strictness, progress), returning
 /// the partial figure and failed-job list rather than panicking when
 /// jobs fail.
 ///
@@ -157,7 +155,7 @@ pub fn try_figure_with(id: &str, runner: &SweepRunner) -> Result<FigureRun, Swee
 /// — typically a [`WorkloadSpec::Trace`] so the whole sweep runs
 /// trace-driven (`repro --from-trace`). The figure id, strategies, cache
 /// sizes, and memory timing are unchanged; the title marks the
-/// substituted workload and the store keys on the workload's content.
+/// substituted workload by its content key.
 ///
 /// # Errors
 ///
@@ -189,7 +187,7 @@ pub fn try_figure_with_workload(
 }
 
 /// Reproduces one of the paper's figure panels using `runner` for
-/// execution (worker count, result store, progress).
+/// execution (worker count, strictness, progress).
 ///
 /// # Panics
 ///

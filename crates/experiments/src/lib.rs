@@ -20,23 +20,18 @@
 //! The `repro` binary drives all of this from the command line and prints
 //! paper-shaped tables; [`report`] renders text and CSV.
 
-pub mod backoff;
-pub mod events;
 pub mod figures;
 pub mod json;
 pub mod matrix;
 pub mod profile;
 pub mod report;
 pub mod runner;
-pub mod store;
 pub mod studies;
 pub mod svg;
 pub mod sweep;
 pub mod tables;
 pub mod tracerun;
 
-pub use backoff::BackoffPolicy;
-pub use events::RunLog;
 pub use figures::{
     ablation, figure, figure_mem, figure_with, try_figure_with, try_figure_with_workload, Figure,
     FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
@@ -46,7 +41,6 @@ pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
 pub use report::{check_expectations, render_csv, render_failures, render_text};
 pub use runner::{run_point, try_run_point, try_run_points_batched, ExperimentPoint};
-pub use store::{fnv1a64, PruneReport, ResultStore, StoreError, StoredPoint};
 pub use svg::render_figure_svg;
 pub use sweep::{
     mem_key, FailedJob, FaultInjection, JobError, PointOutcome, SweepError, SweepJob, SweepOutcome,

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pipe_core::{run_batch, run_decoded, FetchStrategy, SimConfig, SimError, SimStats};
+use pipe_core::{run_decoded, FetchStrategy, SimConfig, SimError, SimStats};
 use pipe_isa::{DecodedProgram, Program};
 use pipe_mem::MemConfig;
 
@@ -36,10 +36,9 @@ pub fn try_run_point(
     try_run_point_decoded(&decoded, fetch, mem, cache_bytes)
 }
 
-/// The simulation configuration every experiment point runs under.
-/// Shared by the scalar ([`try_run_point_decoded`]) and batched
-/// ([`try_run_points_batched`]) paths so they can never drift apart —
-/// equal inputs simulate under bit-identical configurations either way.
+/// The simulation configuration every experiment point runs under, so
+/// equal inputs simulate under bit-identical configurations wherever a
+/// point is measured.
 pub fn point_config(fetch: FetchStrategy, mem: &MemConfig) -> SimConfig {
     SimConfig {
         fetch,
@@ -72,31 +71,18 @@ pub fn try_run_point_decoded(
     })
 }
 
-/// Batched form of [`try_run_point_decoded`]: every `(fetch, cache
-/// bytes)` lane runs over the shared predecoded program in one
-/// [`run_batch`] pass, returning per-lane results in order. Each lane's
-/// point (or error) is bit-identical to the scalar path with the same
-/// arguments; lanes are independent, so one failing lane does not
-/// disturb the others.
+/// [`try_run_point_decoded`] mapped over `(fetch, cache bytes)` pairs,
+/// returning one result per pair, in order. Kept for callers that hand
+/// over a group of points at once; each point runs alone through the one
+/// cycle loop, so one failing point does not disturb the others.
 pub fn try_run_points_batched(
     decoded: &Arc<DecodedProgram>,
-    lanes: &[(FetchStrategy, u32)],
+    points: &[(FetchStrategy, u32)],
     mem: &MemConfig,
 ) -> Vec<Result<ExperimentPoint, SimError>> {
-    let configs: Vec<SimConfig> = lanes
+    points
         .iter()
-        .map(|&(fetch, _)| point_config(fetch, mem))
-        .collect();
-    run_batch(decoded, &configs)
-        .into_iter()
-        .zip(lanes)
-        .map(|(result, &(_, cache_bytes))| {
-            result.map(|stats| ExperimentPoint {
-                cache_bytes,
-                cycles: stats.cycles,
-                stats,
-            })
-        })
+        .map(|&(fetch, cache_bytes)| try_run_point_decoded(decoded, fetch, mem, cache_bytes))
         .collect()
 }
 
@@ -124,29 +110,6 @@ mod tests {
     use pipe_icache::CacheConfig;
     use pipe_isa::InstrFormat;
     use pipe_workloads::synthetic::tight_loop;
-
-    #[test]
-    fn batched_points_match_scalar() {
-        let p = tight_loop(4, 20, InstrFormat::Fixed32);
-        let decoded = Arc::new(DecodedProgram::new(p));
-        let mem = MemConfig {
-            access_cycles: 4,
-            ..MemConfig::default()
-        };
-        let lanes = [
-            (FetchStrategy::conventional(CacheConfig::new(32, 16)), 32),
-            (FetchStrategy::conventional(CacheConfig::new(64, 16)), 64),
-            (FetchStrategy::Perfect, 128),
-        ];
-        let batched = try_run_points_batched(&decoded, &lanes, &mem);
-        assert_eq!(batched.len(), lanes.len());
-        for (&(fetch, cache_bytes), lane) in lanes.iter().zip(&batched) {
-            let scalar = try_run_point_decoded(&decoded, fetch, &mem, cache_bytes).unwrap();
-            let lane = lane.as_ref().unwrap();
-            assert_eq!(lane.cache_bytes, scalar.cache_bytes);
-            assert_eq!(lane.stats, scalar.stats, "lane diverged under {fetch}");
-        }
-    }
 
     #[test]
     fn run_point_measures_cycles() {

@@ -10,31 +10,18 @@
 //! deterministic, and only the collection order could differ — which the
 //! index-addressed slots pin down.
 //!
-//! Because a spec has exactly one workload, every job shares the same
-//! predecoded program; the runner therefore groups pending jobs into
-//! same-workload batches (up to [`SweepRunner::batch`] lanes, capped so
-//! every worker thread still gets work) and dispatches each batch through
-//! the batched kernel ([`pipe_core::run_batch`]), which drives all lanes
-//! over the shared program in one pass with stall fast-forwarding.
-//! Singleton groups — and trace workloads, which replay through a
-//! different engine — fall back to the scalar path. Both paths produce
-//! bit-identical statistics, so batching is purely a throughput choice.
-//!
-//! With a [`ResultStore`] attached and resume enabled, each job's
-//! canonical configuration key (see [`SweepJob::key`]) is checked against
-//! the store first; previously computed points are loaded instead of
-//! re-simulated, so a re-run after an interrupted or completed sweep only
-//! pays for the missing points.
+//! Every point runs alone through the one cycle loop
+//! ([`pipe_core::Processor::run`], which fast-forwards provably idle stall
+//! windows) over the spec's shared predecoded program; a trace workload
+//! replays through its fetch engine instead (see [`crate::tracerun`]).
+//! Parallelism is threads over points.
 //!
 //! Execution is **fault-tolerant**: each job runs under `catch_unwind`,
 //! so a panicking or erroring point becomes a [`FailedJob`] recorded in
-//! the [`SweepOutcome`] while every other job completes; store-write
-//! failures are retried with backoff and then degrade the run to
-//! store-less execution instead of aborting it. [`SweepRunner::strict`]
-//! restores fail-fast semantics ([`SweepRunner::try_run`] returns
-//! [`SweepError`] carrying the partial outcome). With an events root
-//! attached ([`SweepRunner::events`]), the run appends a structured JSONL
-//! event log (see [`crate::events`]).
+//! the [`SweepOutcome`] while every other job completes.
+//! [`SweepRunner::strict`] restores fail-fast semantics
+//! ([`SweepRunner::try_run`] returns [`SweepError`] carrying the partial
+//! outcome).
 //!
 //! ```no_run
 //! use pipe_experiments::sweep::{SweepRunner, SweepSpec};
@@ -47,7 +34,7 @@
 use std::error::Error;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -59,16 +46,13 @@ use pipe_isa::{DecodedProgram, InstrFormat, Program};
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
 
-use crate::backoff::BackoffPolicy;
-use crate::events::RunLog;
 use crate::figures::{figure_mem, Series};
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
-use crate::runner::{try_run_point_decoded, try_run_points_batched, ExperimentPoint};
-use crate::store::{ResultStore, StoredPoint};
+use crate::runner::{try_run_point_decoded, ExperimentPoint};
 
 /// The benchmark a sweep runs. Declarative (rather than a prebuilt
-/// [`Program`]) so the workload participates in the configuration key
-/// that content-addresses stored results.
+/// [`Program`]) so the workload participates in each point's
+/// configuration key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// The paper's 14-kernel Livermore benchmark. `scale` divides each
@@ -93,8 +77,8 @@ pub enum WorkloadSpec {
     /// A pre-recorded instruction trace (binary `.ptr` or plain-text
     /// addresses), replayed through each job's fetch engine instead of
     /// running the functional core (see [`crate::tracerun`]). The key
-    /// fragment is the FNV-1a 64 digest of the file's bytes, so stored
-    /// results are invalidated whenever the trace content changes.
+    /// fragment is the FNV-1a 64 digest of the file's bytes, so it names
+    /// the trace content rather than its path.
     Trace {
         /// Path to the trace file.
         path: String,
@@ -274,24 +258,21 @@ pub struct SweepJob {
 }
 
 impl SweepJob {
-    /// The canonical configuration key this point is stored under: it
-    /// covers workload, memory timing, and the complete fetch geometry,
-    /// so equal keys simulate identically.
+    /// The canonical configuration key naming this point: it covers
+    /// workload, memory timing, and the complete fetch geometry, so equal
+    /// keys simulate identically.
     pub fn key(&self) -> &str {
         &self.key
     }
 }
 
-/// One completed point with its provenance.
+/// One completed point with the time it took.
 #[derive(Debug, Clone)]
 pub struct PointOutcome {
-    /// The measured (or store-loaded) point.
+    /// The measured point.
     pub point: ExperimentPoint,
-    /// Wall-clock time the simulation took (zero when loaded from the
-    /// store).
+    /// Wall-clock time the simulation took.
     pub wall: Duration,
-    /// Whether the point was loaded from the result store.
-    pub cached: bool,
 }
 
 /// Why one job of a sweep failed.
@@ -390,21 +371,13 @@ pub struct SweepOutcome {
     /// One series per strategy, in spec order — the same shape the serial
     /// figure path produces, minus any failed points.
     pub series: Vec<Series>,
-    /// Points actually simulated (successfully) this run.
+    /// Points simulated successfully.
     pub computed: usize,
-    /// Points satisfied from the result store.
-    pub cached: usize,
     /// Jobs that failed, in expansion order.
     pub failed: Vec<FailedJob>,
-    /// Lane widths of the same-workload batches the pending (not
-    /// store-satisfied) jobs were grouped into, in dispatch order.
-    /// Width-1 groups ran on the scalar path.
+    /// Points per simulation call, one entry per job run: always 1, since
+    /// every point runs alone through the one cycle loop.
     pub batches: Vec<usize>,
-    /// Whether store writes failed persistently and the run degraded to
-    /// store-less execution.
-    pub store_degraded: bool,
-    /// Where the JSONL event log was written, when events were enabled.
-    pub events_path: Option<PathBuf>,
     /// Total wall-clock time of the sweep.
     pub wall: Duration,
 }
@@ -416,48 +389,22 @@ impl SweepOutcome {
     }
 }
 
-/// Test/diagnostic fault injection: make specific jobs panic or their
-/// store writes fail, to exercise the fault-tolerant paths end to end
-/// (unit tests, the CI smoke test, and manual `--inject-*` runs).
+/// Test/diagnostic fault injection: make specific jobs panic, to
+/// exercise the fault-tolerant paths end to end (unit tests, the CI
+/// smoke test, and manual `--inject-panic` runs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjection {
     /// Expansion indices whose execution panics.
     pub panic_jobs: Vec<usize>,
-    /// Expansion indices whose store writes fail (every attempt).
-    pub store_fail_jobs: Vec<usize>,
 }
 
-impl FaultInjection {
-    /// Whether no fault is injected (the default).
-    pub fn is_empty(&self) -> bool {
-        self.panic_jobs.is_empty() && self.store_fail_jobs.is_empty()
-    }
-}
-
-/// Shared per-run state handed to every worker: the (optional) event
-/// log, the store-health flag that flips when writes are exhausted, and
-/// the strict-mode cancellation flag.
-struct RunState<'a> {
-    log: Option<&'a RunLog>,
-    store_ok: &'a AtomicBool,
-    cancel: &'a AtomicBool,
-}
-
-/// Default maximum lanes per batched simulation call.
-const DEFAULT_BATCH: usize = 8;
-
-/// Executes [`SweepSpec`]s across worker threads with optional
-/// store-backed resume, structured event logging, and progress
+/// Executes [`SweepSpec`]s across worker threads with optional progress
 /// reporting. Fault-tolerant by default; see [`SweepRunner::strict`].
 #[derive(Debug)]
 pub struct SweepRunner {
     jobs: usize,
-    batch: usize,
-    store: Option<ResultStore>,
-    resume: bool,
     progress: bool,
     strict: bool,
-    events_root: Option<PathBuf>,
     inject: FaultInjection,
 }
 
@@ -468,16 +415,12 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// A serial runner with no store and no progress output.
+    /// A serial runner with no progress output.
     pub fn new() -> SweepRunner {
         SweepRunner {
             jobs: 1,
-            batch: DEFAULT_BATCH,
-            store: None,
-            resume: false,
             progress: false,
             strict: false,
-            events_root: None,
             inject: FaultInjection::default(),
         }
     }
@@ -485,28 +428,6 @@ impl SweepRunner {
     /// Sets the worker-thread count (0 is treated as 1).
     pub fn jobs(mut self, jobs: usize) -> SweepRunner {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets the maximum lanes per batched simulation call (default 8).
-    /// `1` disables batching: every point runs on the scalar path. The
-    /// effective width is further capped so every worker thread still
-    /// gets at least one batch.
-    pub fn batch(mut self, width: usize) -> SweepRunner {
-        self.batch = width.max(1);
-        self
-    }
-
-    /// Attaches a result store; every computed point is persisted to it.
-    pub fn store(mut self, store: ResultStore) -> SweepRunner {
-        self.store = Some(store);
-        self
-    }
-
-    /// When a store is attached, load previously computed points instead
-    /// of re-simulating them.
-    pub fn resume(mut self, resume: bool) -> SweepRunner {
-        self.resume = resume;
         self
     }
 
@@ -519,18 +440,9 @@ impl SweepRunner {
     /// Restores fail-fast semantics: the first failed job cancels the
     /// remaining work and [`try_run`](SweepRunner::try_run) returns
     /// [`SweepError::Strict`] with the partial outcome. In-flight jobs
-    /// still finish (and persist to the store), so a strict abort loses
-    /// no completed work.
+    /// still finish, so a strict abort loses no completed point.
     pub fn strict(mut self, strict: bool) -> SweepRunner {
         self.strict = strict;
-        self
-    }
-
-    /// Writes a structured JSONL event log to
-    /// `<root>/events/<spec id>.jsonl` for each run (see
-    /// [`crate::events`]).
-    pub fn events(mut self, root: impl Into<PathBuf>) -> SweepRunner {
-        self.events_root = Some(root.into());
         self
     }
 
@@ -559,13 +471,10 @@ impl SweepRunner {
     /// Runs the sweep.
     ///
     /// In the default fault-tolerant mode this always returns `Ok`: a
-    /// panicking or erroring job becomes a [`FailedJob`] in the outcome,
-    /// a persistently failing store write degrades the run to store-less
-    /// execution (after bounded retry with backoff), and an untrusted
-    /// store entry (key mismatch) is recomputed with a warning. Under
-    /// [`strict`](SweepRunner::strict), the first failure cancels the
-    /// remaining jobs and surfaces as [`SweepError::Strict`] carrying the
-    /// partial outcome.
+    /// panicking or erroring job becomes a [`FailedJob`] in the outcome.
+    /// Under [`strict`](SweepRunner::strict), the first failure cancels
+    /// the remaining jobs and surfaces as [`SweepError::Strict`] carrying
+    /// the partial outcome.
     ///
     /// # Errors
     ///
@@ -578,81 +487,30 @@ impl SweepRunner {
         // the same predecoded image instead of re-decoding per point.
         let program = Arc::new(DecodedProgram::new(spec.workload.build()));
 
-        let log = self.open_log(spec);
-        if let Some(log) = &log {
-            log.run_start(total, self.jobs, self.strict);
-        }
-
         // Index-addressed result slots: the write order never affects the
         // collected series.
         let mut slots: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
         let mut failed: Vec<FailedJob> = Vec::new();
-
-        // Satisfy what we can from the store first (cheap file reads).
-        let mut pending: Vec<&SweepJob> = Vec::new();
-        for job in &jobs {
-            match self.load_cached(spec, job, log.as_ref()) {
-                Some(entry) => {
-                    let cycles = entry.stats.cycles;
-                    self.report(spec, job, cycles, Duration::ZERO, true, total);
-                    if let Some(log) = &log {
-                        log.job_cached(job.index, job.kind.label(), job.cache_bytes, cycles);
-                    }
-                    slots[job.index] = Some(PointOutcome {
-                        point: entry.to_point(),
-                        wall: Duration::ZERO,
-                        cached: true,
-                    });
-                }
-                None => pending.push(job),
-            }
-        }
-        let cached = total - pending.len();
-
-        // Set once store writes are exhausted; the rest of the run is
-        // store-less.
-        let store_ok = AtomicBool::new(true);
         // Set on the first failure under strict: workers stop picking up
-        // new jobs but finish (and persist) the ones in flight.
+        // new jobs but finish the ones in flight.
         let cancel = AtomicBool::new(false);
-        let run = RunState {
-            log: log.as_ref(),
-            store_ok: &store_ok,
-            cancel: &cancel,
-        };
-
-        // Group the pending (same-workload) jobs into lockstep batches
-        // for the batched kernel. The width is capped so every worker
-        // thread still gets a batch: lanes amortize the shared program,
-        // threads amortize cores. Trace workloads replay through a
-        // different engine and always run scalar.
-        let width = match spec.workload {
-            WorkloadSpec::Trace { .. } => 1,
-            _ => {
-                let fair = pending.len().div_ceil(self.jobs.max(1)).max(1);
-                self.batch.clamp(1, fair)
+        let mut record = |index: usize, result: Result<PointOutcome, JobError>| match result {
+            Ok(outcome) => slots[index] = Some(outcome),
+            Err(error) => {
+                failed.push(failed_job(&jobs[index], error));
+                if self.strict {
+                    cancel.store(true, Ordering::Relaxed);
+                }
             }
         };
-        let batches: Vec<&[&SweepJob]> = pending.chunks(width).collect();
-        let batch_widths: Vec<usize> = batches.iter().map(|b| b.len()).collect();
 
-        let workers = self.jobs.min(batches.len().max(1));
+        let workers = self.jobs.min(total.max(1));
         if workers <= 1 {
-            for batch in &batches {
+            for job in &jobs {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
-                for (index, result) in self.execute_batch(spec, batch, &program, total, 0, &run) {
-                    match result {
-                        Ok(outcome) => slots[index] = Some(outcome),
-                        Err(error) => {
-                            failed.push(failed_job(&jobs[index], error));
-                            if self.strict {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+                record(job.index, self.execute(spec, job, &program, total));
             }
         } else {
             // Per-job results flow back over an mpsc channel, so a worker
@@ -661,39 +519,26 @@ impl SweepRunner {
             // slot empty).
             let next = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
-            let batches = &batches;
-            let program = &program;
-            let (cancel_ref, run_ref) = (&cancel, &run);
+            let (jobs, program, cancel) = (&jobs, &program, &cancel);
             std::thread::scope(|scope| {
-                for worker in 0..workers {
+                for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
                     scope.spawn(move || loop {
-                        if cancel_ref.load(Ordering::Relaxed) {
+                        if cancel.load(Ordering::Relaxed) {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = batches.get(i) else { break };
-                        let results =
-                            self.execute_batch(spec, batch, program, total, worker, run_ref);
-                        for pair in results {
-                            if tx.send(pair).is_err() {
-                                return;
-                            }
+                        let Some(job) = jobs.get(i) else { break };
+                        let result = self.execute(spec, job, program, total);
+                        if tx.send((job.index, result)).is_err() {
+                            return;
                         }
                     });
                 }
                 drop(tx);
                 for (index, result) in rx {
-                    match result {
-                        Ok(outcome) => slots[index] = Some(outcome),
-                        Err(error) => {
-                            failed.push(failed_job(&jobs[index], error));
-                            if self.strict {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                    record(index, result);
                 }
             });
         }
@@ -717,217 +562,40 @@ impl SweepRunner {
             })
             .collect();
 
-        let computed = slots.iter().flatten().filter(|o| !o.cached).count();
+        let computed = slots.iter().flatten().count();
         let wall = started.elapsed();
         if self.progress {
-            let widths: Vec<String> = batch_widths.iter().map(|w| w.to_string()).collect();
             eprintln!(
-                "[{}] sweep done: {} computed, {} cached, {} failed in {:.2}s; \
-                 batch widths [{}]",
+                "[{}] sweep done: {} computed, {} failed in {:.2}s",
                 spec.id,
                 computed,
-                cached,
                 failed.len(),
                 wall.as_secs_f64(),
-                widths.join(", "),
             );
         }
         let outcome = SweepOutcome {
             series,
             computed,
-            cached,
-            store_degraded: !store_ok.load(Ordering::Relaxed),
-            events_path: log.as_ref().map(|l| l.path().to_path_buf()),
+            batches: vec![1; computed + failed.len()],
             failed,
-            batches: batch_widths,
             wall,
         };
-        if let Some(log) = &log {
-            log.run_finish(
-                outcome.computed,
-                outcome.cached,
-                outcome.failed.len(),
-                outcome.wall.as_millis(),
-            );
-        }
         if self.strict && !outcome.is_complete() {
             return Err(SweepError::Strict(Box::new(outcome)));
         }
         Ok(outcome)
     }
 
-    /// Opens the per-run event log, if an events root is configured.
-    /// Best-effort: a failure to open warns and disables logging.
-    fn open_log(&self, spec: &SweepSpec) -> Option<RunLog> {
-        let root = self.events_root.as_ref()?;
-        match RunLog::create(root, &spec.id) {
-            Ok(log) => Some(log),
-            Err(e) => {
-                eprintln!(
-                    "[{}] warning: cannot create event log under {}: {e}; \
-                     continuing without events",
-                    spec.id,
-                    root.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// Resume lookup for one job. An untrusted entry (key mismatch) warns
-    /// and reads as absent so the point is recomputed.
-    fn load_cached(
-        &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        log: Option<&RunLog>,
-    ) -> Option<StoredPoint> {
-        if !self.resume {
-            return None;
-        }
-        match self.store.as_ref()?.load(job.key()) {
-            Ok(entry) => entry,
-            Err(e) => {
-                eprintln!(
-                    "[{}] warning: {e}; recomputing {} @ {}B",
-                    spec.id,
-                    job.kind.label(),
-                    job.cache_bytes
-                );
-                if let Some(log) = log {
-                    log.store_mismatch(job.index, &e.to_string());
-                }
-                None
-            }
-        }
-    }
-
-    /// Runs one same-workload batch through the batched kernel,
-    /// returning `(job index, result)` pairs. Singleton batches use the
-    /// scalar path directly. Each lane is charged an equal share of the
-    /// batch's wall time — the cost the point actually added to the
-    /// sweep — in progress output and the result store. A panic inside
-    /// the batched call poisons all of its lanes, so the fallback
-    /// retries each point alone under the scalar [`execute`]
-    /// (SweepRunner::execute), where only the offending job fails.
-    fn execute_batch(
-        &self,
-        spec: &SweepSpec,
-        batch: &[&SweepJob],
-        program: &Arc<DecodedProgram>,
-        total: usize,
-        worker: usize,
-        run: &RunState<'_>,
-    ) -> Vec<(usize, Result<PointOutcome, JobError>)> {
-        if batch.len() == 1 {
-            let job = batch[0];
-            return vec![(
-                job.index,
-                self.execute(spec, job, program, total, worker, run),
-            )];
-        }
-        if let Some(log) = run.log {
-            for job in batch {
-                log.job_start(job.index, job.kind.label(), job.cache_bytes, worker);
-            }
-        }
-        let inject_panic = batch
-            .iter()
-            .any(|j| self.inject.panic_jobs.contains(&j.index));
-        let lanes: Vec<(FetchStrategy, u32)> =
-            batch.iter().map(|j| (j.fetch, j.cache_bytes)).collect();
-        let t0 = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected panic (batched lanes)");
-            }
-            try_run_points_batched(program, &lanes, &spec.mem)
-        }));
-        let wall = t0.elapsed() / batch.len() as u32;
-        let Ok(points) = outcome else {
-            // Retry each point alone so only the offending job fails.
-            // Under strict, the first failed retry cancels the rest of
-            // the batch (they count as never started).
-            let mut out = Vec::with_capacity(batch.len());
-            for job in batch {
-                if run.cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                let result = self.execute(spec, job, program, total, worker, run);
-                if result.is_err() && self.strict {
-                    run.cancel.store(true, Ordering::Relaxed);
-                }
-                out.push((job.index, result));
-            }
-            return out;
-        };
-        batch
-            .iter()
-            .zip(points)
-            .map(|(job, point)| {
-                let result = match point {
-                    Ok(point) => {
-                        self.persist(spec, job, &point, wall, run);
-                        self.report(spec, job, point.cycles, wall, false, total);
-                        if let Some(log) = run.log {
-                            log.job_finish(
-                                job.index,
-                                job.kind.label(),
-                                job.cache_bytes,
-                                worker,
-                                point.cycles,
-                                wall.as_millis(),
-                            );
-                        }
-                        Ok(PointOutcome {
-                            point,
-                            wall,
-                            cached: false,
-                        })
-                    }
-                    Err(sim) => {
-                        let error = JobError::Sim(sim.to_string());
-                        eprintln!(
-                            "[{} {}/{}] FAILED {} @ {}B: {error}",
-                            spec.id,
-                            job.index + 1,
-                            total,
-                            job.kind.label(),
-                            job.cache_bytes,
-                        );
-                        if let Some(log) = run.log {
-                            log.job_failed(
-                                job.index,
-                                job.kind.label(),
-                                job.cache_bytes,
-                                worker,
-                                &error.to_string(),
-                            );
-                        }
-                        Err(error)
-                    }
-                };
-                (job.index, result)
-            })
-            .collect()
-    }
-
-    /// Simulates one point under `catch_unwind`, persists it (with retry
-    /// and degradation on store failure), and reports progress. A panic
-    /// or simulation error becomes `Err(JobError)` — the job fails alone.
+    /// Simulates one point under `catch_unwind` and reports progress. A
+    /// panic or simulation error becomes `Err(JobError)` — the job fails
+    /// alone.
     fn execute(
         &self,
         spec: &SweepSpec,
         job: &SweepJob,
         program: &Arc<DecodedProgram>,
         total: usize,
-        worker: usize,
-        run: &RunState<'_>,
     ) -> Result<PointOutcome, JobError> {
-        let log = run.log;
-        if let Some(log) = log {
-            log.job_start(job.index, job.kind.label(), job.cache_bytes, worker);
-        }
         let inject_panic = self.inject.panic_jobs.contains(&job.index);
         let t0 = Instant::now();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -949,23 +617,19 @@ impl SweepRunner {
         let wall = t0.elapsed();
         let error = match result {
             Ok(Ok(point)) => {
-                self.persist(spec, job, &point, wall, run);
-                self.report(spec, job, point.cycles, wall, false, total);
-                if let Some(log) = log {
-                    log.job_finish(
-                        job.index,
+                if self.progress {
+                    eprintln!(
+                        "[{} {}/{}] {} @ {}B: {} cycles ({:.2}s)",
+                        spec.id,
+                        job.index + 1,
+                        total,
                         job.kind.label(),
                         job.cache_bytes,
-                        worker,
                         point.cycles,
-                        wall.as_millis(),
+                        wall.as_secs_f64(),
                     );
                 }
-                return Ok(PointOutcome {
-                    point,
-                    wall,
-                    cached: false,
-                });
+                return Ok(PointOutcome { point, wall });
             }
             Ok(Err(sim)) => JobError::Sim(sim),
             Err(payload) => JobError::Panic(panic_message(payload.as_ref())),
@@ -978,94 +642,7 @@ impl SweepRunner {
             job.kind.label(),
             job.cache_bytes,
         );
-        if let Some(log) = log {
-            log.job_failed(
-                job.index,
-                job.kind.label(),
-                job.cache_bytes,
-                worker,
-                &error.to_string(),
-            );
-        }
         Err(error)
-    }
-
-    /// Persists one measured point with bounded retry. Transient
-    /// `io::Error`s back off and retry; after the attempts are exhausted
-    /// the run degrades to store-less execution (a warning, never an
-    /// abort).
-    fn persist(
-        &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        point: &ExperimentPoint,
-        wall: Duration,
-        run: &RunState<'_>,
-    ) {
-        let (log, store_ok) = (run.log, run.store_ok);
-        let Some(store) = &self.store else { return };
-        if !store_ok.load(Ordering::Relaxed) {
-            return;
-        }
-        let entry =
-            StoredPoint::from_point(job.key(), job.kind.label(), point, wall.as_millis() as u64);
-        let inject_fail = self.inject.store_fail_jobs.contains(&job.index);
-        let policy = BackoffPolicy::store_default();
-        let result = policy.run(
-            |_attempt| {
-                if inject_fail {
-                    Err(std::io::Error::other("injected store-write failure"))
-                } else {
-                    store.save(&entry)
-                }
-            },
-            |attempt, e| {
-                if let Some(log) = log {
-                    log.store_retry(job.index, attempt, &e.to_string());
-                }
-            },
-        );
-        if let Err(e) = result {
-            eprintln!(
-                "[{}] warning: store write failed {} times ({e}); \
-                 continuing without the result store",
-                spec.id,
-                policy.attempts()
-            );
-            if let Some(log) = log {
-                log.store_degraded(job.index, &e.to_string());
-            }
-            store_ok.store(false, Ordering::Relaxed);
-        }
-    }
-
-    fn report(
-        &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        cycles: u64,
-        wall: Duration,
-        cached: bool,
-        total: usize,
-    ) {
-        if !self.progress {
-            return;
-        }
-        let source = if cached {
-            " [cached]".to_string()
-        } else {
-            format!(" ({:.2}s)", wall.as_secs_f64())
-        };
-        eprintln!(
-            "[{} {}/{}] {} @ {}B: {} cycles{}",
-            spec.id,
-            job.index + 1,
-            total,
-            job.kind.label(),
-            job.cache_bytes,
-            cycles,
-            source,
-        );
     }
 }
 
@@ -1140,7 +717,8 @@ mod tests {
         other.mem.in_bus_bytes = 8;
         assert_ne!(spec.expand()[0].key(), other.expand()[0].key());
 
-        // Stored points stay loadable only while this fragment is stable.
+        // Recorded trace headers and BENCH files carry this fragment, so
+        // it must stay stable.
         assert_eq!(
             mem_key(&figure_mem("4a").0),
             "access=1,pipelined=false,bus_in=4,bus_out=4,priority=instruction-first,fpu=4,ext=none"
@@ -1162,75 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_matches_scalar_bit_for_bit() {
-        let spec = small_spec("batchdet");
-        let scalar = SweepRunner::new().batch(1).run(&spec);
-        let batched = SweepRunner::new().run(&spec);
-        // A serial runner batches all four pending jobs into one call;
-        // batch(1) forces four scalar singletons.
-        assert_eq!(scalar.batches, vec![1, 1, 1, 1]);
-        assert_eq!(batched.batches, vec![4]);
-        for (s, b) in scalar.series.iter().zip(&batched.series) {
-            assert_eq!(s.label, b.label);
-            let sc: Vec<_> = s
-                .points
-                .iter()
-                .map(|p| (p.cache_bytes, p.stats.clone()))
-                .collect();
-            let bc: Vec<_> = b
-                .points
-                .iter()
-                .map(|p| (p.cache_bytes, p.stats.clone()))
-                .collect();
-            assert_eq!(sc, bc, "batched lanes diverged under {}", s.label);
-        }
-    }
-
-    #[test]
-    fn batch_width_caps_to_keep_workers_busy() {
-        // Four pending jobs across two workers: an 8-wide batch request
-        // still splits into two batches so both threads get work.
-        let spec = small_spec("batchfair");
-        let outcome = SweepRunner::new().jobs(2).run(&spec);
-        assert_eq!(outcome.batches, vec![2, 2]);
-        assert!(outcome.is_complete());
-    }
-
-    #[test]
-    fn resume_skips_stored_points() {
-        let dir = std::env::temp_dir().join(format!("pipe-sweep-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec("resume");
-
-        let first = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .resume(true)
-            .run(&spec);
-        assert_eq!(first.cached, 0);
-        assert_eq!(first.computed, 4);
-
-        let second = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .resume(true)
-            .run(&spec);
-        assert_eq!(second.computed, 0);
-        assert_eq!(second.cached, 4);
-        for (a, b) in first.series.iter().zip(&second.series) {
-            let ac: Vec<u64> = a.points.iter().map(|p| p.cycles).collect();
-            let bc: Vec<u64> = b.points.iter().map(|p| p.cycles).collect();
-            assert_eq!(ac, bc, "store round-trips cycles");
-        }
-
-        // Without resume, the store is write-only: everything recomputes.
-        let third = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .run(&spec);
-        assert_eq!(third.cached, 0);
-        assert_eq!(third.computed, 4);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn injected_panic_fails_alone_others_complete() {
         let spec = small_spec("faulty");
         let serial = SweepRunner::new().run(&spec);
@@ -1239,7 +748,6 @@ mod tests {
             .jobs(4)
             .inject(FaultInjection {
                 panic_jobs: vec![1],
-                ..FaultInjection::default()
             })
             .run(&spec);
         assert_eq!(outcome.failed.len(), 1);
@@ -1271,7 +779,6 @@ mod tests {
             .strict(true)
             .inject(FaultInjection {
                 panic_jobs: vec![0],
-                ..FaultInjection::default()
             })
             .try_run(&spec)
             .unwrap_err();
@@ -1285,105 +792,9 @@ mod tests {
         assert!(SweepRunner::new()
             .inject(FaultInjection {
                 panic_jobs: vec![0],
-                ..FaultInjection::default()
             })
             .try_run(&spec)
             .is_ok());
-    }
-
-    #[test]
-    fn store_write_failure_degrades_but_completes() {
-        let dir = std::env::temp_dir().join(format!("pipe-sweep-degrade-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec("degrade");
-        let outcome = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .inject(FaultInjection {
-                store_fail_jobs: vec![0],
-                ..FaultInjection::default()
-            })
-            .run(&spec);
-        // The store failure never fails the job: all four points exist.
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.computed, 4);
-        assert!(outcome.store_degraded);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_store_entry_recomputes_mid_sweep() {
-        let dir = std::env::temp_dir().join(format!("pipe-sweep-badstore-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec("badstore");
-        let first = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .resume(true)
-            .run(&spec);
-        // Corrupt one entry and rewrite another under a mismatched key:
-        // both must read as absent (recompute), not panic.
-        let store = ResultStore::open(&dir).unwrap();
-        let jobs = spec.expand();
-        let paths: Vec<_> = jobs
-            .iter()
-            .map(|j| {
-                store
-                    .dir()
-                    .join(format!("{:016x}.json", crate::store::fnv1a64(j.key())))
-            })
-            .collect();
-        std::fs::write(&paths[0], "{truncated garbage").unwrap();
-        std::fs::copy(&paths[1], &paths[2]).unwrap();
-
-        let second = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .resume(true)
-            .run(&spec);
-        assert_eq!(second.cached, 2, "only the intact entries load");
-        assert_eq!(second.computed, 2, "corrupt + mismatched entries recompute");
-        for (a, b) in first.series.iter().zip(&second.series) {
-            let ac: Vec<u64> = a.points.iter().map(|p| p.cycles).collect();
-            let bc: Vec<u64> = b.points.iter().map(|p| p.cycles).collect();
-            assert_eq!(ac, bc, "recomputed points identical");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn event_log_records_failures_and_summary() {
-        let dir = std::env::temp_dir().join(format!("pipe-sweep-events-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec("logged");
-        let outcome = SweepRunner::new()
-            .jobs(2)
-            .events(&dir)
-            .inject(FaultInjection {
-                panic_jobs: vec![2],
-                ..FaultInjection::default()
-            })
-            .run(&spec);
-        let path = outcome.events_path.clone().unwrap();
-        assert_eq!(path, dir.join("events").join("logged.jsonl"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text
-            .lines()
-            .next()
-            .unwrap()
-            .contains("\"event\":\"run_start\""));
-        assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"event\":\"job_failed\""))
-                .count(),
-            1
-        );
-        assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"event\":\"job_finish\""))
-                .count(),
-            3
-        );
-        let last = text.lines().last().unwrap();
-        assert!(last.contains("\"event\":\"run_finish\"") && last.contains("\"failed\":1"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

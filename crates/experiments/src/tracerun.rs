@@ -4,9 +4,9 @@
 //! [`WorkloadSpec::Trace`](crate::sweep::WorkloadSpec) names a trace file
 //! (binary `.ptr` or plain-text addresses), and every job of the sweep
 //! replays that trace through its fetch engine instead of running the
-//! functional core. Results are content-addressed: the workload fragment
-//! of the store key is the FNV-1a 64 digest of the trace file's bytes,
-//! so editing the trace invalidates its cached points.
+//! functional core. The workload fragment of each point's key is the
+//! FNV-1a 64 digest of the trace file's bytes, so the key names the trace
+//! content rather than its path.
 //!
 //! Binary traces carry the canonical key of the workload they were
 //! recorded from; [`parse_workload_key`] inverts
@@ -175,7 +175,6 @@ pub fn replay_point(
 mod tests {
     use super::*;
     use crate::matrix::StrategyKind;
-    use crate::store::ResultStore;
     use crate::sweep::{SweepRunner, SweepSpec};
     use pipe_core::Processor;
     use pipe_icache::PrefetchPolicy;
@@ -267,8 +266,7 @@ mod tests {
         )
         .unwrap()
         .instructions_issued;
-        let store = ResultStore::open(&dir).unwrap();
-        let outcome = SweepRunner::new().store(store).resume(true).run(&spec);
+        let outcome = SweepRunner::new().run(&spec);
         assert!(outcome.is_complete());
         assert_eq!(outcome.computed, 4);
         for series in &outcome.series {
@@ -278,13 +276,6 @@ mod tests {
             }
         }
 
-        // Resume hits the content-addressed store.
-        let again = SweepRunner::new()
-            .store(ResultStore::open(&dir).unwrap())
-            .resume(true)
-            .run(&spec);
-        assert_eq!(again.cached, 4);
-        assert_eq!(again.computed, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,5 @@
-//! `repro` reports an output directory it cannot write and exits 1,
-//! instead of panicking.
+//! `repro` reports malformed arguments and output directories it cannot
+//! write as typed errors, never as panics.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -37,5 +37,35 @@ fn unwritable_output_dir_is_an_error_not_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Runs `repro` with `args` and returns `(exit code, stderr)`.
+fn repro(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn malformed_arguments_are_usage_errors_not_panics() {
+    for (args, message) in [
+        (&["--resume"][..], "repro: unknown argument --resume"),
+        (&["--store", "d"][..], "repro: unknown argument --store"),
+        (&["--events", "d"][..], "repro: unknown argument --events"),
+        (&["--jobs", "x"][..], "repro: --jobs: invalid count `x`"),
+        (&["--jobs"][..], "repro: --jobs needs a count"),
+        (&["--fig9z"][..], "repro: unknown figure --fig9z"),
+    ] {
+        let (code, stderr) = repro(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

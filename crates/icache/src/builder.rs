@@ -192,7 +192,7 @@ impl FetchConfig {
     }
 
     /// A canonical single-line description covering *every* parameter, for
-    /// content-addressed result stores. Unlike [`label`](FetchConfig::label)
+    /// sweep-point keys and trace headers. Unlike [`label`](FetchConfig::label)
     /// it includes sub-block sizes, prefetch policies, and partial-line
     /// flags, so two configs hash equal only if they simulate identically.
     pub fn cache_key(&self) -> String {

@@ -100,8 +100,8 @@ pub trait FetchEngine {
     /// movement, no new requests, no redirect firing. `None` means the
     /// engine cannot make that promise this cycle.
     ///
-    /// The batched simulation kernel uses this to fast-forward stalled
-    /// lanes over provably-idle windows; a conservative `None` only delays
+    /// The processor's cycle loop uses this to fast-forward over
+    /// provably-idle stall windows; a conservative `None` only delays
     /// the window by a cycle and never affects correctness. Must be
     /// queried *after* the cycle's `offer_requests`/`advance` have run.
     fn quiescence(&self) -> Option<u32> {

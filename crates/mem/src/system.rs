@@ -217,9 +217,9 @@ impl MemorySystem {
     /// when nothing is in flight and nothing is offered — the caller
     /// clamps against its own timeout horizon.
     ///
-    /// Used by the batched simulation kernel to fast-forward stalled
-    /// lanes; [`skip_quiet`](Self::skip_quiet) applies the window with the
-    /// exact statistics ticking those cycles would have accumulated.
+    /// Used by the processor's cycle loop to fast-forward stall windows;
+    /// [`skip_quiet`](Self::skip_quiet) applies the window with the exact
+    /// statistics ticking those cycles would have accumulated.
     pub fn quiet_cycles(&self, offers_pending: bool) -> u64 {
         if self.streaming.is_some() {
             return 0; // a beat goes out this very cycle

@@ -665,51 +665,70 @@ fn predecode_matches_raw_decode_on_random_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Batched kernel: bit-identical to the scalar path.
+// Stall fast-forwarding: bit-identical to ticking cycle by cycle.
 // ---------------------------------------------------------------------
 
 use std::sync::Arc;
 
-use pipe_repro::core::{run_batch, run_decoded};
-use pipe_repro::icache::TibConfig;
+use pipe_repro::core::{run_decoded, SimError, SimStats};
+use pipe_repro::icache::{
+    BufferConfig, ConvPrefetch, ConventionalConfig, PrefetchPolicy, TibConfig,
+};
 use pipe_repro::isa::DecodedProgram;
 
-/// A random lane configuration: any engine, any cache size, any memory
-/// timing — including a deliberately tiny cycle budget now and then so
-/// timeout errors are covered too.
-fn random_lane(rng: &mut Rng) -> SimConfig {
+/// Every fetch engine, at a random cache size and prefetch variant.
+fn every_engine(rng: &mut Rng) -> [FetchStrategy; 5] {
     let cache_bytes = 1u32 << rng.range_u32(5, 10);
-    let fetch = match rng.below(4) {
-        0 => FetchStrategy::Perfect,
-        1 => FetchStrategy::conventional(CacheConfig::new(cache_bytes, 16)),
-        2 => FetchStrategy::Pipe(PipeFetchConfig::table2(cache_bytes, 16, 16, 16)),
-        _ => FetchStrategy::Tib(TibConfig::with_budget(cache_bytes, 16)),
+    let prefetch = match rng.below(3) {
+        0 => ConvPrefetch::Always,
+        1 => ConvPrefetch::OnMissOnly,
+        _ => ConvPrefetch::Tagged,
     };
-    SimConfig {
-        fetch,
-        mem: MemConfig {
-            access_cycles: rng.range_u32(1, 10),
-            pipelined: rng.bool(),
-            in_bus_bytes: if rng.bool() { 8 } else { 4 },
-            ..MemConfig::default()
-        },
-        max_cycles: if rng.below(8) == 0 {
-            u64::from(rng.range_u32(50, 400))
-        } else {
-            50_000_000
-        },
-        ..SimConfig::default()
+    let mut pipe = PipeFetchConfig::table2(cache_bytes, 16, 16, 16);
+    if rng.bool() {
+        pipe.policy = PrefetchPolicy::GuaranteedOnly;
     }
+    [
+        FetchStrategy::Perfect,
+        FetchStrategy::Conventional(ConventionalConfig {
+            cache: CacheConfig::new(cache_bytes, 16),
+            prefetch,
+        }),
+        FetchStrategy::Pipe(pipe),
+        FetchStrategy::Tib(TibConfig::with_budget(cache_bytes, 16)),
+        FetchStrategy::Buffers(BufferConfig {
+            buffers: rng.range_u32(1, 5),
+            cache: rng.bool().then(|| CacheConfig::new(cache_bytes, 16)),
+        }),
+    ]
 }
 
-/// The contract of `run_batch`: every lane's outcome — statistics on
-/// success, error on timeout — is bit-identical to `run_decoded` with
-/// the same configuration, over random programs and random lane mixes.
-/// This exercises the lockstep scheduler and the stall fast-forward
-/// against the plain cycle loop, which never fast-forwards.
+/// The reference cycle loop: `Processor::step` until done, with the same
+/// timeout rule as `Processor::run` and no fast-forwarding. `run` on the
+/// drained processor issues no cycle; it only finalizes the statistics.
+fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+    let mut proc = Processor::from_decoded(decoded, config)?;
+    while !proc.is_done() {
+        if proc.cycle() >= config.max_cycles {
+            return Err(SimError::Timeout {
+                cycles: proc.cycle(),
+            });
+        }
+        proc.step()?;
+    }
+    proc.run()?;
+    Ok(proc.into_stats())
+}
+
+/// `run_decoded` fast-forwards provably idle stall windows; ticking
+/// `step` never does. Over random programs, every engine, access 1–8,
+/// bus 4/8, pipelined on/off and small cycle budgets, the two must agree
+/// bit for bit — statistics on success, the error (with its timeout
+/// cycle) otherwise.
 #[test]
-fn batched_lanes_match_scalar_on_random_programs() {
+fn fast_forward_matches_ticking_on_random_programs() {
     let mut rng = Rng::new(0x150b);
+    let mut timeouts = 0;
     for trial in 0..24 {
         let program = if trial % 2 == 0 {
             let n = rng.range_u32(1, 120) as usize;
@@ -724,7 +743,7 @@ fn batched_lanes_match_scalar_on_random_programs() {
             let pads = rng.range_u32(3, 8);
             let kernel = Kernel {
                 index: 97,
-                name: "batch-parity",
+                name: "ff-parity",
                 ops,
                 target_instructions: cost + 3 + pads,
             };
@@ -732,18 +751,33 @@ fn batched_lanes_match_scalar_on_random_programs() {
                 .expect("balanced groups satisfy the discipline")
         };
         let decoded = Arc::new(DecodedProgram::new(program));
-        let lanes: Vec<SimConfig> = (0..rng.range_u32(2, 9))
-            .map(|_| random_lane(&mut rng))
-            .collect();
-        let batched = run_batch(&decoded, &lanes);
-        assert_eq!(batched.len(), lanes.len());
-        for (lane, (config, batched)) in lanes.iter().zip(&batched).enumerate() {
-            let scalar = run_decoded(&decoded, config);
-            assert_eq!(
-                &scalar, batched,
-                "trial {trial} lane {lane} diverged under {:?}",
-                config.fetch
-            );
+        for fetch in every_engine(&mut rng) {
+            for access_cycles in 1..=8 {
+                let config = SimConfig {
+                    fetch,
+                    mem: MemConfig {
+                        access_cycles,
+                        pipelined: rng.bool(),
+                        in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                        ..MemConfig::default()
+                    },
+                    max_cycles: if rng.below(4) == 0 {
+                        u64::from(rng.range_u32(20, 400))
+                    } else {
+                        50_000_000
+                    },
+                    ..SimConfig::default()
+                };
+                let ticked = run_ticked(&decoded, &config);
+                timeouts += usize::from(matches!(ticked, Err(SimError::Timeout { .. })));
+                assert_eq!(
+                    run_decoded(&decoded, &config),
+                    ticked,
+                    "trial {trial}: fast-forward diverged under {fetch} at {:?}",
+                    config.mem
+                );
+            }
         }
     }
+    assert!(timeouts > 0, "the small budgets must exercise timeouts");
 }
