@@ -17,7 +17,6 @@ fn main() -> ExitCode {
     // usage rather than the run usage.
     match args.first().map(String::as_str) {
         Some("replay") => return replay_main(&args[1..]),
-        Some("bench") => return bench_main(&args[1..]),
         // `run` is an explicit alias for the default mode.
         Some("run") => {
             args.remove(0);
@@ -36,19 +35,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.sweep.is_some() {
-        return match pipe_cli::run_sweep(&opts) {
-            Ok(table) => {
-                print!("{table}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("pipe-sim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     let (program, workload_key) = if opts.livermore {
         let suite = pipe_workloads::livermore_benchmark();
@@ -156,30 +142,6 @@ fn run_and_report<S: TraceSink>(
                  in-flight loads {inflight}, pending FPU {fpu}"
             );
             eprintln!("{}", proc.stats());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn bench_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", pipe_cli::BENCH_USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let opts = match pipe_cli::parse_bench_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipe-sim bench: {e}\n\n{}", pipe_cli::BENCH_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match pipe_cli::run_bench(&opts) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("pipe-sim bench: {e}");
             ExitCode::FAILURE
         }
     }

@@ -11,14 +11,12 @@
 //! Argument parsing lives here so it can be unit tested; the binaries are
 //! thin wrappers.
 
+use std::str::FromStr;
+
 use pipe_core::{FetchStrategy, SimConfig};
 use pipe_icache::{ConvPrefetch, EngineBuilder, FetchKind};
 use pipe_isa::InstrFormat;
 use pipe_mem::{MemConfig, PriorityPolicy};
-
-mod bench;
-
-pub use bench::{parse_bench_args, run_bench, BenchOptions, BENCH_USAGE};
 
 /// Options for `pipe-sim`, parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,35 +42,24 @@ pub struct SimOptions {
     pub cache_bytes: u32,
     /// Raw line size from the command line (for `--compare`).
     pub line_bytes: u32,
-    /// Run one of the paper's figure sweeps ("4a".."6b") instead of a
-    /// single program.
-    pub sweep: Option<String>,
-    /// Worker threads for `--sweep`.
-    pub jobs: usize,
-    /// With `--sweep`, fail fast: the first failed point aborts the sweep
-    /// and exits nonzero. Without it, failed points are reported and the
-    /// rest of the sweep completes (exit 0).
-    pub strict: bool,
-    /// Fault injection for `--sweep` (test/diagnostic hooks).
-    pub inject: pipe_experiments::FaultInjection,
 }
 
 /// The usage string for `pipe-sim`.
 pub const SIM_USAGE: &str = "\
 usage: pipe-sim [run] <program.s> [options]
        pipe-sim --livermore [options]
-       pipe-sim --sweep 4a|4b|5a|5b|6a|6b [--jobs N] [--strict]
        pipe-sim replay <trace> [options]      (see pipe-sim replay --help)
-       pipe-sim bench [options]               (see pipe-sim bench --help)
+
+Paper figures: `repro --figN --jobs N`. Benchmark: perfbench.
 
 fetch strategy:
   --fetch pipe|conventional|tib|buffers|perfect   (default: pipe)
   --cache BYTES        cache size / TIB budget; 0 = no cache for buffers
                        (default: 128)
   --line BYTES         cache line size              (default: 16)
-  --iq BYTES           PIPE instruction queue bytes, or buffer count for
-                       --fetch buffers              (default: line / 4)
-  --iqb BYTES          PIPE instruction queue buffer(default: line)
+  --iq N               PIPE instruction queue bytes (default: line), or
+                       buffer count for --fetch buffers (default: 4)
+  --iqb BYTES          PIPE instruction queue buffer bytes (default: line)
   --prefetch always|on-miss|tagged   conventional prefetch (default: always)
 
 memory:
@@ -88,22 +75,101 @@ other:
                        with `pipe-sim replay`)
   --json               emit statistics as JSON
   --compare            run on every fetch strategy and compare
-  --max-cycles N       abort after N cycles
-
-sweep mode (parallel experiment engine):
-  --sweep ID           reproduce a paper figure panel (4a..6b)
-  --jobs N             worker threads (cycle counts identical to serial)
-  --strict             fail fast: abort on the first failed point and
-                       exit nonzero (default: report failures, finish the
-                       rest, exit 0)
-  --inject-panic N     fault injection (testing): panic while simulating
-                       sweep job N
+  --max-cycles N       abort after N cycles         (default: 500000000)
 ";
 
-fn parse_num(flag: &str, value: Option<&String>) -> Result<u32, String> {
+fn parse_num<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
     let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse()
         .map_err(|_| format!("{flag}: invalid number `{v}`"))
+}
+
+fn parse_format(value: Option<&String>) -> Result<InstrFormat, String> {
+    match value.map(String::as_str) {
+        Some("fixed32") => Ok(InstrFormat::Fixed32),
+        Some("mixed") => Ok(InstrFormat::Mixed),
+        other => Err(format!("--format: unknown format {other:?}")),
+    }
+}
+
+/// The fetch-engine and memory flags shared by `pipe-sim run` and
+/// `pipe-sim replay`, with their defaults.
+struct EngineFlags {
+    fetch_kind: String,
+    cache: u32,
+    line: u32,
+    iq: Option<u32>,
+    iqb: Option<u32>,
+    prefetch: ConvPrefetch,
+    mem: MemConfig,
+}
+
+impl EngineFlags {
+    fn new() -> EngineFlags {
+        EngineFlags {
+            fetch_kind: "pipe".to_string(),
+            cache: 128,
+            line: 16,
+            iq: None,
+            iqb: None,
+            prefetch: ConvPrefetch::Always,
+            mem: MemConfig::default(),
+        }
+    }
+
+    /// Applies `flag` (taking its value from `rest`) if it is one of the
+    /// shared flags; returns whether it was.
+    fn accept<'a>(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--fetch" => {
+                self.fetch_kind = rest
+                    .next()
+                    .ok_or("--fetch needs a value")?
+                    .to_ascii_lowercase();
+            }
+            "--cache" => self.cache = parse_num(flag, rest.next())?,
+            "--line" => self.line = parse_num(flag, rest.next())?,
+            "--iq" => self.iq = Some(parse_num(flag, rest.next())?),
+            "--iqb" => self.iqb = Some(parse_num(flag, rest.next())?),
+            "--prefetch" => {
+                self.prefetch = match rest.next().map(String::as_str) {
+                    Some("always") => ConvPrefetch::Always,
+                    Some("on-miss") => ConvPrefetch::OnMissOnly,
+                    Some("tagged") => ConvPrefetch::Tagged,
+                    other => return Err(format!("--prefetch: unknown mode {other:?}")),
+                };
+            }
+            "--access" => self.mem.access_cycles = parse_num(flag, rest.next())?,
+            "--bus" => self.mem.in_bus_bytes = parse_num(flag, rest.next())?,
+            "--pipelined" => self.mem.pipelined = true,
+            "--data-first" => self.mem.priority = PriorityPolicy::DataFirst,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Builds and validates the fetch configuration.
+    fn fetch(&self) -> Result<FetchStrategy, String> {
+        let kind = FetchKind::parse(&self.fetch_kind)
+            .ok_or_else(|| format!("--fetch: unknown strategy `{}`", self.fetch_kind))?;
+        let mut builder = EngineBuilder::new(kind)
+            .cache_bytes(self.cache)
+            .line_bytes(self.line)
+            .prefetch(self.prefetch)
+            .buffers(self.iq.unwrap_or(4))
+            .buffer_cache(self.cache > 0);
+        if let Some(iq) = self.iq {
+            builder = builder.iq_bytes(iq);
+        }
+        if let Some(iqb) = self.iqb {
+            builder = builder.iqb_bytes(iqb);
+        }
+        builder.config().map_err(|e| e.to_string())
+    }
 }
 
 /// Parses `pipe-sim` arguments (excluding the program name).
@@ -115,80 +181,29 @@ fn parse_num(flag: &str, value: Option<&String>) -> Result<u32, String> {
 pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut input = None;
     let mut livermore = false;
-    let mut fetch_kind = "pipe".to_string();
-    let mut cache = 128u32;
-    let mut line = 16u32;
-    let mut iq = None;
-    let mut iqb = None;
-    let mut prefetch = ConvPrefetch::Always;
-    let mut mem = MemConfig::default();
+    let mut engine = EngineFlags::new();
     let mut format = InstrFormat::Fixed32;
     let mut trace = false;
     let mut record_trace = None;
     let mut json = false;
     let mut compare = false;
     let mut max_cycles = 500_000_000u64;
-    let mut sweep = None;
-    let mut jobs = 1usize;
-    let mut strict = false;
-    let mut inject = pipe_experiments::FaultInjection::default();
 
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if engine.accept(arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
             "--livermore" => livermore = true,
-            "--fetch" => {
-                fetch_kind = it
-                    .next()
-                    .ok_or("--fetch needs a value")?
-                    .to_ascii_lowercase();
-            }
-            "--cache" => cache = parse_num("--cache", it.next())?,
-            "--line" => line = parse_num("--line", it.next())?,
-            "--iq" => iq = Some(parse_num("--iq", it.next())?),
-            "--iqb" => iqb = Some(parse_num("--iqb", it.next())?),
-            "--prefetch" => {
-                prefetch = match it.next().map(String::as_str) {
-                    Some("always") => ConvPrefetch::Always,
-                    Some("on-miss") => ConvPrefetch::OnMissOnly,
-                    Some("tagged") => ConvPrefetch::Tagged,
-                    other => return Err(format!("--prefetch: unknown mode {other:?}")),
-                };
-            }
-            "--access" => mem.access_cycles = parse_num("--access", it.next())?,
-            "--bus" => mem.in_bus_bytes = parse_num("--bus", it.next())?,
-            "--pipelined" => mem.pipelined = true,
-            "--data-first" => mem.priority = PriorityPolicy::DataFirst,
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("fixed32") => InstrFormat::Fixed32,
-                    Some("mixed") => InstrFormat::Mixed,
-                    other => return Err(format!("--format: unknown format {other:?}")),
-                };
-            }
+            "--format" => format = parse_format(it.next())?,
             "--trace" => trace = true,
             "--record-trace" => {
                 record_trace = Some(it.next().ok_or("--record-trace needs a file")?.clone());
             }
             "--json" => json = true,
             "--compare" => compare = true,
-            "--max-cycles" => {
-                max_cycles = u64::from(parse_num("--max-cycles", it.next())?);
-            }
-            "--sweep" => {
-                let id = it.next().ok_or("--sweep needs a figure id")?.clone();
-                if !pipe_experiments::ALL_FIGURES.contains(&id.as_str()) {
-                    return Err(format!("--sweep: unknown figure `{id}`"));
-                }
-                sweep = Some(id);
-            }
-            "--jobs" => jobs = parse_num("--jobs", it.next())? as usize,
-            "--strict" => strict = true,
-            "--inject-panic" => {
-                inject
-                    .panic_jobs
-                    .push(parse_num("--inject-panic", it.next())? as usize);
-            }
+            "--max-cycles" => max_cycles = parse_num("--max-cycles", it.next())?,
             other if other.starts_with('-') && other != "-" => {
                 return Err(format!("unknown flag `{other}`"))
             }
@@ -201,38 +216,19 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         }
     }
 
-    if sweep.is_some() && (input.is_some() || livermore) {
-        return Err("--sweep conflicts with an input program".into());
-    }
-    if sweep.is_none() && input.is_none() && !livermore {
-        return Err("no input program (give a file, --livermore, or --sweep)".into());
+    if input.is_none() && !livermore {
+        return Err("no input program (give a file or --livermore)".into());
     }
     if input.is_some() && livermore {
         return Err("--livermore conflicts with an input file".into());
     }
-    if record_trace.is_some() && (sweep.is_some() || compare) {
-        return Err("--record-trace records a single run (not --sweep or --compare)".into());
+    if record_trace.is_some() && compare {
+        return Err("--record-trace records a single run (not --compare)".into());
     }
-
-    let kind = FetchKind::parse(&fetch_kind)
-        .ok_or_else(|| format!("--fetch: unknown strategy `{fetch_kind}`"))?;
-    let mut builder = EngineBuilder::new(kind)
-        .cache_bytes(cache)
-        .line_bytes(line)
-        .prefetch(prefetch)
-        .buffers(iq.unwrap_or(4))
-        .buffer_cache(cache > 0);
-    if let Some(iq) = iq {
-        builder = builder.iq_bytes(iq);
-    }
-    if let Some(iqb) = iqb {
-        builder = builder.iqb_bytes(iqb);
-    }
-    let fetch = builder.config().map_err(|e| e.to_string())?;
 
     let config = SimConfig {
-        fetch,
-        mem,
+        fetch: engine.fetch()?,
+        mem: engine.mem,
         max_cycles,
         ..SimConfig::default()
     };
@@ -247,36 +243,9 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         record_trace,
         json,
         compare,
-        cache_bytes: cache,
-        line_bytes: line,
-        sweep,
-        jobs,
-        strict,
-        inject,
+        cache_bytes: engine.cache,
+        line_bytes: engine.line,
     })
-}
-
-/// Runs a `--sweep` figure reproduction on the parallel sweep engine and
-/// returns the rendered table. Fault-tolerant by default: failed points
-/// are listed below the table (and marked `-` in it) while every other
-/// point completes. Under `--strict` the first failure aborts the sweep
-/// and returns an error.
-///
-/// # Errors
-///
-/// Returns a user-facing message if the sweep is strict and a point
-/// failed.
-pub fn run_sweep(opts: &SimOptions) -> Result<String, String> {
-    let id = opts.sweep.as_deref().expect("sweep mode");
-    let runner = pipe_experiments::SweepRunner::new()
-        .jobs(opts.jobs)
-        .progress(true)
-        .strict(opts.strict)
-        .inject(opts.inject.clone());
-    let run = pipe_experiments::try_figure_with(id, &runner).map_err(|e| e.to_string())?;
-    let mut out = pipe_experiments::render_text(&run.figure);
-    out.push_str(&pipe_experiments::render_failures(run.failed()));
-    Ok(out)
 }
 
 /// Options for `pipe-sim replay`.
@@ -316,9 +285,10 @@ options:
   --fetch pipe|conventional|tib|buffers|perfect   (default: pipe)
   --cache BYTES        cache size / TIB budget     (default: 128)
   --line BYTES         cache line size             (default: 16)
-  --iq BYTES           PIPE instruction queue bytes
-  --iqb BYTES          PIPE instruction queue buffer bytes
-  --prefetch always|on-miss|tagged   conventional prefetch
+  --iq N               PIPE instruction queue bytes (default: line), or
+                       buffer count for --fetch buffers (default: 4)
+  --iqb BYTES          PIPE instruction queue buffer bytes (default: line)
+  --prefetch always|on-miss|tagged   conventional prefetch (default: always)
   --access CYCLES      memory access time          (default: 1)
   --bus BYTES          input bus width             (default: 4)
   --pipelined          pipelined external memory
@@ -339,51 +309,20 @@ pub fn parse_replay_args(args: &[String]) -> Result<ReplayOptions, String> {
     let mut trace = None;
     let mut program = None;
     let mut format = InstrFormat::Fixed32;
-    let mut fetch_kind = "pipe".to_string();
-    let mut cache = 128u32;
-    let mut line = 16u32;
-    let mut iq = None;
-    let mut iqb = None;
-    let mut prefetch = ConvPrefetch::Always;
-    let mut mem = MemConfig::default();
+    let mut engine = EngineFlags::new();
     let mut verify = false;
     let mut json = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if engine.accept(arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
             "--program" => {
                 program = Some(it.next().ok_or("--program needs a file")?.clone());
             }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("fixed32") => InstrFormat::Fixed32,
-                    Some("mixed") => InstrFormat::Mixed,
-                    other => return Err(format!("--format: unknown format {other:?}")),
-                };
-            }
-            "--fetch" => {
-                fetch_kind = it
-                    .next()
-                    .ok_or("--fetch needs a value")?
-                    .to_ascii_lowercase();
-            }
-            "--cache" => cache = parse_num("--cache", it.next())?,
-            "--line" => line = parse_num("--line", it.next())?,
-            "--iq" => iq = Some(parse_num("--iq", it.next())?),
-            "--iqb" => iqb = Some(parse_num("--iqb", it.next())?),
-            "--prefetch" => {
-                prefetch = match it.next().map(String::as_str) {
-                    Some("always") => ConvPrefetch::Always,
-                    Some("on-miss") => ConvPrefetch::OnMissOnly,
-                    Some("tagged") => ConvPrefetch::Tagged,
-                    other => return Err(format!("--prefetch: unknown mode {other:?}")),
-                };
-            }
-            "--access" => mem.access_cycles = parse_num("--access", it.next())?,
-            "--bus" => mem.in_bus_bytes = parse_num("--bus", it.next())?,
-            "--pipelined" => mem.pipelined = true,
-            "--data-first" => mem.priority = PriorityPolicy::DataFirst,
+            "--format" => format = parse_format(it.next())?,
             "--verify" => verify = true,
             "--json" => json = true,
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
@@ -396,28 +335,13 @@ pub fn parse_replay_args(args: &[String]) -> Result<ReplayOptions, String> {
         }
     }
 
-    let kind = FetchKind::parse(&fetch_kind)
-        .ok_or_else(|| format!("--fetch: unknown strategy `{fetch_kind}`"))?;
-    let mut builder = EngineBuilder::new(kind)
-        .cache_bytes(cache)
-        .line_bytes(line)
-        .prefetch(prefetch)
-        .buffers(iq.unwrap_or(4))
-        .buffer_cache(cache > 0);
-    if let Some(iq) = iq {
-        builder = builder.iq_bytes(iq);
-    }
-    if let Some(iqb) = iqb {
-        builder = builder.iqb_bytes(iqb);
-    }
-    let fetch = builder.config().map_err(|e| e.to_string())?;
-
+    let fetch = engine.fetch()?;
     Ok(ReplayOptions {
         trace: trace.ok_or("no trace file (give a .ptr or address-trace path)")?,
         program,
         format,
         fetch,
-        mem,
+        mem: engine.mem,
         verify,
         json,
     })
@@ -654,13 +578,7 @@ pub fn parse_asm_args(args: &[String]) -> Result<AsmOptions, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("fixed32") => InstrFormat::Fixed32,
-                    Some("mixed") => InstrFormat::Mixed,
-                    other => return Err(format!("--format: unknown format {other:?}")),
-                };
-            }
+            "--format" => format = parse_format(it.next())?,
             "--hex" => hex = true,
             "-o" | "--output" => {
                 output = Some(it.next().ok_or("-o needs a file name")?.to_string());
@@ -789,19 +707,47 @@ mod tests {
     }
 
     #[test]
-    fn sweep_fault_tolerance_flags() {
-        let o = parse_sim_args(&args("--sweep 4a --jobs 2 --strict --inject-panic 3")).unwrap();
-        assert_eq!(o.sweep.as_deref(), Some("4a"));
-        assert_eq!(o.jobs, 2);
-        assert!(o.strict);
-        assert_eq!(o.inject.panic_jobs, vec![3]);
+    fn max_cycles_takes_the_full_u64_range() {
+        let o = parse_sim_args(&args("p.s --max-cycles 5000000000")).unwrap();
+        assert_eq!(o.config.max_cycles, 5_000_000_000);
+        assert_eq!(
+            parse_sim_args(&args("p.s")).unwrap().config.max_cycles,
+            500_000_000
+        );
+        assert!(parse_sim_args(&args("p.s --max-cycles 18446744073709551616")).is_err());
+        assert!(parse_sim_args(&args("p.s --max-cycles -1")).is_err());
+        assert!(parse_sim_args(&args("p.s --max-cycles")).is_err());
+    }
 
-        // Defaults: fault-tolerant, no injection.
-        let o = parse_sim_args(&args("--sweep 4a")).unwrap();
-        assert!(!o.strict);
-        assert!(o.inject.panic_jobs.is_empty());
-        assert!(parse_sim_args(&args("--sweep 4a --inject-panic")).is_err());
-        assert!(parse_sim_args(&args("--sweep 4a --jobs x")).is_err());
+    #[test]
+    fn run_and_replay_share_engine_flags() {
+        let flags = "--fetch buffers --cache 0 --iq 6 --access 3 --bus 8 --pipelined --data-first";
+        let run = parse_sim_args(&args(&format!("p.s {flags}"))).unwrap();
+        let replay = parse_replay_args(&args(&format!("t.ptr {flags}"))).unwrap();
+        assert_eq!(run.config.fetch, replay.fetch);
+        assert_eq!(run.config.mem, replay.mem);
+        assert!(matches!(replay.fetch, FetchStrategy::Buffers(c) if c.buffers == 6));
+        // Buffers default to four when --iq is absent.
+        let o = parse_replay_args(&args("t.ptr --fetch buffers")).unwrap();
+        assert!(matches!(o.fetch, FetchStrategy::Buffers(c) if c.buffers == 4));
+        for bad in ["--prefetch warp", "--iqb x", "--fetch"] {
+            assert!(
+                parse_sim_args(&args(&format!("p.s {bad}"))).is_err(),
+                "{bad}"
+            );
+            assert!(
+                parse_replay_args(&args(&format!("t.ptr {bad}"))).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn removed_sweep_flags_are_unknown() {
+        for flags in ["--sweep 4a", "--jobs 2", "--strict", "--inject-panic 3"] {
+            let err = parse_sim_args(&args(&format!("--livermore {flags}"))).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{flags}: {err}");
+        }
     }
 
     #[test]
@@ -875,7 +821,6 @@ mod tests {
         let o = parse_sim_args(&args("p.s")).unwrap();
         assert!(o.record_trace.is_none());
         // Recording is a single-run feature.
-        assert!(parse_sim_args(&args("--sweep 4a --record-trace out.ptr")).is_err());
         assert!(parse_sim_args(&args("p.s --compare --record-trace out.ptr")).is_err());
         assert!(parse_sim_args(&args("p.s --record-trace")).is_err());
     }

@@ -79,8 +79,13 @@ fn removed_flags_and_subcommands_are_usage_errors() {
         &["--sweep", "4a", "--events", "d"][..],
         &["--sweep", "4a", "--inject-store-fail", "1"][..],
         &["--sweep", "4a", "--jobs", "x"][..],
+        &["--sweep", "4a"][..],
+        &["--livermore", "--jobs", "2"][..],
+        &["--livermore", "--strict"][..],
+        &["--livermore", "--inject-panic", "3"][..],
         &["store", "prune"][..],
         &["bench", "--batch", "4"][..],
+        &["bench", "--quick"][..],
     ] {
         let out = pipe_sim().args(args).output().expect("spawn");
         let stderr = String::from_utf8(out.stderr).unwrap();
@@ -89,6 +94,13 @@ fn removed_flags_and_subcommands_are_usage_errors() {
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+
+    // A bare `bench` is no subcommand: it is read as a missing program.
+    let out = pipe_sim().arg("bench").output().expect("spawn");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.starts_with("pipe-sim"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

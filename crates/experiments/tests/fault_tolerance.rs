@@ -4,7 +4,8 @@
 //! serial, fault-free run; a strict sweep aborts with a typed error.
 
 use pipe_experiments::{
-    FaultInjection, JobError, StrategyKind, SweepError, SweepRunner, SweepSpec, WorkloadSpec,
+    render_failures, FaultInjection, JobError, StrategyKind, SweepError, SweepRunner, SweepSpec,
+    WorkloadSpec,
 };
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
@@ -55,6 +56,13 @@ fn injected_panic_yields_partial_outcome_with_identical_survivors() {
     assert_eq!(outcome.failed[0].index, 2);
     assert!(matches!(outcome.failed[0].error, JobError::Panic(_)));
     assert_eq!(outcome.computed, 5);
+
+    // The report below the figure table counts and names the failed job.
+    let report = render_failures(&outcome.failed);
+    assert!(report.contains("1 point(s) failed"), "{report}");
+    assert!(report.contains("[failed]"), "{report}");
+    assert!(report.contains("(job 2)"), "{report}");
+    assert!(report.contains(&outcome.failed[0].to_string()), "{report}");
 
     // Every surviving point is bit-identical to the serial run.
     for s in &outcome.series {

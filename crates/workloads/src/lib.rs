@@ -25,11 +25,10 @@
 //! this for every kernel, and the crate's tests run each kernel to
 //! completion on the functional simulator.
 //!
-//! Synthetic workloads ([`synthetic`]) cover unit tests, examples and
-//! micro-benchmarks: straight-line code, tight loops, branch-heavy code and
-//! load/store stress. [`traces`] generates synthetic instruction-address
-//! *traces* (loop nests, call-heavy code, random branching) as stimulus
-//! for `pipe-trace`'s trace-driven replay.
+//! Two small generators serve tests and trace-driven sweeps:
+//! [`synthetic::tight_loop`] builds a counted loop program, and
+//! [`traces::loop_nest`] builds an instruction-address trace of a loop
+//! nest for `pipe-trace`'s address-trace replay.
 
 pub mod calibrate;
 pub mod codegen;

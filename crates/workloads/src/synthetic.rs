@@ -1,23 +1,6 @@
-//! Synthetic workloads for tests, examples and micro-benchmarks.
+//! Synthetic programs for tests and trace-driven sweeps.
 
 use pipe_isa::{AluOp, BranchReg, Cond, InstrFormat, Instruction, Program, ProgramBuilder, Reg};
-
-/// A straight-line program of `n` independent ALU instructions plus a
-/// halt. Exercises pure sequential fetch with no branches or memory
-/// traffic.
-pub fn straight_line(n: u32, format: InstrFormat) -> Program {
-    let mut b = ProgramBuilder::new(format);
-    for i in 0..n {
-        b.push(Instruction::AluImm {
-            op: AluOp::Add,
-            rd: Reg::new((i % 6) as u8),
-            rs1: Reg::new((i % 6) as u8),
-            imm: 1,
-        });
-    }
-    b.push(Instruction::Halt);
-    b.build().expect("straight_line builds")
-}
 
 /// A tight loop with a `body` of filler ALU instructions executed `trips`
 /// times. `body` is the number of instructions between the loop top and
@@ -61,121 +44,15 @@ pub fn tight_loop(body: u32, trips: u16, format: InstrFormat) -> Program {
     b.build().expect("tight_loop builds")
 }
 
-/// A branch-heavy program: `blocks` short basic blocks, each ending in a
-/// taken branch to the next, stressing target fetches.
-pub fn branch_heavy(blocks: u16, format: InstrFormat) -> Program {
-    assert!(blocks > 0);
-    let r0 = Reg::new(0);
-    let mut b = ProgramBuilder::new(format);
-    for i in 0..blocks {
-        let this = format!("blk{i}");
-        let next = format!("blk{}", i + 1);
-        b.label(this);
-        b.lbr_label(BranchReg::new(0), next.clone());
-        b.push(Instruction::AluImm {
-            op: AluOp::Add,
-            rd: r0,
-            rs1: r0,
-            imm: 1,
-        });
-        b.push(Instruction::Pbr {
-            cond: Cond::Always,
-            br: BranchReg::new(0),
-            rs: r0,
-            delay: 1,
-        });
-        b.push(Instruction::Nop);
-        // Shadow instructions that should be skipped by the branch.
-        for _ in 0..4 {
-            b.push(Instruction::AluImm {
-                op: AluOp::Add,
-                rd: Reg::new(5),
-                rs1: Reg::new(5),
-                imm: 1,
-            });
-        }
-    }
-    b.label(format!("blk{blocks}"));
-    b.push(Instruction::Halt);
-    b.build().expect("branch_heavy builds")
-}
-
-/// A load/store stress loop: `trips` iterations each issuing `loads`
-/// streaming loads (consumed into `r0`) and one store, saturating the
-/// data side of the memory interface.
-pub fn memory_stress(loads: u32, trips: u16, format: InstrFormat) -> Program {
-    assert!(trips > 0 && loads > 0);
-    let r1 = Reg::new(1);
-    let r2 = Reg::new(2);
-    let b0 = BranchReg::new(0);
-    let mut b = ProgramBuilder::new(format);
-    b.push(Instruction::Lim {
-        rd: r1,
-        imm: trips as i16,
-    });
-    b.push(Instruction::Lim { rd: r2, imm: 0 });
-    b.push(Instruction::Lui { rd: r2, imm: 0x10 });
-    b.lbr_label(b0, "top");
-    b.label("top");
-    for i in 0..loads {
-        b.push(Instruction::Load {
-            base: r2,
-            disp: (i * 4) as i16,
-        });
-    }
-    for _ in 0..loads {
-        // Consume each returned value.
-        b.push(Instruction::Alu {
-            op: AluOp::Or,
-            rd: Reg::new(0),
-            rs1: Reg::QUEUE,
-            rs2: Reg::QUEUE,
-        });
-    }
-    b.push(Instruction::StoreAddr { base: r2, disp: 0 });
-    b.push(Instruction::Alu {
-        op: AluOp::Or,
-        rd: Reg::QUEUE,
-        rs1: Reg::new(0),
-        rs2: Reg::new(0),
-    });
-    b.push(Instruction::AluImm {
-        op: AluOp::Add,
-        rd: r2,
-        rs1: r2,
-        imm: 4,
-    });
-    b.push(Instruction::AluImm {
-        op: AluOp::Sub,
-        rd: r1,
-        rs1: r1,
-        imm: 1,
-    });
-    b.push(Instruction::Pbr {
-        cond: Cond::Nez,
-        br: b0,
-        rs: r1,
-        delay: 0,
-    });
-    b.push(Instruction::Halt);
-    b.build().expect("memory_stress builds")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn straight_line_size() {
-        let p = straight_line(10, InstrFormat::Fixed32);
+    fn tight_loop_size() {
+        // lim, lbr, 4 body, subi, pbr, 2 delay slots, halt.
+        let p = tight_loop(4, 3, InstrFormat::Fixed32);
         assert_eq!(p.static_count(), 11);
-    }
-
-    #[test]
-    fn builders_produce_programs() {
-        assert!(tight_loop(4, 3, InstrFormat::Fixed32).static_count() > 0);
-        assert!(branch_heavy(3, InstrFormat::Fixed32).static_count() > 0);
-        assert!(memory_stress(2, 3, InstrFormat::Fixed32).static_count() > 0);
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Synthetic instruction-address traces for trace-driven replay.
 //!
-//! These generators produce fetch-address *sequences* (not programs):
-//! the raw stimulus for `pipe-trace`'s address-trace replay path, which
-//! backs them with a synthetic `nop` image and models every
-//! discontinuity as a taken branch. They exercise fetch-engine
-//! behaviours the Livermore benchmark under-represents — deep loop
-//! nests, call/return locality, and unpredictable branching — cheaply
-//! and at any scale.
+//! [`loop_nest`] produces a fetch-address *sequence* (not a program): the
+//! raw stimulus for `pipe-trace`'s address-trace replay path, which backs
+//! it with a synthetic `nop` image and models every discontinuity as a
+//! taken branch.
 //!
 //! All addresses are 4-byte aligned (the fixed-32 instruction granule)
-//! and generation is fully deterministic: the same parameters (and
-//! seed, for [`branch_random`]) always yield the same trace.
+//! and generation is deterministic: the same parameters always yield the
+//! same trace.
 
 /// Instruction granule: fixed-32 instructions are 4 bytes.
 const STEP: u32 = 4;
@@ -52,61 +49,6 @@ fn emit_level(addrs: &mut Vec<u32>, base: u32, level: u32, level_bytes: u32, tri
     }
 }
 
-/// A call-heavy trace: a main loop that calls `callees` distinct leaf
-/// functions in rotation, each `callee_body` instructions long, placed
-/// `spread` bytes apart. Models instruction working sets larger than a
-/// small cache with frequent transfers of control — the access pattern
-/// that punishes cache-less buffer schemes and rewards real caches.
-pub fn call_heavy(base: u32, calls: u32, callees: u32, callee_body: u32, spread: u32) -> Vec<u32> {
-    let callees = callees.max(1);
-    let callee_body = callee_body.max(1);
-    let spread = spread.max(callee_body * STEP).next_multiple_of(STEP);
-    let mut addrs = Vec::new();
-    let caller_len = 4u32; // call site: set up, call, receive, loop back
-    let callee_base = base + caller_len * STEP;
-    for c in 0..calls {
-        // Caller block.
-        for i in 0..caller_len {
-            addrs.push(base + i * STEP);
-        }
-        // Callee body.
-        let target = callee_base + (c % callees) * spread;
-        for i in 0..callee_body {
-            addrs.push(target + i * STEP);
-        }
-    }
-    addrs
-}
-
-/// A branch-random trace: `blocks` basic blocks of `block_len`
-/// instructions each; after every block a deterministic xorshift PRNG
-/// (seeded with `seed`) picks the next block. Models the worst case for
-/// sequential prefetching — little spatial locality beyond a basic
-/// block, every block boundary a potential redirect.
-pub fn branch_random(base: u32, blocks: u32, block_len: u32, steps: u32, seed: u64) -> Vec<u32> {
-    let blocks = blocks.max(1);
-    let block_len = block_len.max(1);
-    // xorshift must not start at zero; XOR with a constant keeps
-    // distinct seeds distinct (unlike `seed | 1`).
-    let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
-    if rng == 0 {
-        rng = 0x9E37_79B9_7F4A_7C15;
-    }
-    let mut addrs = Vec::new();
-    let mut block = 0u32;
-    for _ in 0..steps {
-        let block_base = base + block * block_len * STEP;
-        for i in 0..block_len {
-            addrs.push(block_base + i * STEP);
-        }
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        block = (rng % u64::from(blocks)) as u32;
-    }
-    addrs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,31 +67,5 @@ mod tests {
         assert_eq!(t[0], 0x100);
         // Deterministic.
         assert_eq!(t, loop_nest(0x100, 2, 4, 3));
-    }
-
-    #[test]
-    fn call_heavy_rotates_callees() {
-        let t = call_heavy(0, 6, 3, 8, 64);
-        assert!(aligned(&t));
-        assert_eq!(t.len() as u32, 6 * (4 + 8));
-        // Three distinct callee entry addresses.
-        let mut entries: Vec<u32> = t
-            .chunks(12)
-            .map(|call| call[4]) // first callee instruction
-            .collect();
-        entries.sort_unstable();
-        entries.dedup();
-        assert_eq!(entries.len(), 3);
-    }
-
-    #[test]
-    fn branch_random_is_seeded() {
-        let a = branch_random(0, 16, 4, 100, 42);
-        let b = branch_random(0, 16, 4, 100, 42);
-        let c = branch_random(0, 16, 4, 100, 43);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(aligned(&a));
-        assert_eq!(a.len(), 400);
     }
 }

@@ -10,10 +10,11 @@ use std::rc::Rc;
 
 use pipe_core::{Processor, SimConfig, SimStats};
 use pipe_icache::{EngineBuilder, FetchKind, ReplayHarness};
-use pipe_isa::{InstrFormat, Program};
+use pipe_isa::{Assembler, InstrFormat, Program};
 use pipe_trace::{
-    parse_address_trace, program_fnv, replay_trace, schedule_from_addresses, synthesize_program,
-    ReplayTraceError, TraceError, TraceMeta, TraceReader, TraceRecorder, TraceSummary,
+    crc32::crc32, parse_address_trace, program_fnv, replay_trace, schedule_from_addresses,
+    synthesize_program, varint, ReplayTraceError, TraceError, TraceMeta, TraceReader,
+    TraceRecorder, TraceSummary,
 };
 
 /// Records `program` running under `config` into an in-memory trace.
@@ -127,6 +128,127 @@ fn corrupted_trace_block_is_a_typed_error() {
         )) => {}
         other => panic!("expected a typed trace error, got {other:?}"),
     }
+}
+
+/// A short loop with a load, a store and a taken branch, so its trace
+/// holds every kind of step field: addresses, waits, data ops and
+/// branch resolutions.
+const SMALL_LOOP: &str = "
+    lim  r1, 2
+    lim  r3, 0x100
+    ldw  r3, 0
+    sta  r3, 4
+    or   r7, r7, r7
+    lbr  b0, top
+top:
+    subi r1, r1, 1
+    pbr.nez b0, r1, 0
+    halt
+";
+
+/// One block of an encoded trace: its marker, where its CRC sits, and
+/// its payload.
+struct Block {
+    marker: u8,
+    crc_at: usize,
+    payload: std::ops::Range<usize>,
+}
+
+/// Splits an encoded trace into its blocks (after magic and version).
+fn blocks(bytes: &[u8]) -> Vec<Block> {
+    let mut out = Vec::new();
+    let mut pos = 6;
+    while pos < bytes.len() {
+        let marker = bytes[pos];
+        pos += 1;
+        let len = varint::read_u64(bytes, &mut pos).expect("block length") as usize;
+        let crc_at = pos;
+        pos += 4;
+        out.push(Block {
+            marker,
+            crc_at,
+            payload: pos..pos + len,
+        });
+        pos += len;
+    }
+    assert_eq!(pos, bytes.len(), "blocks tile the trace");
+    out
+}
+
+/// Damage that passes the CRC check reaches the header, step and
+/// summary decoders. Every single-bit flip and every `0xFF` overwrite of
+/// every payload byte, with the block CRC repaired, must replay to `Ok`
+/// or a typed error, never a panic.
+#[test]
+fn crc_repaired_payload_damage_is_a_typed_error_not_a_panic() {
+    let program = Assembler::new(InstrFormat::Fixed32)
+        .assemble(SMALL_LOOP)
+        .expect("loop assembles");
+    let config = SimConfig::default();
+    let (bytes, _, _) = record(&program, &config);
+    let blocks = blocks(&bytes);
+    let markers: Vec<u8> = blocks.iter().map(|b| b.marker).collect();
+    assert_eq!(markers, b"HBE", "one header, one step block, one summary");
+
+    let mut cases = Vec::new();
+    for block in &blocks {
+        for at in block.payload.clone() {
+            let original = bytes[at];
+            let damage = (0..8).map(|bit| original ^ (1 << bit)).chain([0xFF]);
+            cases.extend(damage.filter(|&v| v != original).map(|v| (block, at, v)));
+        }
+    }
+    let replay_damaged = |&(block, at, value): &(&Block, usize, u8)| {
+        let mut damaged = bytes.clone();
+        damaged[at] = value;
+        let crc = crc32(&damaged[block.payload.clone()]);
+        damaged[block.crc_at..block.crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let reader = TraceReader::new(Cursor::new(damaged)).map_err(ReplayTraceError::Trace)?;
+            replay_trace(reader, &program, &config.fetch, &config.mem).map(|_| ())
+        }))
+    };
+    // A case that sends fetch off the image spends the replay's whole
+    // progress limit before its `Stuck` error, so deal the cases out to
+    // two threads.
+    let results: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let mine = cases.iter().skip(w).step_by(2);
+                s.spawn(move || mine.map(|c| (c, replay_damaged(c))).collect::<Vec<_>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("panics are caught per case"))
+            .collect()
+    });
+
+    let (mut oks, mut malformed, mut mismatches) = (0, 0, 0);
+    let mut panics = Vec::new();
+    for (&(block, at, value), result) in results {
+        match result {
+            Ok(Ok(())) => oks += 1,
+            Ok(Err(ReplayTraceError::Trace(TraceError::Malformed(_)))) => malformed += 1,
+            Ok(Err(ReplayTraceError::ProgramMismatch { .. })) => mismatches += 1,
+            Ok(Err(ReplayTraceError::Trace(TraceError::CorruptBlock { .. }))) => {
+                panic!("byte {at}: the CRC repair missed")
+            }
+            Ok(Err(_)) => {}
+            Err(_) => panics.push((block.marker as char, at, value)),
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {} cases panicked: {panics:?}",
+        panics.len(),
+        cases.len()
+    );
+    // The damage got past the CRC into the decoders' error paths.
+    assert!(
+        oks > 0 && malformed > 0 && mismatches > 0,
+        "{oks} ok, {malformed} malformed, {mismatches} mismatched"
+    );
 }
 
 /// Replaying against the wrong program is caught by the header's program
