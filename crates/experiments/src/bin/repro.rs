@@ -20,10 +20,13 @@
 //! functional core. Record a trace with
 //! `pipe-sim --livermore --record-trace`.
 //!
-//! The figure sweeps run on the parallel sweep engine: `--jobs N` spreads
-//! the points over N worker threads (cycle counts are bit-identical to a
-//! serial run). `--progress` prints one line per point with its wall
-//! time.
+//! The figure and ablation sweeps run on one parallel sweep engine:
+//! `--jobs N` spreads the points over N worker threads (cycle counts are
+//! bit-identical to a serial run), and a point already simulated earlier
+//! in the run (Figure 6a re-plots 5b; several ablations contain 5b's
+//! configuration) is reused instead of simulated again. `--progress`
+//! prints one line per point with its wall time, and a closing count of
+//! points simulated and reused.
 //!
 //! Sweeps are fault-tolerant: a failed point is reported (and marked
 //! missing in the table) while every other point completes, and the run
@@ -37,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pipe_experiments::figures::{
-    ablation, try_figure_with, try_figure_with_workload, Figure, ALL_ABLATIONS, ALL_FIGURES,
+    try_ablation, try_figure_with, try_figure_with_workload, Figure, ALL_ABLATIONS, ALL_FIGURES,
 };
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
 use pipe_experiments::sweep::{FailedJob, SweepRunner, WorkloadSpec};
@@ -237,18 +240,28 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let mut total_failed = 0usize;
-    for id in &opts.figures {
-        let result = match &trace_workload {
+    // Figures, then ablations, all on the one runner: a point an earlier
+    // sweep simulated is reused rather than simulated again.
+    let figure_runs = opts.figures.iter().map(|id| {
+        match &trace_workload {
             Some(wl) => try_figure_with_workload(id, &runner, wl.clone()),
             None => try_figure_with(id, &runner),
-        };
+        }
+        .map(|run| vec![run])
+    });
+    let ablation_runs = opts.ablations.iter().map(|id| try_ablation(id, &runner));
+    let (mut total_failed, mut simulated, mut reused) = (0usize, 0usize, 0usize);
+    for result in figure_runs.chain(ablation_runs) {
         match result {
-            Ok(run) => {
-                total_failed += run.failed().len();
-                if let Err(e) = emit(&run.figure, run.failed(), &opts, &mut violations) {
-                    eprintln!("repro: {e}");
-                    return ExitCode::FAILURE;
+            Ok(runs) => {
+                for run in runs {
+                    total_failed += run.failed().len();
+                    reused += run.outcome.reused;
+                    simulated += run.outcome.computed - run.outcome.reused;
+                    if let Err(e) = emit(&run.figure, run.failed(), &opts, &mut violations) {
+                        eprintln!("repro: {e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
             Err(e) => {
@@ -259,14 +272,8 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    for id in &opts.ablations {
-        for fig in ablation(id) {
-            if let Err(e) = emit(&fig, &[], &opts, &mut violations) {
-                eprintln!("repro: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if opts.progress && simulated + reused > 0 {
+        eprintln!("repro: {simulated} point(s) simulated, {reused} reused");
     }
 
     if opts.profile {

@@ -3,7 +3,6 @@
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
 use pipe_mem::{MemConfig, PriorityPolicy};
-use pipe_workloads::LivermoreSuite;
 
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 use crate::runner::ExperimentPoint;
@@ -36,7 +35,7 @@ pub struct Figure {
 /// The paper's figure panels.
 pub const ALL_FIGURES: [&str; 6] = ["4a", "4b", "5a", "5b", "6a", "6b"];
 
-/// The ablation identifiers supported by [`ablation`].
+/// The ablation identifiers supported by [`try_ablation`].
 pub const ALL_ABLATIONS: [&str; 5] = ["access", "priority", "prefetch", "format", "tib"];
 
 fn mem_for(access: u32, bus: u32, pipelined: bool) -> MemConfig {
@@ -81,29 +80,6 @@ pub fn figure_mem(id: &str) -> (MemConfig, &'static str) {
         ),
         other => panic!("unknown figure id {other:?}"),
     }
-}
-
-/// Sweeps all five strategies over the cache sizes under `mem`. This is
-/// the serial entry point; it delegates to the [`SweepRunner`] engine
-/// (one worker), so the serial and parallel paths are the same code.
-pub fn sweep(
-    suite: &LivermoreSuite,
-    mem: &MemConfig,
-    policy: PrefetchPolicy,
-    strategies: &[StrategyKind],
-) -> Vec<Series> {
-    let spec = SweepSpec {
-        id: "sweep".to_string(),
-        strategies: strategies.to_vec(),
-        cache_sizes: sweep_sizes().to_vec(),
-        mem: *mem,
-        policy,
-        workload: WorkloadSpec::Livermore {
-            format: suite.program().format(),
-            scale: 1,
-        },
-    };
-    SweepRunner::new().run(&spec).series
 }
 
 /// A reproduced figure panel plus the run's execution record — how many
@@ -214,7 +190,9 @@ pub fn figure(id: &str) -> Figure {
     figure_with(id, &SweepRunner::new())
 }
 
-/// Runs one of the ablation studies (see [`ALL_ABLATIONS`]):
+/// Runs one of the ablation studies (see [`ALL_ABLATIONS`]) using
+/// `runner` for execution (worker count, strictness, progress, and the
+/// memo that reuses points an earlier figure already simulated):
 ///
 /// * `"access"` — memory access times 2 and 3 (the paper reports these
 ///   "showed similar results" to access time 6); returns one panel per
@@ -230,22 +208,73 @@ pub fn figure(id: &str) -> Figure {
 ///   16-16 at the same budgets; verifies §2.1's claims that a small TIB
 ///   can beat a small cache while generating far more off-chip traffic.
 ///
+/// Each panel comes back with its execution record, so failed points are
+/// reported like a figure's.
+///
+/// # Errors
+///
+/// Returns [`SweepError::Strict`] when the runner is strict and a job
+/// failed; the error carries the failing panel's partial outcome, and no
+/// later panel runs.
+///
 /// # Panics
 ///
 /// Panics on an unknown id.
-pub fn ablation(id: &str) -> Vec<Figure> {
-    let suite = pipe_workloads::livermore_benchmark();
+pub fn try_ablation(id: &str, runner: &SweepRunner) -> Result<Vec<FigureRun>, SweepError> {
+    ablation_panels(id)
+        .into_iter()
+        .map(|(title, spec)| {
+            let outcome = runner.try_run(&spec)?;
+            Ok(FigureRun {
+                figure: Figure {
+                    id: spec.id,
+                    title,
+                    mem: spec.mem,
+                    series: outcome.series.clone(),
+                },
+                outcome,
+            })
+        })
+        .collect()
+}
+
+/// A full-scale Livermore sweep of `strategies` over the figure cache
+/// sizes.
+fn panel(
+    id: String,
+    mem: MemConfig,
+    policy: PrefetchPolicy,
+    strategies: &[StrategyKind],
+    format: InstrFormat,
+) -> SweepSpec {
+    SweepSpec {
+        id,
+        strategies: strategies.to_vec(),
+        cache_sizes: sweep_sizes().to_vec(),
+        mem,
+        policy,
+        workload: WorkloadSpec::Livermore { format, scale: 1 },
+    }
+}
+
+/// The panels of one ablation: each panel's title and the sweep behind
+/// it, whose id is the panel's figure id.
+fn ablation_panels(id: &str) -> Vec<(String, SweepSpec)> {
+    let fixed = InstrFormat::Fixed32;
     match id {
         "access" => [2u32, 3]
             .iter()
             .map(|&access| {
-                let mem = mem_for(access, 8, false);
-                Figure {
-                    id: format!("ablation-access{access}"),
-                    title: format!("ablation: {access}-cycle memory, non-pipelined, 8-byte bus"),
-                    series: sweep(&suite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+                (
+                    format!("ablation: {access}-cycle memory, non-pipelined, 8-byte bus"),
+                    panel(
+                        format!("ablation-access{access}"),
+                        mem_for(access, 8, false),
+                        PrefetchPolicy::TruePrefetch,
+                        &ALL_STRATEGIES,
+                        fixed,
+                    ),
+                )
             })
             .collect(),
         "priority" => [PriorityPolicy::InstructionFirst, PriorityPolicy::DataFirst]
@@ -255,62 +284,68 @@ pub fn ablation(id: &str) -> Vec<Figure> {
                     priority,
                     ..mem_for(6, 8, false)
                 };
-                Figure {
-                    id: format!("ablation-priority-{priority}"),
-                    title: format!("ablation: {priority} arbitration, 6-cycle memory, 8-byte bus"),
-                    series: sweep(&suite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+                (
+                    format!("ablation: {priority} arbitration, 6-cycle memory, 8-byte bus"),
+                    panel(
+                        format!("ablation-priority-{priority}"),
+                        mem,
+                        PrefetchPolicy::TruePrefetch,
+                        &ALL_STRATEGIES,
+                        fixed,
+                    ),
+                )
             })
             .collect(),
-        "prefetch" => [
-            (PrefetchPolicy::TruePrefetch, "true-prefetch"),
-            (PrefetchPolicy::GuaranteedOnly, "guaranteed-only"),
-        ]
-        .iter()
-        .map(|&(policy, name)| {
-            let mem = mem_for(6, 8, false);
+        "prefetch" => {
             let pipes: Vec<StrategyKind> =
                 ALL_STRATEGIES.into_iter().filter(|s| s.is_pipe()).collect();
-            Figure {
-                id: format!("ablation-prefetch-{name}"),
-                title: format!("ablation: {name} off-chip policy, 6-cycle memory, 8-byte bus"),
-                series: sweep(&suite, &mem, policy, &pipes),
-                mem,
-            }
-        })
-        .collect(),
-        "tib" => {
-            let mem = mem_for(6, 8, false);
-            vec![Figure {
-                id: "ablation-tib".into(),
-                title: "ablation: target instruction buffer vs cache strategies, 6-cycle memory, 8-byte bus".into(),
-                series: sweep(
-                    &suite,
-                    &mem,
-                    PrefetchPolicy::TruePrefetch,
-                    &[
-                        StrategyKind::Conventional,
-                        StrategyKind::Tib16,
-                        StrategyKind::Pipe16x16,
-                    ],
-                ),
-                mem,
-            }]
+            [
+                (PrefetchPolicy::TruePrefetch, "true-prefetch"),
+                (PrefetchPolicy::GuaranteedOnly, "guaranteed-only"),
+            ]
+            .iter()
+            .map(|&(policy, name)| {
+                (
+                    format!("ablation: {name} off-chip policy, 6-cycle memory, 8-byte bus"),
+                    panel(
+                        format!("ablation-prefetch-{name}"),
+                        mem_for(6, 8, false),
+                        policy,
+                        &pipes,
+                        fixed,
+                    ),
+                )
+            })
+            .collect()
         }
+        "tib" => vec![(
+            "ablation: target instruction buffer vs cache strategies, 6-cycle memory, 8-byte bus"
+                .into(),
+            panel(
+                "ablation-tib".into(),
+                mem_for(6, 8, false),
+                PrefetchPolicy::TruePrefetch,
+                &[
+                    StrategyKind::Conventional,
+                    StrategyKind::Tib16,
+                    StrategyKind::Pipe16x16,
+                ],
+                fixed,
+            ),
+        )],
         "format" => [InstrFormat::Fixed32, InstrFormat::Mixed]
             .iter()
             .map(|&format| {
-                let fsuite = LivermoreSuite::build(format).expect("suite builds");
-                let mem = mem_for(6, 8, false);
-                Figure {
-                    id: format!("ablation-format-{format}").replace('/', "-"),
-                    title: format!(
-                        "ablation: {format} instruction format, 6-cycle memory, 8-byte bus"
+                (
+                    format!("ablation: {format} instruction format, 6-cycle memory, 8-byte bus"),
+                    panel(
+                        format!("ablation-format-{format}").replace('/', "-"),
+                        mem_for(6, 8, false),
+                        PrefetchPolicy::TruePrefetch,
+                        &ALL_STRATEGIES,
+                        format,
                     ),
-                    series: sweep(&fsuite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+                )
             })
             .collect(),
         other => panic!("unknown ablation id {other:?}"),

@@ -10,7 +10,7 @@
 //! | Fig. 4a/4b — access 1, bus 4/8 B | [`figures::figure`]`("4a" / "4b")` |
 //! | Fig. 5a/5b — access 6, bus 4/8 B | [`figures::figure`]`("5a" / "5b")` |
 //! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::figure`]`("6a" / "6b")` |
-//! | ablations (access 2–3, priority, prefetch policy, format) | [`figures::ablation`] |
+//! | ablations (access 2–3, priority, prefetch policy, format, TIB) | [`figures::try_ablation`] |
 //!
 //! Every figure is a cache-size sweep (16–512 bytes) of the five
 //! strategies of Table II (conventional plus the four PIPE
@@ -33,8 +33,8 @@ pub mod tables;
 pub mod tracerun;
 
 pub use figures::{
-    ablation, figure, figure_mem, figure_with, try_figure_with, try_figure_with_workload, Figure,
-    FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
+    figure, figure_mem, figure_with, try_ablation, try_figure_with, try_figure_with_workload,
+    Figure, FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
 };
 pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};

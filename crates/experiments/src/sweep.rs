@@ -16,6 +16,17 @@
 //! replays through its fetch engine instead (see [`crate::tracerun`]).
 //! Parallelism is threads over points.
 //!
+//! A runner simulates each distinct point **once**: it keeps every
+//! successful point in an in-memory memo keyed by [`SweepJob::key`], and a
+//! later sweep on the same runner takes a job with a known key from the
+//! memo instead of simulating it again. Figure 6a, which re-plots 5b's
+//! configuration, and the ablations that contain 5b's configuration cost
+//! nothing after 5b. The key covers the workload, the memory timing and
+//! the complete fetch geometry, and every job runs under the same fixed
+//! [`point_config`](crate::runner::point_config), so a reused point is the
+//! point a fresh simulation would produce. Failed jobs are never memoised,
+//! and the memo lives only as long as the runner.
+//!
 //! Execution is **fault-tolerant**: each job runs under `catch_unwind`,
 //! so a panicking or erroring point becomes a [`FailedJob`] recorded in
 //! the [`SweepOutcome`] while every other job completes.
@@ -31,13 +42,13 @@
 //! assert_eq!(outcome.series.len(), 5);
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pipe_core::FetchStrategy;
@@ -271,7 +282,8 @@ impl SweepJob {
 pub struct PointOutcome {
     /// The measured point.
     pub point: ExperimentPoint,
-    /// Wall-clock time the simulation took.
+    /// Wall-clock time the simulation took (zero for a point taken from
+    /// the runner's memo).
     pub wall: Duration,
 }
 
@@ -371,8 +383,12 @@ pub struct SweepOutcome {
     /// One series per strategy, in spec order — the same shape the serial
     /// figure path produces, minus any failed points.
     pub series: Vec<Series>,
-    /// Points simulated successfully.
+    /// Points in `series`: simulated by this sweep or reused from the
+    /// runner's memo.
     pub computed: usize,
+    /// How many of the `computed` points came from the runner's memo
+    /// rather than a simulation.
+    pub reused: usize,
     /// Jobs that failed, in expansion order.
     pub failed: Vec<FailedJob>,
     /// Points per simulation call, one entry per job run: always 1, since
@@ -389,9 +405,10 @@ impl SweepOutcome {
     }
 }
 
-/// Test/diagnostic fault injection: make specific jobs panic, to
-/// exercise the fault-tolerant paths end to end (unit tests, the CI
-/// smoke test, and manual `--inject-panic` runs).
+/// Test hook: make specific jobs panic, so tests can drive the
+/// fault-tolerant and strict paths of a real sweep (see
+/// `tests/fault_tolerance.rs`). An injected job is always executed, never
+/// taken from the memo.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjection {
     /// Expansion indices whose execution panics.
@@ -400,12 +417,17 @@ pub struct FaultInjection {
 
 /// Executes [`SweepSpec`]s across worker threads with optional progress
 /// reporting. Fault-tolerant by default; see [`SweepRunner::strict`].
+///
+/// The runner memoises every successful point by its job key, so running
+/// one runner over several specs simulates each distinct point once (see
+/// the [module docs](self)).
 #[derive(Debug)]
 pub struct SweepRunner {
     jobs: usize,
     progress: bool,
     strict: bool,
     inject: FaultInjection,
+    memo: Mutex<HashMap<String, ExperimentPoint>>,
 }
 
 impl Default for SweepRunner {
@@ -422,6 +444,7 @@ impl SweepRunner {
             progress: false,
             strict: false,
             inject: FaultInjection::default(),
+            memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -470,6 +493,10 @@ impl SweepRunner {
 
     /// Runs the sweep.
     ///
+    /// Jobs whose key is already in the runner's memo are filled in
+    /// without simulating; only the rest run, serially or on the worker
+    /// threads, and each one that succeeds joins the memo.
+    ///
     /// In the default fault-tolerant mode this always returns `Ok`: a
     /// panicking or erroring job becomes a [`FailedJob`] in the outcome.
     /// Under [`strict`](SweepRunner::strict), the first failure cancels
@@ -483,13 +510,13 @@ impl SweepRunner {
         let started = Instant::now();
         let jobs = spec.expand();
         let total = jobs.len();
-        // Decode the workload once; every job (serial or threaded) shares
-        // the same predecoded image instead of re-decoding per point.
-        let program = Arc::new(DecodedProgram::new(spec.workload.build()));
 
         // Index-addressed result slots: the write order never affects the
         // collected series.
         let mut slots: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
+        let reused = self.fill_from_memo(spec, &jobs, &mut slots);
+        let misses: Vec<&SweepJob> = jobs.iter().filter(|j| slots[j.index].is_none()).collect();
+
         let mut failed: Vec<FailedJob> = Vec::new();
         // Set on the first failure under strict: workers stop picking up
         // new jobs but finish the ones in flight.
@@ -504,45 +531,13 @@ impl SweepRunner {
             }
         };
 
-        let workers = self.jobs.min(total.max(1));
-        if workers <= 1 {
-            for job in &jobs {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                record(job.index, self.execute(spec, job, &program, total));
-            }
-        } else {
-            // Per-job results flow back over an mpsc channel, so a worker
-            // that dies mid-job can never poison shared state: its result
-            // is simply the error it sent (or nothing, which leaves the
-            // slot empty).
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
-            let (jobs, program, cancel) = (&jobs, &program, &cancel);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let result = self.execute(spec, job, program, total);
-                        if tx.send((job.index, result)).is_err() {
-                            return;
-                        }
-                    });
-                }
-                drop(tx);
-                for (index, result) in rx {
-                    record(index, result);
-                }
-            });
-        }
+        self.execute_all(spec, &misses, total, &cancel, &mut record);
         failed.sort_by_key(|f| f.index);
+
+        self.memo().extend(misses.iter().filter_map(|job| {
+            let outcome = slots[job.index].as_ref()?;
+            Some((job.key().to_string(), outcome.point.clone()))
+        }));
 
         // Collect into series in expansion order: strategy-major, size
         // ascending — identical to the serial path. Failed (or, under a
@@ -566,9 +561,11 @@ impl SweepRunner {
         let wall = started.elapsed();
         if self.progress {
             eprintln!(
-                "[{}] sweep done: {} computed, {} failed in {:.2}s",
+                "[{}] sweep done: {} computed ({} simulated, {} reused), {} failed in {:.2}s",
                 spec.id,
                 computed,
+                computed - reused,
+                reused,
                 failed.len(),
                 wall.as_secs_f64(),
             );
@@ -576,6 +573,7 @@ impl SweepRunner {
         let outcome = SweepOutcome {
             series,
             computed,
+            reused,
             batches: vec![1; computed + failed.len()],
             failed,
             wall,
@@ -584,6 +582,105 @@ impl SweepRunner {
             return Err(SweepError::Strict(Box::new(outcome)));
         }
         Ok(outcome)
+    }
+
+    /// The memo of successful points by job key. Each entry is inserted
+    /// whole, so the map is valid even if a holder of the lock panicked.
+    fn memo(&self) -> MutexGuard<'_, HashMap<String, ExperimentPoint>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fills the slots of jobs whose key is in the memo and returns how
+    /// many it filled. Jobs named by fault injection always execute.
+    fn fill_from_memo(
+        &self,
+        spec: &SweepSpec,
+        jobs: &[SweepJob],
+        slots: &mut [Option<PointOutcome>],
+    ) -> usize {
+        let memo = self.memo();
+        let mut reused = 0;
+        for job in jobs {
+            if self.inject.panic_jobs.contains(&job.index) {
+                continue;
+            }
+            let Some(point) = memo.get(job.key()) else {
+                continue;
+            };
+            if self.progress {
+                eprintln!(
+                    "[{} {}/{}] {} @ {}B: {} cycles (reused)",
+                    spec.id,
+                    job.index + 1,
+                    jobs.len(),
+                    job.kind.label(),
+                    job.cache_bytes,
+                    point.cycles,
+                );
+            }
+            slots[job.index] = Some(PointOutcome {
+                point: point.clone(),
+                wall: Duration::ZERO,
+            });
+            reused += 1;
+        }
+        reused
+    }
+
+    /// Executes `misses` serially or across the worker threads, handing
+    /// each result to `record`. Stops picking up new jobs once `cancel`
+    /// is set.
+    fn execute_all(
+        &self,
+        spec: &SweepSpec,
+        misses: &[&SweepJob],
+        total: usize,
+        cancel: &AtomicBool,
+        record: &mut impl FnMut(usize, Result<PointOutcome, JobError>),
+    ) {
+        if misses.is_empty() {
+            return;
+        }
+        // Decode the workload once; every job (serial or threaded) shares
+        // the same predecoded image instead of re-decoding per point.
+        let program = Arc::new(DecodedProgram::new(spec.workload.build()));
+        let workers = self.jobs.min(misses.len());
+        if workers == 1 {
+            for job in misses {
+                if cancel.load(Ordering::Relaxed) {
+                    break;
+                }
+                record(job.index, self.execute(spec, job, &program, total));
+            }
+            return;
+        }
+        // Per-job results flow back over an mpsc channel, so a worker that
+        // dies mid-job can never poison shared state: its result is simply
+        // the error it sent (or nothing, which leaves the slot empty).
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
+        let program = &program;
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let next = &next;
+                scope.spawn(move || loop {
+                    if cancel.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = misses.get(i) else { break };
+                    let result = self.execute(spec, job, program, total);
+                    if tx.send((job.index, result)).is_err() {
+                        return;
+                    }
+                });
+            }
+            drop(tx);
+            for (index, result) in rx {
+                record(index, result);
+            }
+        });
     }
 
     /// Simulates one point under `catch_unwind` and reports progress. A
@@ -795,6 +892,41 @@ mod tests {
             })
             .try_run(&spec)
             .is_ok());
+    }
+
+    #[test]
+    fn injected_panic_fails_on_every_rerun_on_the_same_runner() {
+        let spec = small_spec("rerun");
+        for jobs in [1, 4] {
+            let runner = SweepRunner::new().jobs(jobs).inject(FaultInjection {
+                panic_jobs: vec![1],
+            });
+            for round in 0..3 {
+                let outcome = runner.run(&spec);
+                assert_eq!(outcome.failed.len(), 1, "jobs {jobs} round {round}");
+                assert_eq!(outcome.failed[0].index, 1);
+                assert!(matches!(outcome.failed[0].error, JobError::Panic(_)));
+                assert_eq!(outcome.computed, 3);
+                // The first round simulates the three good points; later
+                // rounds reuse them and execute only the injected job.
+                let reused = if round == 0 { 0 } else { 3 };
+                assert_eq!(outcome.reused, reused, "jobs {jobs} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn injected_job_is_executed_even_when_its_key_is_memoised() {
+        let spec = small_spec("inject-after-memo");
+        let runner = SweepRunner::new();
+        assert!(runner.run(&spec).is_complete());
+        let runner = runner.inject(FaultInjection {
+            panic_jobs: vec![2],
+        });
+        let outcome = runner.run(&spec);
+        assert_eq!(outcome.failed.len(), 1);
+        assert_eq!(outcome.failed[0].index, 2);
+        assert_eq!((outcome.computed, outcome.reused), (3, 3));
     }
 
     #[test]

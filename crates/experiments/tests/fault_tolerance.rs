@@ -1,11 +1,12 @@
 //! End-to-end fault tolerance. A parallel sweep with one injected worker
 //! panic completes every other job, reports the failed point in the
 //! outcome, and keeps every successful cycle count bit-identical to a
-//! serial, fault-free run; a strict sweep aborts with a typed error.
+//! serial, fault-free run; a strict sweep (a figure's or an ablation's)
+//! aborts with a typed error.
 
 use pipe_experiments::{
-    render_failures, FaultInjection, JobError, StrategyKind, SweepError, SweepRunner, SweepSpec,
-    WorkloadSpec,
+    render_failures, try_ablation, FaultInjection, JobError, StrategyKind, SweepError, SweepRunner,
+    SweepSpec, WorkloadSpec,
 };
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
@@ -89,4 +90,19 @@ fn strict_mode_aborts_with_typed_error() {
     let SweepError::Strict(partial) = &err;
     assert_eq!(partial.failed.len(), 1);
     assert!(!partial.is_complete());
+}
+
+#[test]
+fn strict_ablation_aborts_with_typed_error() {
+    let runner = SweepRunner::new().strict(true).inject(FaultInjection {
+        panic_jobs: vec![0],
+    });
+    let err = try_ablation("tib", &runner).unwrap_err();
+    let SweepError::Strict(partial) = &err;
+    assert_eq!(partial.failed.len(), 1);
+    assert_eq!(partial.failed[0].index, 0);
+    assert!(matches!(partial.failed[0].error, JobError::Panic(_)));
+    // Fail-fast: the injected job was first, so nothing else ran.
+    assert_eq!(partial.computed, 0);
+    assert!(err.to_string().contains("strict sweep aborted"));
 }

@@ -1,5 +1,6 @@
 //! `repro` reports malformed arguments and output directories it cannot
-//! write as typed errors, never as panics.
+//! write as typed errors, never as panics, and reusing a point simulated
+//! earlier in the run leaves its output unchanged.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -68,4 +69,34 @@ fn malformed_arguments_are_usage_errors_not_panics() {
         assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Runs `repro` with `args` and returns its stdout, asserting success.
+fn repro_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn reused_points_print_as_if_simulated() {
+    // Figure 6a has 5b's configuration, so in one run every 6a point is
+    // reused from 5b. A tiny trace workload keeps the runs fast.
+    let (_, dir) = scratch("memo");
+    let trace = dir.join("trace.txt");
+    let trace = ["--from-trace", trace.to_str().unwrap()];
+    let both = repro_stdout(&[&["--fig5b", "--fig6a"][..], &trace].concat());
+    let b = repro_stdout(&[&["--fig5b"][..], &trace].concat());
+    let a = repro_stdout(&[&["--fig6a"][..], &trace].concat());
+    assert!(b.contains("Figure 5b"), "{b}");
+    assert!(a.contains("Figure 6a"), "{a}");
+    assert_eq!(both, b + &a);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
