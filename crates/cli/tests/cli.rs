@@ -86,6 +86,8 @@ fn removed_flags_and_subcommands_are_usage_errors() {
         &["store", "prune"][..],
         &["bench", "--batch", "4"][..],
         &["bench", "--quick"][..],
+        &["replay", "t.ptr"][..],
+        &["--livermore", "--record-trace", "x.ptr"][..],
     ] {
         let out = pipe_sim().args(args).output().expect("spawn");
         let stderr = String::from_utf8(out.stderr).unwrap();
@@ -145,6 +147,30 @@ fn asm_binary_roundtrips_through_sim() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("instructions:  13"), "{stdout}");
+}
+
+#[test]
+fn misaligned_binary_is_an_error_not_a_panic() {
+    let src = write_temp("odd.s", PROGRAM);
+    let bin = std::env::temp_dir().join(format!("pipe-cli-test-{}-odd.bin", std::process::id()));
+    let out = pipe_asm()
+        .args([src.to_str().unwrap(), "-o", bin.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    // Byte 8 is the low byte of the base address.
+    let mut bytes = std::fs::read(&bin).unwrap();
+    bytes[8] = 1;
+    std::fs::write(&bin, bytes).unwrap();
+
+    let out = pipe_sim().arg(&bin).output().expect("spawn");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("pipe-sim: {}: ", bin.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -51,6 +51,6 @@ pub use queues::{AddressQueue, LoadQueue};
 pub use regfile::{BranchRegFile, RegFile};
 pub use stats::{SimStats, StallBreakdown};
 pub use trace::{
-    DataOp, MultiSink, NoTrace, Region, RegionProfiler, StallReason, TextTrace, TraceEvent,
-    TraceSink, VecTrace,
+    DataOp, NoTrace, Region, RegionProfiler, StallReason, TextTrace, TraceEvent, TraceSink,
+    VecTrace,
 };

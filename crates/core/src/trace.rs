@@ -180,33 +180,6 @@ impl<S: TraceSink> TraceSink for std::rc::Rc<std::cell::RefCell<S>> {
     }
 }
 
-/// Fans every event out to several sinks, in order. Lets a run drive a
-/// text trace and a trace recorder (or profiler) at the same time.
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl MultiSink {
-    /// Creates an empty fan-out sink.
-    pub fn new() -> MultiSink {
-        MultiSink::default()
-    }
-
-    /// Adds a sink; events are delivered in insertion order.
-    pub fn push(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl TraceSink for MultiSink {
-    fn event(&mut self, event: &TraceEvent) {
-        for s in &mut self.sinks {
-            s.event(event);
-        }
-    }
-}
-
 /// Collects events into a vector.
 #[derive(Debug, Default)]
 pub struct VecTrace {

@@ -4,21 +4,16 @@
 //! repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
 //!       [--ablation-access] [--ablation-priority] [--ablation-prefetch]
 //!       [--ablation-format] [--ablation-tib] [--profile] [--studies]
-//!       [--check] [--csv-dir DIR] [--svg-dir DIR] [--from-trace FILE]
+//!       [--check] [--csv-dir DIR] [--svg-dir DIR]
 //!       [--jobs N] [--progress] [--strict]
 //! ```
 //!
 //! With no arguments, runs everything except the ablations. `--check`
 //! verifies the paper's qualitative expectations and exits nonzero on a
 //! violation. `--csv-dir` additionally writes one CSV per figure (and,
-//! with `--profile`, one per-loop CSV per profiled strategy). An output
-//! directory that cannot be written is reported and exits 1.
-//!
-//! `--from-trace FILE` runs the selected figure sweeps trace-driven:
-//! every point replays the given trace (binary `.ptr` or plain-text
-//! addresses) through its fetch engine instead of executing the
-//! functional core. Record a trace with
-//! `pipe-sim --livermore --record-trace`.
+//! with `--profile`, one per-loop CSV per profiled strategy). Both output
+//! directories are created before any simulation runs, so one that
+//! cannot be written is reported at once and exits 1.
 //!
 //! The figure and ablation sweeps run on one parallel sweep engine:
 //! `--jobs N` spreads the points over N worker threads (cycle counts are
@@ -40,10 +35,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pipe_experiments::figures::{
-    try_ablation, try_figure_with, try_figure_with_workload, Figure, ALL_ABLATIONS, ALL_FIGURES,
+    try_ablation, try_figure_with, Figure, ALL_ABLATIONS, ALL_FIGURES,
 };
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
-use pipe_experiments::sweep::{FailedJob, SweepRunner, WorkloadSpec};
+use pipe_experiments::sweep::{FailedJob, SweepRunner};
 use pipe_experiments::tables::{render_table1, render_table2};
 
 struct Options {
@@ -55,7 +50,6 @@ struct Options {
     check: bool,
     csv_dir: Option<PathBuf>,
     svg_dir: Option<PathBuf>,
-    from_trace: Option<PathBuf>,
     jobs: usize,
     progress: bool,
     strict: bool,
@@ -65,7 +59,7 @@ const USAGE: &str = "\
 usage: repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
              [--ablation-access|priority|prefetch|format|tib]
              [--profile] [--studies] [--check] [--csv-dir DIR] [--svg-dir DIR]
-             [--from-trace FILE] [--jobs N] [--progress] [--strict]";
+             [--jobs N] [--progress] [--strict]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -77,7 +71,6 @@ fn parse_args() -> Result<Options, String> {
         check: false,
         csv_dir: None,
         svg_dir: None,
-        from_trace: None,
         jobs: 1,
         progress: false,
         strict: false,
@@ -127,10 +120,6 @@ fn parse_args() -> Result<Options, String> {
                 let dir = args.next().ok_or("--svg-dir needs a directory")?;
                 opts.svg_dir = Some(PathBuf::from(dir));
             }
-            "--from-trace" => {
-                let file = args.next().ok_or("--from-trace needs a trace file")?;
-                opts.from_trace = Some(PathBuf::from(file));
-            }
             other => {
                 if let Some(id) = other.strip_prefix("--fig") {
                     let id = ALL_FIGURES
@@ -159,15 +148,13 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Writes `contents` to `dir/name`, creating `dir` as needed, and says
-/// so on stdout.
+/// Writes `contents` to `dir/name` and says so on stdout. `main` has
+/// already created `dir`.
 ///
 /// # Errors
 ///
-/// `cannot write <path>: <error>` naming the directory or file that
-/// failed.
+/// `cannot write <path>: <error>` naming the file that failed.
 fn write_output(dir: &Path, name: &str, kind: &str, contents: &str) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot write {}: {e}", dir.display()))?;
     let path = dir.join(name);
     std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("  [{kind} written to {}]", path.display());
@@ -212,6 +199,14 @@ fn main() -> ExitCode {
         }
     };
 
+    // Fail on an unwritable output directory now, not after the sweeps.
+    for dir in opts.csv_dir.iter().chain(&opts.svg_dir) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("repro: cannot write {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
+
     let mut violations = Vec::new();
 
     let runner = SweepRunner::new()
@@ -227,28 +222,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // Trace-driven mode: validate the trace once, then substitute it for
-    // the Livermore workload in every selected figure sweep.
-    let trace_workload = match &opts.from_trace {
-        Some(path) => match WorkloadSpec::trace(path) {
-            Ok(wl) => Some(wl),
-            Err(e) => {
-                eprintln!("repro: --from-trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-
     // Figures, then ablations, all on the one runner: a point an earlier
     // sweep simulated is reused rather than simulated again.
-    let figure_runs = opts.figures.iter().map(|id| {
-        match &trace_workload {
-            Some(wl) => try_figure_with_workload(id, &runner, wl.clone()),
-            None => try_figure_with(id, &runner),
-        }
-        .map(|run| vec![run])
-    });
+    let figure_runs = opts
+        .figures
+        .iter()
+        .map(|id| try_figure_with(id, &runner).map(|run| vec![run]));
     let ablation_runs = opts.ablations.iter().map(|id| try_ablation(id, &runner));
     let (mut total_failed, mut simulated, mut reused) = (0usize, 0usize, 0usize);
     for result in figure_runs.chain(ablation_runs) {

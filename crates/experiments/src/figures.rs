@@ -128,10 +128,10 @@ pub fn try_figure_with(id: &str, runner: &SweepRunner) -> Result<FigureRun, Swee
 }
 
 /// Reproduces one of the paper's figure panels with its workload replaced
-/// — typically a [`WorkloadSpec::Trace`] so the whole sweep runs
-/// trace-driven (`repro --from-trace`). The figure id, strategies, cache
-/// sizes, and memory timing are unchanged; the title marks the
-/// substituted workload by its content key.
+/// — a scaled-down Livermore run, or a [`WorkloadSpec::Trace`] so the
+/// whole sweep runs trace-driven (perfbench does both). The figure id,
+/// strategies, cache sizes, and memory timing are unchanged; the title
+/// marks the substituted workload by its content key.
 ///
 /// # Errors
 ///

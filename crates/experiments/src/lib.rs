@@ -21,7 +21,6 @@
 //! paper-shaped tables; [`report`] renders text and CSV.
 
 pub mod figures;
-pub mod json;
 pub mod matrix;
 pub mod profile;
 pub mod report;
@@ -36,7 +35,6 @@ pub use figures::{
     figure, figure_mem, figure_with, try_ablation, try_figure_with, try_figure_with_workload,
     Figure, FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
 };
-pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
 pub use report::{check_expectations, render_csv, render_failures, render_text};

@@ -85,9 +85,9 @@ pub enum WorkloadSpec {
         /// Instruction format to assemble under.
         format: InstrFormat,
     },
-    /// A pre-recorded instruction trace (binary `.ptr` or plain-text
-    /// addresses), replayed through each job's fetch engine instead of
-    /// running the functional core (see [`crate::tracerun`]). The key
+    /// A pre-recorded binary `.ptr` instruction trace, replayed through
+    /// each job's fetch engine instead of running the functional core
+    /// (see [`crate::tracerun`]). The key
     /// fragment is the FNV-1a 64 digest of the file's bytes, so it names
     /// the trace content rather than its path.
     Trace {
@@ -814,8 +814,8 @@ mod tests {
         other.mem.in_bus_bytes = 8;
         assert_ne!(spec.expand()[0].key(), other.expand()[0].key());
 
-        // Recorded trace headers and BENCH files carry this fragment, so
-        // it must stay stable.
+        // Recorded trace headers carry this fragment, so it must stay
+        // stable.
         assert_eq!(
             mem_key(&figure_mem("4a").0),
             "access=1,pipelined=false,bus_in=4,bus_out=4,priority=instruction-first,fpu=4,ext=none"

@@ -1,48 +1,29 @@
 //! Trace-driven sweep execution.
 //!
 //! Connects the `pipe-trace` subsystem to the sweep engine: a
-//! [`WorkloadSpec::Trace`](crate::sweep::WorkloadSpec) names a trace file
-//! (binary `.ptr` or plain-text addresses), and every job of the sweep
-//! replays that trace through its fetch engine instead of running the
-//! functional core. The workload fragment of each point's key is the
-//! FNV-1a 64 digest of the trace file's bytes, so the key names the trace
-//! content rather than its path.
+//! [`WorkloadSpec::Trace`](crate::sweep::WorkloadSpec) names a binary
+//! `.ptr` trace file, and every job of the sweep replays that trace
+//! through its fetch engine instead of running the functional core. The
+//! workload fragment of each point's key is the FNV-1a 64 digest of the
+//! trace file's bytes, so the key names the trace content rather than its
+//! path. No figure uses this; perfbench's `scalar` workload drives it.
 //!
-//! Binary traces carry the canonical key of the workload they were
-//! recorded from; [`parse_workload_key`] inverts
+//! A trace carries the canonical key of the workload it was recorded
+//! from; [`parse_workload_key`] inverts
 //! [`WorkloadSpec::key`](crate::sweep::WorkloadSpec::key) so the backing
 //! program can be rebuilt bit-identically (verified against the trace
-//! header's program fingerprint). Address-only traces get a synthetic
-//! `nop` image (see `pipe_trace::import`).
+//! header's program fingerprint).
 
-use std::fs;
-use std::io::Read;
 use std::path::Path;
 
 use pipe_core::{FetchStrategy, SimStats};
-use pipe_icache::{ReplayHarness, ReplayStats};
+use pipe_icache::ReplayStats;
 use pipe_isa::{InstrFormat, Program};
-use pipe_mem::{MemConfig, MemorySystem};
-use pipe_trace::{
-    parse_address_trace, program_fnv, replay_trace, schedule_from_addresses, synthesize_program,
-    TraceReader, MAGIC,
-};
+use pipe_mem::MemConfig;
+use pipe_trace::{program_fnv, replay_trace, TraceReader};
 
 use crate::runner::ExperimentPoint;
 use crate::sweep::WorkloadSpec;
-
-/// Whether `path` holds a binary `.ptr` trace (starts with the container
-/// magic) rather than a plain-text address trace.
-///
-/// # Errors
-///
-/// Any I/O failure opening or reading the file.
-pub fn is_binary_trace(path: &Path) -> std::io::Result<bool> {
-    let mut head = [0u8; 4];
-    let mut f = fs::File::open(path)?;
-    let n = f.read(&mut head)?;
-    Ok(n == 4 && head == MAGIC)
-}
 
 fn parse_format(s: &str) -> Option<InstrFormat> {
     match s {
@@ -78,9 +59,8 @@ pub fn parse_workload_key(key: &str) -> Option<WorkloadSpec> {
     }
 }
 
-/// Rebuilds the program backing a trace file: for a binary trace, the
-/// workload named in its header (fingerprint-checked); for an address
-/// trace, a synthetic `nop` image spanning its address range.
+/// Rebuilds the program backing a trace file: the workload named in its
+/// header, fingerprint-checked against the recorded program.
 ///
 /// # Errors
 ///
@@ -88,31 +68,24 @@ pub fn parse_workload_key(key: &str) -> Option<WorkloadSpec> {
 /// keys this build cannot reconstruct, and fingerprint mismatches.
 pub fn trace_program(path: &Path) -> Result<Program, String> {
     let display = path.display();
-    let binary = is_binary_trace(path).map_err(|e| format!("cannot read {display}: {e}"))?;
-    if binary {
-        let reader = TraceReader::open(path).map_err(|e| format!("{display}: {e}"))?;
-        let workload = &reader.meta().workload;
-        let spec = parse_workload_key(workload).ok_or_else(|| {
-            format!(
-                "{display}: trace records workload `{workload}`, which this build \
-                 cannot reconstruct"
-            )
-        })?;
-        let program = spec.build();
-        let got = program_fnv(&program);
-        let expected = reader.meta().program_fnv;
-        if got != expected {
-            return Err(format!(
-                "{display}: rebuilt workload `{workload}` hashes to {got:#018x}, \
-                 but the trace was recorded from {expected:#018x}"
-            ));
-        }
-        Ok(program)
-    } else {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {display}: {e}"))?;
-        let addrs = parse_address_trace(&text).map_err(|e| format!("{display}: {e}"))?;
-        synthesize_program(&addrs).map_err(|e| format!("{display}: {e}"))
+    let reader = TraceReader::open(path).map_err(|e| format!("{display}: {e}"))?;
+    let workload = &reader.meta().workload;
+    let spec = parse_workload_key(workload).ok_or_else(|| {
+        format!(
+            "{display}: trace records workload `{workload}`, which this build \
+             cannot reconstruct"
+        )
+    })?;
+    let program = spec.build();
+    let got = program_fnv(&program);
+    let expected = reader.meta().program_fnv;
+    if got != expected {
+        return Err(format!(
+            "{display}: rebuilt workload `{workload}` hashes to {got:#018x}, \
+             but the trace was recorded from {expected:#018x}"
+        ));
     }
+    Ok(program)
 }
 
 /// Converts replay statistics into a sweep [`ExperimentPoint`]. Recorded
@@ -151,23 +124,10 @@ pub fn replay_point(
     cache_bytes: u32,
 ) -> Result<ExperimentPoint, String> {
     let display = path.display();
-    let binary = is_binary_trace(path).map_err(|e| format!("cannot read {display}: {e}"))?;
-    let stats = if binary {
-        let reader = TraceReader::open(path).map_err(|e| format!("{display}: {e}"))?;
-        replay_trace(reader, program, &fetch, mem)
-            .map_err(|e| format!("{display}: {e}"))?
-            .stats
-    } else {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {display}: {e}"))?;
-        let addrs = parse_address_trace(&text).map_err(|e| format!("{display}: {e}"))?;
-        let steps = schedule_from_addresses(&addrs);
-        let engine = fetch
-            .build(program)
-            .map_err(|e| format!("invalid replay configuration: {e}"))?;
-        let mut harness = ReplayHarness::new(engine, MemorySystem::new(*mem));
-        harness.run(steps).map_err(|e| format!("{display}: {e}"))?;
-        harness.stats()
-    };
+    let reader = TraceReader::open(path).map_err(|e| format!("{display}: {e}"))?;
+    let stats = replay_trace(reader, program, &fetch, mem)
+        .map_err(|e| format!("{display}: {e}"))?
+        .stats;
     Ok(point_from_replay(&stats, cache_bytes))
 }
 
@@ -298,25 +258,6 @@ mod tests {
             point.stats.instructions_issued,
             reference.instructions_issued
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn address_trace_replays_through_sweep_path() {
-        let dir = std::env::temp_dir().join(format!("pipe-tracerun-addr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("addrs.txt");
-        let addrs = pipe_workloads::traces::loop_nest(0x100, 2, 4, 3);
-        let text: String = addrs.iter().map(|a| format!("{a:#x}\n")).collect();
-        std::fs::write(&path, text).unwrap();
-
-        assert!(!is_binary_trace(&path).unwrap());
-        let program = trace_program(&path).expect("synthesizes");
-        let config = pipe_core::SimConfig::default();
-        let point = replay_point(&path, &program, config.fetch, &config.mem, 128).expect("replays");
-        assert_eq!(point.stats.instructions_issued as usize, addrs.len());
-        assert!(point.cycles >= point.stats.instructions_issued);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,13 +1,15 @@
 //! A runner simulates each distinct point once. Figure 6a re-plots 5b's
 //! configuration, so after 5b every 6a point comes from the runner's
 //! memo, and the reused series equal those a fresh runner simulates,
-//! serially and on the worker pool.
+//! serially and on the worker pool, down to the rendered table.
 //!
 //! The panels run on a scaled-down Livermore benchmark (same strategies,
 //! cache sizes and memory timing as the paper's panels) so the test stays
 //! fast in debug builds; the memo sees the same job keys either way.
 
-use pipe_experiments::{try_figure_with_workload, FigureRun, SweepRunner, WorkloadSpec};
+use pipe_experiments::{
+    render_text, try_figure_with_workload, FigureRun, SweepRunner, WorkloadSpec,
+};
 use pipe_isa::InstrFormat;
 
 fn workload() -> WorkloadSpec {
@@ -55,6 +57,12 @@ fn fig6a_is_served_from_fig5b_and_equals_a_fresh_run() {
             "jobs {jobs}: every 6a point comes from the memo"
         );
         assert_eq!(points(&a), points(&fresh), "jobs {jobs}");
+        // A reused point prints as if it had been simulated.
+        assert_eq!(
+            render_text(&a.figure),
+            render_text(&fresh.figure),
+            "jobs {jobs}"
+        );
         assert_eq!(a.outcome.batches, vec![1; 28], "jobs {jobs}");
     }
 }

@@ -176,6 +176,8 @@ pub struct ReplayHarness {
     instructions: u64,
     ifetch_stalls: u64,
     wait_cycles: u64,
+    /// Cycles to wait for one instruction before declaring the replay
+    /// stuck.
     progress_limit: u64,
 }
 
@@ -195,23 +197,6 @@ impl ReplayHarness {
             wait_cycles: 0,
             progress_limit: 1_000_000,
         }
-    }
-
-    /// Overrides the per-step progress limit (cycles the harness will
-    /// wait for one instruction before declaring the replay stuck).
-    pub fn progress_limit(mut self, cycles: u64) -> ReplayHarness {
-        self.progress_limit = cycles.max(1);
-        self
-    }
-
-    /// The engine's short name ("pipe", "conventional", ...).
-    pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
-    }
-
-    /// Cycles simulated so far.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Offer + tick + route + advance: phases 1–4 of the processor cycle.
@@ -433,7 +418,8 @@ mod tests {
         // An engine redirected past the program image can never deliver
         // the out-of-range address.
         let p = asm("nop\nhalt\n");
-        let mut h = harness(&p).progress_limit(200);
+        let mut h = harness(&p);
+        h.progress_limit = 200;
         let schedule = vec![
             ReplayStep {
                 resolve: Some(ReplayBranch {

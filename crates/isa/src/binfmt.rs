@@ -25,6 +25,7 @@ use std::fmt;
 
 use crate::format::InstrFormat;
 use crate::program::Program;
+use crate::PARCEL_BYTES;
 
 /// Magic bytes identifying the container.
 pub const MAGIC: [u8; 4] = *b"PIPE";
@@ -44,6 +45,10 @@ pub enum BinError {
     Truncated,
     /// A symbol name was not valid UTF-8.
     BadSymbolName,
+    /// The base address is not parcel-aligned.
+    MisalignedBase(u32),
+    /// The entry address is not parcel-aligned.
+    MisalignedEntry(u32),
 }
 
 impl fmt::Display for BinError {
@@ -54,6 +59,10 @@ impl fmt::Display for BinError {
             BinError::BadFormat(v) => write!(f, "unknown instruction format code {v}"),
             BinError::Truncated => f.write_str("truncated file"),
             BinError::BadSymbolName => f.write_str("symbol name is not valid UTF-8"),
+            BinError::MisalignedBase(a) => write!(f, "base address {a:#x} is not parcel-aligned"),
+            BinError::MisalignedEntry(a) => {
+                write!(f, "entry address {a:#x} is not parcel-aligned")
+            }
         }
     }
 }
@@ -132,6 +141,17 @@ impl<'a> Reader<'a> {
     fn u32(&mut self) -> Result<u32, BinError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
+
+    /// Reads an item count, rejecting one the rest of the file cannot
+    /// hold at `item_bytes` or more per item, so a corrupt count never
+    /// sizes an allocation.
+    fn count(&mut self, item_bytes: usize) -> Result<usize, BinError> {
+        let n = self.u32()? as usize;
+        if n > (self.bytes.len() - self.pos) / item_bytes {
+            return Err(BinError::Truncated);
+        }
+        Ok(n)
+    }
 }
 
 /// Deserializes a program from the binary container.
@@ -151,13 +171,20 @@ pub fn read_program(bytes: &[u8]) -> Result<Program, BinError> {
     let format = format_from_code(r.u8()?)?;
     r.take(2)?; // reserved
     let base = r.u32()?;
+    if base % PARCEL_BYTES != 0 {
+        return Err(BinError::MisalignedBase(base));
+    }
     let entry = r.u32()?;
-    let n = r.u32()? as usize;
+    if entry % PARCEL_BYTES != 0 {
+        return Err(BinError::MisalignedEntry(entry));
+    }
+    let n = r.count(2)?;
     let mut parcels = Vec::with_capacity(n);
     for _ in 0..n {
         parcels.push(r.u16()?);
     }
-    let s = r.u32()? as usize;
+    // A symbol is at least a u16 length and a u32 address.
+    let s = r.count(6)?;
     let mut symbols = HashMap::with_capacity(s);
     for _ in 0..s {
         let len = r.u16()? as usize;
@@ -167,7 +194,7 @@ pub fn read_program(bytes: &[u8]) -> Result<Program, BinError> {
         let addr = r.u32()?;
         symbols.insert(name, addr);
     }
-    let d = r.u32()? as usize;
+    let d = r.count(8)?;
     let mut data = Vec::with_capacity(d);
     for _ in 0..d {
         let addr = r.u32()?;

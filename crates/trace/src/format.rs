@@ -56,8 +56,8 @@ const OP_STORE_DATA: u8 = 2;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Workload key, e.g. `livermore:format=fixed-32,scale=1` for
-    /// workloads the experiment harness can rebuild, or `file:<name>` /
-    /// `address` for external programs and imported address traces.
+    /// workloads the experiment harness can rebuild, or any other label
+    /// for a program it cannot (replay then needs the program supplied).
     pub workload: String,
     /// FNV-1a fingerprint of the program image (base + parcels); replay
     /// verifies the supplied program against it.

@@ -19,12 +19,16 @@
 //! * **Capture** ([`TraceRecorder`]) — a `pipe_core::TraceSink` that
 //!   records fetch addresses, non-fetch stall gaps, data-side memory
 //!   operations, and branch/PBR resolutions from a live simulation.
-//! * **Replay** ([`replay_trace`], [`import`]) — feeds recorded traces
-//!   (or imported plain-text address traces) through
+//! * **Replay** ([`replay_trace`]) — feeds recorded traces through
 //!   `pipe_icache::ReplayHarness`. Replaying a trace under its recorded
 //!   engine and memory configuration reproduces the original run's
 //!   fetch-stall cycle count bit-identically; replaying under a
 //!   different front-end is the subsystem's purpose.
+//!
+//! No figure, claim check or study reads a trace: every paper result is
+//! execution-driven through `Processor::run`. The library is driven from
+//! code only — perfbench's `scalar` workload and
+//! `examples/trace_replay.rs` record and replay `.ptr` files through it.
 //!
 //! ```
 //! use pipe_core::{Processor, SimConfig};
@@ -69,7 +73,6 @@
 
 pub mod crc32;
 pub mod format;
-pub mod import;
 pub mod reader;
 pub mod recorder;
 pub mod replay;
@@ -79,7 +82,6 @@ pub mod writer;
 pub use format::{
     fnv1a64, program_fnv, Fnv64, TraceError, TraceMeta, TraceSummary, FORMAT_VERSION, MAGIC,
 };
-pub use import::{parse_address_trace, schedule_from_addresses, synthesize_program, ImportError};
 pub use reader::TraceReader;
 pub use recorder::TraceRecorder;
 pub use replay::{file_fnv, replay_trace, ReplayOutcome, ReplayTraceError};

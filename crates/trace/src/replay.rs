@@ -1,5 +1,5 @@
-//! High-level replay entry points: feed a trace (binary or address-only)
-//! through any fetch-engine configuration.
+//! High-level replay entry points: feed a binary trace through any
+//! fetch-engine configuration.
 
 use std::error::Error;
 use std::fmt;

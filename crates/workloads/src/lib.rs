@@ -25,16 +25,13 @@
 //! this for every kernel, and the crate's tests run each kernel to
 //! completion on the functional simulator.
 //!
-//! Two small generators serve tests and trace-driven sweeps:
-//! [`synthetic::tight_loop`] builds a counted loop program, and
-//! [`traces::loop_nest`] builds an instruction-address trace of a loop
-//! nest for `pipe-trace`'s address-trace replay.
+//! One small generator serves tests: [`synthetic::tight_loop`] builds a
+//! counted loop program.
 
 pub mod calibrate;
 pub mod codegen;
 pub mod livermore;
 pub mod synthetic;
-pub mod traces;
 
 pub use calibrate::calibrate_trips;
 pub use codegen::{FpKind, Kernel, KernelOp, Src};

@@ -9,12 +9,11 @@ use std::io::Cursor;
 use std::rc::Rc;
 
 use pipe_core::{Processor, SimConfig, SimStats};
-use pipe_icache::{EngineBuilder, FetchKind, ReplayHarness};
+use pipe_icache::{EngineBuilder, FetchKind};
 use pipe_isa::{Assembler, InstrFormat, Program};
 use pipe_trace::{
-    crc32::crc32, parse_address_trace, program_fnv, replay_trace, schedule_from_addresses,
-    synthesize_program, varint, ReplayTraceError, TraceError, TraceMeta, TraceReader,
-    TraceRecorder, TraceSummary,
+    crc32::crc32, program_fnv, replay_trace, varint, ReplayTraceError, TraceError, TraceMeta,
+    TraceReader, TraceRecorder, TraceSummary,
 };
 
 /// Records `program` running under `config` into an in-memory trace.
@@ -61,6 +60,9 @@ fn full_livermore_record_replay_is_bit_identical() {
     let (bytes, stats, summary) = record(&program, &config);
     assert_eq!(summary.instructions, stats.instructions_issued);
     assert_eq!(summary.cycles, stats.cycles);
+    // Recording is passive: the recorded run equals an unrecorded one.
+    let unrecorded = pipe_core::run_program(&program, &config).expect("program runs to halt");
+    assert_eq!(stats, unrecorded);
 
     let reader = TraceReader::new(Cursor::new(bytes)).expect("trace decodes");
     let outcome =
@@ -268,30 +270,4 @@ fn wrong_program_is_a_typed_mismatch() {
         }
         other => panic!("expected ProgramMismatch, got {other:?}"),
     }
-}
-
-/// Plain-text address traces (the `pipe_workloads::traces` generators)
-/// drive a fetch engine through the import pipeline: every listed address
-/// becomes exactly one replayed instruction.
-#[test]
-fn address_trace_replays_through_a_fetch_engine() {
-    let addrs = pipe_workloads::traces::loop_nest(0, 3, 4, 3);
-    let text: String = addrs.iter().map(|a| format!("{a:#x}\n")).collect();
-
-    let parsed = parse_address_trace(&text).expect("addresses parse");
-    assert_eq!(parsed, addrs);
-    let program = synthesize_program(&parsed).expect("program synthesizes");
-    let steps = schedule_from_addresses(&parsed);
-
-    let fetch = EngineBuilder::new(FetchKind::Conventional)
-        .cache_bytes(64)
-        .line_bytes(16)
-        .config()
-        .unwrap();
-    let engine = fetch.build(&program).expect("engine builds");
-    let mem = pipe_mem::MemConfig::default();
-    let mut harness = ReplayHarness::new(engine, pipe_mem::MemorySystem::new(mem));
-    harness.run(steps).expect("replay completes");
-    assert_eq!(harness.stats().instructions, addrs.len() as u64);
-    assert!(harness.stats().cycles >= addrs.len() as u64);
 }
