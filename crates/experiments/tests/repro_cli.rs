@@ -1,5 +1,6 @@
 //! `repro` reports malformed arguments and output directories it cannot
-//! write as typed errors, never as panics.
+//! write as typed errors, never as panics, and reusing a point simulated
+//! earlier in the run leaves its output unchanged.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -74,4 +75,41 @@ fn malformed_arguments_are_usage_errors_not_panics() {
         assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Starts `repro` with `args`; [`stdout_of`] collects its output.
+fn spawn_repro(args: &[&str]) -> std::process::Child {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn repro")
+}
+
+/// Waits for `child` and returns its stdout, asserting success.
+fn stdout_of(child: std::process::Child, what: &str) -> String {
+    let out = child.wait_with_output().expect("wait for repro");
+    assert!(
+        out.status.success(),
+        "{what}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn reused_points_print_as_if_simulated() {
+    // Figure 6a has 5b's configuration, so in one run every 6a point is
+    // reused from 5b. The three runs are independent processes, so they
+    // run side by side.
+    let both = spawn_repro(&["--fig5b", "--fig6a"]);
+    let b = spawn_repro(&["--fig5b"]);
+    let a = spawn_repro(&["--fig6a"]);
+    let both = stdout_of(both, "--fig5b --fig6a");
+    let b = stdout_of(b, "--fig5b");
+    let a = stdout_of(a, "--fig6a");
+    assert!(b.contains("Figure 5b"), "{b}");
+    assert!(a.contains("Figure 6a"), "{a}");
+    assert_eq!(both, b + &a);
 }
