@@ -5,7 +5,7 @@ use pipe_isa::{BranchReg, Reg};
 /// The sixteen 32-bit data registers: a foreground bank of eight (the only
 /// visible one) and a background bank, swapped by `xchg`. This banking was
 /// added to PIPE "to improve the speed of subroutine calling" (§3.1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegFile {
     banks: [[u32; 8]; 2],
     active: usize,
@@ -41,7 +41,7 @@ impl RegFile {
 }
 
 /// The eight branch registers holding branch-target byte addresses.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BranchRegFile {
     regs: [u32; 8],
 }

@@ -24,6 +24,22 @@ impl StallBreakdown {
     pub fn total(&self) -> u64 {
         self.ifetch + self.data_wait + self.queue_full + self.branch
     }
+
+    fn since(&self, earlier: &StallBreakdown) -> StallBreakdown {
+        StallBreakdown {
+            ifetch: self.ifetch - earlier.ifetch,
+            data_wait: self.data_wait - earlier.data_wait,
+            queue_full: self.queue_full - earlier.queue_full,
+            branch: self.branch - earlier.branch,
+        }
+    }
+
+    fn add(&mut self, delta: &StallBreakdown) {
+        self.ifetch += delta.ifetch;
+        self.data_wait += delta.data_wait;
+        self.queue_full += delta.queue_full;
+        self.branch += delta.branch;
+    }
 }
 
 /// Occupancy tracking for one architectural queue.
@@ -49,6 +65,21 @@ impl QueueOccupancy {
     pub fn sample_n(&mut self, len: usize, n: u64) {
         self.max = self.max.max(len);
         self.total += len as u64 * n;
+    }
+
+    /// The occupancy summed since `earlier`. The maximum is left at 0:
+    /// [`add`](Self::add) applies a delta to the run it came from, whose
+    /// maximum a repeat of the same cycles cannot raise.
+    fn since(&self, earlier: &QueueOccupancy) -> QueueOccupancy {
+        QueueOccupancy {
+            max: 0,
+            total: self.total - earlier.total,
+        }
+    }
+
+    fn add(&mut self, delta: &QueueOccupancy) {
+        self.max = self.max.max(delta.max);
+        self.total += delta.total;
     }
 
     /// Average occupancy over `cycles`.
@@ -102,7 +133,58 @@ pub struct SimStats {
     pub mem: MemStats,
 }
 
+impl QueueStats {
+    fn since(&self, earlier: &QueueStats) -> QueueStats {
+        QueueStats {
+            laq: self.laq.since(&earlier.laq),
+            ldq: self.ldq.since(&earlier.ldq),
+            saq: self.saq.since(&earlier.saq),
+            sdq: self.sdq.since(&earlier.sdq),
+        }
+    }
+
+    fn add(&mut self, delta: &QueueStats) {
+        self.laq.add(&delta.laq);
+        self.ldq.add(&delta.ldq);
+        self.saq.add(&delta.saq);
+        self.sdq.add(&delta.sdq);
+    }
+}
+
 impl SimStats {
+    /// The counts accumulated since `earlier`, a snapshot of the same
+    /// run (queue maxima are left at 0; see [`QueueOccupancy`]).
+    pub(crate) fn since(&self, earlier: &SimStats) -> SimStats {
+        SimStats {
+            cycles: self.cycles - earlier.cycles,
+            instructions_issued: self.instructions_issued - earlier.instructions_issued,
+            loads: self.loads - earlier.loads,
+            stores: self.stores - earlier.stores,
+            fpu_ops: self.fpu_ops - earlier.fpu_ops,
+            branches_taken: self.branches_taken - earlier.branches_taken,
+            branches_not_taken: self.branches_not_taken - earlier.branches_not_taken,
+            stalls: self.stalls.since(&earlier.stalls),
+            queues: self.queues.since(&earlier.queues),
+            fetch: self.fetch.since(&earlier.fetch),
+            mem: self.mem.since(&earlier.mem),
+        }
+    }
+
+    /// Adds a delta computed by [`since`](Self::since).
+    pub(crate) fn add(&mut self, delta: &SimStats) {
+        self.cycles += delta.cycles;
+        self.instructions_issued += delta.instructions_issued;
+        self.loads += delta.loads;
+        self.stores += delta.stores;
+        self.fpu_ops += delta.fpu_ops;
+        self.branches_taken += delta.branches_taken;
+        self.branches_not_taken += delta.branches_not_taken;
+        self.stalls.add(&delta.stalls);
+        self.queues.add(&delta.queues);
+        self.fetch.add(&delta.fetch);
+        self.mem.add(&delta.mem);
+    }
+
     /// Cycles per instruction.
     pub fn cpi(&self) -> f64 {
         if self.instructions_issued == 0 {

@@ -221,6 +221,16 @@ impl InstructionCache {
         }
     }
 
+    /// Appends the valid bits and tags of every line to `key` (the
+    /// lifetime probe counters are left out: the fetch engines count
+    /// their own probes and never call [`probe`](Self::probe)).
+    pub fn describe(&self, key: &mut Vec<u64>) {
+        for line in &self.lines {
+            key.push(u64::from(line.tag) << 1 | u64::from(line.tag_valid));
+            key.push(line.sub_valid);
+        }
+    }
+
     /// Lifetime probe hits.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -20,7 +20,7 @@ use pipe_isa::{Program, PARCEL_BYTES};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::FetchEngine;
+use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
 use crate::stats::FetchStats;
 
 /// The prefetch strategies Hill compared (the paper adopts
@@ -583,6 +583,44 @@ impl FetchEngine for ConventionalFetch {
             return None; // a sequential prefetch will launch
         }
         Some(0)
+    }
+
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
+        // The availability memo is left out: it caches a function of the
+        // PC, the cache and the latch, all described here.
+        self.cache.describe(key);
+        let mut fresh: Vec<u32> = self.fresh.iter().copied().collect();
+        fresh.sort_unstable();
+        key.push(fresh.len() as u64);
+        key.extend(fresh.iter().map(|&a| u64::from(a)));
+        key.extend([
+            u64::from(self.pc),
+            u64::from(self.tagged_trigger),
+            u64::from(self.probe_counted),
+            u64::from(self.just_consumed),
+        ]);
+        key.extend(self.latch.map(|a| a.map_or(0, |a| 1 + u64::from(a))));
+        describe_redirect(key, self.redirect, self.delivered);
+        match &self.pending {
+            Some(p) => key.extend([
+                next_tag - p.tag,
+                u64::from(p.accepted),
+                u64::from(p.addr),
+                u64::from(p.bytes),
+                u64::from(p.demand),
+            ]),
+            None => key.push(0),
+        }
+        true
+    }
+
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
+        self.delivered += stats.instructions_delivered;
+        shift_redirect(&mut self.redirect, stats.instructions_delivered);
+        if let Some(p) = &mut self.pending {
+            p.tag += tags;
+        }
+        self.stats.add(stats);
     }
 
     fn stats(&self) -> &FetchStats {

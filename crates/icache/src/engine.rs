@@ -108,9 +108,51 @@ pub trait FetchEngine {
         None
     }
 
+    /// Appends the engine's timing state to `key`, for the processor's
+    /// loop-iteration skip: two states that describe identically must
+    /// behave identically from then on, given the same memory events and
+    /// decode activity. Tags are written relative to `next_tag` (the
+    /// memory system's tag counter), counts such as instructions
+    /// delivered relative to themselves, and statistics not at all.
+    /// Returns `false` when the engine cannot describe its state (the
+    /// default), which turns the skip off for the run.
+    ///
+    /// Must be called between cycles.
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
+        let _ = (key, next_tag);
+        false
+    }
+
+    /// Applies one more repeat of a loop iteration that left the engine
+    /// in the same [described](FetchEngine::describe_timing) state: `tags`
+    /// more memory tags were handed out, and `stats` — the iteration's
+    /// statistics delta, which includes the instructions it delivered —
+    /// is added. Only called on engines whose `describe_timing` returned
+    /// `true`.
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
+        let _ = (tags, stats);
+        unreachable!("{} does not describe its timing state", self.name());
+    }
+
     /// The engine's statistics.
     fn stats(&self) -> &FetchStats;
 
     /// A short human-readable name ("conventional", "pipe", ...).
     fn name(&self) -> &'static str;
+}
+
+/// Appends a pending redirect `(after, target)` to a timing key, with its
+/// trigger count relative to the instructions `delivered` so far.
+pub(crate) fn describe_redirect(key: &mut Vec<u64>, redirect: Option<(u64, u32)>, delivered: u64) {
+    match redirect {
+        Some((after, target)) => key.extend([1, after - delivered, u64::from(target)]),
+        None => key.push(0),
+    }
+}
+
+/// Moves a pending redirect's trigger count `delivered` instructions on.
+pub(crate) fn shift_redirect(redirect: &mut Option<(u64, u32)>, delivered: u64) {
+    if let Some((after, _)) = redirect {
+        *after += delivered;
+    }
 }

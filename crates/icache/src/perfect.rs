@@ -7,7 +7,7 @@ use pipe_isa::encode::parcel_has_ext;
 use pipe_isa::{Program, PARCEL_BYTES};
 use pipe_mem::{Beat, MemorySystem};
 
-use crate::engine::FetchEngine;
+use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
 use crate::stats::FetchStats;
 
 /// Supplies one instruction per cycle directly from the program image with
@@ -111,6 +111,18 @@ impl FetchEngine for PerfectFetch {
         // Never touches memory and does all work in peek/consume: a cycle
         // with no decode activity changes nothing.
         Some(0)
+    }
+
+    fn describe_timing(&self, key: &mut Vec<u64>, _next_tag: u64) -> bool {
+        key.push(u64::from(self.pc));
+        describe_redirect(key, self.redirect, self.delivered);
+        true
+    }
+
+    fn shift_timing(&mut self, _tags: u64, stats: &FetchStats) {
+        self.delivered += stats.instructions_delivered;
+        shift_redirect(&mut self.redirect, stats.instructions_delivered);
+        self.stats.add(stats);
     }
 
     fn stats(&self) -> &FetchStats {

@@ -31,7 +31,7 @@ use pipe_mem::error::require_multiple_of;
 use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::FetchEngine;
+use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -782,6 +782,50 @@ impl FetchEngine for PipeFetch {
             n += 1;
         }
         Some(n)
+    }
+
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
+        // Queued parcels are copies of the image at their addresses, so a
+        // queue is described by its head address and length.
+        self.cache.describe(key);
+        key.extend([
+            u64::from(self.iq.head_addr()),
+            self.iq.len() as u64,
+            u64::from(self.iqb.head_addr()),
+            self.iqb.len() as u64,
+            u64::from(self.stream_end),
+            u64::from(self.unresolved_pbr),
+            u64::from(self.settled),
+        ]);
+        match self.prep {
+            Some(p) => key.extend([1, u64::from(p.target), u64::from(p.end)]),
+            None => key.push(0),
+        }
+        describe_redirect(key, self.redirect, self.delivered);
+        key.push(self.pendings.len() as u64);
+        for p in &self.pendings {
+            key.extend([
+                if p.tag == 0 { 0 } else { next_tag - p.tag },
+                u64::from(p.accepted),
+                p.class.index() as u64,
+                u64::from(p.line_addr),
+                u64::from(p.bytes),
+                u64::from(p.expect),
+                p.dest as u64,
+            ]);
+        }
+        true
+    }
+
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
+        self.delivered += stats.instructions_delivered;
+        shift_redirect(&mut self.redirect, stats.instructions_delivered);
+        for p in &mut self.pendings {
+            if p.tag != 0 {
+                p.tag += tags;
+            }
+        }
+        self.stats.add(stats);
     }
 
     fn stats(&self) -> &FetchStats {

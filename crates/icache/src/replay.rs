@@ -46,7 +46,8 @@ pub enum ReplayOp {
         /// Effective byte address.
         addr: u32,
     },
-    /// Push `value` onto the (replayed) store data queue.
+    /// Push `value` onto the (replayed) store data queue. Memory models
+    /// timing only, so the replay counts these rather than keeping them.
     StoreData {
         /// The 32-bit value stored.
         value: u32,
@@ -168,8 +169,10 @@ pub struct ReplayHarness {
     mem: MemorySystem,
     /// Program-order data operations awaiting memory, like LAQ/SAQ heads.
     data_q: VecDeque<PendingOp>,
-    /// Store data values, paired FIFO with `Store` entries of `data_q`.
-    sdq: VecDeque<u32>,
+    /// Store data produced but not yet sent, paired in order with the
+    /// `Store` entries of `data_q`. Memory models timing only, so a count
+    /// stands in for the values.
+    sdq: usize,
     data_front_tag: Option<u64>,
     pending_resolve: Option<(u64, ReplayBranch)>,
     cycle: u64,
@@ -188,7 +191,7 @@ impl ReplayHarness {
             engine,
             mem,
             data_q: VecDeque::new(),
-            sdq: VecDeque::new(),
+            sdq: 0,
             data_front_tag: None,
             pending_resolve: None,
             cycle: 0,
@@ -210,25 +213,23 @@ impl ReplayHarness {
                 self.mem
                     .offer(MemRequest::load(ReqClass::DataLoad, addr, 4, tag));
             }
-            Some(PendingOp::Store { addr }) => {
-                // A store whose data has not been produced yet blocks
-                // younger loads rather than letting them bypass it —
-                // the processor's memory-consistency rule.
-                if let Some(&value) = self.sdq.front() {
-                    let tag = *self
-                        .data_front_tag
-                        .get_or_insert_with(|| self.mem.new_tag());
-                    self.mem.offer(MemRequest::store(addr, value, tag));
-                }
+            // A store whose data has not been produced yet blocks younger
+            // loads rather than letting them bypass it — the processor's
+            // memory-consistency rule.
+            Some(PendingOp::Store { addr }) if self.sdq > 0 => {
+                let tag = *self
+                    .data_front_tag
+                    .get_or_insert_with(|| self.mem.new_tag());
+                self.mem.offer(MemRequest::store(addr, tag));
             }
-            None => {}
+            Some(PendingOp::Store { .. }) | None => {}
         }
 
         let out = self.mem.tick();
         if let Some(tag) = out.accepted {
             if self.data_front_tag == Some(tag) {
                 if let Some(PendingOp::Store { .. }) = self.data_q.pop_front() {
-                    self.sdq.pop_front();
+                    self.sdq -= 1;
                 }
                 self.data_front_tag = None;
             } else {
@@ -294,7 +295,7 @@ impl ReplayHarness {
                     ReplayOp::StoreAddr { addr } => {
                         self.data_q.push_back(PendingOp::Store { addr })
                     }
-                    ReplayOp::StoreData { value } => self.sdq.push_back(value),
+                    ReplayOp::StoreData { .. } => self.sdq += 1,
                 }
             }
             if let Some(r) = step.resolve {

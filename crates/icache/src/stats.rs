@@ -28,6 +28,35 @@ pub struct FetchStats {
 }
 
 impl FetchStats {
+    /// The counts accumulated since `earlier`, a snapshot of the same
+    /// run.
+    pub fn since(&self, earlier: &FetchStats) -> FetchStats {
+        FetchStats {
+            demand_requests: self.demand_requests - earlier.demand_requests,
+            prefetch_requests: self.prefetch_requests - earlier.prefetch_requests,
+            bytes_requested: self.bytes_requested - earlier.bytes_requested,
+            cache_hits: self.cache_hits - earlier.cache_hits,
+            cache_misses: self.cache_misses - earlier.cache_misses,
+            instructions_delivered: self.instructions_delivered - earlier.instructions_delivered,
+            redirects: self.redirects - earlier.redirects,
+            flushed_parcels: self.flushed_parcels - earlier.flushed_parcels,
+            wasted_requests: self.wasted_requests - earlier.wasted_requests,
+        }
+    }
+
+    /// Adds a delta computed by [`since`](Self::since).
+    pub fn add(&mut self, delta: &FetchStats) {
+        self.demand_requests += delta.demand_requests;
+        self.prefetch_requests += delta.prefetch_requests;
+        self.bytes_requested += delta.bytes_requested;
+        self.cache_hits += delta.cache_hits;
+        self.cache_misses += delta.cache_misses;
+        self.instructions_delivered += delta.instructions_delivered;
+        self.redirects += delta.redirects;
+        self.flushed_parcels += delta.flushed_parcels;
+        self.wasted_requests += delta.wasted_requests;
+    }
+
     /// Cache hit rate over all probes, `0.0..=1.0`.
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;

@@ -6,10 +6,22 @@
 
 use std::collections::HashMap;
 
-/// Sparse 32-bit word memory, addressed by byte address.
+/// Words per page: memory is allocated a kilobyte at a time.
+const PAGE_WORDS: usize = 256;
+
+/// One page of words, with a bit per word that has been written.
+#[derive(Debug, Clone)]
+struct Page {
+    words: [u32; PAGE_WORDS],
+    written: [u64; PAGE_WORDS / 64],
+}
+
+/// Sparse 32-bit word memory, addressed by byte address. Words live in
+/// pages allocated on first write, so the dense arrays of a workload cost
+/// four bytes a word.
 #[derive(Debug, Clone, Default)]
 pub struct DataMemory {
-    words: HashMap<u32, u32>,
+    pages: HashMap<u32, Box<Page>>,
 }
 
 impl DataMemory {
@@ -27,18 +39,51 @@ impl DataMemory {
         mem
     }
 
-    fn key(addr: u32) -> u32 {
-        addr & !3
+    /// The page number and word index of the word containing `addr`.
+    fn locate(addr: u32) -> (u32, usize) {
+        let word = addr / 4;
+        (word / PAGE_WORDS as u32, word as usize % PAGE_WORDS)
     }
 
     /// Reads the 32-bit word containing `addr` (aligned down).
     pub fn read(&self, addr: u32) -> u32 {
-        self.words.get(&Self::key(addr)).copied().unwrap_or(0)
+        let (page, i) = Self::locate(addr);
+        self.pages.get(&page).map_or(0, |p| p.words[i])
     }
 
-    /// Writes the 32-bit word containing `addr` (aligned down).
-    pub fn write(&mut self, addr: u32, value: u32) {
-        self.words.insert(Self::key(addr), value);
+    /// Writes the 32-bit word containing `addr` (aligned down), returning
+    /// the word it replaced, or `None` if the word was never written.
+    pub fn write(&mut self, addr: u32, value: u32) -> Option<u32> {
+        let (page, i) = Self::locate(addr);
+        let p = self.pages.entry(page).or_insert_with(|| {
+            Box::new(Page {
+                words: [0; PAGE_WORDS],
+                written: [0; PAGE_WORDS / 64],
+            })
+        });
+        let bit = 1u64 << (i % 64);
+        let previous = (p.written[i / 64] & bit != 0).then_some(p.words[i]);
+        p.written[i / 64] |= bit;
+        p.words[i] = value;
+        previous
+    }
+
+    /// Undoes a [`write`](Self::write) of the word containing `addr`, given
+    /// the `previous` word that write returned.
+    pub fn restore(&mut self, addr: u32, previous: Option<u32>) {
+        let (page, i) = Self::locate(addr);
+        let p = self
+            .pages
+            .get_mut(&page)
+            .expect("restore of a written word");
+        let bit = 1u64 << (i % 64);
+        match previous {
+            Some(value) => p.words[i] = value,
+            None => {
+                p.words[i] = 0;
+                p.written[i / 64] &= !bit;
+            }
+        }
     }
 
     /// Reads an IEEE-754 single-precision value.
@@ -51,20 +96,28 @@ impl DataMemory {
         self.write(addr, value.to_bits());
     }
 
-    /// Number of distinct words ever written.
+    /// Number of distinct words written (and not restored away).
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.pages
+            .values()
+            .flat_map(|p| p.written)
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Returns `true` if nothing was ever written.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates over `(aligned byte address, value)` pairs in unspecified
-    /// order.
+    /// Iterates over the written `(aligned byte address, value)` pairs in
+    /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.pages.iter().flat_map(|(&page, p)| {
+            (0..PAGE_WORDS)
+                .filter(|&i| p.written[i / 64] & (1 << (i % 64)) != 0)
+                .map(move |i| ((page * PAGE_WORDS as u32 + i as u32) * 4, p.words[i]))
+        })
     }
 }
 
@@ -118,6 +171,18 @@ mod tests {
         assert_eq!(m.read(0x102), 7);
         m.write(0x103, 9);
         assert_eq!(m.read(0x100), 9);
+    }
+
+    #[test]
+    fn restore_undoes_writes() {
+        let mut m = DataMemory::new();
+        m.write(0x100, 1);
+        let first = m.write(0x100, 2);
+        let fresh = m.write(0x200, 3);
+        m.restore(0x200, fresh);
+        m.restore(0x100, first);
+        assert_eq!(m, DataMemory::from_image([(0x100, 1)]));
+        assert_eq!(m.len(), 1, "a never-written word is forgotten again");
     }
 
     #[test]

@@ -59,22 +59,17 @@ impl FpOp {
     }
 }
 
-/// A completed FP operation waiting to return over the input bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FpuResult {
-    /// Cycle at which the result becomes available for bus arbitration.
-    pub ready_at: u64,
-    /// The 32-bit result bit pattern.
-    pub value: u32,
-}
-
-/// The external FPU's architectural state.
+/// The external FPU's timing: when each started operation's result is
+/// ready for the input bus. Operand and result *values* belong to the
+/// processor, which evaluates an operation with [`FpOp::eval_bits`] when
+/// its store is accepted; the memory system only schedules the result's
+/// return.
 #[derive(Debug, Clone, Default)]
 pub struct Fpu {
     base: u32,
     latency: u32,
-    operand_a: u32,
-    results: VecDeque<FpuResult>,
+    /// Ready cycles of the operations in flight, oldest first.
+    results: VecDeque<u64>,
     ops_started: u64,
 }
 
@@ -85,7 +80,6 @@ impl Fpu {
         Fpu {
             base,
             latency,
-            operand_a: 0,
             results: VecDeque::new(),
             ops_started: 0,
         }
@@ -98,48 +92,58 @@ impl Fpu {
 
     /// Applies a store to the FPU window at cycle `now`.
     ///
-    /// A store at offset 0 latches operand A; a store at an operation
-    /// offset starts that operation, completing `latency` cycles later.
-    /// Stores at unmapped offsets inside the window are ignored.
-    pub fn store(&mut self, addr: u32, value: u32, now: u64) {
+    /// A store at an operation offset starts that operation, completing
+    /// `latency` cycles later. Stores at offset 0 (the operand latch) and
+    /// at unmapped offsets start nothing.
+    pub fn store(&mut self, addr: u32, now: u64) {
         debug_assert!(self.owns(addr));
-        let off = addr - self.base;
-        if off == 0 {
-            self.operand_a = value;
-        } else if let Some(op) = FpOp::from_offset(off) {
-            let result = op.eval_bits(self.operand_a, value);
-            self.results.push_back(FpuResult {
-                ready_at: now + u64::from(self.latency),
-                value: result,
-            });
+        if FpOp::from_offset(addr - self.base).is_some() {
+            self.results.push_back(now + u64::from(self.latency));
             self.ops_started += 1;
         }
     }
 
-    /// Takes the oldest result that is ready at cycle `now`, if any.
-    /// Results return strictly in operation order.
-    pub fn take_ready(&mut self, now: u64) -> Option<u32> {
-        match self.results.front() {
-            Some(r) if r.ready_at <= now => self.results.pop_front().map(|r| r.value),
-            _ => None,
+    /// Takes the oldest result if it is ready at cycle `now`, returning
+    /// whether one was taken. Results return strictly in operation order.
+    pub fn take_ready(&mut self, now: u64) -> bool {
+        let ready = self.has_ready(now);
+        if ready {
+            self.results.pop_front();
         }
+        ready
     }
 
     /// Peeks whether a result is ready at cycle `now` without taking it.
     pub fn has_ready(&self, now: u64) -> bool {
-        matches!(self.results.front(), Some(r) if r.ready_at <= now)
+        matches!(self.results.front(), Some(&at) if at <= now)
     }
 
     /// Cycle at which the oldest in-flight result becomes available for
     /// bus arbitration, if any. Results return strictly in operation
     /// order, so this is the FPU's next bus-delivery event.
     pub fn next_ready_at(&self) -> Option<u64> {
-        self.results.front().map(|r| r.ready_at)
+        self.results.front().copied()
+    }
+
+    /// Ready cycles of the operations in flight, oldest first.
+    pub(crate) fn ready_cycles_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.results.iter_mut()
+    }
+
+    /// Ready cycles of the operations in flight, oldest first.
+    pub(crate) fn ready_cycles(&self) -> impl Iterator<Item = u64> + '_ {
+        self.results.iter().copied()
     }
 
     /// Number of operations started over the FPU's lifetime.
     pub fn ops_started(&self) -> u64 {
         self.ops_started
+    }
+
+    /// Counts `n` more started operations (a loop-iteration skip applies
+    /// the operations of the iterations it skips this way).
+    pub(crate) fn add_ops_started(&mut self, n: u64) {
+        self.ops_started += n;
     }
 
     /// Number of results still in flight or waiting for the bus.
@@ -169,44 +173,40 @@ mod tests {
     #[test]
     fn multiply_latency() {
         let mut f = fpu();
-        f.store(0xFFFF_F000, 2.0f32.to_bits(), 10);
-        f.store(0xFFFF_F004, 3.0f32.to_bits(), 10);
+        f.store(0xFFFF_F000, 10);
+        assert_eq!(f.pending(), 0, "the operand latch starts nothing");
+        f.store(0xFFFF_F004, 10);
         assert_eq!(f.pending(), 1);
         assert!(!f.has_ready(13));
         assert!(f.has_ready(14));
-        assert_eq!(f.take_ready(14), Some(6.0f32.to_bits()));
+        assert!(f.take_ready(14));
         assert_eq!(f.pending(), 0);
     }
 
     #[test]
     fn results_return_in_order() {
         let mut f = fpu();
-        f.store(0xFFFF_F000, 1.0f32.to_bits(), 0);
-        f.store(0xFFFF_F008, 2.0f32.to_bits(), 0); // 1+2 ready at 4
-        f.store(0xFFFF_F000, 10.0f32.to_bits(), 1);
-        f.store(0xFFFF_F00C, 4.0f32.to_bits(), 1); // 10-4 ready at 5
-        assert_eq!(f.take_ready(10), Some(3.0f32.to_bits()));
-        assert_eq!(f.take_ready(10), Some(6.0f32.to_bits()));
-        assert_eq!(f.take_ready(10), None);
+        f.store(0xFFFF_F008, 0); // ready at 4
+        f.store(0xFFFF_F00C, 1); // ready at 5
+        assert_eq!(f.next_ready_at(), Some(4));
+        assert!(f.take_ready(10));
+        assert_eq!(f.next_ready_at(), Some(5));
+        assert!(f.take_ready(10));
+        assert!(!f.take_ready(10));
         assert_eq!(f.ops_started(), 2);
     }
 
     #[test]
-    fn operand_a_persists_across_ops() {
+    fn unmapped_offsets_start_nothing() {
         let mut f = fpu();
-        f.store(0xFFFF_F000, 5.0f32.to_bits(), 0);
-        f.store(0xFFFF_F004, 2.0f32.to_bits(), 0);
-        f.store(0xFFFF_F004, 3.0f32.to_bits(), 1); // A still 5.0
-        assert_eq!(f.take_ready(5), Some(10.0f32.to_bits()));
-        assert_eq!(f.take_ready(5), Some(15.0f32.to_bits()));
+        f.store(0xFFFF_F014, 0);
+        assert_eq!((f.pending(), f.ops_started()), (0, 0));
     }
 
     #[test]
     fn division() {
-        let mut f = fpu();
-        f.store(0xFFFF_F000, 9.0f32.to_bits(), 0);
-        f.store(0xFFFF_F010, 2.0f32.to_bits(), 0);
-        assert_eq!(f.take_ready(4), Some(4.5f32.to_bits()));
+        let (a, b) = (9.0f32.to_bits(), 2.0f32.to_bits());
+        assert_eq!(FpOp::Div.eval_bits(a, b), 4.5f32.to_bits());
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   operation whose result returns over the input bus after a constant
 //!   latency (4 cycles in the paper).
 //!
-//! The memory system models *timing*; instruction bytes are owned by the
-//! fetch engines (`pipe-icache`), while data values live in the
-//! [`DataMemory`] owned by this crate.
+//! The memory system models *timing* only: instruction bytes are owned by
+//! the fetch engines (`pipe-icache`), and data values — the
+//! [`DataMemory`] image, the FPU's operand latch and its results — by the
+//! processor core (`pipe-core`), which takes a load's word when memory
+//! accepts the load.
 //!
 //! ## Usage sketch
 //!

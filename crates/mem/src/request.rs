@@ -71,8 +71,6 @@ pub struct MemRequest {
     /// Client-chosen identifier echoed in acceptances and beats. Allocate
     /// with [`crate::MemorySystem::new_tag`] to keep tags unique.
     pub tag: u64,
-    /// For stores only: the 32-bit value to write.
-    pub store_value: Option<u32>,
 }
 
 impl MemRequest {
@@ -84,18 +82,17 @@ impl MemRequest {
             addr,
             bytes,
             tag,
-            store_value: None,
         }
     }
 
-    /// Builds a data store request.
-    pub fn store(addr: u32, value: u32, tag: u64) -> MemRequest {
+    /// Builds a data store request. The stored value stays with the
+    /// client: the memory system models timing only.
+    pub fn store(addr: u32, tag: u64) -> MemRequest {
         MemRequest {
             class: ReqClass::DataStore,
             addr,
             bytes: 4,
             tag,
-            store_value: Some(value),
         }
     }
 }
@@ -113,7 +110,9 @@ pub enum BeatSource {
     IPrefetch,
 }
 
-/// One input-bus beat: up to `in_bus_bytes` of a response.
+/// One input-bus beat: up to `in_bus_bytes` of a response. Beats carry
+/// timing only; the processor takes a load's word when memory accepts the
+/// load and computes FPU results itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Beat {
     /// Tag of the originating request (0 for FPU results, which are matched
@@ -121,12 +120,11 @@ pub struct Beat {
     pub tag: u64,
     /// What kind of response this beat belongs to.
     pub source: BeatSource,
-    /// Byte address of the first byte in this beat.
+    /// Byte address of the first byte in this beat, for instruction
+    /// beats; 0 for data-load and FPU-result beats.
     pub addr: u32,
     /// Bytes carried by this beat.
     pub bytes: u32,
-    /// The 32-bit value, for data loads and FPU results.
-    pub value: Option<u32>,
     /// `true` when this is the final beat of its response.
     pub last: bool,
 }
@@ -157,9 +155,8 @@ mod tests {
     fn constructors() {
         let r = MemRequest::load(ReqClass::IFetch, 0x40, 16, 7);
         assert_eq!(r.bytes, 16);
-        assert_eq!(r.store_value, None);
-        let s = MemRequest::store(0x100, 99, 8);
+        let s = MemRequest::store(0x100, 8);
         assert_eq!(s.class, ReqClass::DataStore);
-        assert_eq!(s.store_value, Some(99));
+        assert_eq!((s.addr, s.bytes, s.tag), (0x100, 4, 8));
     }
 }

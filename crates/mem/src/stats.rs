@@ -37,6 +37,35 @@ impl MemStats {
         self.accepted.iter().sum()
     }
 
+    /// The counts accumulated since `earlier`, a snapshot of the same
+    /// run.
+    pub fn since(&self, earlier: &MemStats) -> MemStats {
+        MemStats {
+            accepted: std::array::from_fn(|i| self.accepted[i] - earlier.accepted[i]),
+            in_bus_bytes: self.in_bus_bytes - earlier.in_bus_bytes,
+            in_bus_busy_cycles: self.in_bus_busy_cycles - earlier.in_bus_busy_cycles,
+            out_bus_busy_cycles: self.out_bus_busy_cycles - earlier.out_bus_busy_cycles,
+            contended_cycles: self.contended_cycles - earlier.contended_cycles,
+            blocked_cycles: self.blocked_cycles - earlier.blocked_cycles,
+            fpu_ops: self.fpu_ops - earlier.fpu_ops,
+            cycles: self.cycles - earlier.cycles,
+        }
+    }
+
+    /// Adds a delta computed by [`since`](Self::since).
+    pub fn add(&mut self, delta: &MemStats) {
+        for (a, d) in self.accepted.iter_mut().zip(delta.accepted) {
+            *a += d;
+        }
+        self.in_bus_bytes += delta.in_bus_bytes;
+        self.in_bus_busy_cycles += delta.in_bus_busy_cycles;
+        self.out_bus_busy_cycles += delta.out_bus_busy_cycles;
+        self.contended_cycles += delta.contended_cycles;
+        self.blocked_cycles += delta.blocked_cycles;
+        self.fpu_ops += delta.fpu_ops;
+        self.cycles += delta.cycles;
+    }
+
     /// Fraction of cycles the input bus was busy, `0.0..=1.0`.
     pub fn in_bus_utilization(&self) -> f64 {
         if self.cycles == 0 {

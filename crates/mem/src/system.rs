@@ -17,11 +17,13 @@
 //!   every cycle and returns read responses in acceptance order.
 //! * FPU results share the input bus, ranking below demand loads/stores
 //!   and above prefetches (paper §5), and do not occupy the memory array.
+//! * The system models timing only. It holds no data values: the client
+//!   keeps the data image and the FPU's operands and results, and beats
+//!   carry no values.
 
 use std::collections::VecDeque;
 
 use crate::config::{MemConfig, PriorityPolicy};
-use crate::data::DataMemory;
 use crate::extcache::ExternalCache;
 use crate::fpu::Fpu;
 use crate::request::{Beat, BeatSource, MemRequest, ReqClass};
@@ -46,9 +48,15 @@ pub struct TickOutput {
     pub beats: Option<Beat>,
 }
 
+/// An accepted read awaiting its first beat. `addr` is kept for
+/// instruction reads only: a data load needs its address just once, at
+/// acceptance.
 #[derive(Debug, Clone)]
 struct Inflight {
-    req: MemRequest,
+    source: BeatSource,
+    tag: u64,
+    addr: u32,
+    bytes: u32,
     first_beat_at: u64,
 }
 
@@ -66,7 +74,6 @@ struct Streaming {
 pub struct MemorySystem {
     cfg: MemConfig,
     cycle: u64,
-    data: DataMemory,
     fpu: Fpu,
     ext_cache: Option<ExternalCache>,
     ports: [Option<MemRequest>; 4],
@@ -92,7 +99,6 @@ impl MemorySystem {
         MemorySystem {
             cfg,
             cycle: 0,
-            data: DataMemory::new(),
             fpu,
             ext_cache,
             ports: [None, None, None, None],
@@ -114,6 +120,11 @@ impl MemorySystem {
         self.cycle
     }
 
+    /// The tag [`new_tag`](Self::new_tag) will hand out next.
+    pub fn next_tag(&self) -> u64 {
+        self.next_tag
+    }
+
     /// Allocates a fresh request tag.
     pub fn new_tag(&mut self) -> u64 {
         let t = self.next_tag;
@@ -121,17 +132,7 @@ impl MemorySystem {
         t
     }
 
-    /// Read access to the data image.
-    pub fn data(&self) -> &DataMemory {
-        &self.data
-    }
-
-    /// Mutable access to the data image (for pre-run initialisation).
-    pub fn data_mut(&mut self) -> &mut DataMemory {
-        &mut self.data
-    }
-
-    /// Read access to the FPU state.
+    /// Read access to the FPU timing state.
     pub fn fpu(&self) -> &Fpu {
         &self.fpu
     }
@@ -277,6 +278,79 @@ impl MemorySystem {
         self.stats.cycles = self.cycle;
     }
 
+    /// Appends the system's timing state to `key`, normalised so that two
+    /// states that differ only by a whole number of cycles and tags
+    /// describe identically: cycles are relative to the current cycle and
+    /// tags relative to the tag counter. Statistics are left out.
+    ///
+    /// Returns `false`, appending nothing useful, when a finite external
+    /// cache is modelled: request addresses then affect timing, and the
+    /// state cannot be described without them.
+    ///
+    /// The processor's cycle loop compares these keys to find repeating
+    /// loop iterations; [`shift_timing`](Self::shift_timing) then applies
+    /// a repeat.
+    pub fn describe_timing(&self, key: &mut Vec<u64>) -> bool {
+        if self.ext_cache.is_some() {
+            return false;
+        }
+        debug_assert!(self.ports.iter().all(Option::is_none), "offers pending");
+        let now = self.cycle;
+        let tag = |t: u64| if t == 0 { 0 } else { self.next_tag - t };
+        key.push(self.store_busy_until.saturating_sub(now));
+        key.push(self.fpu.pending() as u64);
+        key.extend(self.fpu.ready_cycles().map(|at| at.wrapping_sub(now)));
+        key.push(self.inflight.len() as u64);
+        for f in &self.inflight {
+            key.extend([
+                f.source as u64,
+                tag(f.tag),
+                u64::from(f.addr),
+                u64::from(f.bytes),
+                f.first_beat_at.wrapping_sub(now),
+            ]);
+        }
+        match &self.streaming {
+            Some(s) => key.extend([
+                1 + s.source as u64,
+                tag(s.tag),
+                u64::from(s.next_addr),
+                u64::from(s.remaining),
+            ]),
+            None => key.push(0),
+        }
+        true
+    }
+
+    /// Moves the system `cycles` cycles and `tags` tags forward, as if it
+    /// had run once more through a loop iteration that left it in the same
+    /// [described](Self::describe_timing) state: every cycle and tag field
+    /// shifts, and `stats` (that iteration's statistics delta) is added.
+    pub fn shift_timing(&mut self, cycles: u64, tags: u64, stats: &MemStats) {
+        debug_assert!(self.ext_cache.is_none());
+        let shift_tag = |t: &mut u64| {
+            if *t != 0 {
+                *t += tags;
+            }
+        };
+        self.cycle += cycles;
+        self.next_tag += tags;
+        self.store_busy_until += cycles;
+        for at in self.fpu.ready_cycles_mut() {
+            *at += cycles;
+        }
+        self.fpu.add_ops_started(stats.fpu_ops);
+        for f in &mut self.inflight {
+            shift_tag(&mut f.tag);
+            f.first_beat_at += cycles;
+        }
+        if let Some(s) = &mut self.streaming {
+            shift_tag(&mut s.tag);
+        }
+        self.stats.add(stats);
+        debug_assert_eq!(self.stats.cycles, self.cycle);
+    }
+
     /// Advances one cycle. See the module docs for the timing contract.
     pub fn tick(&mut self) -> TickOutput {
         let now = self.cycle;
@@ -292,59 +366,42 @@ impl MemorySystem {
                 .is_some_and(|f| f.first_beat_at <= now);
             let fpu_ready = self.fpu.has_ready(now);
             let pick_fpu = if fpu_ready && front_eligible {
-                let front_src = Self::source_for(self.inflight[0].req.class);
+                let front_src = self.inflight[0].source;
                 self.delivery_rank(BeatSource::FpuResult) < self.delivery_rank(front_src)
             } else {
                 fpu_ready
             };
             if pick_fpu {
-                let value = self.fpu.take_ready(now).expect("fpu result ready");
+                self.fpu.take_ready(now);
                 self.streaming = Some(Streaming {
                     source: BeatSource::FpuResult,
                     tag: 0,
-                    next_addr: value, // carries the value; see beat emission
+                    next_addr: 0,
                     remaining: 4,
                 });
             } else if front_eligible {
                 let f = self.inflight.pop_front().expect("front exists");
                 self.streaming = Some(Streaming {
-                    source: Self::source_for(f.req.class),
-                    tag: f.req.tag,
-                    next_addr: f.req.addr,
-                    remaining: f.req.bytes,
+                    source: f.source,
+                    tag: f.tag,
+                    next_addr: f.addr,
+                    remaining: f.bytes,
                 });
             }
         }
         if let Some(s) = &mut self.streaming {
             let bytes = s.remaining.min(self.cfg.in_bus_bytes);
             let last = bytes == s.remaining;
-            let beat = match s.source {
-                BeatSource::FpuResult => Beat {
-                    tag: 0,
-                    source: BeatSource::FpuResult,
-                    addr: 0,
-                    bytes,
-                    value: Some(s.next_addr),
-                    last,
-                },
-                BeatSource::DataLoad => Beat {
-                    tag: s.tag,
-                    source: BeatSource::DataLoad,
-                    addr: s.next_addr,
-                    bytes,
-                    value: Some(self.data.read(s.next_addr)),
-                    last,
-                },
-                src @ (BeatSource::IFetch | BeatSource::IPrefetch) => Beat {
-                    tag: s.tag,
-                    source: src,
-                    addr: s.next_addr,
-                    bytes,
-                    value: None,
-                    last,
-                },
+            let beat = Beat {
+                tag: s.tag,
+                source: s.source,
+                addr: s.next_addr,
+                bytes,
+                last,
             };
-            s.next_addr = s.next_addr.wrapping_add(bytes);
+            if matches!(s.source, BeatSource::IFetch | BeatSource::IPrefetch) {
+                s.next_addr = s.next_addr.wrapping_add(bytes);
+            }
             s.remaining -= bytes;
             if s.remaining == 0 {
                 self.streaming = None;
@@ -389,11 +446,8 @@ impl MemorySystem {
                         }
                         match class {
                             ReqClass::DataStore => {
-                                let value = req.store_value.unwrap_or(0);
                                 if self.fpu.owns(req.addr) {
-                                    self.fpu.store(req.addr, value, now);
-                                } else {
-                                    self.data.write(req.addr, value);
+                                    self.fpu.store(req.addr, now);
                                 }
                                 if !self.cfg.pipelined {
                                     self.store_busy_until =
@@ -401,8 +455,12 @@ impl MemorySystem {
                                 }
                             }
                             _ => {
+                                let source = Self::source_for(class);
                                 self.inflight.push_back(Inflight {
-                                    req,
+                                    source,
+                                    tag: req.tag,
+                                    addr: if class.is_instruction() { req.addr } else { 0 },
+                                    bytes: req.bytes,
                                     first_beat_at: now
                                         + u64::from(self.cfg.access_cycles)
                                         + penalty,
@@ -477,7 +535,6 @@ mod tests {
     fn load_latency_matches_access_time() {
         for access in [1, 2, 3, 6] {
             let mut mem = MemorySystem::new(cfg(access, false, 4));
-            mem.data_mut().write(0x100, 77);
             let tag = mem.new_tag();
             let t0 = drive_until_accepted(
                 &mut mem,
@@ -486,7 +543,6 @@ mod tests {
             let (t1, beats) = drain_tag(&mut mem, tag);
             assert_eq!(t1 - t0, u64::from(access), "access={access}");
             assert_eq!(beats.len(), 1);
-            assert_eq!(beats[0].value, Some(77));
         }
     }
 
@@ -590,17 +646,9 @@ mod tests {
         let tp = mem.new_tag();
         let ts = mem.new_tag();
         mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4, tp));
-        mem.offer(MemRequest::store(0x0, 5, ts));
+        mem.offer(MemRequest::store(0x0, ts));
         let out = mem.tick();
         assert_eq!(out.accepted, Some(ts));
-    }
-
-    #[test]
-    fn store_writes_data_memory() {
-        let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let tag = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(0x200, 123, tag));
-        assert_eq!(mem.data().read(0x200), 123);
     }
 
     #[test]
@@ -608,7 +656,7 @@ mod tests {
         let mut mem = MemorySystem::new(cfg(6, false, 4));
         let ts = mem.new_tag();
         let tl = mem.new_tag();
-        let t0 = drive_until_accepted(&mut mem, MemRequest::store(0x200, 1, ts));
+        let t0 = drive_until_accepted(&mut mem, MemRequest::store(0x200, ts));
         let t1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x200, 4, tl));
         assert_eq!(t1 - t0, 6);
     }
@@ -618,11 +666,8 @@ mod tests {
         let mut mem = MemorySystem::new(cfg(1, false, 4));
         let a = mem.new_tag();
         let b = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, 2.5f32.to_bits(), a));
-        let t_b = drive_until_accepted(
-            &mut mem,
-            MemRequest::store(FPU_BASE + 4, 4.0f32.to_bits(), b),
-        );
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
+        let t_b = drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4, b));
         assert_eq!(mem.stats().fpu_ops, 1);
         // Result beat (tag 0, FpuResult) after fpu_latency.
         let mut result_cycle = None;
@@ -631,7 +676,6 @@ mod tests {
             let out = mem.tick();
             if let Some(beat) = out.beats.as_ref() {
                 if beat.source == BeatSource::FpuResult {
-                    assert_eq!(beat.value, Some(10.0f32.to_bits()));
                     result_cycle = Some(at);
                     break;
                 }
@@ -648,11 +692,8 @@ mod tests {
         let mut mem = MemorySystem::new(cfg(1, true, 4));
         let a = mem.new_tag();
         let b = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, 1.0f32.to_bits(), a));
-        drive_until_accepted(
-            &mut mem,
-            MemRequest::store(FPU_BASE + 4, 2.0f32.to_bits(), b),
-        );
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4, b));
         // Prefetch accepted now; ready at +1, FPU ready at +4. Stall the
         // bus by requesting a long prefetch right when FPU becomes ready.
         let tp = mem.new_tag();
@@ -744,7 +785,7 @@ mod tests {
         });
         let mut mem = MemorySystem::new(c);
         let a = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, 1.0f32.to_bits(), a));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
         assert_eq!(mem.external_cache().unwrap().misses(), 0);
     }
 
@@ -819,7 +860,7 @@ mod tests {
         // even with nothing else pending.
         let mut mem = MemorySystem::new(cfg(5, false, 4));
         let tag = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(0x40, 7, tag));
+        drive_until_accepted(&mut mem, MemRequest::store(0x40, tag));
         assert!(!mem.is_idle());
         let quiet = mem.quiet_cycles(false);
         assert!(quiet > 0);

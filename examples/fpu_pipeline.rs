@@ -67,7 +67,7 @@ fn main() {
 
     // The result was stored at the final r2 position + 0x2000.
     let result_addr = 0x100000 + 4 * 4 + 0x2000;
-    let result = f32::from_bits(proc.mem().data().read(result_addr));
+    let result = f32::from_bits(proc.data().read(result_addr));
     println!("dot([1,2,3,4], [2,2,2,2]) = {result}");
     assert_eq!(result, 20.0);
 

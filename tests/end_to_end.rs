@@ -28,7 +28,7 @@ fn run_on(program: &Program, fetch: FetchStrategy, access: u32) -> (SimStats, Ve
     let stats = proc.stats().clone();
     let regs = (0..7).map(|i| proc.regs().read(Reg::new(i))).collect();
     let mem = (0..16)
-        .map(|i| proc.mem().data().read(0x0010_0000 + i * 4))
+        .map(|i| proc.data().read(0x0010_0000 + i * 4))
         .collect();
     (stats, regs, mem)
 }

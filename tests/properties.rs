@@ -406,6 +406,9 @@ fn every_accepted_read_is_fully_delivered() {
 // ---------------------------------------------------------------------
 
 use pipe_repro::core::interpret;
+use pipe_repro::isa::Program;
+use pipe_repro::workloads::codegen::STREAM_STRIDE;
+use pipe_repro::workloads::livermore::DATA_BASE;
 use pipe_repro::workloads::{kernel_program, FpKind, Kernel, KernelOp, Src};
 
 /// Balanced op groups: each leaves the LDQ empty, so any concatenation
@@ -415,7 +418,7 @@ fn kernel_group(rng: &mut Rng) -> Vec<KernelOp> {
         stream: s,
         elem_off: off,
     };
-    match rng.below(6) {
+    match rng.below(7) {
         // load; acc op; store result
         0 => {
             let s = rng.range_u32(0, 7);
@@ -477,8 +480,43 @@ fn kernel_group(rng: &mut Rng) -> Vec<KernelOp> {
         4 => vec![KernelOp::StoreAcc {
             stream: rng.range_u32(0, 7),
         }],
+        // load an element, overwrite it, then copy the loaded word to the
+        // next stream: a pipelined memory accepts the overwrite before the
+        // load returns, and the copy must still hold the old word
+        5 => {
+            let s = rng.range_u32(0, 7);
+            vec![
+                load(s, 0),
+                KernelOp::StoreAcc { stream: s },
+                KernelOp::Store {
+                    stream: (s + 1) % 7,
+                },
+            ]
+        }
         _ => vec![KernelOp::Pad],
     }
+}
+
+/// `program` with every stream element and constant a `trips`-trip
+/// kernel can read set to a distinct nonzero float, so that wrong values
+/// show in memory instead of every word staying zero.
+fn with_stream_data(program: Program, trips: u32) -> Program {
+    let mut data = program.data().to_vec();
+    // Streams 0..=6, then the constant area at stream slot 7.
+    for s in 0..8 {
+        for i in 0..trips + 4 {
+            let addr = DATA_BASE + s * STREAM_STRIDE as u32 + 4 * i;
+            data.push((addr, ((s * 100 + i + 1) as f32).to_bits()));
+        }
+    }
+    Program::from_raw(
+        program.parcels().to_vec(),
+        program.base(),
+        program.entry(),
+        program.format(),
+        program.symbols().clone(),
+        data,
+    )
 }
 
 #[test]
@@ -499,16 +537,21 @@ fn random_kernels_agree_between_interpreter_and_processor() {
         };
         let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
             .expect("balanced groups satisfy the discipline");
+        let program = with_stream_data(program, trips);
 
         let reference = interpret(&program, 1_000_000).expect("interprets");
-        for fetch in [
+        for (fetch, pipelined) in [
             FetchStrategy::Pipe(PipeFetchConfig::table2(32, 16, 16, 16)),
             FetchStrategy::conventional(CacheConfig::new(32, 16)),
-        ] {
+        ]
+        .into_iter()
+        .flat_map(|f| [(f, false), (f, true)])
+        {
             let cfg = SimConfig {
                 fetch,
                 mem: MemConfig {
                     access_cycles: access,
+                    pipelined,
                     ..MemConfig::default()
                 },
                 max_cycles: 50_000_000,
@@ -520,7 +563,7 @@ fn random_kernels_agree_between_interpreter_and_processor() {
             assert_eq!(stats.instructions_issued, reference.instructions);
             assert_eq!(stats.fpu_ops, reference.fpu_ops);
             assert_eq!(stats.loads, reference.loads);
-            assert!(proc.mem().data() == &reference.memory, "memory diverged");
+            assert!(proc.data() == &reference.memory, "memory diverged");
         }
     }
 }
@@ -656,10 +699,7 @@ fn predecode_matches_raw_decode_on_random_programs() {
                     "r{i} diverged under {fetch}"
                 );
             }
-            assert!(
-                fast.mem().data() == raw.mem().data(),
-                "memory diverged under {fetch}"
-            );
+            assert!(fast.data() == raw.data(), "memory diverged under {fetch}");
         }
     }
 }
@@ -704,9 +744,9 @@ fn every_engine(rng: &mut Rng) -> [FetchStrategy; 5] {
 }
 
 /// The reference cycle loop: `Processor::step` until done, with the same
-/// timeout rule as `Processor::run` and no fast-forwarding. `run` on the
+/// timeout rule as `Processor::run` and no skipping of any kind. `run` on the
 /// drained processor issues no cycle; it only finalizes the statistics.
-fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+fn tick_to_end(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<Processor, SimError> {
     let mut proc = Processor::from_decoded(decoded, config)?;
     while !proc.is_done() {
         if proc.cycle() >= config.max_cycles {
@@ -717,7 +757,11 @@ fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimSt
         proc.step()?;
     }
     proc.run()?;
-    Ok(proc.into_stats())
+    Ok(proc)
+}
+
+fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+    tick_to_end(decoded, config).map(Processor::into_stats)
 }
 
 /// `run_decoded` fast-forwards provably idle stall windows; ticking
@@ -776,6 +820,73 @@ fn fast_forward_matches_ticking_on_random_programs() {
                     "trial {trial}: fast-forward diverged under {fetch} at {:?}",
                     config.mem
                 );
+            }
+        }
+    }
+    assert!(timeouts > 0, "the small budgets must exercise timeouts");
+}
+
+/// `Processor::run` applies repeating loop iterations in one step;
+/// ticking `step` never does. Over random kernels whose loops run long
+/// enough to repeat, every engine, random access times, bus 4/8,
+/// pipelined on/off and some small cycle budgets, the two must agree on
+/// statistics, registers and data memory — or on the error and its cycle.
+#[test]
+fn loop_skip_matches_ticking_on_random_kernels() {
+    let mut rng = Rng::new(0x1519);
+    let mut timeouts = 0;
+    for trial in 0..10 {
+        let groups = rng.range_u32(1, 6);
+        let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(&mut rng)).collect();
+        let cost: u32 = ops.iter().map(|o| o.cost()).sum();
+        let pads = rng.range_u32(3, 8);
+        let trips = rng.range_u32(20, 60);
+        let kernel = Kernel {
+            index: 96,
+            name: "repeat-parity",
+            ops,
+            target_instructions: cost + 3 + pads,
+        };
+        let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+            .expect("balanced groups satisfy the discipline");
+        let decoded = Arc::new(DecodedProgram::new(with_stream_data(program, trips)));
+        for fetch in every_engine(&mut rng) {
+            for _ in 0..3 {
+                let config = SimConfig {
+                    fetch,
+                    mem: MemConfig {
+                        access_cycles: rng.range_u32(1, 9),
+                        pipelined: rng.bool(),
+                        in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                        ..MemConfig::default()
+                    },
+                    max_cycles: if rng.below(4) == 0 {
+                        u64::from(rng.range_u32(100, 3000))
+                    } else {
+                        50_000_000
+                    },
+                    ..SimConfig::default()
+                };
+                let mut proc = Processor::from_decoded(&decoded, &config).expect("valid");
+                let run = proc.run().map(|()| proc);
+                let ticked = tick_to_end(&decoded, &config);
+                let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
+                match (run, ticked) {
+                    (Ok(run), Ok(ticked)) => {
+                        assert_eq!(run.stats(), ticked.stats(), "{context}");
+                        assert_eq!(run.regs(), ticked.regs(), "{context}");
+                        assert!(run.data() == ticked.data(), "{context}: memory diverged");
+                    }
+                    (Err(run), Err(ticked)) => {
+                        timeouts += usize::from(matches!(ticked, SimError::Timeout { .. }));
+                        assert_eq!(run, ticked, "{context}");
+                    }
+                    (run, ticked) => panic!(
+                        "{context}: run {:?}, ticked {:?}",
+                        run.map(|p| p.cycle()),
+                        ticked.map(|p| p.cycle())
+                    ),
+                }
             }
         }
     }
