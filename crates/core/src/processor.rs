@@ -44,7 +44,8 @@ use crate::trace::{DataOp, NoTrace, StallReason, TraceEvent, TraceSink};
 
 mod repeat;
 
-use repeat::{LoopSkip, RepeatCounts, ValueEvent};
+use pipe_icache::repeat::RepeatCounts;
+use repeat::{LoopSkip, ValueEvent};
 
 /// An error terminating a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -404,7 +405,11 @@ impl<S: TraceSink> Processor<S> {
     pub(crate) fn run_counting_repeats(&mut self) -> Result<RepeatCounts, SimError> {
         self.loops = LoopSkip::new_if_eligible(&self.trace);
         let result = self.run_cycles();
-        let counts = self.loops.take().map(|l| l.counts).unwrap_or_default();
+        let counts = self
+            .loops
+            .take()
+            .map(|l| l.marks.counts())
+            .unwrap_or_default();
         result?;
         self.finalize_stats();
         Ok(counts)
@@ -450,7 +455,7 @@ impl<S: TraceSink> Processor<S> {
     /// Records a value event for the loop-iteration skip, when active.
     fn record(&mut self, event: ValueEvent) {
         if let Some(loops) = &mut self.loops {
-            loops.log.push(event);
+            loops.marks.log(event);
         }
     }
 

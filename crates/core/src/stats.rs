@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use pipe_icache::repeat::Counters;
 use pipe_icache::FetchStats;
 use pipe_mem::MemStats;
 
@@ -151,10 +152,10 @@ impl QueueStats {
     }
 }
 
-impl SimStats {
+impl Counters for SimStats {
     /// The counts accumulated since `earlier`, a snapshot of the same
     /// run (queue maxima are left at 0; see [`QueueOccupancy`]).
-    pub(crate) fn since(&self, earlier: &SimStats) -> SimStats {
+    fn since(&self, earlier: &SimStats) -> SimStats {
         SimStats {
             cycles: self.cycles - earlier.cycles,
             instructions_issued: self.instructions_issued - earlier.instructions_issued,
@@ -171,7 +172,7 @@ impl SimStats {
     }
 
     /// Adds a delta computed by [`since`](Self::since).
-    pub(crate) fn add(&mut self, delta: &SimStats) {
+    fn add(&mut self, delta: &SimStats) {
         self.cycles += delta.cycles;
         self.instructions_issued += delta.instructions_issued;
         self.loads += delta.loads;
@@ -184,7 +185,9 @@ impl SimStats {
         self.fetch.add(&delta.fetch);
         self.mem.add(&delta.mem);
     }
+}
 
+impl SimStats {
     /// Cycles per instruction.
     pub fn cpi(&self) -> f64 {
         if self.instructions_issued == 0 {

@@ -71,6 +71,7 @@ pub mod engine;
 pub mod perfect;
 pub mod pipe_fetch;
 pub mod queue;
+pub mod repeat;
 pub mod replay;
 pub mod stats;
 pub mod tib;

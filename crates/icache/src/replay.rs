@@ -22,15 +22,41 @@
 //! recording, the replay is cycle-exact: total cycles, instruction-fetch
 //! stalls, and the engine's [`FetchStats`] reproduce the original run
 //! bit-identically (see the `trace_replay` integration tests).
+//!
+//! [`ReplayHarness::replay`] (and [`ReplayHarness::run`]) apply repeating
+//! loop iterations in one step, through the marks of [`crate::repeat`]
+//! that the processor's cycle loop uses too. After each prepare-to-branch
+//! step the harness describes its timing state: memory system and engine,
+//! the kinds of the queued data operations, the count of unsent store
+//! data, the front request's tag relative to the tag counter, and the
+//! pending resolution relative to the cycle. When that key equals the
+//! one from the same branch one iteration earlier, the harness reads the
+//! next iteration's steps ahead; while they match the recorded iteration
+//! in every field timing reads — fetch address, waits, resolution and op
+//! kinds, where a store's kind includes its FPU-window offset — it adds
+//! the iteration's deltas and shifts memory, engine, front tag and
+//! pending resolution on in one step. Other steps go through
+//! [`step_instruction`](ReplayHarness::step_instruction), the ticked
+//! primitive. Data addresses and store values are not compared: without
+//! an external cache they do not affect timing, and with one the memory
+//! system cannot describe its state, so the skip is off.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
+use pipe_mem::system::FPU_BASE;
 use pipe_mem::{BeatSource, MemRequest, MemorySystem, ReqClass};
 
 use crate::engine::FetchEngine;
+use crate::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
 use crate::stats::FetchStats;
+
+/// A data queue deeper than this is not compared for repeats. Replay is
+/// open loop, so with a small cache the queue can grow for the whole run
+/// (to about 18k entries at 512 bytes and Figure 5b timing); a key that
+/// long would cost more to build than ticking saves.
+const MAX_REPEAT_QUEUE: usize = 64;
 
 /// A data-side memory operation replayed alongside the instruction
 /// stream. Mirrors the processor's three queue-push events.
@@ -158,6 +184,208 @@ enum PendingOp {
     Store { addr: u32 },
 }
 
+impl PendingOp {
+    /// What timing reads of the operation (see [`op_kind`]).
+    fn kind(self) -> u64 {
+        match self {
+            PendingOp::Load { .. } => 1,
+            PendingOp::Store { addr } => store_kind(addr),
+        }
+    }
+}
+
+/// What timing reads of a data operation: its kind and, for a store, the
+/// [`store_kind`]. A nonzero number below 64.
+fn op_kind(op: &ReplayOp) -> u64 {
+    match *op {
+        ReplayOp::Load { .. } => 1,
+        ReplayOp::StoreData { .. } => 2,
+        ReplayOp::StoreAddr { addr } => store_kind(addr),
+    }
+}
+
+/// What timing reads of a store address: whether it falls in the FPU
+/// window and, if so, the offset that selects the FPU's action.
+fn store_kind(addr: u32) -> u64 {
+    match addr.wrapping_sub(FPU_BASE) {
+        offset @ 0..=0x1F => 4 + u64::from(offset),
+        _ => 3,
+    }
+}
+
+/// The fields of a step that timing reads, as the loop marks log them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepTiming {
+    addr: Option<u32>,
+    waits: u32,
+    resolve: Option<ReplayBranch>,
+    /// The op kinds, six bits each, or [`StepTiming::WIDE`].
+    ops: u64,
+}
+
+impl StepTiming {
+    /// `ops` of a step with more ops than fit: it never matches.
+    const WIDE: u64 = u64::MAX;
+
+    fn of(step: &ReplayStep) -> StepTiming {
+        let ops = if step.ops.len() > 10 {
+            StepTiming::WIDE
+        } else {
+            step.ops.iter().fold(0, |acc, op| acc << 6 | op_kind(op))
+        };
+        StepTiming {
+            addr: step.addr,
+            waits: step.waits,
+            resolve: step.resolve,
+            ops,
+        }
+    }
+
+    /// Whether `step` would take the course this logged step took.
+    fn matches(&self, step: &ReplayStep) -> bool {
+        self.ops != StepTiming::WIDE && *self == StepTiming::of(step)
+    }
+}
+
+/// The harness's own statistics.
+#[derive(Debug, Clone, Default)]
+struct Counts {
+    instructions: u64,
+    ifetch_stalls: u64,
+    wait_cycles: u64,
+}
+
+impl Counters for Counts {
+    fn since(&self, earlier: &Counts) -> Counts {
+        Counts {
+            instructions: self.instructions - earlier.instructions,
+            ifetch_stalls: self.ifetch_stalls - earlier.ifetch_stalls,
+            wait_cycles: self.wait_cycles - earlier.wait_cycles,
+        }
+    }
+
+    fn add(&mut self, delta: &Counts) {
+        self.instructions += delta.instructions;
+        self.ifetch_stalls += delta.ifetch_stalls;
+        self.wait_cycles += delta.wait_cycles;
+    }
+}
+
+/// Steps read from the schedule but not yet replayed, in reused slots.
+#[derive(Debug)]
+struct Lookahead<E> {
+    /// `steps[start..end]` are the steps read ahead.
+    steps: Vec<ReplayStep>,
+    start: usize,
+    end: usize,
+    /// The schedule ended after `steps[..end]`.
+    ended: bool,
+    /// Reading the step after `steps[..end]` failed.
+    error: Option<E>,
+}
+
+impl<E> Lookahead<E> {
+    fn new() -> Lookahead<E> {
+        Lookahead {
+            steps: Vec::new(),
+            start: 0,
+            end: 0,
+            ended: false,
+            error: None,
+        }
+    }
+
+    /// Reads until `n` steps are ahead, or the schedule ends or fails
+    /// first, and returns the first `n` steps ahead (fewer if it did).
+    fn fill<F>(&mut self, n: usize, next: &mut F) -> &[ReplayStep]
+    where
+        F: FnMut(&mut ReplayStep) -> Result<bool, E>,
+    {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        while self.end - self.start < n && !self.ended && self.error.is_none() {
+            if self.end == self.steps.len() {
+                if self.start > 0 {
+                    // Move the steps ahead to the front, and the replayed
+                    // slots behind them for reuse.
+                    self.steps.rotate_left(self.start);
+                    self.end -= self.start;
+                    self.start = 0;
+                    continue;
+                }
+                self.steps.push(ReplayStep::default());
+            }
+            match next(&mut self.steps[self.end]) {
+                Ok(true) => self.end += 1,
+                Ok(false) => self.ended = true,
+                Err(e) => self.error = Some(e),
+            }
+        }
+        &self.steps[self.start..self.end.min(self.start + n)]
+    }
+}
+
+/// The harness, its look-ahead and its schedule, as the loop marks drive
+/// them.
+struct Repeating<'a, E, F> {
+    harness: &'a mut ReplayHarness,
+    ahead: &'a mut Lookahead<E>,
+    next: &'a mut F,
+}
+
+impl<E, F> Machine for Repeating<'_, E, F>
+where
+    F: FnMut(&mut ReplayStep) -> Result<bool, E>,
+{
+    type Event = StepTiming;
+    type Counters = Counts;
+
+    fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
+        self.harness.describe_timing(key)
+    }
+
+    fn state(&self) -> State<'_, Counts> {
+        let h = &*self.harness;
+        State {
+            cycle: h.cycle,
+            counters: &h.counts,
+            fetch: h.engine.stats(),
+            mem: &h.mem,
+        }
+    }
+
+    fn apply_repeats(
+        &mut self,
+        iteration: &Iteration<Counts>,
+        events: &[StepTiming],
+        _: &mut RepeatCounts,
+    ) -> u64 {
+        let n = events.len();
+        let mut applied = 0;
+        // An iteration holds at least the branch step that closes it.
+        if n == 0 {
+            return 0;
+        }
+        loop {
+            let ahead = self.ahead.fill(n, self.next);
+            if ahead.len() < n || !events.iter().zip(ahead).all(|(e, s)| e.matches(s)) {
+                return applied;
+            }
+            let h = &mut *self.harness;
+            iteration.shift(&mut h.cycle, &mut h.counts, &mut h.mem, &mut *h.engine);
+            if let Some((due, _)) = &mut h.pending_resolve {
+                *due += iteration.cycles;
+            }
+            if let Some(tag) = &mut h.data_front_tag {
+                *tag += iteration.tags;
+            }
+            self.ahead.start += n;
+            applied += 1;
+        }
+    }
+}
+
 /// Drives a [`FetchEngine`] and [`MemorySystem`] through a replay
 /// schedule, one [`ReplayStep`] at a time.
 ///
@@ -176,12 +404,12 @@ pub struct ReplayHarness {
     data_front_tag: Option<u64>,
     pending_resolve: Option<(u64, ReplayBranch)>,
     cycle: u64,
-    instructions: u64,
-    ifetch_stalls: u64,
-    wait_cycles: u64,
+    counts: Counts,
     /// Cycles to wait for one instruction before declaring the replay
     /// stuck.
     progress_limit: u64,
+    /// What the loop-iteration skip did in [`replay`](Self::replay).
+    repeats: RepeatCounts,
 }
 
 impl ReplayHarness {
@@ -195,10 +423,9 @@ impl ReplayHarness {
             data_front_tag: None,
             pending_resolve: None,
             cycle: 0,
-            instructions: 0,
-            ifetch_stalls: 0,
-            wait_cycles: 0,
+            counts: Counts::default(),
             progress_limit: 1_000_000,
+            repeats: RepeatCounts::default(),
         }
     }
 
@@ -271,24 +498,24 @@ impl ReplayHarness {
             if self.cycle >= deadline {
                 return Err(ReplayError::Stuck {
                     cycle: self.cycle,
-                    instructions: self.instructions,
+                    instructions: self.counts.instructions,
                 });
             }
             self.begin_cycle();
             self.apply_resolve_if_due();
             if self.engine.peek().is_none() {
-                self.ifetch_stalls += 1;
+                self.counts.ifetch_stalls += 1;
                 self.cycle += 1;
                 continue;
             }
             if waits_left > 0 {
                 waits_left -= 1;
-                self.wait_cycles += 1;
+                self.counts.wait_cycles += 1;
                 self.cycle += 1;
                 continue;
             }
             self.engine.consume();
-            self.instructions += 1;
+            self.counts.instructions += 1;
             for op in &step.ops {
                 match *op {
                     ReplayOp::Load { addr } => self.data_q.push_back(PendingOp::Load { addr }),
@@ -320,7 +547,7 @@ impl ReplayHarness {
             if self.cycle >= deadline {
                 return Err(ReplayError::Stuck {
                     cycle: self.cycle,
-                    instructions: self.instructions,
+                    instructions: self.counts.instructions,
                 });
             }
             self.begin_cycle();
@@ -330,7 +557,50 @@ impl ReplayHarness {
         Ok(())
     }
 
-    /// Replays a whole schedule and drains.
+    /// Replays a schedule read one step at a time by `next`, which fills
+    /// in the step it is given and returns `Ok(false)` at the end,
+    /// applying repeating loop iterations in one step (see the
+    /// [module docs](self)). The statistics equal those of calling
+    /// [`step_instruction`](Self::step_instruction) on every step. Call
+    /// [`drain`](Self::drain) afterwards.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `next`, or [`ReplayError::Stuck`] from a step,
+    /// whichever a step-by-step replay would meet first.
+    pub fn replay<E, F>(&mut self, mut next: F) -> Result<(), E>
+    where
+        E: From<ReplayError>,
+        F: FnMut(&mut ReplayStep) -> Result<bool, E>,
+    {
+        let mut ahead = Lookahead::new();
+        let mut marks = LoopMarks::default();
+        let mut skip = true;
+        loop {
+            if ahead.fill(1, &mut next).is_empty() {
+                self.repeats = marks.counts();
+                return ahead.error.map_or(Ok(()), Err);
+            }
+            let step = &ahead.steps[ahead.start];
+            ahead.start += 1;
+            self.step_instruction(step)?;
+            if !skip {
+                continue;
+            }
+            marks.log(StepTiming::of(step));
+            if let (Some(_), Some(at)) = (step.resolve, step.addr) {
+                let mut machine = Repeating {
+                    harness: self,
+                    ahead: &mut ahead,
+                    next: &mut next,
+                };
+                skip = marks.after_pbr(at, &mut machine);
+            }
+        }
+    }
+
+    /// Replays a whole schedule through [`replay`](Self::replay) and
+    /// drains.
     ///
     /// # Errors
     ///
@@ -339,20 +609,61 @@ impl ReplayHarness {
     where
         I: IntoIterator<Item = ReplayStep>,
     {
-        for step in schedule {
-            self.step_instruction(&step)?;
-        }
+        let mut schedule = schedule.into_iter();
+        self.replay(|step| {
+            Ok::<_, ReplayError>(match schedule.next() {
+                Some(next) => {
+                    *step = next;
+                    true
+                }
+                None => false,
+            })
+        })?;
         self.drain()?;
         Ok(self.stats())
+    }
+
+    /// What the loop-iteration skip did in [`replay`](Self::replay).
+    pub fn repeats(&self) -> RepeatCounts {
+        self.repeats
+    }
+
+    /// Appends the timing state to `key` (see the [module docs](self)).
+    fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
+        if self.data_q.len() > MAX_REPEAT_QUEUE {
+            return Timing::Unsettled;
+        }
+        let next_tag = self.mem.next_tag();
+        key.extend([
+            self.sdq as u64,
+            self.data_front_tag.map_or(0, |t| next_tag - t),
+        ]);
+        match self.pending_resolve {
+            Some((due, r)) => key.extend([
+                1,
+                due.wrapping_sub(self.cycle),
+                u64::from(r.taken),
+                u64::from(r.remaining),
+                u64::from(r.target),
+            ]),
+            None => key.push(0),
+        }
+        key.push(self.data_q.len() as u64);
+        key.extend(self.data_q.iter().map(|op| op.kind()));
+        if self.mem.describe_timing(key) && self.engine.describe_timing(key, next_tag) {
+            Timing::Described
+        } else {
+            Timing::Opaque
+        }
     }
 
     /// The results accumulated so far.
     pub fn stats(&self) -> ReplayStats {
         ReplayStats {
             cycles: self.cycle,
-            instructions: self.instructions,
-            ifetch_stalls: self.ifetch_stalls,
-            wait_cycles: self.wait_cycles,
+            instructions: self.counts.instructions,
+            ifetch_stalls: self.counts.ifetch_stalls,
+            wait_cycles: self.counts.wait_cycles,
             fetch: self.engine.stats().clone(),
         }
     }
@@ -363,7 +674,7 @@ impl fmt::Debug for ReplayHarness {
         f.debug_struct("ReplayHarness")
             .field("engine", &self.engine.name())
             .field("cycle", &self.cycle)
-            .field("instructions", &self.instructions)
+            .field("instructions", &self.counts.instructions)
             .finish()
     }
 }

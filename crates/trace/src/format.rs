@@ -339,18 +339,23 @@ impl Codec {
         Ok(addr)
     }
 
-    /// Decodes one step from `buf` at `*pos`.
+    /// Decodes one step from `buf` at `*pos` into `step`, reusing the
+    /// capacity of its `ops`.
     pub(crate) fn decode_step(
         &mut self,
         buf: &[u8],
         pos: &mut usize,
-    ) -> Result<ReplayStep, TraceError> {
+        step: &mut ReplayStep,
+    ) -> Result<(), TraceError> {
         let flags = *buf.get(*pos).ok_or(TraceError::Malformed("step flags"))?;
         *pos += 1;
         if flags & !(FLAG_ADDR | FLAG_GAP | FLAG_OPS | FLAG_RESOLVE | FLAG_TAKEN) != 0 {
             return Err(TraceError::Malformed("unknown step flags"));
         }
-        let mut step = ReplayStep::default();
+        step.addr = None;
+        step.waits = 0;
+        step.ops.clear();
+        step.resolve = None;
         if flags & FLAG_ADDR != 0 {
             let raw = varint::read_u64(buf, pos).ok_or(TraceError::Malformed("step address"))?;
             let predicted = self.prev_addr.wrapping_add(4);
@@ -403,7 +408,7 @@ impl Codec {
                     .map_err(|_| TraceError::Malformed("resolve target"))?,
             });
         }
-        Ok(step)
+        Ok(())
     }
 }
 
@@ -443,8 +448,10 @@ mod tests {
         }
         let mut dec = Codec::default();
         let mut pos = 0;
+        // One step decoded into over and over, as the reader does.
+        let mut got = ReplayStep::default();
         for want in &steps {
-            let got = dec.decode_step(&buf, &mut pos).expect("decodes");
+            dec.decode_step(&buf, &mut pos, &mut got).expect("decodes");
             assert_eq!(&got, want);
         }
         assert_eq!(pos, buf.len());
@@ -466,7 +473,7 @@ mod tests {
         let mut pos = 0;
         let buf = [0x80u8]; // unknown flag bit
         assert!(matches!(
-            dec.decode_step(&buf, &mut pos),
+            dec.decode_step(&buf, &mut pos, &mut ReplayStep::default()),
             Err(TraceError::Malformed(_))
         ));
     }

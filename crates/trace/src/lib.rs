@@ -20,10 +20,12 @@
 //!   records fetch addresses, non-fetch stall gaps, data-side memory
 //!   operations, and branch/PBR resolutions from a live simulation.
 //! * **Replay** ([`replay_trace`]) — feeds recorded traces through
-//!   `pipe_icache::ReplayHarness`. Replaying a trace under its recorded
-//!   engine and memory configuration reproduces the original run's
-//!   fetch-stall cycle count bit-identically; replaying under a
-//!   different front-end is the subsystem's purpose.
+//!   `pipe_icache::ReplayHarness`, which applies repeating loop
+//!   iterations in one step and equals a step-by-step replay. Replaying
+//!   a trace under its recorded engine and memory configuration
+//!   reproduces the original run's fetch-stall cycle count
+//!   bit-identically; replaying under a different front-end is the
+//!   subsystem's purpose.
 //!
 //! No figure, claim check or study reads a trace: every paper result is
 //! execution-driven through `Processor::run`. The library is driven from

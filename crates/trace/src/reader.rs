@@ -91,42 +91,48 @@ impl<R: Read> TraceReader<R> {
     /// `Some(Err(..))` the reader yields `None` forever.
     #[allow(clippy::should_implement_trait)] // Iterator is also implemented, delegating here
     pub fn next_step(&mut self) -> Option<Result<ReplayStep, TraceError>> {
+        let mut step = ReplayStep::default();
+        match self.read_step(&mut step) {
+            Ok(true) => Some(Ok(step)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Reads the next step into `step`, reusing the capacity of its
+    /// `ops`, and returns `Ok(false)` at the end of the trace. After any
+    /// error the reader returns `Ok(false)` forever.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, [`TraceError::CorruptBlock`], [`TraceError::Truncated`]
+    /// and [`TraceError::Malformed`] blocks and records.
+    pub fn read_step(&mut self, step: &mut ReplayStep) -> Result<bool, TraceError> {
         if self.finished {
-            return None;
+            return Ok(false);
         }
         while self.pos == self.block.len() {
-            match read_block(&mut self.input, &mut self.blocks_read) {
-                Ok((MARKER_BLOCK, payload)) => {
+            let block = read_block(&mut self.input, &mut self.blocks_read);
+            let (marker, payload) = block.inspect_err(|_| self.finished = true)?;
+            match marker {
+                MARKER_BLOCK => {
                     self.block = payload;
                     self.pos = 0;
                 }
-                Ok((MARKER_END, payload)) => {
+                MARKER_END => {
                     self.finished = true;
-                    return match decode_summary(&payload) {
-                        Ok(s) => {
-                            self.summary = Some(s);
-                            None
-                        }
-                        Err(e) => Some(Err(e)),
-                    };
+                    self.summary = Some(decode_summary(&payload)?);
+                    return Ok(false);
                 }
-                Ok(_) => {
+                _ => {
                     self.finished = true;
-                    return Some(Err(TraceError::Malformed("unexpected block marker")));
-                }
-                Err(e) => {
-                    self.finished = true;
-                    return Some(Err(e));
+                    return Err(TraceError::Malformed("unexpected block marker"));
                 }
             }
         }
-        match self.codec.decode_step(&self.block, &mut self.pos) {
-            Ok(step) => Some(Ok(step)),
-            Err(e) => {
-                self.finished = true;
-                Some(Err(e))
-            }
-        }
+        let decoded = self.codec.decode_step(&self.block, &mut self.pos, step);
+        decoded.inspect_err(|_| self.finished = true)?;
+        Ok(true)
     }
 }
 

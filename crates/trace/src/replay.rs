@@ -7,6 +7,7 @@ use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
+use pipe_icache::repeat::RepeatCounts;
 use pipe_icache::{ConfigError, FetchConfig, ReplayHarness, ReplayStats};
 use pipe_isa::Program;
 use pipe_mem::{MemConfig, MemorySystem};
@@ -82,6 +83,8 @@ impl From<ConfigError> for ReplayTraceError {
 pub struct ReplayOutcome {
     /// Fetch-side statistics of the replay.
     pub stats: ReplayStats,
+    /// What the loop-iteration skip did.
+    pub repeats: RepeatCounts,
     /// The totals recorded at capture time, for determinism checks.
     pub recorded: Option<TraceSummary>,
     /// The trace's metadata.
@@ -105,9 +108,13 @@ impl ReplayOutcome {
 }
 
 /// Replays every step of `reader` through a fetch engine built from
-/// `fetch` over `program`, against a fresh memory system from `mem`.
+/// `fetch` over `program`, against a fresh memory system from `mem`,
+/// applying repeating loop iterations in one step
+/// ([`ReplayHarness::replay`]); the statistics equal those of a
+/// step-by-step replay.
 ///
-/// Streams: only one trace block is in memory at a time.
+/// Streams: only one trace block and one loop iteration's steps are in
+/// memory at a time.
 ///
 /// # Errors
 ///
@@ -128,12 +135,11 @@ pub fn replay_trace<R: Read>(
     }
     let engine = fetch.build(program)?;
     let mut harness = ReplayHarness::new(engine, MemorySystem::new(*mem));
-    while let Some(step) = reader.next_step() {
-        harness.step_instruction(&step?)?;
-    }
+    harness.replay(|step| reader.read_step(step).map_err(ReplayTraceError::Trace))?;
     harness.drain()?;
     Ok(ReplayOutcome {
         stats: harness.stats(),
+        repeats: harness.repeats(),
         recorded: reader.summary().copied(),
         meta: reader.meta().clone(),
     })

@@ -1,6 +1,7 @@
 //! Record one Livermore run as a binary trace, then replay the identical
 //! instruction stream through three fetch engines — the trace subsystem's
-//! "capture once, evaluate many" workflow.
+//! "capture once, evaluate many" workflow — and once more through the
+//! recorded engine, which must reproduce the recorded run exactly.
 //!
 //! ```sh
 //! cargo run --release --example trace_replay [scale]
@@ -89,9 +90,18 @@ fn main() {
             s.fetch.bytes_requested
         );
     }
+
+    // --- replay under the recorded engine: the recorded run, bit for bit ---
+    let reader = TraceReader::new(Cursor::new(bytes)).expect("trace decodes");
+    let outcome =
+        replay_trace(reader, &program, &config.fetch, &config.mem).expect("trace replays");
+    assert!(
+        outcome.matches_recording(),
+        "a replay under the recorded engine must reproduce the recorded run"
+    );
     println!(
-        "\n(the recorded run used `{}` and took {} cycles; a replay under \
-         that engine reproduces it bit for bit)",
-        meta.fetch_key, summary.cycles
+        "\nreplayed under the recorded engine (`{}`): {} cycles, {} ifetch stalls, \
+         equal to the recorded run",
+        meta.fetch_key, outcome.stats.cycles, outcome.stats.ifetch_stalls
     );
 }

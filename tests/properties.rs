@@ -6,6 +6,8 @@
 //! no registry dependencies and every failure is reproducible from the
 //! fixed seeds below.
 
+mod common;
+
 use pipe_repro::core::{FetchStrategy, Processor, SimConfig};
 use pipe_repro::icache::{CacheConfig, InstructionCache, PipeFetchConfig};
 use pipe_repro::isa::{
@@ -891,4 +893,60 @@ fn loop_skip_matches_ticking_on_random_kernels() {
         }
     }
     assert!(timeouts > 0, "the small budgets must exercise timeouts");
+}
+
+/// Trace replay applies repeating loop iterations in one step; a
+/// step-by-step replay never does. Random kernels recorded once replay
+/// through every engine at random access times, bus widths and
+/// pipelining, half of the time with random steps given extra waits (so
+/// look-ahead iterations diverge), and the two replays must agree on
+/// every statistic, or on the error.
+#[test]
+fn loop_skip_replay_matches_ticked_replay_on_random_kernels() {
+    use pipe_repro::icache::ReplayHarness;
+
+    let mut rng = Rng::new(0x1520);
+    let mut applied = 0;
+    for trial in 0..10 {
+        let groups = rng.range_u32(1, 6);
+        let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(&mut rng)).collect();
+        let cost: u32 = ops.iter().map(|o| o.cost()).sum();
+        let pads = rng.range_u32(3, 8);
+        let trips = rng.range_u32(20, 60);
+        let kernel = Kernel {
+            index: 95,
+            name: "replay-parity",
+            ops,
+            target_instructions: cost + 3 + pads,
+        };
+        let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+            .expect("balanced groups satisfy the discipline");
+        let program = with_stream_data(program, trips);
+        let steps = common::steps(&common::record(&program, &SimConfig::default()).0);
+        for fetch in every_engine(&mut rng) {
+            for _ in 0..3 {
+                let mem = MemConfig {
+                    access_cycles: rng.range_u32(1, 9),
+                    pipelined: rng.bool(),
+                    in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                    ..MemConfig::default()
+                };
+                let mut schedule = steps.clone();
+                if rng.bool() {
+                    for step in &mut schedule {
+                        if rng.below(40) == 0 {
+                            step.waits += rng.range_u32(1, 4);
+                        }
+                    }
+                }
+                let engine = fetch.build(&program).expect("engine builds");
+                let mut harness = ReplayHarness::new(engine, MemorySystem::new(mem));
+                let skipped = harness.run(schedule.clone());
+                applied += harness.repeats().iterations;
+                let ticked = common::replay_ticked(schedule, &program, &fetch, &mem);
+                assert_eq!(skipped, ticked, "trial {trial}: {fetch} at {mem:?}");
+            }
+        }
+    }
+    assert!(applied > 0, "the skip never fired");
 }

@@ -4,40 +4,21 @@
 //! the fetch-side results bit for bit, and damaged or mismatched traces
 //! must fail with typed errors rather than panics.
 
-use std::cell::RefCell;
+mod common;
+
 use std::io::Cursor;
-use std::rc::Rc;
 
-use pipe_core::{Processor, SimConfig, SimStats};
-use pipe_icache::{EngineBuilder, FetchKind};
+use common::{record, replay_ticked, steps};
+use pipe_core::SimConfig;
+use pipe_experiments::{figure_mem, StrategyKind, SweepSpec};
+use pipe_icache::repeat::MAX_ITERATION_EVENTS;
+use pipe_icache::{EngineBuilder, FetchKind, PrefetchPolicy, ReplayHarness, ReplayOp, ReplayStep};
 use pipe_isa::{Assembler, InstrFormat, Program};
+use pipe_mem::system::FPU_BASE;
+use pipe_mem::MemorySystem;
 use pipe_trace::{
-    crc32::crc32, program_fnv, replay_trace, varint, ReplayTraceError, TraceError, TraceMeta,
-    TraceReader, TraceRecorder, TraceSummary,
+    crc32::crc32, program_fnv, replay_trace, varint, ReplayTraceError, TraceError, TraceReader,
 };
-
-/// Records `program` running under `config` into an in-memory trace.
-fn record(program: &Program, config: &SimConfig) -> (Vec<u8>, SimStats, TraceSummary) {
-    let meta = TraceMeta {
-        workload: "test:acceptance".into(),
-        program_fnv: program_fnv(program),
-        entry_pc: program.entry(),
-        fetch_key: config.fetch.cache_key(),
-        mem_key: pipe_experiments::mem_key(&config.mem),
-    };
-    let recorder = Rc::new(RefCell::new(
-        TraceRecorder::new(Vec::new(), &meta).expect("trace header writes"),
-    ));
-    let proc = Processor::new(program, config).expect("processor builds");
-    let mut proc = proc.with_trace(Rc::clone(&recorder));
-    proc.run().expect("program runs to halt");
-    let stats = proc.stats().clone();
-    let (bytes, summary) = recorder
-        .borrow_mut()
-        .finish(stats.cycles)
-        .expect("trace finishes");
-    (bytes, stats, summary)
-}
 
 fn scaled_livermore(scale: u32) -> Program {
     pipe_experiments::WorkloadSpec::Livermore {
@@ -269,5 +250,137 @@ fn wrong_program_is_a_typed_mismatch() {
             assert_eq!(got, program_fnv(&other));
         }
         other => panic!("expected ProgramMismatch, got {other:?}"),
+    }
+}
+
+/// A scaled Livermore run recorded the way perfbench records it: PIPE
+/// 16-16 with a 128-byte cache at Figure 5b's memory timing.
+fn recorded_livermore(scale: u32) -> (Program, Vec<u8>) {
+    let program = scaled_livermore(scale);
+    let config = SimConfig {
+        fetch: StrategyKind::Pipe16x16
+            .fetch_for(128, PrefetchPolicy::TruePrefetch)
+            .expect("16-16 fits a 128-byte cache"),
+        mem: figure_mem("5b").0,
+        ..SimConfig::default()
+    };
+    let (bytes, _, _) = record(&program, &config);
+    (program, bytes)
+}
+
+/// `replay_trace` applies repeating loop iterations in one step. On
+/// every point of Figures 4a and 5b it must equal the step-by-step
+/// replay in every statistic, and apply most of the cycles.
+#[test]
+fn loop_skip_replay_equals_ticked_replay_on_figure_points() {
+    let (program, bytes) = recorded_livermore(10);
+    for id in ["4a", "5b"] {
+        let spec = SweepSpec::figure(id);
+        let (mut applied, mut total) = (0, 0);
+        for job in spec.expand() {
+            let reader = TraceReader::new(&bytes[..]).expect("trace decodes");
+            let outcome = replay_trace(reader, &program, &job.fetch, &spec.mem).expect("replays");
+            let ticked =
+                replay_ticked(steps(&bytes), &program, &job.fetch, &spec.mem).expect("replays");
+            assert_eq!(
+                outcome.stats,
+                ticked,
+                "fig{id}, {} at {} B",
+                job.kind.label(),
+                job.cache_bytes
+            );
+            applied += outcome.repeats.cycles;
+            total += outcome.stats.cycles;
+        }
+        assert!(
+            applied * 3 > total * 2,
+            "fig{id}: {applied} of {total} cycles applied"
+        );
+    }
+}
+
+/// Replay is open loop, so at Figure 5b's timing a 512-byte conventional
+/// cache lets the data queue run away. The skip then stops comparing
+/// states, and the step log must stay within its bound all the same.
+#[test]
+fn runaway_data_queue_keeps_the_step_log_bounded() {
+    let (program, bytes) = recorded_livermore(10);
+    let fetch = StrategyKind::Conventional
+        .fetch_for(512, PrefetchPolicy::TruePrefetch)
+        .expect("conventional fits 512 bytes");
+    let mem = figure_mem("5b").0;
+    let reader = TraceReader::new(&bytes[..]).expect("trace decodes");
+    let outcome = replay_trace(reader, &program, &fetch, &mem).expect("replays");
+    let repeats = outcome.repeats;
+    assert!(repeats.unsettled > 0, "{repeats:?}");
+    assert!(
+        repeats.longest_log <= 2 * MAX_ITERATION_EVENTS,
+        "{repeats:?}"
+    );
+    let ticked = replay_ticked(steps(&bytes), &program, &fetch, &mem).expect("replays");
+    assert_eq!(outcome.stats, ticked);
+}
+
+/// A loop that stores to data memory on every iteration.
+const STORE_LOOP: &str = "
+    lim  r1, 60
+    lim  r3, 0x100
+    lbr  b0, top
+top:
+    sta  r3, 4
+    or   r7, r1, r1
+    subi r1, r1, 1
+    pbr.nez b0, r1, 0
+    halt
+";
+
+/// The skip fires on a repeating schedule, and iterations that differ
+/// from the ones before them in a field timing reads are ticked, not
+/// applied: one more wait in a single step, or stores that become FPU
+/// operations. The replay still equals ticking.
+#[test]
+fn an_iteration_that_differs_in_timing_is_ticked() {
+    let program = Assembler::new(InstrFormat::Fixed32)
+        .assemble(STORE_LOOP)
+        .expect("loop assembles");
+    let config = SimConfig {
+        fetch: EngineBuilder::new(FetchKind::Conventional)
+            .cache_bytes(16)
+            .line_bytes(16)
+            .config()
+            .expect("valid geometry"),
+        mem: figure_mem("4a").0,
+        ..SimConfig::default()
+    };
+    let steps = steps(&record(&program, &config).0);
+    let replay = |schedule: &[ReplayStep]| {
+        let engine = config.fetch.build(&program).expect("engine builds");
+        let mut harness = ReplayHarness::new(engine, MemorySystem::new(config.mem));
+        let stats = harness.run(schedule.to_vec()).expect("replays");
+        let ticked = replay_ticked(schedule.to_vec(), &program, &config.fetch, &config.mem);
+        assert_eq!(Ok(&stats), ticked.as_ref());
+        (stats, harness.repeats())
+    };
+    let (plain, plain_repeats) = replay(&steps);
+    assert!(plain_repeats.iterations > 40, "{plain_repeats:?}");
+
+    let branches: Vec<usize> = (0..steps.len())
+        .filter(|&i| steps[i].resolve.is_some())
+        .collect();
+    // One more wait in the first step of the 31st iteration.
+    let mut waits = steps.clone();
+    waits[branches[30] + 1].waits += 1;
+    // From the 31st iteration on, every store starts an FPU multiply.
+    let mut fpu = steps.clone();
+    for op in fpu[branches[30]..].iter_mut().flat_map(|s| &mut s.ops) {
+        if let ReplayOp::StoreAddr { addr } = op {
+            *addr = FPU_BASE + 4;
+        }
+    }
+    for changed in [waits, fpu] {
+        let (stats, repeats) = replay(&changed);
+        assert_ne!(stats, plain, "the change must alter timing");
+        assert!(repeats.iterations > 0, "{repeats:?}");
+        assert!(repeats.iterations < plain_repeats.iterations, "{repeats:?}");
     }
 }
