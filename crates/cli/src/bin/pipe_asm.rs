@@ -32,13 +32,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(out) = &opts.output {
-        if let Err(e) = std::fs::write(out, pipe_isa::write_program(&program)) {
-            eprintln!("pipe-asm: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("; wrote {out}");
-    }
     if opts.hex {
         print!("{}", hex_dump(&program));
     } else {

@@ -2,21 +2,24 @@
 //!
 //! Command-line front ends for the PIPE simulator:
 //!
-//! * **`pipe-sim`** — assemble a PIPE program and run it on a configurable
-//!   processor (fetch strategy, cache geometry, memory timing), printing
-//!   statistics and optionally a cycle trace.
+//! * **`pipe-sim`** — assemble a PIPE program from its source and run it on
+//!   a configurable processor (fetch strategy, cache geometry, memory
+//!   timing), printing statistics and optionally a cycle trace.
 //! * **`pipe-asm`** — assemble a program and print its disassembly or
 //!   parcel hex dump.
 //!
 //! Argument parsing lives here so it can be unit tested; the binaries are
-//! thin wrappers.
+//! thin wrappers. The fetch flags map straight onto a `FetchConfig`
+//! variant, which validates the geometry.
 
 pub mod json;
 
 use std::str::FromStr;
 
 use pipe_core::{FetchStrategy, SimConfig};
-use pipe_icache::{ConvPrefetch, EngineBuilder, FetchKind};
+use pipe_icache::{
+    BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig, TibConfig,
+};
 use pipe_isa::InstrFormat;
 use pipe_mem::{MemConfig, PriorityPolicy};
 
@@ -25,8 +28,7 @@ pub use json::stats_json;
 /// Options for `pipe-sim`, parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
-    /// Path to the assembly source (`-` for stdin), or `None` for
-    /// `--livermore`.
+    /// Path to the assembly source, or `None` for `--livermore`.
     pub input: Option<String>,
     /// Run the built-in Livermore benchmark instead of a file.
     pub livermore: bool,
@@ -150,23 +152,34 @@ impl EngineFlags {
         Ok(true)
     }
 
-    /// Builds and validates the fetch configuration.
+    /// Builds and validates the fetch configuration. PIPE queues default
+    /// to the line size, cache sub-blocks are 4 bytes, the TIB splits the
+    /// cache budget into line-sized entries, and the buffer engine gets
+    /// `--iq` buffers (default 4) and a cache only when `--cache` is
+    /// nonzero.
     fn fetch(&self) -> Result<FetchStrategy, String> {
-        let kind = FetchKind::parse(&self.fetch_kind)
-            .ok_or_else(|| format!("--fetch: unknown strategy `{}`", self.fetch_kind))?;
-        let mut builder = EngineBuilder::new(kind)
-            .cache_bytes(self.cache)
-            .line_bytes(self.line)
-            .prefetch(self.prefetch)
-            .buffers(self.iq.unwrap_or(4))
-            .buffer_cache(self.cache > 0);
-        if let Some(iq) = self.iq {
-            builder = builder.iq_bytes(iq);
-        }
-        if let Some(iqb) = self.iqb {
-            builder = builder.iqb_bytes(iqb);
-        }
-        builder.config().map_err(|e| e.to_string())
+        let cache = CacheConfig::new(self.cache, self.line);
+        let fetch = match self.fetch_kind.as_str() {
+            "perfect" => FetchStrategy::Perfect,
+            "conventional" => FetchStrategy::Conventional(ConventionalConfig {
+                cache,
+                prefetch: self.prefetch,
+            }),
+            "pipe" => FetchStrategy::Pipe(PipeFetchConfig::table2(
+                self.cache,
+                self.line,
+                self.iq.unwrap_or(self.line),
+                self.iqb.unwrap_or(self.line),
+            )),
+            "tib" => FetchStrategy::Tib(TibConfig::with_budget(self.cache, self.line)),
+            "buffers" => FetchStrategy::Buffers(BufferConfig {
+                buffers: self.iq.unwrap_or(4),
+                cache: (self.cache > 0).then_some(cache),
+            }),
+            other => return Err(format!("--fetch: unknown strategy `{other}`")),
+        };
+        fetch.validate().map_err(|e| e.to_string())?;
+        Ok(fetch)
     }
 }
 
@@ -198,9 +211,7 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
             "--json" => json = true,
             "--compare" => compare = true,
             "--max-cycles" => max_cycles = parse_num("--max-cycles", it.next())?,
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!("unknown flag `{other}`"))
-            }
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             path => {
                 if input.is_some() {
                     return Err("more than one input file".into());
@@ -240,24 +251,26 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
 
 /// Runs `program` under every fetch strategy at the given base
 /// configuration and returns `(label, stats)` per strategy, in a fixed
-/// presentation order. Strategies whose geometry is invalid for the
-/// configured cache size are skipped.
+/// presentation order: perfect, conventional, PIPE (queues of one line),
+/// TIB and four cache-less prefetch buffers. The cache is at least one
+/// line; strategies whose geometry is still invalid are skipped.
 pub fn run_comparison(
     program: &pipe_isa::Program,
     base: &SimConfig,
     cache: u32,
     line: u32,
 ) -> Vec<(String, pipe_core::SimStats)> {
-    let strategies: Vec<FetchStrategy> = FetchKind::ALL
-        .iter()
-        .filter_map(|&kind| {
-            EngineBuilder::new(kind)
-                .cache_bytes(cache.max(line))
-                .line_bytes(line)
-                .config()
-                .ok()
-        })
-        .collect();
+    let size = cache.max(line);
+    let strategies = [
+        FetchStrategy::Perfect,
+        FetchStrategy::conventional(CacheConfig::new(size, line)),
+        FetchStrategy::Pipe(PipeFetchConfig::table2(size, line, line, line)),
+        FetchStrategy::Tib(TibConfig::with_budget(size, line)),
+        FetchStrategy::Buffers(BufferConfig {
+            buffers: 4,
+            cache: None,
+        }),
+    ];
     strategies
         .into_iter()
         .filter_map(|fetch| {
@@ -299,17 +312,14 @@ pub struct AsmOptions {
     pub format: InstrFormat,
     /// Print a hex dump of the parcels instead of a disassembly.
     pub hex: bool,
-    /// Write the assembled program to this binary file.
-    pub output: Option<String>,
 }
 
 /// The usage string for `pipe-asm`.
 pub const ASM_USAGE: &str = "\
-usage: pipe-asm <program.s> [--format fixed32|mixed] [--hex] [-o out.bin]
+usage: pipe-asm <program.s> [--format fixed32|mixed] [--hex]
 
 Assembles a PIPE program and prints its disassembly (default) or a parcel
-hex dump (--hex). With -o, also writes a binary image that pipe-sim can
-run directly.
+hex dump (--hex).
 ";
 
 /// Parses `pipe-asm` arguments.
@@ -321,15 +331,11 @@ pub fn parse_asm_args(args: &[String]) -> Result<AsmOptions, String> {
     let mut input = None;
     let mut format = InstrFormat::Fixed32;
     let mut hex = false;
-    let mut output = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--format" => format = parse_format(it.next())?,
             "--hex" => hex = true,
-            "-o" | "--output" => {
-                output = Some(it.next().ok_or("-o needs a file name")?.to_string());
-            }
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             path => {
                 if input.is_some() {
@@ -343,21 +349,16 @@ pub fn parse_asm_args(args: &[String]) -> Result<AsmOptions, String> {
         input: input.ok_or("no input program")?,
         format,
         hex,
-        output,
     })
 }
 
-/// Loads a program from `path`: the PIPE binary container if the file
-/// starts with its magic, assembly text otherwise.
+/// Loads and assembles the program source at `path`.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for I/O, assembly, or container errors.
+/// Returns a user-facing message for I/O, encoding, or assembly errors.
 pub fn load_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if bytes.starts_with(&pipe_isa::binfmt::MAGIC) {
-        return pipe_isa::read_program(&bytes).map_err(|e| format!("{path}: {e}"));
-    }
     let source = String::from_utf8(bytes).map_err(|_| format!("{path}: not UTF-8 assembly"))?;
     pipe_isa::Assembler::new(format)
         .assemble(&source)
@@ -430,6 +431,20 @@ mod tests {
     }
 
     #[test]
+    fn sim_fetch_names_select_their_engine() {
+        for name in ["perfect", "conventional", "pipe", "tib", "buffers"] {
+            let o = parse_sim_args(&args(&format!("p.s --fetch {name}"))).unwrap();
+            assert!(o.config.fetch.label().starts_with(name), "{name}");
+        }
+        // The TIB splits the cache budget into line-sized entries.
+        let o = parse_sim_args(&args("p.s --fetch tib --cache 64 --line 16")).unwrap();
+        assert_eq!(
+            o.config.fetch,
+            FetchStrategy::Tib(TibConfig::with_budget(64, 16))
+        );
+    }
+
+    #[test]
     fn sim_prefetch_modes() {
         let o = parse_sim_args(&args("p.s --fetch conventional --prefetch tagged")).unwrap();
         assert!(matches!(
@@ -460,6 +475,7 @@ mod tests {
         assert_eq!(o.format, InstrFormat::Mixed);
         assert!(o.hex);
         assert!(parse_asm_args(&args("--hex")).is_err());
+        assert!(parse_asm_args(&args("p.s -o p.bin")).is_err());
     }
 
     #[test]

@@ -65,10 +65,14 @@ fn sim_compare_lists_strategies() {
 
 #[test]
 fn sim_rejects_bad_flags_with_usage() {
-    let out = pipe_sim().arg("--bogus").output().expect("spawn");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("usage:"), "{stderr}");
+    // `-` is not stdin: it is an unknown flag like any other.
+    for flag in ["--bogus", "-"] {
+        let out = pipe_sim().arg(flag).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag}: {stderr}");
+    }
 }
 
 #[test]
@@ -126,51 +130,34 @@ fn asm_disassembles() {
 }
 
 #[test]
-fn asm_binary_roundtrips_through_sim() {
-    let src = write_temp("bin.s", PROGRAM);
-    let bin = std::env::temp_dir().join(format!("pipe-cli-test-{}.bin", std::process::id()));
-    let out = pipe_asm()
-        .args([src.to_str().unwrap(), "-o", bin.to_str().unwrap()])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+fn non_utf8_input_is_an_error_not_a_panic() {
+    // pipe-sim reads only assembly source, so bytes that look like a
+    // binary image are a load error like any other non-text file.
+    let path = std::env::temp_dir().join(format!("pipe-cli-test-{}-raw.bin", std::process::id()));
+    std::fs::write(&path, b"PIPE\x01\x00\x00\x00\xff\xff").unwrap();
+    let out = pipe_sim().arg(&path).output().expect("spawn");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        format!("pipe-sim: {}: not UTF-8 assembly", path.display()),
     );
-
-    let out = pipe_sim().arg(&bin).output().expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("instructions:  13"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
-fn misaligned_binary_is_an_error_not_a_panic() {
-    let src = write_temp("odd.s", PROGRAM);
-    let bin = std::env::temp_dir().join(format!("pipe-cli-test-{}-odd.bin", std::process::id()));
-    let out = pipe_asm()
-        .args([src.to_str().unwrap(), "-o", bin.to_str().unwrap()])
+fn queue_smaller_than_an_instruction_is_a_usage_error() {
+    // A 2-byte IQ can never hold a 4-byte instruction: it is rejected up
+    // front instead of running until the cycle limit.
+    let src = write_temp("tinyiq.s", PROGRAM);
+    let out = pipe_sim()
+        .args([src.to_str().unwrap(), "--fetch", "pipe", "--iq", "2"])
         .output()
         .expect("spawn");
-    assert!(out.status.success());
-    // Byte 8 is the low byte of the base address.
-    let mut bytes = std::fs::read(&bin).unwrap();
-    bytes[8] = 1;
-    std::fs::write(&bin, bytes).unwrap();
-
-    let out = pipe_sim().arg(&bin).output().expect("spawn");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.starts_with(&format!("pipe-sim: {}: ", bin.display())),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("iq_bytes"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]

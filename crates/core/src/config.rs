@@ -3,8 +3,8 @@
 //! The fetch front-end is described by `pipe-icache`'s unified
 //! [`FetchConfig`](pipe_icache::FetchConfig), re-exported here under its
 //! historical name [`FetchStrategy`]. All engine construction goes through
-//! [`FetchStrategy::build`] (directly or via `pipe_icache::EngineBuilder`);
-//! the processor no longer knows the individual engine constructors.
+//! [`FetchStrategy::build`]; the processor does not know the individual
+//! engine constructors.
 
 use pipe_icache::PipeFetchConfig;
 use pipe_mem::error::require_at_least;

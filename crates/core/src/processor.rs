@@ -188,9 +188,6 @@ pub struct Processor<S: TraceSink = NoTrace> {
     /// Predecoded program image: the hot loop looks instructions up by
     /// parcel index instead of calling `decode` every issue attempt.
     decoded: Arc<DecodedProgram>,
-    /// Disables the predecoded fast path (parity testing; also set for
-    /// fetch engines not backed by the program image).
-    force_raw_decode: bool,
     max_cycles: u64,
     ldq_entries: usize,
     sdq_entries: usize,
@@ -252,7 +249,6 @@ impl Processor {
             mem: MemorySystem::new(config.mem),
             fetch,
             decoded: Arc::clone(decoded),
-            force_raw_decode: false,
             max_cycles: config.max_cycles,
             ldq_entries: config.ldq_entries,
             sdq_entries: config.sdq_entries,
@@ -294,7 +290,6 @@ impl<S: TraceSink> Processor<S> {
             mem: self.mem,
             fetch: self.fetch,
             decoded: self.decoded,
-            force_raw_decode: self.force_raw_decode,
             max_cycles: self.max_cycles,
             ldq_entries: self.ldq_entries,
             sdq_entries: self.sdq_entries,
@@ -310,14 +305,6 @@ impl<S: TraceSink> Processor<S> {
             trace: sink,
             loops: self.loops,
         }
-    }
-
-    /// Disables (or re-enables) the predecoded fast path, forcing every
-    /// issue attempt to decode raw parcels like the seed simulator.
-    /// Exists so parity tests and the benchmark harness can prove the two
-    /// paths produce bit-identical statistics.
-    pub fn set_force_raw_decode(&mut self, force: bool) {
-        self.force_raw_decode = force;
     }
 
     fn emit(&mut self, event: TraceEvent) {
@@ -741,21 +728,24 @@ impl<S: TraceSink> Processor<S> {
         instr.destination() == Some(Reg::QUEUE)
     }
 
-    /// The decode result at the fetch head: a predecoded-table lookup
-    /// when the engine can name the image parcel index it is serving
-    /// (the hot path), otherwise a raw decode of the peeked parcels
-    /// (trace replay, or `force_raw_decode` parity runs). `None` means no
-    /// complete instruction is available this cycle.
+    /// The decode result at the fetch head, looked up in the predecoded
+    /// table at the image parcel index the engine is serving. `None`
+    /// means no complete instruction is available this cycle. Debug
+    /// builds check every lookup against decoding the peeked parcels.
     fn peek_decoded(&self) -> Option<Result<Instruction, DecodeError>> {
-        if !self.force_raw_decode {
-            if let Some(idx) = self.fetch.peek_index() {
-                if let Some(slot) = self.decoded.get(idx) {
-                    return Some(slot);
-                }
-            }
-        }
-        let (first, second) = self.fetch.peek()?;
-        Some(decode(first, second))
+        let slot = self
+            .fetch
+            .peek_index()
+            .and_then(|idx| self.decoded.get(idx));
+        debug_assert_eq!(
+            slot,
+            self.fetch
+                .peek()
+                .map(|(first, second)| decode(first, second)),
+            "{}: predecoded slot differs from the fetched parcels",
+            self.fetch.name()
+        );
+        slot
     }
 
     /// The value-dependent choice `instr` makes if it issues now, with

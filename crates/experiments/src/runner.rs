@@ -17,25 +17,6 @@ pub struct ExperimentPoint {
     pub stats: SimStats,
 }
 
-/// Runs `program` under (`fetch`, `mem`) and returns the measured point,
-/// or the typed simulation error. The fault-tolerant sweep engine uses
-/// this form so one failing point becomes a recorded failure instead of
-/// aborting the whole sweep.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] the simulator reported (configuration,
-/// decode, or timeout).
-pub fn try_run_point(
-    program: &Program,
-    fetch: FetchStrategy,
-    mem: &MemConfig,
-    cache_bytes: u32,
-) -> Result<ExperimentPoint, SimError> {
-    let decoded = Arc::new(DecodedProgram::new(program.clone()));
-    try_run_point_decoded(&decoded, fetch, mem, cache_bytes)
-}
-
 /// The simulation configuration every experiment point runs under, so
 /// equal inputs simulate under bit-identical configurations wherever a
 /// point is measured.
@@ -48,10 +29,12 @@ pub fn point_config(fetch: FetchStrategy, mem: &MemConfig) -> SimConfig {
     }
 }
 
-/// Like [`try_run_point`], but takes an already-predecoded program so
-/// callers measuring many points over the same workload (the sweep
-/// engine, the benchmark harness) decode each static instruction exactly
-/// once instead of once per point.
+/// Runs an already-predecoded program under (`fetch`, `mem`) and returns
+/// the measured point, or the typed simulation error, so one failing
+/// point becomes a recorded failure instead of aborting a sweep. Callers
+/// measuring many points over the same workload (the sweep engine, the
+/// benchmark harness) decode each static instruction exactly once
+/// instead of once per point.
 ///
 /// # Errors
 ///
@@ -93,14 +76,15 @@ pub fn try_run_points_batched(
 /// Panics if the simulation errors — experiment configurations are
 /// validated up front, so an error indicates a simulator bug and should
 /// fail loudly rather than silently skew a result. Fault-tolerant callers
-/// use [`try_run_point`].
+/// use [`try_run_point_decoded`].
 pub fn run_point(
     program: &Program,
     fetch: FetchStrategy,
     mem: &MemConfig,
     cache_bytes: u32,
 ) -> ExperimentPoint {
-    try_run_point(program, fetch, mem, cache_bytes)
+    let decoded = Arc::new(DecodedProgram::new(program.clone()));
+    try_run_point_decoded(&decoded, fetch, mem, cache_bytes)
         .unwrap_or_else(|e| panic!("experiment point failed ({fetch}, {cache_bytes}B): {e}"))
 }
 

@@ -109,8 +109,8 @@ pub fn point_from_replay(stats: &ReplayStats, cache_bytes: u32) -> ExperimentPoi
 
 /// Replays the trace at `path` through `fetch` and returns the measured
 /// point — the trace-driven counterpart of
-/// [`try_run_point`](crate::runner::try_run_point). `program` must be the
-/// trace's backing program (see [`trace_program`]).
+/// [`try_run_point_decoded`](crate::runner::try_run_point_decoded).
+/// `program` must be the trace's backing program (see [`trace_program`]).
 ///
 /// # Errors
 ///

@@ -153,31 +153,14 @@ impl ConventionalFetch {
     /// # Panics
     ///
     /// Panics if the configuration fails [`ConventionalConfig::validate`];
-    /// construct through
-    /// [`EngineBuilder`](crate::EngineBuilder) /
-    /// [`FetchConfig::build`](crate::FetchConfig::build) for a fallible
-    /// path.
+    /// construct through [`FetchConfig::build`](crate::FetchConfig::build)
+    /// for a fallible path.
     pub fn new(program: &Program, config: impl Into<ConventionalConfig>) -> ConventionalFetch {
         let config = config.into();
         if let Err(e) = config.validate() {
             panic!("invalid conventional-fetch config: {e}");
         }
         ConventionalFetch::from_config(program, config)
-    }
-
-    /// Creates a conventional fetch engine with an explicit prefetch
-    /// strategy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct through `EngineBuilder`/`FetchConfig::build`, or pass a \
-                `ConventionalConfig` to `ConventionalFetch::new`"
-    )]
-    pub fn with_prefetch(
-        program: &Program,
-        cache: CacheConfig,
-        prefetch: ConvPrefetch,
-    ) -> ConventionalFetch {
-        ConventionalFetch::new(program, ConventionalConfig { cache, prefetch })
     }
 
     fn from_config(program: &Program, config: ConventionalConfig) -> ConventionalFetch {

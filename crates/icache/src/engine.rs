@@ -58,16 +58,12 @@ pub trait FetchEngine {
     }
 
     /// Image parcel index of the instruction [`peek`](FetchEngine::peek)
-    /// would return: `Some(i)` means the parcels `peek` yields are
-    /// exactly `image[i]` (and `image[i + 1]` for the optional second
-    /// parcel), so a predecoded lookup at `i` is equivalent to decoding
-    /// them. Must return `None` whenever `peek` returns `None`, and may
-    /// return `None` for engines not backed by the program image (e.g.
-    /// trace replay) — callers then fall back to decoding `peek`'s raw
-    /// parcels.
-    fn peek_index(&self) -> Option<usize> {
-        None
-    }
+    /// would return: `Some(i)` exactly when `peek` returns `Some`, and
+    /// then the parcels `peek` yields are `image[i]` (and `image[i + 1]`
+    /// for the optional second parcel), so a predecoded lookup at `i` is
+    /// equivalent to decoding them. The processor issues from this index
+    /// alone; debug builds check it against `peek`.
+    fn peek_index(&self) -> Option<usize>;
 
     /// Consumes the instruction returned by [`peek`](FetchEngine::peek).
     ///

@@ -77,7 +77,7 @@ pub mod stats;
 pub mod tib;
 
 pub use buffers::{BufferConfig, BufferFetch};
-pub use builder::{EngineBuilder, FetchConfig, FetchKind};
+pub use builder::FetchConfig;
 pub use cache::{CacheConfig, InstructionCache};
 pub use conventional::{ConvPrefetch, ConventionalConfig, ConventionalFetch};
 pub use engine::FetchEngine;

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use pipe_isa::encode::parcel_is_branch;
 use pipe_isa::{Program, PARCEL_BYTES};
-use pipe_mem::error::require_multiple_of;
+use pipe_mem::error::{require_at_least, require_multiple_of};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
@@ -94,11 +94,17 @@ impl PipeFetchConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid cache geometry or zero/odd
-    /// queue sizes.
+    /// Returns a [`ConfigError`] for invalid cache geometry, zero/odd
+    /// queue sizes, or an IQ too small for the longest (two-parcel)
+    /// instruction, which the decoder could then never see whole.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.cache.validate()?;
         require_multiple_of("iq_bytes", self.iq_bytes, PARCEL_BYTES)?;
+        require_at_least(
+            "iq_bytes",
+            u64::from(self.iq_bytes),
+            2 * u64::from(PARCEL_BYTES),
+        )?;
         require_multiple_of("iqb_bytes", self.iqb_bytes, PARCEL_BYTES)
     }
 }
@@ -1058,6 +1064,19 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.iq_bytes = 3;
         assert!(cfg.validate().is_err());
+        // One parcel of IQ can never hold a two-parcel instruction: the
+        // decoder would wait forever.
+        cfg.iq_bytes = 2;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooSmall {
+                field: "iq_bytes",
+                value: 2,
+                min: 4
+            })
+        );
+        cfg.iq_bytes = 4;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -682,7 +682,7 @@ impl fmt::Debug for ReplayHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{EngineBuilder, FetchKind};
+    use crate::builder::FetchConfig;
     use pipe_isa::{Assembler, InstrFormat, Program};
     use pipe_mem::MemConfig;
 
@@ -693,9 +693,7 @@ mod tests {
     }
 
     fn harness(program: &Program) -> ReplayHarness {
-        let engine = EngineBuilder::new(FetchKind::Perfect)
-            .build(program)
-            .expect("builds");
+        let engine = FetchConfig::Perfect.build(program).expect("builds");
         ReplayHarness::new(engine, MemorySystem::new(MemConfig::default()))
     }
 

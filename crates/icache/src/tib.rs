@@ -53,11 +53,17 @@ impl TibConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for zero entries or invalid sizes.
+    /// Returns a [`ConfigError`] for zero entries, invalid sizes, or a
+    /// fetch queue too small for the longest (two-parcel) instruction.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_at_least("entries", u64::from(self.entries), 1)?;
         require_multiple_of("entry_bytes", self.entry_bytes, PARCEL_BYTES)?;
-        require_multiple_of("fetch_queue_bytes", self.fetch_queue_bytes, PARCEL_BYTES)
+        require_multiple_of("fetch_queue_bytes", self.fetch_queue_bytes, PARCEL_BYTES)?;
+        require_at_least(
+            "fetch_queue_bytes",
+            u64::from(self.fetch_queue_bytes),
+            2 * u64::from(PARCEL_BYTES),
+        )
     }
 
     /// Total instruction bytes the TIB can hold.
@@ -486,6 +492,21 @@ mod tests {
         }
         .validate()
         .is_err());
+        // One parcel of fetch queue can never hold a two-parcel
+        // instruction: the decoder would wait forever.
+        assert_eq!(
+            TibConfig {
+                entries: 4,
+                entry_bytes: 16,
+                fetch_queue_bytes: 2
+            }
+            .validate(),
+            Err(ConfigError::TooSmall {
+                field: "fetch_queue_bytes",
+                value: 2,
+                min: 4
+            })
+        );
     }
 
     #[test]

@@ -46,7 +46,6 @@
 //! ```
 
 pub mod asm;
-pub mod binfmt;
 pub mod decode;
 pub mod decoded;
 pub mod disasm;
@@ -58,7 +57,6 @@ pub mod program;
 pub mod reg;
 
 pub use asm::{AsmError, Assembler};
-pub use binfmt::{read_program, write_program, BinError};
 pub use decode::{decode, DecodeError};
 pub use decoded::DecodedProgram;
 pub use disasm::disassemble;

@@ -119,8 +119,9 @@ impl Program {
         Arc::clone(&self.parcels)
     }
 
-    /// Reassembles a program from raw parts (used by the binary loader in
-    /// [`crate::binfmt`]).
+    /// Builds a program from raw parts, without assembling: a parcel
+    /// image, its base and entry byte addresses, symbols and the initial
+    /// data image. Tests use it to attach data to a built program.
     ///
     /// # Panics
     ///

@@ -1,13 +1,12 @@
 //! Malformed assembly is a typed error at the offending source line,
 //! never a panic and never a silently mis-assembled program, in both
-//! instruction formats. A malformed binary program container is a typed
-//! [`BinError`], never a panic.
+//! instruction formats.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pipe_repro::isa::asm::AsmErrorKind;
 use pipe_repro::isa::program::BuildError;
-use pipe_repro::isa::{read_program, write_program, Assembler, BinError, InstrFormat, Program};
+use pipe_repro::isa::{Assembler, InstrFormat};
 
 /// The error category a case must produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,60 +88,4 @@ fn duplicate_label_names_the_label() {
         e.kind(),
         &AsmErrorKind::Build(BuildError::DuplicateLabel("x".into()))
     );
-}
-
-/// Reads `bytes` as a binary program container, failing the test if the
-/// reader panics.
-fn read_container(bytes: &[u8]) -> Result<Program, BinError> {
-    catch_unwind(|| read_program(bytes))
-        .unwrap_or_else(|_| panic!("read_program panicked on {bytes:02x?}"))
-}
-
-#[test]
-fn malformed_containers_are_typed_errors() {
-    let program = Assembler::new(InstrFormat::Mixed)
-        .assemble("top: lim r1, 5\nlbr b0, top\npbr.nez b0, r1, 0\nhalt\n.data 0x1000, 42\n")
-        .unwrap();
-    let good = write_program(&program);
-    assert!(read_container(&good).is_ok());
-
-    for cut in 0..good.len() {
-        assert_eq!(
-            read_container(&good[..cut]).unwrap_err(),
-            BinError::Truncated,
-            "cut at {cut}"
-        );
-    }
-
-    // `(byte offset, value, expected error)`: magic, version, format,
-    // then the low byte of the base and entry addresses.
-    for (offset, value, expected) in [
-        (0, b'X', BinError::BadMagic),
-        (4, 2, BinError::BadVersion(2)),
-        (5, 2, BinError::BadFormat(2)),
-        (8, 1, BinError::MisalignedBase(1)),
-        (12, 3, BinError::MisalignedEntry(3)),
-    ] {
-        let mut bytes = good.clone();
-        bytes[offset] = value;
-        assert_eq!(
-            read_container(&bytes).unwrap_err(),
-            expected,
-            "byte {offset}"
-        );
-    }
-
-    // A parcel, symbol or data-word count larger than the file can hold
-    // is truncation, not an attempt to allocate for it.
-    let symbol_count = 20 + 2 * program.parcels().len();
-    let data_count = good.len() - 4 - 8 * program.data().len();
-    for offset in [16, symbol_count, data_count] {
-        let mut bytes = good.clone();
-        bytes[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            read_container(&bytes).unwrap_err(),
-            BinError::Truncated,
-            "count at byte {offset}"
-        );
-    }
 }

@@ -12,7 +12,9 @@ use common::{record, replay_ticked, steps};
 use pipe_core::SimConfig;
 use pipe_experiments::{figure_mem, StrategyKind, SweepSpec};
 use pipe_icache::repeat::MAX_ITERATION_EVENTS;
-use pipe_icache::{EngineBuilder, FetchKind, PrefetchPolicy, ReplayHarness, ReplayOp, ReplayStep};
+use pipe_icache::{
+    CacheConfig, FetchConfig, PipeFetchConfig, PrefetchPolicy, ReplayHarness, ReplayOp, ReplayStep,
+};
 use pipe_isa::{Assembler, InstrFormat, Program};
 use pipe_mem::system::FPU_BASE;
 use pipe_mem::MemorySystem;
@@ -65,17 +67,9 @@ fn one_recording_replays_through_other_engines() {
     let (bytes, stats, _) = record(&program, &config);
 
     let engines = [
-        EngineBuilder::new(FetchKind::Perfect).config().unwrap(),
-        EngineBuilder::new(FetchKind::Conventional)
-            .cache_bytes(64)
-            .line_bytes(16)
-            .config()
-            .unwrap(),
-        EngineBuilder::new(FetchKind::Pipe)
-            .cache_bytes(128)
-            .line_bytes(16)
-            .config()
-            .unwrap(),
+        FetchConfig::Perfect,
+        FetchConfig::conventional(CacheConfig::new(64, 16)),
+        FetchConfig::Pipe(PipeFetchConfig::table2(128, 16, 16, 16)),
     ];
     let mut cycles = Vec::new();
     for fetch in engines {
@@ -344,11 +338,7 @@ fn an_iteration_that_differs_in_timing_is_ticked() {
         .assemble(STORE_LOOP)
         .expect("loop assembles");
     let config = SimConfig {
-        fetch: EngineBuilder::new(FetchKind::Conventional)
-            .cache_bytes(16)
-            .line_bytes(16)
-            .config()
-            .expect("valid geometry"),
+        fetch: FetchConfig::conventional(CacheConfig::new(16, 16)),
         mem: figure_mem("4a").0,
         ..SimConfig::default()
     };
