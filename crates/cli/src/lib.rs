@@ -10,7 +10,8 @@
 //!
 //! Argument parsing lives here so it can be unit tested; the binaries are
 //! thin wrappers. The fetch flags map straight onto a `FetchConfig`
-//! variant, which validates the geometry.
+//! variant, which validates the geometry; a flag the selected engine
+//! never reads is a usage error.
 
 pub mod json;
 
@@ -40,7 +41,8 @@ pub struct SimOptions {
     pub trace: bool,
     /// Emit statistics as JSON instead of text.
     pub json: bool,
-    /// Run the program on every fetch strategy and print a comparison.
+    /// Run the program on every fetch strategy and print a comparison
+    /// (`config.fetch` is then unused).
     pub compare: bool,
     /// Raw cache size from the command line (for `--compare`).
     pub cache_bytes: u32,
@@ -64,6 +66,8 @@ fetch strategy:
                        buffer count for --fetch buffers (default: 4)
   --iqb BYTES          PIPE instruction queue buffer bytes (default: line)
   --prefetch always|on-miss|tagged   conventional prefetch (default: always)
+  A flag the selected strategy does not read is an error, and --compare
+  takes only --cache and --line of these.
 
 memory:
   --access CYCLES      memory access time           (default: 1)
@@ -93,26 +97,27 @@ fn parse_format(value: Option<&String>) -> Result<InstrFormat, String> {
     }
 }
 
-/// The fetch-engine and memory flags of `pipe-sim`, with their defaults.
+/// The fetch-engine and memory flags of `pipe-sim`; `None` where a flag
+/// was not given.
 struct EngineFlags {
-    fetch_kind: String,
+    fetch_kind: Option<String>,
     cache: u32,
     line: u32,
     iq: Option<u32>,
     iqb: Option<u32>,
-    prefetch: ConvPrefetch,
+    prefetch: Option<ConvPrefetch>,
     mem: MemConfig,
 }
 
 impl EngineFlags {
     fn new() -> EngineFlags {
         EngineFlags {
-            fetch_kind: "pipe".to_string(),
+            fetch_kind: None,
             cache: 128,
             line: 16,
             iq: None,
             iqb: None,
-            prefetch: ConvPrefetch::Always,
+            prefetch: None,
             mem: MemConfig::default(),
         }
     }
@@ -126,22 +131,20 @@ impl EngineFlags {
     ) -> Result<bool, String> {
         match flag {
             "--fetch" => {
-                self.fetch_kind = rest
-                    .next()
-                    .ok_or("--fetch needs a value")?
-                    .to_ascii_lowercase();
+                let kind = rest.next().ok_or("--fetch needs a value")?;
+                self.fetch_kind = Some(kind.to_ascii_lowercase());
             }
             "--cache" => self.cache = parse_num(flag, rest.next())?,
             "--line" => self.line = parse_num(flag, rest.next())?,
             "--iq" => self.iq = Some(parse_num(flag, rest.next())?),
             "--iqb" => self.iqb = Some(parse_num(flag, rest.next())?),
             "--prefetch" => {
-                self.prefetch = match rest.next().map(String::as_str) {
+                self.prefetch = Some(match rest.next().map(String::as_str) {
                     Some("always") => ConvPrefetch::Always,
                     Some("on-miss") => ConvPrefetch::OnMissOnly,
                     Some("tagged") => ConvPrefetch::Tagged,
                     other => return Err(format!("--prefetch: unknown mode {other:?}")),
-                };
+                });
             }
             "--access" => self.mem.access_cycles = parse_num(flag, rest.next())?,
             "--bus" => self.mem.in_bus_bytes = parse_num(flag, rest.next())?,
@@ -152,18 +155,37 @@ impl EngineFlags {
         Ok(true)
     }
 
-    /// Builds and validates the fetch configuration. PIPE queues default
-    /// to the line size, cache sub-blocks are 4 bytes, the TIB splits the
-    /// cache budget into line-sized entries, and the buffer engine gets
-    /// `--iq` buffers (default 4) and a cache only when `--cache` is
-    /// nonzero.
+    /// Builds and validates the fetch configuration (PIPE by default).
+    /// PIPE queues default to the line size, cache sub-blocks are 4
+    /// bytes, the TIB splits the cache budget into line-sized entries, and
+    /// the buffer engine gets `--iq` buffers (default 4) and a cache only
+    /// when `--cache` is nonzero. `--iq` and `--iqb` apply to PIPE (and
+    /// `--iq` to buffers), `--prefetch` to the conventional cache.
     fn fetch(&self) -> Result<FetchStrategy, String> {
+        let kind = self.fetch_kind.as_deref().unwrap_or("pipe");
+        for (flag, given, reads) in [
+            (
+                "--iq",
+                self.iq.is_some(),
+                matches!(kind, "pipe" | "buffers"),
+            ),
+            ("--iqb", self.iqb.is_some(), kind == "pipe"),
+            (
+                "--prefetch",
+                self.prefetch.is_some(),
+                kind == "conventional",
+            ),
+        ] {
+            if given && !reads {
+                return Err(format!("{flag} does not apply to --fetch {kind}"));
+            }
+        }
         let cache = CacheConfig::new(self.cache, self.line);
-        let fetch = match self.fetch_kind.as_str() {
+        let fetch = match kind {
             "perfect" => FetchStrategy::Perfect,
             "conventional" => FetchStrategy::Conventional(ConventionalConfig {
                 cache,
-                prefetch: self.prefetch,
+                prefetch: self.prefetch.unwrap_or(ConvPrefetch::Always),
             }),
             "pipe" => FetchStrategy::Pipe(PipeFetchConfig::table2(
                 self.cache,
@@ -228,8 +250,23 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         return Err("--livermore conflicts with an input file".into());
     }
 
+    let fetch = if compare {
+        let given = [
+            ("--fetch", engine.fetch_kind.is_some()),
+            ("--iq", engine.iq.is_some()),
+            ("--iqb", engine.iqb.is_some()),
+            ("--prefetch", engine.prefetch.is_some()),
+        ];
+        if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
+            return Err(format!("{flag} does not apply to --compare"));
+        }
+        // Unused: the comparison builds each strategy from --cache/--line.
+        FetchStrategy::Perfect
+    } else {
+        engine.fetch()?
+    };
     let config = SimConfig {
-        fetch: engine.fetch()?,
+        fetch,
         mem: engine.mem,
         max_cycles,
         ..SimConfig::default()
@@ -466,6 +503,29 @@ mod tests {
         assert!(parse_sim_args(&args("a.s --fetch")).is_err());
         // Invalid geometry caught by config validation.
         assert!(parse_sim_args(&args("a.s --cache 8 --line 16")).is_err());
+        // A flag the selected strategy never reads.
+        for flags in [
+            "--fetch tib --iq 64",
+            "--fetch conventional --iq 16",
+            "--fetch perfect --iq 16",
+            "--fetch buffers --iqb 16",
+            "--fetch tib --iqb 16",
+            "--prefetch tagged",
+            "--fetch pipe --prefetch on-miss",
+            "--fetch buffers --prefetch always",
+            "--compare --fetch pipe",
+            "--compare --iq 16",
+            "--compare --iqb 16",
+            "--compare --prefetch tagged",
+        ] {
+            let err = parse_sim_args(&args(&format!("a.s {flags}"))).unwrap_err();
+            assert!(err.contains("does not apply to"), "{flags}: {err}");
+        }
+        // --compare builds its own strategies: the default PIPE geometry
+        // is not validated, so a cache of 0 (one line each) runs.
+        assert!(parse_sim_args(&args("a.s --compare --cache 0")).is_ok());
+        assert!(parse_sim_args(&args("a.s --fetch buffers --iq 2")).is_ok());
+        assert!(parse_sim_args(&args("a.s --fetch conventional --prefetch tagged")).is_ok());
     }
 
     #[test]

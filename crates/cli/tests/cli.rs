@@ -174,6 +174,57 @@ fn sim_timeout_reports_queue_snapshot() {
 }
 
 #[test]
+fn sim_timeout_reports_the_cycles_it_ran() {
+    // A read of r7 with no load deadlocks; the abort report must count
+    // the cycles run, not 0.
+    let src = write_temp("dead.s", "or r1, r7, r7\nhalt\n");
+    let out = pipe_sim()
+        .args([src.to_str().unwrap(), "--max-cycles", "1000"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("did not complete within 1000 cycles"),
+        "{stderr}"
+    );
+    let cycles = stderr
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("cycles:"));
+    assert_eq!(cycles.map(str::trim), Some("1000"), "{stderr}");
+    assert!(
+        stderr.contains("memory statistics over 1000 cycles"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn flags_the_engine_never_reads_are_usage_errors() {
+    let src = write_temp("unread.s", PROGRAM);
+    for flags in [
+        &["--fetch", "tib", "--iq", "64"][..],
+        &["--prefetch", "tagged"][..],
+        &["--compare", "--fetch", "pipe"][..],
+    ] {
+        let out = pipe_sim().arg(&src).args(flags).output().expect("spawn");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains("does not apply to"), "{flags:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flags:?}: {stderr}");
+    }
+    // --compare no longer validates the PIPE default it never runs.
+    let out = pipe_sim()
+        .args([src.to_str().unwrap(), "--compare", "--cache", "0"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn help_flags() {
     for mut cmd in [pipe_sim(), pipe_asm()] {
         let out = cmd.arg("--help").output().expect("spawn");

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use pipe_icache::FetchEngine;
 use pipe_isa::decode::DecodeError;
-use pipe_isa::{decode, DecodedProgram, Instruction, Program, Reg};
+use pipe_isa::{decode, DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{BeatSource, ConfigError, DataMemory, FpOp, MemRequest, MemorySystem, ReqClass};
 
 use crate::config::SimConfig;
@@ -45,7 +45,7 @@ use crate::trace::{DataOp, NoTrace, StallReason, TraceEvent, TraceSink};
 mod repeat;
 
 use pipe_icache::repeat::RepeatCounts;
-use repeat::{LoopSkip, ValueEvent};
+use repeat::{FrozenStop, LoopSkip, ValueEvent};
 
 /// An error terminating a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,18 +96,6 @@ struct PbrState {
     target: u32,
     delay: u8,
     issued_after: u8,
-}
-
-/// The issue-stage outcome that will repeat every cycle of a quiet
-/// fast-forward window (see [`Processor::fast_forward_stall`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QuietStall {
-    /// Halted and draining: issue is skipped entirely.
-    Halted,
-    Ifetch,
-    DataWait,
-    QueueFull,
-    Branch,
 }
 
 /// What a store address does at the memory interface.
@@ -205,6 +193,9 @@ pub struct Processor<S: TraceSink = NoTrace> {
     /// Loop-iteration skipping, present while [`run`](Self::run) may
     /// apply repeating iterations in one step.
     loops: Option<Box<LoopSkip>>,
+    /// The frozen stop, present while [`run`](Self::run) may end a
+    /// machine that can never change again at the cycle budget.
+    frozen: Option<Box<FrozenStop>>,
 }
 
 impl<S: TraceSink> fmt::Debug for Processor<S> {
@@ -275,6 +266,7 @@ impl Processor {
             stats: SimStats::default(),
             trace: NoTrace,
             loops: None,
+            frozen: None,
         })
     }
 }
@@ -304,6 +296,7 @@ impl<S: TraceSink> Processor<S> {
             stats: self.stats,
             trace: sink,
             loops: self.loops,
+            frozen: self.frozen,
         }
     }
 
@@ -367,16 +360,17 @@ impl<S: TraceSink> Processor<S> {
 
     /// Runs to completion, finalizing the statistics in place — read them
     /// with [`stats`](Self::stats) or take them with
-    /// [`into_stats`](Self::into_stats) (no clone either way).
+    /// [`into_stats`](Self::into_stats) (no clone either way). They are
+    /// finalized on an error too, so a timeout reports the cycles it ran.
     ///
-    /// After each cycle that issues nothing, the loop skips any provably
-    /// idle stall window (`fast_forward_stall`). After each cycle that
-    /// issues a prepare-to-branch, it applies any further repeats of a
-    /// loop iteration whose timing state came back unchanged
-    /// (`repeat_iterations`). The statistics, registers, data memory and
-    /// any timeout cycle are bit-identical to ticking
-    /// [`step`](Self::step) until [`is_done`](Self::is_done) or the cycle
-    /// budget runs out.
+    /// After each cycle that issues a prepare-to-branch, the loop applies
+    /// any further repeats of a loop iteration whose timing state came
+    /// back unchanged (`repeat_iterations`). After two cycles in a row
+    /// that change nothing, it runs a machine that can never change again
+    /// to the cycle budget in one step (`stop_if_frozen`). The statistics,
+    /// registers, data memory and any timeout cycle are bit-identical to
+    /// ticking [`step`](Self::step) until [`is_done`](Self::is_done) or
+    /// the cycle budget runs out.
     ///
     /// # Errors
     ///
@@ -390,19 +384,22 @@ impl<S: TraceSink> Processor<S> {
     /// [`run`](Self::run), also returning what the loop-iteration skip
     /// did.
     pub(crate) fn run_counting_repeats(&mut self) -> Result<RepeatCounts, SimError> {
-        self.loops = LoopSkip::new_if_eligible(&self.trace);
+        // Both skips are off when a trace sink observes every cycle.
+        let untraced = !self.trace.enabled();
+        self.loops = untraced.then(Box::default);
+        self.frozen = untraced.then(Box::default);
         let result = self.run_cycles();
+        self.frozen = None;
         let counts = self
             .loops
             .take()
             .map(|l| l.marks.counts())
             .unwrap_or_default();
-        result?;
         self.finalize_stats();
-        Ok(counts)
+        result.map(|()| counts)
     }
 
-    /// The body of [`run`](Self::run): the cycle loop with both skips.
+    /// The body of [`run`](Self::run): the cycle loop with its skips.
     fn run_cycles(&mut self) -> Result<(), SimError> {
         while !self.is_done() {
             if self.cycle >= self.max_cycles {
@@ -412,14 +409,12 @@ impl<S: TraceSink> Processor<S> {
             self.step()?;
             if let Some(at) = self.loops.as_mut().and_then(|l| l.issued_pbr.take()) {
                 self.repeat_iterations(at);
-            } else if self.stats.instructions_issued == issued_before {
-                // Only probe for a quiet window after a cycle that failed
-                // to issue: a window opening right after an issue is caught
-                // one (cheap) step later, and skipping the probe on issuing
-                // cycles keeps it off the throughput path. Statistics are
-                // unaffected either way — the fast-forward is exact
-                // whenever it fires.
-                self.fast_forward_stall();
+            } else if self.stats.instructions_issued == issued_before
+                && self.mem.is_idle()
+                && !self.fetch.has_outstanding()
+                && !self.is_done()
+            {
+                self.stop_if_frozen();
             }
         }
         Ok(())
@@ -584,118 +579,6 @@ impl<S: TraceSink> Processor<S> {
         self.core.ldq.fill(seq, value);
     }
 
-    /// Classifies the issue-stage outcome the next [`step`](Self::step)
-    /// would produce, *assuming no memory event intervenes*: a pure replay
-    /// of [`try_issue`](Self::try_issue)'s decision chain with no state
-    /// mutation. `None` means the next cycle makes progress (an issue or a
-    /// decode error) and must be ticked for real.
-    fn quiet_stall_reason(&self) -> Option<QuietStall> {
-        if self.halted {
-            return Some(QuietStall::Halted);
-        }
-        let instr = match self.peek_decoded() {
-            Some(Ok(instr)) => instr,
-            Some(Err(_)) => return None, // surfaces as SimError::Decode
-            None => return Some(QuietStall::Ifetch),
-        };
-        // Callers guarantee `pbr` is `None`, so branch gating reduces to
-        // the redirect guard.
-        if instr.is_branch() && self.redirect_remaining.is_some() {
-            return Some(QuietStall::Branch);
-        }
-        let reads_q = Self::reads_queue_reg(&instr);
-        let queue_value = if reads_q {
-            match self.core.ldq.front_ready() {
-                Some(v) => Some(v),
-                None => return Some(QuietStall::DataWait),
-            }
-        } else {
-            None
-        };
-        let decision = self.decide(&instr, queue_value);
-        if self.queue_full(&instr, reads_q, decision) {
-            return Some(QuietStall::QueueFull);
-        }
-        None // would issue: real work next cycle
-    }
-
-    /// Fast-forwards over a provably-idle stall window, accumulating the
-    /// exact statistics that ticking those cycles one by one would have
-    /// produced. Returns the number of cycles skipped (0 when the next
-    /// cycle may do real work).
-    ///
-    /// Must be called between [`step`](Self::step)s. A window exists only
-    /// when every per-cycle activity is a provable no-op:
-    ///
-    /// * tracing is off (a sink observes per-cycle stall events);
-    /// * no PBR is awaiting resolution (it resolves on a fixed cycle);
-    /// * the fetch engine is [quiescent](FetchEngine::quiescence) — each
-    ///   coming cycle is a pure re-offer of `n` requests;
-    /// * the issue stage repeats the same stall (nothing it reads can
-    ///   change without a memory event); and
-    /// * the memory system reports a quiet window: no beat, no
-    ///   acceptance, no state transition before the wakeup cycle.
-    ///
-    /// The window is clamped to `max_cycles` so a deadlocked program times
-    /// out on exactly the same cycle as one ticked through `step`.
-    pub(crate) fn fast_forward_stall(&mut self) -> u64 {
-        if self.trace.enabled() || self.pbr.is_some() {
-            return 0;
-        }
-        // Cheap bound before the engine queries: standing offers only
-        // shrink the quiet window, so a small bound with no offers caps the
-        // window at any offer count. This rejects every cycle of an active
-        // stream (each delivers a beat) without touching the fetch engine,
-        // and windows too short to repay the probe itself — skipping or
-        // stepping them produces identical statistics either way.
-        if self.mem.quiet_cycles(false) < 4 {
-            return 0;
-        }
-        if self.is_done() {
-            return 0;
-        }
-        let Some(engine_offers) = self.fetch.quiescence() else {
-            return 0;
-        };
-        let Some(reason) = self.quiet_stall_reason() else {
-            return 0;
-        };
-        // The data-side offer the next cycles would repeat (the tag is
-        // lazily assigned on the first real offer; its value is unaffected
-        // by the skip because no other tag is handed out in the window).
-        let laq_head = self.core.laq.front();
-        let saq_head = self.core.saq.front();
-        let load_is_older = match (laq_head, saq_head) {
-            (Some(l), Some(s)) => l.seq < s.seq,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let data_offers =
-            u32::from(load_is_older || (saq_head.is_some() && !self.core.sdq.is_empty()));
-        let offered = (engine_offers + data_offers) as usize;
-        let n = self
-            .mem
-            .quiet_cycles(offered > 0)
-            .min(self.max_cycles.saturating_sub(self.cycle));
-        if n == 0 {
-            return 0;
-        }
-        match reason {
-            QuietStall::Halted => {} // issue skipped: no stall counted
-            QuietStall::Ifetch => self.stats.stalls.ifetch += n,
-            QuietStall::DataWait => self.stats.stalls.data_wait += n,
-            QuietStall::QueueFull => self.stats.stalls.queue_full += n,
-            QuietStall::Branch => self.stats.stalls.branch += n,
-        }
-        self.stats.queues.laq.sample_n(self.core.laq.len(), n);
-        self.stats.queues.ldq.sample_n(self.core.ldq.len(), n);
-        self.stats.queues.saq.sample_n(self.core.saq.len(), n);
-        self.stats.queues.sdq.sample_n(self.core.sdq.len(), n);
-        self.mem.skip_quiet(n, offered);
-        self.cycle += n;
-        n
-    }
-
     fn resolve_pbr_if_due(&mut self) {
         let Some(p) = self.pbr else { return };
         if self.cycle < p.resolve_at {
@@ -728,15 +611,14 @@ impl<S: TraceSink> Processor<S> {
         instr.destination() == Some(Reg::QUEUE)
     }
 
-    /// The decode result at the fetch head, looked up in the predecoded
-    /// table at the image parcel index the engine is serving. `None`
-    /// means no complete instruction is available this cycle. Debug
-    /// builds check every lookup against decoding the peeked parcels.
-    fn peek_decoded(&self) -> Option<Result<Instruction, DecodeError>> {
-        let slot = self
-            .fetch
-            .peek_index()
-            .and_then(|idx| self.decoded.get(idx));
+    /// The byte address of the instruction at the fetch head and its
+    /// decode result, looked up in the predecoded table at the image
+    /// parcel index the engine is serving. `None` means no complete
+    /// instruction is available this cycle. Debug builds check every
+    /// lookup against decoding the peeked parcels.
+    fn peek_decoded(&self) -> Option<(u32, Result<Instruction, DecodeError>)> {
+        let index = self.fetch.peek_index();
+        let slot = index.and_then(|i| self.decoded.get(i));
         debug_assert_eq!(
             slot,
             self.fetch
@@ -745,7 +627,8 @@ impl<S: TraceSink> Processor<S> {
             "{}: predecoded slot differs from the fetched parcels",
             self.fetch.name()
         );
-        slot
+        let addr = self.decoded.program().base() + index? as u32 * PARCEL_BYTES;
+        Some((addr, slot?))
     }
 
     /// The value-dependent choice `instr` makes if it issues now, with
@@ -777,9 +660,9 @@ impl<S: TraceSink> Processor<S> {
     }
 
     fn try_issue(&mut self) -> Result<(), SimError> {
-        let instr = match self.peek_decoded() {
-            Some(Ok(instr)) => instr,
-            Some(Err(e)) => return Err(e.into()),
+        let (addr, instr) = match self.peek_decoded() {
+            Some((addr, Ok(instr))) => (addr, instr),
+            Some((_, Err(e))) => return Err(e.into()),
             None => {
                 self.stats.stalls.ifetch += 1;
                 self.emit(TraceEvent::Stall {
@@ -838,7 +721,7 @@ impl<S: TraceSink> Processor<S> {
         if self.trace.enabled() {
             self.emit(TraceEvent::Issue {
                 cycle: self.cycle,
-                addr: self.fetch.head_addr(),
+                addr,
                 instr,
             });
         }
@@ -855,7 +738,7 @@ impl<S: TraceSink> Processor<S> {
                 issued_after: 0,
             });
             if let Some(loops) = &mut self.loops {
-                loops.issued_pbr = self.fetch.head_addr();
+                loops.issued_pbr = Some(addr);
             }
         } else if let Some(p) = &mut self.pbr {
             p.issued_after += 1;
@@ -992,7 +875,7 @@ pub fn run_decoded(
 mod tests {
     use super::*;
     use crate::config::FetchStrategy;
-    use pipe_icache::{CacheConfig, PipeFetchConfig};
+    use pipe_icache::{BufferConfig, CacheConfig, PipeFetchConfig, TibConfig};
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
 
@@ -1142,39 +1025,31 @@ mod tests {
 
     #[test]
     fn timeout_on_deadlock() {
-        // Reading r7 with no load in flight can never complete.
-        let src = "or r1, r7, r7\nhalt\n";
+        // Reading r7 with no load in flight can never complete. The frozen
+        // stop must end the run exactly where ticking does, with the
+        // statistics ticking gives.
         let cfg = SimConfig {
             fetch: FetchStrategy::Perfect,
             max_cycles: 1000,
             ..SimConfig::default()
         };
-        let err = run_program(&asm(src), &cfg).unwrap_err();
-        assert!(matches!(err, SimError::Timeout { cycles: 1000 }), "{err:?}");
-        // The idle memory leaves an unbounded quiet window; fast-forward
-        // must clamp it to the budget, exactly where ticking stops.
-        let ticked = run_ticked(&Arc::new(DecodedProgram::new(asm(src))), &cfg).unwrap_err();
-        assert_eq!(err, ticked);
+        let result = run_matches_ticking(&asm("or r1, r7, r7\nhalt\n"), &cfg);
+        assert_eq!(result, Err(SimError::Timeout { cycles: 1000 }));
     }
 
     /// The reference cycle loop: [`Processor::step`] until done or out of
-    /// budget, with the same timeout rule as `run` and no skipping.
-    fn ticked(program: &Arc<DecodedProgram>, config: &SimConfig) -> Result<Processor, SimError> {
-        let mut proc = Processor::from_decoded(program, config)?;
-        while !proc.is_done() {
-            if proc.cycle() >= config.max_cycles {
-                return Err(SimError::Timeout {
-                    cycles: proc.cycle(),
-                });
-            }
-            proc.step()?;
+    /// budget, with no skipping. `run` then issues no cycle: it finalizes
+    /// the statistics, and times out at once at the budget.
+    fn ticked(
+        program: &Arc<DecodedProgram>,
+        config: &SimConfig,
+    ) -> (Processor, Result<(), SimError>) {
+        let mut proc = Processor::from_decoded(program, config).expect("config valid");
+        while !proc.is_done() && proc.cycle() < config.max_cycles {
+            proc.step().expect("step");
         }
-        proc.run()?; // already done: only finalizes the statistics
-        Ok(proc)
-    }
-
-    fn run_ticked(program: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
-        ticked(program, config).map(Processor::into_stats)
+        let result = proc.run();
+        (proc, result)
     }
 
     /// A loop with loads, stores, an FPU multiply, and taken branches —
@@ -1194,33 +1069,6 @@ mod tests {
         nop
         halt
     "#;
-
-    #[test]
-    fn fast_forward_fires_on_slow_memory_and_matches_ticking() {
-        // Slow memory under perfect fetch: long data-wait windows that
-        // fast-forward provably skips.
-        let program = Arc::new(DecodedProgram::new(asm(STALL_LOOP)));
-        let config = SimConfig {
-            fetch: FetchStrategy::Perfect,
-            mem: MemConfig {
-                access_cycles: 9,
-                ..MemConfig::default()
-            },
-            ..SimConfig::default()
-        };
-        let ticked = run_ticked(&program, &config).expect("ticked run");
-
-        let mut proc = Processor::from_decoded(&program, &config).expect("config valid");
-        let mut skipped = 0;
-        while !proc.is_done() {
-            proc.step().expect("step");
-            skipped += proc.fast_forward_stall();
-        }
-        proc.finalize_stats();
-        assert!(skipped > 0, "slow loads must open fast-forward windows");
-        assert_eq!(ticked, proc.into_stats());
-        assert_eq!(Ok(ticked), run_decoded(&program, &config));
-    }
 
     #[test]
     fn invalid_config_is_rejected() {
@@ -1494,17 +1342,26 @@ mod tests {
     }
 
     /// Runs `config` on `program` through `run` and through the ticked
-    /// reference; asserts they agree on statistics, registers and data
-    /// memory, and returns what the loop-iteration skip did.
-    fn repeats_match_ticking(program: &Program, config: &SimConfig) -> RepeatCounts {
+    /// reference; asserts they agree on the outcome, statistics, registers
+    /// and data memory, and returns the outcome with what the
+    /// loop-iteration skip did.
+    fn run_matches_ticking(
+        program: &Program,
+        config: &SimConfig,
+    ) -> Result<RepeatCounts, SimError> {
         let decoded = Arc::new(DecodedProgram::new(program.clone()));
-        let reference = ticked(&decoded, config).expect("ticked run");
+        let (reference, ticked) = ticked(&decoded, config);
         let mut proc = Processor::from_decoded(&decoded, config).expect("config valid");
-        let counts = proc.run_counting_repeats().expect("run");
+        let result = proc.run_counting_repeats();
+        assert_eq!(result.as_ref().err(), ticked.err().as_ref());
         assert_eq!(proc.stats(), reference.stats());
         assert_eq!(proc.regs(), reference.regs());
         assert_eq!(proc.data(), reference.data());
-        counts
+        result
+    }
+
+    fn repeats_match_ticking(program: &Program, config: &SimConfig) -> RepeatCounts {
+        run_matches_ticking(program, config).expect("run")
     }
 
     #[test]
@@ -1520,8 +1377,19 @@ mod tests {
             FetchStrategy::conventional(CacheConfig::new(256, 16)),
             FetchStrategy::Pipe(PipeFetchConfig::table2(16, 8, 8, 8)),
             FetchStrategy::Pipe(PipeFetchConfig::table2(128, 16, 16, 16)),
+            FetchStrategy::Tib(TibConfig::with_budget(32, 16)),
+            FetchStrategy::Tib(TibConfig::with_budget(128, 16)),
+            FetchStrategy::Buffers(BufferConfig {
+                buffers: 4,
+                cache: None,
+            }),
+            FetchStrategy::Buffers(BufferConfig {
+                buffers: 2,
+                cache: Some(CacheConfig::new(64, 16)),
+            }),
         ];
-        let (mut applied, mut total) = (0, 0);
+        // Applied and total cycles per engine.
+        let mut shares: Vec<(&str, u64, u64)> = Vec::new();
         for kernel in [1, 4, 9] {
             let program =
                 pipe_workloads::livermore::single_kernel_program(kernel, 60, InstrFormat::Fixed32)
@@ -1536,14 +1404,29 @@ mod tests {
                     },
                     ..SimConfig::default()
                 };
-                applied += repeats_match_ticking(&program, &config).cycles;
-                total += run_program(&program, &config).unwrap().cycles;
+                let applied = repeats_match_ticking(&program, &config).cycles;
+                let total = run_program(&program, &config).unwrap().cycles;
+                let engine = fetch.build(&program).unwrap().name();
+                match shares.iter_mut().find(|s| s.0 == engine) {
+                    Some(s) => (s.1, s.2) = (s.1 + applied, s.2 + total),
+                    None => shares.push((engine, applied, total)),
+                }
             }
         }
-        assert!(
-            applied * 10 > total * 9,
-            "{applied} of {total} cycles applied"
-        );
+        // At 6-cycle memory, the TIB's fetch queue alternates between two
+        // alignments on kernels 4 and 9: the timing state repeats every
+        // second iteration, which the marks do not catch.
+        for &(engine, applied, total) in &shares {
+            println!(
+                "{engine}: {applied} of {total} cycles applied ({:.1} %)",
+                100.0 * applied as f64 / total as f64
+            );
+            let tenths = if engine == "tib" { 3 } else { 9 };
+            assert!(
+                applied * 10 > total * tenths,
+                "{engine}: {applied} of {total} cycles applied"
+            );
+        }
     }
 
     #[test]
@@ -1572,16 +1455,14 @@ mod tests {
         // A budget that ends mid-loop: the timeout must name the same
         // cycle as ticking, with repeats applied up to it.
         let program = asm(&STALL_LOOP.replace("r3, 6", "r3, 500"));
-        let decoded = Arc::new(DecodedProgram::new(program));
         for max_cycles in [400, 401, 457, 1000] {
             let config = SimConfig {
                 fetch: FetchStrategy::Perfect,
                 max_cycles,
                 ..SimConfig::default()
             };
-            let err = run_decoded(&decoded, &config).unwrap_err();
-            assert_eq!(err, SimError::Timeout { cycles: max_cycles });
-            assert_eq!(Err(err), run_ticked(&decoded, &config));
+            let result = run_matches_ticking(&program, &config);
+            assert_eq!(result, Err(SimError::Timeout { cycles: max_cycles }));
         }
     }
 }

@@ -28,11 +28,31 @@
 //! this module adds the core's part of the key and the value-event replay.
 //!
 //! The skip is off when a trace sink is attached (it observes every
-//! cycle), when an external cache is modelled (addresses then affect
-//! timing), and for fetch engines that cannot describe their state.
+//! cycle) and when an external cache is modelled (addresses then affect
+//! timing).
+//!
+//! ## The frozen stop
+//!
+//! The same key, without the memory system's part, ends a machine that
+//! can never change again: a deadlocked program, which would otherwise
+//! tick to the cycle budget. After a cycle that issued nothing, while
+//! memory is idle, the engine has nothing outstanding and the program
+//! is not done, the cycle loop describes the core and the engine. If the
+//! previous cycle met the same conditions and left the same key, the
+//! cycle in between issued nothing, accepted and delivered nothing
+//! (either would have changed a queue length in the key) and changed no
+//! timing state (idle memory has none), so every later cycle repeats it
+//! exactly. The rest of the budget is then charged at that cycle's
+//! statistics delta, stalls, queue samples, fetch and memory counts, and
+//! the run times out on exactly the cycle, and with exactly the
+//! statistics, that ticking gives. Livermore runs meet the conditions on
+//! at most 775 cycles of up to 1.24 M, so the check costs nothing
+//! measurable. It is off with a trace sink attached.
 
-use pipe_icache::repeat::{Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
+use pipe_icache::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
+use pipe_icache::FetchStats;
 use pipe_isa::Instruction;
+use pipe_mem::MemStats;
 
 use super::{Decision, Processor, StoreRole};
 use crate::stats::SimStats;
@@ -64,12 +84,32 @@ pub(super) struct LoopSkip {
     journal: Vec<(u32, Option<u32>)>,
 }
 
-impl LoopSkip {
-    /// The skip for a run traced by `trace`: none when a sink observes
-    /// every cycle.
-    pub(super) fn new_if_eligible(trace: &impl TraceSink) -> Option<Box<LoopSkip>> {
-        (!trace.enabled()).then(Box::default)
+/// The frozen stop's record of the last cycle it checked (see the
+/// [module docs](self)).
+#[derive(Debug, Default)]
+pub(super) struct FrozenStop {
+    /// The cycle count after that cycle; 0 before the first.
+    cycle: u64,
+    key: Vec<u64>,
+    /// Scratch key, swapped with `key`.
+    next_key: Vec<u64>,
+    stats: SimStats,
+    fetch: FetchStats,
+    mem: MemStats,
+}
+
+/// `delta` added `n` times, by doubling.
+fn times<T: Clone + Default>(delta: &T, n: u64, add: fn(&mut T, &T)) -> T {
+    let (mut sum, mut power, mut n) = (T::default(), delta.clone(), n);
+    while n > 0 {
+        if n & 1 == 1 {
+            add(&mut sum, &power);
+        }
+        let doubled = power.clone();
+        add(&mut power, &doubled);
+        n >>= 1;
     }
+    sum
 }
 
 /// The processor as the loop marks drive it, with the replay's
@@ -84,7 +124,8 @@ impl<S: TraceSink> Machine for Repeating<'_, S> {
     type Counters = SimStats;
 
     fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
-        if self.proc.describe_timing(key) {
+        self.proc.describe_timing(key);
+        if self.proc.mem.describe_timing(key) {
             Timing::Described
         } else {
             Timing::Opaque
@@ -132,10 +173,39 @@ impl<S: TraceSink> Processor<S> {
         // Otherwise the skip stays off for the rest of the run.
     }
 
-    /// Appends the machine's timing state to `key` (see the module docs).
-    /// Returns `false` when the memory system or the fetch engine cannot
-    /// describe theirs.
-    fn describe_timing(&self, key: &mut Vec<u64>) -> bool {
+    /// Called after a cycle that issued nothing, with memory idle, the
+    /// engine holding nothing outstanding and the program not done: if the
+    /// cycle before met the same conditions and left the same key, runs
+    /// the machine to the cycle budget in one step (see the
+    /// [module docs](self)).
+    pub(super) fn stop_if_frozen(&mut self) {
+        let Some(mut frozen) = self.frozen.take() else {
+            return;
+        };
+        frozen.next_key.clear();
+        self.describe_timing(&mut frozen.next_key);
+        if frozen.cycle + 1 == self.cycle && frozen.next_key == frozen.key {
+            let n = self.max_cycles.saturating_sub(self.cycle);
+            let stats = times(&self.stats.since(&frozen.stats), n, SimStats::add);
+            let fetch = times(&self.fetch.stats().since(&frozen.fetch), n, FetchStats::add);
+            let mem = times(&self.mem.stats().since(&frozen.mem), n, MemStats::add);
+            self.stats.add(&stats);
+            self.fetch.shift_timing(0, &fetch);
+            self.mem.shift_timing(n, 0, &mem);
+            self.cycle += n;
+        } else {
+            std::mem::swap(&mut frozen.key, &mut frozen.next_key);
+            frozen.cycle = self.cycle;
+            frozen.stats.clone_from(&self.stats);
+            frozen.fetch.clone_from(self.fetch.stats());
+            frozen.mem.clone_from(self.mem.stats());
+        }
+        self.frozen = Some(frozen);
+    }
+
+    /// Appends the timing state of the core and the fetch engine to `key`
+    /// (see the module docs); the memory system describes its own.
+    fn describe_timing(&self, key: &mut Vec<u64>) {
         let now = self.cycle;
         let next_tag = self.mem.next_tag();
         let tag = |t: Option<u64>| t.map_or(0, |t| next_tag - t);
@@ -175,7 +245,7 @@ impl<S: TraceSink> Processor<S> {
             key.extend([next_tag - t, seq - ldq_base]);
         }
         key.extend(core.fpu_result_slots.iter().map(|&seq| seq - ldq_base));
-        self.mem.describe_timing(key) && self.fetch.describe_timing(key, next_tag)
+        self.fetch.describe_timing(key, next_tag);
     }
 
     /// Applies repeats of `iteration`, whose value events are `events`,

@@ -59,15 +59,6 @@ impl QueueOccupancy {
         self.total += len as u64;
     }
 
-    /// Samples `n` consecutive cycles at the same occupancy — equivalent
-    /// to calling [`sample`](Self::sample) `n` times. Used by the cycle
-    /// loop when fast-forwarding a stall window during which no queue
-    /// length can change.
-    pub fn sample_n(&mut self, len: usize, n: u64) {
-        self.max = self.max.max(len);
-        self.total += len as u64 * n;
-    }
-
     /// The occupancy summed since `earlier`. The maximum is left at 0:
     /// [`add`](Self::add) applies a delta to the run it came from, whose
     /// maximum a repeat of the same cycles cannot raise.

@@ -74,9 +74,8 @@ pub enum TraceEvent {
     Issue {
         /// Cycle number.
         cycle: u64,
-        /// Byte address of the instruction (as reported by the fetch
-        /// engine; `None` if the engine cannot attribute one).
-        addr: Option<u32>,
+        /// Byte address of the instruction.
+        addr: u32,
         /// The decoded instruction.
         instr: Instruction,
     },
@@ -230,10 +229,9 @@ impl<W: std::io::Write> TextTrace<W> {
 impl<W: std::io::Write> TraceSink for TextTrace<W> {
     fn event(&mut self, event: &TraceEvent) {
         let line = match event {
-            TraceEvent::Issue { cycle, addr, instr } => match addr {
-                Some(a) => format!("[{cycle:>8}] {a:#08x}  {instr}"),
-                None => format!("[{cycle:>8}]           {instr}"),
-            },
+            TraceEvent::Issue { cycle, addr, instr } => {
+                format!("[{cycle:>8}] {addr:#08x}  {instr}")
+            }
             TraceEvent::Stall { cycle, reason } => {
                 format!("[{cycle:>8}]           -- stall ({reason})")
             }
@@ -330,9 +328,7 @@ impl TraceSink for RegionProfiler {
     fn event(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::Issue { addr, .. } => {
-                if let Some(a) = addr {
-                    self.current = self.region_of(*a);
-                }
+                self.current = self.region_of(*addr);
                 if let Some(i) = self.current {
                     self.instructions[i] += 1;
                 }
@@ -352,7 +348,7 @@ mod tests {
     fn issue(cycle: u64, addr: u32) -> TraceEvent {
         TraceEvent::Issue {
             cycle,
-            addr: Some(addr),
+            addr,
             instr: Instruction::Nop,
         }
     }

@@ -11,8 +11,8 @@
 //! index-addressed slots pin down.
 //!
 //! Every point runs alone through the one cycle loop
-//! ([`pipe_core::Processor::run`], which fast-forwards provably idle stall
-//! windows) over the spec's shared predecoded program; a trace workload
+//! ([`pipe_core::Processor::run`], which applies repeating loop
+//! iterations in one step) over the spec's shared predecoded program; a trace workload
 //! replays through its fetch engine instead (see [`crate::tracerun`]).
 //! Parallelism is threads over points.
 //!

@@ -24,7 +24,7 @@ use pipe_mem::error::require_at_least;
 use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::FetchEngine;
+use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -257,7 +257,7 @@ impl FetchEngine for BufferFetch {
             let mut a = beat.addr;
             while a < beat.addr + beat.bytes {
                 // Only queue parcels that continue the stream exactly
-                // (end_addr equals head_addr when the queue is empty).
+                // (end_addr equals front_addr when the queue is empty).
                 if self.fq.end_addr() == a {
                     if self.fq.room() == 0 {
                         // Should be unreachable: supply() never schedules
@@ -277,7 +277,7 @@ impl FetchEngine for BufferFetch {
                     debug_assert!(
                         false,
                         "live beat {a:#x} does not continue the stream (head {:#x})",
-                        self.fq.head_addr()
+                        self.fq.front_addr()
                     );
                 }
                 a += PARCEL_BYTES;
@@ -297,15 +297,11 @@ impl FetchEngine for BufferFetch {
         self.fq.peek_instruction()
     }
 
-    fn head_addr(&self) -> Option<u32> {
-        (!self.fq.is_empty()).then(|| self.fq.head_addr())
-    }
-
     fn peek_index(&self) -> Option<usize> {
         // The FQ is filled from the image, so its head address indexes the
         // image directly; gate on a complete instruction like `peek`.
         self.fq.peek_instruction()?;
-        Some(((self.fq.head_addr() - self.base) / PARCEL_BYTES) as usize)
+        Some(((self.fq.front_addr() - self.base) / PARCEL_BYTES) as usize)
     }
 
     fn consume(&mut self) {
@@ -329,6 +325,41 @@ impl FetchEngine for BufferFetch {
 
     fn has_outstanding(&self) -> bool {
         !self.pendings.is_empty()
+    }
+
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
+        // The fetch queue holds image parcels: its head address and
+        // length describe it.
+        if let Some(cache) = &self.cache {
+            cache.describe(key);
+        }
+        key.extend([
+            u64::from(self.fq.front_addr()),
+            self.fq.len() as u64,
+            u64::from(self.stream_end),
+            self.pendings.len() as u64,
+        ]);
+        for p in &self.pendings {
+            key.extend([
+                if p.tag == 0 { 0 } else { next_tag - p.tag },
+                u64::from(p.accepted),
+                u64::from(p.addr),
+                u64::from(p.bytes),
+                u64::from(p.live),
+            ]);
+        }
+        describe_redirect(key, self.redirect, self.delivered);
+    }
+
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
+        self.delivered += stats.instructions_delivered;
+        shift_redirect(&mut self.redirect, stats.instructions_delivered);
+        for p in &mut self.pendings {
+            if p.tag != 0 {
+                p.tag += tags;
+            }
+        }
+        self.stats.add(stats);
     }
 
     fn stats(&self) -> &FetchStats {

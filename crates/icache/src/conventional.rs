@@ -96,8 +96,8 @@ struct Pending {
     demand: bool,
 }
 
-/// Memoized per-PC fetch state. The offer, probe, peek, and quiescence
-/// paths all re-derive "is the instruction at PC fully cached" (and the
+/// Memoized per-PC fetch state. The offer, probe, and peek paths all
+/// re-derive "is the instruction at PC fully cached" (and the
 /// always-prefetch path, "would a prefetch for the next instruction
 /// launch") several times per simulated cycle from inputs that only
 /// change on a beat, a consume, a redirect, or a reset — so the answers
@@ -140,7 +140,7 @@ pub struct ConventionalFetch {
     /// (the halves would otherwise evict each other forever).
     latch: [Option<u32>; 2],
     /// See [`AvailMemo`]. A `Cell` because the read-only engine entry
-    /// points (`peek`, `quiescence`) share the memo.
+    /// points (`peek`, `peek_index`) share the memo.
     avail: std::cell::Cell<Option<AvailMemo>>,
     stats: FetchStats,
 }
@@ -484,10 +484,6 @@ impl FetchEngine for ConventionalFetch {
         }
     }
 
-    fn head_addr(&self) -> Option<u32> {
-        Some(self.pc)
-    }
-
     fn peek_index(&self) -> Option<usize> {
         // Gated exactly like `peek`: the instruction must be fully cached
         // and every parcel inside the image.
@@ -530,45 +526,7 @@ impl FetchEngine for ConventionalFetch {
         self.pending.is_some()
     }
 
-    fn quiescence(&self) -> Option<u32> {
-        // A consume this cycle re-arms next cycle's offer decisions
-        // (`just_consumed` gates the prefetch-vs-demand choice), and a set
-        // tagged trigger both mutates and may launch.
-        if self.just_consumed {
-            return None;
-        }
-        if self.prefetch == ConvPrefetch::Tagged && self.tagged_trigger {
-            return None;
-        }
-        if let Some(p) = &self.pending {
-            if p.accepted {
-                return Some(0); // waiting on beats; offers nothing
-            }
-            if !p.demand && self.availability().is_some() {
-                let sb = self.cache.config().subblock_bytes;
-                let lo = self.pc & !(sb - 1);
-                if lo >= p.addr && lo < p.addr + p.bytes {
-                    return None; // prefetch will upgrade to a demand fetch
-                }
-            }
-            return Some(1); // pure re-offer at a stable class
-        }
-        // No pending: quiescent only if next cycle provably launches no
-        // new request. All inputs below (pc, cache, latch) are stable
-        // while no beats arrive and nothing issues.
-        let Some((bytes, cached)) = self.availability() else {
-            return Some(0); // pc outside the image: nothing to fetch
-        };
-        if !cached {
-            return None; // a demand fetch will launch
-        }
-        if self.prefetch == ConvPrefetch::Always && self.next_prefetch_launches(bytes) {
-            return None; // a sequential prefetch will launch
-        }
-        Some(0)
-    }
-
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
         // The availability memo is left out: it caches a function of the
         // PC, the cache and the latch, all described here.
         self.cache.describe(key);
@@ -594,7 +552,6 @@ impl FetchEngine for ConventionalFetch {
             ]),
             None => key.push(0),
         }
-        true
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {

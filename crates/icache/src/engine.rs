@@ -51,12 +51,6 @@ pub trait FetchEngine {
     /// available this cycle: `(first_parcel, immediate_parcel)`.
     fn peek(&self) -> Option<(u16, Option<u16>)>;
 
-    /// Byte address of the instruction [`peek`](FetchEngine::peek) would
-    /// return, when known. Used for tracing and profiling only.
-    fn head_addr(&self) -> Option<u32> {
-        None
-    }
-
     /// Image parcel index of the instruction [`peek`](FetchEngine::peek)
     /// would return: `Some(i)` exactly when `peek` returns `Some`, and
     /// then the parcels `peek` yields are `image[i]` (and `image[i + 1]`
@@ -84,51 +78,27 @@ pub trait FetchEngine {
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32);
 
     /// Returns `true` while the engine has requests in flight (used to
-    /// drain the simulation cleanly at halt).
+    /// drain the simulation cleanly at halt, and by the frozen stop).
     fn has_outstanding(&self) -> bool;
 
-    /// Reports whether the engine is *quiescent*: `Some(n)` promises that,
-    /// as long as no acceptances or beats arrive, every subsequent
-    /// [`offer_requests`](FetchEngine::offer_requests) +
-    /// [`advance`](FetchEngine::advance) cycle is a pure re-offer of
-    /// exactly `n` memory-port offers (same request, same class) with no
-    /// other observable state change — no statistics updates, no queue
-    /// movement, no new requests, no redirect firing. `None` means the
-    /// engine cannot make that promise this cycle.
-    ///
-    /// The processor's cycle loop uses this to fast-forward over
-    /// provably-idle stall windows; a conservative `None` only delays
-    /// the window by a cycle and never affects correctness. Must be
-    /// queried *after* the cycle's `offer_requests`/`advance` have run.
-    fn quiescence(&self) -> Option<u32> {
-        None
-    }
-
     /// Appends the engine's timing state to `key`, for the processor's
-    /// loop-iteration skip: two states that describe identically must
-    /// behave identically from then on, given the same memory events and
-    /// decode activity. Tags are written relative to `next_tag` (the
-    /// memory system's tag counter), counts such as instructions
-    /// delivered relative to themselves, and statistics not at all.
-    /// Returns `false` when the engine cannot describe its state (the
-    /// default), which turns the skip off for the run.
+    /// loop-iteration skip and frozen stop: two states that describe
+    /// identically must behave identically from then on, given the same
+    /// memory events and decode activity. Tags are written relative to
+    /// `next_tag` (the memory system's tag counter), counts such as
+    /// instructions delivered relative to themselves, and statistics not
+    /// at all.
     ///
     /// Must be called between cycles.
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
-        let _ = (key, next_tag);
-        false
-    }
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64);
 
     /// Applies one more repeat of a loop iteration that left the engine
     /// in the same [described](FetchEngine::describe_timing) state: `tags`
     /// more memory tags were handed out, and `stats` — the iteration's
     /// statistics delta, which includes the instructions it delivered —
-    /// is added. Only called on engines whose `describe_timing` returned
-    /// `true`.
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        let _ = (tags, stats);
-        unreachable!("{} does not describe its timing state", self.name());
-    }
+    /// is added. The frozen stop calls it too, with no tags and the
+    /// statistics of the cycles it charges.
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats);
 
     /// The engine's statistics.
     fn stats(&self) -> &FetchStats;

@@ -79,10 +79,6 @@ impl FetchEngine for PerfectFetch {
         }
     }
 
-    fn head_addr(&self) -> Option<u32> {
-        Some(self.pc)
-    }
-
     fn peek_index(&self) -> Option<usize> {
         self.peek()?;
         Some(((self.pc - self.base) / PARCEL_BYTES) as usize)
@@ -107,16 +103,9 @@ impl FetchEngine for PerfectFetch {
         false
     }
 
-    fn quiescence(&self) -> Option<u32> {
-        // Never touches memory and does all work in peek/consume: a cycle
-        // with no decode activity changes nothing.
-        Some(0)
-    }
-
-    fn describe_timing(&self, key: &mut Vec<u64>, _next_tag: u64) -> bool {
+    fn describe_timing(&self, key: &mut Vec<u64>, _next_tag: u64) {
         key.push(u64::from(self.pc));
         describe_redirect(key, self.redirect, self.delivered);
-        true
     }
 
     fn shift_timing(&mut self, _tags: u64, stats: &FetchStats) {

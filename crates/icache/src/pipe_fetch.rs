@@ -686,15 +686,11 @@ impl FetchEngine for PipeFetch {
         self.iq.peek_instruction()
     }
 
-    fn head_addr(&self) -> Option<u32> {
-        (!self.iq.is_empty()).then(|| self.iq.head_addr())
-    }
-
     fn peek_index(&self) -> Option<usize> {
         // The IQ is filled from the image, so its head address indexes the
         // image directly; gate on a complete instruction like `peek`.
         self.iq.peek_instruction()?;
-        Some(((self.iq.head_addr() - self.base) / PARCEL_BYTES) as usize)
+        Some(((self.iq.front_addr() - self.base) / PARCEL_BYTES) as usize)
     }
 
     fn consume(&mut self) {
@@ -731,73 +727,14 @@ impl FetchEngine for PipeFetch {
         !self.pendings.is_empty()
     }
 
-    fn quiescence(&self) -> Option<u32> {
-        // `supply_iq` transfers IQB→IQ whenever the sequential IQB holds
-        // parcels and the IQ has room.
-        if self.prep.is_none() && !self.iqb.is_empty() && self.iq.room() > 0 {
-            return None;
-        }
-        // `supply_iq` refills a starved IQ (cache copy or new demand fill)
-        // unless preparation or an in-flight fill blocks it, or the stream
-        // front is outside the image.
-        if self.iq.peek_instruction().is_none() {
-            let blocked = self.prep.is_some()
-                || self.has_pending(Dest::Iq)
-                || self.has_pending(Dest::Iqb)
-                || self.stream_end >= self.end
-                || self.stream_end < self.base;
-            if !blocked {
-                return None;
-            }
-        }
-        // `supply_iqb` prefetches (and counts a probe even when the
-        // guaranteed-only gate then blocks the request) unless blocked.
-        let iqb_blocked = self.prep.is_some()
-            || self.redirect.is_some()
-            || !self.iqb.is_empty()
-            || self.has_pending(Dest::Iqb)
-            || self.has_pending(Dest::Iq)
-            || self.stream_end >= self.end
-            || self.stream_end < self.base;
-        if !iqb_blocked {
-            return None;
-        }
-        // `try_start_prep` and `maybe_trigger` ran this cycle and depend
-        // only on `delivered` and IQ contents, both constant while nothing
-        // issues: if they could fire they already have.
-        // The offer loop is then a pure re-offer, one per class port.
-        let mut n = 0u32;
-        let mut demand = false;
-        let mut prefetch = false;
-        for p in &self.pendings {
-            if p.accepted {
-                continue;
-            }
-            let slot = if p.class == ReqClass::IFetch {
-                &mut demand
-            } else {
-                &mut prefetch
-            };
-            if *slot {
-                continue;
-            }
-            *slot = true;
-            if p.tag == 0 {
-                return None; // first offer still to come: assigns a tag
-            }
-            n += 1;
-        }
-        Some(n)
-    }
-
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) -> bool {
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
         // Queued parcels are copies of the image at their addresses, so a
         // queue is described by its head address and length.
         self.cache.describe(key);
         key.extend([
-            u64::from(self.iq.head_addr()),
+            u64::from(self.iq.front_addr()),
             self.iq.len() as u64,
-            u64::from(self.iqb.head_addr()),
+            u64::from(self.iqb.front_addr()),
             self.iqb.len() as u64,
             u64::from(self.stream_end),
             u64::from(self.unresolved_pbr),
@@ -820,7 +757,6 @@ impl FetchEngine for PipeFetch {
                 p.dest as u64,
             ]);
         }
-        true
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {

@@ -62,7 +62,7 @@ impl ParcelQueue {
 
     /// Byte address of the parcel at the head (meaningful only when
     /// non-empty or just restarted).
-    pub fn head_addr(&self) -> u32 {
+    pub fn front_addr(&self) -> u32 {
         self.head_addr
     }
 
@@ -148,7 +148,7 @@ impl ParcelQueue {
     pub fn take_from(&mut self, src: &mut ParcelQueue, max: usize) -> usize {
         let n = max.min(self.room()).min(src.len());
         for _ in 0..n {
-            let addr = src.head_addr();
+            let addr = src.front_addr();
             let p = src.pop().expect("length checked");
             self.push(addr, p);
         }
@@ -177,10 +177,10 @@ mod tests {
         let mut q = ParcelQueue::new(8);
         q.push(0x100, 1);
         q.push(0x102, 2);
-        assert_eq!(q.head_addr(), 0x100);
+        assert_eq!(q.front_addr(), 0x100);
         assert_eq!(q.end_addr(), 0x104);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.head_addr(), 0x102);
+        assert_eq!(q.front_addr(), 0x102);
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         q.push(0x100, 1);
         q.restart(0x200);
         assert!(q.is_empty());
-        assert_eq!(q.head_addr(), 0x200);
+        assert_eq!(q.front_addr(), 0x200);
         q.push(0x200, 9);
         assert_eq!(q.peek(0), Some(9));
     }
@@ -285,8 +285,8 @@ mod tests {
         }
         let moved = dst.take_from(&mut src, 10);
         assert_eq!(moved, 2, "limited by destination room");
-        assert_eq!(dst.head_addr(), 0x10);
-        assert_eq!(src.head_addr(), 0x14);
+        assert_eq!(dst.front_addr(), 0x10);
+        assert_eq!(src.front_addr(), 0x14);
         assert_eq!(dst.peek(0), Some(0));
         assert_eq!(dst.peek(1), Some(1));
     }

@@ -66,8 +66,9 @@ pub enum Timing {
     /// Not this time (a queue is too deep to compare cheaply); the PBR is
     /// not marked.
     Unsettled,
-    /// Never: some part cannot describe its state, so the skip stays off
-    /// for the rest of the run.
+    /// Never: the memory system models an external cache, whose timing
+    /// depends on addresses, so the skip stays off for the rest of the
+    /// run.
     Opaque,
 }
 

@@ -650,7 +650,8 @@ impl ReplayHarness {
         }
         key.push(self.data_q.len() as u64);
         key.extend(self.data_q.iter().map(|op| op.kind()));
-        if self.mem.describe_timing(key) && self.engine.describe_timing(key, next_tag) {
+        self.engine.describe_timing(key, next_tag);
+        if self.mem.describe_timing(key) {
             Timing::Described
         } else {
             Timing::Opaque

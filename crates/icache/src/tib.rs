@@ -24,7 +24,7 @@ use pipe_isa::{Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
-use crate::engine::FetchEngine;
+use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -361,15 +361,11 @@ impl FetchEngine for TibFetch {
         self.fq.peek_instruction()
     }
 
-    fn head_addr(&self) -> Option<u32> {
-        (!self.fq.is_empty()).then(|| self.fq.head_addr())
-    }
-
     fn peek_index(&self) -> Option<usize> {
         // The FQ is filled from the image, so its head address indexes the
         // image directly; gate on a complete instruction like `peek`.
         self.fq.peek_instruction()?;
-        Some(((self.fq.head_addr() - self.base) / PARCEL_BYTES) as usize)
+        Some(((self.fq.front_addr() - self.base) / PARCEL_BYTES) as usize)
     }
 
     fn consume(&mut self) {
@@ -395,37 +391,48 @@ impl FetchEngine for TibFetch {
         self.pending.is_some()
     }
 
-    fn quiescence(&self) -> Option<u32> {
+    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
+        // Replacement reads only the order of the use stamps, so each
+        // entry's stamp is described by its rank. The fetch queue holds
+        // image parcels: its head address and length describe it.
+        for e in &self.entries {
+            let rank = self
+                .entries
+                .iter()
+                .filter(|other| other.last_use < e.last_use)
+                .count();
+            key.extend([u64::from(e.target), u64::from(e.valid), rank as u64]);
+        }
+        key.extend([
+            u64::from(self.fq.front_addr()),
+            self.fq.len() as u64,
+            u64::from(self.stream_end),
+        ]);
         match &self.pending {
-            Some(p) if p.accepted => Some(0), // waiting on beats
-            Some(p) => {
-                if p.tag == 0 {
-                    return None; // first offer still to come: assigns a tag
-                }
-                if p.class == ReqClass::IPrefetch && self.fq.needs_refill() {
-                    return None; // will upgrade to the demand class
-                }
-                Some(1) // pure re-offer at a stable class
-            }
-            None => {
-                // `supply` launches a new fill next cycle unless the
-                // stream front is outside the image or the fetch queue is
-                // full — both stable while nothing is consumed.
-                if self.stream_end >= self.end || self.stream_end < self.base {
-                    return Some(0);
-                }
-                let chunk = self
-                    .cfg
-                    .entry_bytes
-                    .min(self.end - self.stream_end)
-                    .min((self.fq.room() as u32) * PARCEL_BYTES);
-                if chunk == 0 {
-                    Some(0)
-                } else {
-                    None
-                }
+            Some(p) => key.extend([
+                1,
+                if p.tag == 0 { 0 } else { next_tag - p.tag },
+                u64::from(p.accepted),
+                p.class.index() as u64,
+                u64::from(p.addr),
+                u64::from(p.bytes),
+                p.expect.map_or(0, |a| 1 + u64::from(a)),
+                p.tib_slot.map_or(0, |slot| 1 + slot as u64),
+            ]),
+            None => key.push(0),
+        }
+        describe_redirect(key, self.redirect, self.delivered);
+    }
+
+    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
+        self.delivered += stats.instructions_delivered;
+        shift_redirect(&mut self.redirect, stats.instructions_delivered);
+        if let Some(p) = &mut self.pending {
+            if p.tag != 0 {
+                p.tag += tags;
             }
         }
+        self.stats.add(stats);
     }
 
     fn stats(&self) -> &FetchStats {
@@ -555,6 +562,31 @@ mod tests {
         // Target instructions are immediately available from the buffer.
         f.advance();
         assert!(f.peek().is_some());
+    }
+
+    #[test]
+    fn timing_key_holds_the_lru_order_not_the_stamps() {
+        let p = program();
+        let key = |stamps: [u64; 2]| {
+            let mut f = TibFetch::new(&p, TibConfig::with_budget(32, 16));
+            for (e, (target, last_use)) in f
+                .entries
+                .iter_mut()
+                .zip([(0x8, stamps[0]), (0x10, stamps[1])])
+            {
+                *e = TibEntry {
+                    target,
+                    valid: true,
+                    last_use,
+                };
+            }
+            let mut key = Vec::new();
+            f.describe_timing(&mut key, 1);
+            key
+        };
+        // Replacement reads only the order of the stamps.
+        assert_eq!(key([1, 2]), key([7, 40]));
+        assert_ne!(key([1, 2]), key([2, 1]));
     }
 
     #[test]

@@ -207,77 +207,6 @@ impl MemorySystem {
         }
     }
 
-    /// Number of upcoming cycles over which [`tick`](Self::tick) would be
-    /// an exact no-op apart from the per-cycle arbitration counters: no
-    /// beat delivered, no request accepted, no internal state advanced.
-    ///
-    /// `offers_pending` says whether the client would re-offer the same
-    /// request(s) every one of those cycles; a cycle on which such an
-    /// offer could be *accepted* ends the window. Returns 0 whenever the
-    /// next tick would do real work. The window is unbounded (`u64::MAX`)
-    /// when nothing is in flight and nothing is offered — the caller
-    /// clamps against its own timeout horizon.
-    ///
-    /// Used by the processor's cycle loop to fast-forward stall windows;
-    /// [`skip_quiet`](Self::skip_quiet) applies the window with the exact
-    /// statistics ticking those cycles would have accumulated.
-    pub fn quiet_cycles(&self, offers_pending: bool) -> u64 {
-        if self.streaming.is_some() {
-            return 0; // a beat goes out this very cycle
-        }
-        let mut wake = u64::MAX;
-        if let Some(f) = self.inflight.front() {
-            wake = wake.min(f.first_beat_at.max(self.cycle));
-        }
-        if let Some(at) = self.fpu.next_ready_at() {
-            wake = wake.min(at.max(self.cycle));
-        }
-        if self.store_busy_until > self.cycle {
-            // `is_idle` flips when the store completes, even with nothing
-            // else in flight — the window must not hide that transition.
-            wake = wake.min(self.store_busy_until);
-        }
-        if offers_pending {
-            let accept_at = if self.cfg.pipelined {
-                // A pipelined memory accepts every cycle.
-                self.cycle
-            } else if self.inflight.is_empty() {
-                // Only the store-busy window delays acceptance.
-                self.store_busy_until.max(self.cycle)
-            } else {
-                // Blocked until the in-flight response delivers — its
-                // first beat (counted above) ends the window anyway.
-                u64::MAX
-            };
-            wake = wake.min(accept_at);
-        }
-        wake.saturating_sub(self.cycle)
-    }
-
-    /// Skips `n` cycles previously validated by
-    /// [`quiet_cycles`](Self::quiet_cycles), accumulating the same
-    /// statistics as `n` individual ticks with `offered` requests on the
-    /// ports each cycle: quiet cycles with offers are blocked cycles, and
-    /// more than one standing offer contends every cycle.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the window is actually quiet.
-    pub fn skip_quiet(&mut self, n: u64, offered: usize) {
-        debug_assert!(
-            n <= self.quiet_cycles(offered > 0),
-            "skip_quiet past the quiet window"
-        );
-        if offered > 1 {
-            self.stats.contended_cycles += n;
-        }
-        if offered > 0 {
-            self.stats.blocked_cycles += n;
-        }
-        self.cycle += n;
-        self.stats.cycles = self.cycle;
-    }
-
     /// Appends the system's timing state to `key`, normalised so that two
     /// states that differ only by a whole number of cycles and tags
     /// describe identically: cycles are relative to the current cycle and
@@ -326,8 +255,10 @@ impl MemorySystem {
     /// had run once more through a loop iteration that left it in the same
     /// [described](Self::describe_timing) state: every cycle and tag field
     /// shifts, and `stats` (that iteration's statistics delta) is added.
+    /// An external cache holds no cycle or tag, so an idle system with one
+    /// shifts too.
     pub fn shift_timing(&mut self, cycles: u64, tags: u64, stats: &MemStats) {
-        debug_assert!(self.ext_cache.is_none());
+        debug_assert!(self.ext_cache.is_none() || self.is_idle());
         let shift_tag = |t: &mut u64| {
             if *t != 0 {
                 *t += tags;
@@ -797,74 +728,5 @@ mod tests {
             ..MemConfig::default()
         };
         let _ = MemorySystem::new(c);
-    }
-
-    #[test]
-    fn quiet_window_ends_exactly_at_first_beat() {
-        // Accept a 6-cycle load, then the window must cover precisely the
-        // cycles before its first beat: each intermediate tick is a no-op
-        // and the tick right after the window delivers.
-        let mut mem = MemorySystem::new(cfg(6, false, 4));
-        let tag = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x40, 4, tag));
-        let quiet = mem.quiet_cycles(false);
-        assert!(quiet > 0, "a slow access must open a window");
-        for _ in 0..quiet {
-            let out = mem.tick();
-            assert!(out.beats.is_none() && out.accepted.is_none());
-        }
-        assert_eq!(mem.quiet_cycles(false), 0, "window fully consumed");
-        let out = mem.tick();
-        assert_eq!(out.beats.map(|b| b.tag), Some(tag));
-    }
-
-    #[test]
-    fn skip_quiet_matches_ticked_stats() {
-        // Two identical systems, one ticked through a blocked window with
-        // two standing offers, the other skipping it: bit-identical stats.
-        let build = || {
-            let mut mem = MemorySystem::new(cfg(6, false, 4));
-            let tag = mem.new_tag();
-            drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x40, 4, tag));
-            mem
-        };
-        let mut ticked = build();
-        let mut skipped = build();
-        let offers = |mem: &mut MemorySystem| {
-            let t1 = mem.next_tag;
-            let t2 = t1 + 1;
-            mem.offer(MemRequest::load(ReqClass::IFetch, 0x80, 4, t1));
-            mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x90, 4, t2));
-        };
-        let quiet = {
-            offers(&mut ticked);
-            let q = ticked.quiet_cycles(true);
-            ticked.ports = Default::default();
-            q
-        };
-        assert!(quiet > 0);
-        for _ in 0..quiet {
-            offers(&mut ticked);
-            let out = ticked.tick();
-            assert!(out.beats.is_none() && out.accepted.is_none());
-        }
-        skipped.skip_quiet(quiet, 2);
-        assert_eq!(ticked.stats(), skipped.stats());
-        assert_eq!(ticked.cycle(), skipped.cycle());
-    }
-
-    #[test]
-    fn quiet_window_bounded_by_store_busy() {
-        // A non-pipelined store occupies memory for `access` cycles;
-        // `is_idle` flips when it completes, so the window must end there
-        // even with nothing else pending.
-        let mut mem = MemorySystem::new(cfg(5, false, 4));
-        let tag = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(0x40, tag));
-        assert!(!mem.is_idle());
-        let quiet = mem.quiet_cycles(false);
-        assert!(quiet > 0);
-        mem.skip_quiet(quiet, 0);
-        assert!(mem.is_idle(), "window ends exactly at store completion");
     }
 }

@@ -116,7 +116,7 @@ impl<W: Write> TraceSink for TraceRecorder<W> {
             TraceEvent::Issue { addr, .. } => {
                 self.flush_pending();
                 self.pending = Some(ReplayStep {
-                    addr: *addr,
+                    addr: Some(*addr),
                     waits: std::mem::take(&mut self.next_waits),
                     ops: Vec::new(),
                     resolve: None,

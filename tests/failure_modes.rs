@@ -1,10 +1,15 @@
 //! Failure injection: malformed programs and configurations must fail
 //! loudly and legibly, never hang silently or corrupt state.
 
-use pipe_repro::core::{interpret, run_program, FetchStrategy, InterpError, SimConfig, SimError};
-use pipe_repro::icache::{CacheConfig, PipeFetchConfig};
+use pipe_repro::core::{
+    interpret, run_program, FetchStrategy, InterpError, Processor, SimConfig, SimError,
+};
+use pipe_repro::icache::{
+    BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig, PrefetchPolicy,
+    TibConfig,
+};
 use pipe_repro::isa::{Assembler, InstrFormat};
-use pipe_repro::mem::MemConfig;
+use pipe_repro::mem::{ExternalCacheConfig, MemConfig};
 
 fn asm(src: &str) -> pipe_repro::isa::Program {
     Assembler::new(InstrFormat::Fixed32).assemble(src).unwrap()
@@ -108,4 +113,108 @@ fn error_messages_are_legible() {
     assert!(msg.contains("did not complete"), "{msg}");
     let e = interpret(&asm("or r1, r7, r7\nhalt\n"), 10).unwrap_err();
     assert!(e.to_string().contains("empty load queue"), "{e}");
+}
+
+/// The three ways a program deadlocks: a store address whose data never
+/// comes (the program halts but never drains), a queue read with no load
+/// to fill it, and running off the end of the image. The second comes
+/// twice: with a branch queued behind the read, a guaranteed-only PIPE
+/// engine counts a blocked prefetch probe on every cycle of the deadlock.
+const DEADLOCKS: [&str; 4] = [
+    "lim r1, 0x100\nsta r1, 0\nhalt\n",
+    "or r1, r7, r7\nhalt\n",
+    "or r1, r7, r7\npbr b0, r0, 0\nnop\nnop\nhalt\n",
+    "nop\nnop\nnop\n",
+];
+
+/// Every fetch engine, with and without each engine's options.
+fn every_engine() -> Vec<FetchStrategy> {
+    let mut guaranteed = PipeFetchConfig::table2(32, 16, 16, 16);
+    guaranteed.policy = PrefetchPolicy::GuaranteedOnly;
+    vec![
+        FetchStrategy::Perfect,
+        FetchStrategy::conventional(CacheConfig::new(32, 16)),
+        FetchStrategy::Conventional(ConventionalConfig {
+            cache: CacheConfig::new(32, 16),
+            prefetch: ConvPrefetch::Tagged,
+        }),
+        FetchStrategy::Pipe(PipeFetchConfig::table2(32, 16, 16, 16)),
+        FetchStrategy::Pipe(guaranteed),
+        FetchStrategy::Tib(TibConfig::with_budget(32, 16)),
+        FetchStrategy::Buffers(BufferConfig {
+            buffers: 4,
+            cache: None,
+        }),
+        FetchStrategy::Buffers(BufferConfig {
+            buffers: 2,
+            cache: Some(CacheConfig::new(32, 16)),
+        }),
+    ]
+}
+
+#[test]
+fn deadlocks_time_out_exactly_as_ticking_does_and_at_once() {
+    for src in DEADLOCKS {
+        let program = asm(src);
+        for fetch in every_engine() {
+            // At small budgets, with and without an external cache, `run`
+            // must end exactly where ticking `step` does, with the same
+            // statistics.
+            let external = [
+                None,
+                Some(ExternalCacheConfig {
+                    size_bytes: 256,
+                    line_bytes: 64,
+                    miss_penalty: 20,
+                }),
+            ];
+            let budgets = [1, 2, 3, 40, 333, 2_000];
+            for (external_cache, max_cycles) in
+                external.into_iter().flat_map(|e| budgets.map(|m| (e, m)))
+            {
+                let config = SimConfig {
+                    fetch,
+                    mem: MemConfig {
+                        access_cycles: 3,
+                        external_cache,
+                        ..MemConfig::default()
+                    },
+                    max_cycles,
+                    ..SimConfig::default()
+                };
+                let mut ticked = Processor::new(&program, &config).unwrap();
+                while ticked.cycle() < max_cycles {
+                    ticked.step().unwrap();
+                }
+                // At the budget `run` issues no cycle: it times out at once
+                // and finalizes the statistics.
+                let expected = ticked.run();
+                let mut proc = Processor::new(&program, &config).unwrap();
+                let result = proc.run();
+                assert_eq!(result, Err(SimError::Timeout { cycles: max_cycles }));
+                assert_eq!(result, expected, "{src:?} under {fetch}");
+                assert_eq!(proc.stats(), ticked.stats(), "{src:?} under {fetch}");
+            }
+            // A budget no ticking loop could finish.
+            for external_cache in external {
+                let config = SimConfig {
+                    fetch,
+                    mem: MemConfig {
+                        external_cache,
+                        ..MemConfig::default()
+                    },
+                    max_cycles: 1_000_000_000_000,
+                    ..SimConfig::default()
+                };
+                let err = run_program(&program, &config).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::Timeout {
+                        cycles: 1_000_000_000_000
+                    },
+                    "{src:?} under {fetch}"
+                );
+            }
+        }
+    }
 }

@@ -675,12 +675,12 @@ fn predecode_matches_raw_decode_on_random_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Stall fast-forwarding: bit-identical to ticking cycle by cycle.
+// `Processor::run` and its skips: bit-identical to ticking cycle by cycle.
 // ---------------------------------------------------------------------
 
 use std::sync::Arc;
 
-use pipe_repro::core::{run_decoded, SimError, SimStats};
+use pipe_repro::core::SimError;
 use pipe_repro::icache::{
     BufferConfig, ConvPrefetch, ConventionalConfig, PrefetchPolicy, TibConfig,
 };
@@ -713,34 +713,37 @@ fn every_engine(rng: &mut Rng) -> [FetchStrategy; 5] {
     ]
 }
 
-/// The reference cycle loop: `Processor::step` until done, with the same
-/// timeout rule as `Processor::run` and no skipping of any kind. `run` on the
-/// drained processor issues no cycle; it only finalizes the statistics.
-fn tick_to_end(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<Processor, SimError> {
-    let mut proc = Processor::from_decoded(decoded, config)?;
-    while !proc.is_done() {
-        if proc.cycle() >= config.max_cycles {
-            return Err(SimError::Timeout {
-                cycles: proc.cycle(),
-            });
-        }
-        proc.step()?;
+/// Runs `config` on `decoded` through `Processor::run` and through the
+/// reference cycle loop, `Processor::step` until done or out of budget
+/// with no skipping of any kind, and asserts that the two agree on the
+/// outcome (a timeout with its cycle), statistics, registers and data
+/// memory. `run` on the ticked processor issues no cycle: it finalizes the
+/// statistics, and at the budget times out at once. Returns the outcome.
+fn run_matches_ticking(
+    decoded: &Arc<DecodedProgram>,
+    config: &SimConfig,
+    context: &str,
+) -> Result<(), SimError> {
+    let mut ticked = Processor::from_decoded(decoded, config).expect("valid");
+    while !ticked.is_done() && ticked.cycle() < config.max_cycles {
+        ticked.step().expect("step");
     }
-    proc.run()?;
-    Ok(proc)
+    let expected = ticked.run();
+    let mut proc = Processor::from_decoded(decoded, config).expect("valid");
+    let result = proc.run();
+    assert_eq!(result, expected, "{context}");
+    assert_eq!(proc.stats(), ticked.stats(), "{context}");
+    assert_eq!(proc.regs(), ticked.regs(), "{context}");
+    assert!(proc.data() == ticked.data(), "{context}: memory diverged");
+    result
 }
 
-fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
-    tick_to_end(decoded, config).map(Processor::into_stats)
-}
-
-/// `run_decoded` fast-forwards provably idle stall windows; ticking
-/// `step` never does. Over random programs, every engine, access 1–8,
-/// bus 4/8, pipelined on/off and small cycle budgets, the two must agree
-/// bit for bit — statistics on success, the error (with its timeout
-/// cycle) otherwise.
+/// `Processor::run` applies repeating loop iterations and stops a frozen
+/// machine at the budget; ticking `step` does neither. Over random
+/// programs, all five engines, access 1–8, bus 4/8, pipelined on/off and
+/// small cycle budgets, the two must agree bit for bit.
 #[test]
-fn fast_forward_matches_ticking_on_random_programs() {
+fn run_matches_ticking_on_random_programs() {
     let mut rng = Rng::new(0x150b);
     let mut timeouts = 0;
     for trial in 0..24 {
@@ -782,14 +785,9 @@ fn fast_forward_matches_ticking_on_random_programs() {
                     },
                     ..SimConfig::default()
                 };
-                let ticked = run_ticked(&decoded, &config);
-                timeouts += usize::from(matches!(ticked, Err(SimError::Timeout { .. })));
-                assert_eq!(
-                    run_decoded(&decoded, &config),
-                    ticked,
-                    "trial {trial}: fast-forward diverged under {fetch} at {:?}",
-                    config.mem
-                );
+                let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
+                let result = run_matches_ticking(&decoded, &config, &context);
+                timeouts += usize::from(matches!(result, Err(SimError::Timeout { .. })));
             }
         }
     }
@@ -837,26 +835,9 @@ fn loop_skip_matches_ticking_on_random_kernels() {
                     },
                     ..SimConfig::default()
                 };
-                let mut proc = Processor::from_decoded(&decoded, &config).expect("valid");
-                let run = proc.run().map(|()| proc);
-                let ticked = tick_to_end(&decoded, &config);
                 let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
-                match (run, ticked) {
-                    (Ok(run), Ok(ticked)) => {
-                        assert_eq!(run.stats(), ticked.stats(), "{context}");
-                        assert_eq!(run.regs(), ticked.regs(), "{context}");
-                        assert!(run.data() == ticked.data(), "{context}: memory diverged");
-                    }
-                    (Err(run), Err(ticked)) => {
-                        timeouts += usize::from(matches!(ticked, SimError::Timeout { .. }));
-                        assert_eq!(run, ticked, "{context}");
-                    }
-                    (run, ticked) => panic!(
-                        "{context}: run {:?}, ticked {:?}",
-                        run.map(|p| p.cycle()),
-                        ticked.map(|p| p.cycle())
-                    ),
-                }
+                let result = run_matches_ticking(&decoded, &config, &context);
+                timeouts += usize::from(matches!(result, Err(SimError::Timeout { .. })));
             }
         }
     }
