@@ -43,10 +43,21 @@ fn main() -> ExitCode {
     };
 
     if opts.compare {
-        let rows =
-            pipe_cli::run_comparison(&program, &opts.config, opts.cache_bytes, opts.line_bytes);
-        print!("{}", pipe_cli::render_comparison(&rows));
-        return ExitCode::SUCCESS;
+        return match pipe_cli::run_comparison(
+            &program,
+            &opts.config,
+            opts.cache_bytes,
+            opts.line_bytes,
+        ) {
+            Ok(rows) => {
+                print!("{}", pipe_cli::render_comparison(&rows));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("pipe-sim: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
 
     let proc = match Processor::new(&program, &opts.config) {

@@ -15,9 +15,11 @@
 
 pub mod json;
 
+use std::error::Error;
+use std::fmt;
 use std::str::FromStr;
 
-use pipe_core::{FetchStrategy, SimConfig};
+use pipe_core::{FetchStrategy, SimConfig, SimError};
 use pipe_icache::{
     BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig, TibConfig,
 };
@@ -260,6 +262,11 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
             return Err(format!("{flag} does not apply to --compare"));
         }
+        for fetch in comparison_strategies(engine.cache, engine.line) {
+            fetch
+                .validate()
+                .map_err(|e| format!("--compare: {}: {e}", fetch.label()))?;
+        }
         // Unused: the comparison builds each strategy from --cache/--line.
         FetchStrategy::Perfect
     } else {
@@ -286,19 +293,12 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     })
 }
 
-/// Runs `program` under every fetch strategy at the given base
-/// configuration and returns `(label, stats)` per strategy, in a fixed
-/// presentation order: perfect, conventional, PIPE (queues of one line),
-/// TIB and four cache-less prefetch buffers. The cache is at least one
-/// line; strategies whose geometry is still invalid are skipped.
-pub fn run_comparison(
-    program: &pipe_isa::Program,
-    base: &SimConfig,
-    cache: u32,
-    line: u32,
-) -> Vec<(String, pipe_core::SimStats)> {
+/// The strategies `--compare` runs, in presentation order: perfect,
+/// conventional, PIPE (queues of one line), TIB and four cache-less
+/// prefetch buffers, over a cache of at least one line.
+fn comparison_strategies(cache: u32, line: u32) -> [FetchStrategy; 5] {
     let size = cache.max(line);
-    let strategies = [
+    [
         FetchStrategy::Perfect,
         FetchStrategy::conventional(CacheConfig::new(size, line)),
         FetchStrategy::Pipe(PipeFetchConfig::table2(size, line, line, line)),
@@ -307,17 +307,55 @@ pub fn run_comparison(
             buffers: 4,
             cache: None,
         }),
-    ];
-    strategies
+    ]
+}
+
+/// A `--compare` strategy whose run failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompareError {
+    /// The strategy's label.
+    pub strategy: String,
+    /// Why its run failed.
+    pub error: SimError,
+}
+
+impl fmt::Display for CompareError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.strategy, self.error)
+    }
+}
+
+impl Error for CompareError {}
+
+/// Runs `program` under every `--compare` strategy at the given base
+/// configuration and returns `(label, stats)` per strategy, in
+/// presentation order: perfect, conventional, PIPE (queues of one line),
+/// TIB and four cache-less prefetch buffers. The cache is at least one
+/// line.
+///
+/// # Errors
+///
+/// Returns the first strategy whose run fails, with its [`SimError`]
+/// (an invalid geometry fails as [`SimError::Config`]).
+pub fn run_comparison(
+    program: &pipe_isa::Program,
+    base: &SimConfig,
+    cache: u32,
+    line: u32,
+) -> Result<Vec<(String, pipe_core::SimStats)>, CompareError> {
+    comparison_strategies(cache, line)
         .into_iter()
-        .filter_map(|fetch| {
+        .map(|fetch| {
             let cfg = SimConfig {
                 fetch,
                 ..base.clone()
             };
-            cfg.validate().ok()?;
-            let stats = pipe_core::run_program(program, &cfg).ok()?;
-            Some((fetch.label(), stats))
+            pipe_core::run_program(program, &cfg)
+                .map(|stats| (fetch.label(), stats))
+                .map_err(|error| CompareError {
+                    strategy: fetch.label(),
+                    error,
+                })
         })
         .collect()
 }
@@ -524,6 +562,10 @@ mod tests {
         // --compare builds its own strategies: the default PIPE geometry
         // is not validated, so a cache of 0 (one line each) runs.
         assert!(parse_sim_args(&args("a.s --compare --cache 0")).is_ok());
+        // A cache size a compared strategy rejects is a usage error that
+        // names the strategy.
+        let err = parse_sim_args(&args("a.s --compare --cache 24")).unwrap_err();
+        assert!(err.contains("conventional(24B)"), "{err}");
         assert!(parse_sim_args(&args("a.s --fetch buffers --iq 2")).is_ok());
         assert!(parse_sim_args(&args("a.s --fetch conventional --prefetch tagged")).is_ok());
     }
@@ -591,7 +633,7 @@ mod tests {
         let p = pipe_isa::Assembler::new(InstrFormat::Fixed32)
             .assemble("lim r1, 3\nlbr b0, top\ntop: subi r1, r1, 1\npbr.nez b0, r1, 0\nhalt\n")
             .unwrap();
-        let rows = run_comparison(&p, &SimConfig::default(), 64, 16);
+        let rows = run_comparison(&p, &SimConfig::default(), 64, 16).unwrap();
         assert_eq!(rows.len(), 5);
         // Perfect fetch is the lower bound.
         let perfect = rows[0].1.cycles;

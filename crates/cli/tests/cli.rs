@@ -64,6 +64,41 @@ fn sim_compare_lists_strategies() {
 }
 
 #[test]
+fn sim_compare_rejects_an_invalid_geometry() {
+    // A 24-byte cache is no power of two: conventional and PIPE reject it.
+    let src = write_temp("cmp-geometry.s", PROGRAM);
+    let out = pipe_sim()
+        .args([src.to_str().unwrap(), "--compare", "--cache", "24"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no partial table");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("conventional(24B)"), "{stderr}");
+    assert!(stderr.contains("size_bytes"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn sim_compare_reports_a_failed_run() {
+    // A read of r7 with no load in flight never completes.
+    let src = write_temp("cmp-dead.s", "or r1, r7, r7\nhalt\n");
+    let out = pipe_sim()
+        .args([src.to_str().unwrap(), "--compare", "--max-cycles", "1000"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no partial table");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("perfect: simulation did not complete within 1000 cycles"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn sim_rejects_bad_flags_with_usage() {
     // `-` is not stdin: it is an unknown flag like any other.
     for flag in ["--bogus", "-"] {

@@ -195,11 +195,6 @@ impl VecTrace {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Consumes the collector, returning the events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
 }
 
 impl TraceSink for VecTrace {

@@ -162,34 +162,6 @@ pub fn try_figure_with_workload(
     })
 }
 
-/// Reproduces one of the paper's figure panels using `runner` for
-/// execution (worker count, strictness, progress).
-///
-/// # Panics
-///
-/// Panics on an unknown id (valid ids are listed in [`ALL_FIGURES`]), or
-/// when the runner is strict and a job failed — use [`try_figure_with`]
-/// to handle partial outcomes.
-pub fn figure_with(id: &str, runner: &SweepRunner) -> Figure {
-    let (mem, title) = figure_mem(id);
-    let outcome = runner.run(&SweepSpec::figure(id));
-    Figure {
-        id: format!("fig{id}"),
-        title: format!("Figure {id}: {title}"),
-        mem,
-        series: outcome.series,
-    }
-}
-
-/// Reproduces one of the paper's figure panels serially.
-///
-/// # Panics
-///
-/// Panics on an unknown id; valid ids are listed in [`ALL_FIGURES`].
-pub fn figure(id: &str) -> Figure {
-    figure_with(id, &SweepRunner::new())
-}
-
 /// Runs one of the ablation studies (see [`ALL_ABLATIONS`]) using
 /// `runner` for execution (worker count, strictness, progress, and the
 /// memo that reuses points an earlier figure already simulated):

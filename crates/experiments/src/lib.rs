@@ -7,9 +7,9 @@
 //! |---|---|
 //! | Table I — inner-loop sizes | [`tables::table1`] |
 //! | Table II — IQ/IQB configurations | [`tables::table2`] |
-//! | Fig. 4a/4b — access 1, bus 4/8 B | [`figures::figure`]`("4a" / "4b")` |
-//! | Fig. 5a/5b — access 6, bus 4/8 B | [`figures::figure`]`("5a" / "5b")` |
-//! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::figure`]`("6a" / "6b")` |
+//! | Fig. 4a/4b — access 1, bus 4/8 B | [`figures::try_figure_with`]`("4a" / "4b", &runner)` |
+//! | Fig. 5a/5b — access 6, bus 4/8 B | [`figures::try_figure_with`]`("5a" / "5b", &runner)` |
+//! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::try_figure_with`]`("6a" / "6b", &runner)` |
 //! | ablations (access 2–3, priority, prefetch policy, format, TIB) | [`figures::try_ablation`] |
 //!
 //! Every figure is a cache-size sweep (16–512 bytes) of the five
@@ -32,8 +32,8 @@ pub mod tables;
 pub mod tracerun;
 
 pub use figures::{
-    figure, figure_mem, figure_with, try_ablation, try_figure_with, try_figure_with_workload,
-    Figure, FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
+    figure_mem, try_ablation, try_figure_with, try_figure_with_workload, Figure, FigureRun, Series,
+    ALL_ABLATIONS, ALL_FIGURES,
 };
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};

@@ -17,14 +17,13 @@
 //! memory requests at once (the point of having several buffers).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use pipe_isa::{Program, PARCEL_BYTES};
+use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::require_at_least;
-use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -57,10 +56,9 @@ impl BufferConfig {
 
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    tag: u64,
-    accepted: bool,
-    addr: u32,
-    bytes: u32,
+    /// Offered as a demand fetch while the decoder is starved and the fill
+    /// is live, as a prefetch otherwise.
+    req: Request,
     /// `false` once a redirect made the fill wrong-path (cache-only).
     live: bool,
 }
@@ -68,65 +66,36 @@ struct Pending {
 /// The prefetch-buffer engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct BufferFetch {
-    cfg: BufferConfig,
-    image: Arc<Vec<u16>>,
-    base: u32,
-    end: u32,
+    image: Image,
     cache: Option<InstructionCache>,
     /// Prefetched instructions awaiting the decoder.
     fq: ParcelQueue,
     stream_end: u32,
     pendings: VecDeque<Pending>,
-    redirect: Option<(u64, u32)>,
-    delivered: u64,
+    redirect: Redirect,
     stats: FetchStats,
 }
 
 impl BufferFetch {
-    /// Creates a prefetch-buffer engine over `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`BufferConfig::validate`].
-    pub fn new(program: &Program, cfg: BufferConfig) -> BufferFetch {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid BufferConfig: {e}");
-        }
+    /// Creates a prefetch-buffer engine over `program` with a
+    /// configuration that [`FetchConfig::build`](crate::FetchConfig::build)
+    /// has validated.
+    pub(crate) fn new(program: &Program, cfg: BufferConfig) -> BufferFetch {
         BufferFetch {
-            cfg,
             image: program.image(),
-            base: program.base(),
-            end: program.end(),
             cache: cfg.cache.map(InstructionCache::new),
             fq: ParcelQueue::new(cfg.buffers * 4),
             stream_end: program.entry(),
             pendings: VecDeque::new(),
-            redirect: None,
-            delivered: 0,
+            redirect: Redirect::default(),
             stats: FetchStats::default(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BufferConfig {
-        &self.cfg
-    }
-
-    fn parcel(&self, addr: u32) -> Option<u16> {
-        if addr < self.base || addr >= self.end {
-            return None;
-        }
-        Some(self.image[((addr - self.base) / PARCEL_BYTES) as usize])
-    }
-
     fn maybe_trigger(&mut self) {
-        let Some((after, target)) = self.redirect else {
+        let Some(target) = self.redirect.take_due() else {
             return;
         };
-        if self.delivered != after {
-            return;
-        }
-        self.redirect = None;
         self.stats.redirects += 1;
         self.stats.flushed_parcels += self.fq.len() as u64;
         self.fq.restart(target);
@@ -150,9 +119,9 @@ impl BufferFetch {
                 .pendings
                 .iter()
                 .filter(|p| p.live)
-                .map(|p| p.bytes)
+                .map(|p| p.req.bytes)
                 .sum();
-            if self.stream_end >= self.end || self.stream_end < self.base {
+            if self.image.parcel_at(self.stream_end).is_none() {
                 return;
             }
             let room = (self.fq.room() as u32) * PARCEL_BYTES;
@@ -167,11 +136,7 @@ impl BufferFetch {
                 if let Some(cache) = &mut self.cache {
                     if cache.contains(need, 4) {
                         self.stats.cache_hits += 1;
-                        for off in [0u32, 2] {
-                            if let Some(p) = self.parcel(need + off) {
-                                self.fq.push(need + off, p);
-                            }
-                        }
+                        self.fq.fill_from(&self.image, need, need + 4);
                         self.stream_end = need + 4;
                         continue;
                     }
@@ -179,14 +144,11 @@ impl BufferFetch {
                 }
             }
             // Off-chip: one instruction (4 bytes) per buffer slot.
-            if self.pendings.iter().filter(|p| !p.accepted).count() >= 1 {
+            if self.pendings.iter().any(|p| !p.req.accepted) {
                 return; // one *unaccepted* offer at a time per port
             }
             self.pendings.push_back(Pending {
-                tag: 0,
-                accepted: false,
-                addr: need,
-                bytes: 4,
+                req: Request::new(ReqClass::IPrefetch, need, 4),
                 live: true,
             });
             self.stream_end = need + 4;
@@ -196,48 +158,26 @@ impl BufferFetch {
 }
 
 impl FetchEngine for BufferFetch {
-    fn reset(&mut self, pc: u32) {
-        if let Some(c) = &mut self.cache {
-            c.flush();
-        }
-        self.fq.restart(pc);
-        self.stream_end = pc;
-        self.pendings.clear();
-        self.redirect = None;
-        self.delivered = 0;
-    }
-
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
         self.maybe_trigger();
         self.supply();
         // Demand class when the decoder is starved, prefetch otherwise.
         let starved = self.fq.needs_refill();
-        if let Some(p) = self.pendings.iter_mut().find(|p| !p.accepted) {
-            if p.tag == 0 {
-                p.tag = mem.new_tag();
-            }
-            let class = if starved && p.live {
+        if let Some(p) = self.pendings.iter_mut().find(|p| !p.req.accepted) {
+            p.req.class = if starved && p.live {
                 ReqClass::IFetch
             } else {
                 ReqClass::IPrefetch
             };
-            mem.offer(MemRequest::load(class, p.addr, p.bytes, p.tag));
+            p.req.offer(mem);
         }
     }
 
     fn on_accepted(&mut self, tag: u64) {
-        if let Some(p) = self
-            .pendings
-            .iter_mut()
-            .find(|p| p.tag == tag && !p.accepted)
-        {
-            p.accepted = true;
-            if self.fq.needs_refill() && p.live {
-                self.stats.demand_requests += 1;
-            } else {
-                self.stats.prefetch_requests += 1;
+        for p in &mut self.pendings {
+            if p.req.accept(tag, &mut self.stats) {
+                return;
             }
-            self.stats.bytes_requested += u64::from(p.bytes);
         }
     }
 
@@ -246,7 +186,7 @@ impl FetchEngine for BufferFetch {
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let Some(idx) = self.pendings.iter().position(|p| p.tag == beat.tag) else {
+        let Some(idx) = self.pendings.iter().position(|p| p.req.tag == beat.tag) else {
             return;
         };
         if let Some(c) = &mut self.cache {
@@ -265,12 +205,10 @@ impl FetchEngine for BufferFetch {
                         debug_assert!(false, "buffer overflow at {a:#x}");
                         // Recover by re-fetching the remainder later.
                         self.stream_end = self.stream_end.min(a);
-                        if let Some(p) = self.pendings.iter_mut().find(|p| p.tag == beat.tag) {
-                            p.live = false;
-                        }
+                        self.pendings[idx].live = false;
                         break;
                     }
-                    if let Some(parcel) = self.parcel(a) {
+                    if let Some(parcel) = self.image.parcel_at(a) {
                         self.fq.push(a, parcel);
                     }
                 } else if self.fq.is_empty() {
@@ -298,28 +236,20 @@ impl FetchEngine for BufferFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        // The FQ is filled from the image, so its head address indexes the
-        // image directly; gate on a complete instruction like `peek`.
-        self.fq.peek_instruction()?;
-        Some(((self.fq.front_addr() - self.base) / PARCEL_BYTES) as usize)
+        self.fq.head_index(&self.image)
     }
 
     fn consume(&mut self) {
-        let (_, second) = self.peek().expect("consume without available instruction");
-        self.fq.pop();
-        if second.is_some() {
-            self.fq.pop();
-        }
-        self.delivered += 1;
+        self.fq
+            .pop_instruction()
+            .expect("consume without available instruction");
         self.stats.instructions_delivered += 1;
+        self.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        if !taken {
-            return;
-        }
-        self.redirect = Some((self.delivered + u64::from(remaining), target));
+        self.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
@@ -340,24 +270,15 @@ impl FetchEngine for BufferFetch {
             self.pendings.len() as u64,
         ]);
         for p in &self.pendings {
-            key.extend([
-                if p.tag == 0 { 0 } else { next_tag - p.tag },
-                u64::from(p.accepted),
-                u64::from(p.addr),
-                u64::from(p.bytes),
-                u64::from(p.live),
-            ]);
+            p.req.describe(key, next_tag);
+            key.push(u64::from(p.live));
         }
-        describe_redirect(key, self.redirect, self.delivered);
+        self.redirect.describe(key);
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        self.delivered += stats.instructions_delivered;
-        shift_redirect(&mut self.redirect, stats.instructions_delivered);
         for p in &mut self.pendings {
-            if p.tag != 0 {
-                p.tag += tags;
-            }
+            p.req.shift(tags);
         }
         self.stats.add(stats);
     }
@@ -470,59 +391,34 @@ mod tests {
             },
         );
         let mut m = mem(6, false);
-        // First pass: everything misses and fills the cache.
+        // First pass: the instructions come off-chip and fill the cache.
         let mut consumed = 0;
         for _ in 0..300 {
             if cycle(&mut f, &mut m) {
                 consumed += 1;
             }
-            if consumed == 8 {
+            if consumed == 6 {
                 break;
             }
         }
-        assert_eq!(consumed, 8);
-        let requests_after_first = f.stats().total_requests();
-        // Second pass from the top: all cache hits, no new requests.
-        f.reset(0);
-        // reset flushes the cache, so re-fill it first.
-        // (Use resolve-branch-style restart instead: redirect to 0.)
-        let p2 = program();
-        let mut f2 = BufferFetch::new(
-            &p2,
-            BufferConfig {
-                buffers: 2,
-                cache: Some(CacheConfig::new(64, 16)),
-            },
-        );
-        let mut m2 = mem(6, false);
-        let mut consumed2 = 0;
-        for _ in 0..300 {
-            if cycle(&mut f2, &mut m2) {
-                consumed2 += 1;
-            }
-            if consumed2 == 6 {
-                break;
-            }
-        }
-        // Branch back to the start: cached, so no new off-chip requests
-        // beyond the in-flight tail.
-        f2.resolve_branch(true, 0, 0);
-        let before = f2.stats().total_requests();
-        let mut consumed3 = 0;
+        assert_eq!(consumed, 6);
+        // Branch back to the start: the revisit is supplied from the cache.
+        f.resolve_branch(true, 0, 0);
+        let hits = f.stats().cache_hits;
+        let mut revisited = 0;
         for _ in 0..100 {
-            if cycle(&mut f2, &mut m2) {
-                consumed3 += 1;
+            if cycle(&mut f, &mut m) {
+                revisited += 1;
             }
-            if consumed3 == 4 {
+            if revisited == 4 {
                 break;
             }
         }
-        assert_eq!(consumed3, 4, "re-run from cache");
+        assert_eq!(revisited, 4, "re-run from cache");
         assert!(
-            f2.stats().cache_hits > 0,
+            f.stats().cache_hits > hits,
             "cache supplied the revisit: {:?}",
-            f2.stats()
+            f.stats()
         );
-        let _ = (requests_after_first, before);
     }
 }

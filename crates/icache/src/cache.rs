@@ -214,13 +214,6 @@ impl InstructionCache {
         line.sub_valid |= mask;
     }
 
-    /// Invalidates the entire cache.
-    pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
-    }
-
     /// Appends the valid bits and tags of every line to `key` (the
     /// lifetime probe counters are left out: the fetch engines count
     /// their own probes and never call [`probe`](Self::probe)).
@@ -317,16 +310,6 @@ mod tests {
         assert!(c.contains(0x10, 8));
         assert!(!c.contains(0x00, 4));
         assert!(!c.contains(0x18, 4));
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = cache(64, 16);
-        c.fill(0, 64);
-        assert_eq!(c.valid_subblocks(), 16);
-        c.flush();
-        assert_eq!(c.valid_subblocks(), 0);
-        assert!(!c.contains(0, 4));
     }
 
     #[test]

@@ -12,15 +12,12 @@
 //! * Demand fetches use the [`ReqClass::IFetch`] arbitration class;
 //!   prefetches use [`ReqClass::IPrefetch`] (lowest priority).
 
-use std::sync::Arc;
-
 use pipe_isa::decode::instr_len;
-use pipe_isa::encode::parcel_has_ext;
-use pipe_isa::{Program, PARCEL_BYTES};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
+use pipe_isa::{Image, Program, PARCEL_BYTES};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::stats::FetchStats;
 
 /// The prefetch strategies Hill compared (the paper adopts
@@ -81,26 +78,11 @@ impl ConventionalConfig {
     }
 }
 
-impl From<CacheConfig> for ConventionalConfig {
-    fn from(cache: CacheConfig) -> ConventionalConfig {
-        ConventionalConfig::new(cache)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    tag: u64,
-    accepted: bool,
-    addr: u32,
-    bytes: u32,
-    demand: bool,
-}
-
 /// Memoized per-PC fetch state. The offer, probe, and peek paths all
 /// re-derive "is the instruction at PC fully cached" (and the
 /// always-prefetch path, "would a prefetch for the next instruction
 /// launch") several times per simulated cycle from inputs that only
-/// change on a beat, a consume, a redirect, or a reset — so the answers
+/// change on a beat, a consume or a redirect — so the answers
 /// are computed once per PC and invalidated at exactly those events.
 #[derive(Debug, Clone, Copy)]
 struct AvailMemo {
@@ -115,9 +97,7 @@ struct AvailMemo {
 /// Hill's always-prefetch conventional instruction cache.
 #[derive(Debug)]
 pub struct ConventionalFetch {
-    image: Arc<Vec<u16>>,
-    base: u32,
-    end: u32,
+    image: Image,
     cache: InstructionCache,
     prefetch: ConvPrefetch,
     /// Tagged mode: sub-block addresses fetched but not yet referenced.
@@ -125,9 +105,9 @@ pub struct ConventionalFetch {
     /// Tagged mode: a first-reference occurred; prefetch the next block.
     tagged_trigger: bool,
     pc: u32,
-    delivered: u64,
-    redirect: Option<(u64, u32)>,
-    pending: Option<Pending>,
+    redirect: Redirect,
+    /// The one outstanding request.
+    pending: Option<Request>,
     /// Count the cache probe for the current PC only once.
     probe_counted: bool,
     /// An instruction was consumed since the last offer phase: a fetch for
@@ -146,36 +126,19 @@ pub struct ConventionalFetch {
 }
 
 impl ConventionalFetch {
-    /// Creates a conventional fetch engine over `program`. Accepts either
-    /// a full [`ConventionalConfig`] or a bare [`CacheConfig`] (which
-    /// implies the paper's always-prefetch strategy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`ConventionalConfig::validate`];
-    /// construct through [`FetchConfig::build`](crate::FetchConfig::build)
-    /// for a fallible path.
-    pub fn new(program: &Program, config: impl Into<ConventionalConfig>) -> ConventionalFetch {
-        let config = config.into();
-        if let Err(e) = config.validate() {
-            panic!("invalid conventional-fetch config: {e}");
-        }
-        ConventionalFetch::from_config(program, config)
-    }
-
-    fn from_config(program: &Program, config: ConventionalConfig) -> ConventionalFetch {
+    /// Creates a conventional fetch engine over `program` with a
+    /// configuration that [`FetchConfig::build`](crate::FetchConfig::build)
+    /// has validated.
+    pub(crate) fn new(program: &Program, config: ConventionalConfig) -> ConventionalFetch {
         let ConventionalConfig { cache, prefetch } = config;
         ConventionalFetch {
             image: program.image(),
-            base: program.base(),
-            end: program.end(),
             cache: InstructionCache::new(cache),
             prefetch,
             fresh: std::collections::HashSet::new(),
             tagged_trigger: false,
             pc: program.entry(),
-            delivered: 0,
-            redirect: None,
+            redirect: Redirect::default(),
             pending: None,
             probe_counted: false,
             just_consumed: false,
@@ -185,21 +148,9 @@ impl ConventionalFetch {
         }
     }
 
-    /// The underlying cache, for inspection in tests.
-    pub fn cache(&self) -> &InstructionCache {
-        &self.cache
-    }
-
-    fn parcel(&self, addr: u32) -> Option<u16> {
-        if addr < self.base || addr >= self.end {
-            return None;
-        }
-        Some(self.image[((addr - self.base) / PARCEL_BYTES) as usize])
-    }
-
     /// Size in bytes of the instruction at `addr`, from the image.
     fn instr_bytes_at(&self, addr: u32) -> Option<u32> {
-        let first = self.parcel(addr)?;
+        let first = self.image.parcel_at(addr)?;
         Some(instr_len(first) as u32 * PARCEL_BYTES)
     }
 
@@ -258,7 +209,7 @@ impl ConventionalFetch {
             }
         }
         let next = self.pc + bytes;
-        let launches = self.parcel(next).is_some()
+        let launches = self.image.parcel_at(next).is_some()
             && match self.instr_cached(next, PARCEL_BYTES) {
                 true => {
                     let nbytes = self
@@ -278,40 +229,33 @@ impl ConventionalFetch {
     }
 
     fn maybe_trigger(&mut self) {
-        if let Some((after, target)) = self.redirect {
-            if self.delivered == after {
-                self.pc = target;
-                self.redirect = None;
-                self.probe_counted = false;
-                self.latch = [None, None];
-                self.avail.set(None);
-                self.stats.redirects += 1;
-                // An in-flight sequential prefetch is now known wasted (it
-                // still completes and fills the cache).
-                if let Some(p) = &self.pending {
-                    if !p.demand {
-                        self.stats.wasted_requests += 1;
-                    }
+        if let Some(target) = self.redirect.take_due() {
+            self.pc = target;
+            self.probe_counted = false;
+            self.latch = [None, None];
+            self.avail.set(None);
+            self.stats.redirects += 1;
+            // An in-flight sequential prefetch is now known wasted (it
+            // still completes and fills the cache).
+            if let Some(p) = &self.pending {
+                if p.class != ReqClass::IFetch {
+                    self.stats.wasted_requests += 1;
                 }
             }
         }
     }
+
+    /// Starts the one outstanding request, for the sub-blocks covering
+    /// `[addr, addr + bytes)`, and offers it.
+    fn launch(&mut self, mem: &mut MemorySystem, class: ReqClass, addr: u32, bytes: u32) {
+        let (lo, len) = self.covering(addr, bytes);
+        let mut req = Request::new(class, lo, len);
+        req.offer(mem);
+        self.pending = Some(req);
+    }
 }
 
 impl FetchEngine for ConventionalFetch {
-    fn reset(&mut self, pc: u32) {
-        self.pc = pc;
-        self.delivered = 0;
-        self.redirect = None;
-        self.pending = None;
-        self.probe_counted = false;
-        self.latch = [None, None];
-        self.avail.set(None);
-        self.fresh.clear();
-        self.tagged_trigger = false;
-        self.cache.flush();
-    }
-
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
         let just_consumed = std::mem::take(&mut self.just_consumed);
 
@@ -327,19 +271,12 @@ impl FetchEngine for ConventionalFetch {
             .flatten();
         if let Some(p) = &mut self.pending {
             if !p.accepted {
-                if !p.demand {
-                    if let Some(lo) = stalled_at {
-                        if lo >= p.addr && lo < p.addr + p.bytes {
-                            p.demand = true;
-                        }
+                if let Some(lo) = stalled_at {
+                    if lo >= p.addr && lo < p.addr + p.bytes {
+                        p.class = ReqClass::IFetch;
                     }
                 }
-                let class = if p.demand {
-                    ReqClass::IFetch
-                } else {
-                    ReqClass::IPrefetch
-                };
-                mem.offer(MemRequest::load(class, p.addr, p.bytes, p.tag));
+                p.offer(mem);
             }
             return; // one outstanding request at a time
         }
@@ -352,22 +289,12 @@ impl FetchEngine for ConventionalFetch {
         // fetch.
         if let Some((bytes, cached)) = self.availability() {
             if !cached {
-                let (lo, len) = self.covering(self.pc, bytes);
-                let tag = mem.new_tag();
-                let demand = !(just_consumed && self.prefetch == ConvPrefetch::Always);
-                self.pending = Some(Pending {
-                    tag,
-                    accepted: false,
-                    addr: lo,
-                    bytes: len,
-                    demand,
-                });
-                let class = if demand {
-                    ReqClass::IFetch
-                } else {
+                let class = if just_consumed && self.prefetch == ConvPrefetch::Always {
                     ReqClass::IPrefetch
+                } else {
+                    ReqClass::IFetch
                 };
-                mem.offer(MemRequest::load(class, lo, len, tag));
+                self.launch(mem, class, self.pc, bytes);
                 return;
             }
 
@@ -381,7 +308,7 @@ impl FetchEngine for ConventionalFetch {
                 ConvPrefetch::Tagged => std::mem::take(&mut self.tagged_trigger),
             };
             let next = self.pc + bytes;
-            if allow && self.parcel(next).is_some() {
+            if allow && self.image.parcel_at(next).is_some() {
                 // We know the next instruction's size once its first parcel
                 // is fetched; until then prefetch its first sub-block.
                 let want = match self.instr_cached(next, PARCEL_BYTES) {
@@ -394,16 +321,7 @@ impl FetchEngine for ConventionalFetch {
                     false => Some((next, PARCEL_BYTES)),
                 };
                 if let Some((addr, bytes)) = want {
-                    let (lo, len) = self.covering(addr, bytes);
-                    let tag = mem.new_tag();
-                    self.pending = Some(Pending {
-                        tag,
-                        accepted: false,
-                        addr: lo,
-                        bytes: len,
-                        demand: false,
-                    });
-                    mem.offer(MemRequest::load(ReqClass::IPrefetch, lo, len, tag));
+                    self.launch(mem, ReqClass::IPrefetch, addr, bytes);
                 }
             }
         }
@@ -411,15 +329,7 @@ impl FetchEngine for ConventionalFetch {
 
     fn on_accepted(&mut self, tag: u64) {
         if let Some(p) = &mut self.pending {
-            if p.tag == tag && !p.accepted {
-                p.accepted = true;
-                if p.demand {
-                    self.stats.demand_requests += 1;
-                } else {
-                    self.stats.prefetch_requests += 1;
-                }
-                self.stats.bytes_requested += u64::from(p.bytes);
-            }
+            p.accept(tag, &mut self.stats);
         }
     }
 
@@ -476,22 +386,17 @@ impl FetchEngine for ConventionalFetch {
         if !cached {
             return None;
         }
-        let first = self.parcel(self.pc)?;
-        if parcel_has_ext(first) {
-            Some((first, Some(self.parcel(self.pc + PARCEL_BYTES)?)))
-        } else {
-            Some((first, None))
-        }
+        self.image.instruction_parcels(self.pc)
     }
 
     fn peek_index(&self) -> Option<usize> {
         // Gated exactly like `peek`: the instruction must be fully cached
         // and every parcel inside the image.
         let (bytes, cached) = self.availability()?;
-        if !cached || self.pc + bytes > self.end {
+        if !cached || self.pc + bytes > self.image.end() {
             return None;
         }
-        Some(((self.pc - self.base) / PARCEL_BYTES) as usize)
+        Some(self.image.index_of(self.pc))
     }
 
     fn consume(&mut self) {
@@ -506,20 +411,18 @@ impl FetchEngine for ConventionalFetch {
             }
         }
         self.pc += bytes;
-        self.delivered += 1;
         self.probe_counted = false;
         self.just_consumed = true;
         self.latch = [None, None];
         self.avail.set(None); // the latch clear can change availability
         self.stats.instructions_delivered += 1;
+        self.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        if taken {
-            self.redirect = Some((self.delivered + u64::from(remaining), target));
-            self.maybe_trigger();
-        }
+        self.redirect.resolve(taken, remaining, target);
+        self.maybe_trigger();
     }
 
     fn has_outstanding(&self) -> bool {
@@ -541,24 +444,19 @@ impl FetchEngine for ConventionalFetch {
             u64::from(self.just_consumed),
         ]);
         key.extend(self.latch.map(|a| a.map_or(0, |a| 1 + u64::from(a))));
-        describe_redirect(key, self.redirect, self.delivered);
+        self.redirect.describe(key);
         match &self.pending {
-            Some(p) => key.extend([
-                next_tag - p.tag,
-                u64::from(p.accepted),
-                u64::from(p.addr),
-                u64::from(p.bytes),
-                u64::from(p.demand),
-            ]),
+            Some(p) => {
+                key.push(1);
+                p.describe(key, next_tag);
+            }
             None => key.push(0),
         }
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        self.delivered += stats.instructions_delivered;
-        shift_redirect(&mut self.redirect, stats.instructions_delivered);
         if let Some(p) = &mut self.pending {
-            p.tag += tags;
+            p.shift(tags);
         }
         self.stats.add(stats);
     }
@@ -616,7 +514,7 @@ mod tests {
     #[test]
     fn cold_miss_then_streaming() {
         let p = program();
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
+        let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         let mut m = mem(1);
         // Cycle 0: miss, request accepted. Cycle 1: beat arrives, issue.
         assert!(!cycle(&mut f, &mut m));
@@ -628,7 +526,7 @@ mod tests {
     #[test]
     fn prefetch_covers_next_instruction() {
         let p = program();
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
+        let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         let mut m = mem(1);
         for _ in 0..12 {
             cycle(&mut f, &mut m);
@@ -642,7 +540,7 @@ mod tests {
     #[test]
     fn warm_cache_delivers_every_cycle() {
         let p = program();
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
+        let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         // Pre-warm the entire image.
         f.cache.fill(0, p.code_bytes());
         let mut m = mem(6);
@@ -659,7 +557,7 @@ mod tests {
     fn redirect_to_cached_target_no_bubble() {
         let p = program();
         let top = p.symbols()["top"];
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
+        let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         f.cache.fill(0, p.code_bytes());
         let mut m = mem(1);
         // consume lim, lbr, subi, pbr
@@ -674,7 +572,7 @@ mod tests {
     #[test]
     fn one_outstanding_request_at_a_time() {
         let p = program();
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
+        let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         let mut m = mem(6);
         // During the long demand miss, no second request may be offered.
         for _ in 0..4 {
@@ -741,14 +639,5 @@ mod tests {
             before,
             "re-referencing untagged blocks must not prefetch"
         );
-    }
-
-    #[test]
-    fn reset_flushes_cache() {
-        let p = program();
-        let mut f = ConventionalFetch::new(&p, CacheConfig::new(64, 16));
-        f.cache.fill(0, 16);
-        f.reset(0);
-        assert_eq!(f.cache().valid_subblocks(), 0);
     }
 }

@@ -19,27 +19,39 @@
 //! processor drives once per cycle. Two further engines round out the
 //! design space: [`TibFetch`], the cache-less Target Instruction Buffer
 //! approach the paper's §2.1 contrasts against (AMD29000-style), and
-//! [`PerfectFetch`] (instant supply, no memory traffic) for functional
-//! testing.
+//! [`BufferFetch`], Rau & Rossman's prefetch buffers. [`PerfectFetch`]
+//! (instant supply, no memory traffic) serves functional testing.
+//!
+//! The engines differ only in what they cache and prefetch. What they
+//! share lives once in [`engine`]: the prepare-to-branch redirect, which
+//! counts the remaining delay-slot instructions down to the switch to the
+//! target, and the off-chip request record, which takes its tag on the
+//! first offer, counts its acceptance into [`FetchStats`], and describes
+//! and shifts its tag for the loop-iteration skip. Every engine reads
+//! instructions through the program's [`Image`](pipe_isa::Image), and the
+//! queue-based engines pop whole instructions from a [`ParcelQueue`].
 //!
 //! The cache ([`InstructionCache`]) stores only tags and sub-block valid
-//! bits; instruction bytes always come from the immutable program image,
-//! which the engines hold a shared handle to.
+//! bits; instruction bytes always come from the immutable program image.
 //!
 //! ## Driving an engine directly
 //!
-//! Engines are usually driven by `pipe-core`'s processor, but can be
-//! exercised standalone against a memory system:
+//! [`FetchConfig::build`] is the one way to construct an engine: it
+//! validates the configuration and returns the engine boxed. Engines are
+//! usually driven by `pipe-core`'s processor, but can be exercised
+//! standalone against a memory system:
 //!
 //! ```
-//! use pipe_icache::{FetchEngine, PipeFetch, PipeFetchConfig};
+//! use pipe_icache::{FetchConfig, PipeFetchConfig};
 //! use pipe_isa::{Assembler, InstrFormat};
 //! use pipe_mem::{BeatSource, MemConfig, MemorySystem};
 //!
 //! let program = Assembler::new(InstrFormat::Fixed32)
 //!     .assemble("nop\nnop\nhalt\n")
 //!     .unwrap();
-//! let mut engine = PipeFetch::new(&program, PipeFetchConfig::table2(64, 16, 16, 16));
+//! let mut engine = FetchConfig::Pipe(PipeFetchConfig::table2(64, 16, 16, 16))
+//!     .build(&program)
+//!     .unwrap();
 //! let mut mem = MemorySystem::new(MemConfig::default());
 //!
 //! let mut delivered = 0;

@@ -1,13 +1,10 @@
 //! A perfect (always-hit, zero-traffic) fetch engine for functional tests.
 
-use std::sync::Arc;
-
 use pipe_isa::decode::instr_len;
-use pipe_isa::encode::parcel_has_ext;
-use pipe_isa::{Program, PARCEL_BYTES};
+use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::{Beat, MemorySystem};
 
-use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
+use crate::engine::{FetchEngine, Redirect};
 use crate::stats::FetchStats;
 
 /// Supplies one instruction per cycle directly from the program image with
@@ -15,53 +12,32 @@ use crate::stats::FetchStats;
 /// core's functional semantics in isolation from fetch timing.
 #[derive(Debug)]
 pub struct PerfectFetch {
-    image: Arc<Vec<u16>>,
-    base: u32,
+    image: Image,
     pc: u32,
-    delivered: u64,
-    redirect: Option<(u64, u32)>,
+    redirect: Redirect,
     stats: FetchStats,
 }
 
 impl PerfectFetch {
     /// Creates a perfect fetch engine over `program`.
-    pub fn new(program: &Program) -> PerfectFetch {
+    pub(crate) fn new(program: &Program) -> PerfectFetch {
         PerfectFetch {
             image: program.image(),
-            base: program.base(),
             pc: program.entry(),
-            delivered: 0,
-            redirect: None,
+            redirect: Redirect::default(),
             stats: FetchStats::default(),
         }
     }
 
-    fn parcel(&self, addr: u32) -> Option<u16> {
-        if addr < self.base {
-            return None;
-        }
-        let idx = ((addr - self.base) / PARCEL_BYTES) as usize;
-        self.image.get(idx).copied()
-    }
-
     fn maybe_trigger(&mut self) {
-        if let Some((after, target)) = self.redirect {
-            if self.delivered == after {
-                self.pc = target;
-                self.redirect = None;
-                self.stats.redirects += 1;
-            }
+        if let Some(target) = self.redirect.take_due() {
+            self.pc = target;
+            self.stats.redirects += 1;
         }
     }
 }
 
 impl FetchEngine for PerfectFetch {
-    fn reset(&mut self, pc: u32) {
-        self.pc = pc;
-        self.delivered = 0;
-        self.redirect = None;
-    }
-
     fn offer_requests(&mut self, _mem: &mut MemorySystem) {}
 
     fn on_accepted(&mut self, _tag: u64) {}
@@ -71,32 +47,25 @@ impl FetchEngine for PerfectFetch {
     fn advance(&mut self) {}
 
     fn peek(&self) -> Option<(u16, Option<u16>)> {
-        let first = self.parcel(self.pc)?;
-        if parcel_has_ext(first) {
-            Some((first, Some(self.parcel(self.pc + PARCEL_BYTES)?)))
-        } else {
-            Some((first, None))
-        }
+        self.image.instruction_parcels(self.pc)
     }
 
     fn peek_index(&self) -> Option<usize> {
         self.peek()?;
-        Some(((self.pc - self.base) / PARCEL_BYTES) as usize)
+        Some(self.image.index_of(self.pc))
     }
 
     fn consume(&mut self) {
         let (first, _) = self.peek().expect("consume without available instruction");
         self.pc += instr_len(first) as u32 * PARCEL_BYTES;
-        self.delivered += 1;
         self.stats.instructions_delivered += 1;
+        self.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        if taken {
-            self.redirect = Some((self.delivered + u64::from(remaining), target));
-            self.maybe_trigger();
-        }
+        self.redirect.resolve(taken, remaining, target);
+        self.maybe_trigger();
     }
 
     fn has_outstanding(&self) -> bool {
@@ -105,12 +74,10 @@ impl FetchEngine for PerfectFetch {
 
     fn describe_timing(&self, key: &mut Vec<u64>, _next_tag: u64) {
         key.push(u64::from(self.pc));
-        describe_redirect(key, self.redirect, self.delivered);
+        self.redirect.describe(key);
     }
 
     fn shift_timing(&mut self, _tags: u64, stats: &FetchStats) {
-        self.delivered += stats.instructions_delivered;
-        shift_redirect(&mut self.redirect, stats.instructions_delivered);
         self.stats.add(stats);
     }
 
@@ -190,9 +157,13 @@ mod tests {
 
     #[test]
     fn peek_past_end_is_none() {
-        let p = program();
+        // A program whose last instruction is not `halt` runs off the end.
+        let p = Assembler::new(InstrFormat::Fixed32)
+            .assemble("nop\n")
+            .unwrap();
         let mut f = PerfectFetch::new(&p);
-        f.reset(p.end());
+        f.consume();
         assert_eq!(f.peek(), None);
+        assert_eq!(f.peek_index(), None);
     }
 }

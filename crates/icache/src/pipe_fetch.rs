@@ -23,15 +23,13 @@
 //! cache and the destination queue as they arrive, so wide buses help even
 //! within a single line fill.
 
-use std::sync::Arc;
-
 use pipe_isa::encode::parcel_is_branch;
-use pipe_isa::{Program, PARCEL_BYTES};
+use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -121,11 +119,7 @@ enum Dest {
 
 #[derive(Debug, Clone, Copy)]
 struct PendingFill {
-    tag: u64,
-    accepted: bool,
-    class: ReqClass,
-    line_addr: u32,
-    bytes: u32,
+    req: Request,
     /// Next parcel address expected by the destination queue; beats below
     /// this fill only the cache.
     expect: u32,
@@ -145,9 +139,7 @@ struct Prep {
 #[derive(Debug)]
 pub struct PipeFetch {
     cfg: PipeFetchConfig,
-    image: Arc<Vec<u16>>,
-    base: u32,
-    end: u32,
+    image: Image,
     cache: InstructionCache,
     iq: ParcelQueue,
     iqb: ParcelQueue,
@@ -158,112 +150,59 @@ pub struct PipeFetch {
     /// Set between a taken resolution and its redirect trigger; while set,
     /// the IQB belongs to the target stream.
     prep: Option<Prep>,
-    redirect: Option<(u64, u32)>,
+    redirect: Redirect,
     /// A consumed PBR whose outcome has not yet been reported.
     unresolved_pbr: bool,
-    delivered: u64,
     /// Set when the supply pass last ran to a fixpoint: re-running it
-    /// before the next external event (consume, beat, branch resolution,
-    /// reset) is provably a no-op, so [`run_supply`](Self::run_supply)
+    /// before the next external event (acceptance, beat, consume, branch
+    /// resolution) is provably a no-op, so [`run_supply`](Self::run_supply)
     /// skips it. Purely an optimization — behavior is identical.
     settled: bool,
     stats: FetchStats,
 }
 
 impl PipeFetch {
-    /// Creates a PIPE fetch unit over `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`PipeFetchConfig::validate`].
-    pub fn new(program: &Program, cfg: PipeFetchConfig) -> PipeFetch {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid PipeFetchConfig: {e}");
-        }
+    /// Creates a PIPE fetch unit over `program` with a configuration that
+    /// [`FetchConfig::build`](crate::FetchConfig::build) has validated.
+    pub(crate) fn new(program: &Program, cfg: PipeFetchConfig) -> PipeFetch {
         PipeFetch {
             cfg,
             image: program.image(),
-            base: program.base(),
-            end: program.end(),
             cache: InstructionCache::new(cfg.cache),
             iq: ParcelQueue::new(cfg.iq_bytes),
             iqb: ParcelQueue::new(cfg.iqb_bytes),
             stream_end: program.entry(),
             pendings: Vec::new(),
             prep: None,
-            redirect: None,
+            redirect: Redirect::default(),
             unresolved_pbr: false,
-            delivered: 0,
             settled: false,
             stats: FetchStats::default(),
         }
-    }
-
-    /// The underlying cache, for inspection in tests.
-    pub fn cache(&self) -> &InstructionCache {
-        &self.cache
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PipeFetchConfig {
-        &self.cfg
-    }
-
-    /// Invalidates the cache without touching the queues or stream state
-    /// (tests only; `reset` is the real-world entry point).
-    #[doc(hidden)]
-    pub fn cache_flush_for_test(&mut self) {
-        self.cache.flush();
-        self.settled = false;
-    }
-
-    fn parcel(&self, addr: u32) -> Option<u16> {
-        if addr < self.base || addr >= self.end {
-            return None;
-        }
-        Some(self.image[((addr - self.base) / PARCEL_BYTES) as usize])
     }
 
     fn line_end(&self, addr: u32) -> u32 {
         self.cfg.cache.line_base(addr) + self.cfg.cache.line_bytes
     }
 
-    /// Copies parcels `[from, to)` from the image into `q`, stopping at
-    /// queue capacity or image end. Returns the address after the last
-    /// parcel copied.
-    fn copy_from_image(
-        image: &Arc<Vec<u16>>,
-        base: u32,
-        end: u32,
-        q: &mut ParcelQueue,
-        from: u32,
-        to: u32,
-    ) -> u32 {
-        let mut a = from;
-        while a < to && a < end && q.room() > 0 {
-            if a < base {
-                break;
-            }
-            let p = image[((a - base) / PARCEL_BYTES) as usize];
-            q.push(a, p);
-            a += PARCEL_BYTES;
-        }
-        a
-    }
-
     fn has_pending(&self, dest: Dest) -> bool {
         self.pendings.iter().any(|p| p.dest == dest)
     }
 
-    /// The `(address, bytes)` of an off-chip fill for the parcel at
-    /// `need`: the whole aligned line, or just its tail under
-    /// `partial_lines`.
-    fn fill_request(&self, need: u32) -> (u32, u32) {
-        if self.cfg.partial_lines {
+    /// Schedules an off-chip fill of class `class` for the parcel at
+    /// `need`, streaming into `dest`: the whole aligned line, or just its
+    /// tail under `partial_lines`.
+    fn start_fill(&mut self, class: ReqClass, need: u32, dest: Dest) {
+        let (addr, bytes) = if self.cfg.partial_lines {
             (need, self.line_end(need) - need)
         } else {
             (self.cfg.cache.line_base(need), self.cfg.cache.line_bytes)
-        }
+        };
+        self.pendings.push(PendingFill {
+            req: Request::new(class, addr, bytes),
+            expect: need,
+            dest,
+        });
     }
 
     /// Number of complete instructions currently in the IQ.
@@ -289,14 +228,13 @@ impl PipeFetch {
     /// guaranteed to execute [have passed] into the IQ" (paper §4.2): the
     /// IQB is repurposed for the target stream while the delay slots drain.
     fn try_start_prep(&mut self) {
-        let Some((after, target)) = self.redirect else {
+        let Some((remaining, target)) = self.redirect.pending() else {
             return;
         };
         if self.prep.is_some() {
             return;
         }
-        let remaining = (after - self.delivered) as u32;
-        if u64::from(self.iq_complete_instructions()) < u64::from(remaining) {
+        if self.iq_complete_instructions() < remaining {
             return; // delay slots still arriving on the sequential path
         }
 
@@ -316,32 +254,16 @@ impl PipeFetch {
             target,
             end: target,
         };
-        if target >= self.base && target < self.end {
-            let chunk_end = self.line_end(target).min(self.end);
+        if self.image.parcel_at(target).is_some() {
+            let chunk_end = self.line_end(target).min(self.image.end());
             if self.cache.contains(target, chunk_end - target) {
                 self.stats.cache_hits += 1;
-                prep.end = Self::copy_from_image(
-                    &self.image,
-                    self.base,
-                    self.end,
-                    &mut self.iqb,
-                    target,
-                    chunk_end,
-                );
+                prep.end = self.iqb.fill_from(&self.image, target, chunk_end);
             } else {
                 self.stats.cache_misses += 1;
                 // The branch has resolved taken: the target is guaranteed,
                 // so this is a demand fetch, not a prefetch.
-                let (line_addr, bytes) = self.fill_request(target);
-                self.pendings.push(PendingFill {
-                    tag: 0,
-                    accepted: false,
-                    class: ReqClass::IFetch,
-                    line_addr,
-                    bytes,
-                    expect: target,
-                    dest: Dest::Iqb,
-                });
+                self.start_fill(ReqClass::IFetch, target, Dest::Iqb);
                 prep.end = self.line_end(target);
             }
         }
@@ -375,59 +297,36 @@ impl PipeFetch {
         // The stream front is `stream_end` (nothing scheduled beyond the
         // queues). Past the image end there is nothing to fetch.
         let need = self.stream_end;
-        if need >= self.end || need < self.base {
+        if self.image.parcel_at(need).is_none() {
             return;
         }
-        let chunk_end = self.line_end(need).min(self.end);
+        let chunk_end = self.line_end(need).min(self.image.end());
         if self.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = Self::copy_from_image(
-                &self.image,
-                self.base,
-                self.end,
-                &mut self.iq,
-                need,
-                chunk_end,
-            );
+            self.stream_end = self.iq.fill_from(&self.image, need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
-            let (line_addr, bytes) = self.fill_request(need);
-            self.pendings.push(PendingFill {
-                tag: 0,
-                accepted: false,
-                class: ReqClass::IFetch,
-                line_addr,
-                bytes,
-                expect: need,
-                dest: Dest::Iq,
-            });
+            self.start_fill(ReqClass::IFetch, need, Dest::Iq);
             self.stream_end = self.line_end(need);
         }
     }
 
     /// Schedules the IQB's next-sequential-line prefetch.
     fn supply_iqb(&mut self) {
-        if self.prep.is_some() || self.redirect.is_some() {
+        if self.prep.is_some() || self.redirect.pending().is_some() {
             return; // the IQB belongs to (or will belong to) the target
         }
         if !self.iqb.is_empty() || self.has_pending(Dest::Iqb) || self.has_pending(Dest::Iq) {
             return;
         }
         let need = self.stream_end;
-        if need >= self.end || need < self.base {
+        if self.image.parcel_at(need).is_none() {
             return;
         }
-        let chunk_end = self.line_end(need).min(self.end);
+        let chunk_end = self.line_end(need).min(self.image.end());
         if self.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = Self::copy_from_image(
-                &self.image,
-                self.base,
-                self.end,
-                &mut self.iqb,
-                need,
-                chunk_end,
-            );
+            self.stream_end = self.iqb.fill_from(&self.image, need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
             // Off-chip prefetch: gated under the guaranteed-only policy by
@@ -437,16 +336,7 @@ impl PipeFetch {
             {
                 return;
             }
-            let (line_addr, bytes) = self.fill_request(need);
-            self.pendings.push(PendingFill {
-                tag: 0,
-                accepted: false,
-                class: ReqClass::IPrefetch,
-                line_addr,
-                bytes,
-                expect: need,
-                dest: Dest::Iqb,
-            });
+            self.start_fill(ReqClass::IPrefetch, need, Dest::Iqb);
             self.stream_end = self.line_end(need);
         }
     }
@@ -467,7 +357,7 @@ impl PipeFetch {
         u32,
         u32,
         usize,
-        Option<(u64, u32)>,
+        Redirect,
         Option<(u32, u32)>,
         u64,
     ) {
@@ -504,13 +394,9 @@ impl PipeFetch {
     }
 
     fn maybe_trigger(&mut self) {
-        let Some((after, target)) = self.redirect else {
+        let Some(target) = self.redirect.take_due() else {
             return;
         };
-        if self.delivered != after {
-            return;
-        }
-        self.redirect = None;
         self.stats.redirects += 1;
         self.stats.flushed_parcels += self.iq.len() as u64;
         self.iq.restart(target);
@@ -547,19 +433,6 @@ impl PipeFetch {
 }
 
 impl FetchEngine for PipeFetch {
-    fn reset(&mut self, pc: u32) {
-        self.cache.flush();
-        self.iq.restart(pc);
-        self.iqb.restart(pc);
-        self.stream_end = pc;
-        self.pendings.clear();
-        self.prep = None;
-        self.redirect = None;
-        self.unresolved_pbr = false;
-        self.delivered = 0;
-        self.settled = false;
-    }
-
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
         // Run the supply logic here as well as in `advance` so that a fill
         // decided this cycle is offered this cycle (the logic is idempotent
@@ -572,10 +445,10 @@ impl FetchEngine for PipeFetch {
         let mut offered_demand = false;
         let mut offered_prefetch = false;
         for p in &mut self.pendings {
-            if p.accepted {
+            if p.req.accepted {
                 continue;
             }
-            let slot = match p.class {
+            let slot = match p.req.class {
                 ReqClass::IFetch => &mut offered_demand,
                 _ => &mut offered_prefetch,
             };
@@ -583,23 +456,14 @@ impl FetchEngine for PipeFetch {
                 continue; // one offer per port per cycle
             }
             *slot = true;
-            if p.tag == 0 {
-                p.tag = mem.new_tag();
-            }
-            mem.offer(MemRequest::load(p.class, p.line_addr, p.bytes, p.tag));
+            p.req.offer(mem);
         }
     }
 
     fn on_accepted(&mut self, tag: u64) {
         self.settled = false;
         for p in &mut self.pendings {
-            if p.tag == tag && !p.accepted {
-                p.accepted = true;
-                match p.class {
-                    ReqClass::IFetch => self.stats.demand_requests += 1,
-                    _ => self.stats.prefetch_requests += 1,
-                }
-                self.stats.bytes_requested += u64::from(p.bytes);
+            if p.req.accept(tag, &mut self.stats) {
                 return;
             }
         }
@@ -614,7 +478,7 @@ impl FetchEngine for PipeFetch {
         let Some(idx) = self
             .pendings
             .iter()
-            .position(|p| p.tag == beat.tag && p.accepted)
+            .position(|p| p.req.tag == beat.tag && p.req.accepted)
         else {
             return;
         };
@@ -625,7 +489,7 @@ impl FetchEngine for PipeFetch {
         let beat_end = beat.addr + beat.bytes;
         let mut a = p.expect.max(beat.addr);
         while a < beat_end && p.dest != Dest::CacheOnly {
-            let parcel = self.parcel(a);
+            let parcel = self.image.parcel_at(a);
             let q = match p.dest {
                 Dest::Iq => {
                     if self.prep.is_none() && !self.iqb.is_empty() {
@@ -687,24 +551,20 @@ impl FetchEngine for PipeFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        // The IQ is filled from the image, so its head address indexes the
-        // image directly; gate on a complete instruction like `peek`.
-        self.iq.peek_instruction()?;
-        Some(((self.iq.front_addr() - self.base) / PARCEL_BYTES) as usize)
+        self.iq.head_index(&self.image)
     }
 
     fn consume(&mut self) {
         self.settled = false;
-        let (first, second) = self.peek().expect("consume without available instruction");
-        self.iq.pop();
-        if second.is_some() {
-            self.iq.pop();
-        }
+        let (first, _) = self
+            .iq
+            .pop_instruction()
+            .expect("consume without available instruction");
         if parcel_is_branch(first) {
             self.unresolved_pbr = true;
         }
-        self.delivered += 1;
         self.stats.instructions_delivered += 1;
+        self.redirect.delivered();
         self.maybe_trigger();
         self.try_start_prep();
     }
@@ -715,7 +575,7 @@ impl FetchEngine for PipeFetch {
         if !taken {
             return;
         }
-        self.redirect = Some((self.delivered + u64::from(remaining), target));
+        self.redirect.resolve(taken, remaining, target);
         // Target preparation starts (in `try_start_prep`) once the delay
         // slots have all passed into the IQ; a zero-delay resolve triggers
         // the redirect immediately.
@@ -744,28 +604,17 @@ impl FetchEngine for PipeFetch {
             Some(p) => key.extend([1, u64::from(p.target), u64::from(p.end)]),
             None => key.push(0),
         }
-        describe_redirect(key, self.redirect, self.delivered);
+        self.redirect.describe(key);
         key.push(self.pendings.len() as u64);
         for p in &self.pendings {
-            key.extend([
-                if p.tag == 0 { 0 } else { next_tag - p.tag },
-                u64::from(p.accepted),
-                p.class.index() as u64,
-                u64::from(p.line_addr),
-                u64::from(p.bytes),
-                u64::from(p.expect),
-                p.dest as u64,
-            ]);
+            p.req.describe(key, next_tag);
+            key.extend([u64::from(p.expect), p.dest as u64]);
         }
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        self.delivered += stats.instructions_delivered;
-        shift_redirect(&mut self.redirect, stats.instructions_delivered);
         for p in &mut self.pendings {
-            if p.tag != 0 {
-                p.tag += tags;
-            }
+            p.req.shift(tags);
         }
         self.stats.add(stats);
     }
@@ -841,7 +690,7 @@ mod tests {
         assert!(f.stats().demand_requests >= 1);
         assert!(f.stats().prefetch_requests >= 1, "{:?}", f.stats());
         // The fetched lines landed in the cache.
-        assert!(f.cache().valid_subblocks() > 0);
+        assert!(f.cache.valid_subblocks() > 0);
     }
 
     #[test]
@@ -1024,24 +873,15 @@ mod tests {
         for (partial, expect_bytes) in [(false, 16u64), (true, 8)] {
             let mut cfg = PipeFetchConfig::table2(64, 16, 16, 16);
             cfg.partial_lines = partial;
+            // A fresh engine redirected before its first fetch: the
+            // target line is not cached, so it comes from off-chip.
             let mut f = PipeFetch::new(&p, cfg);
             let mut m = mem(1, 8);
-            // Consume a couple of instructions to establish a stream.
-            let mut issued = 0;
-            while issued < 2 {
-                if cycle(&mut f, &mut m) {
-                    issued += 1;
-                }
-            }
-            let before = f.stats().bytes_requested;
-            // Evict nothing; target line 0 is cached from startup, so use
-            // a fresh engine state: flush the cache to force off-chip.
-            f.cache_flush_for_test();
             f.resolve_branch(true, 0, mid_line_target);
             for _ in 0..10 {
                 cycle(&mut f, &mut m);
             }
-            let fetched = f.stats().bytes_requested - before;
+            let fetched = f.stats().bytes_requested;
             assert!(
                 fetched >= expect_bytes && fetched.is_multiple_of(expect_bytes),
                 "partial={partial}: fetched {fetched}, expected multiples of {expect_bytes}"

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use pipe_isa::encode::{parcel_has_ext, parcel_is_branch};
-use pipe_isa::PARCEL_BYTES;
+use pipe_isa::{Image, PARCEL_BYTES};
 
 /// A bounded FIFO of instruction parcels with address tracking.
 ///
@@ -118,6 +118,38 @@ impl ParcelQueue {
         } else {
             Some((first, None))
         }
+    }
+
+    /// Pops the head instruction whole, as
+    /// [`peek_instruction`](Self::peek_instruction) returns it, or `None`
+    /// if it is not complete.
+    pub fn pop_instruction(&mut self) -> Option<(u16, Option<u16>)> {
+        let instr = self.peek_instruction()?;
+        self.pop();
+        if instr.1.is_some() {
+            self.pop();
+        }
+        Some(instr)
+    }
+
+    /// Image parcel index of the head instruction when it is complete, for
+    /// a queue that holds copies of `image` at their addresses.
+    pub fn head_index(&self, image: &Image) -> Option<usize> {
+        self.peek_instruction()?;
+        Some(image.index_of(self.head_addr))
+    }
+
+    /// Appends the image parcels at `[from, to)`, stopping when the queue
+    /// is full or the image ends. Returns the address after the last
+    /// parcel appended.
+    pub fn fill_from(&mut self, image: &Image, from: u32, to: u32) -> u32 {
+        let mut a = from;
+        while a < to && self.room() > 0 {
+            let Some(p) = image.parcel_at(a) else { break };
+            self.push(a, p);
+            a += PARCEL_BYTES;
+        }
+        a
     }
 
     /// Returns `true` if the queue holds no complete instruction (empty, or
@@ -289,6 +321,30 @@ mod tests {
         assert_eq!(src.front_addr(), 0x14);
         assert_eq!(dst.peek(0), Some(0));
         assert_eq!(dst.peek(1), Some(1));
+    }
+
+    #[test]
+    fn whole_instructions_pop_and_index_into_the_image() {
+        let p = pipe_isa::Assembler::new(InstrFormat::Mixed)
+            .assemble("nop\nlim r1, 7\nhalt\n")
+            .unwrap();
+        let image = p.image();
+        let mut q = ParcelQueue::new(4);
+        // Stops when full: the immediate of `lim` does not fit yet.
+        assert_eq!(q.fill_from(&image, 0, p.end()), 4);
+        assert_eq!(q.head_index(&image), Some(0));
+        assert_eq!(
+            q.pop_instruction(),
+            Some((image.parcel_at(0).unwrap(), None))
+        );
+        assert_eq!(q.head_index(&image), None, "immediate missing");
+        assert_eq!(q.pop_instruction(), None);
+        assert_eq!(q.fill_from(&image, 4, p.end()), 6);
+        let lim = q.pop_instruction().unwrap();
+        assert_eq!(lim, (image.parcel_at(2).unwrap(), image.parcel_at(4)));
+        // Stops at the image end.
+        assert_eq!(q.fill_from(&image, 6, p.end() + 8), p.end());
+        assert_eq!(q.head_index(&image), Some(3));
     }
 
     #[test]

@@ -18,13 +18,11 @@
 //! off-chip. There is **no** instruction cache: straight-line code always
 //! comes over the bus.
 
-use std::sync::Arc;
-
-use pipe_isa::{Program, PARCEL_BYTES};
+use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
 
-use crate::engine::{describe_redirect, shift_redirect, FetchEngine};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -81,11 +79,7 @@ struct TibEntry {
 
 #[derive(Debug, Clone, Copy)]
 struct PendingFill {
-    tag: u64,
-    accepted: bool,
-    class: ReqClass,
-    addr: u32,
-    bytes: u32,
+    req: Request,
     /// Next parcel expected by the fetch queue; `None` = discard (stale).
     expect: Option<u32>,
     /// TIB entry being filled by this fetch, if any.
@@ -96,35 +90,24 @@ struct PendingFill {
 #[derive(Debug)]
 pub struct TibFetch {
     cfg: TibConfig,
-    image: Arc<Vec<u16>>,
-    base: u32,
-    end: u32,
+    image: Image,
     entries: Vec<TibEntry>,
     fq: ParcelQueue,
     /// Next sequential parcel address not yet scheduled.
     stream_end: u32,
     pending: Option<PendingFill>,
-    redirect: Option<(u64, u32)>,
-    delivered: u64,
+    redirect: Redirect,
     use_clock: u64,
     stats: FetchStats,
 }
 
 impl TibFetch {
-    /// Creates a TIB engine over `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`TibConfig::validate`].
-    pub fn new(program: &Program, cfg: TibConfig) -> TibFetch {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid TibConfig: {e}");
-        }
+    /// Creates a TIB engine over `program` with a configuration that
+    /// [`FetchConfig::build`](crate::FetchConfig::build) has validated.
+    pub(crate) fn new(program: &Program, cfg: TibConfig) -> TibFetch {
         TibFetch {
             cfg,
             image: program.image(),
-            base: program.base(),
-            end: program.end(),
             entries: vec![
                 TibEntry {
                     target: 0,
@@ -136,23 +119,10 @@ impl TibFetch {
             fq: ParcelQueue::new(cfg.fetch_queue_bytes),
             stream_end: program.entry(),
             pending: None,
-            redirect: None,
-            delivered: 0,
+            redirect: Redirect::default(),
             use_clock: 0,
             stats: FetchStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TibConfig {
-        &self.cfg
-    }
-
-    fn parcel(&self, addr: u32) -> Option<u16> {
-        if addr < self.base || addr >= self.end {
-            return None;
-        }
-        Some(self.image[((addr - self.base) / PARCEL_BYTES) as usize])
     }
 
     fn lookup(&mut self, target: u32) -> Option<usize> {
@@ -167,7 +137,9 @@ impl TibFetch {
         hit
     }
 
-    fn allocate(&mut self, target: u32) -> usize {
+    /// Gives `target` the least recently used entry, to be filled by the
+    /// demand fetch that starts there (`supply` finds it by target).
+    fn allocate(&mut self, target: u32) {
         let victim = self
             .entries
             .iter()
@@ -181,27 +153,12 @@ impl TibFetch {
             valid: false, // becomes valid when the fill completes
             last_use: self.use_clock,
         };
-        victim
-    }
-
-    fn copy_to_fq(&mut self, from: u32, to: u32) -> u32 {
-        let mut a = from;
-        while a < to && a < self.end && self.fq.room() > 0 {
-            let p = self.image[((a - self.base) / PARCEL_BYTES) as usize];
-            self.fq.push(a, p);
-            a += PARCEL_BYTES;
-        }
-        a
     }
 
     fn maybe_trigger(&mut self) {
-        let Some((after, target)) = self.redirect else {
+        let Some(target) = self.redirect.take_due() else {
             return;
         };
-        if self.delivered != after {
-            return;
-        }
-        self.redirect = None;
         self.stats.redirects += 1;
         self.stats.flushed_parcels += self.fq.len() as u64;
         self.fq.restart(target);
@@ -214,19 +171,14 @@ impl TibFetch {
         }
         // TIB hit: the target instructions issue from the buffer while the
         // sequential stream restarts past them.
-        if let Some(_slot) = self.lookup(target) {
+        if self.lookup(target).is_some() {
             self.stats.cache_hits += 1;
-            let entry_end = (target + self.cfg.entry_bytes).min(self.end);
-            let copied = self.copy_to_fq(target, entry_end);
-            self.stream_end = copied;
+            let entry_end = target + self.cfg.entry_bytes;
+            self.stream_end = self.fq.fill_from(&self.image, target, entry_end);
         } else {
             self.stats.cache_misses += 1;
-            // Allocate; the demand fetch that follows fills the entry.
-            let slot = self.allocate(target);
+            self.allocate(target);
             self.stream_end = target;
-            // Tag the next demand fill as the TIB fill for this entry.
-            // (Handled in `supply`, which sees stream_end == target.)
-            let _ = slot;
         }
     }
 
@@ -236,13 +188,13 @@ impl TibFetch {
             return;
         }
         let need = self.stream_end;
-        if need >= self.end || need < self.base {
+        if self.image.parcel_at(need).is_none() {
             return;
         }
         let chunk = self
             .cfg
             .entry_bytes
-            .min(self.end - need)
+            .min(self.image.end() - need)
             .min((self.fq.room() as u32) * PARCEL_BYTES);
         if chunk == 0 {
             return;
@@ -260,11 +212,7 @@ impl TibFetch {
             .iter()
             .position(|e| !e.valid && e.target == need);
         self.pending = Some(PendingFill {
-            tag: 0,
-            accepted: false,
-            class,
-            addr: need,
-            bytes: chunk,
+            req: Request::new(class, need, chunk),
             expect: Some(need),
             tib_slot,
         });
@@ -273,44 +221,23 @@ impl TibFetch {
 }
 
 impl FetchEngine for TibFetch {
-    fn reset(&mut self, pc: u32) {
-        for e in &mut self.entries {
-            e.valid = false;
-        }
-        self.fq.restart(pc);
-        self.stream_end = pc;
-        self.pending = None;
-        self.redirect = None;
-        self.delivered = 0;
-    }
-
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
         self.maybe_trigger();
         self.supply();
         if let Some(p) = &mut self.pending {
-            if !p.accepted {
-                if p.tag == 0 {
-                    p.tag = mem.new_tag();
-                }
+            if !p.req.accepted {
                 // Upgrade to demand if the decoder has starved meanwhile.
-                if p.class == ReqClass::IPrefetch && self.fq.needs_refill() {
-                    p.class = ReqClass::IFetch;
+                if self.fq.needs_refill() {
+                    p.req.class = ReqClass::IFetch;
                 }
-                mem.offer(MemRequest::load(p.class, p.addr, p.bytes, p.tag));
+                p.req.offer(mem);
             }
         }
     }
 
     fn on_accepted(&mut self, tag: u64) {
         if let Some(p) = &mut self.pending {
-            if p.tag == tag && !p.accepted {
-                p.accepted = true;
-                match p.class {
-                    ReqClass::IFetch => self.stats.demand_requests += 1,
-                    _ => self.stats.prefetch_requests += 1,
-                }
-                self.stats.bytes_requested += u64::from(p.bytes);
-            }
+            p.req.accept(tag, &mut self.stats);
         }
     }
 
@@ -320,7 +247,7 @@ impl FetchEngine for TibFetch {
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
         let Some(mut p) = self.pending else { return };
-        if p.tag != beat.tag {
+        if p.req.tag != beat.tag {
             return;
         }
         if let Some(expect) = p.expect {
@@ -333,7 +260,7 @@ impl FetchEngine for TibFetch {
                     self.stream_end = a;
                     break;
                 }
-                if let Some(parcel) = self.parcel(a) {
+                if let Some(parcel) = self.image.parcel_at(a) {
                     self.fq.push(a, parcel);
                 }
                 a += PARCEL_BYTES;
@@ -362,28 +289,20 @@ impl FetchEngine for TibFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        // The FQ is filled from the image, so its head address indexes the
-        // image directly; gate on a complete instruction like `peek`.
-        self.fq.peek_instruction()?;
-        Some(((self.fq.front_addr() - self.base) / PARCEL_BYTES) as usize)
+        self.fq.head_index(&self.image)
     }
 
     fn consume(&mut self) {
-        let (_, second) = self.peek().expect("consume without available instruction");
-        self.fq.pop();
-        if second.is_some() {
-            self.fq.pop();
-        }
-        self.delivered += 1;
+        self.fq
+            .pop_instruction()
+            .expect("consume without available instruction");
         self.stats.instructions_delivered += 1;
+        self.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        if !taken {
-            return;
-        }
-        self.redirect = Some((self.delivered + u64::from(remaining), target));
+        self.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
@@ -409,28 +328,22 @@ impl FetchEngine for TibFetch {
             u64::from(self.stream_end),
         ]);
         match &self.pending {
-            Some(p) => key.extend([
-                1,
-                if p.tag == 0 { 0 } else { next_tag - p.tag },
-                u64::from(p.accepted),
-                p.class.index() as u64,
-                u64::from(p.addr),
-                u64::from(p.bytes),
-                p.expect.map_or(0, |a| 1 + u64::from(a)),
-                p.tib_slot.map_or(0, |slot| 1 + slot as u64),
-            ]),
+            Some(p) => {
+                key.push(1);
+                p.req.describe(key, next_tag);
+                key.extend([
+                    p.expect.map_or(0, |a| 1 + u64::from(a)),
+                    p.tib_slot.map_or(0, |slot| 1 + slot as u64),
+                ]);
+            }
             None => key.push(0),
         }
-        describe_redirect(key, self.redirect, self.delivered);
+        self.redirect.describe(key);
     }
 
     fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        self.delivered += stats.instructions_delivered;
-        shift_redirect(&mut self.redirect, stats.instructions_delivered);
         if let Some(p) = &mut self.pending {
-            if p.tag != 0 {
-                p.tag += tags;
-            }
+            p.req.shift(tags);
         }
         self.stats.add(stats);
     }

@@ -64,7 +64,7 @@ pub use encode::encode;
 pub use format::InstrFormat;
 pub use instruction::{AluOp, Cond, Instruction, SourceRegs};
 pub use opcode::Opcode;
-pub use program::{Program, ProgramBuilder};
+pub use program::{Image, Program, ProgramBuilder};
 pub use reg::{BranchReg, Reg};
 
 /// Number of bytes in one instruction parcel.

@@ -6,21 +6,73 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::decode::{decode, instr_len, DecodeError};
-use crate::encode::encode;
+use crate::encode::{encode, parcel_has_ext};
 use crate::format::InstrFormat;
 use crate::instruction::Instruction;
 use crate::reg::BranchReg;
 use crate::PARCEL_BYTES;
 
-/// An assembled program: a parcel image plus symbols and initial data.
-///
-/// Code addresses are byte addresses; instructions sit at even (parcel)
-/// boundaries. The image is immutable and cheaply cloneable (the parcel
-/// vector is shared), so fetch engines can keep their own handle.
+/// A program's parcel image at its base address: immutable and cheaply
+/// cloneable (the parcel vector is shared), so fetch engines keep their
+/// own handle and read instructions through it by byte address.
 #[derive(Debug, Clone)]
-pub struct Program {
+pub struct Image {
     parcels: Arc<Vec<u16>>,
     base: u32,
+}
+
+impl Image {
+    /// Base byte address of the image.
+    pub fn base(&self) -> u32 {
+        self.base
+    }
+
+    /// One past the last code byte address.
+    #[inline]
+    pub fn end(&self) -> u32 {
+        self.base + self.parcels.len() as u32 * PARCEL_BYTES
+    }
+
+    /// Returns the parcel holding byte address `addr`, or `None` outside
+    /// the image.
+    #[inline]
+    pub fn parcel_at(&self, addr: u32) -> Option<u16> {
+        if addr < self.base {
+            return None;
+        }
+        let idx = ((addr - self.base) / PARCEL_BYTES) as usize;
+        self.parcels.get(idx).copied()
+    }
+
+    /// The parcels of the instruction at `addr`, `(first, immediate)`, with
+    /// the immediate present exactly when the first parcel's ext bit is
+    /// set; `None` when either parcel lies outside the image.
+    #[inline]
+    pub fn instruction_parcels(&self, addr: u32) -> Option<(u16, Option<u16>)> {
+        let first = self.parcel_at(addr)?;
+        if parcel_has_ext(first) {
+            Some((first, Some(self.parcel_at(addr + PARCEL_BYTES)?)))
+        } else {
+            Some((first, None))
+        }
+    }
+
+    /// Parcel index of byte address `addr`, which must lie in the image:
+    /// the index [`DecodedProgram::get`](crate::DecodedProgram::get) takes.
+    #[inline]
+    pub fn index_of(&self, addr: u32) -> usize {
+        ((addr - self.base) / PARCEL_BYTES) as usize
+    }
+}
+
+/// An assembled program: a parcel [`Image`] plus symbols and initial
+/// data.
+///
+/// Code addresses are byte addresses; instructions sit at even (parcel)
+/// boundaries.
+#[derive(Debug, Clone)]
+pub struct Program {
+    image: Image,
     entry: u32,
     format: InstrFormat,
     symbols: HashMap<String, u32>,
@@ -30,12 +82,12 @@ pub struct Program {
 impl Program {
     /// The raw parcel image.
     pub fn parcels(&self) -> &[u16] {
-        &self.parcels
+        &self.image.parcels
     }
 
     /// Base byte address of the image.
     pub fn base(&self) -> u32 {
-        self.base
+        self.image.base
     }
 
     /// Entry point (byte address).
@@ -60,23 +112,19 @@ impl Program {
 
     /// Total code size in bytes.
     pub fn code_bytes(&self) -> u32 {
-        self.parcels.len() as u32 * PARCEL_BYTES
+        self.image.parcels.len() as u32 * PARCEL_BYTES
     }
 
     /// One past the last code byte address.
     pub fn end(&self) -> u32 {
-        self.base + self.code_bytes()
+        self.image.end()
     }
 
     /// Returns the parcel at byte address `addr`, or `None` outside the
     /// image. `addr` must be even.
     pub fn parcel_at(&self, addr: u32) -> Option<u16> {
         debug_assert_eq!(addr % PARCEL_BYTES, 0, "unaligned parcel address");
-        if addr < self.base {
-            return None;
-        }
-        let idx = ((addr - self.base) / PARCEL_BYTES) as usize;
-        self.parcels.get(idx).copied()
+        self.image.parcel_at(addr)
     }
 
     /// Decodes the instruction at byte address `addr`.
@@ -86,18 +134,12 @@ impl Program {
     /// Returns a [`DecodeError`] for addresses outside the image or holding
     /// invalid encodings.
     pub fn instruction_at(&self, addr: u32) -> Result<(Instruction, u32), DecodeError> {
-        let first = self.parcel_at(addr).ok_or(DecodeError::MissingImmediate)?;
-        let len = instr_len(first);
-        let second = if len == 2 {
-            Some(
-                self.parcel_at(addr + PARCEL_BYTES)
-                    .ok_or(DecodeError::MissingImmediate)?,
-            )
-        } else {
-            None
-        };
+        let (first, second) = self
+            .image
+            .instruction_parcels(addr)
+            .ok_or(DecodeError::MissingImmediate)?;
         let instr = decode(first, second)?;
-        Ok((instr, len as u32 * PARCEL_BYTES))
+        Ok((instr, instr_len(first) as u32 * PARCEL_BYTES))
     }
 
     /// Iterates over `(byte address, instruction)` pairs from `base` to the
@@ -105,7 +147,7 @@ impl Program {
     pub fn instructions(&self) -> InstructionIter<'_> {
         InstructionIter {
             program: self,
-            addr: self.base,
+            addr: self.base(),
         }
     }
 
@@ -115,8 +157,8 @@ impl Program {
     }
 
     /// A shared handle to the parcel image, for fetch engines.
-    pub fn image(&self) -> Arc<Vec<u16>> {
-        Arc::clone(&self.parcels)
+    pub fn image(&self) -> Image {
+        self.image.clone()
     }
 
     /// Builds a program from raw parts, without assembling: a parcel
@@ -137,8 +179,10 @@ impl Program {
         assert_eq!(base % PARCEL_BYTES, 0, "base must be parcel-aligned");
         assert_eq!(entry % PARCEL_BYTES, 0, "entry must be parcel-aligned");
         Program {
-            parcels: Arc::new(parcels),
-            base,
+            image: Image {
+                parcels: Arc::new(parcels),
+                base,
+            },
             entry,
             format,
             symbols,
@@ -409,8 +453,10 @@ impl ProgramBuilder {
         }
 
         Ok(Program {
-            parcels: Arc::new(parcels),
-            base: self.base,
+            image: Image {
+                parcels: Arc::new(parcels),
+                base: self.base,
+            },
             entry: self.base,
             format: self.format,
             symbols,

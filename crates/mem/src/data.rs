@@ -86,16 +86,6 @@ impl DataMemory {
         }
     }
 
-    /// Reads an IEEE-754 single-precision value.
-    pub fn read_f32(&self, addr: u32) -> f32 {
-        f32::from_bits(self.read(addr))
-    }
-
-    /// Writes an IEEE-754 single-precision value.
-    pub fn write_f32(&mut self, addr: u32, value: f32) {
-        self.write(addr, value.to_bits());
-    }
-
     /// Number of distinct words written (and not restored away).
     pub fn len(&self) -> usize {
         self.pages
@@ -183,13 +173,6 @@ mod tests {
         m.restore(0x100, first);
         assert_eq!(m, DataMemory::from_image([(0x100, 1)]));
         assert_eq!(m.len(), 1, "a never-written word is forgotten again");
-    }
-
-    #[test]
-    fn f32_roundtrip() {
-        let mut m = DataMemory::new();
-        m.write_f32(0x200, 3.25);
-        assert_eq!(m.read_f32(0x200), 3.25);
     }
 
     #[test]

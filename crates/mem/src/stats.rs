@@ -32,11 +32,6 @@ impl MemStats {
         self.accepted[class.index()]
     }
 
-    /// Total requests accepted across all classes.
-    pub fn total_accepted(&self) -> u64 {
-        self.accepted.iter().sum()
-    }
-
     /// The counts accumulated since `earlier`, a snapshot of the same
     /// run.
     pub fn since(&self, earlier: &MemStats) -> MemStats {
@@ -108,7 +103,6 @@ mod tests {
         let mut s = MemStats::default();
         s.accepted[ReqClass::DataLoad.index()] = 3;
         s.accepted[ReqClass::IFetch.index()] = 2;
-        assert_eq!(s.total_accepted(), 5);
         assert_eq!(s.accepted_for(ReqClass::DataLoad), 3);
     }
 

@@ -163,11 +163,6 @@ impl MemorySystem {
         self.ports[req.class.index()] = Some(req);
     }
 
-    /// Withdraws this cycle's offer for `class`, if any.
-    pub fn withdraw(&mut self, class: ReqClass) {
-        self.ports[class.index()] = None;
-    }
-
     fn acceptance_order(&self) -> [ReqClass; 4] {
         match self.cfg.priority {
             PriorityPolicy::InstructionFirst => [
@@ -668,16 +663,6 @@ mod tests {
             let out = mem.tick();
             assert!(out.accepted.is_none(), "stale offer was accepted");
         }
-    }
-
-    #[test]
-    fn withdraw_removes_offer() {
-        let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let t = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, t));
-        mem.withdraw(ReqClass::DataLoad);
-        let out = mem.tick();
-        assert!(out.accepted.is_none());
     }
 
     #[test]
