@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use pipe_icache::FetchEngine;
 use pipe_isa::decode::DecodeError;
-use pipe_isa::{decode, DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
+use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{BeatSource, ConfigError, DataMemory, FpOp, MemRequest, MemorySystem, ReqClass};
 
 use crate::config::SimConfig;
@@ -614,21 +614,11 @@ impl<S: TraceSink> Processor<S> {
     /// The byte address of the instruction at the fetch head and its
     /// decode result, looked up in the predecoded table at the image
     /// parcel index the engine is serving. `None` means no complete
-    /// instruction is available this cycle. Debug builds check every
-    /// lookup against decoding the peeked parcels.
+    /// instruction is available this cycle.
     fn peek_decoded(&self) -> Option<(u32, Result<Instruction, DecodeError>)> {
-        let index = self.fetch.peek_index();
-        let slot = index.and_then(|i| self.decoded.get(i));
-        debug_assert_eq!(
-            slot,
-            self.fetch
-                .peek()
-                .map(|(first, second)| decode(first, second)),
-            "{}: predecoded slot differs from the fetched parcels",
-            self.fetch.name()
-        );
-        let addr = self.decoded.program().base() + index? as u32 * PARCEL_BYTES;
-        Some((addr, slot?))
+        let index = self.fetch.peek_index()?;
+        let addr = self.decoded.program().base() + index as u32 * PARCEL_BYTES;
+        Some((addr, self.decoded.get(index)?))
     }
 
     /// The value-dependent choice `instr` makes if it issues now, with

@@ -48,6 +48,20 @@
 //! statistics, that ticking gives. Livermore runs meet the conditions on
 //! at most 775 cycles of up to 1.24 M, so the check costs nothing
 //! measurable. It is off with a trace sink attached.
+//!
+//! ## The redirect countdown in the key
+//!
+//! No mark ever sees a pending redirect. A PBR cannot issue while one is
+//! pending (the branch gating in `try_issue`), every engine fires the
+//! redirect inside `consume` or `resolve_branch` once its count reaches
+//! zero, and the PBR's own resolution comes a cycle after the mark. The
+//! frozen stop compares two consecutive cycles that issue nothing: the
+//! countdown moves only on a consume, and a resolution in between changes
+//! the core's part of the key anyway. So the engines' keys include the
+//! countdown (`Redirect::describe` in [`pipe_icache::engine`]) only to be
+//! conservative; it costs nothing. `tests/failure_modes.rs` deadlocks a
+//! program in the first delay slot of a taken PBR to check the frozen
+//! stop against ticking with a redirect pending.
 
 use pipe_icache::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
 use pipe_icache::FetchStats;

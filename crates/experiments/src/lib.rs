@@ -38,7 +38,7 @@ pub use figures::{
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
 pub use report::{check_expectations, render_csv, render_failures, render_text};
-pub use runner::{run_point, try_run_points_batched, ExperimentPoint};
+pub use runner::{try_run_points_batched, ExperimentPoint};
 pub use svg::render_figure_svg;
 pub use sweep::{
     mem_key, FailedJob, FaultInjection, JobError, PointOutcome, SweepError, SweepJob, SweepOutcome,

@@ -5,9 +5,11 @@
 //! breakdown the paper's aggregate metric hides: which loops are
 //! fetch-bound at a given cache size, and which are data/FPU-bound.
 
-use pipe_core::{FetchStrategy, Processor, Region, RegionProfiler, SimConfig};
+use pipe_core::{FetchStrategy, Processor, Region, RegionProfiler};
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
+
+use crate::runner::point_config;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -74,12 +76,7 @@ pub fn per_loop_profile(
         .collect();
     let profiler = Rc::new(RefCell::new(RegionProfiler::new(regions)));
 
-    let cfg = SimConfig {
-        fetch,
-        mem: *mem,
-        max_cycles: 2_000_000_000,
-        ..SimConfig::default()
-    };
+    let cfg = point_config(fetch, mem);
     let proc = Processor::new(suite.program(), &cfg).expect("valid config");
     let mut proc = proc.with_trace(Rc::clone(&profiler));
     proc.run().expect("benchmark runs");

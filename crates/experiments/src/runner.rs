@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use pipe_core::{run_decoded, FetchStrategy, SimConfig, SimError, SimStats};
-use pipe_isa::{DecodedProgram, Program};
+use pipe_isa::DecodedProgram;
 use pipe_mem::MemConfig;
 
 /// One measured point of a sweep.
@@ -69,25 +69,6 @@ pub fn try_run_points_batched(
         .collect()
 }
 
-/// Runs `program` under (`fetch`, `mem`) and returns the measured point.
-///
-/// # Panics
-///
-/// Panics if the simulation errors — experiment configurations are
-/// validated up front, so an error indicates a simulator bug and should
-/// fail loudly rather than silently skew a result. Fault-tolerant callers
-/// use [`try_run_point_decoded`].
-pub fn run_point(
-    program: &Program,
-    fetch: FetchStrategy,
-    mem: &MemConfig,
-    cache_bytes: u32,
-) -> ExperimentPoint {
-    let decoded = Arc::new(DecodedProgram::new(program.clone()));
-    try_run_point_decoded(&decoded, fetch, mem, cache_bytes)
-        .unwrap_or_else(|e| panic!("experiment point failed ({fetch}, {cache_bytes}B): {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +78,14 @@ mod tests {
 
     #[test]
     fn run_point_measures_cycles() {
-        let p = tight_loop(4, 20, InstrFormat::Fixed32);
-        let point = run_point(
+        let p = Arc::new(DecodedProgram::new(tight_loop(4, 20, InstrFormat::Fixed32)));
+        let point = try_run_point_decoded(
             &p,
             FetchStrategy::conventional(CacheConfig::new(64, 16)),
             &MemConfig::default(),
             64,
-        );
+        )
+        .unwrap();
         assert!(point.cycles > 0);
         assert_eq!(point.cache_bytes, 64);
         assert_eq!(point.cycles, point.stats.cycles);

@@ -6,12 +6,32 @@
 //!   versus fetching only the needed tail of a line, a natural
 //!   critical-word-style refinement the paper leaves unexplored.
 
+use std::sync::Arc;
+
 use pipe_core::FetchStrategy;
 use pipe_icache::{BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig};
+use pipe_isa::DecodedProgram;
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
 
-use crate::runner::run_point;
+use crate::runner::{try_run_point_decoded, ExperimentPoint};
+
+/// The suite's program, predecoded once for all of a study's points.
+fn predecode(suite: &LivermoreSuite) -> Arc<DecodedProgram> {
+    Arc::new(DecodedProgram::new(suite.program().clone()))
+}
+
+/// Runs one study point. Study configurations are fixed and valid, so a
+/// failure is a simulator bug and fails loudly rather than skewing a row.
+fn study_point(
+    decoded: &Arc<DecodedProgram>,
+    fetch: FetchStrategy,
+    mem: &MemConfig,
+    cache_bytes: u32,
+) -> ExperimentPoint {
+    try_run_point_decoded(decoded, fetch, mem, cache_bytes)
+        .unwrap_or_else(|e| panic!("study point failed ({fetch}, {cache_bytes}B): {e}"))
+}
 
 /// One cell of the queue-size study.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +53,7 @@ pub fn queue_size_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<QueueStudyCell> {
+    let decoded = predecode(suite);
     let mut cells = Vec::new();
     for &iq in sizes {
         for &iqb in sizes {
@@ -41,7 +62,7 @@ pub fn queue_size_study(
                 iqb_bytes: iqb,
                 ..PipeFetchConfig::table2(cache_bytes, line_bytes, iq, iqb)
             };
-            let point = run_point(suite.program(), FetchStrategy::Pipe(cfg), mem, cache_bytes);
+            let point = study_point(&decoded, FetchStrategy::Pipe(cfg), mem, cache_bytes);
             cells.push(QueueStudyCell {
                 iq_bytes: iq,
                 iqb_bytes: iqb,
@@ -97,11 +118,12 @@ pub fn partial_line_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<PartialLineRow> {
+    let decoded = predecode(suite);
     sizes
         .iter()
         .map(|&cache| {
-            let whole = run_point(
-                suite.program(),
+            let whole = study_point(
+                &decoded,
                 FetchStrategy::Pipe(PipeFetchConfig::table2(cache, 16, 16, 16)),
                 mem,
                 cache,
@@ -110,12 +132,7 @@ pub fn partial_line_study(
                 partial_lines: true,
                 ..PipeFetchConfig::table2(cache, 16, 16, 16)
             };
-            let partial = run_point(
-                suite.program(),
-                FetchStrategy::Pipe(partial_cfg),
-                mem,
-                cache,
-            );
+            let partial = study_point(&decoded, FetchStrategy::Pipe(partial_cfg), mem, cache);
             PartialLineRow {
                 cache_bytes: cache,
                 whole_line_cycles: whole.cycles,
@@ -167,6 +184,7 @@ pub fn hill_prefetch_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<HillStudyRow> {
+    let decoded = predecode(suite);
     let modes = [
         ConvPrefetch::Always,
         ConvPrefetch::OnMissOnly,
@@ -181,7 +199,7 @@ pub fn hill_prefetch_study(
                     cache: CacheConfig::new(cache, 16),
                     prefetch: mode,
                 });
-                cycles[i] = run_point(suite.program(), fetch, mem, cache).cycles;
+                cycles[i] = study_point(&decoded, fetch, mem, cache).cycles;
             }
             HillStudyRow {
                 cache_bytes: cache,
@@ -228,10 +246,11 @@ pub fn external_cache_study(
     miss_penalty: u32,
     sizes: &[u32],
 ) -> Vec<ExtCacheStudyRow> {
+    let decoded = predecode(suite);
     let fetch = FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, 16, 16));
     let mut rows = vec![ExtCacheStudyRow {
         ext_cache_bytes: None,
-        cycles: run_point(suite.program(), fetch, base, 64).cycles,
+        cycles: study_point(&decoded, fetch, base, 64).cycles,
     }];
     for &size in sizes {
         let mem = MemConfig {
@@ -244,7 +263,7 @@ pub fn external_cache_study(
         };
         rows.push(ExtCacheStudyRow {
             ext_cache_bytes: Some(size),
-            cycles: run_point(suite.program(), fetch, &mem, 64).cycles,
+            cycles: study_point(&decoded, fetch, &mem, 64).cycles,
         });
     }
     rows
@@ -295,6 +314,7 @@ pub fn access_sweep_study(
     bus: u32,
     accesses: &[u32],
 ) -> Vec<AccessStudyRow> {
+    let decoded = predecode(suite);
     accesses
         .iter()
         .map(|&access| {
@@ -303,14 +323,14 @@ pub fn access_sweep_study(
                 in_bus_bytes: bus,
                 ..MemConfig::default()
             };
-            let conv = run_point(
-                suite.program(),
+            let conv = study_point(
+                &decoded,
                 FetchStrategy::conventional(CacheConfig::new(cache_bytes, 16)),
                 &mem,
                 cache_bytes,
             );
-            let pipe = run_point(
-                suite.program(),
+            let pipe = study_point(
+                &decoded,
                 FetchStrategy::Pipe(PipeFetchConfig::table2(cache_bytes, 16, 16, 16)),
                 &mem,
                 cache_bytes,
@@ -363,11 +383,12 @@ pub fn buffer_study(
     counts: &[u32],
     cache: Option<CacheConfig>,
 ) -> Vec<BufferStudyRow> {
+    let decoded = predecode(suite);
     counts
         .iter()
         .map(|&buffers| {
             let fetch = FetchStrategy::Buffers(BufferConfig { buffers, cache });
-            let point = run_point(suite.program(), fetch, mem, buffers * 4);
+            let point = study_point(&decoded, fetch, mem, buffers * 4);
             BufferStudyRow {
                 buffers,
                 cycles: point.cycles,

@@ -38,7 +38,7 @@
 //! use pipe_experiments::sweep::{SweepRunner, SweepSpec};
 //!
 //! let spec = SweepSpec::figure("5b");
-//! let outcome = SweepRunner::new().jobs(4).run(&spec);
+//! let outcome = SweepRunner::new().jobs(4).try_run(&spec).unwrap();
 //! assert_eq!(outcome.series.len(), 5);
 //! ```
 
@@ -476,21 +476,6 @@ impl SweepRunner {
         self
     }
 
-    /// Runs the sweep fault-tolerantly: failed jobs are recorded in the
-    /// outcome's `failed` list and every other job completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics only when the runner is [`strict`](SweepRunner::strict) and
-    /// a job failed — strict callers should use
-    /// [`try_run`](SweepRunner::try_run) instead.
-    pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
-        match self.try_run(spec) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e} (use try_run to handle strict sweep failures)"),
-        }
-    }
-
     /// Runs the sweep.
     ///
     /// Jobs whose key is already in the runner's memo are filled in
@@ -825,8 +810,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let spec = small_spec("det");
-        let serial = SweepRunner::new().run(&spec);
-        let parallel = SweepRunner::new().jobs(4).run(&spec);
+        let serial = SweepRunner::new().try_run(&spec).unwrap();
+        let parallel = SweepRunner::new().jobs(4).try_run(&spec).unwrap();
         assert_eq!(serial.series.len(), parallel.series.len());
         for (s, p) in serial.series.iter().zip(&parallel.series) {
             assert_eq!(s.label, p.label);
@@ -839,14 +824,15 @@ mod tests {
     #[test]
     fn injected_panic_fails_alone_others_complete() {
         let spec = small_spec("faulty");
-        let serial = SweepRunner::new().run(&spec);
+        let serial = SweepRunner::new().try_run(&spec).unwrap();
 
         let outcome = SweepRunner::new()
             .jobs(4)
             .inject(FaultInjection {
                 panic_jobs: vec![1],
             })
-            .run(&spec);
+            .try_run(&spec)
+            .unwrap();
         assert_eq!(outcome.failed.len(), 1);
         assert_eq!(outcome.failed[0].index, 1);
         assert!(matches!(outcome.failed[0].error, JobError::Panic(_)));
@@ -902,7 +888,7 @@ mod tests {
                 panic_jobs: vec![1],
             });
             for round in 0..3 {
-                let outcome = runner.run(&spec);
+                let outcome = runner.try_run(&spec).unwrap();
                 assert_eq!(outcome.failed.len(), 1, "jobs {jobs} round {round}");
                 assert_eq!(outcome.failed[0].index, 1);
                 assert!(matches!(outcome.failed[0].error, JobError::Panic(_)));
@@ -919,11 +905,11 @@ mod tests {
     fn injected_job_is_executed_even_when_its_key_is_memoised() {
         let spec = small_spec("inject-after-memo");
         let runner = SweepRunner::new();
-        assert!(runner.run(&spec).is_complete());
+        assert!(runner.try_run(&spec).unwrap().is_complete());
         let runner = runner.inject(FaultInjection {
             panic_jobs: vec![2],
         });
-        let outcome = runner.run(&spec);
+        let outcome = runner.try_run(&spec).unwrap();
         assert_eq!(outcome.failed.len(), 1);
         assert_eq!(outcome.failed[0].index, 2);
         assert_eq!((outcome.computed, outcome.reused), (3, 3));

@@ -226,7 +226,7 @@ mod tests {
         )
         .unwrap()
         .instructions_issued;
-        let outcome = SweepRunner::new().run(&spec);
+        let outcome = SweepRunner::new().try_run(&spec).unwrap();
         assert!(outcome.is_complete());
         assert_eq!(outcome.computed, 4);
         for series in &outcome.series {

@@ -33,7 +33,8 @@ fn spec(id: &str) -> SweepSpec {
 #[test]
 fn injected_panic_yields_partial_outcome_with_identical_survivors() {
     let serial: Vec<(String, u32, u64)> = SweepRunner::new()
-        .run(&spec("accept"))
+        .try_run(&spec("accept"))
+        .unwrap()
         .series
         .iter()
         .flat_map(|s| {
@@ -50,7 +51,8 @@ fn injected_panic_yields_partial_outcome_with_identical_survivors() {
         .inject(FaultInjection {
             panic_jobs: vec![2],
         })
-        .run(&spec("accept"));
+        .try_run(&spec("accept"))
+        .unwrap();
 
     // Exactly the panicked job failed.
     assert_eq!(outcome.failed.len(), 1);

@@ -81,10 +81,11 @@ impl BufferFetch {
     /// configuration that [`FetchConfig::build`](crate::FetchConfig::build)
     /// has validated.
     pub(crate) fn new(program: &Program, cfg: BufferConfig) -> BufferFetch {
+        let image = program.image();
         BufferFetch {
-            image: program.image(),
             cache: cfg.cache.map(InstructionCache::new),
-            fq: ParcelQueue::new(cfg.buffers * 4),
+            fq: ParcelQueue::new(&image, cfg.buffers * 4),
+            image,
             stream_end: program.entry(),
             pendings: VecDeque::new(),
             redirect: Redirect::default(),
@@ -136,7 +137,7 @@ impl BufferFetch {
                 if let Some(cache) = &mut self.cache {
                     if cache.contains(need, 4) {
                         self.stats.cache_hits += 1;
-                        self.fq.fill_from(&self.image, need, need + 4);
+                        self.fq.fill_from(need, need + 4);
                         self.stream_end = need + 4;
                         continue;
                     }
@@ -208,9 +209,7 @@ impl FetchEngine for BufferFetch {
                         self.pendings[idx].live = false;
                         break;
                     }
-                    if let Some(parcel) = self.image.parcel_at(a) {
-                        self.fq.push(a, parcel);
-                    }
+                    self.fq.push(a);
                 } else if self.fq.is_empty() {
                     debug_assert!(
                         false,
@@ -231,12 +230,8 @@ impl FetchEngine for BufferFetch {
         self.supply();
     }
 
-    fn peek(&self) -> Option<(u16, Option<u16>)> {
-        self.fq.peek_instruction()
-    }
-
     fn peek_index(&self) -> Option<usize> {
-        self.fq.head_index(&self.image)
+        self.fq.head_index()
     }
 
     fn consume(&mut self) {
@@ -258,7 +253,7 @@ impl FetchEngine for BufferFetch {
     }
 
     fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // The fetch queue holds image parcels: its head address and
+        // The fetch queue is a window onto the image: its head address and
         // length describe it.
         if let Some(cache) = &self.cache {
             cache.describe(key);
@@ -325,7 +320,7 @@ mod tests {
             }
         }
         f.advance();
-        if f.peek().is_some() {
+        if f.peek_index().is_some() {
             f.consume();
             true
         } else {

@@ -78,7 +78,7 @@ impl ConventionalConfig {
     }
 }
 
-/// Memoized per-PC fetch state. The offer, probe, and peek paths all
+/// Memoized per-PC fetch state. The offer, probe, and `peek_index` paths all
 /// re-derive "is the instruction at PC fully cached" (and the
 /// always-prefetch path, "would a prefetch for the next instruction
 /// launch") several times per simulated cycle from inputs that only
@@ -120,7 +120,7 @@ pub struct ConventionalFetch {
     /// (the halves would otherwise evict each other forever).
     latch: [Option<u32>; 2],
     /// See [`AvailMemo`]. A `Cell` because the read-only engine entry
-    /// points (`peek`, `peek_index`) share the memo.
+    /// point `peek_index` shares the memo.
     avail: std::cell::Cell<Option<AvailMemo>>,
     stats: FetchStats,
 }
@@ -381,17 +381,9 @@ impl FetchEngine for ConventionalFetch {
         }
     }
 
-    fn peek(&self) -> Option<(u16, Option<u16>)> {
-        let (_, cached) = self.availability()?;
-        if !cached {
-            return None;
-        }
-        self.image.instruction_parcels(self.pc)
-    }
-
     fn peek_index(&self) -> Option<usize> {
-        // Gated exactly like `peek`: the instruction must be fully cached
-        // and every parcel inside the image.
+        // The instruction must be fully cached and every parcel inside the
+        // image.
         let (bytes, cached) = self.availability()?;
         if !cached || self.pc + bytes > self.image.end() {
             return None;
@@ -503,7 +495,7 @@ mod tests {
             }
         }
         f.advance();
-        if f.peek().is_some() {
+        if f.peek_index().is_some() {
             f.consume();
             true
         } else {

@@ -19,14 +19,17 @@ use crate::stats::FetchStats;
 ///    [`on_beat`](FetchEngine::on_beat) for each instruction-class beat.
 /// 4. [`advance`](FetchEngine::advance) — internal moves: queue transfers,
 ///    cache-hit fills, redirect triggering.
-/// 5. Decode: [`peek`](FetchEngine::peek) /
+/// 5. Decode: [`peek_index`](FetchEngine::peek_index) /
 ///    [`consume`](FetchEngine::consume), plus
 ///    [`resolve_branch`](FetchEngine::resolve_branch) when a
 ///    prepare-to-branch leaves execution.
 ///
 /// Engines deliver instructions in *stream order*: sequential flow,
 /// altered only by `resolve_branch(taken = true, ..)`, which schedules a
-/// redirect after the branch's remaining delay-slot instructions.
+/// redirect after the branch's remaining delay-slot instructions. The
+/// program image is the only copy of the instructions: an engine names
+/// the instruction at the head of its stream by its image parcel index,
+/// and the processor looks it up in its predecoded table.
 pub trait FetchEngine {
     /// Offers this cycle's memory requests (if any) for arbitration.
     fn offer_requests(&mut self, mem: &mut MemorySystem);
@@ -44,23 +47,19 @@ pub trait FetchEngine {
     /// IQB→IQ transfer, cache-hit fills, pending-redirect triggering.
     fn advance(&mut self);
 
-    /// Returns the complete instruction at the head of the stream, if
-    /// available this cycle: `(first_parcel, immediate_parcel)`.
-    fn peek(&self) -> Option<(u16, Option<u16>)>;
-
-    /// Image parcel index of the instruction [`peek`](FetchEngine::peek)
-    /// would return: `Some(i)` exactly when `peek` returns `Some`, and
-    /// then the parcels `peek` yields are `image[i]` (and `image[i + 1]`
-    /// for the optional second parcel), so a predecoded lookup at `i` is
-    /// equivalent to decoding them. The processor issues from this index
-    /// alone; debug builds check it against `peek`.
+    /// Image parcel index of the instruction at the head of the stream,
+    /// if the whole instruction is available this cycle: `Some(i)` names
+    /// the instruction whose first parcel is `image[i]`. The processor
+    /// issues from this index alone.
     fn peek_index(&self) -> Option<usize>;
 
-    /// Consumes the instruction returned by [`peek`](FetchEngine::peek).
+    /// Consumes the instruction [`peek_index`](FetchEngine::peek_index)
+    /// names.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called when `peek` returns `None`.
+    /// Implementations may panic if called when `peek_index` returns
+    /// `None`.
     fn consume(&mut self);
 
     /// Reports the outcome of a prepare-to-branch that has just resolved in
@@ -145,6 +144,12 @@ impl Redirect {
     }
 
     /// Appends the countdown to a timing key.
+    ///
+    /// No loop mark or frozen stop of the processor ever compares two keys
+    /// that differ only here: a PBR cannot issue while a redirect is
+    /// pending, every engine fires the redirect inside `consume` or
+    /// `resolve_branch`, and the countdown moves only on a delivery. The
+    /// words are kept because they are conservative and cost nothing.
     pub(crate) fn describe(&self, key: &mut Vec<u64>) {
         match self.0 {
             Some((remaining, target)) => {

@@ -67,7 +67,7 @@
 //!         }
 //!     }
 //!     engine.advance();
-//!     if engine.peek().is_some() {
+//!     if engine.peek_index().is_some() {
 //!         engine.consume();
 //!         delivered += 1;
 //!     }

@@ -46,17 +46,16 @@ impl FetchEngine for PerfectFetch {
 
     fn advance(&mut self) {}
 
-    fn peek(&self) -> Option<(u16, Option<u16>)> {
-        self.image.instruction_parcels(self.pc)
-    }
-
     fn peek_index(&self) -> Option<usize> {
-        self.peek()?;
+        self.image.instruction_parcels(self.pc)?;
         Some(self.image.index_of(self.pc))
     }
 
     fn consume(&mut self) {
-        let (first, _) = self.peek().expect("consume without available instruction");
+        let (first, _) = self
+            .image
+            .instruction_parcels(self.pc)
+            .expect("consume without available instruction");
         self.pc += instr_len(first) as u32 * PARCEL_BYTES;
         self.stats.instructions_delivered += 1;
         self.redirect.delivered();
@@ -106,10 +105,7 @@ mod tests {
         let p = program();
         let mut f = PerfectFetch::new(&p);
         for expected_addr in [0u32, 4, 8] {
-            let (first, second) = f.peek().unwrap();
-            let (instr, _) = p.instruction_at(expected_addr).unwrap();
-            let direct = pipe_isa::decode(first, second).unwrap();
-            assert_eq!(direct, instr);
+            assert_eq!(f.peek_index(), Some(p.image().index_of(expected_addr)));
             f.consume();
         }
         assert_eq!(f.stats().instructions_delivered, 3);
@@ -125,10 +121,8 @@ mod tests {
         f.consume(); // pbr (delay 0)
                      // Branch resolves taken with 0 remaining slots → immediate redirect.
         f.resolve_branch(true, 0, p.symbols()["top"]);
-        let (first, second) = f.peek().unwrap();
-        let instr = pipe_isa::decode(first, second).unwrap();
-        let (expected, _) = p.instruction_at(p.symbols()["top"]).unwrap();
-        assert_eq!(instr, expected);
+        let top = p.image().index_of(p.symbols()["top"]);
+        assert_eq!(f.peek_index(), Some(top));
         assert_eq!(f.stats().redirects, 1);
     }
 
@@ -140,10 +134,7 @@ mod tests {
         f.consume();
         f.consume();
         assert_eq!(f.stats().redirects, 1);
-        let (first, second) = f.peek().unwrap();
-        let instr = pipe_isa::decode(first, second).unwrap();
-        let (expected, _) = p.instruction_at(0).unwrap();
-        assert_eq!(instr, expected);
+        assert_eq!(f.peek_index(), Some(0));
     }
 
     #[test]
@@ -163,7 +154,6 @@ mod tests {
             .unwrap();
         let mut f = PerfectFetch::new(&p);
         f.consume();
-        assert_eq!(f.peek(), None);
         assert_eq!(f.peek_index(), None);
     }
 }

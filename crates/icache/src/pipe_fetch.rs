@@ -165,12 +165,13 @@ impl PipeFetch {
     /// Creates a PIPE fetch unit over `program` with a configuration that
     /// [`FetchConfig::build`](crate::FetchConfig::build) has validated.
     pub(crate) fn new(program: &Program, cfg: PipeFetchConfig) -> PipeFetch {
+        let image = program.image();
         PipeFetch {
             cfg,
-            image: program.image(),
             cache: InstructionCache::new(cfg.cache),
-            iq: ParcelQueue::new(cfg.iq_bytes),
-            iqb: ParcelQueue::new(cfg.iqb_bytes),
+            iq: ParcelQueue::new(&image, cfg.iq_bytes),
+            iqb: ParcelQueue::new(&image, cfg.iqb_bytes),
+            image,
             stream_end: program.entry(),
             pendings: Vec::new(),
             prep: None,
@@ -205,25 +206,6 @@ impl PipeFetch {
         });
     }
 
-    /// Number of complete instructions currently in the IQ.
-    fn iq_complete_instructions(&self) -> u32 {
-        let mut i = 0;
-        let mut count = 0;
-        while let Some(p) = self.iq.peek(i) {
-            let len = if pipe_isa::encode::parcel_has_ext(p) {
-                2
-            } else {
-                1
-            };
-            if self.iq.peek(i + len - 1).is_none() {
-                break;
-            }
-            i += len;
-            count += 1;
-        }
-        count
-    }
-
     /// Starts branch-target preparation once "all the instructions
     /// guaranteed to execute [have passed] into the IQ" (paper §4.2): the
     /// IQB is repurposed for the target stream while the delay slots drain.
@@ -234,7 +216,7 @@ impl PipeFetch {
         if self.prep.is_some() {
             return;
         }
-        if self.iq_complete_instructions() < remaining {
+        if self.iq.complete_instructions() < remaining {
             return; // delay slots still arriving on the sequential path
         }
 
@@ -258,7 +240,7 @@ impl PipeFetch {
             let chunk_end = self.line_end(target).min(self.image.end());
             if self.cache.contains(target, chunk_end - target) {
                 self.stats.cache_hits += 1;
-                prep.end = self.iqb.fill_from(&self.image, target, chunk_end);
+                prep.end = self.iqb.fill_from(target, chunk_end);
             } else {
                 self.stats.cache_misses += 1;
                 // The branch has resolved taken: the target is guaranteed,
@@ -303,7 +285,7 @@ impl PipeFetch {
         let chunk_end = self.line_end(need).min(self.image.end());
         if self.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = self.iq.fill_from(&self.image, need, chunk_end);
+            self.stream_end = self.iq.fill_from(need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
             self.start_fill(ReqClass::IFetch, need, Dest::Iq);
@@ -326,7 +308,7 @@ impl PipeFetch {
         let chunk_end = self.line_end(need).min(self.image.end());
         if self.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = self.iqb.fill_from(&self.image, need, chunk_end);
+            self.stream_end = self.iqb.fill_from(need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
             // Off-chip prefetch: gated under the guaranteed-only policy by
@@ -489,7 +471,6 @@ impl FetchEngine for PipeFetch {
         let beat_end = beat.addr + beat.bytes;
         let mut a = p.expect.max(beat.addr);
         while a < beat_end && p.dest != Dest::CacheOnly {
-            let parcel = self.image.parcel_at(a);
             let q = match p.dest {
                 Dest::Iq => {
                     if self.prep.is_none() && !self.iqb.is_empty() {
@@ -520,9 +501,7 @@ impl FetchEngine for PipeFetch {
                 }
                 Dest::CacheOnly => unreachable!(),
             };
-            if let Some(parcel) = parcel {
-                q.push(a, parcel);
-            }
+            q.push(a);
             a += PARCEL_BYTES;
             p.expect = a;
         }
@@ -546,17 +525,13 @@ impl FetchEngine for PipeFetch {
         self.run_supply();
     }
 
-    fn peek(&self) -> Option<(u16, Option<u16>)> {
-        self.iq.peek_instruction()
-    }
-
     fn peek_index(&self) -> Option<usize> {
-        self.iq.head_index(&self.image)
+        self.iq.head_index()
     }
 
     fn consume(&mut self) {
         self.settled = false;
-        let (first, _) = self
+        let first = self
             .iq
             .pop_instruction()
             .expect("consume without available instruction");
@@ -588,8 +563,8 @@ impl FetchEngine for PipeFetch {
     }
 
     fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // Queued parcels are copies of the image at their addresses, so a
-        // queue is described by its head address and length.
+        // A queue is a window onto the image: its head address and length
+        // describe it.
         self.cache.describe(key);
         key.extend([
             u64::from(self.iq.front_addr()),
@@ -667,7 +642,7 @@ mod tests {
             }
         }
         f.advance();
-        if f.peek().is_some() {
+        if f.peek_index().is_some() {
             f.consume();
             true
         } else {
@@ -832,13 +807,12 @@ mod tests {
                 }
             }
             f.advance();
-            if f.peek().is_some() {
+            if f.peek_index().is_some() {
                 break;
             }
         }
-        let (first, second) = f.peek().expect("halt reachable");
-        let instr = pipe_isa::decode(first, second).unwrap();
-        assert_eq!(instr, pipe_isa::Instruction::Halt);
+        let index = f.peek_index().expect("halt reachable");
+        assert_eq!(index, f.image.index_of(halt_addr));
         assert_eq!(f.stats().redirects, 1);
     }
 

@@ -503,7 +503,7 @@ impl ReplayHarness {
             }
             self.begin_cycle();
             self.apply_resolve_if_due();
-            if self.engine.peek().is_none() {
+            if self.engine.peek_index().is_none() {
                 self.counts.ifetch_stalls += 1;
                 self.cycle += 1;
                 continue;

@@ -105,9 +105,9 @@ impl TibFetch {
     /// Creates a TIB engine over `program` with a configuration that
     /// [`FetchConfig::build`](crate::FetchConfig::build) has validated.
     pub(crate) fn new(program: &Program, cfg: TibConfig) -> TibFetch {
+        let image = program.image();
         TibFetch {
             cfg,
-            image: program.image(),
             entries: vec![
                 TibEntry {
                     target: 0,
@@ -116,7 +116,8 @@ impl TibFetch {
                 };
                 cfg.entries as usize
             ],
-            fq: ParcelQueue::new(cfg.fetch_queue_bytes),
+            fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes),
+            image,
             stream_end: program.entry(),
             pending: None,
             redirect: Redirect::default(),
@@ -174,7 +175,7 @@ impl TibFetch {
         if self.lookup(target).is_some() {
             self.stats.cache_hits += 1;
             let entry_end = target + self.cfg.entry_bytes;
-            self.stream_end = self.fq.fill_from(&self.image, target, entry_end);
+            self.stream_end = self.fq.fill_from(target, entry_end);
         } else {
             self.stats.cache_misses += 1;
             self.allocate(target);
@@ -260,9 +261,7 @@ impl FetchEngine for TibFetch {
                     self.stream_end = a;
                     break;
                 }
-                if let Some(parcel) = self.image.parcel_at(a) {
-                    self.fq.push(a, parcel);
-                }
+                self.fq.push(a);
                 a += PARCEL_BYTES;
                 if p.expect.is_some() {
                     p.expect = Some(a);
@@ -284,12 +283,8 @@ impl FetchEngine for TibFetch {
         self.supply();
     }
 
-    fn peek(&self) -> Option<(u16, Option<u16>)> {
-        self.fq.peek_instruction()
-    }
-
     fn peek_index(&self) -> Option<usize> {
-        self.fq.head_index(&self.image)
+        self.fq.head_index()
     }
 
     fn consume(&mut self) {
@@ -312,8 +307,8 @@ impl FetchEngine for TibFetch {
 
     fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
         // Replacement reads only the order of the use stamps, so each
-        // entry's stamp is described by its rank. The fetch queue holds
-        // image parcels: its head address and length describe it.
+        // entry's stamp is described by its rank. The fetch queue is a
+        // window onto the image: its head address and length describe it.
         for e in &self.entries {
             let rank = self
                 .entries
@@ -391,7 +386,7 @@ mod tests {
             }
         }
         f.advance();
-        if f.peek().is_some() {
+        if f.peek_index().is_some() {
             f.consume();
             true
         } else {
@@ -474,7 +469,7 @@ mod tests {
         assert_eq!(f.stats().cache_hits, 1, "{:?}", f.stats());
         // Target instructions are immediately available from the buffer.
         f.advance();
-        assert!(f.peek().is_some());
+        assert!(f.peek_index().is_some());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use crate::decode::{decode, DecodeError};
 use crate::instruction::Instruction;
 use crate::program::Program;
-use crate::PARCEL_BYTES;
 
 /// A [`Program`] plus a table of the decode result at every parcel
 /// offset of its image.
@@ -55,18 +54,6 @@ impl DecodedProgram {
     #[inline]
     pub fn get(&self, index: usize) -> Option<Result<Instruction, DecodeError>> {
         self.slots.get(index).copied()
-    }
-
-    /// The decode result at byte address `addr`, or `None` outside the
-    /// image. `addr` must be parcel-aligned.
-    #[inline]
-    pub fn at_addr(&self, addr: u32) -> Option<Result<Instruction, DecodeError>> {
-        debug_assert_eq!(addr % PARCEL_BYTES, 0, "unaligned parcel address");
-        let base = self.program.base();
-        if addr < base {
-            return None;
-        }
-        self.get(((addr - base) / PARCEL_BYTES) as usize)
     }
 
     /// Number of predecoded slots (one per parcel of the image).
@@ -114,16 +101,6 @@ mod tests {
             }
             assert_eq!(decoded.get(parcels.len()), None);
         }
-    }
-
-    #[test]
-    fn at_addr_honors_base() {
-        let mut b = ProgramBuilder::with_base(InstrFormat::Fixed32, 0x100);
-        b.push(Instruction::Halt);
-        let decoded = DecodedProgram::new(b.build().unwrap());
-        assert_eq!(decoded.at_addr(0x100), Some(Ok(Instruction::Halt)));
-        assert_eq!(decoded.at_addr(0x0), None);
-        assert_eq!(decoded.at_addr(decoded.program().end()), None);
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub enum InstrFormat {
 impl InstrFormat {
     /// Both formats, for parameter sweeps.
     pub const ALL: [InstrFormat; 2] = [InstrFormat::Fixed32, InstrFormat::Mixed];
-
-    /// Returns `true` when every instruction has the same 4-byte size.
-    pub fn is_fixed(self) -> bool {
-        matches!(self, InstrFormat::Fixed32)
-    }
 }
 
 impl fmt::Display for InstrFormat {
@@ -47,8 +42,6 @@ mod tests {
     #[test]
     fn default_is_fixed32() {
         assert_eq!(InstrFormat::default(), InstrFormat::Fixed32);
-        assert!(InstrFormat::Fixed32.is_fixed());
-        assert!(!InstrFormat::Mixed.is_fixed());
     }
 
     #[test]

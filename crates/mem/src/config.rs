@@ -72,11 +72,6 @@ impl MemConfig {
         }
         Ok(())
     }
-
-    /// Cycles needed to stream `bytes` over the input bus.
-    pub fn beats_for(&self, bytes: u32) -> u32 {
-        bytes.div_ceil(self.in_bus_bytes)
-    }
 }
 
 impl Default for MemConfig {
@@ -129,17 +124,5 @@ mod tests {
             ..MemConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn beats_round_up() {
-        let c = MemConfig {
-            in_bus_bytes: 8,
-            ..MemConfig::default()
-        };
-        assert_eq!(c.beats_for(4), 1);
-        assert_eq!(c.beats_for(8), 1);
-        assert_eq!(c.beats_for(12), 2);
-        assert_eq!(c.beats_for(32), 4);
     }
 }

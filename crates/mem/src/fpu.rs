@@ -118,13 +118,6 @@ impl Fpu {
         matches!(self.results.front(), Some(&at) if at <= now)
     }
 
-    /// Cycle at which the oldest in-flight result becomes available for
-    /// bus arbitration, if any. Results return strictly in operation
-    /// order, so this is the FPU's next bus-delivery event.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.results.front().copied()
-    }
-
     /// Ready cycles of the operations in flight, oldest first.
     pub(crate) fn ready_cycles_mut(&mut self) -> impl Iterator<Item = &mut u64> {
         self.results.iter_mut()
@@ -188,9 +181,9 @@ mod tests {
         let mut f = fpu();
         f.store(0xFFFF_F008, 0); // ready at 4
         f.store(0xFFFF_F00C, 1); // ready at 5
-        assert_eq!(f.next_ready_at(), Some(4));
-        assert!(f.take_ready(10));
-        assert_eq!(f.next_ready_at(), Some(5));
+        assert!(!f.take_ready(3));
+        assert!(f.take_ready(4));
+        assert!(!f.take_ready(4), "the second result is not ready yet");
         assert!(f.take_ready(10));
         assert!(!f.take_ready(10));
         assert_eq!(f.ops_started(), 2);

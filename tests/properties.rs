@@ -617,16 +617,17 @@ fn engines_agree_on_random_alu_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Predecode / raw-decode parity.
+// Every engine against the interpreter.
 // ---------------------------------------------------------------------
 
-/// The processor issues from the predecoded table at the index the fetch
-/// engine names; in debug builds `peek_decoded` asserts on every issue
-/// that the slot equals decoding the parcels the engine peeks. Running
-/// every engine over randomized programs and memory timings drives that
-/// assertion down straight-line and branchy fetch streams alike.
+/// The processor issues from the predecoded table at the image parcel
+/// index the fetch engine names. An engine that names the wrong index
+/// executes the wrong instructions, so running every engine over
+/// randomized programs and memory timings, straight-line and branchy,
+/// must end with the registers, data memory and instruction count of the
+/// timing-free interpreter.
 #[test]
-fn predecode_matches_raw_decode_on_random_programs() {
+fn every_engine_matches_the_interpreter_on_random_programs() {
     let mut rng = Rng::new(0x150a);
     for trial in 0..24 {
         // Alternate between straight-line ALU programs and branchy
@@ -642,17 +643,19 @@ fn predecode_matches_raw_decode_on_random_programs() {
             let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(&mut rng)).collect();
             let cost: u32 = ops.iter().map(|o| o.cost()).sum();
             let pads = rng.range_u32(3, 8);
+            let trips = rng.range_u32(2, 8);
             let kernel = Kernel {
                 index: 98,
                 name: "parity",
                 ops,
                 target_instructions: cost + 3 + pads,
             };
-            kernel_program(&kernel, rng.range_u32(2, 8), InstrFormat::Fixed32)
-                .expect("balanced groups satisfy the discipline")
+            let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+                .expect("balanced groups satisfy the discipline");
+            with_stream_data(program, trips)
         };
+        let reference = interpret(&program, 1_000_000).expect("interprets");
         let access = rng.range_u32(1, 7);
-        let mut issued = Vec::new();
         for fetch in every_engine(&mut rng) {
             let cfg = SimConfig {
                 fetch,
@@ -665,12 +668,23 @@ fn predecode_matches_raw_decode_on_random_programs() {
             };
             let mut proc = Processor::new(&program, &cfg).expect("valid");
             proc.run().unwrap_or_else(|e| panic!("{fetch}: {e}"));
-            issued.push(proc.stats().instructions_issued);
+            assert_eq!(
+                proc.stats().instructions_issued,
+                reference.instructions,
+                "trial {trial}: instruction count under {fetch}"
+            );
+            for i in 0..7u8 {
+                assert_eq!(
+                    proc.regs().read(Reg::new(i)),
+                    reference.regs[usize::from(i)],
+                    "trial {trial}: r{i} under {fetch}"
+                );
+            }
+            assert!(
+                *proc.data() == reference.memory,
+                "trial {trial}: data memory under {fetch}"
+            );
         }
-        assert!(
-            issued.iter().all(|&n| n == issued[0]),
-            "engines issued different streams: {issued:?}"
-        );
     }
 }
 
