@@ -1,6 +1,7 @@
 //! End-to-end tests of the `pipe-sim` and `pipe-asm` binaries.
 
-use std::io::Write;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const PROGRAM: &str = "\
@@ -11,11 +12,33 @@ pbr.nez b0, r1, 0
 halt
 ";
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
+/// A file in the temp dir, removed when dropped.
+struct TempFile(PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<OsStr> for TempFile {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
+}
+
+fn write_temp(name: &str, contents: impl AsRef<[u8]>) -> TempFile {
     let path = std::env::temp_dir().join(format!("pipe-cli-test-{}-{name}", std::process::id()));
-    let mut f = std::fs::File::create(&path).expect("create temp file");
-    f.write_all(contents.as_bytes()).expect("write temp file");
-    path
+    std::fs::write(&path, contents).expect("write temp file");
+    TempFile(path)
 }
 
 fn pipe_sim() -> Command {
@@ -168,8 +191,7 @@ fn asm_disassembles() {
 fn non_utf8_input_is_an_error_not_a_panic() {
     // pipe-sim reads only assembly source, so bytes that look like a
     // binary image are a load error like any other non-text file.
-    let path = std::env::temp_dir().join(format!("pipe-cli-test-{}-raw.bin", std::process::id()));
-    std::fs::write(&path, b"PIPE\x01\x00\x00\x00\xff\xff").unwrap();
+    let path = write_temp("raw.bin", b"PIPE\x01\x00\x00\x00\xff\xff");
     let out = pipe_sim().arg(&path).output().expect("spawn");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert_eq!(out.status.code(), Some(1), "{stderr}");

@@ -1,15 +1,25 @@
-//! A timing-free functional reference interpreter.
+//! The functional model: a timing-free interpreter that computes every
+//! value of a PIPE program.
 //!
-//! Executes a PIPE program with the same *architectural* semantics as the
-//! cycle-level [`Processor`](crate::Processor) — queue-register FIFO
-//! discipline, prepare-to-branch delay slots, foreground/background
-//! banks, memory-mapped FPU — but with zero-latency memory and no fetch
-//! or bus modeling. It serves two purposes:
+//! The interpreter executes a program with the PIPE's *architectural*
+//! semantics — queue-register FIFO discipline, prepare-to-branch delay
+//! slots, foreground/background banks, the memory-mapped FPU — with no
+//! fetch, bus or memory timing. It is the only model of values in the
+//! simulator: registers, branch registers, data memory, queue contents and
+//! the FPU's operand latch and results live here and nowhere else.
 //!
-//! 1. a **differential oracle**: any program must produce identical final
-//!    register and data-memory state on the interpreter and on the timed
-//!    processor under every fetch engine (tested property);
-//! 2. a fast way to functionally validate generated workloads.
+//! The cycle-level [`Processor`](crate::Processor) only times the program.
+//! It steps an interpreter in lockstep, one [`Step`] per instruction it
+//! issues, checks that the step's address is the instruction it fetched,
+//! and takes from the step the few values its timing depends on: a
+//! prepare-to-branch's outcome and target and a store address's FPU role.
+//!
+//! Loads and stores drain in program order, as the processor's decoupled
+//! memory interface drains them: a load takes its word once every older
+//! store has its data, so it sees exactly the stores before it, whatever
+//! the memory timing. Run on its own ([`interpret`]), the interpreter also
+//! validates generated workloads and diagnoses a stuck program precisely
+//! ([`InterpError`]) where the processor would time out.
 //!
 //! ```
 //! use pipe_core::interpret;
@@ -26,12 +36,15 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use pipe_isa::{Instruction, Program, Reg};
+use pipe_isa::decode::instr_len;
+use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{DataMemory, FpOp};
 
 use crate::queues::LoadQueue;
 use crate::regfile::{BranchRegFile, RegFile};
+use crate::trace::DataOp;
 
 /// An error terminating interpretation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +56,9 @@ pub enum InterpError {
     },
     /// An undecodable encoding was reached.
     Decode(pipe_isa::DecodeError),
-    /// An `r7` read popped an empty (or unfilled) load queue: the program
-    /// consumes more values than it produces.
+    /// An `r7` read found the load queue empty or its head still waiting:
+    /// the program consumes more values than it produces, or reads a load
+    /// that waits for store data the program has not yet written.
     QueueUnderflow {
         /// Byte address of the reading instruction.
         pc: u32,
@@ -85,7 +99,7 @@ pub struct InterpResult {
     /// Instructions executed (including `halt`).
     pub instructions: u64,
     /// Final foreground register values `r0..=r7` (the `r7` slot holds its
-    /// last latched value, matching the processor's register file).
+    /// last latched value: writes of `r7` go to the store data queue).
     pub regs: [u32; 8],
     /// Final data memory.
     pub memory: DataMemory,
@@ -101,17 +115,32 @@ pub struct InterpResult {
     pub fpu_ops: u64,
 }
 
-/// Tiny timing-free FPU mirror: operand-A latch only (results return
-/// synchronously when the operation store drains).
-#[derive(Debug, Default)]
-struct InstantFpu {
-    operand_a: u32,
+/// What one executed instruction did that its timing depends on: the
+/// record [`Interpreter::step`] returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Byte address of the instruction.
+    pub addr: u32,
+    /// A prepare-to-branch's outcome, `(taken, target byte address)`.
+    pub branch: Option<(bool, u32)>,
+    /// The data-side operation it queued: a load or store address, or the
+    /// value it wrote to `r7`.
+    pub data: Option<DataOp>,
+}
+
+/// A load or store address waiting to drain, in program order.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    /// A load of `addr` into LDQ slot `seq`.
+    Load { addr: u32, seq: u64 },
+    /// A store to `addr`, waiting for its data.
+    Store { addr: u32 },
 }
 
 /// The timing-free interpreter. See the [module docs](self).
 #[derive(Debug)]
 pub struct Interpreter {
-    program: Program,
+    decoded: Arc<DecodedProgram>,
     pc: u32,
     regs: RegFile,
     bregs: BranchRegFile,
@@ -119,34 +148,35 @@ pub struct Interpreter {
     /// LDQ slots: allocated at loads and at FPU-op stores (program order),
     /// exactly like the timed processor's load queue.
     ldq: LoadQueue,
-    saq: VecDeque<u32>,
+    /// Loads and store addresses not yet drained, oldest first.
+    accesses: VecDeque<Access>,
     sdq: VecDeque<u32>,
     /// Slots awaiting FPU results, in operation order.
     fpu_slots: VecDeque<u64>,
-    fpu: InstantFpu,
+    /// The FPU's operand-A latch.
+    fpu_operand: u32,
     pending_branch: Option<(u32, u32)>,
     halted: bool,
     result: InterpResult,
 }
 
 impl Interpreter {
-    /// Creates an interpreter positioned at the program's entry point,
-    /// with the program's data image loaded.
-    pub fn new(program: &Program) -> Interpreter {
-        let memory = DataMemory::from_image(program.data().iter().copied());
+    /// Creates an interpreter over a predecoded program, positioned at its
+    /// entry point with its data image loaded.
+    pub fn new(decoded: &Arc<DecodedProgram>) -> Interpreter {
+        let program = decoded.program();
         Interpreter {
-            program: program.clone(),
+            decoded: Arc::clone(decoded),
             pc: program.entry(),
             regs: RegFile::new(),
             bregs: BranchRegFile::new(),
-            memory,
-            // The interpreter never stalls, so the queue only needs to be
-            // deep enough for the program's maximum outstanding window.
-            ldq: LoadQueue::new(4096),
-            saq: VecDeque::new(),
+            memory: DataMemory::from_image(program.data().iter().copied()),
+            // The interpreter never stalls: its queue has no bound.
+            ldq: LoadQueue::new(usize::MAX),
+            accesses: VecDeque::new(),
             sdq: VecDeque::new(),
             fpu_slots: VecDeque::new(),
-            fpu: InstantFpu::default(),
+            fpu_operand: 0,
             pending_branch: None,
             halted: false,
             result: InterpResult {
@@ -162,149 +192,184 @@ impl Interpreter {
         }
     }
 
-    fn read(&mut self, r: Reg) -> Result<u32, InterpError> {
+    /// Reads source register `r`; the `r7` value, popped once per
+    /// instruction, is `queue_value`.
+    fn read(&self, r: Reg, queue_value: Option<u32>) -> u32 {
         if r.is_queue() {
-            match self.ldq.front_ready() {
-                Some(v) => {
-                    self.ldq.pop();
-                    Ok(v)
-                }
-                None => Err(InterpError::QueueUnderflow { pc: self.pc }),
-            }
+            queue_value.expect("r7 read without an LDQ pop")
         } else {
-            Ok(self.regs.read(r))
+            self.regs.read(r)
         }
     }
 
-    fn write(&mut self, r: Reg, v: u32) {
-        if r.is_queue() {
-            self.sdq.push_back(v);
+    /// Writes `value` to `rd`; a write of `r7` pushes the SDQ instead,
+    /// which the step reports.
+    fn write(&mut self, rd: Reg, value: u32) -> Option<DataOp> {
+        if rd.is_queue() {
+            self.sdq.push_back(value);
+            Some(DataOp::StoreData { value })
         } else {
-            self.regs.write(r, v);
+            self.regs.write(rd, value);
+            None
         }
     }
 
-    /// Sends completed SAQ/SDQ pairs to memory (or the FPU) immediately.
-    fn drain_stores(&mut self) {
-        while let (Some(&addr), Some(&value)) = (self.saq.front(), self.sdq.front()) {
-            self.saq.pop_front();
-            self.sdq.pop_front();
-            if pipe_isa::is_fpu_address(addr) {
-                let off = addr - pipe_isa::FPU_BASE;
-                if off == 0 {
-                    self.fpu.operand_a = value;
-                } else if let Some(op) = FpOp::from_offset(off) {
-                    let result = op.eval_bits(self.fpu.operand_a, value);
-                    let seq = self
-                        .fpu_slots
-                        .pop_front()
-                        .expect("fpu op without allocated slot");
-                    self.ldq.fill(seq, result);
+    /// Drains loads and stores in program order: a load takes its word at
+    /// once, a store once its data is in the SDQ, writing data memory or
+    /// the FPU.
+    fn drain(&mut self) {
+        while let Some(&access) = self.accesses.front() {
+            match access {
+                Access::Load { addr, seq } => self.ldq.fill(seq, self.memory.read(addr)),
+                Access::Store { addr } => {
+                    let Some(value) = self.sdq.pop_front() else {
+                        return;
+                    };
+                    if !pipe_isa::is_fpu_address(addr) {
+                        self.memory.write(addr, value);
+                    } else if addr == pipe_isa::FPU_BASE {
+                        self.fpu_operand = value;
+                    } else if let Some(op) = FpOp::from_offset(addr - pipe_isa::FPU_BASE) {
+                        let seq = self
+                            .fpu_slots
+                            .pop_front()
+                            .expect("fpu op without allocated slot");
+                        self.ldq.fill(seq, op.eval_bits(self.fpu_operand, value));
+                    }
                 }
-            } else {
-                self.memory.write(addr, value);
             }
+            self.accesses.pop_front();
         }
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction and returns its [`Step`], or `None` once
+    /// the program has halted. On an error nothing changes, so a caller
+    /// that looked ahead may step again later and get the same error.
     ///
     /// # Errors
     ///
     /// See [`InterpError`].
-    pub fn step(&mut self) -> Result<(), InterpError> {
-        if self.halted {
-            return Ok(());
+    pub fn step(&mut self) -> Result<Option<Step>, InterpError> {
+        self.execute()
+    }
+
+    /// Executes up to `n` instructions, appending their steps to `steps`,
+    /// and stops early once the program halts. The processor looks ahead
+    /// through this loop rather than [`step`](Self::step): one call per
+    /// batch instead of one per instruction.
+    ///
+    /// # Errors
+    ///
+    /// The error of the instruction it stopped at; the steps before it are
+    /// appended, and that instruction has changed nothing.
+    pub fn step_into(&mut self, steps: &mut VecDeque<Step>, n: usize) -> Result<(), InterpError> {
+        for _ in 0..n {
+            match self.execute()? {
+                Some(step) => steps.push_back(step),
+                None => break,
+            }
         }
-        let (instr, size) = self
-            .program
-            .instruction_at(self.pc)
-            .map_err(|_| InterpError::PcOutOfRange { pc: self.pc })?;
-        let mut next_pc = self.pc + size;
+        Ok(())
+    }
+
+    /// The body of [`step`](Self::step), inlined into both callers.
+    #[inline(always)]
+    fn execute(&mut self) -> Result<Option<Step>, InterpError> {
+        if self.halted {
+            return Ok(None);
+        }
+        // The parcel holding the pc, as the fetch engines address it.
+        let base = self.decoded.program().base();
+        let out_of_range = InterpError::PcOutOfRange { pc: self.pc };
+        let Some(parcel) = self.pc.checked_sub(base).map(|off| off / PARCEL_BYTES) else {
+            return Err(out_of_range);
+        };
+        let addr = base + parcel * PARCEL_BYTES;
+        let index = parcel as usize;
+        let instr = self.decoded.get(index).ok_or(out_of_range)??;
+        let mut next_pc =
+            addr + instr_len(self.decoded.program().parcels()[index]) as u32 * PARCEL_BYTES;
 
         // A single r7 value per instruction: multiple r7 source operands
         // read the same popped value (matching the processor).
-        let mut queue_value: Option<u32> = None;
-        let mut read_src = |this: &mut Self, r: Reg| -> Result<u32, InterpError> {
-            if r.is_queue() {
-                if let Some(v) = queue_value {
-                    return Ok(v);
-                }
-                let v = this.read(r)?;
-                queue_value = Some(v);
-                Ok(v)
-            } else {
-                Ok(this.regs.read(r))
+        let queue_value = if instr.sources().contains(&Reg::QUEUE) {
+            match self.ldq.front_ready() {
+                Some(_) => Some(self.ldq.pop()),
+                None => return Err(InterpError::QueueUnderflow { pc: addr }),
             }
+        } else {
+            None
         };
-
+        let mut step = Step {
+            addr,
+            branch: None,
+            data: None,
+        };
         match instr {
             Instruction::Nop => {}
             Instruction::Halt => self.halted = true,
             Instruction::Xchg => self.regs.exchange(),
             Instruction::Alu { op, rd, rs1, rs2 } => {
-                let a = read_src(self, rs1)?;
-                let b = read_src(self, rs2)?;
-                self.write(rd, op.eval(a, b));
+                let a = self.read(rs1, queue_value);
+                let b = self.read(rs2, queue_value);
+                step.data = self.write(rd, op.eval(a, b));
             }
             Instruction::AluImm { op, rd, rs1, imm } => {
-                let a = read_src(self, rs1)?;
-                self.write(rd, op.eval(a, imm as i32 as u32));
+                let a = self.read(rs1, queue_value);
+                step.data = self.write(rd, op.eval(a, imm as i32 as u32));
             }
-            Instruction::Lim { rd, imm } => self.write(rd, imm as i32 as u32),
+            Instruction::Lim { rd, imm } => step.data = self.write(rd, imm as i32 as u32),
             Instruction::Lui { rd, imm } => {
-                let old = read_src(self, rd)?;
-                self.write(rd, (u32::from(imm) << 16) | (old & 0xFFFF));
+                let low = self.read(rd, queue_value) & 0xFFFF;
+                step.data = self.write(rd, (u32::from(imm) << 16) | low);
             }
             Instruction::Load { base, disp } => {
-                let addr = read_src(self, base)?.wrapping_add(disp as i32 as u32);
-                let seq = self
-                    .ldq
-                    .alloc()
-                    .expect("interpreter queue sized generously");
-                let value = self.memory.read(addr);
-                self.ldq.fill(seq, value);
+                let addr = self
+                    .read(base, queue_value)
+                    .wrapping_add(disp as i32 as u32);
+                let seq = self.ldq.alloc().expect("unbounded queue");
+                self.accesses.push_back(Access::Load { addr, seq });
                 self.result.loads += 1;
+                step.data = Some(DataOp::Load { addr });
             }
             Instruction::StoreAddr { base, disp } => {
-                let addr = read_src(self, base)?.wrapping_add(disp as i32 as u32);
-                self.saq.push_back(addr);
+                let addr = self
+                    .read(base, queue_value)
+                    .wrapping_add(disp as i32 as u32);
+                self.accesses.push_back(Access::Store { addr });
                 self.result.stores += 1;
                 if pipe_isa::is_fpu_address(addr)
                     && FpOp::from_offset(addr - pipe_isa::FPU_BASE).is_some()
                 {
-                    let seq = self
-                        .ldq
-                        .alloc()
-                        .expect("interpreter queue sized generously");
+                    let seq = self.ldq.alloc().expect("unbounded queue");
                     self.fpu_slots.push_back(seq);
                     self.result.fpu_ops += 1;
                 }
+                step.data = Some(DataOp::StoreAddr { addr });
             }
             Instruction::Lbr { br, target_parcel } => {
                 self.bregs.write(br, u32::from(target_parcel) * 2)
             }
-            Instruction::LbrReg { br, rs1 } => {
-                let v = read_src(self, rs1)?;
-                self.bregs.write(br, v);
-            }
+            Instruction::LbrReg { br, rs1 } => self.bregs.write(br, self.read(rs1, queue_value)),
             Instruction::Pbr {
                 cond,
                 br,
                 rs,
                 delay,
             } => {
-                let v = read_src(self, rs)?;
-                if cond.eval(v) {
+                let taken = cond.eval(self.read(rs, queue_value));
+                let target = self.bregs.read(br);
+                if taken {
                     self.result.branches_taken += 1;
-                    self.pending_branch = Some((u32::from(delay), self.bregs.read(br)));
+                    self.pending_branch = Some((u32::from(delay), target));
                 } else {
                     self.result.branches_not_taken += 1;
                 }
+                step.branch = Some((taken, target));
             }
         }
 
-        self.drain_stores();
+        self.drain();
         self.result.instructions += 1;
 
         // Delay-slot countdown: the PBR itself does not count.
@@ -325,7 +390,7 @@ impl Interpreter {
         }
 
         self.pc = next_pc;
-        Ok(())
+        Ok(Some(step))
     }
 
     /// Runs until `halt` or until `max_instructions` have executed.
@@ -356,7 +421,7 @@ impl Interpreter {
 ///
 /// See [`InterpError`].
 pub fn interpret(program: &Program, max_instructions: u64) -> Result<InterpResult, InterpError> {
-    Interpreter::new(program).run(max_instructions)
+    Interpreter::new(&Arc::new(DecodedProgram::new(program.clone()))).run(max_instructions)
 }
 
 #[cfg(test)]
@@ -407,6 +472,15 @@ mod tests {
         assert_eq!(r.regs[3], 18);
         assert_eq!(r.loads, 1);
         assert_eq!(r.stores, 1);
+    }
+
+    #[test]
+    fn a_load_sees_an_older_store_whose_data_comes_later() {
+        // Loads and stores drain in program order, as the processor's do:
+        // the load waits behind the store until `or r7` supplies its data.
+        let src =
+            "lim r1, 0x100\nlim r2, 5\nsta r1, 0\nldw r1, 0\nor r7, r2, r2\nor r3, r7, r7\nhalt\n";
+        assert_eq!(interpret(&asm(src), 100).unwrap().regs[3], 5);
     }
 
     #[test]

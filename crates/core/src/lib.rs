@@ -45,12 +45,12 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{FetchStrategy, SimConfig};
-pub use interp::{interpret, InterpError, InterpResult, Interpreter};
+pub use interp::{interpret, InterpError, InterpResult, Interpreter, Step};
 pub use processor::{run_decoded, run_program, Processor, SimError};
 pub use queues::{AddressQueue, LoadQueue};
 pub use regfile::{BranchRegFile, RegFile};
 pub use stats::{SimStats, StallBreakdown};
 pub use trace::{
-    DataOp, NoTrace, Region, RegionProfiler, StallReason, TextTrace, TraceEvent, TraceSink,
-    VecTrace,
+    DataOp, IssueTrace, NoTrace, Region, RegionProfiler, StallReason, TextTrace, TraceEvent,
+    TraceSink, VecTrace,
 };

@@ -9,22 +9,28 @@
 //!    requests for this cycle's arbitration.
 //! 2. **Memory tick** — the memory system arbitrates, advances in-flight
 //!    accesses, and streams response beats.
-//! 3. **Routing** — an accepted load takes its word from data memory and
-//!    leaves the LAQ; an accepted store leaves the SAQ and SDQ and writes
-//!    data memory or the FPU; other acceptances inform the fetch engine.
-//!    Beats fill the LDQ (data loads, FPU results) or the fetch engine
-//!    (instruction fetches).
+//! 3. **Routing** — an accepted load leaves the LAQ to wait for its beat;
+//!    an accepted store leaves the SAQ and SDQ; other acceptances inform
+//!    the fetch engine. Beats fill LDQ slots (data loads, FPU results) or
+//!    the fetch engine (instruction fetches).
 //! 4. **Fetch advance** — queue transfers and cache fills inside the
 //!    engine.
 //! 5. **Issue** — at most one instruction decodes and issues. Reads of
 //!    `r7` pop the LDQ head (stalling until filled); writes of `r7` push
-//!    the SDQ. A prepare-to-branch records its condition at issue and
+//!    the SDQ. A prepare-to-branch records its outcome at issue and
 //!    resolves at the start of the next cycle, when the engine is told the
 //!    outcome so it can begin target preparation while delay slots drain.
 //!
-//! The memory system models timing only: every data value — registers,
-//! queue contents, data memory, the FPU's operand latch and results —
-//! lives in the processor.
+//! ## Timing only
+//!
+//! The processor holds no data value: its queues hold addresses, sequence
+//! numbers and which LDQ slots have arrived. The values live in an
+//! [`Interpreter`] over the same predecoded program, the one functional
+//! model, which the processor steps in lockstep: each issue takes the
+//! interpreter's next [`Step`], checks that its address is the fetched
+//! instruction's, and reads from it the only values timing depends on —
+//! a prepare-to-branch's outcome and target, and a store address's FPU
+//! role. The memory system models timing only too.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -34,18 +40,18 @@ use std::sync::Arc;
 use pipe_icache::FetchEngine;
 use pipe_isa::decode::DecodeError;
 use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
-use pipe_mem::{BeatSource, ConfigError, DataMemory, FpOp, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{BeatSource, ConfigError, FpOp, MemRequest, MemorySystem, ReqClass};
 
 use crate::config::SimConfig;
+use crate::interp::{Interpreter, Step};
 use crate::queues::{AddressQueue, LoadQueue};
-use crate::regfile::{BranchRegFile, RegFile};
 use crate::stats::SimStats;
 use crate::trace::{DataOp, NoTrace, StallReason, TraceEvent, TraceSink};
 
 mod repeat;
 
 use pipe_icache::repeat::RepeatCounts;
-use repeat::{FrozenStop, LoopSkip, ValueEvent};
+use repeat::{FrozenStop, LoopSkip};
 
 /// An error terminating a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,6 +104,11 @@ struct PbrState {
     issued_after: u8,
 }
 
+/// Steps the processor takes from its interpreter at a time when it needs
+/// one: stepping in batches costs less than a call per instruction, and
+/// steps taken early simply wait in the look-ahead queue.
+const LOOK_AHEAD: usize = 32;
+
 /// What a store address does at the memory interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StoreRole {
@@ -133,30 +144,33 @@ enum Decision {
     Store(StoreRole),
 }
 
-/// The processor state that value events change: registers, the
-/// architectural queues and their contents, the words of accepted loads,
-/// and the FPU's operand latch and results. A loop-iteration skip copies
-/// it to roll back a replayed iteration that diverges.
-#[derive(Debug, Clone)]
+impl Decision {
+    /// The choice the interpreter's `step` made.
+    fn of(step: &Step) -> Decision {
+        match (step.branch, step.data) {
+            (Some((taken, target)), _) => Decision::Branch { taken, target },
+            (_, Some(DataOp::StoreAddr { addr })) => Decision::Store(StoreRole::of(addr)),
+            _ => Decision::None,
+        }
+    }
+}
+
+/// The architectural queues' timing state: addresses, LDQ slots and
+/// sequence numbers, never a data value.
+#[derive(Debug)]
 struct Core {
-    regs: RegFile,
-    bregs: BranchRegFile,
     laq: AddressQueue,
     saq: AddressQueue,
-    sdq: VecDeque<u32>,
-    ldq: LoadQueue,
+    /// Words in the SDQ.
+    sdq: usize,
+    /// Which LDQ slots have been filled.
+    ldq: LoadQueue<()>,
     /// Accepted data loads awaiting their response beat, as
-    /// `(memory tag, LDQ sequence, word)`: a load takes its word when
-    /// memory accepts it. Completion order is tag-matched, so a plain
-    /// vector with `swap_remove` beats a FIFO here.
-    inflight_loads: Vec<(u64, u64, u32)>,
+    /// `(memory tag, LDQ sequence)`. Completion order is tag-matched, so a
+    /// plain vector with `swap_remove` beats a FIFO here.
+    inflight_loads: Vec<(u64, u64)>,
     /// LDQ slots awaiting FPU results, in operation order.
     fpu_result_slots: VecDeque<u64>,
-    /// The FPU's operand-A latch.
-    fpu_operand: u32,
-    /// FPU results not yet delivered, in operation order; each is computed
-    /// when the store that starts its operation is accepted.
-    fpu_results: VecDeque<u32>,
     /// Program-order sequence for data-side operations: the LAQ and SAQ
     /// drain to memory strictly in this order, so a load can never bypass
     /// an older store (the memory-consistency rule of the decoupled
@@ -176,11 +190,16 @@ pub struct Processor<S: TraceSink = NoTrace> {
     /// Predecoded program image: the hot loop looks instructions up by
     /// parcel index instead of calling `decode` every issue attempt.
     decoded: Arc<DecodedProgram>,
+    /// The functional model, stepped once per issue (see the
+    /// [module docs](self)).
+    interp: Interpreter,
+    /// Steps the interpreter took that have not issued yet, oldest first:
+    /// a loop-iteration skip looks ahead into it.
+    ahead: VecDeque<Step>,
     max_cycles: u64,
     ldq_entries: usize,
     sdq_entries: usize,
     core: Core,
-    data: DataMemory,
     laq_front_tag: Option<u64>,
     store_front_tag: Option<u64>,
     pbr: Option<PbrState>,
@@ -210,9 +229,8 @@ impl<S: TraceSink> fmt::Debug for Processor<S> {
 }
 
 impl Processor {
-    /// Builds a processor for `program` under `config`, loading the
-    /// program's initial data image into memory. Predecodes the program;
-    /// to share one predecode across many runs, use
+    /// Builds a processor for `program` under `config`. Predecodes the
+    /// program; to share one predecode across many runs, use
     /// [`from_decoded`](Processor::from_decoded).
     ///
     /// # Errors
@@ -224,7 +242,8 @@ impl Processor {
 
     /// Builds a processor over an already-predecoded program, sharing the
     /// decode table instead of recomputing it (sweeps run one predecode
-    /// for hundreds of points).
+    /// for hundreds of points). Its interpreter starts at the program's
+    /// entry with the program's initial data image loaded.
     ///
     /// # Errors
     ///
@@ -234,29 +253,25 @@ impl Processor {
         config: &SimConfig,
     ) -> Result<Processor, SimError> {
         config.validate()?;
-        let program = decoded.program();
-        let fetch = config.fetch.build(program)?;
+        let fetch = config.fetch.build(decoded.program())?;
         Ok(Processor {
             mem: MemorySystem::new(config.mem),
             fetch,
             decoded: Arc::clone(decoded),
+            interp: Interpreter::new(decoded),
+            ahead: VecDeque::new(),
             max_cycles: config.max_cycles,
             ldq_entries: config.ldq_entries,
             sdq_entries: config.sdq_entries,
             core: Core {
-                regs: RegFile::new(),
-                bregs: BranchRegFile::new(),
                 laq: AddressQueue::new(config.laq_entries),
                 saq: AddressQueue::new(config.saq_entries),
-                sdq: VecDeque::with_capacity(config.sdq_entries),
+                sdq: 0,
                 ldq: LoadQueue::new(config.ldq_entries),
                 inflight_loads: Vec::with_capacity(config.ldq_entries),
                 fpu_result_slots: VecDeque::new(),
-                fpu_operand: 0,
-                fpu_results: VecDeque::new(),
                 data_seq: 0,
             },
-            data: DataMemory::from_image(program.data().iter().copied()),
             laq_front_tag: None,
             store_front_tag: None,
             pbr: None,
@@ -282,11 +297,12 @@ impl<S: TraceSink> Processor<S> {
             mem: self.mem,
             fetch: self.fetch,
             decoded: self.decoded,
+            interp: self.interp,
+            ahead: self.ahead,
             max_cycles: self.max_cycles,
             ldq_entries: self.ldq_entries,
             sdq_entries: self.sdq_entries,
             core: self.core,
-            data: self.data,
             laq_front_tag: self.laq_front_tag,
             store_front_tag: self.store_front_tag,
             pbr: self.pbr,
@@ -317,26 +333,11 @@ impl<S: TraceSink> Processor<S> {
         self.halted
             && self.core.laq.is_empty()
             && self.core.saq.is_empty()
-            && self.core.sdq.is_empty()
+            && self.core.sdq == 0
             && self.core.inflight_loads.is_empty()
             && self.core.fpu_result_slots.is_empty()
             && !self.fetch.has_outstanding()
             && self.mem.is_idle()
-    }
-
-    /// Read access to the register file (for tests and examples).
-    pub fn regs(&self) -> &RegFile {
-        &self.core.regs
-    }
-
-    /// Read access to the data memory image (for inspecting data results).
-    pub fn data(&self) -> &DataMemory {
-        &self.data
-    }
-
-    /// Read access to the memory system's timing state.
-    pub fn mem(&self) -> &MemorySystem {
-        &self.mem
     }
 
     /// Statistics accumulated so far (finalized copies are returned by
@@ -352,7 +353,7 @@ impl<S: TraceSink> Processor<S> {
             self.core.laq.len(),
             self.core.ldq.len(),
             self.core.saq.len(),
-            self.core.sdq.len(),
+            self.core.sdq,
             self.core.inflight_loads.len(),
             self.core.fpu_result_slots.len(),
         ]
@@ -367,10 +368,10 @@ impl<S: TraceSink> Processor<S> {
     /// any further repeats of a loop iteration whose timing state came
     /// back unchanged (`repeat_iterations`). After two cycles in a row
     /// that change nothing, it runs a machine that can never change again
-    /// to the cycle budget in one step (`stop_if_frozen`). The statistics,
-    /// registers, data memory and any timeout cycle are bit-identical to
-    /// ticking [`step`](Self::step) until [`is_done`](Self::is_done) or
-    /// the cycle budget runs out.
+    /// to the cycle budget in one step (`stop_if_frozen`). The statistics
+    /// and any timeout cycle are bit-identical to ticking
+    /// [`step`](Self::step) until [`is_done`](Self::is_done) or the cycle
+    /// budget runs out.
     ///
     /// # Errors
     ///
@@ -434,13 +435,6 @@ impl<S: TraceSink> Processor<S> {
         self.stats
     }
 
-    /// Records a value event for the loop-iteration skip, when active.
-    fn record(&mut self, event: ValueEvent) {
-        if let Some(loops) = &mut self.loops {
-            loops.marks.log(event);
-        }
-    }
-
     /// Simulates one clock cycle.
     ///
     /// # Errors
@@ -464,7 +458,7 @@ impl<S: TraceSink> Processor<S> {
             let tag = *self.laq_front_tag.get_or_insert_with(|| self.mem.new_tag());
             self.mem
                 .offer(MemRequest::load(ReqClass::DataLoad, l.value, 4, tag));
-        } else if let (Some(s), false) = (saq_head, self.core.sdq.is_empty()) {
+        } else if let Some(s) = saq_head.filter(|_| self.core.sdq > 0) {
             let tag = *self
                 .store_front_tag
                 .get_or_insert_with(|| self.mem.new_tag());
@@ -474,16 +468,17 @@ impl<S: TraceSink> Processor<S> {
         // 2. Memory tick.
         let out = self.mem.tick();
 
-        // 3. Routing.
+        // 3. Routing: an accepted load waits for its beat; an accepted
+        // store leaves its address and data queues.
         if let Some(tag) = out.accepted {
             if self.laq_front_tag == Some(tag) {
                 self.laq_front_tag = None;
-                self.accept_load(tag);
-                self.record(ValueEvent::LoadAccepted(tag));
+                let entry = self.core.laq.pop().expect("laq front accepted");
+                self.core.inflight_loads.push((tag, entry.tag));
             } else if self.store_front_tag == Some(tag) {
                 self.store_front_tag = None;
-                self.accept_store(None);
-                self.record(ValueEvent::StoreAccepted);
+                self.core.saq.pop().expect("saq front accepted");
+                self.core.sdq -= 1;
             } else {
                 self.fetch.on_accepted(tag);
             }
@@ -491,12 +486,21 @@ impl<S: TraceSink> Processor<S> {
         if let Some(beat) = &out.beats {
             match beat.source {
                 BeatSource::DataLoad => {
-                    self.deliver_load(beat.tag);
-                    self.record(ValueEvent::LoadDelivered(beat.tag));
+                    let loads = &mut self.core.inflight_loads;
+                    let pos = loads
+                        .iter()
+                        .position(|&(t, _)| t == beat.tag)
+                        .expect("data beat for unknown load");
+                    let (_, seq) = loads.swap_remove(pos);
+                    self.core.ldq.fill(seq, ());
                 }
                 BeatSource::FpuResult => {
-                    self.deliver_fpu_result();
-                    self.record(ValueEvent::FpuDelivered);
+                    let seq = self
+                        .core
+                        .fpu_result_slots
+                        .pop_front()
+                        .expect("fpu result without a waiting slot");
+                    self.core.ldq.fill(seq, ());
                 }
                 BeatSource::IFetch | BeatSource::IPrefetch => self.fetch.on_beat(beat),
             }
@@ -515,68 +519,10 @@ impl<S: TraceSink> Processor<S> {
         self.stats.queues.laq.sample(self.core.laq.len());
         self.stats.queues.ldq.sample(self.core.ldq.len());
         self.stats.queues.saq.sample(self.core.saq.len());
-        self.stats.queues.sdq.sample(self.core.sdq.len());
+        self.stats.queues.sdq.sample(self.core.sdq);
 
         self.cycle += 1;
         Ok(())
-    }
-
-    /// Memory accepted the LAQ head as request `tag`: the load takes its
-    /// word now and waits for its response beat.
-    fn accept_load(&mut self, tag: u64) {
-        let entry = self.core.laq.pop().expect("laq front accepted");
-        let word = self.data.read(entry.value);
-        self.core.inflight_loads.push((tag, entry.tag, word));
-    }
-
-    /// Memory accepted the SAQ/SDQ heads: write data memory or the FPU.
-    /// Data-memory writes are appended to `journal` when given, so a
-    /// loop-iteration replay can undo them.
-    fn accept_store(&mut self, journal: Option<&mut Vec<(u32, Option<u32>)>>) {
-        let addr = self.core.saq.pop().expect("saq front accepted").value;
-        let value = self.core.sdq.pop_front().expect("sdq front accepted");
-        match StoreRole::of(addr) {
-            StoreRole::Data => {
-                let previous = self.data.write(addr, value);
-                if let Some(journal) = journal {
-                    journal.push((addr, previous));
-                }
-            }
-            StoreRole::OperandLatch => self.core.fpu_operand = value,
-            StoreRole::Operation => {
-                let op = FpOp::from_offset(addr - pipe_isa::FPU_BASE).expect("operation offset");
-                let result = op.eval_bits(self.core.fpu_operand, value);
-                self.core.fpu_results.push_back(result);
-            }
-            StoreRole::Unmapped => {}
-        }
-    }
-
-    /// The response beat of load `tag` arrived: its LDQ slot fills.
-    fn deliver_load(&mut self, tag: u64) {
-        let pos = self
-            .core
-            .inflight_loads
-            .iter()
-            .position(|&(t, _, _)| t == tag)
-            .expect("data beat for unknown load");
-        let (_, seq, word) = self.core.inflight_loads.swap_remove(pos);
-        self.core.ldq.fill(seq, word);
-    }
-
-    /// The oldest FPU result arrived: its LDQ slot fills.
-    fn deliver_fpu_result(&mut self) {
-        let seq = self
-            .core
-            .fpu_result_slots
-            .pop_front()
-            .expect("fpu result without a waiting slot");
-        let value = self
-            .core
-            .fpu_results
-            .pop_front()
-            .expect("fpu result without a value");
-        self.core.ldq.fill(seq, value);
     }
 
     fn resolve_pbr_if_due(&mut self) {
@@ -601,16 +547,6 @@ impl<S: TraceSink> Processor<S> {
         self.pbr = None;
     }
 
-    /// Counts how many source-operand slots of `instr` read `r7`. All reads
-    /// within one instruction see the same LDQ head value, popped once.
-    fn reads_queue_reg(instr: &Instruction) -> bool {
-        instr.sources().contains(&Reg::QUEUE)
-    }
-
-    fn writes_queue_reg(instr: &Instruction) -> bool {
-        instr.destination() == Some(Reg::QUEUE)
-    }
-
     /// The byte address of the instruction at the fetch head and its
     /// decode result, looked up in the predecoded table at the image
     /// parcel index the engine is serving. `None` means no complete
@@ -621,20 +557,29 @@ impl<S: TraceSink> Processor<S> {
         Some((addr, self.decoded.get(index)?))
     }
 
-    /// The value-dependent choice `instr` makes if it issues now, with
-    /// `queue_value` the LDQ head it would pop.
-    fn decide(&self, instr: &Instruction, queue_value: Option<u32>) -> Decision {
-        match *instr {
-            Instruction::Pbr { cond, br, rs, .. } => Decision::Branch {
-                taken: cond.eval(self.read(rs, queue_value)),
-                target: self.core.bregs.read(br),
-            },
-            Instruction::StoreAddr { base, disp } => Decision::Store(StoreRole::of(
-                self.read(base, queue_value)
-                    .wrapping_add(disp as i32 as u32),
-            )),
-            _ => Decision::None,
+    /// The interpreter's step for the instruction at `addr`, about to
+    /// issue: the oldest step looked ahead, or a new one. It stays queued
+    /// until the instruction issues.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interpreter executed another instruction than the one
+    /// fetched, or could not execute it: the two models disagree on the
+    /// program's course.
+    fn next_step(&mut self, addr: u32) -> Step {
+        if self.ahead.is_empty() {
+            let result = self.interp.step_into(&mut self.ahead, LOOK_AHEAD);
+            if self.ahead.is_empty() {
+                panic!("issue at {addr:#x}, but the interpreter gave {result:?}");
+            }
         }
+        let step = self.ahead[0];
+        assert_eq!(
+            step.addr, addr,
+            "issue at {addr:#x}, but the interpreter executed {:#x}",
+            step.addr
+        );
+        step
     }
 
     /// Whether `instr` must wait for room in a queue. A same-instruction
@@ -646,7 +591,7 @@ impl<S: TraceSink> Processor<S> {
         (needs_ldq_slot && ldq_after_pop >= self.ldq_entries)
             || (matches!(instr, Instruction::Load { .. }) && self.core.laq.is_full())
             || (matches!(instr, Instruction::StoreAddr { .. }) && self.core.saq.is_full())
-            || (Self::writes_queue_reg(instr) && self.core.sdq.len() >= self.sdq_entries)
+            || (instr.destination() == Some(Reg::QUEUE) && self.core.sdq >= self.sdq_entries)
     }
 
     fn try_issue(&mut self) -> Result<(), SimError> {
@@ -679,25 +624,19 @@ impl<S: TraceSink> Processor<S> {
         }
 
         // Operand readiness: an `r7` read needs the LDQ head filled.
-        let reads_q = Self::reads_queue_reg(&instr);
-        let queue_value = if reads_q {
-            match self.core.ldq.front_ready() {
-                Some(v) => Some(v),
-                None => {
-                    self.stats.stalls.data_wait += 1;
-                    self.emit(TraceEvent::Stall {
-                        cycle: self.cycle,
-                        reason: StallReason::DataWait,
-                    });
-                    return Ok(());
-                }
-            }
-        } else {
-            None
-        };
+        let reads_q = instr.sources().contains(&Reg::QUEUE);
+        if reads_q && self.core.ldq.front_ready().is_none() {
+            self.stats.stalls.data_wait += 1;
+            self.emit(TraceEvent::Stall {
+                cycle: self.cycle,
+                reason: StallReason::DataWait,
+            });
+            return Ok(());
+        }
 
         // Resource checks (computed before any state mutation).
-        let decision = self.decide(&instr, queue_value);
+        let step = self.next_step(addr);
+        let decision = Decision::of(&step);
         if self.queue_full(&instr, reads_q, decision) {
             self.stats.stalls.queue_full += 1;
             self.emit(TraceEvent::Stall {
@@ -707,7 +646,9 @@ impl<S: TraceSink> Processor<S> {
             return Ok(());
         }
 
-        // Commit: execute (popping the LDQ head once), consume from fetch.
+        // Commit: pop the LDQ head once, queue the data-side operation,
+        // consume from fetch.
+        self.ahead.pop_front();
         if self.trace.enabled() {
             self.emit(TraceEvent::Issue {
                 cycle: self.cycle,
@@ -715,8 +656,10 @@ impl<S: TraceSink> Processor<S> {
                 instr,
             });
         }
-        self.execute(&instr, queue_value);
-        self.record(ValueEvent::Issue(instr, decision));
+        self.execute(&instr, reads_q, step);
+        if let Some(loops) = &mut self.loops {
+            loops.marks.log(decision);
+        }
         if let (Instruction::Pbr { delay, .. }, Decision::Branch { taken, target }) =
             (instr, decision)
         {
@@ -744,92 +687,45 @@ impl<S: TraceSink> Processor<S> {
         Ok(())
     }
 
-    fn read(&self, r: Reg, queue_value: Option<u32>) -> u32 {
-        if r.is_queue() {
-            queue_value.expect("r7 read without LDQ pop")
-        } else {
-            self.core.regs.read(r)
-        }
-    }
-
-    fn write_dest(&mut self, r: Reg, value: u32) {
-        if r.is_queue() {
-            self.core.sdq.push_back(value);
-            self.emit(TraceEvent::DataIssue {
-                cycle: self.cycle,
-                op: DataOp::StoreData { value },
-            });
-        } else {
-            self.core.regs.write(r, value);
-        }
-    }
-
-    /// Applies an issuing instruction's effects on the core: pops the LDQ
-    /// head when `queue_value` is `Some`, then writes registers and pushes
-    /// the queues. A prepare-to-branch's outcome is the caller's (see
-    /// [`decide`](Self::decide)).
-    fn execute(&mut self, instr: &Instruction, queue_value: Option<u32>) {
-        if queue_value.is_some() {
+    /// Applies an issuing instruction's effects on the queues: pops the
+    /// LDQ head when it `reads_q`, then queues the data-side operation of
+    /// its interpreter `step`, or stops issue after a `halt`.
+    fn execute(&mut self, instr: &Instruction, reads_q: bool, step: Step) {
+        if reads_q {
             self.core.ldq.pop();
         }
-        match *instr {
-            Instruction::Nop | Instruction::Pbr { .. } => {}
-            Instruction::Halt => {
+        let op = match step.data {
+            Some(op) => op,
+            _ if *instr == Instruction::Halt => {
                 self.halted = true;
                 self.emit(TraceEvent::Halted { cycle: self.cycle });
+                return;
             }
-            Instruction::Xchg => self.core.regs.exchange(),
-            Instruction::Alu { op, rd, rs1, rs2 } => {
-                let a = self.read(rs1, queue_value);
-                let b = self.read(rs2, queue_value);
-                self.write_dest(rd, op.eval(a, b));
-            }
-            Instruction::AluImm { op, rd, rs1, imm } => {
-                let a = self.read(rs1, queue_value);
-                self.write_dest(rd, op.eval(a, imm as i32 as u32));
-            }
-            Instruction::Lim { rd, imm } => self.write_dest(rd, imm as i32 as u32),
-            Instruction::Lui { rd, imm } => {
-                let old = self.read(rd, queue_value);
-                self.write_dest(rd, (u32::from(imm) << 16) | (old & 0xFFFF));
-            }
-            Instruction::Load { base, disp } => {
-                let addr = self
-                    .read(base, queue_value)
-                    .wrapping_add(disp as i32 as u32);
-                let seq = self.core.ldq.alloc().expect("resource-checked");
-                self.core.laq.push(addr, seq, self.core.data_seq);
-                self.core.data_seq += 1;
+            _ => return,
+        };
+        self.emit(TraceEvent::DataIssue {
+            cycle: self.cycle,
+            op,
+        });
+        let core = &mut self.core;
+        match op {
+            DataOp::Load { addr } => {
+                let seq = core.ldq.alloc().expect("resource-checked");
+                core.laq.push(addr, seq, core.data_seq);
+                core.data_seq += 1;
                 self.stats.loads += 1;
-                self.emit(TraceEvent::DataIssue {
-                    cycle: self.cycle,
-                    op: DataOp::Load { addr },
-                });
             }
-            Instruction::StoreAddr { base, disp } => {
-                let addr = self
-                    .read(base, queue_value)
-                    .wrapping_add(disp as i32 as u32);
-                self.core.saq.push(addr, 0, self.core.data_seq);
-                self.core.data_seq += 1;
+            DataOp::StoreAddr { addr } => {
+                core.saq.push(addr, 0, core.data_seq);
+                core.data_seq += 1;
                 self.stats.stores += 1;
-                self.emit(TraceEvent::DataIssue {
-                    cycle: self.cycle,
-                    op: DataOp::StoreAddr { addr },
-                });
                 if StoreRole::of(addr) == StoreRole::Operation {
-                    let seq = self.core.ldq.alloc().expect("resource-checked");
-                    self.core.fpu_result_slots.push_back(seq);
+                    let seq = core.ldq.alloc().expect("resource-checked");
+                    core.fpu_result_slots.push_back(seq);
                     self.stats.fpu_ops += 1;
                 }
             }
-            Instruction::Lbr { br, target_parcel } => {
-                self.core.bregs.write(br, u32::from(target_parcel) * 2);
-            }
-            Instruction::LbrReg { br, rs1 } => {
-                let v = self.read(rs1, queue_value);
-                self.core.bregs.write(br, v);
-            }
+            DataOp::StoreData { .. } => core.sdq += 1,
         }
     }
 }
@@ -865,9 +761,13 @@ pub fn run_decoded(
 mod tests {
     use super::*;
     use crate::config::FetchStrategy;
+    use crate::interp::{interpret, InterpResult};
+    use crate::trace::IssueTrace;
     use pipe_icache::{BufferConfig, CacheConfig, PipeFetchConfig, TibConfig};
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn asm(src: &str) -> Program {
         Assembler::new(InstrFormat::Fixed32)
@@ -886,6 +786,17 @@ mod tests {
         run_program(&asm(src), config).expect("run succeeds")
     }
 
+    /// Runs `src` under `config` through the processor, which checks each
+    /// issue against its interpreter, and returns the statistics with the
+    /// final architectural state of the interpreter run on its own.
+    fn run_values(src: &str, config: &SimConfig) -> (SimStats, InterpResult) {
+        let program = asm(src);
+        let stats = run_program(&program, config).expect("run succeeds");
+        let values = interpret(&program, 100_000).expect("interprets");
+        assert_eq!(stats.instructions_issued, values.instructions);
+        (stats, values)
+    }
+
     #[test]
     fn straight_line_alu() {
         let stats = run(
@@ -897,11 +808,12 @@ mod tests {
 
     #[test]
     fn register_results_visible() {
-        let p = asm("lim r1, 6\nlim r2, 7\nadd r3, r1, r2\nsub r4, r1, r2\nhalt\n");
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(3)), 13);
-        assert_eq!(proc.regs().read(Reg::new(4)), (-1i32) as u32);
+        let (_, v) = run_values(
+            "lim r1, 6\nlim r2, 7\nadd r3, r1, r2\nsub r4, r1, r2\nhalt\n",
+            &perfect_config(),
+        );
+        assert_eq!(v.regs[3], 13);
+        assert_eq!(v.regs[4], (-1i32) as u32);
     }
 
     #[test]
@@ -919,13 +831,12 @@ mod tests {
     #[test]
     fn delay_slots_execute() {
         // Delay slot increments r2 even though the branch is taken.
-        let p = asm(
+        let (_, v) = run_values(
             "lim r1, 2\nlim r2, 0\nlbr b0, top\ntop: subi r1, r1, 1\npbr.nez b0, r1, 1\naddi r2, r2, 1\nhalt\n",
+            &perfect_config(),
         );
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
         // Loop runs twice; delay slot runs on both iterations.
-        assert_eq!(proc.regs().read(Reg::new(2)), 2);
+        assert_eq!(v.regs[2], 2);
     }
 
     #[test]
@@ -939,11 +850,9 @@ mod tests {
             or   r3, r7, r7   ; read it back
             halt
         "#;
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.data().read(0x100), 42);
-        assert_eq!(proc.regs().read(Reg::new(3)), 42);
+        let (_, v) = run_values(src, &perfect_config());
+        assert_eq!(v.memory.read(0x100), 42);
+        assert_eq!(v.regs[3], 42);
     }
 
     #[test]
@@ -961,12 +870,10 @@ mod tests {
             or   r4, r7, r7       ; wait for and read result
             halt
         "#;
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(4)), 6.0f32.to_bits());
-        assert_eq!(proc.stats().fpu_ops, 1);
-        assert_eq!(proc.stats().stores, 2);
+        let (stats, v) = run_values(src, &perfect_config());
+        assert_eq!(v.regs[4], 6.0f32.to_bits());
+        assert_eq!(stats.fpu_ops, 1);
+        assert_eq!(stats.stores, 2);
     }
 
     #[test]
@@ -998,19 +905,15 @@ mod tests {
             add  r3, r7, r7    ; 21 + 21
             halt
         "#;
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(3)), 42);
+        let (_, v) = run_values(src, &perfect_config());
+        assert_eq!(v.regs[3], 42);
     }
 
     #[test]
     fn xchg_banks() {
         let src = "lim r1, 5\nxchg\nlim r1, 9\nxchg\naddi r2, r1, 0\nhalt\n";
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(2)), 5);
+        let (_, v) = run_values(src, &perfect_config());
+        assert_eq!(v.regs[2], 5);
     }
 
     #[test]
@@ -1097,8 +1000,9 @@ mod tests {
 
     #[test]
     fn fetch_strategies_agree_on_architectural_state() {
-        // The same program must produce identical register/memory results
-        // regardless of fetch timing.
+        // The same program must issue the same instructions in the same
+        // order regardless of fetch timing, so its values are the
+        // interpreter's.
         let src = r#"
             lim  r1, 0x200
             lim  r2, 0
@@ -1114,7 +1018,7 @@ mod tests {
             halt
         "#;
         let p = asm(src);
-        let mut results = Vec::new();
+        let mut issued = Vec::new();
         for fetch in [
             FetchStrategy::Perfect,
             FetchStrategy::conventional(CacheConfig::new(32, 16)),
@@ -1128,13 +1032,18 @@ mod tests {
                 },
                 ..SimConfig::default()
             };
-            let mut proc = Processor::new(&p, &cfg).unwrap();
+            let sink = Rc::new(RefCell::new(IssueTrace::default()));
+            let mut proc = Processor::new(&p, &cfg)
+                .unwrap()
+                .with_trace(Rc::clone(&sink));
             proc.run().unwrap();
-            let mem_words: Vec<u32> = (0..8).map(|i| proc.data().read(0x200 + i * 4)).collect();
-            results.push(mem_words);
+            issued.push(std::mem::take(&mut sink.borrow_mut().0));
         }
-        assert_eq!(results[0], vec![0, 3, 6, 9, 12, 15, 18, 21]);
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
+        assert!(issued.windows(2).all(|w| w[0] == w[1]));
+        let v = interpret(&p, 1000).unwrap();
+        assert_eq!(issued[0].len() as u64, v.instructions);
+        let words: Vec<u32> = (0..8).map(|i| v.memory.read(0x200 + i * 4)).collect();
+        assert_eq!(words, vec![0, 3, 6, 9, 12, 15, 18, 21]);
     }
 
     #[test]
@@ -1194,10 +1103,8 @@ mod tests {
             lui  r7, 0xBEEF      ; pops 0x1234, pushes 0xBEEF1234
             halt
         "#;
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.data().read(0x204), 0xBEEF_1234);
+        let (_, v) = run_values(src, &perfect_config());
+        assert_eq!(v.memory.read(0x204), 0xBEEF_1234);
     }
 
     #[test]
@@ -1229,11 +1136,9 @@ mod tests {
             addi r2, r2, 1       ; skipped
             there: halt
         "#;
-        let p = asm(src);
-        let mut proc = Processor::new(&p, &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(2)), 0, "wrong-path skipped");
-        assert_eq!(proc.stats().branches_taken, 1);
+        let (stats, v) = run_values(src, &perfect_config());
+        assert_eq!(v.regs[2], 0, "wrong-path skipped");
+        assert_eq!(stats.branches_taken, 1);
     }
 
     #[test]
@@ -1278,8 +1183,8 @@ mod tests {
     fn pipelined_memory_gives_a_load_the_word_at_acceptance() {
         // The load of 0x100 is accepted before the younger store to 0x100,
         // but a pipelined memory accepts that store before the load's
-        // response returns. The load must still see 5, the word when it
-        // was accepted, as the interpreter does.
+        // response returns. The load must still see 5: values follow
+        // program order, whatever the memory timing.
         let src = r#"
             lim  r1, 0x100
             lim  r2, 5
@@ -1301,15 +1206,14 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let mut proc = Processor::new(&asm(src), &cfg).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(4)), 5);
-        assert_eq!(proc.data().read(0x100), 9);
+        let (_, v) = run_values(src, &cfg);
+        assert_eq!(v.regs[4], 5);
+        assert_eq!(v.memory.read(0x100), 9);
     }
 
     #[test]
     fn fpu_operand_latch_persists_across_ops() {
-        // The operand latch lives in the processor: one A, two products.
+        // The operand latch holds across operations: one A, two products.
         let src = r#"
             lim  r5, -4096        ; FPU_BASE
             lui  r1, 0x40A0       ; 5.0
@@ -1325,16 +1229,14 @@ mod tests {
             or   r6, r7, r7
             halt
         "#;
-        let mut proc = Processor::new(&asm(src), &perfect_config()).unwrap();
-        proc.run().unwrap();
-        assert_eq!(proc.regs().read(Reg::new(4)), 10.0f32.to_bits());
-        assert_eq!(proc.regs().read(Reg::new(6)), 15.0f32.to_bits());
+        let (_, v) = run_values(src, &perfect_config());
+        assert_eq!(v.regs[4], 10.0f32.to_bits());
+        assert_eq!(v.regs[6], 15.0f32.to_bits());
     }
 
     /// Runs `config` on `program` through `run` and through the ticked
-    /// reference; asserts they agree on the outcome, statistics, registers
-    /// and data memory, and returns the outcome with what the
-    /// loop-iteration skip did.
+    /// reference; asserts they agree on the outcome and the statistics,
+    /// and returns the outcome with what the loop-iteration skip did.
     fn run_matches_ticking(
         program: &Program,
         config: &SimConfig,
@@ -1345,8 +1247,6 @@ mod tests {
         let result = proc.run_counting_repeats();
         assert_eq!(result.as_ref().err(), ticked.err().as_ref());
         assert_eq!(proc.stats(), reference.stats());
-        assert_eq!(proc.regs(), reference.regs());
-        assert_eq!(proc.data(), reference.data());
         result
     }
 
@@ -1420,10 +1320,11 @@ mod tests {
     }
 
     #[test]
-    fn diverging_loop_exit_is_rolled_back() {
-        // Each iteration stores and reloads, so the replay journals data
-        // writes; the last iteration's PBR falls through, so its replay
-        // diverges and must be undone before ticking resumes.
+    fn diverging_loop_exit_is_ticked() {
+        // The last iteration's PBR falls through, so the look-ahead at the
+        // loop exit chooses differently from the logged iteration: its
+        // steps stay queued and ticking issues them, matching a run that
+        // never skipped.
         let config = SimConfig {
             fetch: FetchStrategy::Perfect,
             mem: MemConfig {
@@ -1437,7 +1338,7 @@ mod tests {
             &config,
         );
         assert!(counts.iterations > 0, "{counts:?}");
-        assert!(counts.rollbacks > 0, "{counts:?}");
+        assert!(counts.diverged > 0, "{counts:?}");
     }
 
     #[test]

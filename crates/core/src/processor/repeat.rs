@@ -4,28 +4,34 @@
 //! describes the timing state of the whole machine — core, memory system
 //! and fetch engine — as a key: cycles relative to the current cycle,
 //! tags and sequence numbers relative to their counters, and no data
-//! values or statistics. If the key equals the one recorded when the same
-//! PBR last issued, the iteration in between left the timing state
-//! unchanged, so its next repeat will take exactly as many cycles and add
-//! exactly the same statistics, unless a value makes a different choice:
-//! a PBR resolving another way or to another target, or a store address
-//! playing another FPU role.
+//! values or statistics (the processor holds none). If the key equals the
+//! one recorded when the same PBR last issued, the iteration in between
+//! left the timing state unchanged, so its next repeat will take exactly
+//! as many cycles and add exactly the same statistics, unless a value
+//! makes a different choice: a PBR resolving another way or to another
+//! target, or a store address playing another FPU role.
 //!
-//! Each further repeat is then applied in one step. The iteration's
-//! recorded *value events* — issues, load and store acceptances, load and
-//! FPU deliveries — are replayed through the same helpers
-//! [`Processor::step`] uses, which moves registers, queues, data memory
-//! and the FPU values on exactly as ticking would. The statistics deltas
-//! are added, and every cycle, tag and sequence field of the memory
-//! system, the fetch engine and the core shifts forward. Replay checks
-//! each issue's choice against the recording; an iteration that diverges
-//! (typically the loop exit) is rolled back from a copy of the core state
-//! and a journal of data-memory writes, and ticking resumes at its start.
-//! No repeat is applied that would end past `max_cycles`.
+//! The log holds that choice for every issue. Before each further repeat,
+//! the skip steps the interpreter one iteration ahead into the processor's
+//! look-ahead queue and compares each step's choice with the log. On a
+//! match, it drops those steps as issued: the statistics deltas are added,
+//! and every cycle, tag and sequence field of the memory system, the fetch
+//! engine and the core shifts forward. On a mismatch (typically the loop
+//! exit), the steps stay queued and ticking issues them one by one, so
+//! nothing is ever rolled back. No repeat is applied that would end past
+//! `max_cycles`.
 //!
-//! The marks, the bounded event log and the shift of memory system and
-//! fetch engine are [`pipe_icache::repeat`], which trace replay uses too;
-//! this module adds the core's part of the key and the value-event replay.
+//! The LAQ and SAQ entries keep the addresses they held at the mark, not
+//! the ones the dropped steps carried. Like the key, nothing that times a
+//! run reads them while the skip is on: the memory system ignores data
+//! addresses unless it models an external cache, which turns the skip
+//! off, and the FPU roles the addresses imply are the ones the key and
+//! the choices just compared.
+//!
+//! The marks, the bounded log and the shift of memory system and fetch
+//! engine are [`pipe_icache::repeat`], which trace replay uses too; this
+//! module adds the core's part of the key, the look-ahead and the core's
+//! shift.
 //!
 //! The skip is off when a trace sink is attached (it observes every
 //! cycle) and when an external cache is modelled (addresses then affect
@@ -65,37 +71,19 @@
 
 use pipe_icache::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
 use pipe_icache::FetchStats;
-use pipe_isa::Instruction;
 use pipe_mem::MemStats;
 
 use super::{Decision, Processor, StoreRole};
 use crate::stats::SimStats;
 use crate::trace::TraceSink;
 
-/// A value-carrying event of one cycle, in the order `step` handles it.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum ValueEvent {
-    /// An instruction issued, making `Decision`.
-    Issue(Instruction, Decision),
-    /// Memory accepted the LAQ head under this tag.
-    LoadAccepted(u64),
-    /// Memory accepted the SAQ/SDQ heads.
-    StoreAccepted,
-    /// The response beat of the load with this tag arrived.
-    LoadDelivered(u64),
-    /// The oldest FPU result arrived.
-    FpuDelivered,
-}
-
 /// The loop-iteration skip's state during one [`Processor::run`].
 #[derive(Debug, Default)]
 pub(super) struct LoopSkip {
-    /// The marks and the log of value events.
-    pub(super) marks: LoopMarks<ValueEvent, SimStats>,
+    /// The marks and the log of choices, one per issue.
+    pub(super) marks: LoopMarks<Decision, SimStats>,
     /// The fetch address of a PBR issued this cycle, set by `try_issue`.
     pub(super) issued_pbr: Option<u32>,
-    /// Data-memory writes of the iteration being replayed.
-    journal: Vec<(u32, Option<u32>)>,
 }
 
 /// The frozen stop's record of the last cycle it checked (see the
@@ -126,20 +114,16 @@ fn times<T: Clone + Default>(delta: &T, n: u64, add: fn(&mut T, &T)) -> T {
     sum
 }
 
-/// The processor as the loop marks drive it, with the replay's
-/// data-memory journal.
-struct Repeating<'a, S: TraceSink> {
-    proc: &'a mut Processor<S>,
-    journal: &'a mut Vec<(u32, Option<u32>)>,
-}
+/// The processor as the loop marks drive it.
+struct Repeating<'a, S: TraceSink>(&'a mut Processor<S>);
 
 impl<S: TraceSink> Machine for Repeating<'_, S> {
-    type Event = ValueEvent;
+    type Event = Decision;
     type Counters = SimStats;
 
     fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
-        self.proc.describe_timing(key);
-        if self.proc.mem.describe_timing(key) {
+        self.0.describe_timing(key);
+        if self.0.mem.describe_timing(key) {
             Timing::Described
         } else {
             Timing::Opaque
@@ -148,21 +132,20 @@ impl<S: TraceSink> Machine for Repeating<'_, S> {
 
     fn state(&self) -> State<'_, SimStats> {
         State {
-            cycle: self.proc.cycle,
-            counters: &self.proc.stats,
-            fetch: self.proc.fetch.stats(),
-            mem: &self.proc.mem,
+            cycle: self.0.cycle,
+            counters: &self.0.stats,
+            fetch: self.0.fetch.stats(),
+            mem: &self.0.mem,
         }
     }
 
     fn apply_repeats(
         &mut self,
         iteration: &Iteration<SimStats>,
-        events: &[ValueEvent],
+        choices: &[Decision],
         counts: &mut RepeatCounts,
     ) -> u64 {
-        self.proc
-            .apply_repeats(iteration, events, self.journal, counts)
+        self.0.apply_repeats(iteration, choices, counts)
     }
 }
 
@@ -174,14 +157,7 @@ impl<S: TraceSink> Processor<S> {
         let Some(mut loops) = self.loops.take() else {
             return;
         };
-        let LoopSkip { marks, journal, .. } = &mut *loops;
-        if marks.after_pbr(
-            at,
-            &mut Repeating {
-                proc: self,
-                journal,
-            },
-        ) {
+        if loops.marks.after_pbr(at, &mut Repeating(self)) {
             self.loops = Some(loops);
         }
         // Otherwise the skip stays off for the rest of the run.
@@ -243,7 +219,7 @@ impl<S: TraceSink> Processor<S> {
             tag(self.store_front_tag),
             core.laq.len() as u64,
             core.saq.len() as u64,
-            core.sdq.len() as u64,
+            core.sdq as u64,
             core.ldq.len() as u64,
             core.inflight_loads.len() as u64,
             core.fpu_result_slots.len() as u64,
@@ -255,42 +231,47 @@ impl<S: TraceSink> Processor<S> {
             key.extend([core.data_seq - e.seq, StoreRole::of(e.value) as u64]);
         }
         key.extend(core.ldq.filled().map(u64::from));
-        for &(t, seq, _) in &core.inflight_loads {
+        for &(t, seq) in &core.inflight_loads {
             key.extend([next_tag - t, seq - ldq_base]);
         }
         key.extend(core.fpu_result_slots.iter().map(|&seq| seq - ldq_base));
         self.fetch.describe_timing(key, next_tag);
     }
 
-    /// Applies repeats of `iteration`, whose value events are `events`,
-    /// until one diverges or would end past `max_cycles`. Returns how many
-    /// it applied. A method of the processor, not of `Repeating`: as the
-    /// latter, measured over Figures 4a–6b, it made `run` about 5 % slower.
+    /// Applies repeats of `iteration`, whose issues made `choices`, until
+    /// the interpreter's next iteration chooses differently or a repeat
+    /// would end past `max_cycles`. Returns how many it applied. A method
+    /// of the processor, not of `Repeating`: as the latter, measured over
+    /// Figures 4a–6b, it made `run` about 5 % slower.
     fn apply_repeats(
         &mut self,
         iteration: &Iteration<SimStats>,
-        events: &[ValueEvent],
-        journal: &mut Vec<(u32, Option<u32>)>,
+        choices: &[Decision],
         counts: &mut RepeatCounts,
     ) -> u64 {
         let (cycles, tags) = (iteration.cycles, iteration.tags);
-        // Tags recorded in the iteration move on by `tags` per repeat.
-        let mut tag_shift = tags;
+        // LDQ slots and data-side operations each repeat hands out.
+        let d = &iteration.counters;
+        let (slots, data_ops) = (d.loads + d.fpu_ops, d.loads + d.stores);
         let mut applied = 0;
         while self.cycle + cycles <= self.max_cycles {
-            // Replay counts loads and stores again; the deltas replace that.
-            let (core, before) = (self.core.clone(), self.stats.clone());
-            journal.clear();
-            if !events.iter().all(|&e| self.replay(e, tag_shift, journal)) {
-                self.core = core;
-                self.stats = before;
-                for &(addr, previous) in journal.iter().rev() {
-                    self.data.restore(addr, previous);
-                }
-                counts.rollbacks += 1;
+            if !self.looks_ahead_to(choices) {
+                counts.diverged += 1;
                 break;
             }
-            self.stats = before;
+            self.ahead.drain(..choices.len());
+            let core = &mut self.core;
+            core.laq.shift(slots, data_ops);
+            core.saq.shift(0, data_ops);
+            core.ldq.shift_seq(slots);
+            core.data_seq += data_ops;
+            for (t, seq) in &mut core.inflight_loads {
+                *t += tags;
+                *seq += slots;
+            }
+            for seq in &mut core.fpu_result_slots {
+                *seq += slots;
+            }
             iteration.shift(
                 &mut self.cycle,
                 &mut self.stats,
@@ -306,41 +287,24 @@ impl<S: TraceSink> Processor<S> {
             {
                 *t += tags;
             }
-            tag_shift += tags;
             applied += 1;
         }
         applied
     }
 
-    /// Replays one recorded value event, with recorded tags moved
-    /// `tag_shift` on. Returns `false` if an issue would decide
-    /// differently from the recording, before changing anything.
-    fn replay(
-        &mut self,
-        event: ValueEvent,
-        tag_shift: u64,
-        journal: &mut Vec<(u32, Option<u32>)>,
-    ) -> bool {
-        match event {
-            ValueEvent::Issue(instr, decision) => {
-                let queue_value = if Self::reads_queue_reg(&instr) {
-                    match self.core.ldq.front_ready() {
-                        Some(v) => Some(v),
-                        None => return false,
-                    }
-                } else {
-                    None
-                };
-                if self.decide(&instr, queue_value) != decision {
-                    return false;
-                }
-                self.execute(&instr, queue_value);
-            }
-            ValueEvent::LoadAccepted(tag) => self.accept_load(tag + tag_shift),
-            ValueEvent::StoreAccepted => self.accept_store(Some(journal)),
-            ValueEvent::LoadDelivered(tag) => self.deliver_load(tag + tag_shift),
-            ValueEvent::FpuDelivered => self.deliver_fpu_result(),
+    /// Whether the interpreter's next `choices.len()` steps make
+    /// `choices`, stepping it into the look-ahead queue as far as needed.
+    /// An error stops the stepping short, which is a mismatch; ticking
+    /// never reaches the failing instruction.
+    fn looks_ahead_to(&mut self, choices: &[Decision]) -> bool {
+        if let Some(missing) = choices.len().checked_sub(self.ahead.len()) {
+            let _ = self.interp.step_into(&mut self.ahead, missing);
         }
-        true
+        self.ahead.len() >= choices.len()
+            && self
+                .ahead
+                .iter()
+                .zip(choices)
+                .all(|(step, &choice)| Decision::of(step) == choice)
     }
 }

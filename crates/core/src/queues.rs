@@ -75,6 +75,14 @@ impl AddressQueue {
     pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
         self.entries.iter()
     }
+
+    /// Moves every entry's tag `tags` and sequence number `seqs` later.
+    pub fn shift(&mut self, tags: u64, seqs: u64) {
+        for e in &mut self.entries {
+            e.tag += tags;
+            e.seq += seqs;
+        }
+    }
 }
 
 /// The Load Queue: data returning from memory, readable as `r7`.
@@ -83,24 +91,29 @@ impl AddressQueue {
 /// FPU-triggering stores) and filled as responses arrive, possibly out of
 /// order with respect to FPU latencies; the head is readable only once its
 /// slot has been filled, which keeps `r7` reads in program order.
+///
+/// The interpreter's slots hold the words (`LoadQueue<u32>`, the
+/// default); the processor, which models timing only, fills its slots
+/// with `()` and tracks only which have arrived.
 #[derive(Debug, Clone)]
-pub struct LoadQueue {
-    slots: VecDeque<Option<u32>>,
+pub struct LoadQueue<T = u32> {
+    slots: VecDeque<Option<T>>,
     /// Sequence number of the slot at the front of `slots`.
     base_seq: u64,
     capacity: usize,
 }
 
-impl LoadQueue {
-    /// Creates an empty load queue with `capacity` slots.
+impl<T: Copy> LoadQueue<T> {
+    /// Creates an empty load queue with room for `capacity` slots,
+    /// allocated as they fill.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> LoadQueue {
+    pub fn new(capacity: usize) -> LoadQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         LoadQueue {
-            slots: VecDeque::with_capacity(capacity),
+            slots: VecDeque::new(),
             base_seq: 0,
             capacity,
         }
@@ -137,7 +150,7 @@ impl LoadQueue {
     /// # Panics
     ///
     /// Panics if `seq` does not name an allocated, unfilled slot.
-    pub fn fill(&mut self, seq: u64, value: u32) {
+    pub fn fill(&mut self, seq: u64, value: T) {
         let idx = seq
             .checked_sub(self.base_seq)
             .expect("slot already retired") as usize;
@@ -151,13 +164,19 @@ impl LoadQueue {
         self.base_seq
     }
 
+    /// Renumbers every slot `n` later, as if `n` more slots had been
+    /// allocated and popped.
+    pub fn shift_seq(&mut self, n: u64) {
+        self.base_seq += n;
+    }
+
     /// Whether each allocated slot has been filled, head first.
     pub fn filled(&self) -> impl Iterator<Item = bool> + '_ {
         self.slots.iter().map(Option::is_some)
     }
 
     /// The value at the head, if its data has arrived.
-    pub fn front_ready(&self) -> Option<u32> {
+    pub fn front_ready(&self) -> Option<T> {
         self.slots.front().copied().flatten()
     }
 
@@ -167,7 +186,7 @@ impl LoadQueue {
     ///
     /// Panics if the head is missing or unfilled — check
     /// [`front_ready`](Self::front_ready) first.
-    pub fn pop(&mut self) -> u32 {
+    pub fn pop(&mut self) -> T {
         let v = self
             .slots
             .pop_front()

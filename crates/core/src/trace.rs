@@ -6,9 +6,10 @@
 //! a generic parameter of the processor, so the default [`NoTrace`] sink
 //! compiles to nothing in the cycle loop; boxed trait objects
 //! (`Box<dyn TraceSink>`) remain available when the sink is chosen at
-//! run time. The crate ships three concrete sinks:
+//! run time. The crate ships four concrete sinks:
 //!
 //! * [`VecTrace`] — collect events into memory for assertions;
+//! * [`IssueTrace`] — collect the issued addresses alone;
 //! * [`TextTrace`] — render a human-readable line per event;
 //! * [`RegionProfiler`] — attribute cycles to program regions (used by the
 //!   experiment harness to produce per-Livermore-loop cycle breakdowns).
@@ -200,6 +201,20 @@ impl VecTrace {
 impl TraceSink for VecTrace {
     fn event(&mut self, event: &TraceEvent) {
         self.events.push(event.clone());
+    }
+}
+
+/// Collects the address of every issued instruction: the issue sequence,
+/// which is the interpreter's sequence of executed addresses on every
+/// fetch engine.
+#[derive(Debug, Default)]
+pub struct IssueTrace(pub Vec<u32>);
+
+impl TraceSink for IssueTrace {
+    fn event(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Issue { addr, .. } = event {
+            self.0.push(*addr);
+        }
     }
 }
 

@@ -84,7 +84,7 @@ impl BufferFetch {
         let image = program.image();
         BufferFetch {
             cache: cfg.cache.map(InstructionCache::new),
-            fq: ParcelQueue::new(&image, cfg.buffers * 4),
+            fq: ParcelQueue::new(&image, cfg.buffers * 4, program.entry()),
             image,
             stream_end: program.entry(),
             pendings: VecDeque::new(),
@@ -299,6 +299,13 @@ mod tests {
             .unwrap()
     }
 
+    /// [`program`] placed at byte address `base`.
+    fn program_at(base: u32) -> Program {
+        let p = program();
+        let parcels = p.parcels().to_vec();
+        Program::from_raw(parcels, base, base, p.format(), p.symbols().clone(), vec![])
+    }
+
     fn mem(access: u32, pipelined: bool) -> MemorySystem {
         MemorySystem::new(MemConfig {
             access_cycles: access,
@@ -328,8 +335,8 @@ mod tests {
         }
     }
 
-    fn run_all(buffers: u32, access: u32, pipelined: bool) -> (u32, u64) {
-        let p = program();
+    fn run_all(base: u32, buffers: u32, access: u32, pipelined: bool) -> (u32, u64) {
+        let p = program_at(base);
         let mut f = BufferFetch::new(
             &p,
             BufferConfig {
@@ -354,9 +361,19 @@ mod tests {
     fn more_buffers_help_with_pipelined_memory() {
         // Rau & Rossman: more buffers → better performance (multiple
         // outstanding requests hide latency once memory is pipelined).
-        let (one, _) = run_all(1, 4, true);
-        let (four, _) = run_all(4, 4, true);
+        let (one, _) = run_all(0, 1, 4, true);
+        let (four, _) = run_all(0, 4, 4, true);
         assert!(four < one, "4 buffers {four} !< 1 buffer {one}");
+    }
+
+    #[test]
+    fn starts_at_a_nonzero_base() {
+        // The fetch queue starts at the program entry: one that started
+        // at address 0 dropped the first beat of a program placed higher
+        // and starved forever.
+        for base in [4, 12] {
+            run_all(base, 2, 1, false);
+        }
     }
 
     #[test]

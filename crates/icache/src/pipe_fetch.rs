@@ -169,8 +169,8 @@ impl PipeFetch {
         PipeFetch {
             cfg,
             cache: InstructionCache::new(cfg.cache),
-            iq: ParcelQueue::new(&image, cfg.iq_bytes),
-            iqb: ParcelQueue::new(&image, cfg.iqb_bytes),
+            iq: ParcelQueue::new(&image, cfg.iq_bytes, program.entry()),
+            iqb: ParcelQueue::new(&image, cfg.iqb_bytes, program.entry()),
             image,
             stream_end: program.entry(),
             pendings: Vec::new(),

@@ -22,12 +22,13 @@ pub struct ParcelQueue {
 
 impl ParcelQueue {
     /// Creates an empty queue over `image` holding up to `capacity_bytes`
-    /// of parcels.
+    /// of parcels, to be filled from byte address `start` (an engine's
+    /// stream starts at the program entry).
     ///
     /// # Panics
     ///
     /// Panics if `capacity_bytes` is zero or odd.
-    pub fn new(image: &Image, capacity_bytes: u32) -> ParcelQueue {
+    pub fn new(image: &Image, capacity_bytes: u32, start: u32) -> ParcelQueue {
         assert!(
             capacity_bytes >= PARCEL_BYTES && capacity_bytes.is_multiple_of(PARCEL_BYTES),
             "queue capacity must be a positive multiple of {PARCEL_BYTES} bytes"
@@ -35,7 +36,7 @@ impl ParcelQueue {
         ParcelQueue {
             image: image.clone(),
             capacity: (capacity_bytes / PARCEL_BYTES) as usize,
-            head_addr: 0,
+            head_addr: start,
             len: 0,
         }
     }
@@ -209,7 +210,7 @@ mod tests {
     #[test]
     fn push_pop_tracks_addresses() {
         let image = nops(0x100);
-        let mut q = ParcelQueue::new(&image, 8);
+        let mut q = ParcelQueue::new(&image, 8, 0);
         q.push(0x100);
         q.push(0x102);
         assert_eq!(q.front_addr(), 0x100);
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-contiguous")]
     fn non_contiguous_push_panics() {
-        let mut q = ParcelQueue::new(&nops(0x100), 8);
+        let mut q = ParcelQueue::new(&nops(0x100), 8, 0x100);
         q.push(0x100);
         q.push(0x106);
     }
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut q = ParcelQueue::new(&nops(0), 4);
+        let mut q = ParcelQueue::new(&nops(0), 4, 0);
         q.push(0);
         q.push(2);
         q.push(4);
@@ -239,7 +240,7 @@ mod tests {
     #[test]
     fn pushes_outside_the_image_queue_nothing() {
         let image = nops(0x100);
-        let mut q = ParcelQueue::new(&image, 8);
+        let mut q = ParcelQueue::new(&image, 8, 0);
         q.push(0xfe);
         assert!(q.is_empty(), "below the base");
         q.push(0x11c);
@@ -251,7 +252,7 @@ mod tests {
 
     #[test]
     fn restart_resets() {
-        let mut q = ParcelQueue::new(&nops(0), 8);
+        let mut q = ParcelQueue::new(&nops(0), 8, 0);
         q.push(0x4);
         q.restart(0x10);
         assert!(q.is_empty());
@@ -267,7 +268,7 @@ mod tests {
             rd: Reg::new(1),
             imm: 7,
         };
-        let mut q = ParcelQueue::new(&image(InstrFormat::Fixed32, 0, &[lim]), 8);
+        let mut q = ParcelQueue::new(&image(InstrFormat::Fixed32, 0, &[lim]), 8, 0);
         q.push(0);
         assert_eq!(q.head_index(), None, "immediate missing");
         assert!(q.needs_refill());
@@ -297,7 +298,7 @@ mod tests {
                 },
             ],
         );
-        let mut q = ParcelQueue::new(&image, 16);
+        let mut q = ParcelQueue::new(&image, 16, 0);
         assert_eq!(q.fill_from(0, 6), 6);
         assert!(!q.contains_branch());
         assert_eq!(q.complete_instructions(), 2);
@@ -319,7 +320,7 @@ mod tests {
                 imm: i16::MIN, // 0x8000
             }],
         );
-        let mut q = ParcelQueue::new(&image, 8);
+        let mut q = ParcelQueue::new(&image, 8, 0);
         q.fill_from(0, image.end());
         assert_eq!(q.len(), 2);
         assert!(!q.contains_branch());
@@ -328,8 +329,8 @@ mod tests {
     #[test]
     fn take_from_moves_contiguously() {
         let image = nops(0);
-        let mut src = ParcelQueue::new(&image, 8);
-        let mut dst = ParcelQueue::new(&image, 4);
+        let mut src = ParcelQueue::new(&image, 8, 0);
+        let mut dst = ParcelQueue::new(&image, 4, 0);
         assert_eq!(src.fill_from(0x10, 0x18), 0x18);
         let moved = dst.take_from(&mut src, 10);
         assert_eq!(moved, 2, "limited by destination room");
@@ -345,7 +346,7 @@ mod tests {
             .assemble("nop\nlim r1, 7\nhalt\n")
             .unwrap();
         let image = p.image();
-        let mut q = ParcelQueue::new(&image, 4);
+        let mut q = ParcelQueue::new(&image, 4, 0);
         // Stops when full: the immediate of `lim` does not fit yet.
         assert_eq!(q.fill_from(0, p.end()), 4);
         assert_eq!(q.head_index(), Some(0));
@@ -361,7 +362,7 @@ mod tests {
 
     #[test]
     fn capacity_reporting() {
-        let mut q = ParcelQueue::new(&nops(0), 16);
+        let mut q = ParcelQueue::new(&nops(0), 16, 0);
         assert_eq!(q.room(), 8);
         q.fill_from(0, 6);
         assert_eq!(q.room(), 5);

@@ -50,8 +50,9 @@ pub struct RepeatCounts {
     pub iterations: u64,
     /// Cycles those iterations covered.
     pub cycles: u64,
-    /// Iterations that diverged while being applied and were rolled back.
-    pub rollbacks: u64,
+    /// Repeats not applied because the next iteration's inputs would
+    /// take another course than the logged one; that iteration is ticked.
+    pub diverged: u64,
     /// PBRs after which the state was too large to describe.
     pub unsettled: u64,
     /// The most events the log held at a PBR.

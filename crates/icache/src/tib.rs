@@ -116,7 +116,7 @@ impl TibFetch {
                 };
                 cfg.entries as usize
             ],
-            fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes),
+            fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes, program.entry()),
             image,
             stream_end: program.entry(),
             pending: None,

@@ -32,6 +32,7 @@ impl fmt::Display for DecodeError {
 impl Error for DecodeError {}
 
 /// Returns how many parcels the instruction starting with `first` occupies.
+#[inline]
 pub fn instr_len(first: u16) -> usize {
     if parcel_has_ext(first) {
         2

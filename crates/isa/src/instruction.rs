@@ -31,6 +31,7 @@ impl AluOp {
     ///
     /// Shift amounts are masked to the low five bits, matching the barrel
     /// shifter of the PIPE datapath.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> u32 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -99,6 +100,7 @@ impl Cond {
     }
 
     /// Evaluates the condition against a register value.
+    #[inline]
     pub fn eval(self, value: u32) -> bool {
         match self {
             Cond::Always => true,
@@ -222,6 +224,7 @@ pub enum Instruction {
 impl Instruction {
     /// Returns `true` for prepare-to-branch instructions (the ones whose
     /// first parcel has the branch bit set).
+    #[inline]
     pub fn is_branch(&self) -> bool {
         matches!(self, Instruction::Pbr { .. })
     }
@@ -260,6 +263,7 @@ impl Instruction {
     }
 
     /// The registers read by this instruction, in operand order.
+    #[inline]
     pub fn sources(&self) -> SourceRegs {
         let (regs, len) = match *self {
             Instruction::Alu { rs1, rs2, .. } => ([rs1, rs2], 2),
@@ -277,6 +281,7 @@ impl Instruction {
     }
 
     /// The general-purpose register written by this instruction, if any.
+    #[inline]
     pub fn destination(&self) -> Option<Reg> {
         match *self {
             Instruction::Alu { rd, .. }
@@ -302,9 +307,11 @@ impl SourceRegs {
         &self.regs[..self.len]
     }
 
-    /// Whether `reg` appears among the sources.
+    /// Whether `reg` appears among the sources. Two compares, not a
+    /// slice search: the issue logic asks this of every instruction.
+    #[inline]
     pub fn contains(&self, reg: &Reg) -> bool {
-        self.as_slice().contains(reg)
+        (self.len > 0 && self.regs[0] == *reg) || (self.len > 1 && self.regs[1] == *reg)
     }
 }
 

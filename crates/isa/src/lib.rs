@@ -88,6 +88,7 @@ pub const FPU_OP_SUB: u32 = FPU_BASE + 12;
 pub const FPU_OP_DIV: u32 = FPU_BASE + 16;
 
 /// Returns `true` if `addr` falls inside the memory-mapped FPU window.
+#[inline]
 pub fn is_fpu_address(addr: u32) -> bool {
     (FPU_BASE..FPU_BASE + 0x20).contains(&addr)
 }

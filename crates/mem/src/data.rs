@@ -1,7 +1,8 @@
 //! The data memory image behind the external cache.
 //!
 //! The paper assumes the external cache hits 100 % of the time, so the
-//! simulator needs only a flat value store. Values are 32-bit words at
+//! simulator needs only a flat value store, which the timing-free
+//! interpreter of `pipe-core` owns. Values are 32-bit words at
 //! 4-byte-aligned byte addresses; unwritten locations read as zero.
 
 use std::collections::HashMap;
@@ -9,19 +10,12 @@ use std::collections::HashMap;
 /// Words per page: memory is allocated a kilobyte at a time.
 const PAGE_WORDS: usize = 256;
 
-/// One page of words, with a bit per word that has been written.
-#[derive(Debug, Clone)]
-struct Page {
-    words: [u32; PAGE_WORDS],
-    written: [u64; PAGE_WORDS / 64],
-}
-
 /// Sparse 32-bit word memory, addressed by byte address. Words live in
 /// pages allocated on first write, so the dense arrays of a workload cost
 /// four bytes a word.
 #[derive(Debug, Clone, Default)]
 pub struct DataMemory {
-    pages: HashMap<u32, Box<Page>>,
+    pages: HashMap<u32, Box<[u32; PAGE_WORDS]>>,
 }
 
 impl DataMemory {
@@ -33,9 +27,7 @@ impl DataMemory {
     /// Creates a memory pre-loaded from `(byte address, value)` pairs.
     pub fn from_image<I: IntoIterator<Item = (u32, u32)>>(image: I) -> DataMemory {
         let mut mem = DataMemory::new();
-        for (addr, value) in image {
-            mem.write(addr, value);
-        }
+        mem.extend(image);
         mem
     }
 
@@ -46,80 +38,20 @@ impl DataMemory {
     }
 
     /// Reads the 32-bit word containing `addr` (aligned down).
+    #[inline]
     pub fn read(&self, addr: u32) -> u32 {
         let (page, i) = Self::locate(addr);
-        self.pages.get(&page).map_or(0, |p| p.words[i])
+        self.pages.get(&page).map_or(0, |p| p[i])
     }
 
-    /// Writes the 32-bit word containing `addr` (aligned down), returning
-    /// the word it replaced, or `None` if the word was never written.
-    pub fn write(&mut self, addr: u32, value: u32) -> Option<u32> {
+    /// Writes the 32-bit word containing `addr` (aligned down).
+    pub fn write(&mut self, addr: u32, value: u32) {
         let (page, i) = Self::locate(addr);
-        let p = self.pages.entry(page).or_insert_with(|| {
-            Box::new(Page {
-                words: [0; PAGE_WORDS],
-                written: [0; PAGE_WORDS / 64],
-            })
-        });
-        let bit = 1u64 << (i % 64);
-        let previous = (p.written[i / 64] & bit != 0).then_some(p.words[i]);
-        p.written[i / 64] |= bit;
-        p.words[i] = value;
-        previous
-    }
-
-    /// Undoes a [`write`](Self::write) of the word containing `addr`, given
-    /// the `previous` word that write returned.
-    pub fn restore(&mut self, addr: u32, previous: Option<u32>) {
-        let (page, i) = Self::locate(addr);
-        let p = self
-            .pages
-            .get_mut(&page)
-            .expect("restore of a written word");
-        let bit = 1u64 << (i % 64);
-        match previous {
-            Some(value) => p.words[i] = value,
-            None => {
-                p.words[i] = 0;
-                p.written[i / 64] &= !bit;
-            }
-        }
-    }
-
-    /// Number of distinct words written (and not restored away).
-    pub fn len(&self) -> usize {
         self.pages
-            .values()
-            .flat_map(|p| p.written)
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Returns `true` if nothing was ever written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over the written `(aligned byte address, value)` pairs in
-    /// unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.pages.iter().flat_map(|(&page, p)| {
-            (0..PAGE_WORDS)
-                .filter(|&i| p.written[i / 64] & (1 << (i % 64)) != 0)
-                .map(move |i| ((page * PAGE_WORDS as u32 + i as u32) * 4, p.words[i]))
-        })
+            .entry(page)
+            .or_insert_with(|| Box::new([0; PAGE_WORDS]))[i] = value;
     }
 }
-
-impl PartialEq for DataMemory {
-    /// Two memories are equal when every address reads the same value —
-    /// explicit zeros count as unwritten.
-    fn eq(&self, other: &DataMemory) -> bool {
-        self.iter().all(|(a, v)| other.read(a) == v) && other.iter().all(|(a, v)| self.read(a) == v)
-    }
-}
-
-impl Eq for DataMemory {}
 
 impl FromIterator<(u32, u32)> for DataMemory {
     fn from_iter<I: IntoIterator<Item = (u32, u32)>>(iter: I) -> DataMemory {
@@ -143,7 +75,6 @@ mod tests {
     fn zero_default() {
         let m = DataMemory::new();
         assert_eq!(m.read(0x1234), 0);
-        assert!(m.is_empty());
     }
 
     #[test]
@@ -151,7 +82,7 @@ mod tests {
         let mut m = DataMemory::new();
         m.write(0x100, 42);
         assert_eq!(m.read(0x100), 42);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.read(0x104), 0);
     }
 
     #[test]
@@ -164,23 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_undoes_writes() {
-        let mut m = DataMemory::new();
-        m.write(0x100, 1);
-        let first = m.write(0x100, 2);
-        let fresh = m.write(0x200, 3);
-        m.restore(0x200, fresh);
-        m.restore(0x100, first);
-        assert_eq!(m, DataMemory::from_image([(0x100, 1)]));
-        assert_eq!(m.len(), 1, "a never-written word is forgotten again");
-    }
-
-    #[test]
     fn from_image_and_extend() {
         let mut m: DataMemory = vec![(0, 1), (4, 2)].into_iter().collect();
         m.extend(vec![(8, 3)]);
         assert_eq!(m.read(4), 2);
         assert_eq!(m.read(8), 3);
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.read(12), 0);
     }
 }

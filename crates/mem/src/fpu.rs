@@ -36,6 +36,7 @@ pub enum FpOp {
 impl FpOp {
     /// Decodes the operation selected by a store at byte offset `off` into
     /// the FPU window. Offset 0 is the operand-A latch, not an operation.
+    #[inline]
     pub fn from_offset(off: u32) -> Option<FpOp> {
         match off {
             4 => Some(FpOp::Mul),

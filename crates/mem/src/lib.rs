@@ -24,8 +24,8 @@
 //! The memory system models *timing* only: instruction bytes are owned by
 //! the fetch engines (`pipe-icache`), and data values — the
 //! [`DataMemory`] image, the FPU's operand latch and its results — by the
-//! processor core (`pipe-core`), which takes a load's word when memory
-//! accepts the load.
+//! timing-free interpreter of `pipe-core`, whose loads and stores drain in
+//! program order as the processor's do.
 //!
 //! ## Usage sketch
 //!

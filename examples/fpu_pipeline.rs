@@ -65,9 +65,12 @@ fn main() {
     proc.run().expect("runs");
     let stats = proc.stats();
 
-    // The result was stored at the final r2 position + 0x2000.
+    // The result was stored at the final r2 position + 0x2000. Values are
+    // the interpreter's: the processor times the program, and checks each
+    // instruction it issues against the interpreter's course.
     let result_addr = 0x100000 + 4 * 4 + 0x2000;
-    let result = f32::from_bits(proc.data().read(result_addr));
+    let values = interpret(&program, 10_000).expect("interprets");
+    let result = f32::from_bits(values.memory.read(result_addr));
     println!("dot([1,2,3,4], [2,2,2,2]) = {result}");
     assert_eq!(result, 20.0);
 

@@ -79,5 +79,5 @@ fn main() {
         "stall breakdown: {} ifetch, {} data-wait, {} queue, {} branch",
         stats.stalls.ifetch, stats.stalls.data_wait, stats.stalls.queue_full, stats.stalls.branch
     );
-    assert_eq!(proc.regs().read(Reg::new(3)), 22);
+    assert_eq!(interpret(&program, 1000).expect("interprets").regs[3], 22);
 }

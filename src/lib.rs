@@ -42,7 +42,7 @@ pub use pipe_workloads as workloads;
 
 /// Convenient single-import surface for examples and tests.
 pub mod prelude {
-    pub use pipe_core::{run_program, FetchStrategy, Processor, SimConfig, SimStats};
+    pub use pipe_core::{interpret, run_program, FetchStrategy, Processor, SimConfig, SimStats};
     pub use pipe_icache::{CacheConfig, PipeFetchConfig, PrefetchPolicy};
     pub use pipe_isa::{
         AluOp, Assembler, BranchReg, Cond, InstrFormat, Instruction, Program, ProgramBuilder, Reg,

@@ -1,6 +1,11 @@
-//! End-to-end tests across crates: assembly → simulation → architectural
-//! state, on every fetch engine.
+//! End-to-end tests across crates: assembly → simulation on every fetch
+//! engine, whose issue order must be the interpreter's → architectural
+//! state.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use pipe_repro::core::IssueTrace;
 use pipe_repro::prelude::*;
 
 fn engines_for(cache_bytes: u32) -> Vec<FetchStrategy> {
@@ -13,6 +18,10 @@ fn engines_for(cache_bytes: u32) -> Vec<FetchStrategy> {
     ]
 }
 
+/// Runs `program` under `fetch` at memory access time `access`, checks
+/// that it issues the interpreter's instructions in the interpreter's
+/// order, and returns the statistics with the interpreter's registers
+/// `r0..r6` and the 16 words at `0x0010_0000`.
 fn run_on(program: &Program, fetch: FetchStrategy, access: u32) -> (SimStats, Vec<u32>, Vec<u32>) {
     let cfg = SimConfig {
         fetch,
@@ -23,14 +32,23 @@ fn run_on(program: &Program, fetch: FetchStrategy, access: u32) -> (SimStats, Ve
         },
         ..SimConfig::default()
     };
-    let mut proc = pipe_repro::core::Processor::new(program, &cfg).expect("valid");
+    let sink = Rc::new(RefCell::new(IssueTrace::default()));
+    let proc = Processor::new(program, &cfg).expect("valid");
+    let mut proc = proc.with_trace(Rc::clone(&sink));
     proc.run().expect("runs");
-    let stats = proc.stats().clone();
-    let regs = (0..7).map(|i| proc.regs().read(Reg::new(i))).collect();
-    let mem = (0..16)
-        .map(|i| proc.data().read(0x0010_0000 + i * 4))
+    let mut interp = pipe_repro::core::Interpreter::new(&std::sync::Arc::new(
+        pipe_repro::isa::DecodedProgram::new(program.clone()),
+    ));
+    let executed: Vec<u32> = std::iter::from_fn(|| interp.step().expect("interprets"))
+        .map(|step| step.addr)
         .collect();
-    (stats, regs, mem)
+    assert_eq!(sink.borrow().0, executed, "issue order under {fetch}");
+    let values = interpret(program, 100_000).expect("interprets");
+    let regs = values.regs[..7].to_vec();
+    let mem = (0..16)
+        .map(|i| values.memory.read(0x0010_0000 + i * 4))
+        .collect();
+    (proc.into_stats(), regs, mem)
 }
 
 #[test]
