@@ -42,7 +42,7 @@ use pipe_isa::decode::instr_len;
 use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{DataMemory, FpOp};
 
-use crate::queues::LoadQueue;
+use crate::queues::{Access, AddressQueue, LoadQueue, SlotSource, StoreRole};
 use crate::regfile::{BranchRegFile, RegFile};
 use crate::trace::DataOp;
 
@@ -128,15 +128,6 @@ pub struct Step {
     pub data: Option<DataOp>,
 }
 
-/// A load or store address waiting to drain, in program order.
-#[derive(Debug, Clone, Copy)]
-enum Access {
-    /// A load of `addr` into LDQ slot `seq`.
-    Load { addr: u32, seq: u64 },
-    /// A store to `addr`, waiting for its data.
-    Store { addr: u32 },
-}
-
 /// The timing-free interpreter. See the [module docs](self).
 #[derive(Debug)]
 pub struct Interpreter {
@@ -149,10 +140,8 @@ pub struct Interpreter {
     /// exactly like the timed processor's load queue.
     ldq: LoadQueue,
     /// Loads and store addresses not yet drained, oldest first.
-    accesses: VecDeque<Access>,
+    accesses: AddressQueue,
     sdq: VecDeque<u32>,
-    /// Slots awaiting FPU results, in operation order.
-    fpu_slots: VecDeque<u64>,
     /// The FPU's operand-A latch.
     fpu_operand: u32,
     pending_branch: Option<(u32, u32)>,
@@ -173,9 +162,8 @@ impl Interpreter {
             memory: DataMemory::from_image(program.data().iter().copied()),
             // The interpreter never stalls: its queue has no bound.
             ldq: LoadQueue::new(usize::MAX),
-            accesses: VecDeque::new(),
+            accesses: AddressQueue::new(usize::MAX, usize::MAX),
             sdq: VecDeque::new(),
-            fpu_slots: VecDeque::new(),
             fpu_operand: 0,
             pending_branch: None,
             halted: false,
@@ -218,27 +206,28 @@ impl Interpreter {
     /// once, a store once its data is in the SDQ, writing data memory or
     /// the FPU.
     fn drain(&mut self) {
-        while let Some(&access) = self.accesses.front() {
+        while let Some(access) = self.accesses.front() {
+            let addr = access.addr();
             match access {
-                Access::Load { addr, seq } => self.ldq.fill(seq, self.memory.read(addr)),
-                Access::Store { addr } => {
+                Access::Load { .. } => self.ldq.fill(SlotSource::Load, self.memory.read(addr)),
+                Access::Store { role, .. } => {
                     let Some(value) = self.sdq.pop_front() else {
                         return;
                     };
-                    if !pipe_isa::is_fpu_address(addr) {
-                        self.memory.write(addr, value);
-                    } else if addr == pipe_isa::FPU_BASE {
-                        self.fpu_operand = value;
-                    } else if let Some(op) = FpOp::from_offset(addr - pipe_isa::FPU_BASE) {
-                        let seq = self
-                            .fpu_slots
-                            .pop_front()
-                            .expect("fpu op without allocated slot");
-                        self.ldq.fill(seq, op.eval_bits(self.fpu_operand, value));
+                    match role {
+                        StoreRole::Data => self.memory.write(addr, value),
+                        StoreRole::OperandLatch => self.fpu_operand = value,
+                        StoreRole::Operation => {
+                            let op = FpOp::from_offset(addr - pipe_isa::FPU_BASE)
+                                .expect("an operation offset");
+                            let result = op.eval_bits(self.fpu_operand, value);
+                            self.ldq.fill(SlotSource::Fpu, result);
+                        }
+                        StoreRole::Unmapped => {}
                     }
                 }
             }
-            self.accesses.pop_front();
+            self.accesses.pop();
         }
     }
 
@@ -327,8 +316,8 @@ impl Interpreter {
                 let addr = self
                     .read(base, queue_value)
                     .wrapping_add(disp as i32 as u32);
-                let seq = self.ldq.alloc().expect("unbounded queue");
-                self.accesses.push_back(Access::Load { addr, seq });
+                self.ldq.alloc(SlotSource::Load);
+                self.accesses.push(Access::load(addr));
                 self.result.loads += 1;
                 step.data = Some(DataOp::Load { addr });
             }
@@ -336,15 +325,12 @@ impl Interpreter {
                 let addr = self
                     .read(base, queue_value)
                     .wrapping_add(disp as i32 as u32);
-                self.accesses.push_back(Access::Store { addr });
                 self.result.stores += 1;
-                if pipe_isa::is_fpu_address(addr)
-                    && FpOp::from_offset(addr - pipe_isa::FPU_BASE).is_some()
-                {
-                    let seq = self.ldq.alloc().expect("unbounded queue");
-                    self.fpu_slots.push_back(seq);
+                if StoreRole::of(addr) == StoreRole::Operation {
+                    self.ldq.alloc(SlotSource::Fpu);
                     self.result.fpu_ops += 1;
                 }
+                self.accesses.push(Access::store(addr));
                 step.data = Some(DataOp::StoreAddr { addr });
             }
             Instruction::Lbr { br, target_parcel } => {

@@ -1,105 +1,200 @@
-//! The architectural queues: LAQ, SAQ, SDQ and the slot-based LDQ.
+//! The architectural queues: the LAQ and SAQ, kept as one address queue
+//! in program order, and the slot-based LDQ.
+//!
+//! Both hold only what is relative by construction: entries in order and
+//! counts, never a sequence number. The processor's timing key is these
+//! queues as they stand.
 
 use std::collections::VecDeque;
 
-/// One LAQ/SAQ entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueEntry {
-    /// The queued byte address.
-    pub value: u32,
-    /// For LAQ entries: the LDQ slot the response will fill.
-    pub tag: u64,
-    /// Program-order sequence number of the issuing instruction, used to
-    /// keep loads and stores in order at the memory interface.
-    pub seq: u64,
+use pipe_mem::{FpOp, Untimed};
+
+/// What a store address does at the memory interface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StoreRole {
+    /// Writes data memory.
+    Data,
+    /// Latches the FPU's operand A.
+    OperandLatch,
+    /// Starts an FPU operation, whose result returns to the LDQ.
+    Operation,
+    /// An unmapped offset inside the FPU window: ignored.
+    Unmapped,
 }
 
-/// A bounded FIFO of addresses, used for the LAQ (addresses waiting to be
-/// sent to memory) and SAQ (store addresses).
-#[derive(Debug, Clone)]
-pub struct AddressQueue {
-    entries: VecDeque<QueueEntry>,
-    capacity: usize,
+impl StoreRole {
+    /// The role of a store to `addr`.
+    pub fn of(addr: u32) -> StoreRole {
+        if !pipe_isa::is_fpu_address(addr) {
+            return StoreRole::Data;
+        }
+        match addr - pipe_isa::FPU_BASE {
+            0 => StoreRole::OperandLatch,
+            off if FpOp::from_offset(off).is_some() => StoreRole::Operation,
+            _ => StoreRole::Unmapped,
+        }
+    }
 }
 
-impl AddressQueue {
-    /// Creates an empty queue with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> AddressQueue {
-        assert!(capacity > 0, "queue capacity must be positive");
-        AddressQueue {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+/// A load or store address waiting to drain to memory. A store's role is
+/// all of its address that times a run (see [`Untimed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Access {
+    /// A load, whose word fills the oldest LDQ slot waiting on a load.
+    Load {
+        /// Effective byte address.
+        addr: Untimed<u32>,
+    },
+    /// A store, sent to memory with the oldest SDQ word.
+    Store {
+        /// Effective byte address.
+        addr: Untimed<u32>,
+        /// What the address does at the memory interface.
+        role: StoreRole,
+    },
+}
+
+impl Access {
+    /// A load of `addr`.
+    pub fn load(addr: u32) -> Access {
+        Access::Load {
+            addr: Untimed(addr),
         }
     }
 
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// A store to `addr`.
+    pub fn store(addr: u32) -> Access {
+        Access::Store {
+            addr: Untimed(addr),
+            role: StoreRole::of(addr),
+        }
     }
 
-    /// Returns `true` when empty.
+    /// The effective byte address.
+    pub fn addr(&self) -> u32 {
+        match *self {
+            Access::Load { addr } | Access::Store { addr, .. } => addr.0,
+        }
+    }
+}
+
+/// The LAQ and SAQ as one queue of addresses in program order. Loads and
+/// stores drain to memory strictly in this order, so a load can never
+/// bypass an older store (the memory-consistency rule of the decoupled
+/// interface). The counts of each kind are the two queues' occupancies,
+/// each bounded by its own capacity.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct AddressQueue {
+    entries: VecDeque<Access>,
+    loads: usize,
+    laq_entries: usize,
+    saq_entries: usize,
+}
+
+impl AddressQueue {
+    /// Creates an empty queue with room for `laq_entries` loads and
+    /// `saq_entries` stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either capacity is zero.
+    pub fn new(laq_entries: usize, saq_entries: usize) -> AddressQueue {
+        assert!(
+            laq_entries > 0 && saq_entries > 0,
+            "queue capacity must be positive"
+        );
+        AddressQueue {
+            entries: VecDeque::new(),
+            loads: 0,
+            laq_entries,
+            saq_entries,
+        }
+    }
+
+    /// Loads queued: the LAQ's occupancy.
+    pub fn loads(&self) -> usize {
+        self.loads
+    }
+
+    /// Stores queued: the SAQ's occupancy.
+    pub fn stores(&self) -> usize {
+        self.entries.len() - self.loads
+    }
+
+    /// Returns `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Returns `true` when no more entries fit.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+    /// Returns `true` when no more loads fit.
+    pub fn laq_full(&self) -> bool {
+        self.loads == self.laq_entries
     }
 
-    /// Appends an entry.
+    /// Returns `true` when no more stores fit.
+    pub fn saq_full(&self) -> bool {
+        self.stores() == self.saq_entries
+    }
+
+    /// Appends an access.
     ///
     /// # Panics
     ///
-    /// Panics when full — the issue logic must check [`is_full`](Self::is_full).
-    pub fn push(&mut self, value: u32, tag: u64, seq: u64) {
-        assert!(!self.is_full(), "architectural queue overflow");
-        self.entries.push_back(QueueEntry { value, tag, seq });
+    /// Panics when its queue is full — the issue logic must check
+    /// [`laq_full`](Self::laq_full) and [`saq_full`](Self::saq_full).
+    pub fn push(&mut self, access: Access) {
+        let full = match access {
+            Access::Load { .. } => self.laq_full(),
+            Access::Store { .. } => self.saq_full(),
+        };
+        assert!(!full, "architectural queue overflow");
+        self.loads += usize::from(matches!(access, Access::Load { .. }));
+        self.entries.push_back(access);
     }
 
-    /// The head entry.
-    pub fn front(&self) -> Option<QueueEntry> {
+    /// The oldest access.
+    pub fn front(&self) -> Option<Access> {
         self.entries.front().copied()
     }
 
-    /// Removes and returns the head entry.
-    pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.entries.pop_front()
+    /// Removes and returns the oldest access.
+    pub fn pop(&mut self) -> Option<Access> {
+        let access = self.entries.pop_front()?;
+        self.loads -= usize::from(matches!(access, Access::Load { .. }));
+        Some(access)
     }
+}
 
-    /// The entries, head first.
-    pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.entries.iter()
-    }
+/// What an LDQ slot waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SlotSource {
+    /// A data load's word.
+    Load,
+    /// An FPU operation's result.
+    Fpu,
+}
 
-    /// Moves every entry's tag `tags` and sequence number `seqs` later.
-    pub fn shift(&mut self, tags: u64, seqs: u64) {
-        for e in &mut self.entries {
-            e.tag += tags;
-            e.seq += seqs;
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot<T> {
+    Waiting(SlotSource),
+    Filled(T),
 }
 
 /// The Load Queue: data returning from memory, readable as `r7`.
 ///
 /// Slots are allocated in program order at issue time (by loads and by
-/// FPU-triggering stores) and filled as responses arrive, possibly out of
-/// order with respect to FPU latencies; the head is readable only once its
-/// slot has been filled, which keeps `r7` reads in program order.
+/// FPU-triggering stores) and filled as responses arrive. Loads and FPU
+/// results each return in program order, so a response fills the oldest
+/// slot waiting on its source, possibly ahead of an older slot waiting on
+/// the other; the head is readable only once its slot has been filled,
+/// which keeps `r7` reads in program order.
 ///
 /// The interpreter's slots hold the words (`LoadQueue<u32>`, the
 /// default); the processor, which models timing only, fills its slots
 /// with `()` and tracks only which have arrived.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoadQueue<T = u32> {
-    slots: VecDeque<Option<T>>,
-    /// Sequence number of the slot at the front of `slots`.
-    base_seq: u64,
+    slots: VecDeque<Slot<T>>,
     capacity: usize,
 }
 
@@ -114,7 +209,6 @@ impl<T: Copy> LoadQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         LoadQueue {
             slots: VecDeque::new(),
-            base_seq: 0,
             capacity,
         }
     }
@@ -134,50 +228,42 @@ impl<T: Copy> LoadQueue<T> {
         self.slots.len() == self.capacity
     }
 
-    /// Allocates the next slot, returning its sequence number, or `None`
-    /// when full.
-    pub fn alloc(&mut self) -> Option<u64> {
-        if self.is_full() {
-            return None;
-        }
-        let seq = self.base_seq + self.slots.len() as u64;
-        self.slots.push_back(None);
-        Some(seq)
-    }
-
-    /// Fills a previously allocated slot with its value.
+    /// Allocates the next slot, to be filled from `source`.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` does not name an allocated, unfilled slot.
-    pub fn fill(&mut self, seq: u64, value: T) {
-        let idx = seq
-            .checked_sub(self.base_seq)
-            .expect("slot already retired") as usize;
-        let slot = self.slots.get_mut(idx).expect("slot not allocated");
-        assert!(slot.is_none(), "slot filled twice");
-        *slot = Some(value);
+    /// Panics when full — check [`is_full`](Self::is_full) first.
+    pub fn alloc(&mut self, source: SlotSource) {
+        assert!(!self.is_full(), "load queue overflow");
+        self.slots.push_back(Slot::Waiting(source));
     }
 
-    /// Sequence number of the head slot (the next one to pop).
-    pub fn base_seq(&self) -> u64 {
-        self.base_seq
+    /// Fills the oldest slot waiting on `source` with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no slot waits on `source`.
+    pub fn fill(&mut self, source: SlotSource, value: T) {
+        let slot = self
+            .slots
+            .iter_mut()
+            .find(|slot| matches!(slot, Slot::Waiting(s) if *s == source))
+            .unwrap_or_else(|| panic!("no load queue slot waits on {source:?}"));
+        *slot = Slot::Filled(value);
     }
 
-    /// Renumbers every slot `n` later, as if `n` more slots had been
-    /// allocated and popped.
-    pub fn shift_seq(&mut self, n: u64) {
-        self.base_seq += n;
-    }
-
-    /// Whether each allocated slot has been filled, head first.
-    pub fn filled(&self) -> impl Iterator<Item = bool> + '_ {
-        self.slots.iter().map(Option::is_some)
+    /// Slots waiting on `source`.
+    pub fn waiting(&self, source: SlotSource) -> usize {
+        let waits = |slot: &&Slot<T>| matches!(slot, Slot::Waiting(s) if *s == source);
+        self.slots.iter().filter(waits).count()
     }
 
     /// The value at the head, if its data has arrived.
     pub fn front_ready(&self) -> Option<T> {
-        self.slots.front().copied().flatten()
+        match self.slots.front() {
+            Some(&Slot::Filled(value)) => Some(value),
+            _ => None,
+        }
     }
 
     /// Pops the head value.
@@ -187,13 +273,11 @@ impl<T: Copy> LoadQueue<T> {
     /// Panics if the head is missing or unfilled — check
     /// [`front_ready`](Self::front_ready) first.
     pub fn pop(&mut self) -> T {
-        let v = self
-            .slots
-            .pop_front()
-            .expect("pop from empty load queue")
-            .expect("pop of unfilled load queue slot");
-        self.base_seq += 1;
-        v
+        let value = self
+            .front_ready()
+            .expect("pop of an empty or unfilled slot");
+        self.slots.pop_front();
+        value
     }
 }
 
@@ -203,35 +287,44 @@ mod tests {
 
     #[test]
     fn address_queue_fifo() {
-        let mut q = AddressQueue::new(2);
+        let mut q = AddressQueue::new(1, 2);
         assert!(q.is_empty());
-        q.push(10, 1, 100);
-        q.push(20, 2, 101);
-        assert!(q.is_full());
-        let head = q.front().unwrap();
-        assert_eq!((head.value, head.tag, head.seq), (10, 1, 100));
-        assert_eq!(q.pop().unwrap().value, 10);
-        assert_eq!(q.pop().unwrap().seq, 101);
+        q.push(Access::store(10));
+        q.push(Access::load(20));
+        q.push(Access::store(pipe_isa::FPU_BASE + 4));
+        assert!(q.laq_full() && q.saq_full());
+        assert_eq!((q.loads(), q.stores()), (1, 2));
+        assert_eq!(q.front(), Some(Access::store(10)));
+        assert_eq!(q.pop().map(|a| a.addr()), Some(10));
+        assert_eq!(q.pop().map(|a| a.addr()), Some(20));
+        assert!(!q.laq_full());
+        assert!(matches!(
+            q.pop(),
+            Some(Access::Store {
+                role: StoreRole::Operation,
+                ..
+            })
+        ));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn address_queue_overflow_panics() {
-        let mut q = AddressQueue::new(1);
-        q.push(1, 1, 0);
-        q.push(2, 2, 1);
+        let mut q = AddressQueue::new(1, 1);
+        q.push(Access::load(1));
+        q.push(Access::load(2));
     }
 
     #[test]
     fn load_queue_in_order_head() {
         let mut q = LoadQueue::new(4);
-        let a = q.alloc().unwrap();
-        let b = q.alloc().unwrap();
+        q.alloc(SlotSource::Load);
+        q.alloc(SlotSource::Fpu);
         // Fill out of order: head not ready until its own fill.
-        q.fill(b, 200);
+        q.fill(SlotSource::Fpu, 200);
         assert_eq!(q.front_ready(), None);
-        q.fill(a, 100);
+        q.fill(SlotSource::Load, 100);
         assert_eq!(q.front_ready(), Some(100));
         assert_eq!(q.pop(), 100);
         assert_eq!(q.pop(), 200);
@@ -240,32 +333,34 @@ mod tests {
     #[test]
     fn load_queue_capacity() {
         let mut q = LoadQueue::new(2);
-        assert!(q.alloc().is_some());
-        assert!(q.alloc().is_some());
-        assert!(q.alloc().is_none());
-        q.fill(0, 1);
+        q.alloc(SlotSource::Load);
+        q.alloc(SlotSource::Load);
+        assert!(q.is_full());
+        q.fill(SlotSource::Load, 1);
         q.pop();
-        assert!(q.alloc().is_some(), "slot freed by pop");
+        assert!(!q.is_full(), "slot freed by pop");
     }
 
     #[test]
-    fn load_queue_seq_numbers_advance() {
-        let mut q = LoadQueue::new(2);
-        let a = q.alloc().unwrap();
-        q.fill(a, 5);
-        assert_eq!(q.pop(), 5);
-        let b = q.alloc().unwrap();
-        assert_eq!(b, a + 1);
-        q.fill(b, 6);
-        assert_eq!(q.front_ready(), Some(6));
+    fn a_response_fills_the_oldest_slot_waiting_on_its_source() {
+        let mut q = LoadQueue::new(4);
+        q.alloc(SlotSource::Fpu);
+        q.alloc(SlotSource::Load);
+        q.alloc(SlotSource::Load);
+        assert_eq!(q.waiting(SlotSource::Load), 2);
+        q.fill(SlotSource::Load, 5);
+        q.fill(SlotSource::Load, 6);
+        assert_eq!(q.waiting(SlotSource::Load), 0);
+        q.fill(SlotSource::Fpu, 4);
+        assert_eq!([q.pop(), q.pop(), q.pop()], [4, 5, 6]);
     }
 
     #[test]
-    #[should_panic(expected = "filled twice")]
+    #[should_panic(expected = "no load queue slot waits on Load")]
     fn double_fill_panics() {
         let mut q = LoadQueue::new(2);
-        let a = q.alloc().unwrap();
-        q.fill(a, 1);
-        q.fill(a, 2);
+        q.alloc(SlotSource::Load);
+        q.fill(SlotSource::Load, 1);
+        q.fill(SlotSource::Load, 2);
     }
 }

@@ -20,10 +20,10 @@ use std::collections::VecDeque;
 
 use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::require_at_least;
-use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{FetchEngine, Redirect, Request};
+use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -54,7 +54,7 @@ impl BufferConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Pending {
     /// Offered as a demand fetch while the decoder is starved and the fill
     /// is live, as a prefetch otherwise.
@@ -67,13 +67,20 @@ struct Pending {
 #[derive(Debug)]
 pub struct BufferFetch {
     image: Image,
+    state: BufferState,
+    stats: FetchStats,
+}
+
+/// The prefetch-buffer engine's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BufferState {
     cache: Option<InstructionCache>,
     /// Prefetched instructions awaiting the decoder.
     fq: ParcelQueue,
     stream_end: u32,
+    /// Off-chip fills in acceptance order, the one waiting (if any) last.
     pendings: VecDeque<Pending>,
     redirect: Redirect,
-    stats: FetchStats,
 }
 
 impl BufferFetch {
@@ -83,30 +90,32 @@ impl BufferFetch {
     pub(crate) fn new(program: &Program, cfg: BufferConfig) -> BufferFetch {
         let image = program.image();
         BufferFetch {
-            cache: cfg.cache.map(InstructionCache::new),
-            fq: ParcelQueue::new(&image, cfg.buffers * 4, program.entry()),
+            state: BufferState {
+                cache: cfg.cache.map(InstructionCache::new),
+                fq: ParcelQueue::new(&image, cfg.buffers * 4, program.entry()),
+                stream_end: program.entry(),
+                pendings: VecDeque::new(),
+                redirect: Redirect::default(),
+            },
             image,
-            stream_end: program.entry(),
-            pendings: VecDeque::new(),
-            redirect: Redirect::default(),
             stats: FetchStats::default(),
         }
     }
 
     fn maybe_trigger(&mut self) {
-        let Some(target) = self.redirect.take_due() else {
+        let Some(target) = self.state.redirect.take_due() else {
             return;
         };
         self.stats.redirects += 1;
-        self.stats.flushed_parcels += self.fq.len() as u64;
-        self.fq.restart(target);
-        for p in &mut self.pendings {
+        self.stats.flushed_parcels += self.state.fq.len() as u64;
+        self.state.fq.restart(target);
+        for p in &mut self.state.pendings {
             if p.live {
                 p.live = false;
                 self.stats.wasted_requests += 1;
             }
         }
-        self.stream_end = target;
+        self.state.stream_end = target;
     }
 
     /// Keeps the buffers full: cache copies are instant; off-chip fills
@@ -115,44 +124,45 @@ impl BufferFetch {
     /// off-chip fill still in flight.
     fn supply(&mut self) {
         loop {
-            let live_pendings = self.pendings.iter().filter(|p| p.live).count();
+            let live_pendings = self.state.pendings.iter().filter(|p| p.live).count();
             let outstanding_bytes: u32 = self
+                .state
                 .pendings
                 .iter()
                 .filter(|p| p.live)
                 .map(|p| p.req.bytes)
                 .sum();
-            if self.image.parcel_at(self.stream_end).is_none() {
+            if self.image.parcel_at(self.state.stream_end).is_none() {
                 return;
             }
-            let room = (self.fq.room() as u32) * PARCEL_BYTES;
+            let room = (self.state.fq.room() as u32) * PARCEL_BYTES;
             if room < outstanding_bytes + 4 {
                 return; // every free slot already has a fill in flight
             }
-            let need = self.stream_end;
+            let need = self.state.stream_end;
             // Probe the optional cache: a hit supplies the buffer at once
             // — but only when no earlier bytes are still in flight, since
             // the queue must stay contiguous.
             if live_pendings == 0 {
-                if let Some(cache) = &mut self.cache {
+                if let Some(cache) = &mut self.state.cache {
                     if cache.contains(need, 4) {
                         self.stats.cache_hits += 1;
-                        self.fq.fill_from(need, need + 4);
-                        self.stream_end = need + 4;
+                        self.state.fq.fill_from(need, need + 4);
+                        self.state.stream_end = need + 4;
                         continue;
                     }
                     self.stats.cache_misses += 1;
                 }
             }
             // Off-chip: one instruction (4 bytes) per buffer slot.
-            if self.pendings.iter().any(|p| !p.req.accepted) {
+            if self.state.pendings.iter().any(|p| !p.req.accepted()) {
                 return; // one *unaccepted* offer at a time per port
             }
-            self.pendings.push_back(Pending {
+            self.state.pendings.push_back(Pending {
                 req: Request::new(ReqClass::IPrefetch, need, 4),
                 live: true,
             });
-            self.stream_end = need + 4;
+            self.state.stream_end = need + 4;
             return;
         }
     }
@@ -163,8 +173,8 @@ impl FetchEngine for BufferFetch {
         self.maybe_trigger();
         self.supply();
         // Demand class when the decoder is starved, prefetch otherwise.
-        let starved = self.fq.needs_refill();
-        if let Some(p) = self.pendings.iter_mut().find(|p| !p.req.accepted) {
+        let starved = self.state.fq.needs_refill();
+        if let Some(p) = self.state.pendings.iter_mut().find(|p| !p.req.accepted()) {
             p.req.class = if starved && p.live {
                 ReqClass::IFetch
             } else {
@@ -174,12 +184,9 @@ impl FetchEngine for BufferFetch {
         }
     }
 
-    fn on_accepted(&mut self, tag: u64) {
-        for p in &mut self.pendings {
-            if p.req.accept(tag, &mut self.stats) {
-                return;
-            }
-        }
+    fn on_accepted(&mut self, class: ReqClass) {
+        let pendings = self.state.pendings.make_contiguous();
+        accept_in_order(pendings, |p| &mut p.req, class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {
@@ -187,41 +194,44 @@ impl FetchEngine for BufferFetch {
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let Some(idx) = self.pendings.iter().position(|p| p.req.tag == beat.tag) else {
-            return;
-        };
-        if let Some(c) = &mut self.cache {
+        let p = self
+            .state
+            .pendings
+            .front_mut()
+            .expect("beat without a request");
+        p.req.receive(beat);
+        let p = *p;
+        if let Some(c) = &mut self.state.cache {
             c.fill(beat.addr, beat.bytes);
         }
-        let p = self.pendings[idx];
         if p.live {
             let mut a = beat.addr;
             while a < beat.addr + beat.bytes {
                 // Only queue parcels that continue the stream exactly
                 // (end_addr equals front_addr when the queue is empty).
-                if self.fq.end_addr() == a {
-                    if self.fq.room() == 0 {
+                if self.state.fq.end_addr() == a {
+                    if self.state.fq.room() == 0 {
                         // Should be unreachable: supply() never schedules
                         // more live bytes than the queue has room for.
                         debug_assert!(false, "buffer overflow at {a:#x}");
                         // Recover by re-fetching the remainder later.
-                        self.stream_end = self.stream_end.min(a);
-                        self.pendings[idx].live = false;
+                        self.state.stream_end = self.state.stream_end.min(a);
+                        self.state.pendings[0].live = false;
                         break;
                     }
-                    self.fq.push(a);
-                } else if self.fq.is_empty() {
+                    self.state.fq.push(a);
+                } else if self.state.fq.is_empty() {
                     debug_assert!(
                         false,
                         "live beat {a:#x} does not continue the stream (head {:#x})",
-                        self.fq.front_addr()
+                        self.state.fq.front_addr()
                     );
                 }
                 a += PARCEL_BYTES;
             }
         }
         if beat.last {
-            self.pendings.remove(idx);
+            self.state.pendings.pop_front();
         }
     }
 
@@ -231,51 +241,34 @@ impl FetchEngine for BufferFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        self.fq.head_index()
+        self.state.fq.head_index()
     }
 
     fn consume(&mut self) {
-        self.fq
+        self.state
+            .fq
             .pop_instruction()
             .expect("consume without available instruction");
         self.stats.instructions_delivered += 1;
-        self.redirect.delivered();
+        self.state.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        self.redirect.resolve(taken, remaining, target);
+        self.state.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
     fn has_outstanding(&self) -> bool {
-        !self.pendings.is_empty()
+        !self.state.pendings.is_empty()
     }
 
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // The fetch queue is a window onto the image: its head address and
-        // length describe it.
-        if let Some(cache) = &self.cache {
-            cache.describe(key);
-        }
-        key.extend([
-            u64::from(self.fq.front_addr()),
-            self.fq.len() as u64,
-            u64::from(self.stream_end),
-            self.pendings.len() as u64,
-        ]);
-        for p in &self.pendings {
-            p.req.describe(key, next_tag);
-            key.push(u64::from(p.live));
-        }
-        self.redirect.describe(key);
+    fn describe_timing(&self, key: &mut TimingKey) {
+        key.add(&self.state);
     }
 
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        for p in &mut self.pendings {
-            p.req.shift(tags);
-        }
-        self.stats.add(stats);
+    fn add_stats(&mut self, delta: &FetchStats) {
+        self.stats.add(delta);
     }
 
     fn stats(&self) -> &FetchStats {
@@ -290,6 +283,7 @@ impl FetchEngine for BufferFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cycle;
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
 
@@ -313,26 +307,6 @@ mod tests {
             in_bus_bytes: 4,
             ..MemConfig::default()
         })
-    }
-
-    fn cycle(f: &mut BufferFetch, m: &mut MemorySystem) -> bool {
-        f.offer_requests(m);
-        let out = m.tick();
-        if let Some(t) = out.accepted {
-            f.on_accepted(t);
-        }
-        if let Some(b) = &out.beats {
-            if matches!(b.source, BeatSource::IFetch | BeatSource::IPrefetch) {
-                f.on_beat(b);
-            }
-        }
-        f.advance();
-        if f.peek_index().is_some() {
-            f.consume();
-            true
-        } else {
-            false
-        }
     }
 
     fn run_all(base: u32, buffers: u32, access: u32, pipelined: bool) -> (u32, u64) {
@@ -374,6 +348,29 @@ mod tests {
         for base in [4, 12] {
             run_all(base, 2, 1, false);
         }
+    }
+
+    #[test]
+    fn a_cache_probe_may_straddle_lines() {
+        // At a base of 2 mod 4 the Fixed32 instruction at 0xe straddles
+        // two cache lines; probing it used to compute a sub-block mask
+        // across the line boundary (a debug-build panic). The revisit
+        // probes every instruction.
+        let p = program_at(2);
+        let cache = Some(CacheConfig::new(64, 16));
+        let mut f = BufferFetch::new(&p, BufferConfig { buffers: 2, cache });
+        let mut m = mem(1, false);
+        let mut consumed = 0;
+        for _ in 0..200 {
+            consumed += usize::from(cycle(&mut f, &mut m));
+        }
+        assert_eq!(consumed, 8);
+        f.resolve_branch(true, 0, 2);
+        for _ in 0..20 {
+            cycle(&mut f, &mut m);
+        }
+        assert_eq!(f.stats().instructions_delivered, 16);
+        assert!(f.stats().cache_hits >= 7, "{:?}", f.stats());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl fmt::Display for CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 struct Line {
     tag: u32,
     tag_valid: bool,
@@ -98,13 +98,12 @@ struct Line {
     sub_valid: u64,
 }
 
-/// A direct-mapped instruction cache with per-sub-block valid bits.
-#[derive(Debug, Clone)]
+/// A direct-mapped instruction cache with per-sub-block valid bits. Its
+/// tags and valid bits are part of its engine's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InstructionCache {
     cfg: CacheConfig,
     lines: Vec<Line>,
-    hits: u64,
-    misses: u64,
     // Geometry as shifts/masks. Every field of a validated `CacheConfig`
     // is a power of two, and these probes sit on the simulator's
     // per-cycle path — a hardware `div` per lookup is measurable there.
@@ -127,8 +126,6 @@ impl InstructionCache {
         InstructionCache {
             cfg,
             lines: vec![Line::default(); cfg.num_lines() as usize],
-            hits: 0,
-            misses: 0,
             line_shift: cfg.line_bytes.trailing_zeros(),
             index_mask: cfg.num_lines() - 1,
             size_shift: cfg.size_bytes.trailing_zeros(),
@@ -164,10 +161,13 @@ impl InstructionCache {
         }
     }
 
-    /// Checks (without counting) whether every sub-block covering
-    /// `[addr, addr + bytes)` is present. The range may not cross a line
-    /// boundary.
+    /// Checks whether every sub-block covering `[addr, addr + bytes)` is
+    /// present. The range may span lines; each is checked.
     pub fn contains(&self, addr: u32, bytes: u32) -> bool {
+        by_line(self.cfg.line_bytes, addr, bytes).all(|(a, n)| self.line_contains(a, n))
+    }
+
+    fn line_contains(&self, addr: u32, bytes: u32) -> bool {
         let line = &self.lines[((addr >> self.line_shift) & self.index_mask) as usize];
         if !line.tag_valid || line.tag != addr >> self.size_shift {
             return false;
@@ -176,28 +176,12 @@ impl InstructionCache {
         line.sub_valid & mask == mask
     }
 
-    /// Probes the cache for `[addr, addr + bytes)`, counting a hit or miss.
-    pub fn probe(&mut self, addr: u32, bytes: u32) -> bool {
-        let hit = self.contains(addr, bytes);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
     /// Fills the sub-blocks covering `[addr, addr + bytes)`. If the line
     /// currently holds a different tag, the old contents are invalidated
     /// first. Ranges may span multiple lines; each affected line is filled.
     pub fn fill(&mut self, addr: u32, bytes: u32) {
-        let mut a = addr;
-        let end = addr + bytes;
-        while a < end {
-            let line_end = self.cfg.line_base(a) + self.cfg.line_bytes;
-            let chunk = (end - a).min(line_end - a);
-            self.fill_within_line(a, chunk);
-            a += chunk;
+        for (a, n) in by_line(self.cfg.line_bytes, addr, bytes) {
+            self.fill_within_line(a, n);
         }
     }
 
@@ -214,26 +198,6 @@ impl InstructionCache {
         line.sub_valid |= mask;
     }
 
-    /// Appends the valid bits and tags of every line to `key` (the
-    /// lifetime probe counters are left out: the fetch engines count
-    /// their own probes and never call [`probe`](Self::probe)).
-    pub fn describe(&self, key: &mut Vec<u64>) {
-        for line in &self.lines {
-            key.push(u64::from(line.tag) << 1 | u64::from(line.tag_valid));
-            key.push(line.sub_valid);
-        }
-    }
-
-    /// Lifetime probe hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime probe misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Number of currently valid sub-blocks, for occupancy checks.
     pub fn valid_subblocks(&self) -> u32 {
         self.lines
@@ -242,6 +206,18 @@ impl InstructionCache {
             .map(|l| l.sub_valid.count_ones())
             .sum()
     }
+}
+
+/// Splits `[addr, addr + bytes)` at the boundaries of `line_bytes` lines
+/// into `(start, length)` pieces.
+fn by_line(line_bytes: u32, addr: u32, bytes: u32) -> impl Iterator<Item = (u32, u32)> {
+    let end = addr + bytes;
+    let mut a = addr;
+    std::iter::from_fn(move || {
+        let start = a;
+        a = end.min((start | (line_bytes - 1)) + 1);
+        (start < end).then_some((start, a - start))
+    })
 }
 
 #[cfg(test)]
@@ -254,20 +230,17 @@ mod tests {
 
     #[test]
     fn empty_cache_misses() {
-        let mut c = cache(128, 16);
-        assert!(!c.probe(0, 4));
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 0);
+        let c = cache(128, 16);
+        assert!(!c.contains(0, 4));
+        assert_eq!(c.valid_subblocks(), 0);
     }
 
     #[test]
     fn fill_then_hit() {
         let mut c = cache(128, 16);
         c.fill(0x20, 4);
-        assert!(c.probe(0x20, 4));
-        assert!(!c.probe(0x24, 4), "other sub-block still invalid");
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert!(c.contains(0x20, 4));
+        assert!(!c.contains(0x24, 4), "other sub-block still invalid");
     }
 
     #[test]
@@ -310,6 +283,23 @@ mod tests {
         assert!(c.contains(0x10, 8));
         assert!(!c.contains(0x00, 4));
         assert!(!c.contains(0x18, 4));
+    }
+
+    #[test]
+    fn a_probe_spanning_lines_checks_each() {
+        // A 4-byte instruction at 0x0e straddles the lines at 0x00 and
+        // 0x10 (a Fixed32 program at a base of 2 mod 4).
+        let mut c = cache(64, 16);
+        assert_eq!(
+            by_line(16, 0x0e, 4).collect::<Vec<_>>(),
+            [(0x0e, 2), (0x10, 2)]
+        );
+        c.fill(0x0c, 4);
+        assert!(!c.contains(0x0e, 4), "second line missing");
+        c.fill(0x10, 4);
+        assert!(c.contains(0x0e, 4));
+        c.fill(0x4c, 4); // evicts the first line
+        assert!(!c.contains(0x0e, 4), "first line evicted");
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! * Demand fetches use the [`ReqClass::IFetch`] arbitration class;
 //!   prefetches use [`ReqClass::IPrefetch`] (lowest priority).
 
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
 use pipe_isa::decode::instr_len;
 use pipe_isa::{Image, Program, PARCEL_BYTES};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey, Untimed};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{FetchEngine, Redirect, Request};
+use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
 use crate::stats::FetchStats;
 
 /// The prefetch strategies Hill compared (the paper adopts
@@ -98,10 +101,17 @@ struct AvailMemo {
 #[derive(Debug)]
 pub struct ConventionalFetch {
     image: Image,
-    cache: InstructionCache,
     prefetch: ConvPrefetch,
+    state: ConvState,
+    stats: FetchStats,
+}
+
+/// The conventional engine's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ConvState {
+    cache: InstructionCache,
     /// Tagged mode: sub-block addresses fetched but not yet referenced.
-    fresh: std::collections::HashSet<u32>,
+    fresh: BTreeSet<u32>,
     /// Tagged mode: a first-reference occurred; prefetch the next block.
     tagged_trigger: bool,
     pc: u32,
@@ -119,10 +129,10 @@ pub struct ConventionalFetch {
     /// instruction may straddle two lines that conflict in a small cache
     /// (the halves would otherwise evict each other forever).
     latch: [Option<u32>; 2],
-    /// See [`AvailMemo`]. A `Cell` because the read-only engine entry
-    /// point `peek_index` shares the memo.
-    avail: std::cell::Cell<Option<AvailMemo>>,
-    stats: FetchStats,
+    /// See [`AvailMemo`]: a function of the PC, the cache and the latch,
+    /// so untimed. A `Cell` because the read-only engine entry point
+    /// `peek_index` shares the memo.
+    avail: Untimed<Cell<Option<AvailMemo>>>,
 }
 
 impl ConventionalFetch {
@@ -133,17 +143,19 @@ impl ConventionalFetch {
         let ConventionalConfig { cache, prefetch } = config;
         ConventionalFetch {
             image: program.image(),
-            cache: InstructionCache::new(cache),
             prefetch,
-            fresh: std::collections::HashSet::new(),
-            tagged_trigger: false,
-            pc: program.entry(),
-            redirect: Redirect::default(),
-            pending: None,
-            probe_counted: false,
-            just_consumed: false,
-            latch: [None, None],
-            avail: std::cell::Cell::new(None),
+            state: ConvState {
+                cache: InstructionCache::new(cache),
+                fresh: BTreeSet::new(),
+                tagged_trigger: false,
+                pc: program.entry(),
+                redirect: Redirect::default(),
+                pending: None,
+                probe_counted: false,
+                just_consumed: false,
+                latch: [None, None],
+                avail: Untimed(Cell::new(None)),
+            },
             stats: FetchStats::default(),
         }
     }
@@ -156,7 +168,7 @@ impl ConventionalFetch {
 
     /// The aligned sub-block range covering `[addr, addr + bytes)`.
     fn covering(&self, addr: u32, bytes: u32) -> (u32, u32) {
-        let sb = self.cache.config().subblock_bytes;
+        let sb = self.state.cache.config().subblock_bytes;
         let lo = addr & !(sb - 1);
         let hi = (addr + bytes + sb - 1) & !(sb - 1);
         (lo, hi - lo)
@@ -169,7 +181,7 @@ impl ConventionalFetch {
     fn instr_cached(&self, addr: u32, bytes: u32) -> bool {
         let mut a = addr;
         while a < addr + bytes {
-            if !self.latch.contains(&Some(a)) && !self.cache.contains(a, PARCEL_BYTES) {
+            if !self.state.latch.contains(&Some(a)) && !self.state.cache.contains(a, PARCEL_BYTES) {
                 return false;
             }
             a += PARCEL_BYTES;
@@ -181,15 +193,15 @@ impl ConventionalFetch {
     /// current PC, or `None` when the PC is outside the image. Memoized;
     /// see [`AvailMemo`].
     fn availability(&self) -> Option<(u32, bool)> {
-        if let Some(m) = self.avail.get() {
-            if m.pc == self.pc {
+        if let Some(m) = self.state.avail.0.get() {
+            if m.pc == self.state.pc {
                 return Some((m.bytes, m.cached));
             }
         }
-        let bytes = self.instr_bytes_at(self.pc)?;
-        let cached = self.instr_cached(self.pc, bytes);
-        self.avail.set(Some(AvailMemo {
-            pc: self.pc,
+        let bytes = self.instr_bytes_at(self.state.pc)?;
+        let cached = self.instr_cached(self.state.pc, bytes);
+        self.state.avail.0.set(Some(AvailMemo {
+            pc: self.state.pc,
             bytes,
             cached,
             next_launches: None,
@@ -201,14 +213,14 @@ impl ConventionalFetch {
     /// current one (of `bytes` bytes) would launch a request. Memoized;
     /// only meaningful while the current instruction is cached.
     fn next_prefetch_launches(&self, bytes: u32) -> bool {
-        if let Some(m) = self.avail.get() {
-            if m.pc == self.pc {
+        if let Some(m) = self.state.avail.0.get() {
+            if m.pc == self.state.pc {
                 if let Some(launches) = m.next_launches {
                     return launches;
                 }
             }
         }
-        let next = self.pc + bytes;
+        let next = self.state.pc + bytes;
         let launches = self.image.parcel_at(next).is_some()
             && match self.instr_cached(next, PARCEL_BYTES) {
                 true => {
@@ -219,25 +231,25 @@ impl ConventionalFetch {
                 }
                 false => true,
             };
-        if let Some(mut m) = self.avail.get() {
-            if m.pc == self.pc {
+        if let Some(mut m) = self.state.avail.0.get() {
+            if m.pc == self.state.pc {
                 m.next_launches = Some(launches);
-                self.avail.set(Some(m));
+                self.state.avail.0.set(Some(m));
             }
         }
         launches
     }
 
     fn maybe_trigger(&mut self) {
-        if let Some(target) = self.redirect.take_due() {
-            self.pc = target;
-            self.probe_counted = false;
-            self.latch = [None, None];
-            self.avail.set(None);
+        if let Some(target) = self.state.redirect.take_due() {
+            self.state.pc = target;
+            self.state.probe_counted = false;
+            self.state.latch = [None, None];
+            self.state.avail.0.set(None);
             self.stats.redirects += 1;
             // An in-flight sequential prefetch is now known wasted (it
             // still completes and fills the cache).
-            if let Some(p) = &self.pending {
+            if let Some(p) = &self.state.pending {
                 if p.class != ReqClass::IFetch {
                     self.stats.wasted_requests += 1;
                 }
@@ -249,28 +261,28 @@ impl ConventionalFetch {
     /// `[addr, addr + bytes)`, and offers it.
     fn launch(&mut self, mem: &mut MemorySystem, class: ReqClass, addr: u32, bytes: u32) {
         let (lo, len) = self.covering(addr, bytes);
-        let mut req = Request::new(class, lo, len);
+        let req = Request::new(class, lo, len);
         req.offer(mem);
-        self.pending = Some(req);
+        self.state.pending = Some(req);
     }
 }
 
 impl FetchEngine for ConventionalFetch {
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
-        let just_consumed = std::mem::take(&mut self.just_consumed);
+        let just_consumed = std::mem::take(&mut self.state.just_consumed);
 
         // Re-offer an unaccepted pending request, upgrading a prefetch to a
         // demand fetch once the decoder is actually stalled on its range.
         let stalled_at = (!just_consumed)
             .then(|| {
                 self.availability().map(|_| {
-                    let sb = self.cache.config().subblock_bytes;
-                    self.pc & !(sb - 1)
+                    let sb = self.state.cache.config().subblock_bytes;
+                    self.state.pc & !(sb - 1)
                 })
             })
             .flatten();
-        if let Some(p) = &mut self.pending {
-            if !p.accepted {
+        if let Some(p) = &mut self.state.pending {
+            if !p.accepted() {
                 if let Some(lo) = stalled_at {
                     if lo >= p.addr && lo < p.addr + p.bytes {
                         p.class = ReqClass::IFetch;
@@ -294,7 +306,7 @@ impl FetchEngine for ConventionalFetch {
                 } else {
                     ReqClass::IFetch
                 };
-                self.launch(mem, class, self.pc, bytes);
+                self.launch(mem, class, self.state.pc, bytes);
                 return;
             }
 
@@ -305,9 +317,9 @@ impl FetchEngine for ConventionalFetch {
             let allow = match self.prefetch {
                 ConvPrefetch::Always => self.next_prefetch_launches(bytes),
                 ConvPrefetch::OnMissOnly => false,
-                ConvPrefetch::Tagged => std::mem::take(&mut self.tagged_trigger),
+                ConvPrefetch::Tagged => std::mem::take(&mut self.state.tagged_trigger),
             };
-            let next = self.pc + bytes;
+            let next = self.state.pc + bytes;
             if allow && self.image.parcel_at(next).is_some() {
                 // We know the next instruction's size once its first parcel
                 // is fetched; until then prefetch its first sub-block.
@@ -327,10 +339,13 @@ impl FetchEngine for ConventionalFetch {
         }
     }
 
-    fn on_accepted(&mut self, tag: u64) {
-        if let Some(p) = &mut self.pending {
-            p.accept(tag, &mut self.stats);
-        }
+    fn on_accepted(&mut self, class: ReqClass) {
+        accept_in_order(
+            self.state.pending.as_mut_slice(),
+            |p| p,
+            class,
+            &mut self.stats,
+        );
     }
 
     fn on_beat(&mut self, beat: &Beat) {
@@ -338,17 +353,15 @@ impl FetchEngine for ConventionalFetch {
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let Some(p) = &self.pending else { return };
-        if p.tag != beat.tag {
-            return;
-        }
-        self.avail.set(None); // the fill (and latch) change availability
-        self.cache.fill(beat.addr, beat.bytes);
+        let p = self.state.pending.as_mut().expect("beat without a request");
+        p.receive(beat);
+        self.state.avail.0.set(None); // the fill (and latch) change availability
+        self.state.cache.fill(beat.addr, beat.bytes);
         if self.prefetch == ConvPrefetch::Tagged {
-            let sb = self.cache.config().subblock_bytes;
+            let sb = self.state.cache.config().subblock_bytes;
             let mut a = beat.addr & !(sb - 1);
             while a < beat.addr + beat.bytes {
-                self.fresh.insert(a);
+                self.state.fresh.insert(a);
                 a += sb;
             }
         }
@@ -356,27 +369,27 @@ impl FetchEngine for ConventionalFetch {
         // beat, so a line-straddling instruction cannot self-evict.
         let mut a = beat.addr;
         while a < beat.addr + beat.bytes {
-            if a == self.pc || a == self.pc + PARCEL_BYTES {
-                let slot = usize::from(a != self.pc);
-                self.latch[slot] = Some(a);
+            if a == self.state.pc || a == self.state.pc + PARCEL_BYTES {
+                let slot = usize::from(a != self.state.pc);
+                self.state.latch[slot] = Some(a);
             }
             a += PARCEL_BYTES;
         }
         if beat.last {
-            self.pending = None;
+            self.state.pending = None;
         }
     }
 
     fn advance(&mut self) {
         // Count one probe per new PC value (per reference).
-        if !self.probe_counted {
+        if !self.state.probe_counted {
             if let Some((_, cached)) = self.availability() {
                 if cached {
                     self.stats.cache_hits += 1;
                 } else {
                     self.stats.cache_misses += 1;
                 }
-                self.probe_counted = true;
+                self.state.probe_counted = true;
             }
         }
     }
@@ -385,10 +398,10 @@ impl FetchEngine for ConventionalFetch {
         // The instruction must be fully cached and every parcel inside the
         // image.
         let (bytes, cached) = self.availability()?;
-        if !cached || self.pc + bytes > self.image.end() {
+        if !cached || self.state.pc + bytes > self.image.end() {
             return None;
         }
-        Some(self.image.index_of(self.pc))
+        Some(self.image.index_of(self.state.pc))
     }
 
     fn consume(&mut self) {
@@ -397,60 +410,36 @@ impl FetchEngine for ConventionalFetch {
             .expect("consume without available instruction");
         debug_assert!(cached);
         if self.prefetch == ConvPrefetch::Tagged {
-            let sb = self.cache.config().subblock_bytes;
-            if self.fresh.remove(&(self.pc & !(sb - 1))) {
-                self.tagged_trigger = true;
+            let sb = self.state.cache.config().subblock_bytes;
+            if self.state.fresh.remove(&(self.state.pc & !(sb - 1))) {
+                self.state.tagged_trigger = true;
             }
         }
-        self.pc += bytes;
-        self.probe_counted = false;
-        self.just_consumed = true;
-        self.latch = [None, None];
-        self.avail.set(None); // the latch clear can change availability
+        self.state.pc += bytes;
+        self.state.probe_counted = false;
+        self.state.just_consumed = true;
+        self.state.latch = [None, None];
+        self.state.avail.0.set(None); // the latch clear can change availability
         self.stats.instructions_delivered += 1;
-        self.redirect.delivered();
+        self.state.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        self.redirect.resolve(taken, remaining, target);
+        self.state.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
     fn has_outstanding(&self) -> bool {
-        self.pending.is_some()
+        self.state.pending.is_some()
     }
 
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // The availability memo is left out: it caches a function of the
-        // PC, the cache and the latch, all described here.
-        self.cache.describe(key);
-        let mut fresh: Vec<u32> = self.fresh.iter().copied().collect();
-        fresh.sort_unstable();
-        key.push(fresh.len() as u64);
-        key.extend(fresh.iter().map(|&a| u64::from(a)));
-        key.extend([
-            u64::from(self.pc),
-            u64::from(self.tagged_trigger),
-            u64::from(self.probe_counted),
-            u64::from(self.just_consumed),
-        ]);
-        key.extend(self.latch.map(|a| a.map_or(0, |a| 1 + u64::from(a))));
-        self.redirect.describe(key);
-        match &self.pending {
-            Some(p) => {
-                key.push(1);
-                p.describe(key, next_tag);
-            }
-            None => key.push(0),
-        }
+    fn describe_timing(&self, key: &mut TimingKey) {
+        key.add(&self.state);
     }
 
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        if let Some(p) = &mut self.pending {
-            p.shift(tags);
-        }
-        self.stats.add(stats);
+    fn add_stats(&mut self, delta: &FetchStats) {
+        self.stats.add(delta);
     }
 
     fn stats(&self) -> &FetchStats {
@@ -465,6 +454,7 @@ impl FetchEngine for ConventionalFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cycle;
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
 
@@ -479,28 +469,6 @@ mod tests {
             access_cycles: access,
             ..MemConfig::default()
         })
-    }
-
-    /// Drives engine + memory for one cycle; returns true if an
-    /// instruction was consumed.
-    fn cycle(f: &mut ConventionalFetch, mem: &mut MemorySystem) -> bool {
-        f.offer_requests(mem);
-        let out = mem.tick();
-        if let Some(tag) = out.accepted {
-            f.on_accepted(tag);
-        }
-        if let Some(beat) = &out.beats {
-            if matches!(beat.source, BeatSource::IFetch | BeatSource::IPrefetch) {
-                f.on_beat(beat);
-            }
-        }
-        f.advance();
-        if f.peek_index().is_some() {
-            f.consume();
-            true
-        } else {
-            false
-        }
     }
 
     #[test]
@@ -534,7 +502,7 @@ mod tests {
         let p = program();
         let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
         // Pre-warm the entire image.
-        f.cache.fill(0, p.code_bytes());
+        f.state.cache.fill(0, p.code_bytes());
         let mut m = mem(6);
         let mut consumed = 0;
         for _ in 0..5 {
@@ -550,7 +518,7 @@ mod tests {
         let p = program();
         let top = p.symbols()["top"];
         let mut f = ConventionalFetch::new(&p, ConventionalConfig::new(CacheConfig::new(64, 16)));
-        f.cache.fill(0, p.code_bytes());
+        f.state.cache.fill(0, p.code_bytes());
         let mut m = mem(1);
         // consume lim, lbr, subi, pbr
         for _ in 0..4 {

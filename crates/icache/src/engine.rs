@@ -1,7 +1,7 @@
 //! The interface between the processor core and an instruction-fetch
 //! engine.
 
-use pipe_mem::{Beat, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{Beat, MemRequest, MemorySystem, ReqClass, TimingKey};
 
 use crate::stats::FetchStats;
 
@@ -12,17 +12,23 @@ use crate::stats::FetchStats;
 /// The processor owns the [`MemorySystem`] and calls, in order:
 ///
 /// 1. [`offer_requests`](FetchEngine::offer_requests) — the engine offers
-///    its demand fetch and/or prefetch for this cycle's arbitration.
+///    at most one request per instruction class (demand fetch, prefetch)
+///    for this cycle's arbitration.
 /// 2. `mem.tick()` (done by the processor).
-/// 3. [`on_accepted`](FetchEngine::on_accepted) for each accepted tag
-///    (engines ignore tags that are not theirs), then
-///    [`on_beat`](FetchEngine::on_beat) for each instruction-class beat.
+/// 3. [`on_accepted`](FetchEngine::on_accepted) when memory accepted an
+///    instruction class, then [`on_beat`](FetchEngine::on_beat) for each
+///    instruction-class beat.
 /// 4. [`advance`](FetchEngine::advance) — internal moves: queue transfers,
 ///    cache-hit fills, redirect triggering.
 /// 5. Decode: [`peek_index`](FetchEngine::peek_index) /
 ///    [`consume`](FetchEngine::consume), plus
 ///    [`resolve_branch`](FetchEngine::resolve_branch) when a
 ///    prepare-to-branch leaves execution.
+///
+/// Requests carry no tags. Memory answers them in acceptance order, so
+/// an engine keeps its accepted requests ahead of the ones still waiting,
+/// oldest first, and every beat belongs to the oldest accepted one. An
+/// engine never drops an accepted request before its last beat.
 ///
 /// Engines deliver instructions in *stream order*: sequential flow,
 /// altered only by `resolve_branch(taken = true, ..)`, which schedules a
@@ -34,13 +40,18 @@ pub trait FetchEngine {
     /// Offers this cycle's memory requests (if any) for arbitration.
     fn offer_requests(&mut self, mem: &mut MemorySystem);
 
-    /// Notifies the engine that the request with `tag` was accepted.
-    /// Unknown tags must be ignored.
-    fn on_accepted(&mut self, tag: u64);
+    /// Notifies the engine that memory accepted the request it offered in
+    /// `class` this cycle.
+    fn on_accepted(&mut self, class: ReqClass);
 
-    /// Routes an instruction-class input-bus beat to the engine. Beats for
-    /// stale (redirected-past) requests still fill the cache but are not
-    /// queued.
+    /// Routes an instruction-class input-bus beat to the engine's oldest
+    /// accepted request. Beats for stale (redirected-past) requests still
+    /// fill the cache but are not queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no request is accepted; a debug build also checks that
+    /// the beat continues its request.
     fn on_beat(&mut self, beat: &Beat);
 
     /// Performs the engine's internal cycle work after memory activity:
@@ -77,23 +88,20 @@ pub trait FetchEngine {
     /// drain the simulation cleanly at halt, and by the frozen stop).
     fn has_outstanding(&self) -> bool;
 
-    /// Appends the engine's timing state to `key`, for the processor's
-    /// loop-iteration skip and frozen stop: two states that describe
-    /// identically must behave identically from then on, given the same
-    /// memory events and decode activity. Tags are written relative to
-    /// `next_tag` (the memory system's tag counter), a pending redirect as
-    /// its countdown, and statistics not at all.
+    /// Writes the engine's timing state into `key`, for the processor's
+    /// loop-iteration skip and frozen stop: one struct with derived
+    /// `Hash`, holding no statistics, configuration or absolute count.
+    /// Two states that write the same key behave the same from then on,
+    /// given the same memory events and decode activity.
     ///
     /// Must be called between cycles.
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64);
+    fn describe_timing(&self, key: &mut TimingKey);
 
-    /// Applies one more repeat of a loop iteration that left the engine
-    /// in the same [described](FetchEngine::describe_timing) state: `tags`
-    /// more memory tags were handed out, and `stats` — the iteration's
-    /// statistics delta, which includes the instructions it delivered —
-    /// is added. The frozen stop calls it too, with no tags and the
-    /// statistics of the cycles it charges.
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats);
+    /// Adds the statistics of cycles applied without ticking: `delta`,
+    /// which includes the instructions delivered, came from cycles that
+    /// left the [described](FetchEngine::describe_timing) state
+    /// unchanged, so applying them changes only the statistics.
+    fn add_stats(&mut self, delta: &FetchStats);
 
     /// The engine's statistics.
     fn stats(&self) -> &FetchStats;
@@ -107,7 +115,7 @@ pub trait FetchEngine {
 /// remaining delay-slot instructions have been delivered. It counts those
 /// deliveries down, so it reads the same however many instructions came
 /// before.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub(crate) struct Redirect(Option<(u32, u32)>);
 
 impl Redirect {
@@ -142,31 +150,15 @@ impl Redirect {
     pub(crate) fn pending(&self) -> Option<(u32, u32)> {
         self.0
     }
-
-    /// Appends the countdown to a timing key.
-    ///
-    /// No loop mark or frozen stop of the processor ever compares two keys
-    /// that differ only here: a PBR cannot issue while a redirect is
-    /// pending, every engine fires the redirect inside `consume` or
-    /// `resolve_branch`, and the countdown moves only on a delivery. The
-    /// words are kept because they are conservative and cost nothing.
-    pub(crate) fn describe(&self, key: &mut Vec<u64>) {
-        match self.0 {
-            Some((remaining, target)) => {
-                key.extend([1, u64::from(remaining), u64::from(target)]);
-            }
-            None => key.push(0),
-        }
-    }
 }
 
-/// One off-chip instruction request: its memory tag, assigned on the
-/// first offer (0 until then), whether memory has accepted it, and what it
-/// asks for. Engines wrap it with where its beats go.
-#[derive(Debug, Clone, Copy)]
+/// One off-chip instruction request: what it asks for, and once memory
+/// has accepted it, how many of its bytes have arrived. Engines wrap it
+/// with where its beats go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Request {
-    pub(crate) tag: u64,
-    pub(crate) accepted: bool,
+    /// Bytes received, from acceptance on; `None` while unaccepted.
+    pub(crate) received: Option<u32>,
     pub(crate) class: ReqClass,
     pub(crate) addr: u32,
     pub(crate) bytes: u32,
@@ -176,73 +168,114 @@ impl Request {
     /// A request not yet offered.
     pub(crate) fn new(class: ReqClass, addr: u32, bytes: u32) -> Request {
         Request {
-            tag: 0,
-            accepted: false,
+            received: None,
             class,
             addr,
             bytes,
         }
     }
 
-    /// Offers the request for this cycle's arbitration, taking a tag on
-    /// the first offer.
-    pub(crate) fn offer(&mut self, mem: &mut MemorySystem) {
-        if self.tag == 0 {
-            self.tag = mem.new_tag();
-        }
-        mem.offer(MemRequest::load(
-            self.class, self.addr, self.bytes, self.tag,
-        ));
+    /// Whether memory has accepted the request.
+    pub(crate) fn accepted(&self) -> bool {
+        self.received.is_some()
     }
 
-    /// Marks the request accepted if `tag` is its own and it was still
-    /// waiting, counting it into `stats` by class; returns whether it was.
-    pub(crate) fn accept(&mut self, tag: u64, stats: &mut FetchStats) -> bool {
-        if self.tag != tag || self.accepted {
-            return false;
-        }
-        self.accepted = true;
+    /// Offers the request for this cycle's arbitration.
+    pub(crate) fn offer(&self, mem: &mut MemorySystem) {
+        mem.offer(MemRequest::load(self.class, self.addr, self.bytes));
+    }
+
+    /// Marks the request accepted, counting it into `stats` by class.
+    pub(crate) fn accept(&mut self, stats: &mut FetchStats) {
+        debug_assert!(!self.accepted(), "accepted twice");
+        self.received = Some(0);
         match self.class {
             ReqClass::IFetch => stats.demand_requests += 1,
             _ => stats.prefetch_requests += 1,
         }
         stats.bytes_requested += u64::from(self.bytes);
-        true
     }
 
-    /// Appends the request to a timing key, its tag relative to
-    /// `next_tag` (0 while unassigned).
-    pub(crate) fn describe(&self, key: &mut Vec<u64>, next_tag: u64) {
-        key.extend([
-            if self.tag == 0 {
-                0
-            } else {
-                next_tag - self.tag
-            },
-            u64::from(self.accepted),
-            self.class.index() as u64,
-            u64::from(self.addr),
-            u64::from(self.bytes),
-        ]);
+    /// Counts `beat` in; a debug build checks that it continues this
+    /// request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if memory has not accepted the request.
+    pub(crate) fn receive(&mut self, beat: &Beat) {
+        let received = self
+            .received
+            .as_mut()
+            .expect("beat for an unaccepted request");
+        debug_assert_eq!(beat.addr, self.addr + *received, "beat out of order");
+        *received += beat.bytes;
+        debug_assert_eq!(
+            beat.last,
+            *received == self.bytes,
+            "beat overruns its request"
+        );
     }
+}
 
-    /// Moves an assigned tag `tags` tags on, as one more repeat of a loop
-    /// iteration that handed out `tags` tags does.
-    pub(crate) fn shift(&mut self, tags: u64) {
-        if self.tag != 0 {
-            self.tag += tags;
+/// Marks the first waiting request of `class` in `list` accepted and moves
+/// it behind the requests accepted before it, where its beats will find
+/// it: `list` holds its accepted requests first, oldest first. Returns
+/// its new index.
+///
+/// # Panics
+///
+/// Panics if no request of `class` is waiting: memory accepted a request
+/// the engine never offered.
+pub(crate) fn accept_in_order<T>(
+    list: &mut [T],
+    request: impl Fn(&mut T) -> &mut Request,
+    class: ReqClass,
+    stats: &mut FetchStats,
+) -> usize {
+    let first = list.iter_mut().position(|p| !request(p).accepted());
+    let first = first.unwrap_or(list.len());
+    let offered = first
+        + list[first..]
+            .iter_mut()
+            .position(|p| request(p).class == class)
+            .expect("memory accepted a request never offered");
+    request(&mut list[offered]).accept(stats);
+    if offered > first {
+        list[first..=offered].rotate_right(1);
+    }
+    first
+}
+
+/// One cycle of `engine` against `mem`, driven the way the processor
+/// drives it; returns whether an instruction was consumed.
+#[cfg(test)]
+pub(crate) fn cycle(engine: &mut dyn FetchEngine, mem: &mut MemorySystem) -> bool {
+    engine.offer_requests(mem);
+    let out = mem.tick();
+    if let Some(class) = out.accepted {
+        engine.on_accepted(class);
+    }
+    if let Some(beat) = &out.beats {
+        use pipe_mem::BeatSource::{IFetch, IPrefetch};
+        if matches!(beat.source, IFetch | IPrefetch) {
+            engine.on_beat(beat);
         }
     }
+    engine.advance();
+    let delivers = engine.peek_index().is_some();
+    if delivers {
+        engine.consume();
+    }
+    delivers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipe_mem::MemConfig;
 
-    fn key(redirect: &Redirect) -> Vec<u64> {
-        let mut key = Vec::new();
-        redirect.describe(&mut key);
+    fn key(redirect: &Redirect) -> TimingKey {
+        let mut key = TimingKey::default();
+        key.add(redirect);
         key
     }
 
@@ -291,60 +324,23 @@ mod tests {
         let mut late = Redirect::default();
         late.resolve(true, 2, 0x40);
         assert_eq!(key(&early), key(&late));
-        assert_eq!(key(&late), [1, 2, 0x40]);
-        assert_eq!(key(&Redirect::default()), [0]);
-    }
-
-    #[test]
-    fn request_tag_is_described_relative_to_the_counter() {
-        let mut mem = MemorySystem::new(MemConfig::default());
-        let mut req = Request::new(ReqClass::IFetch, 0x10, 16);
-        let described = |req: &Request, next_tag| {
-            let mut key = Vec::new();
-            req.describe(&mut key, next_tag);
-            key[0]
-        };
-        assert_eq!(described(&req, mem.next_tag()), 0, "unassigned");
-        mem.new_tag();
-        req.offer(&mut mem);
-        assert_eq!(req.tag, 2, "assigned on the first offer");
-        assert_eq!(described(&req, mem.next_tag()), 1);
-        req.offer(&mut mem);
-        assert_eq!(req.tag, 2, "kept on a re-offer");
-        for _ in 0..3 {
-            mem.new_tag();
-        }
-        assert_eq!(described(&req, mem.next_tag()), 4);
-    }
-
-    #[test]
-    fn request_shift_moves_only_assigned_tags() {
-        let mut unassigned = Request::new(ReqClass::IPrefetch, 0x10, 16);
-        unassigned.shift(5);
-        assert_eq!(unassigned.tag, 0);
-        let mut assigned = Request {
-            tag: 3,
-            ..unassigned
-        };
-        assigned.shift(5);
-        assert_eq!(assigned.tag, 8);
+        late.delivered();
+        assert_ne!(key(&early), key(&late));
+        assert_ne!(key(&early), key(&Redirect::default()));
     }
 
     #[test]
     fn request_acceptance_counts_once_by_class() {
         let mut stats = FetchStats::default();
-        let mut demand = Request {
-            tag: 3,
-            ..Request::new(ReqClass::IFetch, 0x10, 16)
-        };
-        assert!(!demand.accept(4, &mut stats), "another request's tag");
-        assert!(demand.accept(3, &mut stats));
-        assert!(!demand.accept(3, &mut stats), "already accepted");
-        let mut prefetch = Request {
-            tag: 5,
-            ..Request::new(ReqClass::IPrefetch, 0x20, 8)
-        };
-        assert!(prefetch.accept(5, &mut stats));
+        let mut list = [
+            Request::new(ReqClass::IPrefetch, 0x20, 8),
+            Request::new(ReqClass::IFetch, 0x10, 16),
+        ];
+        let at = accept_in_order(&mut list, |r| r, ReqClass::IFetch, &mut stats);
+        assert_eq!(at, 0, "the accepted request moves ahead of the waiting one");
+        assert_eq!((list[0].addr, list[1].accepted()), (0x10, false));
+        let at = accept_in_order(&mut list, |r| r, ReqClass::IPrefetch, &mut stats);
+        assert_eq!((at, list[1].addr), (1, 0x20));
         assert_eq!(
             (
                 stats.demand_requests,
@@ -353,5 +349,34 @@ mod tests {
             ),
             (1, 1, 24)
         );
+    }
+
+    #[test]
+    fn a_request_receives_its_beats_in_order() {
+        let mut req = Request::new(ReqClass::IFetch, 0x10, 8);
+        req.accept(&mut FetchStats::default());
+        let beat = |addr, last| Beat {
+            source: pipe_mem::BeatSource::IFetch,
+            addr,
+            bytes: 4,
+            last,
+        };
+        req.receive(&beat(0x10, false));
+        req.receive(&beat(0x14, true));
+        assert_eq!(req.received, Some(8));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "beat out of order")]
+    fn a_beat_that_skips_ahead_fails() {
+        let mut req = Request::new(ReqClass::IFetch, 0x10, 8);
+        req.accept(&mut FetchStats::default());
+        req.receive(&Beat {
+            source: pipe_mem::BeatSource::IFetch,
+            addr: 0x14,
+            bytes: 4,
+            last: false,
+        });
     }
 }

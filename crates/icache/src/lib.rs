@@ -25,9 +25,12 @@
 //! The engines differ only in what they cache and prefetch. What they
 //! share lives once in [`engine`]: the prepare-to-branch redirect, which
 //! counts the remaining delay-slot instructions down to the switch to the
-//! target, and the off-chip request record, which takes its tag on the
-//! first offer, counts its acceptance into [`FetchStats`], and describes
-//! and shifts its tag for the loop-iteration skip. Every engine reads
+//! target, and the off-chip request record, which counts its acceptance
+//! into [`FetchStats`] and checks that its beats arrive in order. Memory
+//! answers requests in acceptance order, so an engine keeps its accepted
+//! requests oldest first and routes each beat to the oldest; no request
+//! carries a tag. Each engine keeps its timing state in one struct with
+//! derived `Hash`, which is its loop-skip key. Every engine reads
 //! instructions through the program's [`Image`](pipe_isa::Image), and the
 //! queue-based engines pop whole instructions from a [`ParcelQueue`].
 //!
@@ -58,8 +61,8 @@
 //! while delivered < 3 {
 //!     engine.offer_requests(&mut mem);
 //!     let out = mem.tick();
-//!     if let Some(tag) = out.accepted {
-//!         engine.on_accepted(tag);
+//!     if let Some(class) = out.accepted {
+//!         engine.on_accepted(class);
 //!     }
 //!     if let Some(beat) = &out.beats {
 //!         if matches!(beat.source, BeatSource::IFetch | BeatSource::IPrefetch) {

@@ -2,7 +2,7 @@
 
 use pipe_isa::decode::instr_len;
 use pipe_isa::{Image, Program, PARCEL_BYTES};
-use pipe_mem::{Beat, MemorySystem};
+use pipe_mem::{Beat, MemorySystem, ReqClass, TimingKey};
 
 use crate::engine::{FetchEngine, Redirect};
 use crate::stats::FetchStats;
@@ -13,9 +13,15 @@ use crate::stats::FetchStats;
 #[derive(Debug)]
 pub struct PerfectFetch {
     image: Image,
+    state: PerfectState,
+    stats: FetchStats,
+}
+
+/// The perfect engine's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PerfectState {
     pc: u32,
     redirect: Redirect,
-    stats: FetchStats,
 }
 
 impl PerfectFetch {
@@ -23,15 +29,17 @@ impl PerfectFetch {
     pub(crate) fn new(program: &Program) -> PerfectFetch {
         PerfectFetch {
             image: program.image(),
-            pc: program.entry(),
-            redirect: Redirect::default(),
+            state: PerfectState {
+                pc: program.entry(),
+                redirect: Redirect::default(),
+            },
             stats: FetchStats::default(),
         }
     }
 
     fn maybe_trigger(&mut self) {
-        if let Some(target) = self.redirect.take_due() {
-            self.pc = target;
+        if let Some(target) = self.state.redirect.take_due() {
+            self.state.pc = target;
             self.stats.redirects += 1;
         }
     }
@@ -40,30 +48,30 @@ impl PerfectFetch {
 impl FetchEngine for PerfectFetch {
     fn offer_requests(&mut self, _mem: &mut MemorySystem) {}
 
-    fn on_accepted(&mut self, _tag: u64) {}
+    fn on_accepted(&mut self, _class: ReqClass) {}
 
     fn on_beat(&mut self, _beat: &Beat) {}
 
     fn advance(&mut self) {}
 
     fn peek_index(&self) -> Option<usize> {
-        self.image.instruction_parcels(self.pc)?;
-        Some(self.image.index_of(self.pc))
+        self.image.instruction_parcels(self.state.pc)?;
+        Some(self.image.index_of(self.state.pc))
     }
 
     fn consume(&mut self) {
         let (first, _) = self
             .image
-            .instruction_parcels(self.pc)
+            .instruction_parcels(self.state.pc)
             .expect("consume without available instruction");
-        self.pc += instr_len(first) as u32 * PARCEL_BYTES;
+        self.state.pc += instr_len(first) as u32 * PARCEL_BYTES;
         self.stats.instructions_delivered += 1;
-        self.redirect.delivered();
+        self.state.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        self.redirect.resolve(taken, remaining, target);
+        self.state.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
@@ -71,13 +79,12 @@ impl FetchEngine for PerfectFetch {
         false
     }
 
-    fn describe_timing(&self, key: &mut Vec<u64>, _next_tag: u64) {
-        key.push(u64::from(self.pc));
-        self.redirect.describe(key);
+    fn describe_timing(&self, key: &mut TimingKey) {
+        key.add(&self.state);
     }
 
-    fn shift_timing(&mut self, _tags: u64, stats: &FetchStats) {
-        self.stats.add(stats);
+    fn add_stats(&mut self, delta: &FetchStats) {
+        self.stats.add(delta);
     }
 
     fn stats(&self) -> &FetchStats {

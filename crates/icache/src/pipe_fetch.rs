@@ -26,10 +26,10 @@
 use pipe_isa::encode::parcel_is_branch;
 use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{FetchEngine, Redirect, Request};
+use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -107,7 +107,7 @@ impl PipeFetchConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Dest {
     /// Demand fill streaming into the IQ (overflow spills into the IQB).
     Iq,
@@ -117,7 +117,7 @@ enum Dest {
     CacheOnly,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PendingFill {
     req: Request,
     /// Next parcel address expected by the destination queue; beats below
@@ -127,7 +127,7 @@ struct PendingFill {
 }
 
 /// Branch-target preparation between resolution and redirect.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Prep {
     target: u32,
     /// End of the target-stream parcels scheduled so far (in the IQB or a
@@ -140,12 +140,20 @@ struct Prep {
 pub struct PipeFetch {
     cfg: PipeFetchConfig,
     image: Image,
+    state: PipeState,
+    stats: FetchStats,
+}
+
+/// The PIPE fetch unit's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PipeState {
     cache: InstructionCache,
     iq: ParcelQueue,
     iqb: ParcelQueue,
     /// Next sequential parcel address not yet scheduled into a queue or
     /// pending fill (tail of the committed stream).
     stream_end: u32,
+    /// Off-chip fills, the accepted ones first in acceptance order.
     pendings: Vec<PendingFill>,
     /// Set between a taken resolution and its redirect trigger; while set,
     /// the IQB belongs to the target stream.
@@ -155,10 +163,10 @@ pub struct PipeFetch {
     unresolved_pbr: bool,
     /// Set when the supply pass last ran to a fixpoint: re-running it
     /// before the next external event (acceptance, beat, consume, branch
-    /// resolution) is provably a no-op, so [`run_supply`](Self::run_supply)
-    /// skips it. Purely an optimization — behavior is identical.
+    /// resolution) is provably a no-op, so
+    /// [`run_supply`](PipeFetch::run_supply) skips it. Purely an
+    /// optimization — behavior is identical.
     settled: bool,
-    stats: FetchStats,
 }
 
 impl PipeFetch {
@@ -168,16 +176,18 @@ impl PipeFetch {
         let image = program.image();
         PipeFetch {
             cfg,
-            cache: InstructionCache::new(cfg.cache),
-            iq: ParcelQueue::new(&image, cfg.iq_bytes, program.entry()),
-            iqb: ParcelQueue::new(&image, cfg.iqb_bytes, program.entry()),
+            state: PipeState {
+                cache: InstructionCache::new(cfg.cache),
+                iq: ParcelQueue::new(&image, cfg.iq_bytes, program.entry()),
+                iqb: ParcelQueue::new(&image, cfg.iqb_bytes, program.entry()),
+                stream_end: program.entry(),
+                pendings: Vec::new(),
+                prep: None,
+                redirect: Redirect::default(),
+                unresolved_pbr: false,
+                settled: false,
+            },
             image,
-            stream_end: program.entry(),
-            pendings: Vec::new(),
-            prep: None,
-            redirect: Redirect::default(),
-            unresolved_pbr: false,
-            settled: false,
             stats: FetchStats::default(),
         }
     }
@@ -187,7 +197,7 @@ impl PipeFetch {
     }
 
     fn has_pending(&self, dest: Dest) -> bool {
-        self.pendings.iter().any(|p| p.dest == dest)
+        self.state.pendings.iter().any(|p| p.dest == dest)
     }
 
     /// Schedules an off-chip fill of class `class` for the parcel at
@@ -199,7 +209,7 @@ impl PipeFetch {
         } else {
             (self.cfg.cache.line_base(need), self.cfg.cache.line_bytes)
         };
-        self.pendings.push(PendingFill {
+        self.state.pendings.push(PendingFill {
             req: Request::new(class, addr, bytes),
             expect: need,
             dest,
@@ -210,21 +220,21 @@ impl PipeFetch {
     /// guaranteed to execute [have passed] into the IQ" (paper §4.2): the
     /// IQB is repurposed for the target stream while the delay slots drain.
     fn try_start_prep(&mut self) {
-        let Some((remaining, target)) = self.redirect.pending() else {
+        let Some((remaining, target)) = self.state.redirect.pending() else {
             return;
         };
-        if self.prep.is_some() {
+        if self.state.prep.is_some() {
             return;
         }
-        if self.iq.complete_instructions() < remaining {
+        if self.state.iq.complete_instructions() < remaining {
             return; // delay slots still arriving on the sequential path
         }
 
         // Discard the sequential IQB contents (beyond the redirect point)
         // and retarget in-flight IQB fills at the cache only.
-        self.stats.flushed_parcels += self.iqb.len() as u64;
-        self.iqb.restart(target);
-        for p in &mut self.pendings {
+        self.stats.flushed_parcels += self.state.iqb.len() as u64;
+        self.state.iqb.restart(target);
+        for p in &mut self.state.pendings {
             if p.dest == Dest::Iqb {
                 p.dest = Dest::CacheOnly;
                 self.stats.wasted_requests += 1;
@@ -238,9 +248,9 @@ impl PipeFetch {
         };
         if self.image.parcel_at(target).is_some() {
             let chunk_end = self.line_end(target).min(self.image.end());
-            if self.cache.contains(target, chunk_end - target) {
+            if self.state.cache.contains(target, chunk_end - target) {
                 self.stats.cache_hits += 1;
-                prep.end = self.iqb.fill_from(target, chunk_end);
+                prep.end = self.state.iqb.fill_from(target, chunk_end);
             } else {
                 self.stats.cache_misses += 1;
                 // The branch has resolved taken: the target is guaranteed,
@@ -249,26 +259,26 @@ impl PipeFetch {
                 prep.end = self.line_end(target);
             }
         }
-        self.prep = Some(prep);
+        self.state.prep = Some(prep);
     }
 
     /// Schedules supply for the IQ: transfer from IQB, copy from cache, or
     /// start a demand line fetch.
     fn supply_iq(&mut self) {
         // Move from the (sequential-stream) IQB first.
-        if self.prep.is_none() && !self.iqb.is_empty() {
-            let room = self.iq.room();
-            self.iq.take_from(&mut self.iqb, room);
-            if !self.iq.needs_refill() {
+        if self.state.prep.is_none() && !self.state.iqb.is_empty() {
+            let room = self.state.iq.room();
+            self.state.iq.take_from(&mut self.state.iqb, room);
+            if !self.state.iq.needs_refill() {
                 return;
             }
         }
-        if !self.iq.needs_refill() {
+        if !self.state.iq.needs_refill() {
             return;
         }
         // While the IQB is preparing the branch target, the delay slots are
         // already in the IQ (prep precondition): no sequential refill.
-        if self.prep.is_some() {
+        if self.state.prep.is_some() {
             return;
         }
         // A fill already streaming toward the IQ (or into the sequential
@@ -278,48 +288,48 @@ impl PipeFetch {
         }
         // The stream front is `stream_end` (nothing scheduled beyond the
         // queues). Past the image end there is nothing to fetch.
-        let need = self.stream_end;
+        let need = self.state.stream_end;
         if self.image.parcel_at(need).is_none() {
             return;
         }
         let chunk_end = self.line_end(need).min(self.image.end());
-        if self.cache.contains(need, chunk_end - need) {
+        if self.state.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = self.iq.fill_from(need, chunk_end);
+            self.state.stream_end = self.state.iq.fill_from(need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
             self.start_fill(ReqClass::IFetch, need, Dest::Iq);
-            self.stream_end = self.line_end(need);
+            self.state.stream_end = self.line_end(need);
         }
     }
 
     /// Schedules the IQB's next-sequential-line prefetch.
     fn supply_iqb(&mut self) {
-        if self.prep.is_some() || self.redirect.pending().is_some() {
+        if self.state.prep.is_some() || self.state.redirect.pending().is_some() {
             return; // the IQB belongs to (or will belong to) the target
         }
-        if !self.iqb.is_empty() || self.has_pending(Dest::Iqb) || self.has_pending(Dest::Iq) {
+        if !self.state.iqb.is_empty() || self.has_pending(Dest::Iqb) || self.has_pending(Dest::Iq) {
             return;
         }
-        let need = self.stream_end;
+        let need = self.state.stream_end;
         if self.image.parcel_at(need).is_none() {
             return;
         }
         let chunk_end = self.line_end(need).min(self.image.end());
-        if self.cache.contains(need, chunk_end - need) {
+        if self.state.cache.contains(need, chunk_end - need) {
             self.stats.cache_hits += 1;
-            self.stream_end = self.iqb.fill_from(need, chunk_end);
+            self.state.stream_end = self.state.iqb.fill_from(need, chunk_end);
         } else {
             self.stats.cache_misses += 1;
             // Off-chip prefetch: gated under the guaranteed-only policy by
             // the single-bit branch scan of the IQ and any PBR in flight.
             if self.cfg.policy == PrefetchPolicy::GuaranteedOnly
-                && (self.unresolved_pbr || self.iq.contains_branch())
+                && (self.state.unresolved_pbr || self.state.iq.contains_branch())
             {
                 return;
             }
             self.start_fill(ReqClass::IPrefetch, need, Dest::Iqb);
-            self.stream_end = self.line_end(need);
+            self.state.stream_end = self.line_end(need);
         }
     }
 
@@ -329,29 +339,16 @@ impl PipeFetch {
     /// external event. The statistics counters are monotonic, so their sum
     /// detects paths that mutate nothing else (the guaranteed-only probe
     /// counts a cache miss every cycle it stays blocked).
-    #[allow(clippy::type_complexity)]
-    fn supply_stamp(
-        &self,
-    ) -> (
-        usize,
-        u32,
-        usize,
-        u32,
-        u32,
-        usize,
-        Redirect,
-        Option<(u32, u32)>,
-        u64,
-    ) {
+    fn supply_stamp(&self) -> impl PartialEq {
         (
-            self.iq.len(),
-            self.iq.end_addr(),
-            self.iqb.len(),
-            self.iqb.end_addr(),
-            self.stream_end,
-            self.pendings.len(),
-            self.redirect,
-            self.prep.map(|p| (p.target, p.end)),
+            self.state.iq.len(),
+            self.state.iq.end_addr(),
+            self.state.iqb.len(),
+            self.state.iqb.end_addr(),
+            self.state.stream_end,
+            self.state.pendings.len(),
+            self.state.redirect,
+            self.state.prep,
             self.stats.cache_hits
                 + self.stats.cache_misses
                 + self.stats.wasted_requests
@@ -364,7 +361,7 @@ impl PipeFetch {
     /// entirely while the engine is settled (the previous pass changed
     /// nothing and no external event has occurred since).
     fn run_supply(&mut self) {
-        if self.settled {
+        if self.state.settled {
             return;
         }
         let before = self.supply_stamp();
@@ -372,43 +369,43 @@ impl PipeFetch {
         self.try_start_prep();
         self.supply_iq();
         self.supply_iqb();
-        self.settled = self.supply_stamp() == before;
+        self.state.settled = self.supply_stamp() == before;
     }
 
     fn maybe_trigger(&mut self) {
-        let Some(target) = self.redirect.take_due() else {
+        let Some(target) = self.state.redirect.take_due() else {
             return;
         };
         self.stats.redirects += 1;
-        self.stats.flushed_parcels += self.iq.len() as u64;
-        self.iq.restart(target);
+        self.stats.flushed_parcels += self.state.iq.len() as u64;
+        self.state.iq.restart(target);
         // Any fill still heading for the IQ carries dead sequential-path
         // parcels: keep filling the cache only.
-        for p in &mut self.pendings {
+        for p in &mut self.state.pendings {
             if p.dest == Dest::Iq {
                 p.dest = Dest::CacheOnly;
                 self.stats.wasted_requests += 1;
             }
         }
-        match self.prep.take() {
+        match self.state.prep.take() {
             Some(prep) => {
                 debug_assert_eq!(prep.target, target);
                 // The IQB holds (or is receiving) the target stream; it now
                 // becomes the sequential stream.
-                self.stream_end = prep.end;
+                self.state.stream_end = prep.end;
             }
             None => {
                 // No preparation happened (e.g. zero-delay resolve in the
                 // same call); restart cleanly at the target.
-                self.stats.flushed_parcels += self.iqb.len() as u64;
-                self.iqb.restart(target);
-                for p in &mut self.pendings {
+                self.stats.flushed_parcels += self.state.iqb.len() as u64;
+                self.state.iqb.restart(target);
+                for p in &mut self.state.pendings {
                     if p.dest == Dest::Iqb {
                         p.dest = Dest::CacheOnly;
                         self.stats.wasted_requests += 1;
                     }
                 }
-                self.stream_end = target;
+                self.state.stream_end = target;
             }
         }
     }
@@ -421,13 +418,13 @@ impl FetchEngine for PipeFetch {
         // — guarded by queue state and pending fills).
         self.run_supply();
 
-        if self.pendings.is_empty() {
+        if self.state.pendings.is_empty() {
             return;
         }
         let mut offered_demand = false;
         let mut offered_prefetch = false;
-        for p in &mut self.pendings {
-            if p.req.accepted {
+        for p in &mut self.state.pendings {
+            if p.req.accepted() {
                 continue;
             }
             let slot = match p.req.class {
@@ -442,59 +439,50 @@ impl FetchEngine for PipeFetch {
         }
     }
 
-    fn on_accepted(&mut self, tag: u64) {
-        self.settled = false;
-        for p in &mut self.pendings {
-            if p.req.accept(tag, &mut self.stats) {
-                return;
-            }
-        }
+    fn on_accepted(&mut self, class: ReqClass) {
+        self.state.settled = false;
+        let pendings = &mut self.state.pendings;
+        accept_in_order(pendings, |p| &mut p.req, class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {
-        self.settled = false;
+        self.state.settled = false;
         debug_assert!(matches!(
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let Some(idx) = self
-            .pendings
-            .iter()
-            .position(|p| p.req.tag == beat.tag && p.req.accepted)
-        else {
-            return;
-        };
-        self.cache.fill(beat.addr, beat.bytes);
+        let mut p = *self.state.pendings.first().expect("beat without a request");
+        p.req.receive(beat);
+        self.state.cache.fill(beat.addr, beat.bytes);
 
         // Queue the parcels at/after the expected address.
-        let mut p = self.pendings[idx];
         let beat_end = beat.addr + beat.bytes;
         let mut a = p.expect.max(beat.addr);
         while a < beat_end && p.dest != Dest::CacheOnly {
             let q = match p.dest {
                 Dest::Iq => {
-                    if self.prep.is_none() && !self.iqb.is_empty() {
+                    if self.state.prep.is_none() && !self.state.iqb.is_empty() {
                         // This fill already spilled into the IQB: keep the
                         // stream contiguous there (pushing back into the
                         // IQ would leave a gap between the queues).
-                        if self.iqb.room() > 0 {
-                            &mut self.iqb
+                        if self.state.iqb.room() > 0 {
+                            &mut self.state.iqb
                         } else {
                             break;
                         }
-                    } else if self.iq.room() > 0 {
-                        &mut self.iq
-                    } else if self.prep.is_none() && self.iqb.room() > 0 {
+                    } else if self.state.iq.room() > 0 {
+                        &mut self.state.iq
+                    } else if self.state.prep.is_none() && self.state.iqb.room() > 0 {
                         // Demand line larger than the IQ: spill the excess
                         // into the sequential IQB (the 16-32 configuration).
-                        &mut self.iqb
+                        &mut self.state.iqb
                     } else {
                         break;
                     }
                 }
                 Dest::Iqb => {
-                    if self.iqb.room() > 0 {
-                        &mut self.iqb
+                    if self.state.iqb.room() > 0 {
+                        &mut self.state.iqb
                     } else {
                         break;
                     }
@@ -509,15 +497,15 @@ impl FetchEngine for PipeFetch {
             // Overflow: the rest of this line cannot be queued. It stays in
             // the cache; rewind the scheduled stream so a later refill
             // re-reads it from there.
-            match (p.dest, self.prep.as_mut()) {
+            match (p.dest, self.state.prep.as_mut()) {
                 (Dest::Iqb, Some(prep)) => prep.end = a,
-                _ => self.stream_end = a,
+                _ => self.state.stream_end = a,
             }
             p.dest = Dest::CacheOnly;
         }
-        self.pendings[idx] = p;
+        self.state.pendings[0] = p;
         if beat.last {
-            self.pendings.remove(idx);
+            self.state.pendings.remove(0);
         }
     }
 
@@ -526,31 +514,32 @@ impl FetchEngine for PipeFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        self.iq.head_index()
+        self.state.iq.head_index()
     }
 
     fn consume(&mut self) {
-        self.settled = false;
+        self.state.settled = false;
         let first = self
+            .state
             .iq
             .pop_instruction()
             .expect("consume without available instruction");
         if parcel_is_branch(first) {
-            self.unresolved_pbr = true;
+            self.state.unresolved_pbr = true;
         }
         self.stats.instructions_delivered += 1;
-        self.redirect.delivered();
+        self.state.redirect.delivered();
         self.maybe_trigger();
         self.try_start_prep();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        self.settled = false;
-        self.unresolved_pbr = false;
+        self.state.settled = false;
+        self.state.unresolved_pbr = false;
         if !taken {
             return;
         }
-        self.redirect.resolve(taken, remaining, target);
+        self.state.redirect.resolve(taken, remaining, target);
         // Target preparation starts (in `try_start_prep`) once the delay
         // slots have all passed into the IQ; a zero-delay resolve triggers
         // the redirect immediately.
@@ -559,39 +548,15 @@ impl FetchEngine for PipeFetch {
     }
 
     fn has_outstanding(&self) -> bool {
-        !self.pendings.is_empty()
+        !self.state.pendings.is_empty()
     }
 
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // A queue is a window onto the image: its head address and length
-        // describe it.
-        self.cache.describe(key);
-        key.extend([
-            u64::from(self.iq.front_addr()),
-            self.iq.len() as u64,
-            u64::from(self.iqb.front_addr()),
-            self.iqb.len() as u64,
-            u64::from(self.stream_end),
-            u64::from(self.unresolved_pbr),
-            u64::from(self.settled),
-        ]);
-        match self.prep {
-            Some(p) => key.extend([1, u64::from(p.target), u64::from(p.end)]),
-            None => key.push(0),
-        }
-        self.redirect.describe(key);
-        key.push(self.pendings.len() as u64);
-        for p in &self.pendings {
-            p.req.describe(key, next_tag);
-            key.extend([u64::from(p.expect), p.dest as u64]);
-        }
+    fn describe_timing(&self, key: &mut TimingKey) {
+        key.add(&self.state);
     }
 
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        for p in &mut self.pendings {
-            p.req.shift(tags);
-        }
-        self.stats.add(stats);
+    fn add_stats(&mut self, delta: &FetchStats) {
+        self.stats.add(delta);
     }
 
     fn stats(&self) -> &FetchStats {
@@ -606,6 +571,7 @@ impl FetchEngine for PipeFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cycle;
     use pipe_isa::{Assembler, InstrFormat, Program};
     use pipe_mem::MemConfig;
 
@@ -629,27 +595,6 @@ mod tests {
         PipeFetch::new(p, PipeFetchConfig::table2(cache, line, iq, iqb))
     }
 
-    /// One full engine cycle; returns `true` if an instruction was consumed.
-    fn cycle(f: &mut PipeFetch, mem: &mut MemorySystem) -> bool {
-        f.offer_requests(mem);
-        let out = mem.tick();
-        if let Some(tag) = out.accepted {
-            f.on_accepted(tag);
-        }
-        if let Some(beat) = &out.beats {
-            if matches!(beat.source, BeatSource::IFetch | BeatSource::IPrefetch) {
-                f.on_beat(beat);
-            }
-        }
-        f.advance();
-        if f.peek_index().is_some() {
-            f.consume();
-            true
-        } else {
-            false
-        }
-    }
-
     #[test]
     fn cold_start_fetches_line_and_prefetches_next() {
         let p = program();
@@ -665,7 +610,7 @@ mod tests {
         assert!(f.stats().demand_requests >= 1);
         assert!(f.stats().prefetch_requests >= 1, "{:?}", f.stats());
         // The fetched lines landed in the cache.
-        assert!(f.cache.valid_subblocks() > 0);
+        assert!(f.state.cache.valid_subblocks() > 0);
     }
 
     #[test]
@@ -749,7 +694,7 @@ mod tests {
                 break;
             }
         }
-        assert!(f.unresolved_pbr, "pbr consumed, unresolved");
+        assert!(f.state.unresolved_pbr, "pbr consumed, unresolved");
         let prefetches_at_pbr = f.stats().prefetch_requests;
         // While unresolved, no *new* off-chip prefetch may start.
         for _ in 0..5 {

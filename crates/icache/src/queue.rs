@@ -4,6 +4,7 @@
 use pipe_isa::decode::instr_len;
 use pipe_isa::encode::parcel_is_branch;
 use pipe_isa::{Image, PARCEL_BYTES};
+use pipe_mem::Untimed;
 
 /// A bounded FIFO window onto the instruction stream.
 ///
@@ -12,9 +13,11 @@ use pipe_isa::{Image, PARCEL_BYTES};
 /// bits of the parcels it covers from the image. Queued parcels are always
 /// contiguous and inside the image: every push appends the next sequential
 /// parcel. Redirects flush the queue and restart it at the new address.
-#[derive(Debug, Clone)]
+/// Its head address and length are its timing state; the image is the
+/// same for every state of a run, so it stays out of the key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParcelQueue {
-    image: Image,
+    image: Untimed<Image>,
     capacity: usize,
     head_addr: u32,
     len: usize,
@@ -34,7 +37,7 @@ impl ParcelQueue {
             "queue capacity must be a positive multiple of {PARCEL_BYTES} bytes"
         );
         ParcelQueue {
-            image: image.clone(),
+            image: Untimed(image.clone()),
             capacity: (capacity_bytes / PARCEL_BYTES) as usize,
             head_addr: start,
             len: 0,
@@ -93,7 +96,7 @@ impl ParcelQueue {
     ///
     /// Panics if the queue is full or `addr` breaks contiguity.
     pub fn push(&mut self, addr: u32) {
-        if self.image.parcel_at(addr).is_some() {
+        if self.image.0.parcel_at(addr).is_some() {
             self.append(addr, 1);
         }
     }
@@ -102,10 +105,10 @@ impl ParcelQueue {
     /// is full or the image ends. Returns the address after the last
     /// parcel appended.
     pub fn fill_from(&mut self, from: u32, to: u32) -> u32 {
-        if self.image.parcel_at(from).is_none() {
+        if self.image.0.parcel_at(from).is_none() {
             return from;
         }
-        let end = to.min(self.image.end());
+        let end = to.min(self.image.0.end());
         let n = (end.saturating_sub(from).div_ceil(PARCEL_BYTES) as usize).min(self.room());
         if n > 0 {
             self.append(from, n);
@@ -136,6 +139,7 @@ impl ParcelQueue {
             }
             let first = self
                 .image
+                .0
                 .parcel_at(addr)
                 .expect("queued parcels lie inside the image");
             addr += instr_len(first) as u32 * PARCEL_BYTES;
@@ -153,7 +157,7 @@ impl ParcelQueue {
     /// Image parcel index of the head instruction when it is complete.
     pub fn head_index(&self) -> Option<usize> {
         self.head()?;
-        Some(self.image.index_of(self.head_addr))
+        Some(self.image.0.index_of(self.head_addr))
     }
 
     /// Pops the head instruction whole and returns its first parcel, or

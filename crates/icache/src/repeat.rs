@@ -2,28 +2,29 @@
 //! by the processor's cycle loop (`pipe_core::Processor::run`) and trace
 //! replay ([`ReplayHarness`](crate::ReplayHarness)).
 //!
-//! After each prepare-to-branch (PBR), a cycle loop describes its timing
-//! state as a key: cycles relative to the current cycle, tags relative to
-//! the memory system's tag counter, and no data values or statistics. If
-//! the key equals the one recorded when the same PBR last issued, the
-//! iteration in between left the timing state unchanged up to a shift of
-//! cycles and tags. A further repeat then takes exactly as many cycles and
-//! adds exactly the same statistics, as long as its inputs make the same
+//! After each prepare-to-branch (PBR), a cycle loop writes its timing
+//! state into a [`TimingKey`]. Every component keeps that state relative
+//! by construction — countdowns instead of deadlines, queues and
+//! requests in the order memory answers them, no tags — in one struct
+//! with derived `Hash`, so the key is the state itself, with no data
+//! values and no statistics. If the key equals the one recorded when the
+//! same PBR last issued, the iteration in between left the timing state
+//! unchanged. A further repeat then takes exactly as many cycles and adds
+//! exactly the same statistics, as long as its inputs make the same
 //! timing choices as the iteration's logged events; the cycle loop checks
 //! that before it applies each repeat.
 //!
 //! [`LoopMarks`] keeps one mark per PBR address (the key, a snapshot of
-//! cycle, tag counter and statistics, and where the following iteration
-//! begins in the event log), keeps the log bounded, and hands a repeating
+//! cycle and statistics, and where the following iteration begins in the
+//! event log), keeps the log bounded, and hands a repeating
 //! [`Iteration`] to the cycle loop, whose [`Machine`] implementation
-//! checks and applies the repeats. [`Iteration::shift`] moves the memory
-//! system, the fetch engine, the cycle and the loop's own counters on by
-//! one repeat; the cycle loop shifts the cycle and tag fields only it
-//! holds.
+//! checks and applies the repeats. Applying one
+//! ([`Iteration::apply`]) adds the cycles and the statistics deltas of
+//! the loop, the memory system and the fetch engine; no state moves.
 
 use std::collections::HashMap;
 
-use pipe_mem::{MemStats, MemorySystem};
+use pipe_mem::{MemStats, MemorySystem, TimingKey};
 
 use crate::engine::FetchEngine;
 use crate::stats::FetchStats;
@@ -82,8 +83,8 @@ pub struct State<'a, C> {
     pub counters: &'a C,
     /// The fetch engine's statistics.
     pub fetch: &'a FetchStats,
-    /// The memory system, for its tag counter and statistics.
-    pub mem: &'a MemorySystem,
+    /// The memory system's statistics.
+    pub mem: &'a MemStats,
 }
 
 /// A cycle loop that can apply repeating iterations.
@@ -93,8 +94,8 @@ pub trait Machine {
     /// The loop's own statistics.
     type Counters: Counters;
 
-    /// Appends the timing state to `key` (see the [module docs](self)).
-    fn describe_timing(&self, key: &mut Vec<u64>) -> Timing;
+    /// Writes the timing state into `key` (see the [module docs](self)).
+    fn describe_timing(&self, key: &mut TimingKey) -> Timing;
 
     /// The current cycle, statistics and memory system.
     fn state(&self) -> State<'_, Self::Counters>;
@@ -110,32 +111,32 @@ pub trait Machine {
     ) -> u64;
 }
 
-/// Cycle, tag counter and statistics at a mark.
+/// Cycle and statistics at a mark.
 #[derive(Debug, Default)]
-struct Snapshot<C> {
-    cycle: u64,
-    next_tag: u64,
+pub struct Snapshot<C> {
+    /// Cycles completed.
+    pub cycle: u64,
     counters: C,
     fetch: FetchStats,
     mem: MemStats,
 }
 
 impl<C: Counters> Snapshot<C> {
-    fn take(&mut self, now: &State<'_, C>) {
+    /// Records `now`.
+    pub fn take(&mut self, now: &State<'_, C>) {
         self.cycle = now.cycle;
-        self.next_tag = now.mem.next_tag();
         self.counters.clone_from(now.counters);
         self.fetch.clone_from(now.fetch);
-        self.mem.clone_from(now.mem.stats());
+        self.mem.clone_from(now.mem);
     }
 
-    fn until(&self, now: &State<'_, C>) -> Iteration<C> {
+    /// What the cycles from this snapshot to `now` added.
+    pub fn until(&self, now: &State<'_, C>) -> Iteration<C> {
         Iteration {
             cycles: now.cycle - self.cycle,
-            tags: now.mem.next_tag() - self.next_tag,
             counters: now.counters.since(&self.counters),
             fetch: now.fetch.since(&self.fetch),
-            mem: now.mem.stats().since(&self.mem),
+            mem: now.mem.since(&self.mem),
         }
     }
 }
@@ -145,8 +146,6 @@ impl<C: Counters> Snapshot<C> {
 pub struct Iteration<C> {
     /// Cycles the iteration took.
     pub cycles: u64,
-    /// Memory tags it handed out.
-    pub tags: u64,
     /// Its delta of the loop's own statistics.
     pub counters: C,
     fetch: FetchStats,
@@ -154,9 +153,31 @@ pub struct Iteration<C> {
 }
 
 impl<C: Counters> Iteration<C> {
-    /// Applies one repeat to the cycle, the loop's statistics, the memory
-    /// system and the fetch engine.
-    pub fn shift(
+    /// The iteration repeated `n` times over, summed by doubling.
+    pub fn times(&self, n: u64) -> Iteration<C> {
+        fn times<T: Clone + Default>(delta: &T, n: u64, add: fn(&mut T, &T)) -> T {
+            let (mut sum, mut power, mut n) = (T::default(), delta.clone(), n);
+            while n > 0 {
+                if n & 1 == 1 {
+                    add(&mut sum, &power);
+                }
+                let doubled = power.clone();
+                add(&mut power, &doubled);
+                n >>= 1;
+            }
+            sum
+        }
+        Iteration {
+            cycles: self.cycles * n,
+            counters: times(&self.counters, n, C::add),
+            fetch: times(&self.fetch, n, FetchStats::add),
+            mem: times(&self.mem, n, MemStats::add),
+        }
+    }
+
+    /// Applies one repeat: adds its cycles and the statistics deltas of
+    /// the loop, the memory system and the fetch engine.
+    pub fn apply(
         &self,
         cycle: &mut u64,
         counters: &mut C,
@@ -165,15 +186,15 @@ impl<C: Counters> Iteration<C> {
     ) {
         *cycle += self.cycles;
         counters.add(&self.counters);
-        mem.shift_timing(self.cycles, self.tags, &self.mem);
-        fetch.shift_timing(self.tags, &self.fetch);
+        mem.add_stats(&self.mem);
+        fetch.add_stats(&self.fetch);
     }
 }
 
 /// The state recorded right after a PBR.
 #[derive(Debug, Default)]
 struct Mark<C> {
-    key: Vec<u64>,
+    key: TimingKey,
     /// Where the following iteration's events begin in the log.
     pos: usize,
     snapshot: Snapshot<C>,
@@ -188,7 +209,7 @@ pub struct LoopMarks<E, C> {
     /// The latest mark per PBR address.
     marks: HashMap<u32, Mark<C>>,
     /// Scratch key, reused between PBRs.
-    key: Vec<u64>,
+    key: TimingKey,
     counts: RepeatCounts,
 }
 
@@ -197,7 +218,7 @@ impl<E, C> Default for LoopMarks<E, C> {
         LoopMarks {
             log: Vec::new(),
             marks: HashMap::new(),
-            key: Vec::new(),
+            key: TimingKey::default(),
             counts: RepeatCounts::default(),
         }
     }

@@ -26,16 +26,15 @@
 //! [`ReplayHarness::replay`] (and [`ReplayHarness::run`]) apply repeating
 //! loop iterations in one step, through the marks of [`crate::repeat`]
 //! that the processor's cycle loop uses too. After each prepare-to-branch
-//! step the harness describes its timing state: memory system and engine,
-//! the kinds of the queued data operations, the count of unsent store
-//! data, the front request's tag relative to the tag counter, and the
-//! pending resolution relative to the cycle. When that key equals the
-//! one from the same branch one iteration earlier, the harness reads the
-//! next iteration's steps ahead; while they match the recorded iteration
-//! in every field timing reads — fetch address, waits, resolution and op
-//! kinds, where a store's kind includes its FPU-window offset — it adds
-//! the iteration's deltas and shifts memory, engine, front tag and
-//! pending resolution on in one step. Other steps go through
+//! step the harness writes its timing state into the key: memory system
+//! and engine, the queued data operations with what timing reads of
+//! them, the count of unsent store data, and the resolution due next
+//! cycle. When that key equals the one from the same branch one iteration
+//! earlier, the harness reads the next iteration's steps ahead; while
+//! they match the recorded iteration in every field timing reads — fetch
+//! address, waits, resolution and op kinds, where a store's kind includes
+//! its FPU-window offset — it adds the iteration's cycles and statistics
+//! deltas in one step. Other steps go through
 //! [`step_instruction`](ReplayHarness::step_instruction), the ticked
 //! primitive. Data addresses and store values are not compared: without
 //! an external cache they do not affect timing, and with one the memory
@@ -46,7 +45,7 @@ use std::error::Error;
 use std::fmt;
 
 use pipe_mem::system::FPU_BASE;
-use pipe_mem::{BeatSource, MemRequest, MemorySystem, ReqClass};
+use pipe_mem::{BeatSource, MemRequest, MemorySystem, ReqClass, TimingKey, Untimed};
 
 use crate::engine::FetchEngine;
 use crate::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
@@ -82,7 +81,7 @@ pub enum ReplayOp {
 
 /// How a prepare-to-branch resolved, replayed one cycle after its step
 /// issues — the same timing as the processor's execute stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReplayBranch {
     /// Whether the branch was taken.
     pub taken: bool,
@@ -178,20 +177,18 @@ impl ReplayStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A load or store waiting for memory. Only a store's kind times the
+/// replay (see [`Untimed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PendingOp {
-    Load { addr: u32 },
-    Store { addr: u32 },
-}
-
-impl PendingOp {
-    /// What timing reads of the operation (see [`op_kind`]).
-    fn kind(self) -> u64 {
-        match self {
-            PendingOp::Load { .. } => 1,
-            PendingOp::Store { addr } => store_kind(addr),
-        }
-    }
+    Load {
+        addr: Untimed<u32>,
+    },
+    Store {
+        addr: Untimed<u32>,
+        /// [`store_kind`] of the address.
+        kind: u8,
+    },
 }
 
 /// What timing reads of a data operation: its kind and, for a store, the
@@ -200,15 +197,15 @@ fn op_kind(op: &ReplayOp) -> u64 {
     match *op {
         ReplayOp::Load { .. } => 1,
         ReplayOp::StoreData { .. } => 2,
-        ReplayOp::StoreAddr { addr } => store_kind(addr),
+        ReplayOp::StoreAddr { addr } => u64::from(store_kind(addr)),
     }
 }
 
 /// What timing reads of a store address: whether it falls in the FPU
 /// window and, if so, the offset that selects the FPU's action.
-fn store_kind(addr: u32) -> u64 {
+fn store_kind(addr: u32) -> u8 {
     match addr.wrapping_sub(FPU_BASE) {
-        offset @ 0..=0x1F => 4 + u64::from(offset),
+        offset @ 0..=0x1F => 4 + offset as u8,
         _ => 3,
     }
 }
@@ -341,7 +338,7 @@ where
     type Event = StepTiming;
     type Counters = Counts;
 
-    fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
+    fn describe_timing(&self, key: &mut TimingKey) -> Timing {
         self.harness.describe_timing(key)
     }
 
@@ -351,7 +348,7 @@ where
             cycle: h.cycle,
             counters: &h.counts,
             fetch: h.engine.stats(),
-            mem: &h.mem,
+            mem: h.mem.stats(),
         }
     }
 
@@ -373,13 +370,7 @@ where
                 return applied;
             }
             let h = &mut *self.harness;
-            iteration.shift(&mut h.cycle, &mut h.counts, &mut h.mem, &mut *h.engine);
-            if let Some((due, _)) = &mut h.pending_resolve {
-                *due += iteration.cycles;
-            }
-            if let Some(tag) = &mut h.data_front_tag {
-                *tag += iteration.tags;
-            }
+            iteration.apply(&mut h.cycle, &mut h.counts, &mut h.mem, &mut *h.engine);
             self.ahead.start += n;
             applied += 1;
         }
@@ -395,14 +386,7 @@ where
 pub struct ReplayHarness {
     engine: Box<dyn FetchEngine>,
     mem: MemorySystem,
-    /// Program-order data operations awaiting memory, like LAQ/SAQ heads.
-    data_q: VecDeque<PendingOp>,
-    /// Store data produced but not yet sent, paired in order with the
-    /// `Store` entries of `data_q`. Memory models timing only, so a count
-    /// stands in for the values.
-    sdq: usize,
-    data_front_tag: Option<u64>,
-    pending_resolve: Option<(u64, ReplayBranch)>,
+    state: ReplayState,
     cycle: u64,
     counts: Counts,
     /// Cycles to wait for one instruction before declaring the replay
@@ -412,16 +396,26 @@ pub struct ReplayHarness {
     repeats: RepeatCounts,
 }
 
+/// The harness's own timing state.
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
+struct ReplayState {
+    /// Program-order data operations awaiting memory, like LAQ/SAQ heads.
+    data_q: VecDeque<PendingOp>,
+    /// Store data produced but not yet sent, paired in order with the
+    /// `Store` entries of `data_q`. Memory models timing only, so a count
+    /// stands in for the values.
+    sdq: usize,
+    /// The resolution of the branch replayed last cycle, due this cycle.
+    resolve: Option<ReplayBranch>,
+}
+
 impl ReplayHarness {
     /// Creates a harness over a freshly built engine and memory system.
     pub fn new(engine: Box<dyn FetchEngine>, mem: MemorySystem) -> ReplayHarness {
         ReplayHarness {
             engine,
             mem,
-            data_q: VecDeque::new(),
-            sdq: 0,
-            data_front_tag: None,
-            pending_resolve: None,
+            state: ReplayState::default(),
             cycle: 0,
             counts: Counts::default(),
             progress_limit: 1_000_000,
@@ -429,39 +423,35 @@ impl ReplayHarness {
         }
     }
 
-    /// Offer + tick + route + advance: phases 1–4 of the processor cycle.
+    /// Offer + tick + route + advance + resolve: phases 1–4 of the
+    /// processor cycle, and the resolution of a branch replayed last
+    /// cycle.
     fn begin_cycle(&mut self) {
         self.engine.offer_requests(&mut self.mem);
-        match self.data_q.front().copied() {
+        let state = &mut self.state;
+        match state.data_q.front() {
             Some(PendingOp::Load { addr }) => {
-                let tag = *self
-                    .data_front_tag
-                    .get_or_insert_with(|| self.mem.new_tag());
                 self.mem
-                    .offer(MemRequest::load(ReqClass::DataLoad, addr, 4, tag));
+                    .offer(MemRequest::load(ReqClass::DataLoad, addr.0, 4));
             }
             // A store whose data has not been produced yet blocks younger
             // loads rather than letting them bypass it — the processor's
             // memory-consistency rule.
-            Some(PendingOp::Store { addr }) if self.sdq > 0 => {
-                let tag = *self
-                    .data_front_tag
-                    .get_or_insert_with(|| self.mem.new_tag());
-                self.mem.offer(MemRequest::store(addr, tag));
+            Some(PendingOp::Store { addr, .. }) if state.sdq > 0 => {
+                self.mem.offer(MemRequest::store(addr.0));
             }
             Some(PendingOp::Store { .. }) | None => {}
         }
 
         let out = self.mem.tick();
-        if let Some(tag) = out.accepted {
-            if self.data_front_tag == Some(tag) {
-                if let Some(PendingOp::Store { .. }) = self.data_q.pop_front() {
-                    self.sdq -= 1;
+        match out.accepted {
+            Some(ReqClass::DataLoad | ReqClass::DataStore) => {
+                if let Some(PendingOp::Store { .. }) = state.data_q.pop_front() {
+                    state.sdq -= 1;
                 }
-                self.data_front_tag = None;
-            } else {
-                self.engine.on_accepted(tag);
             }
+            Some(class) => self.engine.on_accepted(class),
+            None => {}
         }
         if let Some(beat) = &out.beats {
             match beat.source {
@@ -472,14 +462,8 @@ impl ReplayHarness {
             }
         }
         self.engine.advance();
-    }
-
-    fn apply_resolve_if_due(&mut self) {
-        if let Some((due, r)) = self.pending_resolve {
-            if self.cycle >= due {
-                self.engine.resolve_branch(r.taken, r.remaining, r.target);
-                self.pending_resolve = None;
-            }
+        if let Some(r) = state.resolve.take() {
+            self.engine.resolve_branch(r.taken, r.remaining, r.target);
         }
     }
 
@@ -502,7 +486,6 @@ impl ReplayHarness {
                 });
             }
             self.begin_cycle();
-            self.apply_resolve_if_due();
             if self.engine.peek_index().is_none() {
                 self.counts.ifetch_stalls += 1;
                 self.cycle += 1;
@@ -516,18 +499,24 @@ impl ReplayHarness {
             }
             self.engine.consume();
             self.counts.instructions += 1;
+            let state = &mut self.state;
             for op in &step.ops {
-                match *op {
-                    ReplayOp::Load { addr } => self.data_q.push_back(PendingOp::Load { addr }),
-                    ReplayOp::StoreAddr { addr } => {
-                        self.data_q.push_back(PendingOp::Store { addr })
+                let pending = match *op {
+                    ReplayOp::Load { addr } => PendingOp::Load {
+                        addr: Untimed(addr),
+                    },
+                    ReplayOp::StoreAddr { addr } => PendingOp::Store {
+                        addr: Untimed(addr),
+                        kind: store_kind(addr),
+                    },
+                    ReplayOp::StoreData { .. } => {
+                        state.sdq += 1;
+                        continue;
                     }
-                    ReplayOp::StoreData { .. } => self.sdq += 1,
-                }
+                };
+                state.data_q.push_back(pending);
             }
-            if let Some(r) = step.resolve {
-                self.pending_resolve = Some((self.cycle + 1, r));
-            }
+            state.resolve = step.resolve;
             self.cycle += 1;
             return Ok(());
         }
@@ -543,7 +532,10 @@ impl ReplayHarness {
     /// progress limit.
     pub fn drain(&mut self) -> Result<(), ReplayError> {
         let deadline = self.cycle + self.progress_limit;
-        while !(self.data_q.is_empty() && !self.engine.has_outstanding() && self.mem.is_idle()) {
+        while !(self.state.data_q.is_empty()
+            && !self.engine.has_outstanding()
+            && self.mem.is_idle())
+        {
             if self.cycle >= deadline {
                 return Err(ReplayError::Stuck {
                     cycle: self.cycle,
@@ -551,7 +543,6 @@ impl ReplayHarness {
                 });
             }
             self.begin_cycle();
-            self.apply_resolve_if_due();
             self.cycle += 1;
         }
         Ok(())
@@ -628,29 +619,13 @@ impl ReplayHarness {
         self.repeats
     }
 
-    /// Appends the timing state to `key` (see the [module docs](self)).
-    fn describe_timing(&self, key: &mut Vec<u64>) -> Timing {
-        if self.data_q.len() > MAX_REPEAT_QUEUE {
+    /// Writes the timing state into `key` (see the [module docs](self)).
+    fn describe_timing(&self, key: &mut TimingKey) -> Timing {
+        if self.state.data_q.len() > MAX_REPEAT_QUEUE {
             return Timing::Unsettled;
         }
-        let next_tag = self.mem.next_tag();
-        key.extend([
-            self.sdq as u64,
-            self.data_front_tag.map_or(0, |t| next_tag - t),
-        ]);
-        match self.pending_resolve {
-            Some((due, r)) => key.extend([
-                1,
-                due.wrapping_sub(self.cycle),
-                u64::from(r.taken),
-                u64::from(r.remaining),
-                u64::from(r.target),
-            ]),
-            None => key.push(0),
-        }
-        key.push(self.data_q.len() as u64);
-        key.extend(self.data_q.iter().map(|op| op.kind()));
-        self.engine.describe_timing(key, next_tag);
+        key.add(&self.state);
+        self.engine.describe_timing(key);
         if self.mem.describe_timing(key) {
             Timing::Described
         } else {

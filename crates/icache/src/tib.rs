@@ -20,9 +20,9 @@
 
 use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
-use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass};
+use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
-use crate::engine::{FetchEngine, Redirect, Request};
+use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -70,14 +70,13 @@ impl TibConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TibEntry {
     target: u32,
     valid: bool,
-    last_use: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PendingFill {
     req: Request,
     /// Next parcel expected by the fetch queue; `None` = discard (stale).
@@ -91,14 +90,21 @@ struct PendingFill {
 pub struct TibFetch {
     cfg: TibConfig,
     image: Image,
+    state: TibState,
+    stats: FetchStats,
+}
+
+/// The TIB engine's timing state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct TibState {
     entries: Vec<TibEntry>,
+    /// Indices into `entries`, least recently used first.
+    recency: Vec<usize>,
     fq: ParcelQueue,
     /// Next sequential parcel address not yet scheduled.
     stream_end: u32,
     pending: Option<PendingFill>,
     redirect: Redirect,
-    use_clock: u64,
-    stats: FetchStats,
 }
 
 impl TibFetch {
@@ -106,65 +112,67 @@ impl TibFetch {
     /// [`FetchConfig::build`](crate::FetchConfig::build) has validated.
     pub(crate) fn new(program: &Program, cfg: TibConfig) -> TibFetch {
         let image = program.image();
+        let entry = TibEntry {
+            target: 0,
+            valid: false,
+        };
         TibFetch {
             cfg,
-            entries: vec![
-                TibEntry {
-                    target: 0,
-                    valid: false,
-                    last_use: 0,
-                };
-                cfg.entries as usize
-            ],
-            fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes, program.entry()),
+            state: TibState {
+                entries: vec![entry; cfg.entries as usize],
+                recency: (0..cfg.entries as usize).collect(),
+                fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes, program.entry()),
+                stream_end: program.entry(),
+                pending: None,
+                redirect: Redirect::default(),
+            },
             image,
-            stream_end: program.entry(),
-            pending: None,
-            redirect: Redirect::default(),
-            use_clock: 0,
             stats: FetchStats::default(),
         }
     }
 
+    /// Marks entry `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        let recency = &mut self.state.recency;
+        let at = recency.iter().position(|&e| e == i).expect("every entry");
+        recency[at..].rotate_left(1);
+    }
+
     fn lookup(&mut self, target: u32) -> Option<usize> {
         let hit = self
+            .state
             .entries
             .iter()
             .position(|e| e.valid && e.target == target);
         if let Some(i) = hit {
-            self.use_clock += 1;
-            self.entries[i].last_use = self.use_clock;
+            self.touch(i);
         }
         hit
     }
 
-    /// Gives `target` the least recently used entry, to be filled by the
-    /// demand fetch that starts there (`supply` finds it by target).
+    /// Gives `target` an entry, to be filled by the demand fetch that
+    /// starts there (`supply` finds it by target): the first entry not
+    /// valid, or else the least recently used one.
     fn allocate(&mut self, target: u32) {
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.last_use } else { 0 })
-            .map(|(i, _)| i)
-            .expect("at least one entry");
-        self.use_clock += 1;
-        self.entries[victim] = TibEntry {
+        let state = &mut self.state;
+        let victim = state.entries.iter().position(|e| !e.valid);
+        let victim = victim.unwrap_or(state.recency[0]);
+        state.entries[victim] = TibEntry {
             target,
             valid: false, // becomes valid when the fill completes
-            last_use: self.use_clock,
         };
+        self.touch(victim);
     }
 
     fn maybe_trigger(&mut self) {
-        let Some(target) = self.redirect.take_due() else {
+        let Some(target) = self.state.redirect.take_due() else {
             return;
         };
         self.stats.redirects += 1;
-        self.stats.flushed_parcels += self.fq.len() as u64;
-        self.fq.restart(target);
+        self.stats.flushed_parcels += self.state.fq.len() as u64;
+        self.state.fq.restart(target);
         // A sequential fill in flight is now wrong-path.
-        if let Some(p) = &mut self.pending {
+        if let Some(p) = &mut self.state.pending {
             if p.expect.is_some() {
                 p.expect = None;
                 self.stats.wasted_requests += 1;
@@ -175,20 +183,20 @@ impl TibFetch {
         if self.lookup(target).is_some() {
             self.stats.cache_hits += 1;
             let entry_end = target + self.cfg.entry_bytes;
-            self.stream_end = self.fq.fill_from(target, entry_end);
+            self.state.stream_end = self.state.fq.fill_from(target, entry_end);
         } else {
             self.stats.cache_misses += 1;
             self.allocate(target);
-            self.stream_end = target;
+            self.state.stream_end = target;
         }
     }
 
     /// Keeps the sequential fetch queue streaming from off-chip.
     fn supply(&mut self) {
-        if self.pending.is_some() {
+        if self.state.pending.is_some() {
             return;
         }
-        let need = self.stream_end;
+        let need = self.state.stream_end;
         if self.image.parcel_at(need).is_none() {
             return;
         }
@@ -196,12 +204,12 @@ impl TibFetch {
             .cfg
             .entry_bytes
             .min(self.image.end() - need)
-            .min((self.fq.room() as u32) * PARCEL_BYTES);
+            .min((self.state.fq.room() as u32) * PARCEL_BYTES);
         if chunk == 0 {
             return;
         }
         // Demand when the decoder is starved, prefetch otherwise.
-        let class = if self.fq.needs_refill() {
+        let class = if self.state.fq.needs_refill() {
             ReqClass::IFetch
         } else {
             ReqClass::IPrefetch
@@ -209,15 +217,16 @@ impl TibFetch {
         // If this fetch starts at a freshly-allocated TIB target, it also
         // fills that entry.
         let tib_slot = self
+            .state
             .entries
             .iter()
             .position(|e| !e.valid && e.target == need);
-        self.pending = Some(PendingFill {
+        self.state.pending = Some(PendingFill {
             req: Request::new(class, need, chunk),
             expect: Some(need),
             tib_slot,
         });
-        self.stream_end = need + chunk;
+        self.state.stream_end = need + chunk;
     }
 }
 
@@ -225,10 +234,10 @@ impl FetchEngine for TibFetch {
     fn offer_requests(&mut self, mem: &mut MemorySystem) {
         self.maybe_trigger();
         self.supply();
-        if let Some(p) = &mut self.pending {
-            if !p.req.accepted {
+        if let Some(p) = &mut self.state.pending {
+            if !p.req.accepted() {
                 // Upgrade to demand if the decoder has starved meanwhile.
-                if self.fq.needs_refill() {
+                if self.state.fq.needs_refill() {
                     p.req.class = ReqClass::IFetch;
                 }
                 p.req.offer(mem);
@@ -236,10 +245,9 @@ impl FetchEngine for TibFetch {
         }
     }
 
-    fn on_accepted(&mut self, tag: u64) {
-        if let Some(p) = &mut self.pending {
-            p.req.accept(tag, &mut self.stats);
-        }
+    fn on_accepted(&mut self, class: ReqClass) {
+        let pending = self.state.pending.as_mut_slice();
+        accept_in_order(pending, |p| &mut p.req, class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {
@@ -247,21 +255,19 @@ impl FetchEngine for TibFetch {
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let Some(mut p) = self.pending else { return };
-        if p.req.tag != beat.tag {
-            return;
-        }
+        let mut p = self.state.pending.expect("beat without a request");
+        p.req.receive(beat);
         if let Some(expect) = p.expect {
             let beat_end = beat.addr + beat.bytes;
             let mut a = expect.max(beat.addr);
             while a < beat_end {
-                if self.fq.room() == 0 {
+                if self.state.fq.room() == 0 {
                     // Queue full: the remainder re-fetches later.
                     p.expect = None;
-                    self.stream_end = a;
+                    self.state.stream_end = a;
                     break;
                 }
-                self.fq.push(a);
+                self.state.fq.push(a);
                 a += PARCEL_BYTES;
                 if p.expect.is_some() {
                     p.expect = Some(a);
@@ -270,11 +276,11 @@ impl FetchEngine for TibFetch {
         }
         if beat.last {
             if let Some(slot) = p.tib_slot {
-                self.entries[slot].valid = true;
+                self.state.entries[slot].valid = true;
             }
-            self.pending = None;
+            self.state.pending = None;
         } else {
-            self.pending = Some(p);
+            self.state.pending = Some(p);
         }
     }
 
@@ -284,63 +290,34 @@ impl FetchEngine for TibFetch {
     }
 
     fn peek_index(&self) -> Option<usize> {
-        self.fq.head_index()
+        self.state.fq.head_index()
     }
 
     fn consume(&mut self) {
-        self.fq
+        self.state
+            .fq
             .pop_instruction()
             .expect("consume without available instruction");
         self.stats.instructions_delivered += 1;
-        self.redirect.delivered();
+        self.state.redirect.delivered();
         self.maybe_trigger();
     }
 
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32) {
-        self.redirect.resolve(taken, remaining, target);
+        self.state.redirect.resolve(taken, remaining, target);
         self.maybe_trigger();
     }
 
     fn has_outstanding(&self) -> bool {
-        self.pending.is_some()
+        self.state.pending.is_some()
     }
 
-    fn describe_timing(&self, key: &mut Vec<u64>, next_tag: u64) {
-        // Replacement reads only the order of the use stamps, so each
-        // entry's stamp is described by its rank. The fetch queue is a
-        // window onto the image: its head address and length describe it.
-        for e in &self.entries {
-            let rank = self
-                .entries
-                .iter()
-                .filter(|other| other.last_use < e.last_use)
-                .count();
-            key.extend([u64::from(e.target), u64::from(e.valid), rank as u64]);
-        }
-        key.extend([
-            u64::from(self.fq.front_addr()),
-            self.fq.len() as u64,
-            u64::from(self.stream_end),
-        ]);
-        match &self.pending {
-            Some(p) => {
-                key.push(1);
-                p.req.describe(key, next_tag);
-                key.extend([
-                    p.expect.map_or(0, |a| 1 + u64::from(a)),
-                    p.tib_slot.map_or(0, |slot| 1 + slot as u64),
-                ]);
-            }
-            None => key.push(0),
-        }
-        self.redirect.describe(key);
+    fn describe_timing(&self, key: &mut TimingKey) {
+        key.add(&self.state);
     }
 
-    fn shift_timing(&mut self, tags: u64, stats: &FetchStats) {
-        if let Some(p) = &mut self.pending {
-            p.req.shift(tags);
-        }
-        self.stats.add(stats);
+    fn add_stats(&mut self, delta: &FetchStats) {
+        self.stats.add(delta);
     }
 
     fn stats(&self) -> &FetchStats {
@@ -355,6 +332,7 @@ impl FetchEngine for TibFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::cycle;
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
 
@@ -372,26 +350,6 @@ mod tests {
             in_bus_bytes: 8,
             ..MemConfig::default()
         })
-    }
-
-    fn cycle(f: &mut TibFetch, m: &mut MemorySystem) -> bool {
-        f.offer_requests(m);
-        let out = m.tick();
-        if let Some(t) = out.accepted {
-            f.on_accepted(t);
-        }
-        if let Some(b) = &out.beats {
-            if matches!(b.source, BeatSource::IFetch | BeatSource::IPrefetch) {
-                f.on_beat(b);
-            }
-        }
-        f.advance();
-        if f.peek_index().is_some() {
-            f.consume();
-            true
-        } else {
-            false
-        }
     }
 
     #[test]
@@ -475,26 +433,28 @@ mod tests {
     #[test]
     fn timing_key_holds_the_lru_order_not_the_stamps() {
         let p = program();
-        let key = |stamps: [u64; 2]| {
+        let key = |uses: &[u32]| {
             let mut f = TibFetch::new(&p, TibConfig::with_budget(32, 16));
-            for (e, (target, last_use)) in f
-                .entries
-                .iter_mut()
-                .zip([(0x8, stamps[0]), (0x10, stamps[1])])
-            {
-                *e = TibEntry {
-                    target,
+            f.state.entries = vec![
+                TibEntry {
+                    target: 0x8,
                     valid: true,
-                    last_use,
-                };
+                },
+                TibEntry {
+                    target: 0x10,
+                    valid: true,
+                },
+            ];
+            for &target in uses {
+                f.lookup(target).expect("a valid entry");
             }
-            let mut key = Vec::new();
-            f.describe_timing(&mut key, 1);
+            let mut key = TimingKey::default();
+            f.describe_timing(&mut key);
             key
         };
-        // Replacement reads only the order of the stamps.
-        assert_eq!(key([1, 2]), key([7, 40]));
-        assert_ne!(key([1, 2]), key([2, 1]));
+        // Replacement reads only the order of the last uses.
+        assert_eq!(key(&[0x8, 0x10]), key(&[0x10, 0x8, 0x8, 0x10]));
+        assert_ne!(key(&[0x8, 0x10]), key(&[0x10, 0x8]));
     }
 
     #[test]

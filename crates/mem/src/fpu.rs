@@ -18,7 +18,7 @@
 //! | +12    | operand B, start subtract          |
 //! | +16    | operand B, start divide            |
 
-use std::collections::VecDeque;
+use crate::timing::Pipeline;
 
 /// A floating-point operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,18 +60,17 @@ impl FpOp {
     }
 }
 
-/// The external FPU's timing: when each started operation's result is
-/// ready for the input bus. Operand and result *values* belong to the
-/// processor, which evaluates an operation with [`FpOp::eval_bits`] when
-/// its store is accepted; the memory system only schedules the result's
-/// return.
-#[derive(Debug, Clone, Default)]
+/// The external FPU's timing: the operations in flight, each ready for the
+/// input bus `latency` cycles after it started. Operand and
+/// result *values* belong to the interpreter, which evaluates an
+/// operation with [`FpOp::eval_bits`]; the memory system only schedules
+/// the result's return.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Fpu {
     base: u32,
     latency: u32,
-    /// Ready cycles of the operations in flight, oldest first.
-    results: VecDeque<u64>,
-    ops_started: u64,
+    /// The operations in flight, oldest first.
+    results: Pipeline<()>,
 }
 
 impl Fpu {
@@ -81,8 +80,7 @@ impl Fpu {
         Fpu {
             base,
             latency,
-            results: VecDeque::new(),
-            ops_started: 0,
+            results: Pipeline::default(),
         }
     }
 
@@ -91,53 +89,40 @@ impl Fpu {
         (self.base..self.base + 0x20).contains(&addr)
     }
 
-    /// Applies a store to the FPU window at cycle `now`.
+    /// Applies a store to the FPU window, returning whether it started
+    /// an operation.
     ///
-    /// A store at an operation offset starts that operation, completing
-    /// `latency` cycles later. Stores at offset 0 (the operand latch) and
-    /// at unmapped offsets start nothing.
-    pub fn store(&mut self, addr: u32, now: u64) {
+    /// A store at an operation offset starts that operation, ready
+    /// `latency` [`tick`](Self::tick)s later. Stores at
+    /// offset 0 (the operand latch) and at unmapped offsets start nothing.
+    pub fn store(&mut self, addr: u32) -> bool {
         debug_assert!(self.owns(addr));
-        if FpOp::from_offset(addr - self.base).is_some() {
-            self.results.push_back(now + u64::from(self.latency));
-            self.ops_started += 1;
+        let starts = FpOp::from_offset(addr - self.base).is_some();
+        if starts {
+            self.results.push((), self.latency);
         }
+        starts
     }
 
-    /// Takes the oldest result if it is ready at cycle `now`, returning
-    /// whether one was taken. Results return strictly in operation order.
-    pub fn take_ready(&mut self, now: u64) -> bool {
-        let ready = self.has_ready(now);
+    /// Takes the oldest result if it is ready, returning whether one was
+    /// taken. Results return strictly in operation order.
+    pub fn take_ready(&mut self) -> bool {
+        let ready = self.has_ready();
         if ready {
-            self.results.pop_front();
+            self.results.pop();
         }
         ready
     }
 
-    /// Peeks whether a result is ready at cycle `now` without taking it.
-    pub fn has_ready(&self, now: u64) -> bool {
-        matches!(self.results.front(), Some(&at) if at <= now)
+    /// Peeks whether the oldest result is ready without taking it.
+    pub fn has_ready(&self) -> bool {
+        self.results.front_ready().is_some()
     }
 
-    /// Ready cycles of the operations in flight, oldest first.
-    pub(crate) fn ready_cycles_mut(&mut self) -> impl Iterator<Item = &mut u64> {
-        self.results.iter_mut()
-    }
-
-    /// Ready cycles of the operations in flight, oldest first.
-    pub(crate) fn ready_cycles(&self) -> impl Iterator<Item = u64> + '_ {
-        self.results.iter().copied()
-    }
-
-    /// Number of operations started over the FPU's lifetime.
-    pub fn ops_started(&self) -> u64 {
-        self.ops_started
-    }
-
-    /// Counts `n` more started operations (a loop-iteration skip applies
-    /// the operations of the iterations it skips this way).
-    pub(crate) fn add_ops_started(&mut self, n: u64) {
-        self.ops_started += n;
+    /// Moves the operations in flight one cycle on.
+    #[inline]
+    pub fn tick(&mut self) {
+        self.results.tick();
     }
 
     /// Number of results still in flight or waiting for the bus.
@@ -167,34 +152,44 @@ mod tests {
     #[test]
     fn multiply_latency() {
         let mut f = fpu();
-        f.store(0xFFFF_F000, 10);
-        assert_eq!(f.pending(), 0, "the operand latch starts nothing");
-        f.store(0xFFFF_F004, 10);
+        assert!(!f.store(0xFFFF_F000), "the operand latch starts nothing");
+        assert_eq!(f.pending(), 0);
+        assert!(f.store(0xFFFF_F004));
         assert_eq!(f.pending(), 1);
-        assert!(!f.has_ready(13));
-        assert!(f.has_ready(14));
-        assert!(f.take_ready(14));
+        for _ in 0..3 {
+            f.tick();
+            assert!(!f.has_ready());
+        }
+        f.tick();
+        assert!(f.has_ready());
+        assert!(f.take_ready());
         assert_eq!(f.pending(), 0);
     }
 
     #[test]
     fn results_return_in_order() {
         let mut f = fpu();
-        f.store(0xFFFF_F008, 0); // ready at 4
-        f.store(0xFFFF_F00C, 1); // ready at 5
-        assert!(!f.take_ready(3));
-        assert!(f.take_ready(4));
-        assert!(!f.take_ready(4), "the second result is not ready yet");
-        assert!(f.take_ready(10));
-        assert!(!f.take_ready(10));
-        assert_eq!(f.ops_started(), 2);
+        f.store(0xFFFF_F008); // ready after 4 cycles
+        f.tick();
+        f.store(0xFFFF_F00C); // ready a cycle later
+        f.tick();
+        f.tick();
+        assert!(!f.take_ready());
+        f.tick();
+        assert!(f.take_ready());
+        assert!(!f.take_ready(), "the second result is not ready yet");
+        for _ in 0..6 {
+            f.tick();
+        }
+        assert!(f.take_ready());
+        assert!(!f.take_ready());
     }
 
     #[test]
     fn unmapped_offsets_start_nothing() {
         let mut f = fpu();
-        f.store(0xFFFF_F014, 0);
-        assert_eq!((f.pending(), f.ops_started()), (0, 0));
+        assert!(!f.store(0xFFFF_F014));
+        assert_eq!(f.pending(), 0);
     }
 
     #[test]

@@ -33,13 +33,18 @@
 //! use pipe_mem::{MemConfig, MemorySystem, MemRequest, ReqClass};
 //!
 //! let mut mem = MemorySystem::new(MemConfig::default());
-//! let tag = mem.new_tag();
-//! mem.offer(MemRequest::load(ReqClass::DataLoad, 0x1000, 4, tag));
+//! mem.offer(MemRequest::load(ReqClass::DataLoad, 0x1000, 4));
 //! let out = mem.tick(); // cycle 0: request accepted
-//! assert_eq!(out.accepted, Some(tag));
+//! assert_eq!(out.accepted, Some(ReqClass::DataLoad));
 //! let out = mem.tick(); // cycle 1 (access time 1): data beat arrives
 //! assert!(out.beats.unwrap().last);
 //! ```
+//!
+//! Requests and beats carry no tags: memory answers reads in the order it
+//! accepted them, so a client routes each beat to its oldest accepted
+//! read of that source. Every component keeps its timing state relative
+//! (countdowns, not deadlines), so the loop-iteration skip's key is that
+//! state written into a [`TimingKey`].
 
 pub mod config;
 pub mod data;
@@ -49,6 +54,7 @@ pub mod fpu;
 pub mod request;
 pub mod stats;
 pub mod system;
+pub mod timing;
 
 pub use config::{MemConfig, PriorityPolicy};
 pub use data::DataMemory;
@@ -58,3 +64,4 @@ pub use fpu::{FpOp, Fpu};
 pub use request::{Beat, BeatSource, MemRequest, ReqClass};
 pub use stats::MemStats;
 pub use system::{MemorySystem, TickOutput};
+pub use timing::{TimingKey, Untimed};

@@ -58,7 +58,8 @@ impl fmt::Display for ReqClass {
 /// A request offered to the memory system for one cycle.
 ///
 /// Clients re-offer a request each cycle until [`crate::TickOutput`]
-/// reports its tag as accepted.
+/// reports its class as accepted. Memory answers reads in acceptance
+/// order, so a request needs no identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Arbitration class.
@@ -68,31 +69,22 @@ pub struct MemRequest {
     /// Transfer size in bytes (4 for data and conventional instruction
     /// fetches; a cache line for PIPE line fetches).
     pub bytes: u32,
-    /// Client-chosen identifier echoed in acceptances and beats. Allocate
-    /// with [`crate::MemorySystem::new_tag`] to keep tags unique.
-    pub tag: u64,
 }
 
 impl MemRequest {
     /// Builds a (data or instruction) read request.
-    pub fn load(class: ReqClass, addr: u32, bytes: u32, tag: u64) -> MemRequest {
+    pub fn load(class: ReqClass, addr: u32, bytes: u32) -> MemRequest {
         debug_assert!(!matches!(class, ReqClass::DataStore));
-        MemRequest {
-            class,
-            addr,
-            bytes,
-            tag,
-        }
+        MemRequest { class, addr, bytes }
     }
 
     /// Builds a data store request. The stored value stays with the
     /// client: the memory system models timing only.
-    pub fn store(addr: u32, tag: u64) -> MemRequest {
+    pub fn store(addr: u32) -> MemRequest {
         MemRequest {
             class: ReqClass::DataStore,
             addr,
             bytes: 4,
-            tag,
         }
     }
 }
@@ -111,13 +103,12 @@ pub enum BeatSource {
 }
 
 /// One input-bus beat: up to `in_bus_bytes` of a response. Beats carry
-/// timing only; the processor takes a load's word when memory accepts the
-/// load and computes FPU results itself.
+/// timing only: the interpreter computes every value. A response's beats
+/// arrive back to back, and responses of one source in the order memory
+/// accepted their requests (FPU results in operation order), so a client
+/// routes a beat to its oldest accepted request of that source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Beat {
-    /// Tag of the originating request (0 for FPU results, which are matched
-    /// in FIFO order by the processor).
-    pub tag: u64,
     /// What kind of response this beat belongs to.
     pub source: BeatSource,
     /// Byte address of the first byte in this beat, for instruction
@@ -153,10 +144,10 @@ mod tests {
 
     #[test]
     fn constructors() {
-        let r = MemRequest::load(ReqClass::IFetch, 0x40, 16, 7);
+        let r = MemRequest::load(ReqClass::IFetch, 0x40, 16);
         assert_eq!(r.bytes, 16);
-        let s = MemRequest::store(0x100, 8);
+        let s = MemRequest::store(0x100);
         assert_eq!(s.class, ReqClass::DataStore);
-        assert_eq!((s.addr, s.bytes, s.tag), (0x100, 4, 8));
+        assert_eq!((s.addr, s.bytes), (0x100, 4));
     }
 }

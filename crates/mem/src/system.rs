@@ -5,29 +5,35 @@
 //!
 //! * A client *offers* at most one request per [`ReqClass`] per cycle with
 //!   [`MemorySystem::offer`], then calls [`MemorySystem::tick`]. Offers not
-//!   accepted that cycle are dropped — re-offer until the tag appears in
-//!   [`TickOutput::accepted`].
+//!   accepted that cycle are dropped — re-offer until the class appears in
+//!   [`TickOutput::accepted`]. At most one request is accepted per cycle.
 //! * A request accepted at cycle *t* delivers its first beat at cycle
-//!   *t + access_cycles*, then one beat per cycle of `in_bus_bytes` until
-//!   done. Within a tick, delivery happens before acceptance, so a
-//!   non-pipelined memory can accept a new request on the same cycle its
-//!   previous response finishes.
+//!   *t + access_cycles* at the earliest, then one beat per cycle of
+//!   `in_bus_bytes` until done. Within a tick, delivery happens before
+//!   acceptance, so a non-pipelined memory can accept a new request on the
+//!   same cycle its previous response finishes.
+//! * Reads are answered in acceptance order, each response's beats back
+//!   to back: a beat belongs to the oldest accepted read of its source
+//!   that has not seen its last beat. Requests and beats carry no tags.
 //! * A non-pipelined memory holds one request at a time (a store occupies
 //!   it for `access_cycles`); a pipelined memory accepts one new request
-//!   every cycle and returns read responses in acceptance order.
+//!   every cycle.
 //! * FPU results share the input bus, ranking below demand loads/stores
-//!   and above prefetches (paper §5), and do not occupy the memory array.
+//!   and above prefetches (paper §5), return in operation order, and do
+//!   not occupy the memory array. Stores produce no beats.
 //! * The system models timing only. It holds no data values: the client
 //!   keeps the data image and the FPU's operands and results, and beats
 //!   carry no values.
-
-use std::collections::VecDeque;
+//! * Its timing state holds countdowns and times relative to the request
+//!   before, never absolute cycles, so the
+//!   [key](MemorySystem::describe_timing) is that state as it stands.
 
 use crate::config::{MemConfig, PriorityPolicy};
 use crate::extcache::ExternalCache;
 use crate::fpu::Fpu;
 use crate::request::{Beat, BeatSource, MemRequest, ReqClass};
 use crate::stats::MemStats;
+use crate::timing::{Pipeline, TimingKey};
 
 /// Default base address of the memory-mapped FPU window (matches
 /// `pipe_isa::FPU_BASE`).
@@ -38,12 +44,12 @@ pub const FPU_BASE: u32 = 0xFFFF_F000;
 /// Arbitration accepts at most one request and the input bus delivers at
 /// most one beat per cycle, so both outputs are inline `Option`s — the
 /// hot loop moves two small values per tick instead of allocating
-/// per-cycle `Vec`s. (`Option` is `IntoIterator`, so `for tag in
-/// out.accepted` still iterates zero-or-one times.)
+/// per-cycle `Vec`s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickOutput {
-    /// Tag of the request accepted this cycle, if any.
-    pub accepted: Option<u64>,
+    /// Class of the request accepted this cycle, if any: the one its
+    /// client offered in that class.
+    pub accepted: Option<ReqClass>,
     /// Input-bus beat delivered this cycle, if any.
     pub beats: Option<Beat>,
 }
@@ -51,21 +57,40 @@ pub struct TickOutput {
 /// An accepted read awaiting its first beat. `addr` is kept for
 /// instruction reads only: a data load needs its address just once, at
 /// acceptance.
-#[derive(Debug, Clone)]
-struct Inflight {
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Read {
     source: BeatSource,
-    tag: u64,
     addr: u32,
     bytes: u32,
-    first_beat_at: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Streaming {
     source: BeatSource,
-    tag: u64,
     next_addr: u32,
     remaining: u32,
+}
+
+/// The memory system's timing state (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Timing {
+    fpu: Fpu,
+    /// Accepted reads awaiting their first beat, each ready after the
+    /// access time (plus any external-cache miss penalty).
+    inflight: Pipeline<Read>,
+    streaming: Option<Streaming>,
+    /// Cycles a non-pipelined memory array stays busy with a store.
+    store_busy: u32,
+}
+
+impl Timing {
+    /// Moves the timing state one cycle on.
+    #[inline]
+    fn tick(&mut self) {
+        self.store_busy = self.store_busy.saturating_sub(1);
+        self.inflight.tick();
+        self.fpu.tick();
+    }
 }
 
 /// The external cache, buses, arbitration and FPU, stepped one cycle at a
@@ -73,14 +98,9 @@ struct Streaming {
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: MemConfig,
-    cycle: u64,
-    fpu: Fpu,
     ext_cache: Option<ExternalCache>,
     ports: [Option<MemRequest>; 4],
-    inflight: VecDeque<Inflight>,
-    streaming: Option<Streaming>,
-    store_busy_until: u64,
-    next_tag: u64,
+    timing: Timing,
     stats: MemStats,
 }
 
@@ -94,18 +114,16 @@ impl MemorySystem {
         if let Err(e) = cfg.validate() {
             panic!("invalid MemConfig: {e}");
         }
-        let fpu = Fpu::new(FPU_BASE, cfg.fpu_latency);
-        let ext_cache = cfg.external_cache.map(ExternalCache::new);
         MemorySystem {
             cfg,
-            cycle: 0,
-            fpu,
-            ext_cache,
+            ext_cache: cfg.external_cache.map(ExternalCache::new),
             ports: [None, None, None, None],
-            inflight: VecDeque::new(),
-            streaming: None,
-            store_busy_until: 0,
-            next_tag: 1,
+            timing: Timing {
+                fpu: Fpu::new(FPU_BASE, cfg.fpu_latency),
+                inflight: Pipeline::default(),
+                streaming: None,
+                store_busy: 0,
+            },
             stats: MemStats::default(),
         }
     }
@@ -117,24 +135,7 @@ impl MemorySystem {
 
     /// Current cycle number (cycles completed so far).
     pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The tag [`new_tag`](Self::new_tag) will hand out next.
-    pub fn next_tag(&self) -> u64 {
-        self.next_tag
-    }
-
-    /// Allocates a fresh request tag.
-    pub fn new_tag(&mut self) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        t
-    }
-
-    /// Read access to the FPU timing state.
-    pub fn fpu(&self) -> &Fpu {
-        &self.fpu
+        self.stats.cycles
     }
 
     /// Read access to the finite external cache, when modeled.
@@ -151,10 +152,8 @@ impl MemorySystem {
     /// the memory array, and the FPU has no pending results — i.e. the
     /// memory side is fully drained.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
-            && self.streaming.is_none()
-            && self.cycle >= self.store_busy_until
-            && self.fpu.pending() == 0
+        let t = &self.timing;
+        t.inflight.is_empty() && t.streaming.is_none() && t.store_busy == 0 && t.fpu.pending() == 0
     }
 
     /// Offers a request for arbitration this cycle, replacing any earlier
@@ -202,124 +201,65 @@ impl MemorySystem {
         }
     }
 
-    /// Appends the system's timing state to `key`, normalised so that two
-    /// states that differ only by a whole number of cycles and tags
-    /// describe identically: cycles are relative to the current cycle and
-    /// tags relative to the tag counter. Statistics are left out.
+    /// Writes the system's timing state into `key`; statistics stay out.
+    /// Must be called between cycles.
     ///
-    /// Returns `false`, appending nothing useful, when a finite external
-    /// cache is modelled: request addresses then affect timing, and the
-    /// state cannot be described without them.
-    ///
-    /// The processor's cycle loop compares these keys to find repeating
-    /// loop iterations; [`shift_timing`](Self::shift_timing) then applies
-    /// a repeat.
-    pub fn describe_timing(&self, key: &mut Vec<u64>) -> bool {
+    /// Returns `false`, writing nothing, when a finite external cache is
+    /// modelled: its contents then affect timing, and the state cannot be
+    /// described without them.
+    pub fn describe_timing(&self, key: &mut TimingKey) -> bool {
+        debug_assert!(self.ports.iter().all(Option::is_none), "offers pending");
         if self.ext_cache.is_some() {
             return false;
         }
-        debug_assert!(self.ports.iter().all(Option::is_none), "offers pending");
-        let now = self.cycle;
-        let tag = |t: u64| if t == 0 { 0 } else { self.next_tag - t };
-        key.push(self.store_busy_until.saturating_sub(now));
-        key.push(self.fpu.pending() as u64);
-        key.extend(self.fpu.ready_cycles().map(|at| at.wrapping_sub(now)));
-        key.push(self.inflight.len() as u64);
-        for f in &self.inflight {
-            key.extend([
-                f.source as u64,
-                tag(f.tag),
-                u64::from(f.addr),
-                u64::from(f.bytes),
-                f.first_beat_at.wrapping_sub(now),
-            ]);
-        }
-        match &self.streaming {
-            Some(s) => key.extend([
-                1 + s.source as u64,
-                tag(s.tag),
-                u64::from(s.next_addr),
-                u64::from(s.remaining),
-            ]),
-            None => key.push(0),
-        }
+        key.add(&self.timing);
         true
     }
 
-    /// Moves the system `cycles` cycles and `tags` tags forward, as if it
-    /// had run once more through a loop iteration that left it in the same
-    /// [described](Self::describe_timing) state: every cycle and tag field
-    /// shifts, and `stats` (that iteration's statistics delta) is added.
-    /// An external cache holds no cycle or tag, so an idle system with one
-    /// shifts too.
-    pub fn shift_timing(&mut self, cycles: u64, tags: u64, stats: &MemStats) {
-        debug_assert!(self.ext_cache.is_none() || self.is_idle());
-        let shift_tag = |t: &mut u64| {
-            if *t != 0 {
-                *t += tags;
-            }
-        };
-        self.cycle += cycles;
-        self.next_tag += tags;
-        self.store_busy_until += cycles;
-        for at in self.fpu.ready_cycles_mut() {
-            *at += cycles;
-        }
-        self.fpu.add_ops_started(stats.fpu_ops);
-        for f in &mut self.inflight {
-            shift_tag(&mut f.tag);
-            f.first_beat_at += cycles;
-        }
-        if let Some(s) = &mut self.streaming {
-            shift_tag(&mut s.tag);
-        }
-        self.stats.add(stats);
-        debug_assert_eq!(self.stats.cycles, self.cycle);
+    /// Adds the statistics of cycles applied without ticking: `delta`
+    /// came from cycles that left the [described](Self::describe_timing)
+    /// state unchanged, so applying them changes only the statistics.
+    pub fn add_stats(&mut self, delta: &MemStats) {
+        self.stats.add(delta);
     }
 
     /// Advances one cycle. See the module docs for the timing contract.
     pub fn tick(&mut self) -> TickOutput {
-        let now = self.cycle;
         let mut out = TickOutput::default();
 
         // --- Delivery (input bus) ---
-        if self.streaming.is_none() {
+        if self.timing.streaming.is_none() {
             // Choose between the oldest eligible memory response and a
             // ready FPU result.
-            let front_eligible = self
-                .inflight
-                .front()
-                .is_some_and(|f| f.first_beat_at <= now);
-            let fpu_ready = self.fpu.has_ready(now);
-            let pick_fpu = if fpu_ready && front_eligible {
-                let front_src = self.inflight[0].source;
-                self.delivery_rank(BeatSource::FpuResult) < self.delivery_rank(front_src)
-            } else {
-                fpu_ready
+            let front = self.timing.inflight.front_ready().map(|f| f.source);
+            let fpu_ready = self.timing.fpu.has_ready();
+            let pick_fpu = match front {
+                Some(source) if fpu_ready => {
+                    self.delivery_rank(BeatSource::FpuResult) < self.delivery_rank(source)
+                }
+                _ => fpu_ready,
             };
+            let t = &mut self.timing;
             if pick_fpu {
-                self.fpu.take_ready(now);
-                self.streaming = Some(Streaming {
+                t.fpu.take_ready();
+                t.streaming = Some(Streaming {
                     source: BeatSource::FpuResult,
-                    tag: 0,
                     next_addr: 0,
                     remaining: 4,
                 });
-            } else if front_eligible {
-                let f = self.inflight.pop_front().expect("front exists");
-                self.streaming = Some(Streaming {
+            } else if front.is_some() {
+                let f = t.inflight.pop().expect("front exists");
+                t.streaming = Some(Streaming {
                     source: f.source,
-                    tag: f.tag,
                     next_addr: f.addr,
                     remaining: f.bytes,
                 });
             }
         }
-        if let Some(s) = &mut self.streaming {
+        if let Some(s) = &mut self.timing.streaming {
             let bytes = s.remaining.min(self.cfg.in_bus_bytes);
             let last = bytes == s.remaining;
             let beat = Beat {
-                tag: s.tag,
                 source: s.source,
                 addr: s.next_addr,
                 bytes,
@@ -330,7 +270,7 @@ impl MemorySystem {
             }
             s.remaining -= bytes;
             if s.remaining == 0 {
-                self.streaming = None;
+                self.timing.streaming = None;
             }
             self.stats.in_bus_busy_cycles += 1;
             self.stats.in_bus_bytes += u64::from(bytes);
@@ -345,54 +285,18 @@ impl MemorySystem {
             if offered > 1 {
                 self.stats.contended_cycles += 1;
             }
-            let memory_streaming = self
-                .streaming
-                .as_ref()
-                .is_some_and(|s| s.source != BeatSource::FpuResult);
-            let can_accept = if self.cfg.pipelined {
-                true
-            } else {
-                self.inflight.is_empty() && !memory_streaming && now >= self.store_busy_until
-            };
+            let t = &self.timing;
+            let can_accept = self.cfg.pipelined
+                || (t.inflight.is_empty()
+                    && t.streaming
+                        .as_ref()
+                        .is_none_or(|s| s.source == BeatSource::FpuResult)
+                    && t.store_busy == 0);
             if can_accept {
                 for class in self.acceptance_order() {
                     if let Some(req) = self.ports[class.index()].take() {
-                        self.stats.accepted[class.index()] += 1;
-                        self.stats.out_bus_busy_cycles += 1;
-                        out.accepted = Some(req.tag);
-                        // Finite-external-cache extension: a miss delays the
-                        // access while the line comes from main memory. FPU
-                        // traffic bypasses the external cache.
-                        let mut penalty = 0u64;
-                        if !self.fpu.owns(req.addr) {
-                            if let Some(ec) = &mut self.ext_cache {
-                                let misses = ec.access(req.addr, req.bytes);
-                                penalty = u64::from(misses) * u64::from(ec.config().miss_penalty);
-                            }
-                        }
-                        match class {
-                            ReqClass::DataStore => {
-                                if self.fpu.owns(req.addr) {
-                                    self.fpu.store(req.addr, now);
-                                }
-                                if !self.cfg.pipelined {
-                                    self.store_busy_until =
-                                        now + u64::from(self.cfg.access_cycles) + penalty;
-                                }
-                            }
-                            _ => {
-                                let source = Self::source_for(class);
-                                self.inflight.push_back(Inflight {
-                                    source,
-                                    tag: req.tag,
-                                    addr: if class.is_instruction() { req.addr } else { 0 },
-                                    bytes: req.bytes,
-                                    first_beat_at: now
-                                        + u64::from(self.cfg.access_cycles)
-                                        + penalty,
-                                });
-                            }
-                        }
+                        self.accept(class, req);
+                        out.accepted = Some(class);
                         break;
                     }
                 }
@@ -404,10 +308,44 @@ impl MemorySystem {
             self.ports = [None, None, None, None];
         }
 
-        self.stats.fpu_ops = self.fpu.ops_started();
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
+        self.timing.tick();
+        self.stats.cycles += 1;
         out
+    }
+
+    /// Accepts `req`, offered in `class`.
+    fn accept(&mut self, class: ReqClass, req: MemRequest) {
+        self.stats.accepted[class.index()] += 1;
+        self.stats.out_bus_busy_cycles += 1;
+        let t = &mut self.timing;
+        // Finite-external-cache extension: a miss delays the access while
+        // the line comes from main memory. FPU traffic bypasses the
+        // external cache.
+        let mut penalty = 0;
+        if !t.fpu.owns(req.addr) {
+            if let Some(ec) = &mut self.ext_cache {
+                penalty = ec.access(req.addr, req.bytes) * ec.config().miss_penalty;
+            }
+        }
+        let wait = self.cfg.access_cycles + penalty;
+        match class {
+            ReqClass::DataStore => {
+                if t.fpu.owns(req.addr) && t.fpu.store(req.addr) {
+                    self.stats.fpu_ops += 1;
+                }
+                if !self.cfg.pipelined {
+                    t.store_busy = wait;
+                }
+            }
+            _ => t.inflight.push(
+                Read {
+                    source: Self::source_for(class),
+                    addr: if class.is_instruction() { req.addr } else { 0 },
+                    bytes: req.bytes,
+                },
+                wait,
+            ),
+        }
     }
 }
 
@@ -431,26 +369,24 @@ mod tests {
             let at = mem.cycle();
             mem.offer(req);
             let out = mem.tick();
-            if out.accepted == Some(req.tag) {
+            if out.accepted == Some(req.class) {
                 return at;
             }
         }
         panic!("request never accepted");
     }
 
-    /// Ticks until the final beat for `tag` arrives; returns (cycle, beats).
-    fn drain_tag(mem: &mut MemorySystem, tag: u64) -> (u64, Vec<Beat>) {
+    /// Ticks until the final beat of the oldest response from `source`
+    /// arrives; returns (cycle, beats).
+    fn drain(mem: &mut MemorySystem, source: BeatSource) -> (u64, Vec<Beat>) {
         let mut beats = Vec::new();
         for _ in 0..1000 {
             let at = mem.cycle();
             let out = mem.tick();
-            if let Some(b) = out.beats {
-                if b.tag == tag {
-                    let last = b.last;
-                    beats.push(b);
-                    if last {
-                        return (at, beats);
-                    }
+            if let Some(b) = out.beats.filter(|b| b.source == source) {
+                beats.push(b);
+                if b.last {
+                    return (at, beats);
                 }
             }
         }
@@ -461,12 +397,8 @@ mod tests {
     fn load_latency_matches_access_time() {
         for access in [1, 2, 3, 6] {
             let mut mem = MemorySystem::new(cfg(access, false, 4));
-            let tag = mem.new_tag();
-            let t0 = drive_until_accepted(
-                &mut mem,
-                MemRequest::load(ReqClass::DataLoad, 0x100, 4, tag),
-            );
-            let (t1, beats) = drain_tag(&mut mem, tag);
+            let t0 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x100, 4));
+            let (t1, beats) = drain(&mut mem, BeatSource::DataLoad);
             assert_eq!(t1 - t0, u64::from(access), "access={access}");
             assert_eq!(beats.len(), 1);
         }
@@ -475,9 +407,8 @@ mod tests {
     #[test]
     fn line_streams_over_narrow_bus() {
         let mut mem = MemorySystem::new(cfg(6, false, 4));
-        let tag = mem.new_tag();
-        let t0 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::IFetch, 0x40, 16, tag));
-        let (t_last, beats) = drain_tag(&mut mem, tag);
+        let t0 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::IFetch, 0x40, 16));
+        let (t_last, beats) = drain(&mut mem, BeatSource::IFetch);
         assert_eq!(beats.len(), 4);
         assert_eq!(beats[0].addr, 0x40);
         assert_eq!(beats[3].addr, 0x4C);
@@ -490,9 +421,8 @@ mod tests {
     #[test]
     fn wide_bus_halves_beats() {
         let mut mem = MemorySystem::new(cfg(1, false, 8));
-        let tag = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::IFetch, 0x40, 16, tag));
-        let (_, beats) = drain_tag(&mut mem, tag);
+        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::IFetch, 0x40, 16));
+        let (_, beats) = drain(&mut mem, BeatSource::IFetch);
         assert_eq!(beats.len(), 2);
         assert_eq!(beats[0].bytes, 8);
     }
@@ -500,24 +430,29 @@ mod tests {
     #[test]
     fn non_pipelined_serializes_requests() {
         let mut mem = MemorySystem::new(cfg(6, false, 4));
-        let t1 = mem.new_tag();
-        let t2 = mem.new_tag();
-        // Offer both every cycle; loads beat prefetches.
+        // Offer the load until accepted and the prefetch every cycle;
+        // loads beat prefetches.
         let mut accept_cycles = Vec::new();
         for _ in 0..40 {
             let at = mem.cycle();
-            mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, t1));
-            mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4, t2));
+            if accept_cycles.is_empty() {
+                mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4));
+            }
+            mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4));
             let out = mem.tick();
-            if let Some(tag) = out.accepted {
-                accept_cycles.push((tag, at));
+            if let Some(class) = out.accepted {
+                accept_cycles.push((class, at));
             }
             if accept_cycles.len() == 2 {
                 break;
             }
         }
         assert_eq!(accept_cycles.len(), 2);
-        assert_eq!(accept_cycles[0].0, t1, "load accepted first");
+        assert_eq!(
+            accept_cycles[0].0,
+            ReqClass::DataLoad,
+            "load accepted first"
+        );
         // Second acceptance must wait for the first response to finish:
         // first beat at t+6 (same-tick delivery-then-accept allows reuse).
         assert_eq!(accept_cycles[1].1 - accept_cycles[0].1, 6);
@@ -526,30 +461,26 @@ mod tests {
     #[test]
     fn pipelined_accepts_every_cycle() {
         let mut mem = MemorySystem::new(cfg(6, true, 4));
-        let t1 = mem.new_tag();
-        let t2 = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, t1));
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4));
         let out = mem.tick();
-        assert_eq!(out.accepted, Some(t1));
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x4, 4, t2));
+        assert_eq!(out.accepted, Some(ReqClass::DataLoad));
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x4, 4));
         let out = mem.tick();
-        assert_eq!(out.accepted, Some(t2));
+        assert_eq!(out.accepted, Some(ReqClass::DataLoad));
         // Both return, in order, 6 cycles after their acceptance.
-        let (_, b1) = drain_tag(&mut mem, t1);
-        assert_eq!(b1.len(), 1);
-        let (_, b2) = drain_tag(&mut mem, t2);
-        assert_eq!(b2.len(), 1);
+        let (t1, b1) = drain(&mut mem, BeatSource::DataLoad);
+        assert_eq!((t1, b1.len()), (6, 1));
+        let (t2, b2) = drain(&mut mem, BeatSource::DataLoad);
+        assert_eq!((t2, b2.len()), (7, 1));
     }
 
     #[test]
     fn instruction_priority_beats_data() {
         let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let ti = mem.new_tag();
-        let td = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, td));
-        mem.offer(MemRequest::load(ReqClass::IFetch, 0x40, 4, ti));
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4));
+        mem.offer(MemRequest::load(ReqClass::IFetch, 0x40, 4));
         let out = mem.tick();
-        assert_eq!(out.accepted, Some(ti));
+        assert_eq!(out.accepted, Some(ReqClass::IFetch));
         assert_eq!(mem.stats().contended_cycles, 1);
     }
 
@@ -558,44 +489,36 @@ mod tests {
         let mut c = cfg(1, false, 4);
         c.priority = PriorityPolicy::DataFirst;
         let mut mem = MemorySystem::new(c);
-        let ti = mem.new_tag();
-        let td = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::IFetch, 0x40, 4, ti));
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, td));
+        mem.offer(MemRequest::load(ReqClass::IFetch, 0x40, 4));
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4));
         let out = mem.tick();
-        assert_eq!(out.accepted, Some(td));
+        assert_eq!(out.accepted, Some(ReqClass::DataLoad));
     }
 
     #[test]
     fn prefetch_is_lowest_priority() {
         let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let tp = mem.new_tag();
-        let ts = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4, tp));
-        mem.offer(MemRequest::store(0x0, ts));
+        mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4));
+        mem.offer(MemRequest::store(0x0));
         let out = mem.tick();
-        assert_eq!(out.accepted, Some(ts));
+        assert_eq!(out.accepted, Some(ReqClass::DataStore));
     }
 
     #[test]
     fn store_occupies_non_pipelined_memory() {
         let mut mem = MemorySystem::new(cfg(6, false, 4));
-        let ts = mem.new_tag();
-        let tl = mem.new_tag();
-        let t0 = drive_until_accepted(&mut mem, MemRequest::store(0x200, ts));
-        let t1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x200, 4, tl));
+        let t0 = drive_until_accepted(&mut mem, MemRequest::store(0x200));
+        let t1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x200, 4));
         assert_eq!(t1 - t0, 6);
     }
 
     #[test]
     fn fpu_stores_trigger_operation_and_result_returns() {
         let mut mem = MemorySystem::new(cfg(1, false, 4));
-        let a = mem.new_tag();
-        let b = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
-        let t_b = drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4, b));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE));
+        let t_b = drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4));
         assert_eq!(mem.stats().fpu_ops, 1);
-        // Result beat (tag 0, FpuResult) after fpu_latency.
+        // Result beat (FpuResult) after fpu_latency.
         let mut result_cycle = None;
         for _ in 0..20 {
             let at = mem.cycle();
@@ -616,18 +539,15 @@ mod tests {
         // Start a multiply, then keep a prefetch in flight; when both are
         // ready for the bus the FPU result must go first.
         let mut mem = MemorySystem::new(cfg(1, true, 4));
-        let a = mem.new_tag();
-        let b = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4, b));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4));
         // Prefetch accepted now; ready at +1, FPU ready at +4. Stall the
         // bus by requesting a long prefetch right when FPU becomes ready.
-        let tp = mem.new_tag();
         mem.tick();
         mem.tick();
-        mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4, tp));
+        mem.offer(MemRequest::load(ReqClass::IPrefetch, 0x40, 4));
         let out = mem.tick(); // accepted; fpu ready next cycle, prefetch too
-        assert_eq!(out.accepted, Some(tp));
+        assert_eq!(out.accepted, Some(ReqClass::IPrefetch));
         let out = mem.tick();
         // Both became deliverable this cycle; FPU wins.
         assert_eq!(out.beats.unwrap().source, BeatSource::FpuResult);
@@ -639,23 +559,24 @@ mod tests {
     fn is_idle_reflects_all_state() {
         let mut mem = MemorySystem::new(cfg(2, false, 4));
         assert!(mem.is_idle());
-        let tag = mem.new_tag();
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4, tag));
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x0, 4));
         mem.tick();
         assert!(!mem.is_idle());
-        drain_tag(&mut mem, tag);
+        drain(&mut mem, BeatSource::DataLoad);
+        assert!(mem.is_idle());
+        drive_until_accepted(&mut mem, MemRequest::store(0x0));
+        assert!(!mem.is_idle(), "a store occupies the array");
+        mem.tick();
         assert!(mem.is_idle());
     }
 
     #[test]
     fn offers_expire_each_cycle() {
         let mut mem = MemorySystem::new(cfg(6, false, 4));
-        let t1 = mem.new_tag();
-        let t2 = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x0, 4, t1));
-        // Offer t2 once while busy — not accepted, and it must not be
-        // accepted later from a stale port.
-        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x4, 4, t2));
+        drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x0, 4));
+        // Offer a second load once while busy — not accepted, and it must
+        // not be accepted later from a stale port.
+        mem.offer(MemRequest::load(ReqClass::DataLoad, 0x4, 4));
         let out = mem.tick();
         assert!(out.accepted.is_none());
         assert_eq!(mem.stats().blocked_cycles, 1);
@@ -676,14 +597,12 @@ mod tests {
         });
         let mut mem = MemorySystem::new(c);
         // First access: cold miss, +10 cycles.
-        let t1 = mem.new_tag();
-        let a1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x100, 4, t1));
-        let (d1, _) = drain_tag(&mut mem, t1);
+        let a1 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x100, 4));
+        let (d1, _) = drain(&mut mem, BeatSource::DataLoad);
         assert_eq!(d1 - a1, 11, "access 1 + penalty 10");
         // Same line again: hit, no penalty.
-        let t2 = mem.new_tag();
-        let a2 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x104, 4, t2));
-        let (d2, _) = drain_tag(&mut mem, t2);
+        let a2 = drive_until_accepted(&mut mem, MemRequest::load(ReqClass::DataLoad, 0x104, 4));
+        let (d2, _) = drain(&mut mem, BeatSource::DataLoad);
         assert_eq!(d2 - a2, 1);
         let ec = mem.external_cache().unwrap();
         assert_eq!(ec.misses(), 1);
@@ -700,8 +619,7 @@ mod tests {
             miss_penalty: 50,
         });
         let mut mem = MemorySystem::new(c);
-        let a = mem.new_tag();
-        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE, a));
+        drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE));
         assert_eq!(mem.external_cache().unwrap().misses(), 0);
     }
 
