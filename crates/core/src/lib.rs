@@ -37,6 +37,7 @@
 //! ```
 
 pub mod config;
+pub mod course;
 pub mod interp;
 pub mod processor;
 pub mod queues;
@@ -45,8 +46,9 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{FetchStrategy, SimConfig};
+pub use course::{Course, Cursor};
 pub use interp::{interpret, InterpError, InterpResult, Interpreter, Step};
-pub use processor::{run_decoded, run_program, Processor, SimError};
+pub use processor::{run_course, run_decoded, run_program, Processor, SimError};
 pub use queues::{AddressQueue, LoadQueue};
 pub use regfile::{BranchRegFile, RegFile};
 pub use stats::{SimStats, StallBreakdown};

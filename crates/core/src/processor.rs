@@ -26,15 +26,25 @@
 //! ## Timing only
 //!
 //! The processor holds no data value: its queues hold addresses in
-//! program order and which LDQ slots have arrived. The values live in an
-//! [`Interpreter`] over the same predecoded program, the one functional
-//! model, which the processor steps in lockstep: each issue takes the
-//! interpreter's next [`Step`], checks that its address is the fetched
-//! instruction's, and reads from it the only values timing depends on —
-//! a prepare-to-branch's outcome and target, and a store address's FPU
+//! program order and which LDQ slots have arrived. The values live in the
+//! [`Interpreter`](crate::Interpreter), the one functional model, which
+//! the processor reads through a [`Cursor`]: each issue takes the next
+//! [`Step`], checks that its address is the fetched instruction's, and
+//! reads from it the only values timing depends on — a
+//! prepare-to-branch's outcome and target, and a store address's FPU
 //! role. The memory system models timing only too.
+//!
+//! The program's course does not depend on timing, so a sweep records it
+//! once into a [`Course`] that all its runs read
+//! ([`from_course`](Processor::from_course)). A course keeps no data
+//! address outside the FPU window and no store value ([`Step::timed`]).
+//! A run built without one ([`from_decoded`](Processor::from_decoded)),
+//! and a run that observes those values — one with an enabled trace
+//! sink, which reports them, or with an external cache, whose timing
+//! depends on addresses — reads a cursor over an interpreter of its own,
+//! stepped a few instructions ahead of issue, and queues the true
+//! addresses and values.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -45,7 +55,8 @@ use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
 use crate::config::SimConfig;
-use crate::interp::{Interpreter, Step};
+use crate::course::{Course, Cursor};
+use crate::interp::Step;
 use crate::queues::{Access, AddressQueue, LoadQueue, SlotSource, StoreRole};
 use crate::stats::SimStats;
 use crate::trace::{DataOp, NoTrace, StallReason, TraceEvent, TraceSink};
@@ -106,11 +117,6 @@ struct Pbr {
     delay: u8,
 }
 
-/// Steps the processor takes from its interpreter at a time when it needs
-/// one: stepping in batches costs less than a call per instruction, and
-/// steps taken early simply wait in the look-ahead queue.
-const LOOK_AHEAD: usize = 32;
-
 /// The value-dependent choice an issuing instruction makes that timing
 /// depends on: a prepare-to-branch's outcome, or a store address's role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +127,7 @@ enum Decision {
 }
 
 impl Decision {
-    /// The choice the interpreter's `step` made.
+    /// The choice a course's `step` made.
     fn of(step: &Step) -> Decision {
         match (step.branch, step.data) {
             (Some((taken, target)), _) => Decision::Branch { taken, target },
@@ -161,12 +167,8 @@ pub struct Processor<S: TraceSink = NoTrace> {
     /// Predecoded program image: the hot loop looks instructions up by
     /// parcel index instead of calling `decode` every issue attempt.
     decoded: Arc<DecodedProgram>,
-    /// The functional model, stepped once per issue (see the
-    /// [module docs](self)).
-    interp: Interpreter,
-    /// Steps the interpreter took that have not issued yet, oldest first:
-    /// a loop-iteration skip looks ahead into it.
-    ahead: VecDeque<Step>,
+    /// One step per issue (see the [module docs](self)).
+    steps: Cursor,
     max_cycles: u64,
     sdq_entries: usize,
     core: Core,
@@ -205,9 +207,9 @@ impl Processor {
     }
 
     /// Builds a processor over an already-predecoded program, sharing the
-    /// decode table instead of recomputing it (sweeps run one predecode
-    /// for hundreds of points). Its interpreter starts at the program's
-    /// entry with the program's initial data image loaded.
+    /// decode table instead of recomputing it. It interprets the program
+    /// as it issues; to share one recorded course across many runs, use
+    /// [`from_course`](Processor::from_course).
     ///
     /// # Errors
     ///
@@ -216,14 +218,37 @@ impl Processor {
         decoded: &Arc<DecodedProgram>,
         config: &SimConfig,
     ) -> Result<Processor, SimError> {
+        Processor::build(decoded, Cursor::interpreting(decoded), config)
+    }
+
+    /// Builds a processor that reads a shared course (sweeps record one
+    /// per program for hundreds of points) and its predecoded program.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] if the configuration fails validation.
+    pub fn from_course(course: &Arc<Course>, config: &SimConfig) -> Result<Processor, SimError> {
+        let decoded = course.decoded();
+        // An external cache times a run by its data addresses.
+        let steps = match config.mem.external_cache {
+            Some(_) => Cursor::interpreting(decoded),
+            None => Cursor::new(Arc::clone(course)),
+        };
+        Processor::build(decoded, steps, config)
+    }
+
+    fn build(
+        decoded: &Arc<DecodedProgram>,
+        steps: Cursor,
+        config: &SimConfig,
+    ) -> Result<Processor, SimError> {
         config.validate()?;
         let fetch = config.fetch.build(decoded.program())?;
         Ok(Processor {
             mem: MemorySystem::new(config.mem),
             fetch,
             decoded: Arc::clone(decoded),
-            interp: Interpreter::new(decoded),
-            ahead: VecDeque::new(),
+            steps,
             max_cycles: config.max_cycles,
             sdq_entries: config.sdq_entries,
             core: Core {
@@ -250,12 +275,16 @@ impl<S: TraceSink> Processor<S> {
     /// separately). To inspect the sink after the run, hand the processor
     /// an `Rc<RefCell<...>>` clone (see [`crate::trace`]).
     pub fn with_trace<T: TraceSink>(self, sink: T) -> Processor<T> {
+        // A sink that reports events sees true addresses and values.
+        let steps = match sink.enabled() {
+            true => self.steps.observing_values(self.stats.instructions_issued),
+            false => self.steps,
+        };
         Processor {
             mem: self.mem,
             fetch: self.fetch,
             decoded: self.decoded,
-            interp: self.interp,
-            ahead: self.ahead,
+            steps,
             max_cycles: self.max_cycles,
             sdq_entries: self.sdq_entries,
             core: self.core,
@@ -486,23 +515,19 @@ impl<S: TraceSink> Processor<S> {
         Some((addr, self.decoded.get(index)?))
     }
 
-    /// The interpreter's step for the instruction at `addr`, about to
-    /// issue: the oldest step looked ahead, or a new one. It stays queued
-    /// until the instruction issues.
+    /// The step for the instruction at `addr`, about to issue. It stays
+    /// next until the instruction issues.
     ///
     /// # Panics
     ///
-    /// Panics if the interpreter executed another instruction than the one
-    /// fetched, or could not execute it: the two models disagree on the
-    /// program's course.
+    /// Panics if the interpreter executed another instruction than the
+    /// one fetched, or none: the interpreter and the processor disagree on
+    /// the program's course.
     fn next_step(&mut self, addr: u32) -> Step {
-        if self.ahead.is_empty() {
-            let result = self.interp.step_into(&mut self.ahead, LOOK_AHEAD);
-            if self.ahead.is_empty() {
-                panic!("issue at {addr:#x}, but the interpreter gave {result:?}");
-            }
-        }
-        let step = self.ahead[0];
+        let Some(step) = self.steps.peek() else {
+            let end = self.steps.end();
+            panic!("issue at {addr:#x}, but the course ended: {end:?}")
+        };
         assert_eq!(
             step.addr, addr,
             "issue at {addr:#x}, but the interpreter executed {:#x}",
@@ -575,7 +600,7 @@ impl<S: TraceSink> Processor<S> {
 
         // Commit: pop the LDQ head once, queue the data-side operation,
         // consume from fetch.
-        self.ahead.pop_front();
+        self.steps.advance();
         if self.trace.enabled() {
             self.emit(TraceEvent::Issue {
                 cycle: self.cycle,
@@ -583,7 +608,7 @@ impl<S: TraceSink> Processor<S> {
                 instr,
             });
         }
-        self.execute(&instr, reads_q, step);
+        self.execute(&instr, reads_q, step.data);
         if let Some(loops) = &mut self.loops {
             loops.marks.log(decision);
         }
@@ -612,13 +637,13 @@ impl<S: TraceSink> Processor<S> {
     }
 
     /// Applies an issuing instruction's effects on the queues: pops the
-    /// LDQ head when it `reads_q`, then queues the data-side operation of
-    /// its interpreter `step`, or stops issue after a `halt`.
-    fn execute(&mut self, instr: &Instruction, reads_q: bool, step: Step) {
+    /// LDQ head when it `reads_q`, then queues its data-side operation
+    /// `op`, or stops issue after a `halt`.
+    fn execute(&mut self, instr: &Instruction, reads_q: bool, op: Option<DataOp>) {
         if reads_q {
             self.core.ldq.pop();
         }
-        let op = match step.data {
+        let op = match op {
             Some(op) => op,
             _ if *instr == Instruction::Halt => {
                 self.core.halted = true;
@@ -663,8 +688,8 @@ pub fn run_program(program: &Program, config: &SimConfig) -> Result<SimStats, Si
 }
 
 /// Builds a processor over a shared predecoded program and runs it to
-/// completion under `config`. The predecode is reused, not recomputed —
-/// the fast path for sweeps running one workload at many configurations.
+/// completion under `config`. The predecode is reused, not recomputed;
+/// the run records the program's course for itself.
 ///
 /// # Errors
 ///
@@ -674,6 +699,19 @@ pub fn run_decoded(
     config: &SimConfig,
 ) -> Result<SimStats, SimError> {
     let mut proc = Processor::from_decoded(decoded, config)?;
+    proc.run()?;
+    Ok(proc.into_stats())
+}
+
+/// Builds a processor over a shared course and runs it to completion
+/// under `config` — the fast path for sweeps running one workload at many
+/// configurations: the program is interpreted once, not once per run.
+///
+/// # Errors
+///
+/// Propagates any [`SimError`] from construction or execution.
+pub fn run_course(course: &Arc<Course>, config: &SimConfig) -> Result<SimStats, SimError> {
+    let mut proc = Processor::from_course(course, config)?;
     proc.run()?;
     Ok(proc.into_stats())
 }

@@ -14,18 +14,18 @@
 //! another FPU role.
 //!
 //! The log holds that choice for every issue. Before each further repeat,
-//! the skip steps the interpreter one iteration ahead into the processor's
-//! look-ahead queue and compares each step's choice with the log. On a
-//! match, it drops those steps as issued and adds the cycles and the
+//! the skip compares the choices of the course's next iteration, read
+//! ahead of the processor's cursor, with the log. On a match, it moves
+//! the cursor past those steps as issued and adds the cycles and the
 //! statistics deltas; no state moves. On a mismatch (typically the loop
-//! exit), the steps stay queued and ticking issues them one by one, so
+//! exit), the cursor stays and ticking issues the steps one by one, so
 //! nothing is ever rolled back. No repeat is applied that would end past
-//! `max_cycles`. The queued addresses the dropped steps carried are not
+//! `max_cycles`. The queued addresses the skipped steps carried are not
 //! applied: see [`Untimed`](pipe_mem::Untimed).
 //!
 //! The marks and the bounded log are [`pipe_icache::repeat`], which trace
 //! replay uses too; this module adds the core's part of the key and the
-//! look-ahead.
+//! check against the course.
 //!
 //! The skip is off when a trace sink is attached (it observes every
 //! cycle) and when an external cache is modelled (addresses then affect
@@ -169,10 +169,10 @@ impl<S: TraceSink> Processor<S> {
     }
 
     /// Applies repeats of `iteration`, whose issues made `choices`, until
-    /// the interpreter's next iteration chooses differently or a repeat
-    /// would end past `max_cycles`. Returns how many it applied. A method
-    /// of the processor, not of `Repeating`: as the latter, measured over
-    /// Figures 4a–6b, it made `run` about 5 % slower.
+    /// the course's next iteration chooses differently or a repeat would
+    /// end past `max_cycles`. Returns how many it applied. A method of the
+    /// processor, not of `Repeating`: as the latter, measured over Figures
+    /// 4a–6b, it made `run` about 5 % slower.
     fn apply_repeats(
         &mut self,
         iteration: &Iteration<SimStats>,
@@ -181,11 +181,15 @@ impl<S: TraceSink> Processor<S> {
     ) -> u64 {
         let mut applied = 0;
         while self.cycle + iteration.cycles <= self.max_cycles {
-            if !self.looks_ahead_to(choices) {
+            // The course's next steps, issued if they make `choices`; a
+            // course that ends first is a mismatch.
+            if !self
+                .steps
+                .advance_if(choices, |step, &choice| Decision::of(step) == choice)
+            {
                 counts.diverged += 1;
                 break;
             }
-            self.ahead.drain(..choices.len());
             iteration.apply(
                 &mut self.cycle,
                 &mut self.stats,
@@ -195,21 +199,5 @@ impl<S: TraceSink> Processor<S> {
             applied += 1;
         }
         applied
-    }
-
-    /// Whether the interpreter's next `choices.len()` steps make
-    /// `choices`, stepping it into the look-ahead queue as far as needed.
-    /// An error stops the stepping short, which is a mismatch; ticking
-    /// never reaches the failing instruction.
-    fn looks_ahead_to(&mut self, choices: &[Decision]) -> bool {
-        if let Some(missing) = choices.len().checked_sub(self.ahead.len()) {
-            let _ = self.interp.step_into(&mut self.ahead, missing);
-        }
-        self.ahead.len() >= choices.len()
-            && self
-                .ahead
-                .iter()
-                .zip(choices)
-                .all(|(step, &choice)| Decision::of(step) == choice)
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pipe_core::{run_decoded, FetchStrategy, SimConfig, SimError, SimStats};
+use pipe_core::{run_course, run_decoded, Course, FetchStrategy, SimConfig, SimError, SimStats};
 use pipe_isa::DecodedProgram;
 use pipe_mem::MemConfig;
 
@@ -31,10 +31,10 @@ pub fn point_config(fetch: FetchStrategy, mem: &MemConfig) -> SimConfig {
 
 /// Runs an already-predecoded program under (`fetch`, `mem`) and returns
 /// the measured point, or the typed simulation error, so one failing
-/// point becomes a recorded failure instead of aborting a sweep. Callers
-/// measuring many points over the same workload (the sweep engine, the
-/// benchmark harness) decode each static instruction exactly once
-/// instead of once per point.
+/// point becomes a recorded failure instead of aborting a sweep. The run
+/// interprets the program for itself; callers measuring many points over
+/// the same workload (the sweep engine, the studies) record its course
+/// once and call [`try_run_point_course`].
 ///
 /// # Errors
 ///
@@ -47,11 +47,32 @@ pub fn try_run_point_decoded(
     cache_bytes: u32,
 ) -> Result<ExperimentPoint, SimError> {
     let stats = run_decoded(decoded, &point_config(fetch, mem))?;
-    Ok(ExperimentPoint {
+    Ok(point(cache_bytes, stats))
+}
+
+/// [`try_run_point_decoded`] over a shared course: the program is
+/// interpreted once for every point that reads it.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] the simulator reported (configuration,
+/// decode, or timeout).
+pub fn try_run_point_course(
+    course: &Arc<Course>,
+    fetch: FetchStrategy,
+    mem: &MemConfig,
+    cache_bytes: u32,
+) -> Result<ExperimentPoint, SimError> {
+    let stats = run_course(course, &point_config(fetch, mem))?;
+    Ok(point(cache_bytes, stats))
+}
+
+fn point(cache_bytes: u32, stats: SimStats) -> ExperimentPoint {
+    ExperimentPoint {
         cache_bytes,
         cycles: stats.cycles,
         stats,
-    })
+    }
 }
 
 /// [`try_run_point_decoded`] mapped over `(fetch, cache bytes)` pairs,

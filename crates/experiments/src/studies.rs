@@ -8,28 +8,28 @@
 
 use std::sync::Arc;
 
-use pipe_core::FetchStrategy;
+use pipe_core::{Course, FetchStrategy};
 use pipe_icache::{BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig};
 use pipe_isa::DecodedProgram;
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
 
-use crate::runner::{try_run_point_decoded, ExperimentPoint};
+use crate::runner::{try_run_point_course, ExperimentPoint};
 
-/// The suite's program, predecoded once for all of a study's points.
-fn predecode(suite: &LivermoreSuite) -> Arc<DecodedProgram> {
-    Arc::new(DecodedProgram::new(suite.program().clone()))
+/// The suite's course, recorded once for all of a study's points.
+fn record(suite: &LivermoreSuite) -> Arc<Course> {
+    Course::record(&Arc::new(DecodedProgram::new(suite.program().clone())))
 }
 
 /// Runs one study point. Study configurations are fixed and valid, so a
 /// failure is a simulator bug and fails loudly rather than skewing a row.
 fn study_point(
-    decoded: &Arc<DecodedProgram>,
+    course: &Arc<Course>,
     fetch: FetchStrategy,
     mem: &MemConfig,
     cache_bytes: u32,
 ) -> ExperimentPoint {
-    try_run_point_decoded(decoded, fetch, mem, cache_bytes)
+    try_run_point_course(course, fetch, mem, cache_bytes)
         .unwrap_or_else(|e| panic!("study point failed ({fetch}, {cache_bytes}B): {e}"))
 }
 
@@ -53,7 +53,7 @@ pub fn queue_size_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<QueueStudyCell> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     let mut cells = Vec::new();
     for &iq in sizes {
         for &iqb in sizes {
@@ -62,7 +62,7 @@ pub fn queue_size_study(
                 iqb_bytes: iqb,
                 ..PipeFetchConfig::table2(cache_bytes, line_bytes, iq, iqb)
             };
-            let point = study_point(&decoded, FetchStrategy::Pipe(cfg), mem, cache_bytes);
+            let point = study_point(&course, FetchStrategy::Pipe(cfg), mem, cache_bytes);
             cells.push(QueueStudyCell {
                 iq_bytes: iq,
                 iqb_bytes: iqb,
@@ -118,12 +118,12 @@ pub fn partial_line_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<PartialLineRow> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     sizes
         .iter()
         .map(|&cache| {
             let whole = study_point(
-                &decoded,
+                &course,
                 FetchStrategy::Pipe(PipeFetchConfig::table2(cache, 16, 16, 16)),
                 mem,
                 cache,
@@ -132,7 +132,7 @@ pub fn partial_line_study(
                 partial_lines: true,
                 ..PipeFetchConfig::table2(cache, 16, 16, 16)
             };
-            let partial = study_point(&decoded, FetchStrategy::Pipe(partial_cfg), mem, cache);
+            let partial = study_point(&course, FetchStrategy::Pipe(partial_cfg), mem, cache);
             PartialLineRow {
                 cache_bytes: cache,
                 whole_line_cycles: whole.cycles,
@@ -184,7 +184,7 @@ pub fn hill_prefetch_study(
     mem: &MemConfig,
     sizes: &[u32],
 ) -> Vec<HillStudyRow> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     let modes = [
         ConvPrefetch::Always,
         ConvPrefetch::OnMissOnly,
@@ -199,7 +199,7 @@ pub fn hill_prefetch_study(
                     cache: CacheConfig::new(cache, 16),
                     prefetch: mode,
                 });
-                cycles[i] = study_point(&decoded, fetch, mem, cache).cycles;
+                cycles[i] = study_point(&course, fetch, mem, cache).cycles;
             }
             HillStudyRow {
                 cache_bytes: cache,
@@ -246,11 +246,11 @@ pub fn external_cache_study(
     miss_penalty: u32,
     sizes: &[u32],
 ) -> Vec<ExtCacheStudyRow> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     let fetch = FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, 16, 16));
     let mut rows = vec![ExtCacheStudyRow {
         ext_cache_bytes: None,
-        cycles: study_point(&decoded, fetch, base, 64).cycles,
+        cycles: study_point(&course, fetch, base, 64).cycles,
     }];
     for &size in sizes {
         let mem = MemConfig {
@@ -263,7 +263,7 @@ pub fn external_cache_study(
         };
         rows.push(ExtCacheStudyRow {
             ext_cache_bytes: Some(size),
-            cycles: study_point(&decoded, fetch, &mem, 64).cycles,
+            cycles: study_point(&course, fetch, &mem, 64).cycles,
         });
     }
     rows
@@ -314,7 +314,7 @@ pub fn access_sweep_study(
     bus: u32,
     accesses: &[u32],
 ) -> Vec<AccessStudyRow> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     accesses
         .iter()
         .map(|&access| {
@@ -324,13 +324,13 @@ pub fn access_sweep_study(
                 ..MemConfig::default()
             };
             let conv = study_point(
-                &decoded,
+                &course,
                 FetchStrategy::conventional(CacheConfig::new(cache_bytes, 16)),
                 &mem,
                 cache_bytes,
             );
             let pipe = study_point(
-                &decoded,
+                &course,
                 FetchStrategy::Pipe(PipeFetchConfig::table2(cache_bytes, 16, 16, 16)),
                 &mem,
                 cache_bytes,
@@ -383,12 +383,12 @@ pub fn buffer_study(
     counts: &[u32],
     cache: Option<CacheConfig>,
 ) -> Vec<BufferStudyRow> {
-    let decoded = predecode(suite);
+    let course = record(suite);
     counts
         .iter()
         .map(|&buffers| {
             let fetch = FetchStrategy::Buffers(BufferConfig { buffers, cache });
-            let point = study_point(&decoded, fetch, mem, buffers * 4);
+            let point = study_point(&course, fetch, mem, buffers * 4);
             BufferStudyRow {
                 buffers,
                 cycles: point.cycles,

@@ -12,8 +12,10 @@
 //!
 //! Every point runs alone through the one cycle loop
 //! ([`pipe_core::Processor::run`], which applies repeating loop
-//! iterations in one step) over the spec's shared predecoded program; a trace workload
-//! replays through its fetch engine instead (see [`crate::tracerun`]).
+//! iterations in one step) over the spec's shared [`Course`]: the
+//! program is predecoded and interpreted once for all of its points. A
+//! trace workload replays through its fetch engine instead (see
+//! [`crate::tracerun`]).
 //! Parallelism is threads over points.
 //!
 //! A runner simulates each distinct point **once**: it keeps every
@@ -51,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use pipe_core::FetchStrategy;
+use pipe_core::{Course, FetchStrategy};
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::{DecodedProgram, InstrFormat, Program};
 use pipe_mem::MemConfig;
@@ -59,7 +61,7 @@ use pipe_workloads::LivermoreSuite;
 
 use crate::figures::{figure_mem, Series};
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
-use crate::runner::{try_run_point_decoded, ExperimentPoint};
+use crate::runner::{try_run_point_course, ExperimentPoint};
 
 /// The benchmark a sweep runs. Declarative (rather than a prebuilt
 /// [`Program`]) so the workload participates in each point's
@@ -626,16 +628,24 @@ impl SweepRunner {
         if misses.is_empty() {
             return;
         }
-        // Decode the workload once; every job (serial or threaded) shares
-        // the same predecoded image instead of re-decoding per point.
+        // Decode and interpret the workload once; every job (serial or
+        // threaded) reads the same course instead of interpreting the
+        // program again. Trace replay reads only the program.
         let program = Arc::new(DecodedProgram::new(spec.workload.build()));
+        let course = match spec.workload {
+            WorkloadSpec::Trace { .. } => None,
+            _ => Some(Course::record(&program)),
+        };
         let workers = self.jobs.min(misses.len());
         if workers == 1 {
             for job in misses {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
-                record(job.index, self.execute(spec, job, &program, total));
+                record(
+                    job.index,
+                    self.execute(spec, job, &program, course.as_ref(), total),
+                );
             }
             return;
         }
@@ -644,7 +654,7 @@ impl SweepRunner {
         // the error it sent (or nothing, which leaves the slot empty).
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
-        let program = &program;
+        let (program, course) = (&program, course.as_ref());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
@@ -655,7 +665,7 @@ impl SweepRunner {
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = misses.get(i) else { break };
-                    let result = self.execute(spec, job, program, total);
+                    let result = self.execute(spec, job, program, course, total);
                     if tx.send((job.index, result)).is_err() {
                         return;
                     }
@@ -676,6 +686,7 @@ impl SweepRunner {
         spec: &SweepSpec,
         job: &SweepJob,
         program: &Arc<DecodedProgram>,
+        course: Option<&Arc<Course>>,
         total: usize,
     ) -> Result<PointOutcome, JobError> {
         let inject_panic = self.inject.panic_jobs.contains(&job.index);
@@ -692,8 +703,11 @@ impl SweepRunner {
                     &spec.mem,
                     job.cache_bytes,
                 ),
-                _ => try_run_point_decoded(program, job.fetch, &spec.mem, job.cache_bytes)
-                    .map_err(|e| e.to_string()),
+                _ => {
+                    let course = course.expect("a program workload's course is recorded");
+                    try_run_point_course(course, job.fetch, &spec.mem, job.cache_bytes)
+                        .map_err(|e| e.to_string())
+                }
             }
         }));
         let wall = t0.elapsed();

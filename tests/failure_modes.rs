@@ -117,13 +117,18 @@ fn error_messages_are_legible() {
 
 /// The three ways a program deadlocks: a store address whose data never
 /// comes (the program halts but never drains), a queue read with no load
-/// to fill it, and running off the end of the image. The second comes
-/// three times: with a branch queued behind the read, a guaranteed-only
-/// PIPE engine counts a blocked prefetch probe on every cycle of the
-/// deadlock; in the first delay slot of a taken branch, the engine's
-/// redirect stays pending, two delay-slot instructions from its target.
-const DEADLOCKS: [&str; 5] = [
+/// to fill it, and running off the end of the image. The first comes
+/// twice: the second time in a loop that never ends, which deadlocks
+/// once the store address queue is full, while the interpreter would
+/// queue stores forever (a single run interprets only a few instructions
+/// ahead of issue). The second comes three times: with a branch queued
+/// behind the read, a guaranteed-only PIPE engine counts a blocked
+/// prefetch probe on every cycle of the deadlock; in the first delay slot
+/// of a taken branch, the engine's redirect stays pending, two
+/// delay-slot instructions from its target.
+const DEADLOCKS: [&str; 6] = [
     "lim r1, 0x100\nsta r1, 0\nhalt\n",
+    "lim r1, 0x100\nlbr b0, top\ntop: sta r1, 0\npbr b0, r0, 0\nhalt\n",
     "or r1, r7, r7\nhalt\n",
     "or r1, r7, r7\npbr b0, r0, 0\nnop\nnop\nhalt\n",
     "lbr b0, out\npbr b0, r0, 2\nor r1, r7, r7\nnop\nout: halt\n",

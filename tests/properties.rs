@@ -955,3 +955,157 @@ fn loop_skip_replay_matches_ticked_replay_on_random_kernels() {
     }
     assert!(applied > 0, "the skip never fired");
 }
+
+// ---------------------------------------------------------------------
+// The course: the interpreter's steps, recorded once and shared.
+// ---------------------------------------------------------------------
+
+use pipe_repro::core::{Course, Cursor, DataOp, Step, TraceEvent, TraceSink};
+use pipe_repro::experiments::figures::figure_mem;
+use pipe_repro::experiments::runner::point_config;
+use pipe_repro::isa::is_fpu_address;
+use pipe_repro::workloads::LivermoreSuite;
+
+/// A random straight-line ALU program, or a random kernel of `trips`
+/// trips over stream data, at a random even base.
+fn random_program(rng: &mut Rng, kernel: bool, trips: u32) -> Program {
+    let program = if kernel {
+        let groups = rng.range_u32(1, 6);
+        let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(rng)).collect();
+        let cost: u32 = ops.iter().map(|o| o.cost()).sum();
+        let pads = rng.range_u32(3, 8);
+        let kernel = Kernel {
+            index: 94,
+            name: "course-parity",
+            ops,
+            target_instructions: cost + 3 + pads,
+        };
+        let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+            .expect("balanced groups satisfy the discipline");
+        with_stream_data(program, trips)
+    } else {
+        let n = rng.range_u32(1, 120) as usize;
+        let mut b = ProgramBuilder::new(InstrFormat::Fixed32);
+        b.extend((0..n).map(|_| branchless_instruction(rng)));
+        b.push(Instruction::Halt);
+        b.build().expect("builds")
+    };
+    at_base(&program, random_base(rng))
+}
+
+/// A cursor over a recorded course yields exactly the interpreter's steps
+/// with the data addresses outside the FPU window and the store values
+/// erased, on random programs and random kernels at random even bases
+/// 0–30.
+#[test]
+fn a_course_yields_the_interpreters_steps() {
+    let mut rng = Rng::new(0x1530);
+    let mut fpu_addresses = 0;
+    for trial in 0..24 {
+        let trips = rng.range_u32(2, 40);
+        let program = random_program(&mut rng, trial % 2 == 1, trips);
+        let decoded = Arc::new(DecodedProgram::new(program));
+        let mut interp = Interpreter::new(&decoded);
+        let steps: Vec<Step> = std::iter::from_fn(|| interp.step().expect("interprets")).collect();
+        let expected: Vec<Step> = steps.iter().copied().map(Step::timed).collect();
+        for (step, timed) in steps.iter().zip(&expected) {
+            match (step.data, timed.data) {
+                (Some(DataOp::Load { addr }), Some(DataOp::Load { addr: kept }))
+                | (Some(DataOp::StoreAddr { addr }), Some(DataOp::StoreAddr { addr: kept })) => {
+                    let fpu = is_fpu_address(addr);
+                    fpu_addresses += usize::from(fpu);
+                    assert_eq!(kept, if fpu { addr } else { 0 });
+                }
+                (Some(DataOp::StoreData { .. }), Some(DataOp::StoreData { value })) => {
+                    assert_eq!(value, 0)
+                }
+                (data, kept) => assert_eq!(data, kept),
+            }
+        }
+        let read: Vec<Step> = Cursor::new(Course::record(&decoded)).collect();
+        assert!(read == expected, "trial {trial}");
+    }
+    assert!(fpu_addresses > 0, "the kernels must use the FPU");
+}
+
+/// One course recorded up front and shared by every engine, at random
+/// memory timings and some small cycle budgets, gives each run the
+/// outcome and the statistics of a run that interprets the program
+/// itself.
+#[test]
+fn a_shared_course_times_every_engine_as_a_private_one() {
+    let mut rng = Rng::new(0x1531);
+    for trial in 0..12 {
+        let trips = rng.range_u32(20, 60);
+        let program = random_program(&mut rng, trial % 2 == 1, trips);
+        let decoded = Arc::new(DecodedProgram::new(program));
+        let course = Course::record(&decoded);
+        for fetch in every_engine(&mut rng) {
+            let config = SimConfig {
+                fetch,
+                mem: MemConfig {
+                    access_cycles: rng.range_u32(1, 9),
+                    pipelined: rng.bool(),
+                    in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                    ..MemConfig::default()
+                },
+                max_cycles: if rng.below(4) == 0 {
+                    u64::from(rng.range_u32(100, 3000))
+                } else {
+                    50_000_000
+                },
+                ..SimConfig::default()
+            };
+            let mut shared = Processor::from_course(&course, &config).expect("valid");
+            let mut private = Processor::from_decoded(&decoded, &config).expect("valid");
+            let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
+            assert_eq!(shared.run(), private.run(), "{context}");
+            assert_eq!(shared.stats(), private.stats(), "{context}");
+        }
+    }
+}
+
+/// A trace sink that keeps the cycle `halt` issued on.
+#[derive(Debug, Default)]
+struct HaltCycle(Option<u64>);
+
+impl TraceSink for HaltCycle {
+    fn event(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Halted { cycle } = event {
+            self.0 = Some(*cycle);
+        }
+    }
+}
+
+/// Every cycle up to the one `halt` issues on either issues or stalls, so
+/// the cycles counted as neither are the drain after `halt`: on the
+/// Livermore benchmark (trips divided by 10), every engine and PIPE 32-32
+/// at 64 B, at Figure 4a and 5b timing, `cycles − instructions − stalls`
+/// equals the cycles after the `Halted` event, with the loop skip on (the
+/// statistics) and off (the traced run).
+#[test]
+fn cycles_neither_issued_nor_stalled_are_the_post_halt_drain() {
+    let suite = LivermoreSuite::build_scaled(InstrFormat::Fixed32, 10).expect("builds");
+    let mut rng = Rng::new(0x1532);
+    let mut drained = 0;
+    for id in ["4a", "5b"] {
+        let (mem, _) = figure_mem(id);
+        let pipe_32_32 = FetchStrategy::Pipe(PipeFetchConfig::table2(64, 32, 32, 32));
+        for fetch in every_engine(&mut rng).into_iter().chain([pipe_32_32]) {
+            let config = point_config(fetch, &mem);
+            let stats = pipe_repro::core::run_program(suite.program(), &config).expect("runs");
+            let halt = Rc::new(RefCell::new(HaltCycle::default()));
+            let mut traced = Processor::new(suite.program(), &config)
+                .expect("valid")
+                .with_trace(Rc::clone(&halt));
+            traced.run().expect("runs");
+            assert_eq!(traced.stats(), &stats, "fig{id}: {fetch}");
+            let halted_on = halt.borrow().0.expect("halt issued");
+            let gap = stats.cycles - stats.instructions_issued - stats.stalls.total();
+            assert_eq!(gap, stats.cycles - (halted_on + 1), "fig{id}: {fetch}");
+            println!("fig{id}: {fetch}: {gap} cycles after halt");
+            drained += gap;
+        }
+    }
+    assert!(drained > 0, "some run must drain after halt");
+}
