@@ -276,7 +276,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
         fetch,
         mem: engine.mem,
         max_cycles,
-        ..SimConfig::default()
     };
     config.validate().map_err(|e| e.to_string())?;
 

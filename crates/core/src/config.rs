@@ -12,22 +12,17 @@ use pipe_mem::{ConfigError, MemConfig};
 
 pub use pipe_icache::FetchConfig as FetchStrategy;
 
-/// Full simulation configuration: memory system, fetch strategy, and the
-/// architectural queue capacities.
+/// Entries in each architectural queue: the LAQ, LDQ, SAQ and SDQ.
+pub const QUEUE_ENTRIES: usize = 8;
+
+/// Full simulation configuration: memory system and fetch strategy. The
+/// architectural queues hold [`QUEUE_ENTRIES`] each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// External memory parameters.
     pub mem: MemConfig,
     /// Instruction fetch front-end.
     pub fetch: FetchStrategy,
-    /// Load Address Queue entries.
-    pub laq_entries: usize,
-    /// Load (data) Queue slots.
-    pub ldq_entries: usize,
-    /// Store Address Queue entries.
-    pub saq_entries: usize,
-    /// Store Data Queue entries.
-    pub sdq_entries: usize,
     /// Abort the run after this many cycles (guards against deadlock bugs).
     pub max_cycles: u64,
 }
@@ -37,35 +32,22 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid memory/fetch parameters or
-    /// zero queue capacities.
+    /// Returns a [`ConfigError`] for invalid memory/fetch parameters or a
+    /// zero cycle budget.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mem.validate()?;
         self.fetch.validate()?;
-        for (name, v) in [
-            ("laq_entries", self.laq_entries),
-            ("ldq_entries", self.ldq_entries),
-            ("saq_entries", self.saq_entries),
-            ("sdq_entries", self.sdq_entries),
-        ] {
-            require_at_least(name, v as u64, 1)?;
-        }
         require_at_least("max_cycles", self.max_cycles, 1)
     }
 }
 
 impl Default for SimConfig {
     /// The PIPE chip as built: a 128-byte cache of sixteen 8-byte (4-word)
-    /// lines with 8-byte IQ and IQB (paper §3.2), fast external memory,
-    /// and 8-entry architectural queues.
+    /// lines with 8-byte IQ and IQB (paper §3.2) and fast external memory.
     fn default() -> SimConfig {
         SimConfig {
             mem: MemConfig::default(),
             fetch: FetchStrategy::Pipe(PipeFetchConfig::table2(128, 8, 8, 8)),
-            laq_entries: 8,
-            ldq_entries: 8,
-            saq_entries: 8,
-            sdq_entries: 8,
             max_cycles: 500_000_000,
         }
     }
@@ -89,22 +71,6 @@ mod tests {
             }
             other => panic!("unexpected default: {other:?}"),
         }
-    }
-
-    #[test]
-    fn validation_catches_zero_queues() {
-        let c = SimConfig {
-            ldq_entries: 0,
-            ..SimConfig::default()
-        };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::TooSmall {
-                field: "ldq_entries",
-                value: 0,
-                min: 1,
-            })
-        );
     }
 
     #[test]

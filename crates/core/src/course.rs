@@ -44,7 +44,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pipe_isa::{is_fpu_address, DecodedProgram};
+use pipe_isa::DecodedProgram;
+use pipe_mem::is_fpu_address;
 
 use crate::interp::{InterpError, Interpreter, Step};
 use crate::trace::DataOp;

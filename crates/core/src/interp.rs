@@ -224,7 +224,7 @@ impl Interpreter {
                         StoreRole::Data => self.memory.write(addr, value),
                         StoreRole::OperandLatch => self.fpu_operand = value,
                         StoreRole::Operation => {
-                            let op = FpOp::from_offset(addr - pipe_isa::FPU_BASE)
+                            let op = FpOp::from_offset(addr - pipe_mem::FPU_BASE)
                                 .expect("an operation offset");
                             let result = op.eval_bits(self.fpu_operand, value);
                             self.ldq.fill(SlotSource::Fpu, result);

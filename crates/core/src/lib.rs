@@ -45,7 +45,7 @@ pub mod regfile;
 pub mod stats;
 pub mod trace;
 
-pub use config::{FetchStrategy, SimConfig};
+pub use config::{FetchStrategy, SimConfig, QUEUE_ENTRIES};
 pub use course::{Course, Cursor};
 pub use interp::{interpret, InterpError, InterpResult, Interpreter, Step};
 pub use processor::{run_course, run_decoded, run_program, Processor, SimError};

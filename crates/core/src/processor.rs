@@ -54,7 +54,7 @@ use pipe_isa::decode::DecodeError;
 use pipe_isa::{DecodedProgram, Instruction, Program, Reg, PARCEL_BYTES};
 use pipe_mem::{BeatSource, ConfigError, MemRequest, MemorySystem, ReqClass};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, QUEUE_ENTRIES};
 use crate::course::{Course, Cursor};
 use crate::interp::Step;
 use crate::queues::{Access, AddressQueue, LoadQueue, SlotSource, StoreRole};
@@ -170,7 +170,6 @@ pub struct Processor<S: TraceSink = NoTrace> {
     /// One step per issue (see the [module docs](self)).
     steps: Cursor,
     max_cycles: u64,
-    sdq_entries: usize,
     core: Core,
     cycle: u64,
     stats: SimStats,
@@ -250,11 +249,10 @@ impl Processor {
             decoded: Arc::clone(decoded),
             steps,
             max_cycles: config.max_cycles,
-            sdq_entries: config.sdq_entries,
             core: Core {
-                accesses: AddressQueue::new(config.laq_entries, config.saq_entries),
+                accesses: AddressQueue::new(QUEUE_ENTRIES, QUEUE_ENTRIES),
                 sdq: 0,
-                ldq: LoadQueue::new(config.ldq_entries),
+                ldq: LoadQueue::new(QUEUE_ENTRIES),
                 pbr: None,
                 redirect_remaining: None,
                 halted: false,
@@ -286,7 +284,6 @@ impl<S: TraceSink> Processor<S> {
             decoded: self.decoded,
             steps,
             max_cycles: self.max_cycles,
-            sdq_entries: self.sdq_entries,
             core: self.core,
             cycle: self.cycle,
             stats: self.stats,
@@ -545,7 +542,7 @@ impl<S: TraceSink> Processor<S> {
         (needs_ldq_slot && core.ldq.is_full() && !reads_q)
             || (matches!(instr, Instruction::Load { .. }) && core.accesses.laq_full())
             || (matches!(instr, Instruction::StoreAddr { .. }) && core.accesses.saq_full())
-            || (instr.destination() == Some(Reg::QUEUE) && core.sdq >= self.sdq_entries)
+            || (instr.destination() == Some(Reg::QUEUE) && core.sdq >= QUEUE_ENTRIES)
     }
 
     fn try_issue(&mut self) -> Result<(), SimError> {
@@ -852,6 +849,50 @@ mod tests {
     }
 
     #[test]
+    fn queue_full_stall_counted() {
+        // Sixteen stores back to back outrun a 6-cycle memory, so issue
+        // waits for room in the SAQ and SDQ. Livermore never fills a
+        // queue (docs/MODEL.md, *Stall classes*).
+        let mut src = String::from("lim r1, 0x100\nlim r2, 7\n");
+        for k in 0..16 {
+            src += &format!("sta r1, {}\nor r7, r2, r2\n", 4 * k);
+        }
+        src += "halt\n";
+        let program = asm(&src);
+        let cfg = SimConfig {
+            fetch: FetchStrategy::Perfect,
+            mem: MemConfig {
+                access_cycles: 6,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        run_matches_ticking(&program, &cfg).expect("runs to halt");
+        let stats = run_program(&program, &cfg).expect("runs to halt");
+        assert!(stats.stalls.queue_full > 0, "{stats:?}");
+        assert_eq!(stats.queues.saq.max, QUEUE_ENTRIES);
+        assert_eq!(stats.queues.sdq.max, QUEUE_ENTRIES);
+    }
+
+    #[test]
+    fn branch_stall_counts_only_a_deadlock() {
+        // A PBR in a taken PBR's delay slot waits for the redirect, which
+        // waits for that slot to issue: every cycle after the third
+        // instruction is a branch stall until the budget runs out.
+        let program = asm("lbr b0, top\nlbr b1, top\ntop: pbr b0, r0, 1\npbr b1, r0, 0\nhalt\n");
+        let cfg = SimConfig {
+            max_cycles: 1_000,
+            ..perfect_config()
+        };
+        let result = run_matches_ticking(&program, &cfg);
+        assert_eq!(result.err(), Some(SimError::Timeout { cycles: 1_000 }));
+        let mut proc = Processor::new(&program, &cfg).expect("config valid");
+        assert!(proc.run().is_err());
+        assert_eq!(proc.stats().instructions_issued, 3);
+        assert_eq!(proc.stats().stalls.branch, 1_000 - 3);
+    }
+
+    #[test]
     fn queue_register_pops_once_per_instruction() {
         // `add r3, r7, r7` must consume ONE LDQ entry and see the same
         // value on both operands.
@@ -926,7 +967,7 @@ mod tests {
     fn invalid_config_is_rejected() {
         let program = Arc::new(DecodedProgram::new(asm(STALL_LOOP)));
         let bad = SimConfig {
-            ldq_entries: 0,
+            max_cycles: 0,
             ..SimConfig::default()
         };
         assert!(matches!(

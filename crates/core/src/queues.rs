@@ -25,10 +25,10 @@ pub enum StoreRole {
 impl StoreRole {
     /// The role of a store to `addr`.
     pub fn of(addr: u32) -> StoreRole {
-        if !pipe_isa::is_fpu_address(addr) {
+        if !pipe_mem::is_fpu_address(addr) {
             return StoreRole::Data;
         }
-        match addr - pipe_isa::FPU_BASE {
+        match addr - pipe_mem::FPU_BASE {
             0 => StoreRole::OperandLatch,
             off if FpOp::from_offset(off).is_some() => StoreRole::Operation,
             _ => StoreRole::Unmapped,
@@ -291,7 +291,7 @@ mod tests {
         assert!(q.is_empty());
         q.push(Access::store(10));
         q.push(Access::load(20));
-        q.push(Access::store(pipe_isa::FPU_BASE + 4));
+        q.push(Access::store(pipe_mem::FPU_BASE + 4));
         assert!(q.laq_full() && q.saq_full());
         assert_eq!((q.loads(), q.stores()), (1, 2));
         assert_eq!(q.front(), Some(Access::store(10)));

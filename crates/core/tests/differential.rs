@@ -50,7 +50,6 @@ fn agree(program: &Program, fetches: &[FetchStrategy], access: u32) {
                 ..MemConfig::default()
             },
             max_cycles: 200_000_000,
-            ..SimConfig::default()
         };
         let (addrs, stats) = issued(program, &cfg);
         let fetch = format!("{fetch}{}", if pipelined { ", pipelined" } else { "" });
@@ -223,7 +222,6 @@ fn differential_deep_delay_slots_with_tiny_iq() {
         FetchStrategy::Tib(TibConfig {
             entries: 2,
             entry_bytes: 8,
-            fetch_queue_bytes: 8,
         }),
         FetchStrategy::Buffers(BufferConfig {
             buffers: 1,
@@ -251,7 +249,6 @@ fn differential_full_livermore_benchmark() {
             ..MemConfig::default()
         },
         max_cycles: 200_000_000,
-        ..SimConfig::default()
     };
     let (addrs, stats) = issued(suite.program(), &cfg);
     assert_eq!(stats.instructions_issued, reference.instructions);

@@ -25,7 +25,6 @@ pub fn point_config(fetch: FetchStrategy, mem: &MemConfig) -> SimConfig {
         fetch,
         mem: *mem,
         max_cycles: 2_000_000_000,
-        ..SimConfig::default()
     }
 }
 

@@ -78,15 +78,6 @@ pub enum WorkloadSpec {
         /// Iteration-count divisor (≥ 1).
         scale: u32,
     },
-    /// A synthetic straight-line loop (`pipe_workloads::synthetic`).
-    TightLoop {
-        /// ALU instructions in the loop body.
-        body: u32,
-        /// Loop trips.
-        trips: u16,
-        /// Instruction format to assemble under.
-        format: InstrFormat,
-    },
     /// A pre-recorded binary `.ptr` instruction trace, replayed through
     /// each job's fetch engine instead of running the functional core
     /// (see [`crate::tracerun`]). The key
@@ -148,11 +139,6 @@ impl WorkloadSpec {
                     .program()
                     .clone()
             }
-            WorkloadSpec::TightLoop {
-                body,
-                trips,
-                format,
-            } => pipe_workloads::synthetic::tight_loop(*body, *trips, *format),
             WorkloadSpec::Trace { path, .. } => crate::tracerun::trace_program(Path::new(path))
                 .expect("trace workload validated at construction"),
         }
@@ -164,18 +150,15 @@ impl WorkloadSpec {
             WorkloadSpec::Livermore { format, scale } => {
                 format!("livermore:format={format},scale={scale}")
             }
-            WorkloadSpec::TightLoop {
-                body,
-                trips,
-                format,
-            } => format!("tight-loop:body={body},trips={trips},format={format}"),
             WorkloadSpec::Trace { fnv, .. } => format!("trace:fnv={fnv:016x}"),
         }
     }
 }
 
 /// Canonical key fragment for a memory configuration: every field, in a
-/// fixed order. Also used as the `mem_key` of recorded trace headers.
+/// fixed order, and the fixed output bus width and FPU latency. Also used
+/// as the `mem_key` of recorded trace headers, which is why the two
+/// constants are in the text.
 pub fn mem_key(mem: &MemConfig) -> String {
     let ext = match &mem.external_cache {
         Some(e) => format!(
@@ -185,13 +168,12 @@ pub fn mem_key(mem: &MemConfig) -> String {
         None => "none".to_string(),
     };
     format!(
-        "access={},pipelined={},bus_in={},bus_out={},priority={},fpu={},ext={}",
+        "access={},pipelined={},bus_in={},bus_out=4,priority={},fpu={},ext={}",
         mem.access_cycles,
         mem.pipelined,
         mem.in_bus_bytes,
-        mem.out_bus_bytes,
         mem.priority,
-        mem.fpu_latency,
+        pipe_mem::FPU_LATENCY,
         ext
     )
 }
@@ -778,10 +760,9 @@ mod tests {
                 ..MemConfig::default()
             },
             policy: PrefetchPolicy::TruePrefetch,
-            workload: WorkloadSpec::TightLoop {
-                body: 6,
-                trips: 30,
+            workload: WorkloadSpec::Livermore {
                 format: InstrFormat::Fixed32,
+                scale: 50,
             },
         }
     }
@@ -813,8 +794,9 @@ mod tests {
         other.mem.in_bus_bytes = 8;
         assert_ne!(spec.expand()[0].key(), other.expand()[0].key());
 
-        // Recorded trace headers carry this fragment, so it must stay
-        // stable.
+        // Recorded trace headers carry this fragment, and perfbench's
+        // `scalar` workload adds the trace's `trace.bytes` into its
+        // exact-output gate, so it must stay as it is.
         assert_eq!(
             mem_key(&figure_mem("4a").0),
             "access=1,pipelined=false,bus_in=4,bus_out=4,priority=instruction-first,fpu=4,ext=none"

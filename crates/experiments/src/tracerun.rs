@@ -50,11 +50,6 @@ pub fn parse_workload_key(key: &str) -> Option<WorkloadSpec> {
             format: parse_format(field("format")?)?,
             scale: field("scale")?.parse().ok()?,
         }),
-        "tight-loop" => Some(WorkloadSpec::TightLoop {
-            body: field("body")?.parse().ok()?,
-            trips: field("trips")?.parse().ok()?,
-            format: parse_format(field("format")?)?,
-        }),
         _ => None,
     }
 }
@@ -153,11 +148,6 @@ mod tests {
                 format: InstrFormat::Mixed,
                 scale: 1,
             },
-            WorkloadSpec::TightLoop {
-                body: 6,
-                trips: 30,
-                format: InstrFormat::Fixed32,
-            },
         ] {
             assert_eq!(parse_workload_key(&spec.key()), Some(spec.clone()));
         }
@@ -165,12 +155,12 @@ mod tests {
         assert_eq!(parse_workload_key("livermore:scale=1"), None);
     }
 
-    /// Records a tight-loop run into a `.ptr` file and returns its path.
-    fn record_tight_loop(dir: &Path) -> std::path::PathBuf {
-        let spec = WorkloadSpec::TightLoop {
-            body: 6,
-            trips: 30,
+    /// Records a run of the Livermore loops, scaled down 50 times, into a
+    /// `.ptr` file and returns its path.
+    fn record_livermore(dir: &Path) -> std::path::PathBuf {
+        let spec = WorkloadSpec::Livermore {
             format: InstrFormat::Fixed32,
+            scale: 50,
         };
         let program = spec.build();
         let config = pipe_core::SimConfig::default();
@@ -181,7 +171,7 @@ mod tests {
             fetch_key: config.fetch.cache_key(),
             mem_key: crate::sweep::mem_key(&config.mem),
         };
-        let path = dir.join("tight-loop.ptr");
+        let path = dir.join("livermore.ptr");
         let recorder = Rc::new(RefCell::new(
             TraceRecorder::create(&path, &meta).expect("creates trace"),
         ));
@@ -201,7 +191,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pipe-tracerun-sweep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let trace = record_tight_loop(&dir);
+        let trace = record_livermore(&dir);
 
         let workload = WorkloadSpec::trace(&trace).expect("trace workload");
         let fnv = pipe_trace::file_fnv(&trace).unwrap();
@@ -244,7 +234,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pipe-tracerun-det-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let trace = record_tight_loop(&dir);
+        let trace = record_livermore(&dir);
         let program = trace_program(&trace).expect("rebuilds program");
 
         // Replay under the recorded configuration: bit-identical totals.

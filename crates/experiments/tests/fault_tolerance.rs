@@ -22,10 +22,9 @@ fn spec(id: &str) -> SweepSpec {
             ..MemConfig::default()
         },
         policy: PrefetchPolicy::TruePrefetch,
-        workload: WorkloadSpec::TightLoop {
-            body: 6,
-            trips: 30,
+        workload: WorkloadSpec::Livermore {
             format: InstrFormat::Fixed32,
+            scale: 50,
         },
     }
 }

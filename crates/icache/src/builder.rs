@@ -24,7 +24,7 @@ use pipe_isa::Program;
 use pipe_mem::ConfigError;
 
 use crate::buffers::{BufferConfig, BufferFetch};
-use crate::cache::CacheConfig;
+use crate::cache::{CacheConfig, SUBBLOCK_BYTES};
 use crate::conventional::{ConvPrefetch, ConventionalConfig, ConventionalFetch};
 use crate::engine::FetchEngine;
 use crate::perfect::PerfectFetch;
@@ -116,20 +116,22 @@ impl FetchConfig {
 
     /// A canonical single-line description covering *every* parameter, for
     /// sweep-point keys and trace headers. Unlike [`label`](FetchConfig::label)
-    /// it includes sub-block sizes, prefetch policies, and partial-line
+    /// it includes the sub-block size, prefetch policies, and partial-line
     /// flags, so two configs hash equal only if they simulate identically.
+    /// The fixed sub-block size and the TIB's derived fetch queue are in
+    /// the text too, because recorded trace headers carry it.
     pub fn cache_key(&self) -> String {
         match self {
             FetchConfig::Perfect => "perfect".to_string(),
             FetchConfig::Conventional(c) => format!(
                 "conventional:size={},line={},sub={},prefetch={}",
-                c.cache.size_bytes, c.cache.line_bytes, c.cache.subblock_bytes, c.prefetch
+                c.cache.size_bytes, c.cache.line_bytes, SUBBLOCK_BYTES, c.prefetch
             ),
             FetchConfig::Pipe(c) => format!(
                 "pipe:size={},line={},sub={},iq={},iqb={},policy={},partial={}",
                 c.cache.size_bytes,
                 c.cache.line_bytes,
-                c.cache.subblock_bytes,
+                SUBBLOCK_BYTES,
                 c.iq_bytes,
                 c.iqb_bytes,
                 c.policy,
@@ -137,12 +139,14 @@ impl FetchConfig {
             ),
             FetchConfig::Tib(c) => format!(
                 "tib:entries={},entry={},queue={}",
-                c.entries, c.entry_bytes, c.fetch_queue_bytes
+                c.entries,
+                c.entry_bytes,
+                c.fetch_queue_bytes()
             ),
             FetchConfig::Buffers(c) => match c.cache {
                 Some(cache) => format!(
                     "buffers:n={},cache={},line={},sub={}",
-                    c.buffers, cache.size_bytes, cache.line_bytes, cache.subblock_bytes
+                    c.buffers, cache.size_bytes, cache.line_bytes, SUBBLOCK_BYTES
                 ),
                 None => format!("buffers:n={},cache=none", c.buffers),
             },
@@ -260,5 +264,51 @@ mod tests {
         let (a, b) = (FetchConfig::Pipe(a), FetchConfig::Pipe(b));
         assert_ne!(a.cache_key(), b.cache_key());
         assert_eq!(a.label(), b.label(), "label intentionally coarser");
+    }
+
+    /// Sweep job keys and recorded trace headers carry these strings, and
+    /// perfbench's `scalar` workload adds the trace's `trace.bytes` into
+    /// its exact-output gate: a changed key fails that gate. Fixed facts
+    /// of the machine (the 4-byte sub-block, the TIB's fetch queue) stay in
+    /// the text although no field sets them.
+    #[test]
+    fn cache_keys_are_pinned() {
+        let cache = CacheConfig::new(64, 16);
+        let cases = [
+            (FetchConfig::Perfect, "perfect"),
+            (
+                FetchConfig::conventional(cache),
+                "conventional:size=64,line=16,sub=4,prefetch=always-prefetch",
+            ),
+            (
+                FetchConfig::Pipe(PipeFetchConfig::table2(64, 16, 16, 32)),
+                "pipe:size=64,line=16,sub=4,iq=16,iqb=32,policy=true-prefetch,partial=false",
+            ),
+            (
+                FetchConfig::Tib(TibConfig::with_budget(64, 8)),
+                "tib:entries=8,entry=8,queue=16",
+            ),
+            (
+                FetchConfig::Tib(TibConfig::with_budget(64, 32)),
+                "tib:entries=2,entry=32,queue=32",
+            ),
+            (
+                FetchConfig::Buffers(BufferConfig {
+                    buffers: 2,
+                    cache: Some(cache),
+                }),
+                "buffers:n=2,cache=64,line=16,sub=4",
+            ),
+            (
+                FetchConfig::Buffers(BufferConfig {
+                    buffers: 4,
+                    cache: None,
+                }),
+                "buffers:n=4,cache=none",
+            ),
+        ];
+        for (config, key) in cases {
+            assert_eq!(config.cache_key(), key);
+        }
     }
 }

@@ -8,28 +8,29 @@
 
 use std::fmt;
 
-use pipe_mem::error::{require_at_most, require_power_of_two};
+use pipe_mem::error::{require_at_least, require_at_most, require_power_of_two};
 use pipe_mem::ConfigError;
 
-/// Geometry of an [`InstructionCache`].
+/// Sub-block (valid-bit granularity) size in bytes: one fixed-format
+/// instruction, as in Hill's model.
+pub const SUBBLOCK_BYTES: u32 = 4;
+
+/// Geometry of an [`InstructionCache`]. Its lines are divided into
+/// [`SUBBLOCK_BYTES`]-byte sub-blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes (the paper sweeps 16–512).
     pub size_bytes: u32,
     /// Line (tag granularity) size in bytes.
     pub line_bytes: u32,
-    /// Sub-block (valid-bit granularity) size in bytes; 4 in the paper's
-    /// model (one fixed-format instruction).
-    pub subblock_bytes: u32,
 }
 
 impl CacheConfig {
-    /// A convenience constructor with 4-byte sub-blocks.
+    /// A cache of `size_bytes` in lines of `line_bytes`.
     pub fn new(size_bytes: u32, line_bytes: u32) -> CacheConfig {
         CacheConfig {
             size_bytes,
             line_bytes,
-            subblock_bytes: 4,
         }
     }
 
@@ -37,19 +38,17 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if any field is zero or not a power of
-    /// two, if the line exceeds the size, or if the sub-block exceeds the
-    /// line.
+    /// Returns a [`ConfigError`] if either field is zero or not a power
+    /// of two, if the line exceeds the size, or if the line is shorter
+    /// than a sub-block.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_power_of_two("size_bytes", self.size_bytes)?;
         require_power_of_two("line_bytes", self.line_bytes)?;
-        require_power_of_two("subblock_bytes", self.subblock_bytes)?;
         require_at_most("line_bytes", self.line_bytes, "size_bytes", self.size_bytes)?;
-        require_at_most(
-            "subblock_bytes",
-            self.subblock_bytes,
+        require_at_least(
             "line_bytes",
-            self.line_bytes,
+            u64::from(self.line_bytes),
+            u64::from(SUBBLOCK_BYTES),
         )
     }
 
@@ -60,7 +59,7 @@ impl CacheConfig {
 
     /// Sub-blocks per line.
     pub fn subblocks_per_line(&self) -> u32 {
-        self.line_bytes / self.subblock_bytes
+        self.line_bytes / SUBBLOCK_BYTES
     }
 
     /// Byte address of the start of the line containing `addr`.
@@ -84,7 +83,7 @@ impl fmt::Display for CacheConfig {
         write!(
             f,
             "{}B direct-mapped, {}B lines, {}B sub-blocks",
-            self.size_bytes, self.line_bytes, self.subblock_bytes
+            self.size_bytes, self.line_bytes, SUBBLOCK_BYTES
         )
     }
 }
@@ -110,7 +109,6 @@ pub struct InstructionCache {
     line_shift: u32,
     index_mask: u32,
     size_shift: u32,
-    sub_shift: u32,
 }
 
 impl InstructionCache {
@@ -129,7 +127,6 @@ impl InstructionCache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             index_mask: cfg.num_lines() - 1,
             size_shift: cfg.size_bytes.trailing_zeros(),
-            sub_shift: cfg.subblock_bytes.trailing_zeros(),
         }
     }
 
@@ -147,8 +144,8 @@ impl InstructionCache {
             addr + bytes <= base + self.cfg.line_bytes,
             "range {addr:#x}+{bytes} crosses line boundary"
         );
-        let first = (addr - base) >> self.sub_shift;
-        let last = (addr + bytes - 1 - base) >> self.sub_shift;
+        let first = (addr - base) / SUBBLOCK_BYTES;
+        let last = (addr + bytes - 1 - base) / SUBBLOCK_BYTES;
         let count = last - first + 1;
         (((1u64 << count) - 1) << first) & Self::full_mask(self.cfg.subblocks_per_line())
     }
@@ -328,13 +325,14 @@ mod tests {
         assert!(CacheConfig::new(0, 16).validate().is_err());
         assert!(CacheConfig::new(96, 16).validate().is_err()); // not pow2
         assert!(CacheConfig::new(8, 16).validate().is_err()); // size < line
-        assert!(CacheConfig {
-            size_bytes: 64,
-            line_bytes: 2,
-            subblock_bytes: 4
-        }
-        .validate()
-        .is_err()); // line < subblock
+        assert_eq!(
+            CacheConfig::new(64, 2).validate(),
+            Err(ConfigError::TooSmall {
+                field: "line_bytes",
+                value: 2,
+                min: 4
+            })
+        ); // line < sub-block
     }
 
     #[test]

@@ -19,7 +19,7 @@ use pipe_isa::decode::instr_len;
 use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey, Untimed};
 
-use crate::cache::{CacheConfig, InstructionCache};
+use crate::cache::{CacheConfig, InstructionCache, SUBBLOCK_BYTES};
 use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
 use crate::stats::FetchStats;
 
@@ -168,9 +168,8 @@ impl ConventionalFetch {
 
     /// The aligned sub-block range covering `[addr, addr + bytes)`.
     fn covering(&self, addr: u32, bytes: u32) -> (u32, u32) {
-        let sb = self.state.cache.config().subblock_bytes;
-        let lo = addr & !(sb - 1);
-        let hi = (addr + bytes + sb - 1) & !(sb - 1);
+        let lo = addr & !(SUBBLOCK_BYTES - 1);
+        let hi = (addr + bytes + SUBBLOCK_BYTES - 1) & !(SUBBLOCK_BYTES - 1);
         (lo, hi - lo)
     }
 
@@ -275,10 +274,8 @@ impl FetchEngine for ConventionalFetch {
         // demand fetch once the decoder is actually stalled on its range.
         let stalled_at = (!just_consumed)
             .then(|| {
-                self.availability().map(|_| {
-                    let sb = self.state.cache.config().subblock_bytes;
-                    self.state.pc & !(sb - 1)
-                })
+                self.availability()
+                    .map(|_| self.state.pc & !(SUBBLOCK_BYTES - 1))
             })
             .flatten();
         if let Some(p) = &mut self.state.pending {
@@ -358,11 +355,10 @@ impl FetchEngine for ConventionalFetch {
         self.state.avail.0.set(None); // the fill (and latch) change availability
         self.state.cache.fill(beat.addr, beat.bytes);
         if self.prefetch == ConvPrefetch::Tagged {
-            let sb = self.state.cache.config().subblock_bytes;
-            let mut a = beat.addr & !(sb - 1);
+            let mut a = beat.addr & !(SUBBLOCK_BYTES - 1);
             while a < beat.addr + beat.bytes {
                 self.state.fresh.insert(a);
-                a += sb;
+                a += SUBBLOCK_BYTES;
             }
         }
         // Latch any parcels of the current instruction carried by this
@@ -410,8 +406,8 @@ impl FetchEngine for ConventionalFetch {
             .expect("consume without available instruction");
         debug_assert!(cached);
         if self.prefetch == ConvPrefetch::Tagged {
-            let sb = self.state.cache.config().subblock_bytes;
-            if self.state.fresh.remove(&(self.state.pc & !(sb - 1))) {
+            let sub_block = self.state.pc & !(SUBBLOCK_BYTES - 1);
+            if self.state.fresh.remove(&sub_block) {
                 self.state.tagged_trigger = true;
             }
         }

@@ -93,7 +93,7 @@ pub mod tib;
 
 pub use buffers::{BufferConfig, BufferFetch};
 pub use builder::FetchConfig;
-pub use cache::{CacheConfig, InstructionCache};
+pub use cache::{CacheConfig, InstructionCache, SUBBLOCK_BYTES};
 pub use conventional::{ConvPrefetch, ConventionalConfig, ConventionalFetch};
 pub use engine::FetchEngine;
 pub use perfect::PerfectFetch;

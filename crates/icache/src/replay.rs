@@ -44,8 +44,9 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use pipe_mem::system::FPU_BASE;
-use pipe_mem::{BeatSource, MemRequest, MemorySystem, ReqClass, TimingKey, Untimed};
+use pipe_mem::{
+    is_fpu_address, BeatSource, MemRequest, MemorySystem, ReqClass, TimingKey, Untimed, FPU_BASE,
+};
 
 use crate::engine::FetchEngine;
 use crate::repeat::{Counters, Iteration, LoopMarks, Machine, RepeatCounts, State, Timing};
@@ -204,9 +205,10 @@ fn op_kind(op: &ReplayOp) -> u64 {
 /// What timing reads of a store address: whether it falls in the FPU
 /// window and, if so, the offset that selects the FPU's action.
 fn store_kind(addr: u32) -> u8 {
-    match addr.wrapping_sub(FPU_BASE) {
-        offset @ 0..=0x1F => 4 + offset as u8,
-        _ => 3,
+    if is_fpu_address(addr) {
+        4 + (addr - FPU_BASE) as u8
+    } else {
+        3
     }
 }
 

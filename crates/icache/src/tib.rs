@@ -33,8 +33,6 @@ pub struct TibConfig {
     pub entries: u32,
     /// Instruction bytes held per entry (the paper's *n*, in bytes).
     pub entry_bytes: u32,
-    /// Capacity of the sequential fetch queue, in bytes.
-    pub fetch_queue_bytes: u32,
 }
 
 impl TibConfig {
@@ -43,7 +41,6 @@ impl TibConfig {
         TibConfig {
             entries: (total_bytes / entry_bytes).max(1),
             entry_bytes,
-            fetch_queue_bytes: entry_bytes.max(16),
         }
     }
 
@@ -51,17 +48,17 @@ impl TibConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for zero entries, invalid sizes, or a
-    /// fetch queue too small for the longest (two-parcel) instruction.
+    /// Returns a [`ConfigError`] for zero entries or an entry that does
+    /// not hold whole parcels.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_at_least("entries", u64::from(self.entries), 1)?;
-        require_multiple_of("entry_bytes", self.entry_bytes, PARCEL_BYTES)?;
-        require_multiple_of("fetch_queue_bytes", self.fetch_queue_bytes, PARCEL_BYTES)?;
-        require_at_least(
-            "fetch_queue_bytes",
-            u64::from(self.fetch_queue_bytes),
-            2 * u64::from(PARCEL_BYTES),
-        )
+        require_multiple_of("entry_bytes", self.entry_bytes, PARCEL_BYTES)
+    }
+
+    /// Capacity of the sequential fetch queue, in bytes: one entry, and
+    /// never under 16, so it always holds the longest instruction.
+    pub fn fetch_queue_bytes(&self) -> u32 {
+        self.entry_bytes.max(16)
     }
 
     /// Total instruction bytes the TIB can hold.
@@ -121,7 +118,7 @@ impl TibFetch {
             state: TibState {
                 entries: vec![entry; cfg.entries as usize],
                 recency: (0..cfg.entries as usize).collect(),
-                fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes, program.entry()),
+                fq: ParcelQueue::new(&image, cfg.fetch_queue_bytes(), program.entry()),
                 stream_end: program.entry(),
                 pending: None,
                 redirect: Redirect::default(),
@@ -361,25 +358,12 @@ mod tests {
         assert!(TibConfig {
             entries: 0,
             entry_bytes: 16,
-            fetch_queue_bytes: 16
         }
         .validate()
         .is_err());
-        // One parcel of fetch queue can never hold a two-parcel
-        // instruction: the decoder would wait forever.
-        assert_eq!(
-            TibConfig {
-                entries: 4,
-                entry_bytes: 16,
-                fetch_queue_bytes: 2
-            }
-            .validate(),
-            Err(ConfigError::TooSmall {
-                field: "fetch_queue_bytes",
-                value: 2,
-                min: 4
-            })
-        );
+        // The fetch queue holds an entry, and at least 16 bytes.
+        assert_eq!(TibConfig::with_budget(64, 4).fetch_queue_bytes(), 16);
+        assert_eq!(TibConfig::with_budget(64, 32).fetch_queue_bytes(), 32);
     }
 
     #[test]
@@ -468,7 +452,6 @@ mod tests {
             TibConfig {
                 entries: 1,
                 entry_bytes: 8,
-                fetch_queue_bytes: 16,
             },
         );
         let mut m = mem(1);

@@ -69,26 +69,3 @@ pub use reg::{BranchReg, Reg};
 
 /// Number of bytes in one instruction parcel.
 pub const PARCEL_BYTES: u32 = 2;
-
-/// Base byte address of the memory-mapped floating-point unit.
-///
-/// Storing an operand to [`FPU_OPERAND_A`] and then a second operand to one
-/// of the operation addresses triggers a floating-point operation whose
-/// result is returned to the processor's load queue (see `pipe-mem`).
-pub const FPU_BASE: u32 = 0xFFFF_F000;
-/// Address of the FPU's first-operand register.
-pub const FPU_OPERAND_A: u32 = FPU_BASE;
-/// Storing the second operand here triggers a multiply.
-pub const FPU_OP_MUL: u32 = FPU_BASE + 4;
-/// Storing the second operand here triggers an addition.
-pub const FPU_OP_ADD: u32 = FPU_BASE + 8;
-/// Storing the second operand here triggers a subtraction.
-pub const FPU_OP_SUB: u32 = FPU_BASE + 12;
-/// Storing the second operand here triggers a division.
-pub const FPU_OP_DIV: u32 = FPU_BASE + 16;
-
-/// Returns `true` if `addr` falls inside the memory-mapped FPU window.
-#[inline]
-pub fn is_fpu_address(addr: u32) -> bool {
-    (FPU_BASE..FPU_BASE + 0x20).contains(&addr)
-}

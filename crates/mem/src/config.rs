@@ -31,6 +31,10 @@ impl fmt::Display for PriorityPolicy {
 }
 
 /// Configuration of the external memory system.
+///
+/// What the paper fixes is not configurable: a request (an address, plus
+/// store data) occupies the output bus for one cycle, and an FPU
+/// operation takes [`FPU_LATENCY`](crate::FPU_LATENCY) cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {
     /// Cycles between accepting a request and its first response beat
@@ -42,14 +46,8 @@ pub struct MemConfig {
     /// Input (return) bus width in bytes delivered per cycle (4 or 8 in the
     /// paper).
     pub in_bus_bytes: u32,
-    /// Output bus width in bytes per cycle. Requests (an address, plus
-    /// store data) occupy the output bus for one cycle; the width is kept
-    /// for documentation and future extension.
-    pub out_bus_bytes: u32,
     /// Tie-breaking between instruction and data requests.
     pub priority: PriorityPolicy,
-    /// Latency of a floating-point operation, in cycles (4 in the paper).
-    pub fpu_latency: u32,
     /// Optional finite external cache (the paper assumes `None`: a 100 %
     /// hit rate). When set, a missing request pays the configured penalty
     /// before its access begins.
@@ -61,12 +59,11 @@ impl MemConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first invalid field: zero access time, zero/odd bus
-    /// widths, or an invalid external-cache geometry.
+    /// Returns the first invalid field: zero access time, a zero or odd
+    /// input bus width, or an invalid external-cache geometry.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_at_least("access_cycles", u64::from(self.access_cycles), 1)?;
         require_multiple_of("in_bus_bytes", self.in_bus_bytes, 2)?;
-        require_multiple_of("out_bus_bytes", self.out_bus_bytes, 2)?;
         if let Some(ec) = &self.external_cache {
             ec.validate()?;
         }
@@ -76,15 +73,13 @@ impl MemConfig {
 
 impl Default for MemConfig {
     /// The paper's fast-memory baseline: 1-cycle access, non-pipelined,
-    /// 4-byte buses, instruction priority, 4-cycle FPU.
+    /// 4-byte input bus, instruction priority.
     fn default() -> MemConfig {
         MemConfig {
             access_cycles: 1,
             pipelined: false,
             in_bus_bytes: 4,
-            out_bus_bytes: 4,
             priority: PriorityPolicy::InstructionFirst,
-            fpu_latency: 4,
             external_cache: None,
         }
     }
@@ -101,7 +96,6 @@ mod tests {
         assert!(!c.pipelined);
         assert_eq!(c.in_bus_bytes, 4);
         assert_eq!(c.priority, PriorityPolicy::InstructionFirst);
-        assert_eq!(c.fpu_latency, 4);
         assert!(c.validate().is_ok());
     }
 
@@ -115,12 +109,6 @@ mod tests {
 
         let c = MemConfig {
             in_bus_bytes: 3,
-            ..MemConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = MemConfig {
-            out_bus_bytes: 0,
             ..MemConfig::default()
         };
         assert!(c.validate().is_err());

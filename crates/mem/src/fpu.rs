@@ -7,8 +7,8 @@
 //! shared input bus with priority below loads/stores and above instruction
 //! prefetches.
 //!
-//! Address map (see the `FPU_*` constants in `pipe-isa` for the canonical
-//! values used by generated code):
+//! The window starts at [`FPU_BASE`] and spans 32 bytes
+//! ([`is_fpu_address`]); this is the one definition of it:
 //!
 //! | offset | store effect                      |
 //! |-------:|-----------------------------------|
@@ -19,6 +19,20 @@
 //! | +16    | operand B, start divide            |
 
 use crate::timing::Pipeline;
+
+/// Base byte address of the FPU's memory-mapped window. Generated code
+/// reaches it with `lim r5, -4096`, which sign-extends to this address.
+pub const FPU_BASE: u32 = 0xFFFF_F000;
+
+/// Cycles from an operation's start to its result being ready for the
+/// input bus: a constant 4 in the paper (§5).
+pub const FPU_LATENCY: u32 = 4;
+
+/// Returns `true` if `addr` falls inside the FPU's window.
+#[inline]
+pub fn is_fpu_address(addr: u32) -> bool {
+    (FPU_BASE..FPU_BASE + 0x20).contains(&addr)
+}
 
 /// A floating-point operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,45 +75,28 @@ impl FpOp {
 }
 
 /// The external FPU's timing: the operations in flight, each ready for the
-/// input bus `latency` cycles after it started. Operand and
+/// input bus [`FPU_LATENCY`] cycles after it started. Operand and
 /// result *values* belong to the interpreter, which evaluates an
 /// operation with [`FpOp::eval_bits`]; the memory system only schedules
 /// the result's return.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Fpu {
-    base: u32,
-    latency: u32,
     /// The operations in flight, oldest first.
     results: Pipeline<()>,
 }
 
 impl Fpu {
-    /// Creates an FPU mapped at byte address `base` with the given
-    /// operation latency in cycles.
-    pub fn new(base: u32, latency: u32) -> Fpu {
-        Fpu {
-            base,
-            latency,
-            results: Pipeline::default(),
-        }
-    }
-
-    /// Returns `true` if `addr` falls inside this FPU's window.
-    pub fn owns(&self, addr: u32) -> bool {
-        (self.base..self.base + 0x20).contains(&addr)
-    }
-
     /// Applies a store to the FPU window, returning whether it started
     /// an operation.
     ///
     /// A store at an operation offset starts that operation, ready
-    /// `latency` [`tick`](Self::tick)s later. Stores at
+    /// [`FPU_LATENCY`] [`tick`](Self::tick)s later. Stores at
     /// offset 0 (the operand latch) and at unmapped offsets start nothing.
     pub fn store(&mut self, addr: u32) -> bool {
-        debug_assert!(self.owns(addr));
-        let starts = FpOp::from_offset(addr - self.base).is_some();
+        debug_assert!(is_fpu_address(addr));
+        let starts = FpOp::from_offset(addr - FPU_BASE).is_some();
         if starts {
-            self.results.push((), self.latency);
+            self.results.push((), FPU_LATENCY);
         }
         starts
     }
@@ -135,10 +132,6 @@ impl Fpu {
 mod tests {
     use super::*;
 
-    fn fpu() -> Fpu {
-        Fpu::new(0xFFFF_F000, 4)
-    }
-
     #[test]
     fn op_decoding() {
         assert_eq!(FpOp::from_offset(0), None);
@@ -151,7 +144,7 @@ mod tests {
 
     #[test]
     fn multiply_latency() {
-        let mut f = fpu();
+        let mut f = Fpu::default();
         assert!(!f.store(0xFFFF_F000), "the operand latch starts nothing");
         assert_eq!(f.pending(), 0);
         assert!(f.store(0xFFFF_F004));
@@ -168,7 +161,7 @@ mod tests {
 
     #[test]
     fn results_return_in_order() {
-        let mut f = fpu();
+        let mut f = Fpu::default();
         f.store(0xFFFF_F008); // ready after 4 cycles
         f.tick();
         f.store(0xFFFF_F00C); // ready a cycle later
@@ -187,7 +180,7 @@ mod tests {
 
     #[test]
     fn unmapped_offsets_start_nothing() {
-        let mut f = fpu();
+        let mut f = Fpu::default();
         assert!(!f.store(0xFFFF_F014));
         assert_eq!(f.pending(), 0);
     }
@@ -200,10 +193,10 @@ mod tests {
 
     #[test]
     fn window_ownership() {
-        let f = fpu();
-        assert!(f.owns(0xFFFF_F000));
-        assert!(f.owns(0xFFFF_F01F));
-        assert!(!f.owns(0xFFFF_F020));
-        assert!(!f.owns(0x1000));
+        assert!(is_fpu_address(0xFFFF_F000));
+        assert!(is_fpu_address(0xFFFF_F01F));
+        assert!(!is_fpu_address(0xFFFF_F020));
+        assert!(!is_fpu_address(0xFFFF_EFFF));
+        assert!(!is_fpu_address(0x1000));
     }
 }

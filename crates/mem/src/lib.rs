@@ -60,7 +60,7 @@ pub use config::{MemConfig, PriorityPolicy};
 pub use data::DataMemory;
 pub use error::ConfigError;
 pub use extcache::{ExternalCache, ExternalCacheConfig};
-pub use fpu::{FpOp, Fpu};
+pub use fpu::{is_fpu_address, FpOp, Fpu, FPU_BASE, FPU_LATENCY};
 pub use request::{Beat, BeatSource, MemRequest, ReqClass};
 pub use stats::MemStats;
 pub use system::{MemorySystem, TickOutput};

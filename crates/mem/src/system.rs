@@ -30,14 +30,10 @@
 
 use crate::config::{MemConfig, PriorityPolicy};
 use crate::extcache::ExternalCache;
-use crate::fpu::Fpu;
+use crate::fpu::{is_fpu_address, Fpu};
 use crate::request::{Beat, BeatSource, MemRequest, ReqClass};
 use crate::stats::MemStats;
 use crate::timing::{Pipeline, TimingKey};
-
-/// Default base address of the memory-mapped FPU window (matches
-/// `pipe_isa::FPU_BASE`).
-pub const FPU_BASE: u32 = 0xFFFF_F000;
 
 /// What [`MemorySystem::tick`] produced this cycle.
 ///
@@ -119,7 +115,7 @@ impl MemorySystem {
             ext_cache: cfg.external_cache.map(ExternalCache::new),
             ports: [None, None, None, None],
             timing: Timing {
-                fpu: Fpu::new(FPU_BASE, cfg.fpu_latency),
+                fpu: Fpu::default(),
                 inflight: Pipeline::default(),
                 streaming: None,
                 store_busy: 0,
@@ -322,7 +318,7 @@ impl MemorySystem {
         // the line comes from main memory. FPU traffic bypasses the
         // external cache.
         let mut penalty = 0;
-        if !t.fpu.owns(req.addr) {
+        if !is_fpu_address(req.addr) {
             if let Some(ec) = &mut self.ext_cache {
                 penalty = ec.access(req.addr, req.bytes) * ec.config().miss_penalty;
             }
@@ -330,7 +326,7 @@ impl MemorySystem {
         let wait = self.cfg.access_cycles + penalty;
         match class {
             ReqClass::DataStore => {
-                if t.fpu.owns(req.addr) && t.fpu.store(req.addr) {
+                if is_fpu_address(req.addr) && t.fpu.store(req.addr) {
                     self.stats.fpu_ops += 1;
                 }
                 if !self.cfg.pipelined {
@@ -352,6 +348,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fpu::{FPU_BASE, FPU_LATENCY};
 
     fn cfg(access: u32, pipelined: bool, in_bus: u32) -> MemConfig {
         MemConfig {
@@ -518,7 +515,7 @@ mod tests {
         drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE));
         let t_b = drive_until_accepted(&mut mem, MemRequest::store(FPU_BASE + 4));
         assert_eq!(mem.stats().fpu_ops, 1);
-        // Result beat (FpuResult) after fpu_latency.
+        // Result beat (FpuResult) after FPU_LATENCY.
         let mut result_cycle = None;
         for _ in 0..20 {
             let at = mem.cycle();
@@ -531,7 +528,7 @@ mod tests {
             }
         }
         let rc = result_cycle.expect("fpu result returned");
-        assert_eq!(rc - t_b, 4, "fpu latency");
+        assert_eq!(rc - t_b, u64::from(FPU_LATENCY), "fpu latency");
     }
 
     #[test]

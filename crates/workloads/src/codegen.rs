@@ -10,7 +10,7 @@
 //! | `r2` | walking array pointer (one per loop, +4 bytes per iteration) |
 //! | `r3` | constants base (fixed) |
 //! | `r4` | integer scratch for padding work |
-//! | `r5` | FPU base (`FPU_BASE`) |
+//! | `r5` | FPU base (`pipe_mem::FPU_BASE`) |
 //! | `r6` | floating-point accumulator (bit pattern) |
 //! | `r7` | the queue register |
 //!

@@ -58,7 +58,6 @@ fn full_benchmark_on_pipe_and_conventional_engines() {
             fetch,
             mem,
             max_cycles: 100_000_000,
-            ..SimConfig::default()
         };
         let stats = run_program(suite.program(), &cfg).unwrap_or_else(|e| panic!("{fetch}: {e}"));
         assert_eq!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example fpu_pipeline
 //! ```
 
-use pipe_repro::isa::{FPU_OPERAND_A, FPU_OP_MUL};
+use pipe_repro::mem::FPU_BASE;
 use pipe_repro::prelude::*;
 
 fn main() {
@@ -80,5 +80,8 @@ fn main() {
         "data-wait stalls: {} (cycles the issue stage waited on the LDQ)",
         stats.stalls.data_wait
     );
-    println!("constants: FPU_OPERAND_A={FPU_OPERAND_A:#x}, FPU_OP_MUL={FPU_OP_MUL:#x}");
+    println!(
+        "fpu window: operand A at {FPU_BASE:#x}, multiply at {:#x}",
+        FPU_BASE + 4
+    );
 }

@@ -20,7 +20,6 @@ fn quick(src: &str, fetch: FetchStrategy) -> Result<pipe_repro::core::SimStats, 
         fetch,
         mem: MemConfig::default(),
         max_cycles: 20_000,
-        ..SimConfig::default()
     };
     run_program(&asm(src), &cfg)
 }
@@ -188,7 +187,6 @@ fn deadlocks_time_out_exactly_as_ticking_does_and_at_once() {
                         ..MemConfig::default()
                     },
                     max_cycles,
-                    ..SimConfig::default()
                 };
                 let mut ticked = Processor::new(&program, &config).unwrap();
                 while ticked.cycle() < max_cycles {
@@ -212,7 +210,6 @@ fn deadlocks_time_out_exactly_as_ticking_does_and_at_once() {
                         ..MemConfig::default()
                     },
                     max_cycles: 1_000_000_000_000,
-                    ..SimConfig::default()
                 };
                 let err = run_program(&program, &config).unwrap_err();
                 assert_eq!(

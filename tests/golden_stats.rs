@@ -138,7 +138,6 @@ fn run_golden(decoded: &Arc<DecodedProgram>, g: &Golden) -> SimStats {
         fetch,
         mem,
         max_cycles: 2_000_000_000,
-        ..SimConfig::default()
     };
     run_decoded(decoded, &cfg).expect("livermore runs to halt")
 }

@@ -17,7 +17,6 @@ fn cycles(suite: &LivermoreSuite, fetch: FetchStrategy, mem: MemConfig) -> u64 {
         fetch,
         mem,
         max_cycles: 500_000_000,
-        ..SimConfig::default()
     };
     run_program(suite.program(), &cfg).expect("runs").cycles
 }
@@ -147,7 +146,6 @@ fn tib_beats_small_cache_but_floods_the_bus() {
             fetch,
             mem: m,
             max_cycles: 500_000_000,
-            ..SimConfig::default()
         };
         run_program(s.program(), &cfg).expect("runs")
     };

@@ -17,9 +17,8 @@ use pipe_repro::icache::{CacheConfig, InstructionCache, PipeFetchConfig};
 use pipe_repro::isa::{
     decode, encode, AluOp, BranchReg, Cond, InstrFormat, Instruction, ProgramBuilder, Reg,
 };
-use pipe_repro::mem::system::FPU_BASE;
 use pipe_repro::mem::{
-    BeatSource, ExternalCacheConfig, MemConfig, MemRequest, MemorySystem, ReqClass,
+    BeatSource, ExternalCacheConfig, MemConfig, MemRequest, MemorySystem, ReqClass, FPU_BASE,
 };
 
 // ---------------------------------------------------------------------
@@ -566,7 +565,6 @@ fn random_kernels_agree_between_interpreter_and_processor() {
                     ..MemConfig::default()
                 },
                 max_cycles: 50_000_000,
-                ..SimConfig::default()
             };
             let (addrs, stats) = issued(&program, &cfg);
             assert_eq!(stats.instructions_issued, reference.instructions);
@@ -711,7 +709,6 @@ fn every_engine_matches_the_interpreter_on_random_programs() {
                     ..MemConfig::default()
                 },
                 max_cycles: 50_000_000,
-                ..SimConfig::default()
             };
             let (addrs, stats) = issued(&program, &cfg);
             assert_eq!(
@@ -838,7 +835,6 @@ fn run_matches_ticking_on_random_programs() {
                     } else {
                         50_000_000
                     },
-                    ..SimConfig::default()
                 };
                 let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
                 let result = run_matches_ticking(&decoded, &config, &context);
@@ -889,7 +885,6 @@ fn loop_skip_matches_ticking_on_random_kernels() {
                     } else {
                         50_000_000
                     },
-                    ..SimConfig::default()
                 };
                 let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
                 let result = run_matches_ticking(&decoded, &config, &context);
@@ -963,7 +958,7 @@ fn loop_skip_replay_matches_ticked_replay_on_random_kernels() {
 use pipe_repro::core::{Course, Cursor, DataOp, Step, TraceEvent, TraceSink};
 use pipe_repro::experiments::figures::figure_mem;
 use pipe_repro::experiments::runner::point_config;
-use pipe_repro::isa::is_fpu_address;
+use pipe_repro::mem::is_fpu_address;
 use pipe_repro::workloads::LivermoreSuite;
 
 /// A random straight-line ALU program, or a random kernel of `trips`
@@ -1054,7 +1049,6 @@ fn a_shared_course_times_every_engine_as_a_private_one() {
                 } else {
                     50_000_000
                 },
-                ..SimConfig::default()
             };
             let mut shared = Processor::from_course(&course, &config).expect("valid");
             let mut private = Processor::from_decoded(&decoded, &config).expect("valid");

@@ -16,8 +16,7 @@ use pipe_icache::{
     CacheConfig, FetchConfig, PipeFetchConfig, PrefetchPolicy, ReplayHarness, ReplayOp, ReplayStep,
 };
 use pipe_isa::{Assembler, InstrFormat, Program};
-use pipe_mem::system::FPU_BASE;
-use pipe_mem::MemorySystem;
+use pipe_mem::{MemorySystem, FPU_BASE};
 use pipe_trace::{
     crc32::crc32, program_fnv, replay_trace, varint, ReplayTraceError, TraceError, TraceReader,
 };
