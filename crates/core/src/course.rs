@@ -297,11 +297,12 @@ impl Cursor {
 
     /// Moves past the next `expected.len()` steps if each `matches` its
     /// element of `expected`, and returns whether it did; otherwise, or if
-    /// the course ends first, it stays where it is.
+    /// the course ends first, it stays where it is. It calls `matches` in
+    /// order and not after the first step that does not match.
     pub(crate) fn advance_if<T>(
         &mut self,
         expected: &[T],
-        matches: impl Fn(&Step, &T) -> bool,
+        mut matches: impl FnMut(&Step, &T) -> bool,
     ) -> bool {
         match &mut self.source {
             Source::Course { course, place } => {

@@ -168,7 +168,7 @@ impl Interpreter {
             memory: DataMemory::from_image(program.data().iter().copied()),
             // The interpreter never stalls: its queue has no bound.
             ldq: LoadQueue::new(usize::MAX),
-            accesses: AddressQueue::new(usize::MAX, usize::MAX),
+            accesses: AddressQueue::new(usize::MAX),
             sdq: VecDeque::new(),
             fpu_operand: 0,
             pending_branch: None,

@@ -53,6 +53,6 @@ pub use queues::{AddressQueue, LoadQueue};
 pub use regfile::{BranchRegFile, RegFile};
 pub use stats::{SimStats, StallBreakdown};
 pub use trace::{
-    DataOp, IssueTrace, NoTrace, Region, RegionProfiler, StallReason, TextTrace, TraceEvent,
-    TraceSink, VecTrace,
+    DataOp, IssueTrace, NoTrace, Region, RegionProfiler, Repeat, StallReason, TextTrace,
+    TraceEvent, TraceSink, VecTrace,
 };

@@ -250,7 +250,7 @@ impl Processor {
             steps,
             max_cycles: config.max_cycles,
             core: Core {
-                accesses: AddressQueue::new(QUEUE_ENTRIES, QUEUE_ENTRIES),
+                accesses: AddressQueue::new(QUEUE_ENTRIES),
                 sdq: 0,
                 ldq: LoadQueue::new(QUEUE_ENTRIES),
                 pbr: None,
@@ -362,10 +362,15 @@ impl<S: TraceSink> Processor<S> {
 
     /// [`run`](Self::run), also returning what the loop-iteration skip
     /// did.
-    pub(crate) fn run_counting_repeats(&mut self) -> Result<RepeatCounts, SimError> {
-        // Both skips are off when a trace sink observes every cycle.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_counting_repeats(&mut self) -> Result<RepeatCounts, SimError> {
+        // The loop skip is off when a trace sink observes every cycle, and
+        // the frozen stop whenever one is attached.
         let untraced = !self.trace.enabled();
-        self.loops = untraced.then(Box::default);
+        self.loops = (untraced || self.trace.takes_iterations()).then(Box::default);
         self.frozen = untraced.then(Box::default);
         let result = self.run_cycles();
         self.frozen = None;

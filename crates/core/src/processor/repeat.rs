@@ -27,9 +27,12 @@
 //! replay uses too; this module adds the core's part of the key and the
 //! check against the course.
 //!
-//! The skip is off when a trace sink is attached (it observes every
-//! cycle) and when an external cache is modelled (addresses then affect
-//! timing).
+//! The skip is off when a trace sink that does not take iterations is
+//! attached (it observes every cycle) and when an external cache is
+//! modelled (addresses then affect timing). A sink that takes iterations
+//! ([`TraceSink::takes_iterations`]) is offered each repeat, with the
+//! lowest and highest address it issues, before it is applied; a repeat
+//! the sink declines is not applied, and ticking issues its steps.
 //!
 //! ## The frozen stop
 //!
@@ -47,7 +50,7 @@
 //! the run times out on exactly the cycle, and with exactly the
 //! statistics, that ticking gives. Livermore runs meet the conditions on
 //! at most 775 cycles of up to 1.24 M, so the check costs nothing
-//! measurable. It is off with a trace sink attached.
+//! measurable. It is off with any trace sink attached.
 //! `tests/failure_modes.rs` deadlocks a program in the first delay slot
 //! of a taken PBR to check the frozen stop against ticking with a
 //! redirect pending.
@@ -57,7 +60,7 @@ use pipe_mem::TimingKey;
 
 use super::{Decision, Processor};
 use crate::stats::SimStats;
-use crate::trace::TraceSink;
+use crate::trace::{Repeat, TraceSink};
 
 /// The loop-iteration skip's state during one [`Processor::run`].
 #[derive(Debug, Default)]
@@ -169,25 +172,47 @@ impl<S: TraceSink> Processor<S> {
     }
 
     /// Applies repeats of `iteration`, whose issues made `choices`, until
-    /// the course's next iteration chooses differently or a repeat would
-    /// end past `max_cycles`. Returns how many it applied. A method of the
-    /// processor, not of `Repeating`: as the latter, measured over Figures
-    /// 4a–6b, it made `run` about 5 % slower.
+    /// the course's next iteration chooses differently, the trace sink
+    /// declines a repeat or a repeat would end past `max_cycles`. Returns
+    /// how many it applied. A method of the processor, not of
+    /// `Repeating`: as the latter, measured over Figures 4a–6b, it made
+    /// `run` about 5 % slower.
     fn apply_repeats(
         &mut self,
         iteration: &Iteration<SimStats>,
         choices: &[Decision],
         counts: &mut RepeatCounts,
     ) -> u64 {
+        let traced = self.trace.enabled();
         let mut applied = 0;
         while self.cycle + iteration.cycles <= self.max_cycles {
-            // The course's next steps, issued if they make `choices`; a
-            // course that ends first is a mismatch.
-            if !self
-                .steps
-                .advance_if(choices, |step, &choice| Decision::of(step) == choice)
-            {
-                counts.diverged += 1;
+            // The course's next steps, issued if they make `choices` and
+            // the sink takes them; a course that ends first is a mismatch.
+            // The sink is asked at the last step, the PBR that closes the
+            // iteration, once every other step matched.
+            let (mut lowest, mut highest, mut left) = (u32::MAX, u32::MIN, choices.len());
+            let mut declined = false;
+            let trace = &mut self.trace;
+            let moved = self.steps.advance_if(choices, |step, &choice| {
+                if Decision::of(step) != choice {
+                    return false;
+                }
+                if !traced {
+                    return true;
+                }
+                (lowest, highest, left) = (lowest.min(step.addr), highest.max(step.addr), left - 1);
+                declined = left == 0
+                    && !trace.iteration(&Repeat {
+                        pbr: step.addr,
+                        lowest,
+                        highest,
+                        cycles: iteration.cycles,
+                        stats: &iteration.counters,
+                    });
+                !declined
+            });
+            if !moved {
+                counts.diverged += u64::from(!declined);
                 break;
             }
             iteration.apply(

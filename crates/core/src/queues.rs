@@ -82,32 +82,28 @@ impl Access {
 /// stores drain to memory strictly in this order, so a load can never
 /// bypass an older store (the memory-consistency rule of the decoupled
 /// interface). The counts of each kind are the two queues' occupancies,
-/// each bounded by its own capacity.
+/// each bounded by the same capacity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AddressQueue {
     entries: VecDeque<Access>,
     loads: usize,
-    laq_entries: usize,
-    saq_entries: usize,
+    /// The capacity of the LAQ and of the SAQ.
+    capacity: usize,
 }
 
 impl AddressQueue {
-    /// Creates an empty queue with room for `laq_entries` loads and
-    /// `saq_entries` stores.
+    /// Creates an empty queue with room for `entries` loads and `entries`
+    /// stores.
     ///
     /// # Panics
     ///
-    /// Panics if either capacity is zero.
-    pub fn new(laq_entries: usize, saq_entries: usize) -> AddressQueue {
-        assert!(
-            laq_entries > 0 && saq_entries > 0,
-            "queue capacity must be positive"
-        );
+    /// Panics if `entries` is zero.
+    pub fn new(entries: usize) -> AddressQueue {
+        assert!(entries > 0, "queue capacity must be positive");
         AddressQueue {
             entries: VecDeque::new(),
             loads: 0,
-            laq_entries,
-            saq_entries,
+            capacity: entries,
         }
     }
 
@@ -128,12 +124,12 @@ impl AddressQueue {
 
     /// Returns `true` when no more loads fit.
     pub fn laq_full(&self) -> bool {
-        self.loads == self.laq_entries
+        self.loads == self.capacity
     }
 
     /// Returns `true` when no more stores fit.
     pub fn saq_full(&self) -> bool {
-        self.stores() == self.saq_entries
+        self.stores() == self.capacity
     }
 
     /// Appends an access.
@@ -287,15 +283,18 @@ mod tests {
 
     #[test]
     fn address_queue_fifo() {
-        let mut q = AddressQueue::new(1, 2);
+        let mut q = AddressQueue::new(2);
         assert!(q.is_empty());
         q.push(Access::store(10));
         q.push(Access::load(20));
+        assert!(!q.laq_full() && !q.saq_full());
         q.push(Access::store(pipe_mem::FPU_BASE + 4));
+        q.push(Access::load(30));
         assert!(q.laq_full() && q.saq_full());
-        assert_eq!((q.loads(), q.stores()), (1, 2));
+        assert_eq!((q.loads(), q.stores()), (2, 2));
         assert_eq!(q.front(), Some(Access::store(10)));
         assert_eq!(q.pop().map(|a| a.addr()), Some(10));
+        assert!(!q.saq_full() && q.laq_full());
         assert_eq!(q.pop().map(|a| a.addr()), Some(20));
         assert!(!q.laq_full());
         assert!(matches!(
@@ -305,15 +304,17 @@ mod tests {
                 ..
             })
         ));
+        assert_eq!(q.pop().map(|a| a.addr()), Some(30));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn address_queue_overflow_panics() {
-        let mut q = AddressQueue::new(1, 1);
-        q.push(Access::load(1));
+        let mut q = AddressQueue::new(1);
+        q.push(Access::store(1));
         q.push(Access::load(2));
+        q.push(Access::load(3));
     }
 
     #[test]

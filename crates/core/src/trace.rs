@@ -13,10 +13,18 @@
 //! * [`TextTrace`] — render a human-readable line per event;
 //! * [`RegionProfiler`] — attribute cycles to program regions (used by the
 //!   experiment harness to produce per-Livermore-loop cycle breakdowns).
+//!
+//! [`Processor::run`](crate::Processor::run) applies a repeating loop
+//! iteration in one step, without its events, only for a sink that takes
+//! whole iterations ([`TraceSink::takes_iterations`]); of the four, only
+//! the [`RegionProfiler`] does. A run with any other enabled sink ticks
+//! every cycle.
 
 use std::fmt;
 
 use pipe_isa::Instruction;
+
+use crate::stats::SimStats;
 
 /// Why the issue stage did nothing this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,6 +148,46 @@ pub trait TraceSink {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Whether this sink takes whole loop iterations in place of their
+    /// events, through [`iteration`](TraceSink::iteration). Constant per
+    /// sink, like [`enabled`](TraceSink::enabled). Defaults to `false`:
+    /// the run then ticks every cycle and reports each event.
+    fn takes_iterations(&self) -> bool {
+        false
+    }
+
+    /// Offered each repeat of a loop iteration that the processor would
+    /// apply in one step, before it does so, when
+    /// [`takes_iterations`](TraceSink::takes_iterations) is `true`. A sink
+    /// that returns `true` takes the repeat: the processor applies it, and
+    /// the sink receives none of its events. One that returns `false`
+    /// declines, and the processor ticks the iteration, reporting each of
+    /// its events. Defaults to declining.
+    fn iteration(&mut self, _repeat: &Repeat<'_>) -> bool {
+        false
+    }
+}
+
+/// One repeat of a loop iteration, offered to a sink in place of its
+/// events (see [`TraceSink::iteration`]). The iteration runs from the
+/// cycle after a prepare-to-branch (PBR) issued to the cycle the same PBR
+/// issues again, and its repeat takes exactly the same cycles, issues and
+/// statistics.
+#[derive(Debug, Clone, Copy)]
+pub struct Repeat<'a> {
+    /// Fetch address of the PBR that closes the iteration, the last
+    /// instruction issued before the iteration and in it.
+    pub pbr: u32,
+    /// The lowest address issued in the iteration.
+    pub lowest: u32,
+    /// The highest address issued in the iteration.
+    pub highest: u32,
+    /// Cycles the iteration takes.
+    pub cycles: u64,
+    /// What the iteration adds to the processor's own statistics
+    /// (`cycles`, queue maxima, fetch and memory counters read 0).
+    pub stats: &'a SimStats,
 }
 
 /// The disabled trace sink: a zero-sized type whose `enabled()` is
@@ -166,6 +214,14 @@ impl TraceSink for Box<dyn TraceSink> {
     fn enabled(&self) -> bool {
         (**self).enabled()
     }
+
+    fn takes_iterations(&self) -> bool {
+        (**self).takes_iterations()
+    }
+
+    fn iteration(&mut self, repeat: &Repeat<'_>) -> bool {
+        (**self).iteration(repeat)
+    }
 }
 
 /// Shared sinks: keep an `Rc<RefCell<VecTrace>>` clone and hand the other
@@ -177,6 +233,14 @@ impl<S: TraceSink> TraceSink for std::rc::Rc<std::cell::RefCell<S>> {
 
     fn enabled(&self) -> bool {
         self.borrow().enabled()
+    }
+
+    fn takes_iterations(&self) -> bool {
+        self.borrow().takes_iterations()
+    }
+
+    fn iteration(&mut self, repeat: &Repeat<'_>) -> bool {
+        self.borrow_mut().iteration(repeat)
     }
 }
 
@@ -281,6 +345,12 @@ pub struct Region {
 
 /// Attributes cycles to program regions: each `Issue`/`Stall` cycle is
 /// charged to the region of the most recently issued instruction.
+///
+/// It takes a repeating loop iteration whole when every address the
+/// iteration issues lies in the region of its closing PBR: every cycle of
+/// it is then charged to that region, as ticking would charge it, since
+/// the PBR is the most recently issued instruction when the iteration
+/// begins. Any other iteration ticks.
 #[derive(Debug)]
 pub struct RegionProfiler {
     regions: Vec<Region>,
@@ -348,6 +418,24 @@ impl TraceSink for RegionProfiler {
             _ => {}
         }
     }
+
+    fn takes_iterations(&self) -> bool {
+        true
+    }
+
+    fn iteration(&mut self, repeat: &Repeat<'_>) -> bool {
+        let Some(i) = self.region_of(repeat.pbr) else {
+            return false;
+        };
+        let region = &self.regions[i];
+        let inside = |addr| (region.start..region.end).contains(&addr);
+        if !(inside(repeat.lowest) && inside(repeat.highest)) {
+            return false;
+        }
+        self.cycles[i] += repeat.cycles;
+        self.instructions[i] += repeat.stats.instructions_issued;
+        true
+    }
 }
 
 #[cfg(test)]
@@ -413,5 +501,41 @@ mod tests {
         assert_eq!(results[0], ("a".into(), 2, 1));
         assert_eq!(results[1], ("b".into(), 1, 1));
         assert_eq!(p.other_cycles(), 1);
+    }
+
+    #[test]
+    fn region_profiler_takes_only_iterations_inside_the_pbr_region() {
+        let mut p = RegionProfiler::new(vec![
+            Region {
+                name: "a".into(),
+                start: 0,
+                end: 0x20,
+            },
+            Region {
+                name: "b".into(),
+                start: 0x20,
+                end: 0x40,
+            },
+        ]);
+        assert!(p.takes_iterations());
+        let stats = SimStats {
+            instructions_issued: 3,
+            ..SimStats::default()
+        };
+        let repeat = |pbr, lowest, highest| Repeat {
+            pbr,
+            lowest,
+            highest,
+            cycles: 5,
+            stats: &stats,
+        };
+        assert!(p.iteration(&repeat(0x2c, 0x20, 0x34)));
+        // Crossing into region a, or closed outside every region.
+        assert!(!p.iteration(&repeat(0x2c, 0x1c, 0x34)));
+        assert!(!p.iteration(&repeat(0x100, 0x100, 0x108)));
+        let results: Vec<_> = p.results().map(|(_, c, i)| (c, i)).collect();
+        assert_eq!(results, [(0, 0), (5, 3)]);
+        assert_eq!(p.other_cycles(), 0);
+        assert!(!VecTrace::new().takes_iterations());
     }
 }

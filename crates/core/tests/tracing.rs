@@ -5,11 +5,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pipe_core::{
-    FetchStrategy, Processor, Region, RegionProfiler, SimConfig, TraceEvent, VecTrace,
+    FetchStrategy, Processor, Region, RegionProfiler, SimConfig, SimStats, TraceEvent, TraceSink,
+    VecTrace,
 };
-use pipe_icache::PipeFetchConfig;
-use pipe_isa::{Assembler, InstrFormat};
+use pipe_icache::repeat::RepeatCounts;
+use pipe_icache::{BufferConfig, CacheConfig, PipeFetchConfig, TibConfig};
+use pipe_isa::{Assembler, InstrFormat, Program};
 use pipe_mem::MemConfig;
+use pipe_workloads::LivermoreSuite;
 
 fn traced_run(
     src: &str,
@@ -136,4 +139,96 @@ fn region_profiler_splits_loop_from_prologue() {
         "all instructions attributed"
     );
     assert!(results[1].1 >= results[1].2, "cycles >= instructions");
+}
+
+/// Per-region cycles and instructions, and the cycles outside all regions.
+type Profile = (Vec<(u64, u64)>, u64);
+
+/// Profiles `program` under `config` over `regions`, with the profiler
+/// shared through an `Rc<RefCell<_>>` that `wrap` turns into the
+/// processor's sink: through `run`, returning what its loop skip did, or,
+/// if `tick`, by ticking `step` to the end.
+fn profiled<S: TraceSink>(
+    program: &Program,
+    config: &SimConfig,
+    regions: &[Region],
+    wrap: impl FnOnce(Rc<RefCell<RegionProfiler>>) -> S,
+    tick: bool,
+) -> (Profile, SimStats, RepeatCounts) {
+    let profiler = Rc::new(RefCell::new(RegionProfiler::new(regions.to_vec())));
+    let proc = Processor::new(program, config).unwrap();
+    let mut proc = proc.with_trace(wrap(Rc::clone(&profiler)));
+    let counts = if tick {
+        while !proc.is_done() {
+            proc.step().unwrap();
+        }
+        proc.run().unwrap();
+        RepeatCounts::default()
+    } else {
+        proc.run_counting_repeats().unwrap()
+    };
+    let p = profiler.borrow();
+    let per_region = p.results().map(|(_, c, i)| (c, i)).collect();
+    ((per_region, p.other_cycles()), proc.into_stats(), counts)
+}
+
+/// `run` keeps its loop skip on for a `RegionProfiler`, which takes whole
+/// iterations. Profiling every Livermore loop (a trip-scaled suite) under
+/// all five engines at Figure 4a and Figure 5b timing, through both
+/// forwarding sinks, `Rc<RefCell<_>>` and `Box<dyn TraceSink>`, the skip
+/// applies iterations and the profile and statistics equal ticking's. A
+/// forwarding sink that dropped `takes_iterations` would tick instead,
+/// and one that dropped `iteration` would decline every repeat.
+#[test]
+fn livermore_profiles_apply_iterations_and_equal_ticking() {
+    let suite = LivermoreSuite::build_scaled(InstrFormat::Fixed32, 20).unwrap();
+    let regions: Vec<Region> = suite
+        .loops()
+        .iter()
+        .map(|info| Region {
+            name: format!("LL{}", info.index),
+            start: info.top_address,
+            end: info.top_address + info.inner_loop_bytes,
+        })
+        .collect();
+    let engines = [
+        FetchStrategy::Perfect,
+        FetchStrategy::conventional(CacheConfig::new(128, 16)),
+        FetchStrategy::Pipe(PipeFetchConfig::table2(128, 16, 16, 16)),
+        FetchStrategy::Tib(TibConfig::with_budget(128, 16)),
+        FetchStrategy::Buffers(BufferConfig {
+            buffers: 4,
+            cache: None,
+        }),
+    ];
+    // Figure 4a: 1-cycle memory, 4-byte bus; Figure 5b: 6-cycle, 8-byte.
+    for (access_cycles, in_bus_bytes) in [(1, 4), (6, 8)] {
+        for fetch in engines {
+            let config = SimConfig {
+                fetch,
+                mem: MemConfig {
+                    access_cycles,
+                    in_bus_bytes,
+                    ..MemConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            let context = format!("{fetch} at access {access_cycles}, bus {in_bus_bytes}");
+            let (ticked, ticked_stats, _) =
+                profiled(suite.program(), &config, &regions, |p| p, true);
+            let shared = profiled(suite.program(), &config, &regions, |p| p, false);
+            let boxed = profiled(
+                suite.program(),
+                &config,
+                &regions,
+                |p| Box::new(p) as Box<dyn TraceSink>,
+                false,
+            );
+            for (sink, (profile, stats, counts)) in [("Rc", shared), ("Box", boxed)] {
+                assert!(counts.iterations > 0, "{context}, {sink}: nothing applied");
+                assert_eq!(profile, ticked, "{context}, {sink}");
+                assert_eq!(stats, ticked_stats, "{context}, {sink}");
+            }
+        }
+    }
 }

@@ -730,7 +730,7 @@ fn every_engine_matches_the_interpreter_on_random_programs() {
 
 use std::sync::Arc;
 
-use pipe_repro::core::SimError;
+use pipe_repro::core::{Region, RegionProfiler, SimError};
 use pipe_repro::icache::{
     BufferConfig, ConvPrefetch, ConventionalConfig, PrefetchPolicy, TibConfig,
 };
@@ -893,6 +893,145 @@ fn loop_skip_matches_ticking_on_random_kernels() {
         }
     }
     assert!(timeouts > 0, "the small budgets must exercise timeouts");
+}
+
+/// Profiles `config` on `decoded` over `regions` through
+/// `Processor::run`, whose loop skip hands the profiler whole iterations,
+/// and through ticking `step`, which never skips, and asserts that the
+/// two agree on every region's cycles and instructions, the cycles
+/// outside all regions and the statistics. Returns how many iterations
+/// `run` applied.
+fn profile_matches_ticking(
+    decoded: &Arc<DecodedProgram>,
+    config: &SimConfig,
+    regions: &[Region],
+    context: &str,
+) -> u64 {
+    let profile = |skip: bool| {
+        let profiler = Rc::new(RefCell::new(RegionProfiler::new(regions.to_vec())));
+        let proc = Processor::from_decoded(decoded, config).expect("valid");
+        let mut proc = proc.with_trace(Rc::clone(&profiler));
+        let applied = if skip {
+            proc.run_counting_repeats().expect("runs").iterations
+        } else {
+            while !proc.is_done() {
+                proc.step().expect("step");
+            }
+            proc.run().expect("finalizes");
+            0
+        };
+        let p = profiler.borrow();
+        let per_region: Vec<(u64, u64)> = p.results().map(|(_, c, i)| (c, i)).collect();
+        (per_region, p.other_cycles(), proc.into_stats(), applied)
+    };
+    let (regions_run, other_run, stats_run, applied) = profile(true);
+    let (regions_ticked, other_ticked, stats_ticked, _) = profile(false);
+    assert_eq!(regions_run, regions_ticked, "{context}");
+    assert_eq!(other_run, other_ticked, "{context}");
+    assert_eq!(stats_run, stats_ticked, "{context}");
+    applied
+}
+
+/// A region named `name` over `start..end`.
+fn region(name: &str, start: u32, end: u32) -> Region {
+    Region {
+        name: name.into(),
+        start,
+        end,
+    }
+}
+
+/// A `RegionProfiler` takes whole loop iterations from `Processor::run`
+/// and must charge them exactly as ticking does. Over random kernels at
+/// random bases, every engine, random access times, bus 4/8 and
+/// pipelined on/off, three region layouts: the loop body in one region
+/// (the profiler takes its iterations), the body cut in two at a random
+/// instruction (it declines them: the PBR's region does not hold the
+/// whole iteration) and the PBR outside every region (it declines them).
+#[test]
+fn region_profile_with_the_loop_skip_matches_ticking_on_random_kernels() {
+    let mut rng = Rng::new(0x1540);
+    let (mut taken, mut declined) = (0, 0);
+    for trial in 0..8 {
+        let groups = rng.range_u32(1, 6);
+        let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(&mut rng)).collect();
+        let cost: u32 = ops.iter().map(|o| o.cost()).sum();
+        let pads = rng.range_u32(3, 8);
+        let trips = rng.range_u32(20, 60);
+        let kernel = Kernel {
+            index: 93,
+            name: "profile-parity",
+            ops,
+            target_instructions: cost + 3 + pads,
+        };
+        let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+            .expect("balanced groups satisfy the discipline");
+        let program = at_base(&with_stream_data(program, trips), random_base(&mut rng));
+        // The loop body runs from the `lbr` target to the `halt` after
+        // the PBR's delay slots.
+        let addrs: Vec<(u32, Instruction)> = program.instructions().collect();
+        let address_of = |pick: fn(&Instruction) -> bool| {
+            let found = addrs.iter().find(|(_, i)| pick(i));
+            found.expect("the kernel has it").0
+        };
+        let top = addrs.iter().find_map(|&(_, i)| match i {
+            Instruction::Lbr { target_parcel, .. } => Some(u32::from(target_parcel) * 2),
+            _ => None,
+        });
+        let top = top.expect("the kernel loads its loop's target");
+        let pbr = address_of(|i| matches!(i, Instruction::Pbr { .. }));
+        let halt = address_of(|i| *i == Instruction::Halt);
+        let body: Vec<u32> = addrs
+            .iter()
+            .map(|&(a, _)| a)
+            .filter(|a| (top..halt).contains(a))
+            .collect();
+        let cut = body[rng.range_u32(1, body.len() as u32) as usize];
+        // The whole body first: the other two layouts are offered
+        // iterations only at timings where it takes some.
+        let whole_body = vec![
+            region("prologue", program.base(), top),
+            region("body", top, halt),
+        ];
+        let cut_in_two = vec![region("head", top, cut), region("tail", cut, halt)];
+        let pbr_outside = vec![
+            region("prologue", program.base(), top),
+            region("before PBR", top, pbr),
+        ];
+        let decoded = Arc::new(DecodedProgram::new(program));
+        for fetch in every_engine(&mut rng) {
+            let config = SimConfig {
+                fetch,
+                mem: MemConfig {
+                    access_cycles: rng.range_u32(1, 9),
+                    pipelined: rng.bool(),
+                    in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                    ..MemConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            let context = |regions: &[Region]| {
+                format!(
+                    "trial {trial}: {fetch} at {:?} over {regions:?}",
+                    config.mem
+                )
+            };
+            let applied =
+                profile_matches_ticking(&decoded, &config, &whole_body, &context(&whole_body));
+            taken += applied;
+            for regions in [&cut_in_two, &pbr_outside] {
+                let context = context(regions);
+                let declining = profile_matches_ticking(&decoded, &config, regions, &context);
+                assert_eq!(declining, 0, "{context}: a declined iteration was applied");
+                declined += usize::from(applied > 0);
+            }
+        }
+    }
+    assert!(taken > 0, "the profiler never took an iteration");
+    assert!(
+        declined > 0,
+        "the profiler was never offered one to decline"
+    );
 }
 
 /// Trace replay applies repeating loop iterations in one step; a
