@@ -20,6 +20,12 @@
 //! a 5-step tail to `halt`: about 45 KB against 3.0 MB for the steps one
 //! by one.
 //!
+//! Runs also save time. Once the processor's loop skip has applied a
+//! repeat that was exactly one block of a run, every remaining repeat of
+//! the run is that block and makes the same choices, so the cursor moves
+//! past all of them in one step (`Cursor::skip_run`) instead of checking
+//! each: a figure point reads 42 runs, not 150,575 steps.
+//!
 //! [`Course::record`] interprets a program to its end, so it is for
 //! programs that halt or fail; a sweep records one and every point reads
 //! it through an `Arc`. A single run, and a run that observes true data
@@ -330,6 +336,31 @@ impl Cursor {
             }
         }
     }
+
+    /// Called right after the cursor moved past `len` steps that matched:
+    /// if those steps were exactly one block of a run, that is, the cursor
+    /// reads a shared course, stands at the start of a later repeat of
+    /// the run, and the run's block is `len` steps long, moves past the
+    /// run's remaining repeats, at most `most` of them, in one step.
+    /// Returns how many it moved past. Each of them is the block just
+    /// matched, so each would match again. A cursor that interprets
+    /// never jumps.
+    pub(crate) fn skip_run(&mut self, len: usize, most: u64) -> u64 {
+        let Source::Course { course, place } = &mut self.source else {
+            return 0;
+        };
+        match course.runs.get(place.run) {
+            Some(run)
+                if place.repeat > 0 && place.at == run.start && run.end - run.start == len =>
+            {
+                let k = (run.repeats - place.repeat).min(most);
+                place.repeat += k;
+                place.settle(course);
+                k
+            }
+            _ => 0,
+        }
+    }
 }
 
 /// Steps `interp` until `ahead` holds `n` steps or the program ends, and
@@ -493,6 +524,51 @@ mod tests {
             assert_eq!(cursor.next(), None);
             assert_eq!(cursor.end(), Some(&End::Halted));
         }
+    }
+
+    #[test]
+    fn skip_run_jumps_only_past_repeats_of_the_block_just_read() {
+        let decoded = decoded(STORE_LOOP);
+        let steps = interpreted(&decoded);
+        // The prologue with the first trip (8 steps), 48 equal trips of 5
+        // steps, the last trip, the halt.
+        let course = Course::record(&decoded);
+        let trip = course.runs[1].end - course.runs[1].start;
+        assert_eq!((trip, course.runs[1].repeats), (5, 48));
+        let rest = |cursor: Cursor| cursor.map(Step::timed).collect::<Vec<_>>();
+        let at = |read: usize| {
+            let mut cursor = Cursor::new(Arc::clone(&course));
+            assert_eq!(cursor.by_ref().take(read).count(), read);
+            cursor
+        };
+        // At the run's first repeat: the steps read were another block.
+        let mut cursor = at(8);
+        assert_eq!(cursor.skip_run(trip, u64::MAX), 0);
+        assert_eq!(rest(cursor), steps[8..]);
+        // Inside a repeat, or after steps that were not one block.
+        for (read, len) in [(8 + 5 + 2, trip), (8 + 5, trip - 1), (8 + 10, 2 * trip)] {
+            let mut cursor = at(read);
+            assert_eq!(cursor.skip_run(len, u64::MAX), 0, "{read} {len}");
+            assert_eq!(rest(cursor), steps[read..], "{read} {len}");
+        }
+        // At the second repeat: past the other 47, or at most `most`.
+        for (most, jumped) in [(u64::MAX, 47), (47, 47), (3, 3), (0, 0)] {
+            let mut cursor = at(8 + 5);
+            assert_eq!(cursor.skip_run(trip, most), jumped, "{most}");
+            assert_eq!(
+                rest(cursor),
+                steps[8 + 5 * (1 + jumped as usize)..],
+                "{most}"
+            );
+        }
+        // A cursor that interprets, and one at the end, never jump.
+        let mut cursor = Cursor::interpreting(&decoded);
+        assert_eq!(cursor.by_ref().take(8 + 5).count(), 8 + 5);
+        assert_eq!(cursor.skip_run(trip, u64::MAX), 0);
+        assert_eq!(rest(cursor), steps[8 + 5..]);
+        let mut cursor = at(steps.len());
+        assert_eq!(cursor.skip_run(trip, u64::MAX), 0);
+        assert_eq!(cursor.next(), None);
     }
 
     #[test]

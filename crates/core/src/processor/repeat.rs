@@ -23,6 +23,24 @@
 //! `max_cycles`. The queued addresses the skipped steps carried are not
 //! applied: see [`Untimed`](pipe_mem::Untimed).
 //!
+//! ## Whole runs in one step
+//!
+//! A shared [`Course`](crate::Course) keeps consecutive repeats of a
+//! block as one run. When the repeat just applied was exactly one block
+//! of a run (the cursor stands at the start of a later repeat of the
+//! run, and the run's block is as long as the iteration), every remaining
+//! repeat of the run is that same block: it makes the same choices, so
+//! it would match and be applied exactly as the one before. The cursor
+//! then moves past them in one step, at most as many as end by
+//! `max_cycles`, and the skip adds them at once ([`Iteration::times`]),
+//! so they count as applied iterations. The cursor checks all of this
+//! itself, from the steps it moved past, and needs nothing from the
+//! marks. A loop with a second PBR in its body is two blocks per trip,
+//! stored as runs of one repeat, so its repeats are checked one by one.
+//! A cursor that interprets never jumps: a single run, and every run
+//! with a trace sink (which always observes true values) or an external
+//! cache, check each repeat as above.
+//!
 //! The marks and the bounded log are [`pipe_icache::repeat`], which trace
 //! replay uses too; this module adds the core's part of the key and the
 //! check against the course.
@@ -173,8 +191,9 @@ impl<S: TraceSink> Processor<S> {
 
     /// Applies repeats of `iteration`, whose issues made `choices`, until
     /// the course's next iteration chooses differently, the trace sink
-    /// declines a repeat or a repeat would end past `max_cycles`. Returns
-    /// how many it applied. A method of the processor, not of
+    /// declines a repeat or a repeat would end past `max_cycles`; the
+    /// rest of a course run in one step. Returns how many it applied,
+    /// jumped ones included. A method of the processor, not of
     /// `Repeating`: as the latter, measured over Figures 4a–6b, it made
     /// `run` about 5 % slower.
     fn apply_repeats(
@@ -222,6 +241,18 @@ impl<S: TraceSink> Processor<S> {
                 &mut *self.fetch,
             );
             applied += 1;
+            // The rest of a course run in one step (see the module docs).
+            let most = (self.max_cycles - self.cycle) / iteration.cycles;
+            let jumped = self.steps.skip_run(choices.len(), most);
+            if jumped > 0 {
+                iteration.times(jumped).apply(
+                    &mut self.cycle,
+                    &mut self.stats,
+                    &mut self.mem,
+                    &mut *self.fetch,
+                );
+                applied += jumped;
+            }
         }
         applied
     }

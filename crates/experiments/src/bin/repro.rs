@@ -5,7 +5,7 @@
 //!       [--ablation-access] [--ablation-priority] [--ablation-prefetch]
 //!       [--ablation-format] [--ablation-tib] [--profile] [--studies]
 //!       [--check] [--csv-dir DIR] [--svg-dir DIR]
-//!       [--jobs N] [--progress] [--strict]
+//!       [--jobs N] [--progress] [--strict] [--help]
 //! ```
 //!
 //! With no arguments, runs everything except the ablations. `--check`
@@ -28,8 +28,8 @@
 //! exits 0. `--strict` restores fail-fast semantics — the first failed
 //! point aborts with a nonzero exit.
 //!
-//! A malformed command line prints `repro: <error>` and the usage, and
-//! exits 2.
+//! `--help` (or `-h`) prints the usage on stdout and exits 0. A malformed
+//! command line prints `repro: <error>` and the usage, and exits 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,7 +59,7 @@ const USAGE: &str = "\
 usage: repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
              [--ablation-access|priority|prefetch|format|tib]
              [--profile] [--studies] [--check] [--csv-dir DIR] [--svg-dir DIR]
-             [--jobs N] [--progress] [--strict]";
+             [--jobs N] [--progress] [--strict] [--help]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -191,6 +191,10 @@ fn emit(
 }
 
 fn main() -> ExitCode {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {

@@ -77,6 +77,20 @@ fn malformed_arguments_are_usage_errors_not_panics() {
     }
 }
 
+#[test]
+fn help_prints_the_usage_and_succeeds() {
+    for args in [&["--help"][..], &["-h"], &["--all", "--help"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(stdout.starts_with("usage: repro"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+}
+
 /// Starts `repro` with `args`; [`stdout_of`] collects its output.
 fn spawn_repro(args: &[&str]) -> std::process::Child {
     Command::new(env!("CARGO_BIN_EXE_repro"))

@@ -47,7 +47,8 @@ pub trait Counters: Clone + Default {
 /// What the skip did over a run (for tests and measurements).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepeatCounts {
-    /// Iterations applied in one step.
+    /// Iterations applied without ticking, the repeats of a course run
+    /// that the processor jumps past at once included.
     pub iterations: u64,
     /// Cycles those iterations covered.
     pub cycles: u64,

@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pipe_repro::core::{FetchStrategy, Interpreter, IssueTrace, Processor, SimConfig, SimStats};
+use pipe_repro::icache::repeat::RepeatCounts;
 use pipe_repro::icache::{CacheConfig, InstructionCache, PipeFetchConfig};
 use pipe_repro::isa::{
     decode, encode, AluOp, BranchReg, Cond, InstrFormat, Instruction, ProgramBuilder, Reg,
@@ -768,21 +769,30 @@ fn every_engine(rng: &mut Rng) -> [FetchStrategy; 5] {
 /// with no skipping of any kind, and asserts that the two agree on the
 /// outcome (a timeout with its cycle) and the statistics. `run` on the
 /// ticked processor issues no cycle: it finalizes the statistics, and at
-/// the budget times out at once. Returns the outcome.
+/// the budget times out at once. With a `course`, a run that reads it
+/// (and jumps past whole runs of it) must agree too, and apply as many
+/// iterations as the run that interprets. Returns the outcome with what
+/// the loop skip applied.
 fn run_matches_ticking(
     decoded: &Arc<DecodedProgram>,
+    course: Option<&Arc<Course>>,
     config: &SimConfig,
     context: &str,
-) -> Result<(), SimError> {
+) -> Result<RepeatCounts, SimError> {
     let mut ticked = Processor::from_decoded(decoded, config).expect("valid");
     while !ticked.is_done() && ticked.cycle() < config.max_cycles {
         ticked.step().expect("step");
     }
     let expected = ticked.run();
     let mut proc = Processor::from_decoded(decoded, config).expect("valid");
-    let result = proc.run();
-    assert_eq!(result, expected, "{context}");
+    let result = proc.run_counting_repeats();
+    assert_eq!(result.clone().map(drop), expected, "{context}");
     assert_eq!(proc.stats(), ticked.stats(), "{context}");
+    if let Some(course) = course {
+        let mut shared = Processor::from_course(course, config).expect("valid");
+        assert_eq!(shared.run_counting_repeats(), result, "{context}, shared");
+        assert_eq!(shared.stats(), ticked.stats(), "{context}, shared");
+    }
     result
 }
 
@@ -790,7 +800,9 @@ fn run_matches_ticking(
 /// machine at the budget; ticking `step` does neither. Over random
 /// programs at random bases, all five engines, access 1–8, bus 4/8,
 /// pipelined on/off and small cycle budgets, the two must agree bit for
-/// bit.
+/// bit, and so must a run over the program's course. The kernels run 2–7
+/// trips, so the skip often first applies the loop's last taken trip,
+/// right before a course run of another block of the same length.
 #[test]
 fn run_matches_ticking_on_random_programs() {
     let mut rng = Rng::new(0x150b);
@@ -820,6 +832,7 @@ fn run_matches_ticking_on_random_programs() {
             &program,
             random_base(&mut rng),
         )));
+        let course = Course::record(&decoded);
         for fetch in every_engine(&mut rng) {
             for access_cycles in 1..=8 {
                 let config = SimConfig {
@@ -837,7 +850,7 @@ fn run_matches_ticking_on_random_programs() {
                     },
                 };
                 let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
-                let result = run_matches_ticking(&decoded, &config, &context);
+                let result = run_matches_ticking(&decoded, Some(&course), &config, &context);
                 timeouts += usize::from(matches!(result, Err(SimError::Timeout { .. })));
             }
         }
@@ -849,11 +862,15 @@ fn run_matches_ticking_on_random_programs() {
 /// ticking `step` never does. Over random kernels whose loops run long
 /// enough to repeat, random program bases, every engine, random access
 /// times, bus 4/8, pipelined on/off and some small cycle budgets, the two
-/// must agree on the statistics — or on the error and its cycle.
+/// must agree on the statistics — or on the error and its cycle. So must
+/// a run over the program's shared course, which jumps past the rest of
+/// a course run once it has applied one repeat, also at a budget that
+/// ends inside the loop. Every other kernel has a second PBR inside its
+/// loop body, so that an iteration spans two blocks of the course.
 #[test]
 fn loop_skip_matches_ticking_on_random_kernels() {
     let mut rng = Rng::new(0x1519);
-    let mut timeouts = 0;
+    let (mut timeouts, mut applied) = (0, 0);
     for trial in 0..10 {
         let groups = rng.range_u32(1, 6);
         let ops: Vec<KernelOp> = (0..groups).flat_map(|_| kernel_group(&mut rng)).collect();
@@ -866,11 +883,32 @@ fn loop_skip_matches_ticking_on_random_kernels() {
             ops,
             target_instructions: cost + 3 + pads,
         };
-        let program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
+        let mut program = kernel_program(&kernel, trips, InstrFormat::Fixed32)
             .expect("balanced groups satisfy the discipline");
+        if trial % 2 == 1 {
+            program = with_inner_pbr(&program, &mut rng);
+        }
         let program = at_base(&with_stream_data(program, trips), random_base(&mut rng));
         let decoded = Arc::new(DecodedProgram::new(program));
+        let course = Course::record(&decoded);
         for fetch in every_engine(&mut rng) {
+            let mem = MemConfig {
+                access_cycles: rng.range_u32(1, 9),
+                pipelined: rng.bool(),
+                in_bus_bytes: if rng.bool() { 8 } else { 4 },
+                ..MemConfig::default()
+            };
+            let mut whole = Processor::from_decoded(
+                &decoded,
+                &SimConfig {
+                    fetch,
+                    mem,
+                    ..SimConfig::default()
+                },
+            )
+            .expect("valid");
+            whole.run().expect("runs");
+            let cycles = whole.stats().cycles;
             for _ in 0..3 {
                 let config = SimConfig {
                     fetch,
@@ -887,12 +925,84 @@ fn loop_skip_matches_ticking_on_random_kernels() {
                     },
                 };
                 let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
-                let result = run_matches_ticking(&decoded, &config, &context);
+                let result = run_matches_ticking(&decoded, Some(&course), &config, &context);
                 timeouts += usize::from(matches!(result, Err(SimError::Timeout { .. })));
+                applied += result.map_or(0, |counts| counts.iterations);
             }
+            // A budget that runs out a third to nine tenths of the way
+            // through, inside the loop.
+            let config = SimConfig {
+                fetch,
+                mem,
+                max_cycles: cycles / 3 + rng.below(cycles * 9 / 10 - cycles / 3),
+            };
+            let context = format!(
+                "trial {trial}: {fetch} at {mem:?} to cycle {}",
+                config.max_cycles
+            );
+            let result = run_matches_ticking(&decoded, Some(&course), &config, &context);
+            assert_eq!(
+                result,
+                Err(SimError::Timeout {
+                    cycles: config.max_cycles
+                }),
+                "{context}"
+            );
         }
     }
     assert!(timeouts > 0, "the small budgets must exercise timeouts");
+    assert!(applied > 0, "the skip never fired");
+}
+
+/// `program`, a kernel at base 0, with a second PBR in its loop body
+/// before the loop's own, at a random place: always taken to the next
+/// instruction, or never taken. Each trip is then two blocks of the
+/// program's course.
+fn with_inner_pbr(program: &Program, rng: &mut Rng) -> Program {
+    let instrs: Vec<(u32, Instruction)> = program.instructions().collect();
+    let top = instrs.iter().find_map(|&(_, i)| match i {
+        Instruction::Lbr { target_parcel, .. } => Some(u32::from(target_parcel) * 2),
+        _ => None,
+    });
+    let top = top.expect("the kernel loads its loop's target");
+    let first = instrs
+        .iter()
+        .position(|&(a, _)| a == top)
+        .expect("the loop's top");
+    let pbr = instrs
+        .iter()
+        .position(|(_, i)| i.is_branch())
+        .expect("the loop's PBR");
+    let inner = rng.range_u32(first as u32 + 1, pbr as u32 + 1) as usize;
+    let cond = if rng.bool() {
+        Cond::Always
+    } else {
+        Cond::Never
+    };
+    let b1 = BranchReg::new(1);
+    let mut b = ProgramBuilder::new(program.format());
+    for (k, &(_, instr)) in instrs.iter().enumerate() {
+        if k == inner {
+            b.lbr_label(b1, "inner");
+            b.push(Instruction::Pbr {
+                cond,
+                br: b1,
+                rs: Reg::new(0),
+                delay: 0,
+            });
+            b.label("inner");
+        }
+        b.push(instr);
+    }
+    let built = b.build().expect("builds");
+    Program::from_raw(
+        built.parcels().to_vec(),
+        built.base(),
+        built.entry(),
+        built.format(),
+        built.symbols().clone(),
+        program.data().to_vec(),
+    )
 }
 
 /// Profiles `config` on `decoded` over `regions` through
@@ -1164,8 +1274,8 @@ fn a_course_yields_the_interpreters_steps() {
 
 /// One course recorded up front and shared by every engine, at random
 /// memory timings and some small cycle budgets, gives each run the
-/// outcome and the statistics of a run that interprets the program
-/// itself.
+/// outcome, the statistics and the applied loop iterations of a run that
+/// interprets the program itself.
 #[test]
 fn a_shared_course_times_every_engine_as_a_private_one() {
     let mut rng = Rng::new(0x1531);
@@ -1192,7 +1302,11 @@ fn a_shared_course_times_every_engine_as_a_private_one() {
             let mut shared = Processor::from_course(&course, &config).expect("valid");
             let mut private = Processor::from_decoded(&decoded, &config).expect("valid");
             let context = format!("trial {trial}: {fetch} at {:?}", config.mem);
-            assert_eq!(shared.run(), private.run(), "{context}");
+            assert_eq!(
+                shared.run_counting_repeats(),
+                private.run_counting_repeats(),
+                "{context}"
+            );
             assert_eq!(shared.stats(), private.stats(), "{context}");
         }
     }
