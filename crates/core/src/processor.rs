@@ -312,7 +312,7 @@ impl<S: TraceSink> Processor<S> {
         self.core.halted
             && self.core.accesses.is_empty()
             && self.core.sdq == 0
-            && !self.fetch.has_outstanding()
+            && self.fetch.outstanding() == 0
             && self.mem.is_idle()
     }
 
@@ -395,7 +395,7 @@ impl<S: TraceSink> Processor<S> {
                 self.repeat_iterations(at);
             } else if self.stats.instructions_issued == issued_before
                 && self.mem.is_idle()
-                && !self.fetch.has_outstanding()
+                && self.fetch.outstanding() == 0
                 && !self.is_done()
             {
                 self.stop_if_frozen();
@@ -1329,6 +1329,45 @@ mod tests {
                 applied * 1000 >= total * floor,
                 "{engine}: {applied} of {total} cycles applied"
             );
+        }
+    }
+
+    #[test]
+    fn piled_up_stale_fills_leave_run_equal_to_ticking() {
+        // PIPE 32-32 at 128–512 B under Figure 5b timing: a redirect
+        // leaves the IQB prefetch it strands waiting as a cache-only
+        // fill, offered at the lowest priority, so hundreds of them pile
+        // up. The engine keeps counts over the pile instead of walking
+        // it (a debug build checks each count against a walk); the loop
+        // skip over a shared course, as a figure point runs, must still
+        // equal ticking.
+        let suite = pipe_workloads::livermore::livermore_benchmark();
+        let decoded = Arc::new(DecodedProgram::new(suite.program().clone()));
+        let course = Course::record(&decoded);
+        for cache in [128, 256, 512] {
+            let config = SimConfig {
+                fetch: FetchStrategy::Pipe(PipeFetchConfig::table2(cache, 32, 32, 32)),
+                mem: MemConfig {
+                    access_cycles: 6,
+                    in_bus_bytes: 8,
+                    ..MemConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            let mut ticked = Processor::from_decoded(&decoded, &config).unwrap();
+            let mut most = 0;
+            while !ticked.is_done() {
+                ticked.step().unwrap();
+                most = most.max(ticked.fetch.outstanding());
+            }
+            ticked.run().unwrap();
+            let mut shared = Processor::from_course(&course, &config).unwrap();
+            let counts = shared.run_counting_repeats().unwrap();
+            assert_eq!(shared.stats(), ticked.stats(), "{cache} B");
+            assert!(counts.iterations > 0, "{cache} B: {counts:?}");
+            // 499 at each size: if the pile stops forming, the counts
+            // above are no longer exercised.
+            assert!(most >= 400, "{cache} B: at most {most} fills pending");
         }
     }
 

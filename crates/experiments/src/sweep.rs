@@ -530,13 +530,13 @@ impl SweepRunner {
         let wall = started.elapsed();
         if self.progress {
             eprintln!(
-                "[{}] sweep done: {} computed ({} simulated, {} reused), {} failed in {:.2}s",
+                "[{}] sweep done: {} computed ({} simulated, {} reused), {} failed in {:.1} ms",
                 spec.id,
                 computed,
                 computed - reused,
                 reused,
                 failed.len(),
-                wall.as_secs_f64(),
+                wall.as_secs_f64() * 1e3,
             );
         }
         let outcome = SweepOutcome {
@@ -697,14 +697,14 @@ impl SweepRunner {
             Ok(Ok(point)) => {
                 if self.progress {
                     eprintln!(
-                        "[{} {}/{}] {} @ {}B: {} cycles ({:.2}s)",
+                        "[{} {}/{}] {} @ {}B: {} cycles ({:.1} ms)",
                         spec.id,
                         job.index + 1,
                         total,
                         job.kind.label(),
                         job.cache_bytes,
                         point.cycles,
-                        wall.as_secs_f64(),
+                        wall.as_secs_f64() * 1e3,
                     );
                 }
                 return Ok(PointOutcome { point, wall });

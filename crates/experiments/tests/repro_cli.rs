@@ -1,6 +1,7 @@
 //! `repro` reports malformed arguments and output directories it cannot
-//! write as typed errors, never as panics, and reusing a point simulated
-//! earlier in the run leaves its output unchanged.
+//! write as typed errors, never as panics, reusing a point simulated
+//! earlier in the run leaves its output unchanged, and `--progress` times
+//! read in milliseconds.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -126,4 +127,32 @@ fn reused_points_print_as_if_simulated() {
     assert!(b.contains("Figure 5b"), "{b}");
     assert!(a.contains("Figure 6a"), "{a}");
     assert_eq!(both, b + &a);
+}
+
+/// Asserts that `time` reads like `12.3`: milliseconds to 0.1 ms.
+fn assert_tenths(time: &str, line: &str) {
+    let (whole, tenths) = time.split_once('.').expect(line);
+    assert!(whole.parse::<u64>().is_ok() && tenths.len() == 1, "{line}");
+    assert!(tenths.parse::<u8>().is_ok(), "{line}");
+}
+
+#[test]
+fn progress_times_are_in_milliseconds() {
+    // Most figure points take well under 10 ms, which a time in seconds
+    // to two places would print as 0.00.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--fig4a", "--progress"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let points: Vec<&str> = stderr.lines().filter(|l| l.contains(" cycles (")).collect();
+    assert_eq!(points.len(), 28, "{stderr}");
+    for line in points {
+        let time = line.rsplit_once(" cycles (").unwrap().1;
+        assert_tenths(time.strip_suffix(" ms)").expect(line), line);
+    }
+    let done = stderr.lines().find(|l| l.contains("sweep done")).unwrap();
+    let time = done.rsplit_once(" failed in ").unwrap().1;
+    assert_tenths(time.strip_suffix(" ms").expect(done), done);
 }

@@ -259,8 +259,8 @@ impl FetchEngine for BufferFetch {
         self.maybe_trigger();
     }
 
-    fn has_outstanding(&self) -> bool {
-        !self.state.pendings.is_empty()
+    fn outstanding(&self) -> usize {
+        self.state.pendings.len()
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {

@@ -426,8 +426,8 @@ impl FetchEngine for ConventionalFetch {
         self.maybe_trigger();
     }
 
-    fn has_outstanding(&self) -> bool {
-        self.state.pending.is_some()
+    fn outstanding(&self) -> usize {
+        usize::from(self.state.pending.is_some())
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {

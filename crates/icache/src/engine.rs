@@ -84,9 +84,10 @@ pub trait FetchEngine {
     /// key mechanism for gap-free taken branches.
     fn resolve_branch(&mut self, taken: bool, remaining: u32, target: u32);
 
-    /// Returns `true` while the engine has requests in flight (used to
-    /// drain the simulation cleanly at halt, and by the frozen stop).
-    fn has_outstanding(&self) -> bool;
+    /// The engine's requests in flight: offered or accepted, and not yet
+    /// fully received. The simulation drains at halt, and the frozen stop
+    /// fires, only when none is.
+    fn outstanding(&self) -> usize;
 
     /// Writes the engine's timing state into `key`, for the processor's
     /// loop-iteration skip and frozen stop: one struct with derived

@@ -75,8 +75,8 @@ impl FetchEngine for PerfectFetch {
         self.maybe_trigger();
     }
 
-    fn has_outstanding(&self) -> bool {
-        false
+    fn outstanding(&self) -> usize {
+        0
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {

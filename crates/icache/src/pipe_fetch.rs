@@ -23,13 +23,15 @@
 //! cache and the destination queue as they arrive, so wide buses help even
 //! within a single line fill.
 
+use std::collections::VecDeque;
+
 use pipe_isa::encode::parcel_is_branch;
 use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -141,7 +143,63 @@ pub struct PipeFetch {
     cfg: PipeFetchConfig,
     image: Image,
     state: PipeState,
+    counts: FillCounts,
     stats: FetchStats,
+}
+
+/// Counts over [`PipeState::pendings`], kept beside the list so that no
+/// per-cycle operation walks it: a redirect leaves each unaccepted IQB
+/// prefetch waiting as a cache-only fill, and at Figure 5a/5b timing
+/// PIPE 32-32 keeps up to 499 of them. The counts follow from the list,
+/// so they stay out of the timing key.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct FillCounts {
+    /// Accepted fills: the front of the list.
+    accepted: usize,
+    /// Demand fills not yet accepted.
+    waiting_demand: usize,
+    /// Fills streaming into the IQ; at most one.
+    live_iq: usize,
+    /// Fills streaming into the IQB; at most one.
+    live_iqb: usize,
+}
+
+impl FillCounts {
+    /// The counts of `pendings`, by a walk over it.
+    fn of(pendings: &VecDeque<PendingFill>) -> FillCounts {
+        let mut counts = FillCounts::default();
+        for p in pendings {
+            match (p.req.accepted(), p.req.class) {
+                (true, _) => counts.accepted += 1,
+                (false, ReqClass::IFetch) => counts.waiting_demand += 1,
+                (false, _) => {}
+            }
+            counts.count_live(p.dest, 1);
+        }
+        counts
+    }
+
+    /// The live fills headed for `dest`: none for the cache.
+    fn live(&self, dest: Dest) -> usize {
+        match dest {
+            Dest::Iq => self.live_iq,
+            Dest::Iqb => self.live_iqb,
+            Dest::CacheOnly => 0,
+        }
+    }
+
+    /// Counts a fill that starts or stops streaming into `dest`, by
+    /// `delta` (+1 or −1); a cache-only fill is not counted.
+    fn count_live(&mut self, dest: Dest, delta: isize) {
+        let live = match dest {
+            Dest::Iq => &mut self.live_iq,
+            Dest::Iqb => &mut self.live_iqb,
+            Dest::CacheOnly => return,
+        };
+        *live = live
+            .checked_add_signed(delta)
+            .expect("live fills below zero");
+    }
 }
 
 /// The PIPE fetch unit's timing state.
@@ -154,7 +212,7 @@ struct PipeState {
     /// pending fill (tail of the committed stream).
     stream_end: u32,
     /// Off-chip fills, the accepted ones first in acceptance order.
-    pendings: Vec<PendingFill>,
+    pendings: VecDeque<PendingFill>,
     /// Set between a taken resolution and its redirect trigger; while set,
     /// the IQB belongs to the target stream.
     prep: Option<Prep>,
@@ -181,13 +239,14 @@ impl PipeFetch {
                 iq: ParcelQueue::new(&image, cfg.iq_bytes, program.entry()),
                 iqb: ParcelQueue::new(&image, cfg.iqb_bytes, program.entry()),
                 stream_end: program.entry(),
-                pendings: Vec::new(),
+                pendings: VecDeque::new(),
                 prep: None,
                 redirect: Redirect::default(),
                 unresolved_pbr: false,
                 settled: false,
             },
             image,
+            counts: FillCounts::default(),
             stats: FetchStats::default(),
         }
     }
@@ -197,7 +256,33 @@ impl PipeFetch {
     }
 
     fn has_pending(&self, dest: Dest) -> bool {
-        self.state.pendings.iter().any(|p| p.dest == dest)
+        self.counts.live(dest) > 0
+    }
+
+    /// A debug build checks the kept counts against a walk over the fills.
+    fn check_counts(&self) {
+        debug_assert_eq!(self.counts, FillCounts::of(&self.state.pendings));
+        debug_assert!(self.counts.live_iq <= 1 && self.counts.live_iqb <= 1);
+    }
+
+    /// Retargets the live fill headed for `dest`, if any, at the cache
+    /// only: its later beats fill the cache but no queue. At most one
+    /// fill per destination is live, and no fill is queued after it but
+    /// a target fill, so the walk from the back stops at once.
+    fn retire(&mut self, dest: Dest) {
+        if self.counts.live(dest) == 0 {
+            return;
+        }
+        self.counts.count_live(dest, -1);
+        let fill = self
+            .state
+            .pendings
+            .iter_mut()
+            .rev()
+            .find(|p| p.dest == dest);
+        fill.expect("a live fill").dest = Dest::CacheOnly;
+        self.stats.wasted_requests += 1;
+        self.check_counts();
     }
 
     /// Schedules an off-chip fill of class `class` for the parcel at
@@ -209,11 +294,16 @@ impl PipeFetch {
         } else {
             (self.cfg.cache.line_base(need), self.cfg.cache.line_bytes)
         };
-        self.state.pendings.push(PendingFill {
+        self.state.pendings.push_back(PendingFill {
             req: Request::new(class, addr, bytes),
             expect: need,
             dest,
         });
+        if class == ReqClass::IFetch {
+            self.counts.waiting_demand += 1;
+        }
+        self.counts.count_live(dest, 1);
+        self.check_counts();
     }
 
     /// Starts branch-target preparation once "all the instructions
@@ -234,12 +324,7 @@ impl PipeFetch {
         // and retarget in-flight IQB fills at the cache only.
         self.stats.flushed_parcels += self.state.iqb.len() as u64;
         self.state.iqb.restart(target);
-        for p in &mut self.state.pendings {
-            if p.dest == Dest::Iqb {
-                p.dest = Dest::CacheOnly;
-                self.stats.wasted_requests += 1;
-            }
-        }
+        self.retire(Dest::Iqb);
 
         // Begin fetching the target line (cache or off-chip).
         let mut prep = Prep {
@@ -381,12 +466,7 @@ impl PipeFetch {
         self.state.iq.restart(target);
         // Any fill still heading for the IQ carries dead sequential-path
         // parcels: keep filling the cache only.
-        for p in &mut self.state.pendings {
-            if p.dest == Dest::Iq {
-                p.dest = Dest::CacheOnly;
-                self.stats.wasted_requests += 1;
-            }
-        }
+        self.retire(Dest::Iq);
         match self.state.prep.take() {
             Some(prep) => {
                 debug_assert_eq!(prep.target, target);
@@ -399,12 +479,7 @@ impl PipeFetch {
                 // same call); restart cleanly at the target.
                 self.stats.flushed_parcels += self.state.iqb.len() as u64;
                 self.state.iqb.restart(target);
-                for p in &mut self.state.pendings {
-                    if p.dest == Dest::Iqb {
-                        p.dest = Dest::CacheOnly;
-                        self.stats.wasted_requests += 1;
-                    }
-                }
+                self.retire(Dest::Iqb);
                 self.state.stream_end = target;
             }
         }
@@ -418,31 +493,56 @@ impl FetchEngine for PipeFetch {
         // — guarded by queue state and pending fills).
         self.run_supply();
 
-        if self.state.pendings.is_empty() {
+        // One offer per port per cycle: the oldest waiting fill of each
+        // class. The walk starts past the accepted fills and stops once
+        // each port has its offer or nothing of its class waits, so it
+        // never walks a pile of stale prefetches looking for a demand fill.
+        let first = self.counts.accepted;
+        let mut demand = self.counts.waiting_demand > 0;
+        let mut prefetch = self.state.pendings.len() - first > self.counts.waiting_demand;
+        if !(demand || prefetch) {
             return;
         }
-        let mut offered_demand = false;
-        let mut offered_prefetch = false;
-        for p in &mut self.state.pendings {
-            if p.req.accepted() {
-                continue;
-            }
-            let slot = match p.req.class {
-                ReqClass::IFetch => &mut offered_demand,
-                _ => &mut offered_prefetch,
+        for p in self.state.pendings.range(first..) {
+            let port = match p.req.class {
+                ReqClass::IFetch => &mut demand,
+                _ => &mut prefetch,
             };
-            if *slot {
-                continue; // one offer per port per cycle
+            if *port {
+                *port = false;
+                p.req.offer(mem);
+                if !(demand || prefetch) {
+                    break;
+                }
             }
-            *slot = true;
-            p.req.offer(mem);
         }
     }
 
     fn on_accepted(&mut self, class: ReqClass) {
         self.state.settled = false;
-        let pendings = &mut self.state.pendings;
-        accept_in_order(pendings, |p| &mut p.req, class, &mut self.stats);
+        // Memory accepted the fill offered in `class`, the oldest waiting
+        // one of its class: past the accepted fills, behind at most the
+        // few waiting demand fills or, for a demand fill, behind the
+        // stale prefetches queued before it. It moves behind the fills
+        // accepted before it, where its beats will find it.
+        let first = self.counts.accepted;
+        let at = first
+            + self
+                .state
+                .pendings
+                .range(first..)
+                .position(|p| p.req.class == class)
+                .expect("memory accepted a request never offered");
+        if at > first {
+            let fill = self.state.pendings.remove(at).expect("a waiting fill");
+            self.state.pendings.insert(first, fill);
+        }
+        self.state.pendings[first].req.accept(&mut self.stats);
+        self.counts.accepted += 1;
+        if class == ReqClass::IFetch {
+            self.counts.waiting_demand -= 1;
+        }
+        self.check_counts();
     }
 
     fn on_beat(&mut self, beat: &Beat) {
@@ -451,7 +551,11 @@ impl FetchEngine for PipeFetch {
             beat.source,
             BeatSource::IFetch | BeatSource::IPrefetch
         ));
-        let mut p = *self.state.pendings.first().expect("beat without a request");
+        let p = self
+            .state
+            .pendings
+            .front_mut()
+            .expect("beat without a request");
         p.req.receive(beat);
         self.state.cache.fill(beat.addr, beat.bytes);
 
@@ -501,12 +605,15 @@ impl FetchEngine for PipeFetch {
                 (Dest::Iqb, Some(prep)) => prep.end = a,
                 _ => self.state.stream_end = a,
             }
+            self.counts.count_live(p.dest, -1);
             p.dest = Dest::CacheOnly;
         }
-        self.state.pendings[0] = p;
         if beat.last {
-            self.state.pendings.remove(0);
+            self.counts.count_live(p.dest, -1);
+            self.state.pendings.pop_front();
+            self.counts.accepted -= 1;
         }
+        self.check_counts();
     }
 
     fn advance(&mut self) {
@@ -547,8 +654,8 @@ impl FetchEngine for PipeFetch {
         self.maybe_trigger();
     }
 
-    fn has_outstanding(&self) -> bool {
-        !self.state.pendings.is_empty()
+    fn outstanding(&self) -> usize {
+        self.state.pendings.len()
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {
@@ -574,6 +681,7 @@ mod tests {
     use crate::engine::cycle;
     use pipe_isa::{Assembler, InstrFormat, Program};
     use pipe_mem::MemConfig;
+    use Dest::{CacheOnly as C, Iq, Iqb};
 
     fn program() -> Program {
         Assembler::new(InstrFormat::Fixed32)
@@ -623,7 +731,7 @@ mod tests {
         // Cycle 0: request offered+accepted. Cycle 1: first beat + consume.
         assert!(!cycle(&mut f, &mut m));
         assert!(cycle(&mut f, &mut m), "first beat already consumable");
-        assert!(f.has_outstanding(), "line still streaming");
+        assert!(f.outstanding() > 0, "line still streaming");
     }
 
     #[test]
@@ -759,6 +867,182 @@ mod tests {
         let index = f.peek_index().expect("halt reachable");
         assert_eq!(index, f.image.index_of(halt_addr));
         assert_eq!(f.stats().redirects, 1);
+    }
+
+    /// A program of 64 four-byte instructions: 256 bytes, so every line
+    /// the fill tests below name lies in the image.
+    fn nops() -> Program {
+        let src = format!("{}halt\n", "nop\n".repeat(63));
+        Assembler::new(InstrFormat::Fixed32).assemble(&src).unwrap()
+    }
+
+    /// Checks the kept counts against a walk over the fills and returns
+    /// the fills' destinations, oldest first.
+    fn dests(f: &PipeFetch) -> Vec<Dest> {
+        assert_eq!(f.counts, FillCounts::of(&f.state.pendings));
+        f.state.pendings.iter().map(|p| p.dest).collect()
+    }
+
+    /// A 16-16 engine holding `stale` waiting cache-only prefetches (lines
+    /// 0x80, 0x90, ...), as redirects leave them, then a live demand fill
+    /// of line 0x00 and a live IQB prefetch of line 0x10.
+    fn with_stale_fills(p: &Program, stale: u32) -> PipeFetch {
+        let mut f = pipe(p, 64, 16, 16, 16);
+        for i in 0..stale {
+            f.start_fill(ReqClass::IPrefetch, 0x80 + 16 * i, Dest::Iqb);
+            f.retire(Dest::Iqb);
+        }
+        f.start_fill(ReqClass::IFetch, 0, Dest::Iq);
+        f.start_fill(ReqClass::IPrefetch, 0x10, Dest::Iqb);
+        f
+    }
+
+    #[test]
+    fn preparation_retires_the_live_iqb_fill() {
+        let p = nops();
+        let mut f = with_stale_fills(&p, 3);
+        assert_eq!(dests(&f), [C, C, C, Iq, Iqb]);
+        let wasted = f.stats.wasted_requests;
+        // The delay slots are in the IQ (none remain): preparation
+        // starts, and the uncached target line comes as a demand fill.
+        f.state.redirect.resolve(true, 0, 0x40);
+        f.try_start_prep();
+        assert_eq!(dests(&f), [C, C, C, Iq, C, Iqb]);
+        assert_eq!(f.stats.wasted_requests, wasted + 1);
+        let target = f.state.pendings[5].req;
+        assert_eq!((target.class, target.addr), (ReqClass::IFetch, 0x40));
+        // The redirect then retires the demand fill: the prepared
+        // target stream keeps its fill.
+        f.maybe_trigger();
+        assert_eq!(dests(&f), [C, C, C, C, C, Iqb]);
+        assert_eq!(f.stats.wasted_requests, wasted + 2);
+        assert_eq!(f.state.stream_end, 0x50);
+    }
+
+    #[test]
+    fn zero_delay_redirect_prepares_and_triggers_at_once() {
+        let p = nops();
+        let mut f = with_stale_fills(&p, 3);
+        let wasted = f.stats.wasted_requests;
+        f.resolve_branch(true, 0, 0x40);
+        assert_eq!(dests(&f), [C, C, C, C, C, Iqb]);
+        assert_eq!(f.stats.wasted_requests, wasted + 2);
+        assert_eq!(f.stats.redirects, 1);
+    }
+
+    #[test]
+    fn redirect_without_preparation_retires_both_live_fills() {
+        // The delay slots reached the IQ only as they issued, so no
+        // preparation began before the redirect came due.
+        let p = nops();
+        let mut f = with_stale_fills(&p, 3);
+        let wasted = f.stats.wasted_requests;
+        f.state.redirect.resolve(true, 0, 0x40);
+        f.maybe_trigger();
+        assert_eq!(dests(&f), [C; 5]);
+        assert_eq!(f.stats.wasted_requests, wasted + 2);
+        assert_eq!(f.state.stream_end, 0x40);
+        // With nothing live, a second retirement changes nothing.
+        f.retire(Iq);
+        f.retire(Iqb);
+        assert_eq!(f.stats.wasted_requests, wasted + 2);
+    }
+
+    /// An 8-byte beat of a demand line fill.
+    fn beat(addr: u32, last: bool) -> Beat {
+        Beat {
+            source: BeatSource::IFetch,
+            addr,
+            bytes: 8,
+            last,
+        }
+    }
+
+    #[test]
+    fn the_last_beat_of_a_live_fill_drops_it() {
+        // 16-32: a 32-byte demand line fills the 16-byte IQ and spills
+        // its second half into the IQB; it stays live until its last beat.
+        let p = nops();
+        let mut f = pipe(&p, 64, 32, 16, 32);
+        f.start_fill(ReqClass::IFetch, 0, Iq);
+        f.start_fill(ReqClass::IPrefetch, 0x80, Iqb);
+        f.retire(Iqb);
+        f.on_accepted(ReqClass::IFetch);
+        for addr in [0, 8, 16] {
+            f.on_beat(&beat(addr, false));
+            assert_eq!(dests(&f), [Iq, C], "after the beat at {addr:#x}");
+        }
+        assert_eq!((f.state.iq.len(), f.state.iqb.len()), (8, 4));
+        f.on_beat(&beat(24, true));
+        assert_eq!(dests(&f), [C]);
+        assert_eq!(
+            f.counts,
+            FillCounts::default(),
+            "a waiting prefetch is counted by no field"
+        );
+        assert_eq!(f.state.iqb.len(), 8);
+    }
+
+    #[test]
+    fn overflow_retires_the_demand_fill() {
+        // 16-32: the demand line fills the IQ; then a taken branch whose
+        // two delay slots are in the IQ takes the IQB for its target, so
+        // the rest of the line has no queue to go to and fills the cache
+        // only.
+        let p = nops();
+        let mut f = pipe(&p, 64, 32, 16, 32);
+        f.start_fill(ReqClass::IFetch, 0, Iq);
+        f.on_accepted(ReqClass::IFetch);
+        f.on_beat(&beat(0, false));
+        f.on_beat(&beat(8, false));
+        assert_eq!(f.state.iq.room(), 0);
+        f.resolve_branch(true, 2, 0x40);
+        assert_eq!(dests(&f), [Iq, Iqb], "the target line is on its way");
+        f.on_beat(&beat(16, false));
+        assert_eq!(dests(&f), [C, Iqb]);
+        assert_eq!(f.state.stream_end, 16, "a later refill re-reads the rest");
+        f.on_beat(&beat(24, true));
+        assert_eq!(dests(&f), [Iqb]);
+    }
+
+    #[test]
+    fn offers_reach_the_oldest_waiting_fill_of_each_class() {
+        // Behind three stale prefetches, the demand fill is offered and
+        // accepted first (instruction priority); the prefetch port then
+        // takes the waiting prefetches oldest first, stale ones included.
+        let p = nops();
+        let mut f = with_stale_fills(&p, 3);
+        let mut m = MemorySystem::new(MemConfig {
+            access_cycles: 1,
+            in_bus_bytes: 8,
+            pipelined: true,
+            ..MemConfig::default()
+        });
+        let mut accepted = Vec::new();
+        for _ in 0..8 {
+            f.offer_requests(&mut m);
+            let out = m.tick();
+            if let Some(class) = out.accepted {
+                f.on_accepted(class);
+                let fill = f.state.pendings[f.counts.accepted - 1];
+                accepted.push((class, fill.req.addr));
+            }
+            if let Some(b) = &out.beats {
+                f.on_beat(b);
+            }
+            dests(&f);
+        }
+        use ReqClass::{IFetch, IPrefetch};
+        assert_eq!(
+            accepted,
+            [
+                (IFetch, 0x00),
+                (IPrefetch, 0x80),
+                (IPrefetch, 0x90),
+                (IPrefetch, 0xa0),
+                (IPrefetch, 0x10),
+            ]
+        );
     }
 
     #[test]

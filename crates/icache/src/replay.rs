@@ -535,7 +535,7 @@ impl ReplayHarness {
     pub fn drain(&mut self) -> Result<(), ReplayError> {
         let deadline = self.cycle + self.progress_limit;
         while !(self.state.data_q.is_empty()
-            && !self.engine.has_outstanding()
+            && self.engine.outstanding() == 0
             && self.mem.is_idle())
         {
             if self.cycle >= deadline {

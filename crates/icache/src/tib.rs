@@ -305,8 +305,8 @@ impl FetchEngine for TibFetch {
         self.maybe_trigger();
     }
 
-    fn has_outstanding(&self) -> bool {
-        self.state.pending.is_some()
+    fn outstanding(&self) -> usize {
+        usize::from(self.state.pending.is_some())
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {
