@@ -1337,10 +1337,9 @@ mod tests {
         // PIPE 32-32 at 128–512 B under Figure 5b timing: a redirect
         // leaves the IQB prefetch it strands waiting as a cache-only
         // fill, offered at the lowest priority, so hundreds of them pile
-        // up. The engine keeps counts over the pile instead of walking
-        // it (a debug build checks each count against a walk); the loop
-        // skip over a shared course, as a figure point runs, must still
-        // equal ticking.
+        // up. The engine keeps them in a queue of their own and looks
+        // only at the newest; the loop skip over a shared course, as a
+        // figure point runs, must still equal ticking.
         let suite = pipe_workloads::livermore::livermore_benchmark();
         let decoded = Arc::new(DecodedProgram::new(suite.program().clone()));
         let course = Course::record(&decoded);
@@ -1365,8 +1364,8 @@ mod tests {
             let counts = shared.run_counting_repeats().unwrap();
             assert_eq!(shared.stats(), ticked.stats(), "{cache} B");
             assert!(counts.iterations > 0, "{cache} B: {counts:?}");
-            // 499 at each size: if the pile stops forming, the counts
-            // above are no longer exercised.
+            // 499 at each size: if the pile stops forming, the prefetch
+            // queue above is no longer exercised.
             assert!(most >= 400, "{cache} B: at most {most} fills pending");
         }
     }

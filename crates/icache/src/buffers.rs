@@ -23,7 +23,7 @@ use pipe_mem::error::require_at_least;
 use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
 use crate::cache::{CacheConfig, InstructionCache};
-use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -185,8 +185,10 @@ impl FetchEngine for BufferFetch {
     }
 
     fn on_accepted(&mut self, class: ReqClass) {
-        let pendings = self.state.pendings.make_contiguous();
-        accept_in_order(pendings, |p| &mut p.req, class, &mut self.stats);
+        // The newest fill is the only one that can wait (see `supply`).
+        let p = self.state.pendings.back_mut();
+        let p = p.expect("memory accepted a request never offered");
+        p.req.accept(class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {

@@ -20,7 +20,7 @@ use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey, Untimed};
 
 use crate::cache::{CacheConfig, InstructionCache, SUBBLOCK_BYTES};
-use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::stats::FetchStats;
 
 /// The prefetch strategies Hill compared (the paper adopts
@@ -337,12 +337,9 @@ impl FetchEngine for ConventionalFetch {
     }
 
     fn on_accepted(&mut self, class: ReqClass) {
-        accept_in_order(
-            self.state.pending.as_mut_slice(),
-            |p| p,
-            class,
-            &mut self.stats,
-        );
+        let p = self.state.pending.as_mut();
+        let p = p.expect("memory accepted a request never offered");
+        p.accept(class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {

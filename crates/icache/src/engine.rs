@@ -26,9 +26,10 @@ use crate::stats::FetchStats;
 ///    prepare-to-branch leaves execution.
 ///
 /// Requests carry no tags. Memory answers them in acceptance order, so
-/// an engine keeps its accepted requests ahead of the ones still waiting,
-/// oldest first, and every beat belongs to the oldest accepted one. An
-/// engine never drops an accepted request before its last beat.
+/// an engine keeps its accepted requests oldest first, and every beat
+/// belongs to the oldest accepted one. Of each class, an engine offers
+/// its oldest waiting request. An engine never drops an accepted request
+/// before its last beat.
 ///
 /// Engines deliver instructions in *stream order*: sequential flow,
 /// altered only by `resolve_branch(taken = true, ..)`, which schedules a
@@ -186,8 +187,14 @@ impl Request {
         mem.offer(MemRequest::load(self.class, self.addr, self.bytes));
     }
 
-    /// Marks the request accepted, counting it into `stats` by class.
-    pub(crate) fn accept(&mut self, stats: &mut FetchStats) {
+    /// Marks the request accepted in `class`, counting it into `stats`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request waits in another class: memory accepted a
+    /// request the engine never offered.
+    pub(crate) fn accept(&mut self, class: ReqClass, stats: &mut FetchStats) {
+        assert_eq!(self.class, class, "memory accepted a request never offered");
         debug_assert!(!self.accepted(), "accepted twice");
         self.received = Some(0);
         match self.class {
@@ -216,35 +223,6 @@ impl Request {
             "beat overruns its request"
         );
     }
-}
-
-/// Marks the first waiting request of `class` in `list` accepted and moves
-/// it behind the requests accepted before it, where its beats will find
-/// it: `list` holds its accepted requests first, oldest first. Returns
-/// its new index.
-///
-/// # Panics
-///
-/// Panics if no request of `class` is waiting: memory accepted a request
-/// the engine never offered.
-pub(crate) fn accept_in_order<T>(
-    list: &mut [T],
-    request: impl Fn(&mut T) -> &mut Request,
-    class: ReqClass,
-    stats: &mut FetchStats,
-) -> usize {
-    let first = list.iter_mut().position(|p| !request(p).accepted());
-    let first = first.unwrap_or(list.len());
-    let offered = first
-        + list[first..]
-            .iter_mut()
-            .position(|p| request(p).class == class)
-            .expect("memory accepted a request never offered");
-    request(&mut list[offered]).accept(stats);
-    if offered > first {
-        list[first..=offered].rotate_right(1);
-    }
-    first
 }
 
 /// One cycle of `engine` against `mem`, driven the way the processor
@@ -333,15 +311,11 @@ mod tests {
     #[test]
     fn request_acceptance_counts_once_by_class() {
         let mut stats = FetchStats::default();
-        let mut list = [
-            Request::new(ReqClass::IPrefetch, 0x20, 8),
-            Request::new(ReqClass::IFetch, 0x10, 16),
-        ];
-        let at = accept_in_order(&mut list, |r| r, ReqClass::IFetch, &mut stats);
-        assert_eq!(at, 0, "the accepted request moves ahead of the waiting one");
-        assert_eq!((list[0].addr, list[1].accepted()), (0x10, false));
-        let at = accept_in_order(&mut list, |r| r, ReqClass::IPrefetch, &mut stats);
-        assert_eq!((at, list[1].addr), (1, 0x20));
+        let mut demand = Request::new(ReqClass::IFetch, 0x10, 16);
+        let mut prefetch = Request::new(ReqClass::IPrefetch, 0x20, 8);
+        demand.accept(ReqClass::IFetch, &mut stats);
+        prefetch.accept(ReqClass::IPrefetch, &mut stats);
+        assert!(demand.accepted() && prefetch.accepted());
         assert_eq!(
             (
                 stats.demand_requests,
@@ -353,9 +327,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "never offered")]
+    fn accepting_a_request_in_another_class_fails() {
+        let mut req = Request::new(ReqClass::IPrefetch, 0x20, 8);
+        req.accept(ReqClass::IFetch, &mut FetchStats::default());
+    }
+
+    #[test]
     fn a_request_receives_its_beats_in_order() {
         let mut req = Request::new(ReqClass::IFetch, 0x10, 8);
-        req.accept(&mut FetchStats::default());
+        req.accept(ReqClass::IFetch, &mut FetchStats::default());
         let beat = |addr, last| Beat {
             source: pipe_mem::BeatSource::IFetch,
             addr,
@@ -372,7 +353,7 @@ mod tests {
     #[should_panic(expected = "beat out of order")]
     fn a_beat_that_skips_ahead_fails() {
         let mut req = Request::new(ReqClass::IFetch, 0x10, 8);
-        req.accept(&mut FetchStats::default());
+        req.accept(ReqClass::IFetch, &mut FetchStats::default());
         req.receive(&Beat {
             source: pipe_mem::BeatSource::IFetch,
             addr: 0x14,

@@ -143,63 +143,12 @@ pub struct PipeFetch {
     cfg: PipeFetchConfig,
     image: Image,
     state: PipeState,
-    counts: FillCounts,
     stats: FetchStats,
 }
 
-/// Counts over [`PipeState::pendings`], kept beside the list so that no
-/// per-cycle operation walks it: a redirect leaves each unaccepted IQB
-/// prefetch waiting as a cache-only fill, and at Figure 5a/5b timing
-/// PIPE 32-32 keeps up to 499 of them. The counts follow from the list,
-/// so they stay out of the timing key.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct FillCounts {
-    /// Accepted fills: the front of the list.
-    accepted: usize,
-    /// Demand fills not yet accepted.
-    waiting_demand: usize,
-    /// Fills streaming into the IQ; at most one.
-    live_iq: usize,
-    /// Fills streaming into the IQB; at most one.
-    live_iqb: usize,
-}
-
-impl FillCounts {
-    /// The counts of `pendings`, by a walk over it.
-    fn of(pendings: &VecDeque<PendingFill>) -> FillCounts {
-        let mut counts = FillCounts::default();
-        for p in pendings {
-            match (p.req.accepted(), p.req.class) {
-                (true, _) => counts.accepted += 1,
-                (false, ReqClass::IFetch) => counts.waiting_demand += 1,
-                (false, _) => {}
-            }
-            counts.count_live(p.dest, 1);
-        }
-        counts
-    }
-
-    /// The live fills headed for `dest`: none for the cache.
-    fn live(&self, dest: Dest) -> usize {
-        match dest {
-            Dest::Iq => self.live_iq,
-            Dest::Iqb => self.live_iqb,
-            Dest::CacheOnly => 0,
-        }
-    }
-
-    /// Counts a fill that starts or stops streaming into `dest`, by
-    /// `delta` (+1 or −1); a cache-only fill is not counted.
-    fn count_live(&mut self, dest: Dest, delta: isize) {
-        let live = match dest {
-            Dest::Iq => &mut self.live_iq,
-            Dest::Iqb => &mut self.live_iqb,
-            Dest::CacheOnly => return,
-        };
-        *live = live
-            .checked_add_signed(delta)
-            .expect("live fills below zero");
-    }
+/// The memory port a fill of `class` waits for: demand or prefetch.
+fn port(class: ReqClass) -> usize {
+    usize::from(class != ReqClass::IFetch)
 }
 
 /// The PIPE fetch unit's timing state.
@@ -211,8 +160,17 @@ struct PipeState {
     /// Next sequential parcel address not yet scheduled into a queue or
     /// pending fill (tail of the committed stream).
     stream_end: u32,
-    /// Off-chip fills, the accepted ones first in acceptance order.
-    pendings: VecDeque<PendingFill>,
+    /// Off-chip fills memory has accepted, in acceptance order: it
+    /// answers them oldest first, so every beat is the front fill's.
+    accepted: VecDeque<PendingFill>,
+    /// Fills memory has not accepted, one queue per [`port`], oldest
+    /// first. Memory takes the oldest waiting fill of each class, so the
+    /// order between the two classes times nothing. A redirect leaves
+    /// each unaccepted IQB prefetch waiting as a cache-only fill, and at
+    /// Figure 5a/5b timing PIPE 32-32 keeps up to 499 of them; only the
+    /// newest waiting prefetch can be live (see
+    /// [`start_fill`](PipeFetch::start_fill)).
+    waiting: [VecDeque<PendingFill>; 2],
     /// Set between a taken resolution and its redirect trigger; while set,
     /// the IQB belongs to the target stream.
     prep: Option<Prep>,
@@ -239,14 +197,14 @@ impl PipeFetch {
                 iq: ParcelQueue::new(&image, cfg.iq_bytes, program.entry()),
                 iqb: ParcelQueue::new(&image, cfg.iqb_bytes, program.entry()),
                 stream_end: program.entry(),
-                pendings: VecDeque::new(),
+                accepted: VecDeque::new(),
+                waiting: Default::default(),
                 prep: None,
                 redirect: Redirect::default(),
                 unresolved_pbr: false,
                 settled: false,
             },
             image,
-            counts: FillCounts::default(),
             stats: FetchStats::default(),
         }
     }
@@ -255,55 +213,50 @@ impl PipeFetch {
         self.cfg.cache.line_base(addr) + self.cfg.cache.line_bytes
     }
 
+    /// Whether a fill is streaming into `dest`. Only the accepted fills,
+    /// the waiting demand fills (a few of each at most) and the newest
+    /// waiting prefetch can be live.
     fn has_pending(&self, dest: Dest) -> bool {
-        self.counts.live(dest) > 0
-    }
-
-    /// A debug build checks the kept counts against a walk over the fills.
-    fn check_counts(&self) {
-        debug_assert_eq!(self.counts, FillCounts::of(&self.state.pendings));
-        debug_assert!(self.counts.live_iq <= 1 && self.counts.live_iqb <= 1);
+        let [demand, prefetch] = &self.state.waiting;
+        let live = self.state.accepted.iter().chain(demand);
+        live.chain(prefetch.back()).any(|p| p.dest == dest)
     }
 
     /// Retargets the live fill headed for `dest`, if any, at the cache
     /// only: its later beats fill the cache but no queue. At most one
-    /// fill per destination is live, and no fill is queued after it but
-    /// a target fill, so the walk from the back stops at once.
+    /// fill per destination is live.
     fn retire(&mut self, dest: Dest) {
-        if self.counts.live(dest) == 0 {
-            return;
+        let [demand, prefetch] = &mut self.state.waiting;
+        let live = self.state.accepted.iter_mut().chain(demand);
+        if let Some(fill) = live.chain(prefetch.back_mut()).find(|p| p.dest == dest) {
+            fill.dest = Dest::CacheOnly;
+            self.stats.wasted_requests += 1;
         }
-        self.counts.count_live(dest, -1);
-        let fill = self
-            .state
-            .pendings
-            .iter_mut()
-            .rev()
-            .find(|p| p.dest == dest);
-        fill.expect("a live fill").dest = Dest::CacheOnly;
-        self.stats.wasted_requests += 1;
-        self.check_counts();
     }
 
     /// Schedules an off-chip fill of class `class` for the parcel at
     /// `need`, streaming into `dest`: the whole aligned line, or just its
     /// tail under `partial_lines`.
+    ///
+    /// A prefetch starts only when no fill is live, and a cache-only fill
+    /// never becomes live again, so every prefetch already waiting is
+    /// cache-only: only the newest can be live.
     fn start_fill(&mut self, class: ReqClass, need: u32, dest: Dest) {
         let (addr, bytes) = if self.cfg.partial_lines {
             (need, self.line_end(need) - need)
         } else {
             (self.cfg.cache.line_base(need), self.cfg.cache.line_bytes)
         };
-        self.state.pendings.push_back(PendingFill {
+        let waiting = &mut self.state.waiting[port(class)];
+        debug_assert!(
+            class == ReqClass::IFetch || waiting.iter().all(|p| p.dest == Dest::CacheOnly),
+            "a prefetch starts while a waiting one is live"
+        );
+        waiting.push_back(PendingFill {
             req: Request::new(class, addr, bytes),
             expect: need,
             dest,
         });
-        if class == ReqClass::IFetch {
-            self.counts.waiting_demand += 1;
-        }
-        self.counts.count_live(dest, 1);
-        self.check_counts();
     }
 
     /// Starts branch-target preparation once "all the instructions
@@ -431,7 +384,7 @@ impl PipeFetch {
             self.state.iqb.len(),
             self.state.iqb.end_addr(),
             self.state.stream_end,
-            self.state.pendings.len(),
+            self.outstanding(),
             self.state.redirect,
             self.state.prep,
             self.stats.cache_hits
@@ -494,55 +447,20 @@ impl FetchEngine for PipeFetch {
         self.run_supply();
 
         // One offer per port per cycle: the oldest waiting fill of each
-        // class. The walk starts past the accepted fills and stops once
-        // each port has its offer or nothing of its class waits, so it
-        // never walks a pile of stale prefetches looking for a demand fill.
-        let first = self.counts.accepted;
-        let mut demand = self.counts.waiting_demand > 0;
-        let mut prefetch = self.state.pendings.len() - first > self.counts.waiting_demand;
-        if !(demand || prefetch) {
-            return;
-        }
-        for p in self.state.pendings.range(first..) {
-            let port = match p.req.class {
-                ReqClass::IFetch => &mut demand,
-                _ => &mut prefetch,
-            };
-            if *port {
-                *port = false;
-                p.req.offer(mem);
-                if !(demand || prefetch) {
-                    break;
-                }
-            }
+        // class.
+        for fill in self.state.waiting.iter().filter_map(VecDeque::front) {
+            fill.req.offer(mem);
         }
     }
 
     fn on_accepted(&mut self, class: ReqClass) {
         self.state.settled = false;
-        // Memory accepted the fill offered in `class`, the oldest waiting
-        // one of its class: past the accepted fills, behind at most the
-        // few waiting demand fills or, for a demand fill, behind the
-        // stale prefetches queued before it. It moves behind the fills
-        // accepted before it, where its beats will find it.
-        let first = self.counts.accepted;
-        let at = first
-            + self
-                .state
-                .pendings
-                .range(first..)
-                .position(|p| p.req.class == class)
-                .expect("memory accepted a request never offered");
-        if at > first {
-            let fill = self.state.pendings.remove(at).expect("a waiting fill");
-            self.state.pendings.insert(first, fill);
-        }
-        self.state.pendings[first].req.accept(&mut self.stats);
-        self.counts.accepted += 1;
-        if class == ReqClass::IFetch {
-            self.counts.waiting_demand -= 1;
-        }
-        self.check_counts();
+        let waiting = &mut self.state.waiting[port(class)];
+        let mut fill = waiting
+            .pop_front()
+            .expect("memory accepted a request never offered");
+        fill.req.accept(class, &mut self.stats);
+        self.state.accepted.push_back(fill);
     }
 
     fn on_beat(&mut self, beat: &Beat) {
@@ -553,7 +471,7 @@ impl FetchEngine for PipeFetch {
         ));
         let p = self
             .state
-            .pendings
+            .accepted
             .front_mut()
             .expect("beat without a request");
         p.req.receive(beat);
@@ -605,15 +523,11 @@ impl FetchEngine for PipeFetch {
                 (Dest::Iqb, Some(prep)) => prep.end = a,
                 _ => self.state.stream_end = a,
             }
-            self.counts.count_live(p.dest, -1);
             p.dest = Dest::CacheOnly;
         }
         if beat.last {
-            self.counts.count_live(p.dest, -1);
-            self.state.pendings.pop_front();
-            self.counts.accepted -= 1;
+            self.state.accepted.pop_front();
         }
-        self.check_counts();
     }
 
     fn advance(&mut self) {
@@ -655,7 +569,8 @@ impl FetchEngine for PipeFetch {
     }
 
     fn outstanding(&self) -> usize {
-        self.state.pendings.len()
+        let [demand, prefetch] = &self.state.waiting;
+        self.state.accepted.len() + demand.len() + prefetch.len()
     }
 
     fn describe_timing(&self, key: &mut TimingKey) {
@@ -876,45 +791,50 @@ mod tests {
         Assembler::new(InstrFormat::Fixed32).assemble(&src).unwrap()
     }
 
-    /// Checks the kept counts against a walk over the fills and returns
-    /// the fills' destinations, oldest first.
-    fn dests(f: &PipeFetch) -> Vec<Dest> {
-        assert_eq!(f.counts, FillCounts::of(&f.state.pendings));
-        f.state.pendings.iter().map(|p| p.dest).collect()
+    /// The fills' destinations: the accepted ones, the waiting demand
+    /// fills and the waiting prefetches, each oldest first.
+    fn dests(f: &PipeFetch) -> [Vec<Dest>; 3] {
+        let [demand, prefetch] = &f.state.waiting;
+        [&f.state.accepted, demand, prefetch].map(|q| q.iter().map(|p| p.dest).collect())
     }
 
-    /// A 16-16 engine holding `stale` waiting cache-only prefetches (lines
-    /// 0x80, 0x90, ...), as redirects leave them, then a live demand fill
-    /// of line 0x00 and a live IQB prefetch of line 0x10.
-    fn with_stale_fills(p: &Program, stale: u32) -> PipeFetch {
+    /// A 16-16 engine holding waiting cache-only prefetches (lines 0x80,
+    /// 0x90, ...), as redirects leave them: `before` of them issued before
+    /// a live demand fill of line 0x00 and `after` after it. A live IQB
+    /// prefetch of line 0x10 comes last.
+    fn with_stale_fills(p: &Program, before: u32, after: u32) -> PipeFetch {
         let mut f = pipe(p, 64, 16, 16, 16);
-        for i in 0..stale {
-            f.start_fill(ReqClass::IPrefetch, 0x80 + 16 * i, Dest::Iqb);
-            f.retire(Dest::Iqb);
-        }
-        f.start_fill(ReqClass::IFetch, 0, Dest::Iq);
-        f.start_fill(ReqClass::IPrefetch, 0x10, Dest::Iqb);
+        let strand = |f: &mut PipeFetch, lines: std::ops::Range<u32>| {
+            for i in lines {
+                f.start_fill(ReqClass::IPrefetch, 0x80 + 16 * i, Iqb);
+                f.retire(Iqb);
+            }
+        };
+        strand(&mut f, 0..before);
+        f.start_fill(ReqClass::IFetch, 0, Iq);
+        strand(&mut f, before..before + after);
+        f.start_fill(ReqClass::IPrefetch, 0x10, Iqb);
         f
     }
 
     #[test]
     fn preparation_retires_the_live_iqb_fill() {
         let p = nops();
-        let mut f = with_stale_fills(&p, 3);
-        assert_eq!(dests(&f), [C, C, C, Iq, Iqb]);
+        let mut f = with_stale_fills(&p, 3, 0);
+        assert_eq!(dests(&f), [vec![], vec![Iq], vec![C, C, C, Iqb]]);
         let wasted = f.stats.wasted_requests;
         // The delay slots are in the IQ (none remain): preparation
         // starts, and the uncached target line comes as a demand fill.
         f.state.redirect.resolve(true, 0, 0x40);
         f.try_start_prep();
-        assert_eq!(dests(&f), [C, C, C, Iq, C, Iqb]);
+        assert_eq!(dests(&f), [vec![], vec![Iq, Iqb], vec![C; 4]]);
         assert_eq!(f.stats.wasted_requests, wasted + 1);
-        let target = f.state.pendings[5].req;
+        let target = f.state.waiting[0][1].req;
         assert_eq!((target.class, target.addr), (ReqClass::IFetch, 0x40));
         // The redirect then retires the demand fill: the prepared
         // target stream keeps its fill.
         f.maybe_trigger();
-        assert_eq!(dests(&f), [C, C, C, C, C, Iqb]);
+        assert_eq!(dests(&f), [vec![], vec![C, Iqb], vec![C; 4]]);
         assert_eq!(f.stats.wasted_requests, wasted + 2);
         assert_eq!(f.state.stream_end, 0x50);
     }
@@ -922,10 +842,10 @@ mod tests {
     #[test]
     fn zero_delay_redirect_prepares_and_triggers_at_once() {
         let p = nops();
-        let mut f = with_stale_fills(&p, 3);
+        let mut f = with_stale_fills(&p, 3, 0);
         let wasted = f.stats.wasted_requests;
         f.resolve_branch(true, 0, 0x40);
-        assert_eq!(dests(&f), [C, C, C, C, C, Iqb]);
+        assert_eq!(dests(&f), [vec![], vec![C, Iqb], vec![C; 4]]);
         assert_eq!(f.stats.wasted_requests, wasted + 2);
         assert_eq!(f.stats.redirects, 1);
     }
@@ -935,11 +855,11 @@ mod tests {
         // The delay slots reached the IQ only as they issued, so no
         // preparation began before the redirect came due.
         let p = nops();
-        let mut f = with_stale_fills(&p, 3);
+        let mut f = with_stale_fills(&p, 3, 0);
         let wasted = f.stats.wasted_requests;
         f.state.redirect.resolve(true, 0, 0x40);
         f.maybe_trigger();
-        assert_eq!(dests(&f), [C; 5]);
+        assert_eq!(dests(&f), [vec![], vec![C], vec![C; 4]]);
         assert_eq!(f.stats.wasted_requests, wasted + 2);
         assert_eq!(f.state.stream_end, 0x40);
         // With nothing live, a second retirement changes nothing.
@@ -970,15 +890,18 @@ mod tests {
         f.on_accepted(ReqClass::IFetch);
         for addr in [0, 8, 16] {
             f.on_beat(&beat(addr, false));
-            assert_eq!(dests(&f), [Iq, C], "after the beat at {addr:#x}");
+            assert_eq!(
+                dests(&f),
+                [vec![Iq], vec![], vec![C]],
+                "after the beat at {addr:#x}"
+            );
         }
         assert_eq!((f.state.iq.len(), f.state.iqb.len()), (8, 4));
         f.on_beat(&beat(24, true));
-        assert_eq!(dests(&f), [C]);
-        assert_eq!(
-            f.counts,
-            FillCounts::default(),
-            "a waiting prefetch is counted by no field"
+        assert_eq!(dests(&f), [vec![], vec![], vec![C]]);
+        assert!(
+            !f.has_pending(Iq) && !f.has_pending(Iqb),
+            "a waiting cache-only prefetch streams into no queue"
         );
         assert_eq!(f.state.iqb.len(), 8);
     }
@@ -997,12 +920,42 @@ mod tests {
         f.on_beat(&beat(8, false));
         assert_eq!(f.state.iq.room(), 0);
         f.resolve_branch(true, 2, 0x40);
-        assert_eq!(dests(&f), [Iq, Iqb], "the target line is on its way");
+        assert_eq!(
+            dests(&f),
+            [vec![Iq], vec![Iqb], vec![]],
+            "the target line is on its way"
+        );
         f.on_beat(&beat(16, false));
-        assert_eq!(dests(&f), [C, Iqb]);
+        assert_eq!(dests(&f), [vec![C], vec![Iqb], vec![]]);
         assert_eq!(f.state.stream_end, 16, "a later refill re-reads the rest");
         f.on_beat(&beat(24, true));
-        assert_eq!(dests(&f), [Iqb]);
+        assert_eq!(dests(&f), [vec![], vec![Iqb], vec![]]);
+    }
+
+    /// Drives `f` against a pipelined 1-cycle memory with an 8-byte bus
+    /// until every fill has streamed in, and returns the class and
+    /// address of each fill memory accepted, in acceptance order.
+    fn acceptances(f: &mut PipeFetch) -> Vec<(ReqClass, u32)> {
+        let mut m = MemorySystem::new(MemConfig {
+            access_cycles: 1,
+            in_bus_bytes: 8,
+            pipelined: true,
+            ..MemConfig::default()
+        });
+        let mut accepted = Vec::new();
+        while f.outstanding() > 0 {
+            f.offer_requests(&mut m);
+            let out = m.tick();
+            if let Some(class) = out.accepted {
+                f.on_accepted(class);
+                let fill = f.state.accepted.back().expect("the accepted fill");
+                accepted.push((class, fill.req.addr));
+            }
+            if let Some(b) = &out.beats {
+                f.on_beat(b);
+            }
+        }
+        accepted
     }
 
     #[test]
@@ -1011,30 +964,10 @@ mod tests {
         // accepted first (instruction priority); the prefetch port then
         // takes the waiting prefetches oldest first, stale ones included.
         let p = nops();
-        let mut f = with_stale_fills(&p, 3);
-        let mut m = MemorySystem::new(MemConfig {
-            access_cycles: 1,
-            in_bus_bytes: 8,
-            pipelined: true,
-            ..MemConfig::default()
-        });
-        let mut accepted = Vec::new();
-        for _ in 0..8 {
-            f.offer_requests(&mut m);
-            let out = m.tick();
-            if let Some(class) = out.accepted {
-                f.on_accepted(class);
-                let fill = f.state.pendings[f.counts.accepted - 1];
-                accepted.push((class, fill.req.addr));
-            }
-            if let Some(b) = &out.beats {
-                f.on_beat(b);
-            }
-            dests(&f);
-        }
+        let mut f = with_stale_fills(&p, 3, 0);
         use ReqClass::{IFetch, IPrefetch};
         assert_eq!(
-            accepted,
+            acceptances(&mut f),
             [
                 (IFetch, 0x00),
                 (IPrefetch, 0x80),
@@ -1043,6 +976,28 @@ mod tests {
                 (IPrefetch, 0x10),
             ]
         );
+    }
+
+    #[test]
+    fn the_order_between_classes_times_nothing() {
+        // The same fills, with the stale prefetches issued before the
+        // demand fill, after it, or around it: memory takes the oldest
+        // waiting fill of each class, so every interleaving gives one
+        // timing key and one acceptance sequence.
+        fn key(f: &PipeFetch) -> TimingKey {
+            let mut key = TimingKey::default();
+            f.describe_timing(&mut key);
+            key
+        }
+        let p = nops();
+        let mut first = with_stale_fills(&p, 3, 0);
+        let (first_key, first_order) = (key(&first), acceptances(&mut first));
+        for before in 0..3 {
+            let mut f = with_stale_fills(&p, before, 3 - before);
+            assert_eq!(key(&f), first_key, "{before} stale before the demand fill");
+            assert_eq!(acceptances(&mut f), first_order, "{before} before");
+            assert_eq!(key(&f), key(&first), "{before} before, once drained");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use pipe_isa::{Image, Program, PARCEL_BYTES};
 use pipe_mem::error::{require_at_least, require_multiple_of};
 use pipe_mem::{Beat, BeatSource, ConfigError, MemorySystem, ReqClass, TimingKey};
 
-use crate::engine::{accept_in_order, FetchEngine, Redirect, Request};
+use crate::engine::{FetchEngine, Redirect, Request};
 use crate::queue::ParcelQueue;
 use crate::stats::FetchStats;
 
@@ -243,8 +243,9 @@ impl FetchEngine for TibFetch {
     }
 
     fn on_accepted(&mut self, class: ReqClass) {
-        let pending = self.state.pending.as_mut_slice();
-        accept_in_order(pending, |p| &mut p.req, class, &mut self.stats);
+        let p = self.state.pending.as_mut();
+        let p = p.expect("memory accepted a request never offered");
+        p.req.accept(class, &mut self.stats);
     }
 
     fn on_beat(&mut self, beat: &Beat) {
