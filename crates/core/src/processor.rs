@@ -1310,13 +1310,13 @@ mod tests {
         // The share each engine must keep applying, in tenths of a
         // percent, rounded down. At 6-cycle memory, the TIB's fetch queue
         // alternates between two alignments on kernels 4 and 9: the
-        // timing state repeats every second iteration, which the marks do
-        // not catch.
+        // timing state repeats every second iteration, which only the
+        // marks' pairs apply (tib reads 35.4 % without them).
         let floors = [
             ("perfect", 948),
             ("conventional", 937),
             ("pipe", 911),
-            ("tib", 354),
+            ("tib", 909),
             ("prefetch-buffers", 946),
         ];
         for &(engine, applied, total) in &shares {
@@ -1403,6 +1403,35 @@ mod tests {
                 max_cycles,
                 ..SimConfig::default()
             };
+            let result = run_matches_ticking(&program, &config);
+            assert_eq!(result, Err(SimError::Timeout { cycles: max_cycles }));
+        }
+    }
+
+    #[test]
+    fn loop_skip_stops_a_pair_at_the_cycle_budget() {
+        // Kernel 3 (inner product) at 11 trips, conventional 64 B at
+        // Figure 5b timing: part of the timing state alternates, so the
+        // marks apply its iterations in pairs, and the odd trip count
+        // leaves one iteration over. Every budget short of the end, one
+        // inside each applied pair included, must time out on the cycle
+        // and with the statistics that ticking gives.
+        let program =
+            pipe_workloads::livermore::single_kernel_program(3, 11, InstrFormat::Fixed32).unwrap();
+        let mut config = SimConfig {
+            fetch: FetchStrategy::conventional(CacheConfig::new(64, 16)),
+            mem: MemConfig {
+                access_cycles: 6,
+                in_bus_bytes: 8,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let counts = repeats_match_ticking(&program, &config);
+        assert_eq!(counts.iterations, 6, "three pairs: {counts:?}");
+        let cycles = run_program(&program, &config).unwrap().cycles;
+        for max_cycles in 1..cycles {
+            config.max_cycles = max_cycles;
             let result = run_matches_ticking(&program, &config);
             assert_eq!(result, Err(SimError::Timeout { cycles: max_cycles }));
         }

@@ -11,7 +11,12 @@
 //! its next repeat will take exactly as many cycles and add exactly the
 //! same statistics, unless a value makes a different choice: a PBR
 //! resolving another way or to another target, or a store address playing
-//! another FPU role.
+//! another FPU role. Failing that, the key is compared with the one
+//! recorded the time before: a state that alternates between two values
+//! every iteration repeats every second one, and the two iterations since
+//! then repeat as one unit, a pair (see
+//! [`pipe_icache::repeat`]). Everything below holds for a pair as for a
+//! single iteration.
 //!
 //! The log holds that choice for every issue. Before each further repeat,
 //! the skip compares the choices of the course's next iteration, read
@@ -36,7 +41,9 @@
 //! so they count as applied iterations. The cursor checks all of this
 //! itself, from the steps it moved past, and needs nothing from the
 //! marks. A loop with a second PBR in its body is two blocks per trip,
-//! stored as runs of one repeat, so its repeats are checked one by one.
+//! stored as runs of one repeat, so its repeats are checked one by one;
+//! so are the pairs of a loop whose state repeats every second
+//! iteration, two blocks each.
 //! A cursor that interprets never jumps: a single run, and every run
 //! with a trace sink (which always observes true values) or an external
 //! cache, check each repeat as above.
@@ -133,8 +140,9 @@ impl<S: TraceSink> Machine for Repeating<'_, S> {
 
 impl<S: TraceSink> Processor<S> {
     /// Called after a cycle that issued the PBR at fetch address `at`:
-    /// applies as many repeats of the iteration since that PBR last issued
-    /// as exactly match ticking, then marks the current state.
+    /// applies as many repeats of the iteration since that PBR last issued,
+    /// or of the two since the time before, as exactly match ticking, then
+    /// marks the current state.
     pub(super) fn repeat_iterations(&mut self, at: u32) {
         let Some(mut loops) = self.loops.take() else {
             return;

@@ -66,3 +66,62 @@ fn livermore_over_a_shared_course_times_as_over_its_own_interpreter() {
         }
     }
 }
+
+/// Figure 5b points where part of the timing state alternates from
+/// one iteration to the next for whole loop runs (kernel 3 at 64 B under
+/// the conventional cache and PIPE 16-16, kernels 5, 6 and 11 under PIPE
+/// 32-32 at 64 B, kernel 1 under PIPE 32-32 at 128 B), so the skip
+/// applies those iterations in pairs. A run over a shared course must
+/// time them as ticking does, apply what a run over its own interpreter
+/// applies, and tick at most the cycles measured with pairs (48,015,
+/// 27,920, 61,972 and 98,296 without).
+#[test]
+fn period_two_loops_over_a_shared_course_time_as_ticking() {
+    let decoded = Arc::new(DecodedProgram::new(livermore_benchmark().program().clone()));
+    let course = Course::record(&decoded);
+    let points = [
+        (
+            FetchStrategy::conventional(CacheConfig::new(64, 16)),
+            20_874,
+        ),
+        (
+            FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, 16, 16)),
+            10_241,
+        ),
+        (
+            FetchStrategy::Pipe(PipeFetchConfig::table2(64, 32, 32, 32)),
+            8_844,
+        ),
+        (
+            FetchStrategy::Pipe(PipeFetchConfig::table2(128, 32, 32, 32)),
+            37_292,
+        ),
+    ];
+    for (fetch, most_ticked) in points {
+        let config = SimConfig {
+            fetch,
+            mem: MemConfig {
+                access_cycles: 6,
+                in_bus_bytes: 8,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let mut ticked = Processor::from_decoded(&decoded, &config).unwrap();
+        while !ticked.is_done() {
+            ticked.step().unwrap();
+        }
+        ticked.run().unwrap();
+        let mut shared = Processor::from_course(&course, &config).unwrap();
+        let mut private = Processor::from_decoded(&decoded, &config).unwrap();
+        let counts = shared.run_counting_repeats().unwrap();
+        assert_eq!(private.run_counting_repeats().unwrap(), counts, "{fetch}");
+        assert_eq!(shared.stats(), ticked.stats(), "{fetch}");
+        assert_eq!(private.stats(), ticked.stats(), "{fetch}");
+        let ticked_cycles = shared.stats().cycles - counts.cycles;
+        assert!(
+            ticked_cycles <= most_ticked,
+            "{fetch}: {ticked_cycles} cycles ticked"
+        );
+    }
+}

@@ -14,13 +14,28 @@
 //! timing choices as the iteration's logged events; the cycle loop checks
 //! that before it applies each repeat.
 //!
-//! [`LoopMarks`] keeps one mark per PBR address (the key, a snapshot of
-//! cycle and statistics, and where the following iteration begins in the
-//! event log), keeps the log bounded, and hands a repeating
+//! ## Period-two marks
+//!
+//! In some loops no iteration leaves the state the one before it left:
+//! one part of it alternates between two values (the TIB's fetch queue
+//! between two alignments, for one), so the state repeats every second
+//! iteration. The key is therefore compared with the one recorded when
+//! the same PBR last issued and, failing that, with the one recorded the
+//! time before. A match with the earlier one makes the two iterations
+//! since then one repeating unit: the cycle loop checks and applies it
+//! pair by pair, exactly as a single iteration, and each applied pair
+//! counts as two [`RepeatCounts::iterations`]. When both match, the
+//! single iteration wins.
+//!
+//! [`LoopMarks`] keeps these two marks per PBR address (the key, a
+//! snapshot of cycle and statistics, and where the following iterations
+//! begin in the event log), keeps the log bounded, and hands a repeating
 //! [`Iteration`] to the cycle loop, whose [`Machine`] implementation
 //! checks and applies the repeats. Applying one
 //! ([`Iteration::apply`]) adds the cycles and the statistics deltas of
 //! the loop, the memory system and the fetch engine; no state moves.
+//! Once a repeat is applied, every snapshot taken before it lacks the
+//! applied cycles, so only the mark taken after it is kept.
 
 use std::collections::HashMap;
 
@@ -201,14 +216,18 @@ struct Mark<C> {
     snapshot: Snapshot<C>,
 }
 
+/// A PBR's latest mark and the one before it, if still valid: a match
+/// with `[n]` repeats the last `n + 1` iterations.
+type Marks<C> = [Option<Mark<C>>; 2];
+
 /// The marks and the bounded event log of one run (see the
 /// [module docs](self)).
 #[derive(Debug)]
 pub struct LoopMarks<E, C> {
     /// Events since the oldest mark.
     log: Vec<E>,
-    /// The latest mark per PBR address.
-    marks: HashMap<u32, Mark<C>>,
+    /// The latest two marks per PBR address.
+    marks: HashMap<u32, Marks<C>>,
     /// Scratch key, reused between PBRs.
     key: TimingKey,
     counts: RepeatCounts,
@@ -246,20 +265,29 @@ impl<E, C: Counters> LoopMarks<E, C> {
     #[inline(never)]
     fn trim(&mut self) {
         let keep_from = self.log.len() - MAX_ITERATION_EVENTS;
-        self.marks.retain(|_, m| m.pos >= keep_from);
-        let start = self.marks.values().map(|m| m.pos).min();
+        self.marks.retain(|_, marks| {
+            for mark in marks.iter_mut() {
+                if mark.as_ref().is_some_and(|m| m.pos < keep_from) {
+                    *mark = None;
+                }
+            }
+            // The older mark is gone too when the latest one is.
+            marks[0].is_some()
+        });
+        let start = self.marks.values().flatten().flatten().map(|m| m.pos).min();
         let start = start.unwrap_or(self.log.len());
         self.log.drain(..start);
-        for m in self.marks.values_mut() {
+        for m in self.marks.values_mut().flatten().flatten() {
             m.pos -= start;
         }
     }
 
     /// Called after `machine` replayed or issued the PBR at fetch address
     /// `at`, with that PBR's event logged: applies as many repeats of the
-    /// iteration since the PBR's mark as `machine` accepts, then marks the
-    /// current state. Returns `false` when `machine` can never describe
-    /// its timing, which ends the skip for the run.
+    /// iteration since the PBR's latest mark, or else of the two since the
+    /// mark before it, as `machine` accepts, then marks the current state.
+    /// Returns `false` when `machine` can never describe its timing, which
+    /// ends the skip for the run.
     pub fn after_pbr<M>(&mut self, at: u32, machine: &mut M) -> bool
     where
         M: Machine<Event = E, Counters = C>,
@@ -277,27 +305,223 @@ impl<E, C: Counters> LoopMarks<E, C> {
             }
             Timing::Opaque => return false,
         }
-        let repeated = match self.marks.get(&at) {
-            Some(mark) if mark.key == key => {
+        // The latest mark first: when both match, one iteration repeats.
+        let matched = self.marks.get(&at).and_then(|marks| {
+            let mut marks = (1..).zip(marks);
+            marks.find_map(|(span, mark)| Some((span, mark.as_ref().filter(|m| m.key == key)?)))
+        });
+        let repeated = match matched {
+            Some((span, mark)) => {
                 let iteration = mark.snapshot.until(&machine.state());
                 let events = &self.log[mark.pos..];
                 let applied = machine.apply_repeats(&iteration, events, &mut self.counts);
-                self.counts.iterations += applied;
+                self.counts.iterations += applied * span;
                 self.counts.cycles += applied * iteration.cycles;
                 applied > 0
             }
-            _ => false,
+            None => false,
         };
         if repeated {
             // The other marks' iterations now lack the repeats applied here.
             self.marks.retain(|&a, _| a == at);
             self.log.clear();
         }
-        let mark = self.marks.entry(at).or_default();
+        let marks = self.marks.entry(at).or_default();
+        marks.rotate_right(1);
+        if repeated {
+            // So do the iterations since this PBR's own marks: the older
+            // one is overwritten below, the latest one dropped.
+            marks[1] = None;
+        }
+        let mark = marks[0].get_or_insert_with(Mark::default);
         mark.key.clone_from(&key);
         mark.pos = self.log.len();
         mark.snapshot.take(&machine.state());
         self.key = key;
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The PBR every scripted iteration ends at.
+    const AT: u32 = 0x40;
+
+    /// The scripted loop's own statistic: PBRs issued.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Pbrs(u64);
+
+    impl Counters for Pbrs {
+        fn since(&self, earlier: &Pbrs) -> Pbrs {
+            Pbrs(self.0 - earlier.0)
+        }
+        fn add(&mut self, delta: &Pbrs) {
+            self.0 += delta.0;
+        }
+    }
+
+    /// A repeat the marks handed over: its cycles, PBRs, delivered
+    /// instructions and logged events.
+    type Offer = (u64, u64, u64, usize);
+
+    /// A cycle loop whose iterations are scripted: each ends at `AT` with
+    /// a given key, after given cycles, one instruction per event.
+    #[derive(Default)]
+    struct Scripted {
+        cycle: u64,
+        pbrs: Pbrs,
+        fetch: FetchStats,
+        mem: MemStats,
+        key: u8,
+        /// How many more repeats `apply_repeats` accepts.
+        accept: u64,
+        offers: Vec<Offer>,
+    }
+
+    impl Machine for Scripted {
+        type Event = u32;
+        type Counters = Pbrs;
+
+        fn describe_timing(&self, key: &mut TimingKey) -> Timing {
+            key.add(&self.key);
+            Timing::Described
+        }
+
+        fn state(&self) -> State<'_, Pbrs> {
+            State {
+                cycle: self.cycle,
+                counters: &self.pbrs,
+                fetch: &self.fetch,
+                mem: &self.mem,
+            }
+        }
+
+        fn apply_repeats(
+            &mut self,
+            iteration: &Iteration<Pbrs>,
+            events: &[u32],
+            _: &mut RepeatCounts,
+        ) -> u64 {
+            let delivered = iteration.fetch.instructions_delivered;
+            let offer = (
+                iteration.cycles,
+                iteration.counters.0,
+                delivered,
+                events.len(),
+            );
+            self.offers.push(offer);
+            let applied = std::mem::take(&mut self.accept);
+            for _ in 0..applied {
+                self.cycle += iteration.cycles;
+                self.pbrs.add(&iteration.counters);
+                self.fetch.add(&iteration.fetch);
+            }
+            applied
+        }
+    }
+
+    #[derive(Default)]
+    struct Run {
+        marks: LoopMarks<u32, Pbrs>,
+        machine: Scripted,
+    }
+
+    impl Run {
+        /// Ticks one iteration of `cycles` cycles and `events` events,
+        /// ending at a PBR that leaves `key`, and accepts up to `accept`
+        /// repeats after it.
+        fn iterate(&mut self, cycles: u64, events: u32, key: u8, accept: u64) {
+            for event in 0..events {
+                self.marks.log(event);
+            }
+            let m = &mut self.machine;
+            m.cycle += cycles;
+            m.pbrs.0 += 1;
+            m.fetch.instructions_delivered += u64::from(events);
+            (m.key, m.accept) = (key, accept);
+            assert!(self.marks.after_pbr(AT, m));
+        }
+    }
+
+    #[test]
+    fn a_state_that_repeats_every_second_iteration_is_applied_in_pairs() {
+        // Keys A, B, A: the third PBR matches the mark from two PBRs
+        // back, so the two iterations since (3 + 5 cycles, 2 + 4 events)
+        // repeat as one.
+        let mut run = Run::default();
+        run.iterate(10, 1, b'A', 0);
+        run.iterate(3, 2, b'B', 0);
+        assert!(run.machine.offers.is_empty(), "no key repeated yet");
+        run.iterate(5, 4, b'A', 3);
+        assert_eq!(run.machine.offers, [(8, 2, 6, 6)]);
+        assert_eq!(run.machine.cycle, 18 + 3 * 8);
+        assert_eq!(run.machine.pbrs, Pbrs(3 + 3 * 2));
+        assert_eq!(run.machine.fetch.instructions_delivered, 7 + 3 * 6);
+        let counts = run.marks.counts();
+        assert_eq!((counts.iterations, counts.cycles), (6, 24));
+    }
+
+    #[test]
+    fn period_one_wins_when_both_marks_match() {
+        // Keys A, A, A: at the third PBR both marks match; the one from
+        // the iteration before is offered.
+        let mut run = Run::default();
+        run.iterate(10, 1, b'A', 0);
+        run.iterate(3, 2, b'A', 0);
+        run.iterate(3, 2, b'A', 1);
+        assert_eq!(run.machine.offers, [(3, 1, 2, 2), (3, 1, 2, 2)]);
+        let counts = run.marks.counts();
+        assert_eq!((counts.iterations, counts.cycles), (1, 3));
+    }
+
+    #[test]
+    fn a_mark_taken_before_an_applied_repeat_is_never_matched() {
+        // Keys A, B, A (a pair applied), B, A. Kept, the B mark from
+        // before the pair would match at the fourth PBR and offer the two
+        // iterations since it: 5 + 8 + 3 cycles, with the applied pair's
+        // cycles wrongly inside. Dropped, the next pair is offered only
+        // at the fifth PBR, from the mark taken after the applied one.
+        let mut run = Run::default();
+        run.iterate(10, 1, b'A', 0);
+        run.iterate(3, 2, b'B', 0);
+        run.iterate(5, 4, b'A', 1);
+        run.iterate(3, 2, b'B', 1);
+        assert_eq!(run.machine.offers, [(8, 2, 6, 6)], "a stale mark matched");
+        run.iterate(5, 4, b'A', 1);
+        assert_eq!(run.machine.offers, [(8, 2, 6, 6); 2]);
+        assert_eq!(run.machine.cycle, 10 + 4 * 8);
+        let counts = run.marks.counts();
+        assert_eq!((counts.iterations, counts.cycles), (4, 16));
+
+        // Keys B, A, A (one iteration applied), B: likewise the B mark
+        // from before the applied iteration, older than its A mark.
+        let mut run = Run::default();
+        run.iterate(10, 1, b'B', 0);
+        run.iterate(3, 2, b'A', 0);
+        run.iterate(3, 2, b'A', 1);
+        run.iterate(5, 4, b'B', 1);
+        assert_eq!(run.machine.offers, [(3, 1, 2, 2)], "a stale mark matched");
+    }
+
+    #[test]
+    fn trim_drops_older_marks_with_the_latest() {
+        // The A mark sits at the start of the log, 300 events before the
+        // B mark. Once the log is full, the trim drops the A mark (too
+        // old) but keeps the B mark, and drains the log to it; the next
+        // A then matches nothing.
+        let mut run = Run::default();
+        run.iterate(10, 0, b'A', 0);
+        run.iterate(300, 300, b'B', 0);
+        let full = 2 * MAX_ITERATION_EVENTS as u32;
+        run.iterate(400, full - 300 + 1, b'A', 1);
+        assert!(run.machine.offers.is_empty(), "a trimmed mark matched");
+        let [latest, older] = &run.marks.marks[&AT];
+        assert_eq!(
+            latest.as_ref().map(|m| m.pos),
+            Some(full as usize - 300 + 1)
+        );
+        assert_eq!(older.as_ref().map(|m| m.pos), Some(0), "the B mark");
     }
 }
